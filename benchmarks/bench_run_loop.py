@@ -5,10 +5,12 @@ The unified stepping core (``md/stepping.py``) threads a per-step
 integrator and the engine's gather/scatter arrays, so a steady-state MD step
 performs near-zero fresh ``np.zeros``/``np.empty`` allocations and the
 Newton pair scatter runs through ``np.bincount`` instead of the
-``np.add.at`` scalar loop.  ``use_workspace=False`` runs the original
-allocating code paths bit-for-bit (the pre-PR loop, kept as the golden
-baseline the same way ``deepmd/scalar.py`` and ``_brute_force_pairs`` are),
-which makes the comparison here a true before/after of the same dynamics.
+``np.add.at`` scalar loop.  The baseline side runs the allocating LJ
+reference body (``LennardJones.compute`` without a workspace, kept as the
+golden baseline the same way ``deepmd/scalar.py`` and ``_brute_force_pairs``
+are) through the same loop, via an adapter that does not forward the
+simulation's pool — so the comparison is the same dynamics with and without
+the pooled force path.
 
 Two guards:
 
@@ -33,6 +35,7 @@ import numpy as np
 import pytest
 
 from repro.md import LennardJones, Simulation, copper_system, water_system
+from repro.md.forcefields.base import ForceField
 from repro.md.forcefields.water import WaterReference
 from repro.parallel import DomainDecomposedSimulation
 
@@ -55,17 +58,27 @@ _COUNTED_ALLOCATORS = (
 )
 
 
-def _lj_simulation(use_workspace: bool) -> Simulation:
+class _Unpooled(ForceField):
+    """Runs ``inner``'s allocating reference body: the pool is not forwarded."""
+
+    def __init__(self, inner) -> None:
+        self.inner, self.cutoff = inner, inner.cutoff
+
+    def compute(self, atoms, box, neighbors, workspace=None):
+        return self.inner.compute(atoms, box, neighbors)
+
+
+def _lj_simulation(pooled: bool) -> Simulation:
     atoms, box = copper_system(SYSTEM_CELLS, perturbation=0.05, rng=0)
     atoms.initialize_velocities(300.0, rng=1)
+    force_field = LennardJones(0.05, 2.3, 5.0)
     return Simulation(
         atoms,
         box,
-        LennardJones(0.05, 2.3, 5.0),
+        force_field if pooled else _Unpooled(force_field),
         timestep_fs=1.0,
         neighbor_skin=2.0,
         neighbor_every=50,
-        use_workspace=use_workspace,
     )
 
 
@@ -105,8 +118,8 @@ class _AllocationCounter:
 
 def test_workspace_loop_speedup_and_parity():
     """>= 1.15x steps/sec, with the trajectory pinned to the reference loop."""
-    reference = _lj_simulation(use_workspace=False)
-    pooled = _lj_simulation(use_workspace=True)
+    reference = _lj_simulation(pooled=False)
+    pooled = _lj_simulation(pooled=True)
 
     # same dynamics first: 40 steps across a rebuild stay within 1e-10
     reference.run(40)
@@ -118,8 +131,8 @@ def test_workspace_loop_speedup_and_parity():
         pooled.atoms.forces, reference.atoms.forces, rtol=0.0, atol=1e-10
     )
 
-    slow = _best_steps_per_second(_lj_simulation(use_workspace=False))
-    fast = _best_steps_per_second(_lj_simulation(use_workspace=True))
+    slow = _best_steps_per_second(_lj_simulation(pooled=False))
+    fast = _best_steps_per_second(_lj_simulation(pooled=True))
     speedup = fast / slow
     print(
         f"\nrun loop ({len(reference.atoms)} atoms LJ): "
@@ -186,7 +199,7 @@ def _dp_mixed_simulation() -> Simulation:
 
 @pytest.mark.parametrize(
     "make_sim",
-    [lambda: _lj_simulation(use_workspace=True), _water_simulation, _dp_mixed_simulation],
+    [lambda: _lj_simulation(pooled=True), _water_simulation, _dp_mixed_simulation],
     ids=["lj", "water", "dp-mix-fp32"],
 )
 def test_steady_state_allocation_budget(make_sim):

@@ -1,7 +1,7 @@
 """Shared fixtures for the benchmark harness.
 
 Every file in this directory regenerates one table or figure of the paper
-(see DESIGN.md for the experiment index).  Run with::
+(see the README's "Running the tests" section).  Run with::
 
     pytest benchmarks/ --benchmark-only -s
 

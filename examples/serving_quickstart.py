@@ -52,7 +52,7 @@ def main() -> None:
     )
     model = DeepPotential(config)
 
-    # -- 1. the engine: caches built once, pipeline threads on start() ------
+    # -- 1. the engine: caches built once, one serving thread on start() ----
     engine = ServingEngine(model, max_batch_size=16, max_wait_ms=5.0)
 
     with engine:

@@ -1,7 +1,7 @@
 """repro — reproduction of "Scaling Molecular Dynamics with ab initio Accuracy
 to 149 Nanoseconds per Day" (SC'24).
 
-The package is organised in layers (see DESIGN.md):
+The package is organised in layers (see the README's "Layout" table):
 
 * substrates: :mod:`repro.nnframework` (mini NN framework), :mod:`repro.md`
   (MD engine), :mod:`repro.deepmd` (Deep Potential model),

@@ -102,20 +102,16 @@ HOT_PATH_MARKER = "hot-path"
 COLD_PATH_MARKER = "cold-path"
 
 #: The functions whose bodies execute in *worker context* (RL008): the
-#: persistent-pool subprocess entry of the multiprocess executor, and the
-#: serving engine's prep thread (the PR 9 analogue of a worker: it may build
-#: neighbour lists and pack batches, never evaluate/integrate/fulfill).
-#: Everything reachable from these through the call graph is held to the PR 7
+#: persistent-pool subprocess entry of the multiprocess executor.
+#: Everything reachable from it through the call graph is held to the PR 7
 #: contract — the parent keeps every comm, integration and reduction step.
 WORKER_ENTRYPOINTS: tuple[tuple[str, str], ...] = (
     ("repro/parallel/executor.py", "_worker_main"),
-    ("repro/serving/engine.py", "ServingEngine._prep_loop"),
 )
 
 #: Parent-only primitives (matched on the last dotted component of a call):
 #: ghost-exchange selection/delivery, the engine's comm steps, integrator
-#: half-steps and thermostats, global reductions/gathers and future
-#: fulfilment.  A worker-reachable function calling any of these forks the
+#: half-steps and thermostats, global reductions/gathers.  A worker-reachable function calling any of these forks the
 #: comm/integration sequence out of the parent and silently un-pins the
 #: bitwise sequential-vs-process parity.
 WORKER_FORBIDDEN_CALLS: frozenset[str] = frozenset(
@@ -138,12 +134,9 @@ WORKER_FORBIDDEN_CALLS: frozenset[str] = frozenset(
         "integrate_first_half",
         "integrate_second_half",
         "apply_thermostat",
-        # global reductions / request fulfilment (parent/compute-side, PR 7/9)
+        # global reductions (parent-only, PR 7)
         "sample_temperature",
         "capture_positions",
-        "evaluate_many",
-        "set_result",
-        "set_exception",
     }
 )
 

@@ -581,10 +581,9 @@ class WorkerContextRule(ProgramRule):
     evaluate forces, writing results through their own rank's slab views.
     Everything the call graph proves reachable from a declared worker
     entrypoint (``contracts.WORKER_ENTRYPOINTS`` — the multiprocess pool's
-    subprocess main, and the serving prep thread of the PR 9 prep/compute
-    split) must not call ``GhostExchange``/engine comm primitives, integrator
-    half-steps, thermostats, global reductions or future fulfilment, nor
-    write through a ``*.shared.*`` slab chain directly (own-rank row views,
+    subprocess main) must not call ``GhostExchange``/engine comm primitives,
+    integrator half-steps, thermostats or global reductions, nor write
+    through a ``*.shared.*`` slab chain directly (own-rank row views,
     captured once at domain construction, are the sanctioned write path).
     Exemptions use ``allow[worker]`` with a reason.
     """

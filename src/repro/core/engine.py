@@ -13,7 +13,7 @@ The inputs that matter are computed, not assumed:
 * kernel times come from the Deep Potential hyper-parameters.
 
 Only the conversion of those counts into seconds uses the Fugaku machine
-model (see DESIGN.md for the substitution rationale).
+model (the README's "Parallel engine" section relates it to the executed engine).
 """
 
 from __future__ import annotations

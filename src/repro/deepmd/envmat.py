@@ -24,6 +24,7 @@ import numpy as np
 from ..md.atoms import Atoms
 from ..md.box import Box
 from ..md.neighbor import NeighborData
+from ..md.workspace import UNPOOLED
 from .smoothing import switching_derivative, switching_function
 
 
@@ -92,26 +93,24 @@ class LocalEnvironment:
             cutoff_smooth=self.cutoff_smooth,
         )
 
-    def compute_arrays(self, dtype, workspace=None, key: str = "") -> tuple[np.ndarray, np.ndarray]:
+    def compute_arrays(self, dtype, workspace, key: str = "") -> tuple[np.ndarray, np.ndarray]:
         """``(R, s)`` at the model's compute dtype.
 
         The environment matrix is always *built* in float64 (the invariant the
         precision policies document); the mixed-precision kernels read these
         once-downcast copies instead.  float64 returns the original arrays —
-        no copy, so the golden path is untouched.  With a ``workspace`` the
-        reduced copies live in named pool buffers (``env.cast.R/s.<key>``) and
-        steady-state steps re-fill them without allocating.
+        no copy, so the golden path is untouched.  The reduced copies live in
+        ``workspace`` buffers (``env.cast.R/s.<key>``), which a pool re-fills
+        on steady-state steps without allocating.
         """
         dt = np.dtype(dtype)
         if dt == self.R.dtype:
             return self.R, self.s
-        if workspace is not None:
-            r_c = workspace.buffer(f"env.cast.R.{key}", self.R.shape, dtype=dt)
-            s_c = workspace.buffer(f"env.cast.s.{key}", self.s.shape, dtype=dt)
-            np.copyto(r_c, self.R)
-            np.copyto(s_c, self.s)
-            return r_c, s_c
-        return self.R.astype(dt), self.s.astype(dt)
+        r_c = workspace.buffer(f"env.cast.R.{key}", self.R.shape, dtype=dt)
+        s_c = workspace.buffer(f"env.cast.s.{key}", self.s.shape, dtype=dt)
+        np.copyto(r_c, self.R)
+        np.copyto(s_c, self.s)
+        return r_c, s_c
 
 
 def build_local_environment(
@@ -130,8 +129,10 @@ def build_local_environment(
     skin); neighbours beyond ``cutoff`` are dropped here.  ``workspace`` (a
     :class:`repro.md.workspace.Workspace`) reuses the padded per-atom output
     arrays across calls — the returned environment then aliases pool buffers
-    and must not outlive the next build from the same workspace.
+    and must not outlive the next build from the same workspace; ``None``
+    returns freshly owned arrays.
     """
+    workspace = UNPOOLED if workspace is None else workspace
     if cutoff <= 0 or not 0 < cutoff_smooth < cutoff:
         raise ValueError("require 0 < cutoff_smooth < cutoff")
     n = len(atoms)
@@ -165,10 +166,7 @@ def build_local_environment(
     # reference does with its stable argsort).
     dist_key = np.where(within, dist, np.inf)
     order_by_dist = np.argsort(dist_key, axis=1, kind="stable")
-    if workspace is not None:
-        rank = workspace.buffer("dp.env.rank", (n, width), dtype=np.int64)
-    else:
-        rank = np.empty((n, width), dtype=np.int64)  # reprolint: allow[alloc] workspace-less reference branch allocates per call by design
+    rank = workspace.buffer("dp.env.rank", (n, width), dtype=np.int64)
     np.put_along_axis(
         rank, order_by_dist, np.broadcast_to(np.arange(width), (n, width)), axis=1
     )
@@ -190,22 +188,14 @@ def build_local_environment(
     src_r = src // width
     src_c = src % width
 
-    if workspace is not None:
-        R = workspace.zeros("dp.env.R", (n, n_pad, 4))
-        displacements = workspace.zeros("dp.env.displacements", (n, n_pad, 3))
-        distances = workspace.zeros("dp.env.distances", (n, n_pad))
-        mask = workspace.zeros("dp.env.mask", (n, n_pad))
-        neighbor_indices = workspace.buffer("dp.env.neighbor_indices", (n, n_pad), dtype=np.int64)
-        neighbor_indices.fill(-1)
-        neighbor_types = workspace.buffer("dp.env.neighbor_types", (n, n_pad), dtype=np.int64)
-        neighbor_types.fill(-1)
-    else:
-        R = np.zeros((n, n_pad, 4))  # reprolint: allow[alloc] workspace-less reference branch allocates per call by design
-        displacements = np.zeros((n, n_pad, 3))  # reprolint: allow[alloc] workspace-less reference branch allocates per call by design
-        distances = np.zeros((n, n_pad))  # reprolint: allow[alloc] workspace-less reference branch allocates per call by design
-        mask = np.zeros((n, n_pad))  # reprolint: allow[alloc] workspace-less reference branch allocates per call by design
-        neighbor_indices = np.full((n, n_pad), -1, dtype=np.int64)  # reprolint: allow[alloc] workspace-less reference branch allocates per call by design
-        neighbor_types = np.full((n, n_pad), -1, dtype=np.int64)  # reprolint: allow[alloc] workspace-less reference branch allocates per call by design
+    R = workspace.zeros("dp.env.R", (n, n_pad, 4))
+    displacements = workspace.zeros("dp.env.displacements", (n, n_pad, 3))
+    distances = workspace.zeros("dp.env.distances", (n, n_pad))
+    mask = workspace.zeros("dp.env.mask", (n, n_pad))
+    neighbor_indices = workspace.buffer("dp.env.neighbor_indices", (n, n_pad), dtype=np.int64)
+    neighbor_indices.fill(-1)
+    neighbor_types = workspace.buffer("dp.env.neighbor_types", (n, n_pad), dtype=np.int64)
+    neighbor_types.fill(-1)
 
     displacements[out_r, out_s] = disp[src_r, src_c]
     distances[out_r, out_s] = dist[src_r, src_c]

@@ -31,7 +31,7 @@ import numpy as np
 from ..md.atoms import Atoms
 from ..md.box import Box
 from ..md.neighbor import NeighborData
-from ..md.workspace import scatter_add_vectors
+from ..md.workspace import UNPOOLED, scatter_add_vectors
 from ..nnframework.session import Session
 from ..utils.rng import default_rng
 from .compression import TabulatedEmbeddingSet
@@ -311,20 +311,16 @@ class DeepPotential:
         """
         policy = get_policy(precision)
         backend = backend or GemmBackend()
+        workspace = UNPOOLED if workspace is None else workspace
         env = (
             environment
             if environment is not None
             else self.build_environment(atoms, box, neighbors, workspace=workspace)
         )
         n = env.n_atoms
-        if workspace is not None:
-            per_atom = workspace.zeros("dp.per_atom", n)
-            forces = workspace.zeros("dp.forces", (n, 3))
-            virial = workspace.zeros("dp.virial", (3, 3))
-        else:
-            per_atom = np.zeros(n)  # reprolint: allow[alloc] workspace-less reference branch allocates per call by design
-            forces = np.zeros((n, 3))  # reprolint: allow[alloc] workspace-less reference branch allocates per call by design
-            virial = np.zeros((3, 3))  # reprolint: allow[alloc] workspace-less reference branch allocates per call by design
+        per_atom = workspace.zeros("dp.per_atom", n)
+        forces = workspace.zeros("dp.forces", (n, 3))
+        virial = workspace.zeros("dp.virial", (3, 3))
 
         if n == 0:
             # degenerate (0-atom) serving request: the contract is a
@@ -340,22 +336,9 @@ class DeepPotential:
                 virial=virial,
             )
 
-        for ti in range(self.n_types):
-            idx = np.nonzero(env.types == ti)[0]
-            if len(idx) == 0:
-                continue
-            energies_t, g_d, sub = self._per_type_fast(
-                env,
-                ti,
-                idx,
-                policy,
-                backend,
-                compressed,
-                compression_table=compression_table,
-                workspace=workspace,
-            )
-            per_atom[idx] = energies_t
-            self._scatter_forces(forces, idx, sub, g_d)
+        for _, _, sub, g_d in self._type_blocks(
+            env, per_atom, forces, policy, backend, compressed, compression_table, workspace
+        ):
             virial -= np.einsum("bni,bnj->ij", sub.displacements, g_d)
 
         return ModelOutput(
@@ -412,40 +395,19 @@ class DeepPotential:
         n_systems = len(offsets) - 1
         if n_systems < 0 or (n and int(offsets[-1]) != n):
             raise ValueError("offsets must be a (S + 1,) cumulative atom-count array")
-        if workspace is not None:
-            per_atom = workspace.zeros("dp.many.per_atom", n)
-            forces = workspace.zeros("dp.many.forces", (n, 3))
-            energies = workspace.zeros("dp.many.energies", n_systems)
-            virials = workspace.zeros("dp.many.virials", (n_systems, 3, 3))
-        else:
-            per_atom = np.zeros(n)  # reprolint: allow[alloc] workspace-less reference branch allocates per call by design
-            forces = np.zeros((n, 3))  # reprolint: allow[alloc] workspace-less reference branch allocates per call by design
-            energies = np.zeros(n_systems)  # reprolint: allow[alloc] workspace-less reference branch allocates per call by design
-            virials = np.zeros((n_systems, 3, 3))  # reprolint: allow[alloc] workspace-less reference branch allocates per call by design
+        workspace = UNPOOLED if workspace is None else workspace
+        per_atom = workspace.zeros("dp.many.per_atom", n)
+        forces = workspace.zeros("dp.many.forces", (n, 3))
+        energies = workspace.zeros("dp.many.energies", n_systems)
+        virials = workspace.zeros("dp.many.virials", (n_systems, 3, 3))
 
-        for ti in range(self.n_types):
-            idx = np.nonzero(env.types == ti)[0]
-            if len(idx) == 0:
-                continue
-            energies_t, g_d, sub = self._per_type_fast(
-                env,
-                ti,
-                idx,
-                policy,
-                backend,
-                compressed,
-                compression_table=compression_table,
-                workspace=workspace,
-            )
-            per_atom[idx] = energies_t
-            self._scatter_forces(forces, idx, sub, g_d)
+        for ti, idx, sub, g_d in self._type_blocks(
+            env, per_atom, forces, policy, backend, compressed, compression_table, workspace
+        ):
             # per-centre virial tensors, segment-reduced per system: the
             # (B, 3, 3) contraction keeps each centre's contribution separate
             # so the bincount below can assign it to the right system
-            if workspace is not None:
-                pav = workspace.buffer(f"dp.many.pav.{ti}", (len(idx), 3, 3))
-            else:
-                pav = np.empty((len(idx), 3, 3))  # reprolint: allow[alloc] workspace-less reference branch allocates per call by design
+            pav = workspace.buffer(f"dp.many.pav.{ti}", (len(idx), 3, 3))
             np.einsum("bni,bnj->bij", sub.displacements, g_d, out=pav)
             sys_ids = system_of_atom[idx]
             for a in range(3):
@@ -467,6 +429,28 @@ class DeepPotential:
         )
 
     # reprolint: hot-path
+    def _type_blocks(
+        self, env, per_atom, forces, policy, backend, compressed, compression_table, workspace
+    ):
+        """The one type-block loop behind :meth:`evaluate` and :meth:`evaluate_many`.
+
+        For each centre type present: select its rows, run
+        :meth:`_per_type_fast`, write the per-atom energies and scatter the
+        forces, then yield ``(type, rows, sub-environment, dE/dd)`` so the
+        caller applies its own virial reduction before the next block.
+        """
+        for ti in range(self.n_types):
+            idx = np.nonzero(env.types == ti)[0]
+            if len(idx) == 0:
+                continue
+            energies_t, g_d, sub = self._per_type_fast(
+                env, ti, idx, policy, backend, compressed, compression_table, workspace
+            )
+            per_atom[idx] = energies_t
+            self._scatter_forces(forces, idx, sub, g_d)
+            yield ti, idx, sub, g_d
+
+    # reprolint: hot-path
     def _per_type_fast(
         self,
         env: LocalEnvironment,
@@ -475,8 +459,8 @@ class DeepPotential:
         policy: PrecisionPolicy,
         backend: GemmBackend,
         compressed: bool,
-        compression_table: TabulatedEmbeddingSet | None = None,
-        workspace=None,
+        compression_table: TabulatedEmbeddingSet | None,
+        workspace,
     ):
         """Per-atom energies and per-neighbour displacement gradients for one type.
 
@@ -500,7 +484,7 @@ class DeepPotential:
         # one downcast of the environment operands per step (into reused
         # workspace buffers): everything downstream reads these natively;
         # float64 gets the original arrays back, untouched
-        r_c, s_c = sub.compute_arrays(cd, workspace=workspace, key=str(center_type))
+        r_c, s_c = sub.compute_arrays(cd, workspace, key=str(center_type))
 
         fast_emb = self.fast_embeddings()
         table = None
@@ -521,26 +505,19 @@ class DeepPotential:
             # the compute dtype, so the table always reads the fp64 s values
             s_valid = sub.s[valid]
             nv = len(s_valid)
-            if workspace is not None:
-                g = workspace.buffer(f"dp.emb.g.{center_type}", g_shape, dtype=cd)
-                g_valid = workspace.capacity(f"dp.emb.vals.{center_type}", nv, trailing=(m_width,), dtype=cd)
-                dg_valid = workspace.capacity(f"dp.emb.ders.{center_type}", nv, trailing=(m_width,), dtype=cd)
-                table.evaluate_batched(
-                    slots, s_valid, out_values=g_valid, out_derivatives=dg_valid, dtype=cd
-                )
-            else:
-                g = np.empty(g_shape, dtype=cd)  # reprolint: allow[alloc] workspace-less reference branch allocates per call by design
-                g_valid, dg_valid = table.evaluate_batched(slots, s_valid, dtype=cd)
+            g = workspace.buffer(f"dp.emb.g.{center_type}", g_shape, dtype=cd)
+            g_valid = workspace.capacity(f"dp.emb.vals.{center_type}", nv, trailing=(m_width,), dtype=cd)
+            dg_valid = workspace.capacity(f"dp.emb.ders.{center_type}", nv, trailing=(m_width,), dtype=cd)
+            table.evaluate_batched(
+                slots, s_valid, out_values=g_valid, out_derivatives=dg_valid, dtype=cd
+            )
             # dG/ds stays compact: only G must be dense for the descriptor
             # contraction (padded rows exactly zero, as the loop left them)
             g[~valid] = 0.0
             g[valid] = g_valid
         else:
             valid = dg_valid = None
-            if workspace is not None:
-                g = workspace.zeros(f"dp.emb.g.{center_type}", g_shape, dtype=cd)
-            else:
-                g = np.zeros(g_shape, dtype=cd)  # reprolint: allow[alloc] workspace-less reference branch allocates per call by design
+            g = workspace.zeros(f"dp.emb.g.{center_type}", g_shape, dtype=cd)
             for tj in np.unique(sub.neighbor_types):
                 if tj < 0:
                     continue
@@ -568,11 +545,8 @@ class DeepPotential:
             energies = energies.reshape(batch).astype(np.float64) + self.energy_bias[center_type]  # reprolint: allow[alloc] one tiny (B,) upcast per step at the fp64 accumulation boundary
         else:
             energies = energies.reshape(batch) + self.energy_bias[center_type]
-        if workspace is not None:
-            ones = workspace.buffer(f"dp.fit.ones.{center_type}", (batch, 1), dtype=cd)
-            ones.fill(1.0)
-        else:
-            ones = np.ones((batch, 1), dtype=cd)  # reprolint: allow[alloc] workspace-less reference branch allocates per call by design
+        ones = workspace.buffer(f"dp.fit.ones.{center_type}", (batch, 1), dtype=cd)
+        ones.fill(1.0)
         grad_dstd = fit_net.backward_input(ones, backend=backend, dtypes=fit_dtypes)
         grad_dflat = grad_dstd / std
         grad_d = grad_dflat.reshape(batch, m_width, m2)
@@ -584,19 +558,12 @@ class DeepPotential:
         grad_g = np.matmul(r_c, grad_a) / n_nei  # (B, N, M)
 
         # --- embedding backward: dE/ds from the G path
+        grad_s_embed = workspace.zeros(f"dp.emb.grad_s.{center_type}", (batch, n_nei), dtype=cd)
         if compressed:
             # contract against the compact dG/ds rows: padded slots contribute
             # exactly zero, so only the valid rows need the dot product
-            if workspace is not None:
-                grad_s_embed = workspace.zeros(f"dp.emb.grad_s.{center_type}", (batch, n_nei), dtype=cd)
-            else:
-                grad_s_embed = np.zeros((batch, n_nei), dtype=cd)  # reprolint: allow[alloc] workspace-less reference branch allocates per call by design
             grad_s_embed[valid] = np.einsum("nm,nm->n", grad_g[valid], dg_valid)
         else:
-            if workspace is not None:
-                grad_s_embed = workspace.zeros(f"dp.emb.grad_s.{center_type}", (batch, n_nei), dtype=cd)
-            else:
-                grad_s_embed = np.zeros((batch, n_nei), dtype=cd)  # reprolint: allow[alloc] workspace-less reference branch allocates per call by design
             for tj, (sel, cache) in group_cache.items():
                 net = fast_emb[(center_type, tj)]
                 net._cache = cache

@@ -3,8 +3,8 @@
 The paper trains its Deep Potential models on ab initio (DFT) data.  DFT is
 not available here, so the "ab initio reference" is an analytic many-body
 potential (:class:`~repro.md.forcefields.GuptaPotential` for copper, the
-flexible SPC-like model for water).  The substitution is documented in
-DESIGN.md; what matters for the reproduction is that the training pipeline,
+flexible SPC-like model for water; the README's "Layout" table lists them
+under ``src/repro/md``).  What matters for the reproduction is that the training pipeline,
 the accuracy comparison of Table II, and the precision-insensitivity of
 Fig. 6 all exercise the same code paths they would with DFT labels.
 """

@@ -20,7 +20,7 @@ from ..atoms import Atoms
 from ..box import Box
 from ..neighbor import NeighborData
 from ..water import WaterTopology
-from ..workspace import scatter_add_scalars, scatter_add_vectors
+from ..workspace import UNPOOLED, scatter_add_scalars, scatter_add_vectors
 from .base import ForceField, ForceResult
 
 #: Coulomb constant e^2 / (4 pi eps0) in eV*A.
@@ -169,14 +169,9 @@ class WaterReference(ForceField):
 
         # O-O Lennard-Jones.
         oo_mask = (atoms.types[pairs[:, 0]] == 0) & (atoms.types[pairs[:, 1]] == 0)
-        if workspace is not None:
-            e_lj = workspace.capacity("water.e_lj", len(e_coul))
-            f_lj = workspace.capacity("water.f_lj", len(f_coul))
-            e_lj.fill(0.0)
-            f_lj.fill(0.0)
-        else:
-            e_lj = np.zeros_like(e_coul)
-            f_lj = np.zeros_like(f_coul)
+        buffers = UNPOOLED if workspace is None else workspace
+        e_lj = buffers.capacity_zeros("water.e_lj", len(e_coul))
+        f_lj = buffers.capacity_zeros("water.f_lj", len(f_coul))
         if np.any(oo_mask):
             inv_r2 = 1.0 / r2[oo_mask]
             sr2 = self.lj_sigma * self.lj_sigma * inv_r2
@@ -207,12 +202,9 @@ class WaterReference(ForceField):
         self, atoms: Atoms, box: Box, neighbors: NeighborData, workspace=None
     ) -> ForceResult:
         n = len(atoms)
-        if workspace is not None:
-            forces = workspace.zeros("water.forces", (n, 3))
-            per_atom = workspace.zeros("water.per_atom", n)
-        else:
-            forces = np.zeros((n, 3))  # reprolint: allow[alloc] workspace-less reference branch allocates per call by design
-            per_atom = np.zeros(n)  # reprolint: allow[alloc] workspace-less reference branch allocates per call by design
+        buffers = UNPOOLED if workspace is None else workspace
+        forces = buffers.zeros("water.forces", (n, 3))
+        per_atom = buffers.zeros("water.per_atom", n)
         energy = 0.0
         energy += self._bond_terms(atoms, box, forces, per_atom)
         energy += self._angle_terms(atoms, box, forces, per_atom)

@@ -7,6 +7,7 @@ import numpy as np
 from ..units import ACC_CONV
 from .atoms import Atoms
 from .box import Box
+from .workspace import UNPOOLED
 
 
 class VelocityVerlet:
@@ -24,15 +25,7 @@ class VelocityVerlet:
         self.dt = float(timestep_fs)
 
     def _half_kick(self, atoms: Atoms, workspace) -> None:
-        """``v += 0.5 dt a`` with identical arithmetic on both paths.
-
-        The workspace path stages ``((ACC_CONV * F) / m) * (0.5 dt)`` through
-        one reusable buffer; every element sees the same operations in the
-        same order as the allocating expression, so the two are bit-equal.
-        """
-        if workspace is None:
-            atoms.velocities += 0.5 * self.dt * (ACC_CONV * atoms.forces / atoms.masses[:, None])
-            return
+        """``v += ((ACC_CONV * F) / m) * (0.5 dt)``, staged through one buffer."""
         acc = workspace.buffer("vv.acc", atoms.forces.shape)
         np.multiply(atoms.forces, ACC_CONV, out=acc)
         acc /= atoms.masses[:, None]
@@ -40,20 +33,17 @@ class VelocityVerlet:
         atoms.velocities += acc
 
     def first_half(self, atoms: Atoms, box: Box, workspace=None) -> None:
-        """Advance velocities half a step, positions a full step."""
+        """Advance velocities half a step, positions a full step (wrapped in place)."""
+        workspace = UNPOOLED if workspace is None else workspace
         self._half_kick(atoms, workspace)
-        if workspace is None:
-            atoms.positions += self.dt * atoms.velocities
-            atoms.positions = box.wrap(atoms.positions)
-        else:
-            drift = workspace.buffer("vv.drift", atoms.velocities.shape)
-            np.multiply(atoms.velocities, self.dt, out=drift)
-            atoms.positions += drift
-            atoms.positions = box.wrap(atoms.positions, out=atoms.positions)
+        drift = workspace.buffer("vv.drift", atoms.velocities.shape)
+        np.multiply(atoms.velocities, self.dt, out=drift)
+        atoms.positions += drift
+        atoms.positions = box.wrap(atoms.positions, out=atoms.positions)
 
     def second_half(self, atoms: Atoms, box: Box, workspace=None) -> None:
         """Advance velocities the remaining half step with the new forces."""
-        self._half_kick(atoms, workspace)
+        self._half_kick(atoms, UNPOOLED if workspace is None else workspace)
 
     def step(self, atoms: Atoms, box: Box, force_callback) -> float:
         """One full step; ``force_callback(atoms)`` must refresh ``atoms.forces``

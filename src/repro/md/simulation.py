@@ -16,10 +16,12 @@ exchange; the two are pinned together by
 ``tests/test_parallel_engine_parity.py``.
 
 Per-step scratch (forces, per-atom energies, pair temporaries, integrator
-accelerations) comes from a preallocated :class:`~repro.md.workspace.Workspace`
-by default; construct with ``use_workspace=False`` to run the original
-allocating reference paths (the baseline ``benchmarks/bench_run_loop.py``
-measures against).
+accelerations) comes from the :class:`~repro.md.workspace.Workspace` every
+simulation owns (``sim.workspace``).  The allocating LJ/Morse/Gupta/water
+reference arithmetic is reached by calling ``ForceField.compute`` without a
+workspace — ``benchmarks/bench_run_loop.py`` and
+``tests/test_stepping_core.py`` drive it through the whole loop with a
+force-field adapter that does not forward the pool.
 """
 
 from __future__ import annotations
@@ -54,9 +56,6 @@ class Simulation(EngineBackend):
     neighbor_every: int = 50
     thermostat: Thermostat | None = None
     timers: PhaseTimer = field(default_factory=PhaseTimer)
-    #: route per-step scratch through a preallocated :class:`Workspace`
-    #: (False = the original allocating reference paths, bit-for-bit pre-PR).
-    use_workspace: bool = True
 
     def __post_init__(self) -> None:
         cutoff = validate_cutoff(self.force_field)
@@ -64,7 +63,7 @@ class Simulation(EngineBackend):
         self.neighbor_list = NeighborList(
             cutoff=cutoff, skin=self.neighbor_skin, rebuild_every=self.neighbor_every
         )
-        self.workspace: Workspace | None = Workspace() if self.use_workspace else None
+        self.workspace = Workspace()
         self._last_energy: float | None = None
         self.last_virial: np.ndarray | None = None
         self.trajectory: list[np.ndarray] = []
@@ -75,18 +74,14 @@ class Simulation(EngineBackend):
             data, _ = self.neighbor_list.maybe_rebuild(self.atoms, self.box)
         with self.timers.phase("pair"):
             result = self.force_field.compute(self.atoms, self.box, data, workspace=self.workspace)
-        if self.workspace is not None:
-            # result arrays live in the workspace pool (valid only until the
-            # next evaluation) — keep the public surfaces (atoms.forces,
-            # last_virial) on persistent storage outside the pool
-            if self.atoms.forces.shape == result.forces.shape:
-                np.copyto(self.atoms.forces, result.forces)
-            else:
-                self.atoms.forces = result.forces.copy()
-            self.last_virial = None if result.virial is None else result.virial.copy()
+        # result arrays may live in the workspace pool (valid only until the
+        # next evaluation) — keep the public surfaces (atoms.forces,
+        # last_virial) on persistent storage outside the pool
+        if self.atoms.forces.shape == result.forces.shape:
+            np.copyto(self.atoms.forces, result.forces)
         else:
-            self.atoms.forces = result.forces
-            self.last_virial = result.virial
+            self.atoms.forces = result.forces.copy()
+        self.last_virial = None if result.virial is None else result.virial.copy()
         self._last_energy = result.energy
         return result.energy
 

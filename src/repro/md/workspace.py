@@ -18,12 +18,16 @@ Two kinds of buffers are provided:
   whose length varies slightly between rebuilds; the buffer keeps its largest
   capacity and returns a leading view.
 
-Consumers opt in by passing ``workspace=`` to :meth:`ForceField.compute`
-(see :mod:`repro.md.forcefields.base`); with ``workspace=None`` every force
-field runs its original allocating code path unchanged, which doubles as the
-reference the workspace paths are parity-pinned against
-(``tests/test_stepping_core.py``) and the baseline
-``benchmarks/bench_run_loop.py`` measures the steps/sec win over.
+Every consumer takes its buffers from this vending surface (``buffer`` /
+``zeros`` / ``capacity`` / ``capacity_zeros`` / ``scoped``), so each kernel has
+one body.  The engines own a :class:`Workspace`; the public entry points that
+accept ``workspace=None`` (``DeepPotential.evaluate`` / ``evaluate_many``,
+``build_local_environment``, ``pack_systems``, the integrator half-steps)
+resolve it to :data:`UNPOOLED`, the stateless allocating implementation of the
+same surface — identical arithmetic on freshly owned arrays.  ``workspace=None``
+selects *different arithmetic* only where a reference is pinned against the
+pooled path: the LJ/Morse/Gupta ``compute`` reference bodies and the water
+``np.add.at`` scatter (``tests/test_stepping_core.py::TestWorkspaceParity``).
 
 Scatter-accumulation helpers live here too: :func:`scatter_add_vectors` and
 :func:`scatter_add_scalars` replace ``np.ufunc.at`` (a per-element scalar
@@ -43,6 +47,7 @@ from .box import Box
 __all__ = [
     "Workspace",
     "ScopedWorkspace",
+    "UNPOOLED",
     "scatter_add_vectors",
     "scatter_add_scalars",
     "minimum_image_into",
@@ -143,10 +148,10 @@ class Workspace:
     def scoped(self, prefix: str) -> "ScopedWorkspace":
         """A view of this pool with every buffer name prefixed by ``prefix``.
 
-        Pipelined consumers (the serving engine prepares batch ``k+1`` while
-        batch ``k`` is still being evaluated) need disjoint buffers for each
-        in-flight batch; a scope per pipeline slot keys them apart without a
-        second pool object or copied bookkeeping counters.
+        Consumers that share one pool from different threads (the serving
+        loop and synchronous ``evaluate_batch`` callers) need disjoint
+        buffers; a scope per consumer keys them apart without a second pool
+        object or copied bookkeeping counters.
         """
         return ScopedWorkspace(self, prefix)
 
@@ -200,6 +205,33 @@ class ScopedWorkspace:
 
     def scoped(self, prefix: str) -> "ScopedWorkspace":
         return ScopedWorkspace(self._parent, self._key(prefix))
+
+
+class UnpooledWorkspace:
+    """The allocating implementation of the vending surface.
+
+    Every request returns a freshly owned array: names are ignored and nothing
+    is retained, so the one instance :data:`UNPOOLED` — what ``workspace=None``
+    means at the public entry points — is safe from any thread.
+    """
+
+    def buffer(self, name: str, shape, dtype=np.float64) -> np.ndarray:
+        return np.empty(shape, dtype=dtype)
+
+    def zeros(self, name: str, shape, dtype=np.float64) -> np.ndarray:
+        return np.zeros(shape, dtype=dtype)
+
+    def capacity(self, name: str, length: int, trailing: tuple[int, ...] = (), dtype=np.float64) -> np.ndarray:
+        return np.empty((length, *trailing), dtype=dtype)
+
+    def capacity_zeros(self, name: str, length: int, trailing: tuple[int, ...] = (), dtype=np.float64) -> np.ndarray:
+        return np.zeros((length, *trailing), dtype=dtype)
+
+    def scoped(self, prefix: str) -> "UnpooledWorkspace":
+        return self
+
+
+UNPOOLED = UnpooledWorkspace()
 
 
 # reprolint: hot-path

@@ -156,7 +156,7 @@ class RankDomain:
         #: per-rank scratch pool: force-field output buffers, integrator
         #: stages and density accumulators live here, stable between
         #: rebuilds/migrations (each rank of a real engine owns its own).
-        self.workspace: Workspace | None = Workspace()
+        self.workspace = Workspace()
 
     @property
     def n_owned(self) -> int:
@@ -413,16 +413,9 @@ class _DensityEvaluator(_RankEvaluator):
         else:
             repulsion = density_pair = drep_dr = drho_dr = np.empty(0)  # reprolint: allow[alloc] empty-pair-list early-out, not the steady-state path
 
-        workspace = domain.workspace
-        if workspace is not None:
-            rep_atom = workspace.zeros("density.rep_atom", n_local)
-            rho = workspace.zeros("density.rho", n_local)
-        else:
-            rep_atom = np.zeros(n_local)  # reprolint: allow[alloc] workspace-less fallback allocates per call by design
-            rho = np.zeros(n_local)  # reprolint: allow[alloc] workspace-less fallback allocates per call by design
+        rep_atom = domain.workspace.zeros("density.rep_atom", n_local)
+        rho = domain.workspace.zeros("density.rho", n_local)
         if len(pairs):
-            # Both branches scatter through the bincount reduction: the
-            # workspace toggle changes buffer reuse only, never arithmetic.
             scatter_add_scalars(rep_atom, pairs[:, 0], repulsion)
             scatter_add_scalars(rep_atom, pairs[:, 1], repulsion)
             scatter_add_scalars(rho, pairs[:, 0], density_pair)
@@ -447,11 +440,7 @@ class _DensityEvaluator(_RankEvaluator):
             inv_sqrt[domain.n_owned:] = halo
 
         pairs = scratch["pairs"]
-        workspace = domain.workspace
-        if workspace is not None:
-            forces = workspace.zeros("density.forces", (domain.n_local, 3))
-        else:
-            forces = np.zeros((domain.n_local, 3))  # reprolint: allow[alloc] workspace-less fallback allocates per call by design
+        forces = domain.workspace.zeros("density.forces", (domain.n_local, 3))
         if len(pairs):
             keep = _owner_computed_mask(pairs, domain.local_gids, domain.n_owned)
             pairs = pairs[keep]
@@ -461,8 +450,6 @@ class _DensityEvaluator(_RankEvaluator):
                 drep_dr, drho_dr, inv_sqrt[pairs[:, 0]], inv_sqrt[pairs[:, 1]]
             )
             pair_forces = (-dE_dr / r)[:, None] * delta
-            # Bincount scatter in both workspace modes — the toggle changes
-            # buffer reuse only, never arithmetic.
             scatter_add_vectors(forces, pairs[:, 0], pairs[:, 1], pair_forces)
         return scratch["energy"], forces, None
 
@@ -491,11 +478,6 @@ class DomainDecomposedSimulation(EngineBackend):
     scheme:
         ghost-delivery pattern: ``"p2p"`` or ``"node-based"`` (the Fig. 7 bar
         labels such as ``"p2p-utofu"`` / ``"lb-4l"`` are accepted aliases).
-    use_workspace:
-        route per-rank scratch (force-field outputs, integrator stages,
-        gather/halo arrays) through preallocated
-        :class:`~repro.md.workspace.Workspace` pools (False = the original
-        allocating reference paths).
     executor / n_workers:
         who runs the per-rank force stages: ``"sequential"`` (default, the
         golden reference) or ``"process"`` — a persistent pool of
@@ -525,7 +507,6 @@ class DomainDecomposedSimulation(EngineBackend):
         neighbor_every: int = 50,
         thermostat: Thermostat | None = None,
         timers: PhaseTimer | None = None,
-        use_workspace: bool = True,
         executor: str = "sequential",
         n_workers: int | None = None,
         node_balance: bool = False,
@@ -590,7 +571,7 @@ class DomainDecomposedSimulation(EngineBackend):
         self.last_virial: np.ndarray | None = None
         self.trajectory: list[np.ndarray] = []
         #: engine-level scratch pool (global gathers, the density halo)
-        self.workspace: Workspace | None = Workspace() if use_workspace else None
+        self.workspace = Workspace()
 
         # initial distribution: every atom to the rank owning its wrapped position
         owners = self.decomposition.assign_to_ranks(atoms.positions)
@@ -606,8 +587,6 @@ class DomainDecomposedSimulation(EngineBackend):
                 masses=atoms.masses[idx],
                 types=atoms.types[idx],
             )
-            if not use_workspace:
-                domain.workspace = None
             self.domains.append(domain)
         self._owner_of = np.empty(self.n_global, dtype=np.int64)
         self._slot_of = np.empty(self.n_global, dtype=np.int64)
@@ -770,12 +749,9 @@ class DomainDecomposedSimulation(EngineBackend):
         ``(n_ghost,)`` targets the halo values are gathered into — workspace
         capacity buffers for the sequential executor, shared-memory slab views
         for the process executor (so the forward exchange *is* the delivery
-        to the workers); ``None`` keeps the allocating reference path.
+        to the workers); ``None`` returns fresh per-rank arrays.
         """
-        if self.workspace is not None:
-            scalar_global = self.workspace.zeros("halo.scalar", self.n_global)
-        else:
-            scalar_global = np.zeros(self.n_global)
+        scalar_global = self.workspace.zeros("halo.scalar", self.n_global)
         for domain, values in zip(self.domains, values_per_rank):
             scalar_global[domain.gids] = values
         halos = []
@@ -989,10 +965,8 @@ class DomainDecomposedSimulation(EngineBackend):
         self.close()
 
     # -- global views ------------------------------------------------------------
-    def _gather_buffer(self, name: str) -> np.ndarray | None:
-        """A reusable ``(n_global, 3)`` gather target, or ``None`` without pool."""
-        if self.workspace is None:
-            return None
+    def _gather_buffer(self, name: str) -> np.ndarray:
+        """A reusable ``(n_global, 3)`` gather target."""
         return self.workspace.buffer(f"gather.{name}", (self.n_global, 3))
 
     def _gather_array(self, name: str, out: np.ndarray | None = None) -> np.ndarray:

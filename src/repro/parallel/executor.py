@@ -225,7 +225,7 @@ class _WorkerDomain:
         self._pos_row = init.shared.positions[rank]
         self._frc_row = init.shared.forces[rank]
         self._halo_row = init.shared.halo[rank]
-        self.workspace: Workspace | None = Workspace() if init.use_workspace else None
+        self.workspace = Workspace()
         self.scratch: dict = {}
         self.neighbors = None
         self.balance_mask: np.ndarray | None = None
@@ -394,7 +394,6 @@ class MultiprocessRankExecutor(RankExecutor):
             skin=engine.neighbor_skin,
             strategy=engine.strategy,
             shared=self.shared,
-            use_workspace=engine.workspace is not None,
         )
         # fork: workers inherit init (force field, globals, slab mappings)
         # without pickling a byte of it.
@@ -426,7 +425,7 @@ class MultiprocessRankExecutor(RankExecutor):
         for ranks, elapsed in zip(self._partition, replies):
             for rank, seconds in zip(ranks, elapsed):
                 engine.domains[rank].neigh_seconds += seconds
-        if engine.evaluator.needs_halo and engine.workspace is not None:
+        if engine.evaluator.needs_halo:
             # re-adopt the halo slab views: the n_owned/n_ghost split moved
             for domain in engine.domains:
                 engine.workspace.adopt(
@@ -445,14 +444,9 @@ class MultiprocessRankExecutor(RankExecutor):
         ]
 
     def halo_sinks(self) -> list:
-        workspace = self.engine.workspace
-        if workspace is None:
-            return [
-                self.shared.halo[domain.rank, domain.n_owned : domain.n_local]
-                for domain in self.engine.domains
-            ]
         # the adopted slab views registered at rebuild time — the parent's
         # forward exchange writes straight into shared memory
+        workspace = self.engine.workspace
         return [
             workspace.buffer(f"halo.sink{domain.rank}", domain.n_ghost)
             for domain in self.engine.domains

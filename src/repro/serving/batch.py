@@ -28,6 +28,7 @@ import numpy as np
 
 from ..deepmd.envmat import LocalEnvironment
 from ..md.neighbor import build_neighbor_data
+from ..md.workspace import UNPOOLED
 
 __all__ = ["SystemBatch", "pack_systems", "prepare_system"]
 
@@ -61,9 +62,8 @@ class SystemBatch:
 def prepare_system(model, atoms, box):
     """``(atoms, box, neighbors)`` with the neighbour list built at the model cutoff.
 
-    The serving prep stage runs this per request (and per MD-burst step) —
-    it is the work the async pipeline overlaps with inference on the
-    previous batch.
+    The serving loop runs this per request (and per MD-burst step) before
+    packing the batch.
     """
     neighbors = build_neighbor_data(atoms.positions, box, model.config.cutoff)
     return atoms, box, neighbors
@@ -85,43 +85,30 @@ def pack_systems(model, systems, workspace=None) -> SystemBatch:
     :meth:`~repro.md.workspace.Workspace.capacity` buffers: batch sizes
     jitter between admissions, and the backing stores absorb the jitter so a
     steady-state serving pack performs no allocator calls after warm-up.
+    Without one the batch owns freshly allocated arrays.
     """
+    workspace = UNPOOLED if workspace is None else workspace
     systems = list(systems)
     n_systems = len(systems)
     envs = [model.build_environment(atoms, box, neighbors) for atoms, box, neighbors in systems]
     n_pad = max(int(model.config.max_neighbors), 1)
 
-    if workspace is not None:
-        offsets = workspace.capacity("pack.offsets", n_systems + 1, dtype=np.int64)
-    else:
-        offsets = np.empty(n_systems + 1, dtype=np.int64)  # reprolint: allow[alloc] workspace-less reference branch allocates per call by design
+    offsets = workspace.capacity("pack.offsets", n_systems + 1, dtype=np.int64)
     offsets[0] = 0
     if n_systems:
         np.cumsum([env.n_atoms for env in envs], out=offsets[1:])
     n_total = int(offsets[-1])
 
-    if workspace is not None:
-        R = workspace.capacity("pack.R", n_total, trailing=(n_pad, 4))
-        displacements = workspace.capacity("pack.displacements", n_total, trailing=(n_pad, 3))
-        distances = workspace.capacity("pack.distances", n_total, trailing=(n_pad,))
-        s_values = workspace.capacity("pack.s", n_total, trailing=(n_pad,))
-        ds_values = workspace.capacity("pack.ds_dr", n_total, trailing=(n_pad,))
-        mask = workspace.capacity("pack.mask", n_total, trailing=(n_pad,))
-        neighbor_indices = workspace.capacity("pack.neighbor_indices", n_total, trailing=(n_pad,), dtype=np.int64)
-        neighbor_types = workspace.capacity("pack.neighbor_types", n_total, trailing=(n_pad,), dtype=np.int64)
-        types = workspace.capacity("pack.types", n_total, dtype=np.int64)
-        system_of_atom = workspace.capacity("pack.system_of_atom", n_total, dtype=np.int64)
-    else:
-        R = np.empty((n_total, n_pad, 4))  # reprolint: allow[alloc] workspace-less reference branch allocates per call by design
-        displacements = np.empty((n_total, n_pad, 3))  # reprolint: allow[alloc] workspace-less reference branch allocates per call by design
-        distances = np.empty((n_total, n_pad))  # reprolint: allow[alloc] workspace-less reference branch allocates per call by design
-        s_values = np.empty((n_total, n_pad))  # reprolint: allow[alloc] workspace-less reference branch allocates per call by design
-        ds_values = np.empty((n_total, n_pad))  # reprolint: allow[alloc] workspace-less reference branch allocates per call by design
-        mask = np.empty((n_total, n_pad))  # reprolint: allow[alloc] workspace-less reference branch allocates per call by design
-        neighbor_indices = np.empty((n_total, n_pad), dtype=np.int64)  # reprolint: allow[alloc] workspace-less reference branch allocates per call by design
-        neighbor_types = np.empty((n_total, n_pad), dtype=np.int64)  # reprolint: allow[alloc] workspace-less reference branch allocates per call by design
-        types = np.empty(n_total, dtype=np.int64)  # reprolint: allow[alloc] workspace-less reference branch allocates per call by design
-        system_of_atom = np.empty(n_total, dtype=np.int64)  # reprolint: allow[alloc] workspace-less reference branch allocates per call by design
+    R = workspace.capacity("pack.R", n_total, trailing=(n_pad, 4))
+    displacements = workspace.capacity("pack.displacements", n_total, trailing=(n_pad, 3))
+    distances = workspace.capacity("pack.distances", n_total, trailing=(n_pad,))
+    s_values = workspace.capacity("pack.s", n_total, trailing=(n_pad,))
+    ds_values = workspace.capacity("pack.ds_dr", n_total, trailing=(n_pad,))
+    mask = workspace.capacity("pack.mask", n_total, trailing=(n_pad,))
+    neighbor_indices = workspace.capacity("pack.neighbor_indices", n_total, trailing=(n_pad,), dtype=np.int64)
+    neighbor_types = workspace.capacity("pack.neighbor_types", n_total, trailing=(n_pad,), dtype=np.int64)
+    types = workspace.capacity("pack.types", n_total, dtype=np.int64)
+    system_of_atom = workspace.capacity("pack.system_of_atom", n_total, dtype=np.int64)
 
     n_types = model.n_types
     for s, env in enumerate(envs):

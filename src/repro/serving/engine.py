@@ -1,4 +1,4 @@
-"""The serving engine: admission batching plus a two-stage async pipeline.
+"""The serving engine: admission batching in front of one serving thread.
 
 :class:`ServingEngine` turns a :class:`~repro.deepmd.model.DeepPotential`
 into a request server for many small independent systems:
@@ -11,23 +11,25 @@ into a request server for many small independent systems:
   are built once at engine construction and shared across every request the
   engine ever serves (probed by ``tests/test_serving.py`` via
   ``table_cache_builds`` / ``packed_cache_builds`` / ``lp_cache_builds``).
-* **Prep/compute overlap** — a prep thread admits the next batch, builds its
-  neighbour lists and packs its environments while the compute thread runs
-  the fused kernels on the current batch.  Each in-flight batch packs into
-  its own :meth:`~repro.md.workspace.Workspace.scoped` pipeline slot, so the
-  pool buffers of batch ``k+1`` never alias the ones batch ``k`` is reading.
+* **One serving thread** — admit a batch, build its neighbour lists, pack,
+  run the fused kernels, split, fulfil; then admit the next.  Not a
+  prep/compute pipeline: under the GIL the hand-offs cost as much as the
+  overlap buys on one CPU and more across two (``benchmarks/e2e/README.md``,
+  ``serving.engine.pipeline_efficiency``).
 
 Two request kinds are served: ``energy`` one-shots (energies, forces and a
 per-system virial for one configuration) and ``md`` bursts (a short
 velocity-verlet run; the burst group steps in lockstep with one fused force
 evaluation per step).  The synchronous :meth:`ServingEngine.evaluate_batch`
-exposes the pack-evaluate-split path without threads for tests, benchmarks
-and embedding into existing drivers.
+is the same pack-evaluate path, callable from the client's thread for tests,
+benchmarks and embedding into existing drivers; it packs into its own scope
+of the engine's pool and takes the engine's evaluation lock, so it neither
+aliases a batch the serving thread is evaluating nor interleaves with it
+inside the model.
 """
 
 from __future__ import annotations
 
-import queue as _queue
 import threading
 import time
 
@@ -36,20 +38,11 @@ import numpy as np
 from ..deepmd.gemm import GemmBackend
 from ..deepmd.precision import DOUBLE, get_policy
 from ..md.integrators import VelocityVerlet
-from ..md.neighbor import build_neighbor_data
 from ..md.workspace import Workspace
-from .batch import pack_systems
+from .batch import pack_systems, prepare_system
 from .queue import AdmissionQueue, BurstResult, ServingRequest, ServingStats
 
 __all__ = ["ServingEngine"]
-
-#: Pipeline slots cycled by the prep stage.  Three are needed for full
-#: overlap: one batch being computed, one waiting in the hand-off queue and
-#: one being packed — with two, the prep stage could start repacking the slot
-#: the compute stage is still reading.
-_N_SLOTS = 3
-
-_STOP = object()
 
 
 class ServingEngine:
@@ -64,7 +57,6 @@ class ServingEngine:
         compression_min_distance: float = 0.5,
         max_batch_size: int = 32,
         max_wait_ms: float = 2.0,
-        use_workspace: bool = True,
         backend: GemmBackend | None = None,
     ) -> None:
         self.model = model
@@ -87,44 +79,33 @@ class ServingEngine:
             if np.dtype(self.policy.compute_dtype) != np.float64:
                 self._table.ensure_packed(self.policy.compute_dtype)
 
-        self._workspace = Workspace() if use_workspace else None
-        if self._workspace is not None:
-            self._slots = [
-                self._workspace.scoped(f"serve.slot{i}") for i in range(_N_SLOTS)
-            ]
-        else:
-            self._slots = [None] * _N_SLOTS
+        # one pool, one scope per thread that packs into it: the serving
+        # thread and synchronous evaluate_batch callers never share a buffer
+        self._workspace = Workspace()
+        self._loop_scope = self._workspace.scoped("serve.loop")
+        self._sync_scope = self._workspace.scoped("serve.sync")
+        # the model keeps per-net forward caches between a forward and its
+        # backward, so only one thread at a time may evaluate through it
+        self._evaluate_lock = threading.Lock()
 
         self._queue = AdmissionQueue(max_batch_size=max_batch_size, max_wait_ms=max_wait_ms)
-        # depth-1 hand-off: prep may run at most one batch ahead of compute
-        self._handoff: _queue.Queue = _queue.Queue(maxsize=1)
-        self._prep_thread: threading.Thread | None = None
-        self._compute_thread: threading.Thread | None = None
-        self._running = False
+        self._thread: threading.Thread | None = None
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
     def start(self) -> "ServingEngine":
-        if self._running:
-            return self
-        self._running = True
-        self._prep_thread = threading.Thread(target=self._prep_loop, name="serving-prep", daemon=True)
-        self._compute_thread = threading.Thread(target=self._compute_loop, name="serving-compute", daemon=True)
-        self._prep_thread.start()
-        self._compute_thread.start()
+        if self._thread is None:
+            self._thread = threading.Thread(target=self._serve_loop, name="serving-loop", daemon=True)
+            self._thread.start()
         return self
 
     def stop(self) -> None:
-        if not self._running:
-            return
-        self._queue.close()
-        if self._prep_thread is not None:
-            self._prep_thread.join()
-        self._handoff.put(_STOP)
-        if self._compute_thread is not None:
-            self._compute_thread.join()
-        self._running = False
+        """Close admission, serve every request still pending, join the thread."""
+        if self._thread is not None:
+            self._queue.close()
+            self._thread.join()
+            self._thread = None
 
     def __enter__(self) -> "ServingEngine":
         return self.start()
@@ -152,20 +133,26 @@ class ServingEngine:
         return self._queue.submit(request)
 
     def evaluate_batch(self, systems, workspace=None):
-        """Synchronous pack → fused evaluate for prepared ``(atoms, box, neighbors)`` triples."""
+        """Synchronous pack → fused evaluate for prepared ``(atoms, box, neighbors)`` triples.
+
+        The result aliases buffers of ``workspace`` (default: the engine's
+        ``serve.sync`` scope) until the next call with the same one;
+        concurrent callers pass their own.
+        """
         if workspace is None:
-            workspace = self._slots[0]
+            workspace = self._sync_scope
         batch = pack_systems(self.model, systems, workspace=workspace)
-        return self.model.evaluate_many(
-            batch.env,
-            batch.system_of_atom,
-            batch.offsets,
-            precision=self.policy,
-            backend=self.backend,
-            compressed=self.compressed,
-            compression_table=self._table,
-            workspace=workspace,
-        )
+        with self._evaluate_lock:
+            return self.model.evaluate_many(
+                batch.env,
+                batch.system_of_atom,
+                batch.offsets,
+                precision=self.policy,
+                backend=self.backend,
+                compressed=self.compressed,
+                compression_table=self._table,
+                workspace=workspace,
+            )
 
     def cache_probe(self) -> dict:
         """Cache-build counters for the cross-request reuse tests."""
@@ -180,73 +167,38 @@ class ServingEngine:
         }
 
     # ------------------------------------------------------------------
-    # pipeline stages
+    # the serving thread
     # ------------------------------------------------------------------
-    def _prepare(self, atoms, box):
-        neighbors = build_neighbor_data(atoms.positions, box, self.model.config.cutoff)
-        return atoms, box, neighbors
-
-    def _prep_loop(self) -> None:
-        slot_index = 0
+    def _serve_loop(self) -> None:
         while True:
             admitted = self._queue.admit()
             if admitted is None:
                 return
-            if not admitted:
-                continue
-            slot = self._slots[slot_index % _N_SLOTS]
-            slot_index += 1
-            kind = admitted[0].kind
             try:
-                if kind == "energy":
-                    systems = [self._prepare(r.atoms, r.box) for r in admitted]
-                    batch = pack_systems(self.model, systems, workspace=slot)
+                if admitted[0].kind == "energy":
+                    self._serve_energy(admitted)
                 else:
-                    batch = None  # MD bursts pack per step inside the compute stage
-                self._handoff.put(("ok", kind, admitted, batch, slot))
-            except BaseException as exc:  # noqa: BLE001 - forwarded to futures
-                self._handoff.put(("error", kind, admitted, exc, slot))
-
-    def _compute_loop(self) -> None:
-        while True:
-            item = self._handoff.get()
-            if item is _STOP:
-                return
-            status, kind, admitted, payload, slot = item
-            if status == "error":
-                for request in admitted:
-                    request.future.set_exception(payload)
-                continue
-            try:
-                if kind == "energy":
-                    self._compute_energy(admitted, payload, slot)
-                else:
-                    self._compute_bursts(admitted, slot)
+                    self._compute_bursts(admitted)
             except BaseException as exc:  # noqa: BLE001 - forwarded to futures
                 for request in admitted:
                     if not request.future.done():
                         request.future.set_exception(exc)
 
-    def _compute_energy(self, admitted, batch, slot) -> None:
-        out = self.model.evaluate_many(
-            batch.env,
-            batch.system_of_atom,
-            batch.offsets,
-            precision=self.policy,
-            backend=self.backend,
-            compressed=self.compressed,
-            compression_table=self._table,
-            workspace=slot,
-        )
+    def _evaluate_requests(self, configurations):
+        """Neighbour lists → pack → fused evaluate of ``(atoms, box)`` pairs, in the loop's scope."""
+        systems = [prepare_system(self.model, atoms, box) for atoms, box in configurations]
+        return self.evaluate_batch(systems, workspace=self._loop_scope)
+
+    def _serve_energy(self, admitted) -> None:
+        out = self._evaluate_requests([(r.atoms, r.box) for r in admitted])
         # split() copies out of the pool buffers, so fulfilled results stay
-        # valid after the slot is repacked
+        # valid after the scope is repacked
         outputs = out.split()
-        t_done = time.perf_counter()
-        self.stats.record_batch(admitted, t_done)
+        self.stats.record_batch(admitted, time.perf_counter())
         for request, output in zip(admitted, outputs):
             request.future.set_result(output)
 
-    def _compute_bursts(self, admitted, slot) -> None:
+    def _compute_bursts(self, admitted) -> None:
         """Advance the burst group in lockstep, one fused evaluation per step.
 
         Mirrors :func:`repro.serving.serial.run_bursts_serial` step for step:
@@ -260,28 +212,15 @@ class ServingEngine:
         energies: list[list[float]] = [[] for _ in admitted]
 
         def fused_forces(live):
-            systems = [self._prepare(states[i], admitted[i].box) for i in live]
-            batch = pack_systems(self.model, systems, workspace=slot)
-            out = self.model.evaluate_many(
-                batch.env,
-                batch.system_of_atom,
-                batch.offsets,
-                precision=self.policy,
-                backend=self.backend,
-                compressed=self.compressed,
-                compression_table=self._table,
-                workspace=slot,
-            )
+            out = self._evaluate_requests([(states[i], admitted[i].box) for i in live])
             for k, i in enumerate(live):
-                rows = batch.system_slice(k)
-                states[i].forces = out.forces[rows].copy()
+                states[i].forces = out.forces[out.offsets[k] : out.offsets[k + 1]].copy()
             return out
 
         everyone = list(range(len(admitted)))
-        if everyone:
-            # initial forces for every burst (n_steps == 0 included), matching
-            # the serial reference which always evaluates once before stepping
-            fused_forces(everyone)
+        # initial forces for every burst (n_steps == 0 included), matching
+        # the serial reference which always evaluates once before stepping
+        fused_forces(everyone)
         live = [i for i in everyone if targets[i] > 0]
         done = 0
         while live:
@@ -295,8 +234,7 @@ class ServingEngine:
             done += 1
             live = [i for i in live if done < targets[i]]
 
-        t_done = time.perf_counter()
-        self.stats.record_batch(admitted, t_done)
+        self.stats.record_batch(admitted, time.perf_counter())
         for i, request in enumerate(admitted):
             request.future.set_result(
                 BurstResult(

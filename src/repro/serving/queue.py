@@ -2,7 +2,7 @@
 
 The queue side of :mod:`repro.serving.engine`: clients submit
 :class:`ServingRequest` objects and block on :class:`ServingFuture` handles;
-the engine's prep thread pulls *batches* out via
+the engine's serving thread pulls *batches* out via
 :meth:`AdmissionQueue.admit`, which groups pending requests under a
 max-batch-size / max-wait-ms admission window so that concurrent small
 requests coalesce into one fused evaluation instead of dribbling through one
@@ -41,7 +41,7 @@ __all__ = [
 
 
 class ServingFuture:
-    """A one-shot result handle fulfilled by the engine's compute stage."""
+    """A one-shot result handle fulfilled by the engine's serving thread."""
 
     def __init__(self) -> None:
         self._event = threading.Event()
@@ -127,20 +127,18 @@ class AdmissionQueue:
             self._closed = True
             self._cond.notify_all()
 
-    def admit(self, poll_s: float = 0.05) -> list[ServingRequest] | None:
-        """The next batch under the admission window.
+    def admit(self) -> list[ServingRequest] | None:
+        """The next (non-empty) batch under the admission window.
 
-        Returns ``None`` once the queue is closed *and* drained (the consumer
-        should exit), and may return an empty list after ``poll_s`` with no
-        arrivals (the consumer loops, giving it a cadence to notice external
-        shutdown flags).
+        Blocks until a request is pending; returns ``None`` once the queue is
+        closed *and* drained (the consumer should exit) — :meth:`close` wakes
+        a blocked call.
         """
         with self._cond:
             while not self._pending:
                 if self._closed:
                     return None
-                if not self._cond.wait(poll_s):
-                    return []
+                self._cond.wait()
             # window opens at the oldest pending arrival; collect until the
             # batch fills or the window closes
             window_end = self._pending[0].t_submit + self.max_wait_s

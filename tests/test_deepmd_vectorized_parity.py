@@ -32,6 +32,8 @@ from repro.deepmd.scalar import atom_raw_descriptor
 from repro.md import Box, copper_system, water_system
 from repro.md.atoms import Atoms
 from repro.md.neighbor import build_neighbor_data
+from repro.md.workspace import Workspace
+from repro.serving import pack_systems
 
 SEEDS = [0, 1, 2, 3, 4]
 
@@ -327,3 +329,58 @@ class TestEdgeCases:
         out_vec = model.evaluate(atoms, box, neighbors)
         out_ref = model.evaluate_scalar(atoms, box, neighbors)
         np.testing.assert_allclose(out_vec.forces, out_ref.forces, rtol=0.0, atol=DOUBLE_ATOL)
+
+
+class TestPooledEqualsUnpooled:
+    """``workspace=None`` vends fresh arrays into the *same* code a pool feeds:
+    the outputs are equal to the bit, and a workspace-less result is owned by
+    its caller (the pin that replaced the ``use_workspace`` knob)."""
+
+    @pytest.mark.parametrize("compressed", [False, True], ids=["exact", "compressed"])
+    @pytest.mark.parametrize("policy", ["double", "mix-fp32", "mix-fp16"])
+    def test_exact_equality_and_ownership(self, policy, compressed):
+        atoms, box, cutoff, cutoff_smooth = make_system("water", 0)
+        model = make_model("water", 0, cutoff, cutoff_smooth)
+        other, other_box, _, _ = make_system("water", 1)
+        systems = [
+            (a, b, build_neighbor_data(a.positions, b, cutoff))
+            for a, b in ((atoms, box), (other, other_box))
+        ]
+        options = dict(precision=policy, compressed=compressed)
+
+        def run(single_pool, batch_pool):
+            single = model.evaluate(*systems[0], workspace=single_pool, **options)
+            batch = pack_systems(model, systems, workspace=batch_pool)
+            many = model.evaluate_many(
+                batch.env, batch.system_of_atom, batch.offsets, workspace=batch_pool, **options
+            )
+            return single, batch, many
+
+        pools = Workspace(), Workspace()
+        run(*pools)
+        misses = [pool.misses for pool in pools]
+        pooled = run(*pools)  # fully warmed: every buffer request is a pool hit
+        assert [pool.misses for pool in pools] == misses
+        fresh, again = run(None, None), run(None, None)
+
+        def arrays(result):
+            single, batch, many = result
+            out = {f"env.{name}": getattr(batch.env, name) for name in ENV_FIELDS}
+            out.update(
+                system_of_atom=batch.system_of_atom,
+                offsets=batch.offsets,
+                energy=np.array(single.energy),
+                per_atom=single.per_atom_energy,
+                forces=single.forces,
+                virial=single.virial,
+                many_energies=many.energies,
+                many_per_atom=many.per_atom_energy,
+                many_forces=many.forces,
+                many_virials=many.virials,
+            )
+            return out
+
+        pooled_arrays, fresh_arrays, again_arrays = arrays(pooled), arrays(fresh), arrays(again)
+        for name, expected in pooled_arrays.items():
+            np.testing.assert_array_equal(fresh_arrays[name], expected, err_msg=name)
+            assert not np.shares_memory(fresh_arrays[name], again_arrays[name]), name

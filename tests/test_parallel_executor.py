@@ -207,12 +207,6 @@ class TestExecutorBitwiseParity:
         assert sequential.n_migrated >= 1
         assert concurrent.n_migrated == sequential.n_migrated
 
-    def test_workspace_disabled_path(self):
-        """use_workspace=False: halo sinks come straight off the slab."""
-        _assert_bitwise_lockstep(
-            _copper_lj_setup(), (2, 1, 1), use_workspace=False, n_steps=8
-        )
-
 
 # ---------------------------------------------------------------------------
 # Node-box intra-node load balancing (§III-C)

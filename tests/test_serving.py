@@ -6,7 +6,9 @@ degenerate-request contract.  The ``slow``-marked stress tier drives the
 threaded engine with many concurrent clients and mixed request kinds.
 """
 
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -17,7 +19,9 @@ from repro.md.box import Box
 from repro.md.neighbor import build_neighbor_data
 from repro.md.workspace import Workspace
 from repro.serving import (
+    AdmissionQueue,
     ServingEngine,
+    ServingRequest,
     evaluate_serial,
     pack_systems,
     prepare_system,
@@ -209,7 +213,49 @@ class TestBatchedParity:
 
 
 # ---------------------------------------------------------------------------
-# Engine: admission batching, async pipeline, MD bursts
+# Admission queue: blocking admit, close() wake-up
+# ---------------------------------------------------------------------------
+
+
+class TestAdmissionQueue:
+    def test_admit_blocks_while_idle_and_close_wakes_it_with_none(self):
+        queue = AdmissionQueue(max_batch_size=4, max_wait_ms=1.0)
+        admitted = []
+        consumer = threading.Thread(target=lambda: admitted.append(queue.admit()))
+        consumer.start()
+        # an idle queue keeps the consumer parked: no empty-list wake-ups
+        consumer.join(timeout=0.25)
+        assert consumer.is_alive() and admitted == []
+        queue.close()
+        consumer.join(timeout=10)
+        assert not consumer.is_alive()
+        assert admitted == [None]
+
+    def test_admit_returns_a_non_empty_batch_for_a_late_submit(self):
+        queue = AdmissionQueue(max_batch_size=4, max_wait_ms=1.0)
+        admitted = []
+        consumer = threading.Thread(target=lambda: admitted.append(queue.admit()))
+        consumer.start()
+        time.sleep(0.1)  # the consumer is blocked in admit() by now
+        request = ServingRequest(kind="energy", atoms=None, box=None)
+        queue.submit(request)
+        consumer.join(timeout=10)
+        assert not consumer.is_alive()
+        assert admitted == [[request]]
+
+    def test_closed_queue_drains_before_reporting_none(self):
+        queue = AdmissionQueue(max_batch_size=2, max_wait_ms=1000.0)
+        requests = [ServingRequest(kind="energy", atoms=None, box=None) for _ in range(3)]
+        for request in requests:
+            queue.submit(request)
+        queue.close()  # a closed queue does not wait out the window
+        assert queue.admit() == requests[:2]
+        assert queue.admit() == requests[2:]
+        assert queue.admit() is None
+
+
+# ---------------------------------------------------------------------------
+# Engine: admission batching, the serving thread, MD bursts
 # ---------------------------------------------------------------------------
 
 
@@ -271,6 +317,68 @@ class TestServingEngine:
                 bad_future.result(timeout=60)
             # a poisoned batch must not take the engine down with it
             assert good_future.result(timeout=60).forces.shape == (len(good[0]), 3)
+
+    def test_start_adds_exactly_one_thread(self, serving_model):
+        before = {thread.name for thread in threading.enumerate()}
+        engine = ServingEngine(serving_model)
+        assert {thread.name for thread in threading.enumerate()} == before
+        with engine:
+            engine.start()  # idempotent
+            added = [t.name for t in threading.enumerate() if t.name not in before]
+            assert added == ["serving-loop"]
+        assert {thread.name for thread in threading.enumerate()} == before
+
+    def test_stop_on_an_idle_engine_joins(self, serving_model):
+        engine = ServingEngine(serving_model).start()
+        stopper = threading.Thread(target=engine.stop)
+        stopper.start()
+        stopper.join(timeout=10)
+        assert not stopper.is_alive()
+        assert "serving-loop" not in {thread.name for thread in threading.enumerate()}
+
+    def test_stop_fulfils_every_pending_request_first(self, serving_model):
+        systems = _mixed_systems(serving_model) * 3
+        reference = evaluate_serial(
+            serving_model,
+            systems,
+            compressed=True,
+            compression_table=serving_model.compressed_embeddings(),
+        )
+        # a one-second window: the requests are still pending when stop() lands
+        engine = ServingEngine(serving_model, max_batch_size=64, max_wait_ms=1000.0).start()
+        futures = [engine.submit(atoms, box) for atoms, box, _ in systems]
+        engine.stop()
+        assert all(future.done() for future in futures)
+        for future, ref in zip(futures, reference):
+            np.testing.assert_allclose(future.result(timeout=0).forces, ref.forces, atol=PARITY_ATOL)
+
+    def test_evaluate_batch_does_not_alias_batches_in_flight(self, serving_model):
+        """Synchronous ``evaluate_batch`` calls from the client thread while
+        the serving thread works through 200 one-shots: neither side may see
+        the other's buffers (regression: both packed into one scope)."""
+        table = serving_model.compressed_embeddings()
+        served = [prepare_system(serving_model, *_cluster(4 + i % 6, 300 + i)) for i in range(200)]
+        direct = _mixed_systems(serving_model, sizes=(5, 9, 7), rng0=700)
+        served_ref = evaluate_serial(serving_model, served, compressed=True, compression_table=table)
+        direct_ref = evaluate_serial(serving_model, direct, compressed=True, compression_table=table)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # hand the GIL over mid-evaluation as often as possible
+        try:
+            with ServingEngine(serving_model, max_batch_size=8, max_wait_ms=0.5) as engine:
+                futures = [engine.submit(atoms, box) for atoms, box, _ in served]
+                sync_calls = 0
+                while sync_calls < 20 or not all(future.done() for future in futures):
+                    outputs = engine.evaluate_batch(direct).split()
+                    sync_calls += 1
+                    for got, ref in zip(outputs, direct_ref):
+                        assert abs(got.energy - ref.energy) < PARITY_ATOL
+                        np.testing.assert_allclose(got.forces, ref.forces, atol=PARITY_ATOL)
+                results = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for got, ref in zip(results, served_ref):
+            assert abs(got.energy - ref.energy) < PARITY_ATOL
+            np.testing.assert_allclose(got.forces, ref.forces, atol=PARITY_ATOL)
 
     def test_submitted_atoms_are_snapshotted(self, serving_model):
         atoms, box, _ = _mixed_systems(serving_model)[0]

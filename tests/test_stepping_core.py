@@ -31,6 +31,7 @@ from repro.md import (
     copper_system,
     water_system,
 )
+from repro.md.forcefields.base import ForceField
 from repro.md.forcefields.water import WaterReference
 from repro.md.neighbor import build_neighbor_data
 from repro.md.stepping import harvest_force_field_info, validate_cutoff
@@ -272,6 +273,17 @@ def _force_field_cases():
     ]
 
 
+class _Unpooled(ForceField):
+    """Runs ``inner``'s allocating reference arithmetic inside a pooled loop
+    by not forwarding the simulation's workspace."""
+
+    def __init__(self, inner):
+        self.inner, self.cutoff = inner, inner.cutoff
+
+    def compute(self, atoms, box, neighbors, workspace=None):
+        return self.inner.compute(atoms, box, neighbors)
+
+
 class TestWorkspaceParity:
     @pytest.mark.parametrize(
         "name, force_field, atoms, box",
@@ -291,10 +303,12 @@ class TestWorkspaceParity:
             )
 
     def test_workspace_trajectory_matches_reference_loop(self):
-        """40 steps across rebuilds: pooled and allocating loops agree."""
+        """40 steps across rebuilds: the pooled LJ path and the allocating
+        LJ reference agree through the whole loop."""
         atoms, box = _copper(rng=11)
-        pooled = _serial(atoms, box, use_workspace=True)
-        reference = _serial(atoms, box, use_workspace=False)
+        pooled = _serial(atoms, box)
+        reference = _serial(atoms, box)
+        reference.force_field = _Unpooled(reference.force_field)
         pooled.run(40)
         reference.run(40)
         np.testing.assert_allclose(
