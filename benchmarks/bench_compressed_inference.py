@@ -14,7 +14,12 @@ on).  This benchmark pins it the way PR 1/3/4 pinned their fast paths:
   the compressed forces stay close to the exact path;
 * **allocation budget** — a steady-state compressed MD step performs at most
   ``ALLOCATION_BUDGET`` explicit NumPy allocator calls (PR 4's
-  zero-allocation budget, extended to ``compressed=True`` runs).
+  zero-allocation budget, extended to ``compressed=True`` runs);
+* **transient memory** — the same step's ``tracemalloc`` peak stays within
+  ``TRANSIENT_PEAK_BUDGET_MIB`` of its baseline.  The call count above only
+  sees explicit allocators, so an expression temporary the size of a
+  ``(B, N, M)`` block (``matmul(...) / n``: two of them, 34 MB each at this
+  size) slips past it; this one is deterministic too — bytes, not a timing.
 
 Run with::
 
@@ -24,6 +29,7 @@ Run with::
 from __future__ import annotations
 
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -42,6 +48,10 @@ GOLDEN_TOLERANCE = 1.0e-12
 FORCE_TOLERANCE = 1.0e-8
 #: Explicit allocator calls allowed per steady-state compressed step.
 ALLOCATION_BUDGET = 2
+#: tracemalloc peak above baseline allowed within one steady-state compressed
+#: step (measured ~15 MiB, set by the env build's (n, width, 3) candidate
+#: geometry; one (B, N, M) expression temporary alone is >= 33 MiB).
+TRANSIENT_PEAK_BUDGET_MIB = 16.0
 #: Table resolution used for the speed runs (the paper's two-level table has
 #: a comparable node count; accuracy at this grid is ~1e-10 in the forces).
 N_POINTS = 512
@@ -175,7 +185,8 @@ def test_bench_compressed_speedup_and_parity():
 
 @pytest.mark.parametrize("precision", ["double", "mix-fp32"])
 def test_compressed_steady_state_allocation_budget(precision):
-    """A compressed MD step runs out of the workspace pool, not the allocator.
+    """A compressed MD step runs out of the workspace pool, not the allocator
+    (explicit allocator calls *and* the tracemalloc peak of the same window).
 
     The ``mix-fp32`` case guards the mixed-precision fast path: the
     pre-cast parameter/table copies must be reused (no per-call ``astype``
@@ -191,8 +202,14 @@ def test_compressed_steady_state_allocation_budget(precision):
     backend = sim.force_field.backend
     cast_before = backend.stats.cast_bytes
     n_steps = 3
-    with _AllocationCounter() as counter:
-        sim.run(n_steps, sample_every=1)
+    tracemalloc.start()
+    try:
+        baseline, _ = tracemalloc.get_traced_memory()
+        with _AllocationCounter() as counter:
+            sim.run(n_steps, sample_every=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert sim.neighbor_list.n_builds == builds_before, (
         "a neighbour rebuild landed in the measurement window; "
         "the budget only applies to steady-state steps"
@@ -205,3 +222,10 @@ def test_compressed_steady_state_allocation_budget(precision):
     print(f"\nexplicit allocations per steady-state compressed {precision} step: "
           f"{per_step:.2f} (budget {ALLOCATION_BUDGET})")
     assert per_step <= ALLOCATION_BUDGET
+    transient_mib = (peak - baseline) / 2**20
+    print(f"transient peak above baseline: {transient_mib:.1f} MiB (budget {TRANSIENT_PEAK_BUDGET_MIB:.0f})")
+    assert transient_mib <= TRANSIENT_PEAK_BUDGET_MIB, (
+        "a steady-state compressed step allocated a (B, N, M)-sized temporary "
+        "(an expression result the explicit-allocator count cannot see)"
+    )
+

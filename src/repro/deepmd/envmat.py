@@ -52,6 +52,10 @@ class LocalEnvironment:
         ``(n,)`` centre-atom species.
     cutoff, cutoff_smooth:
         the switching-function radii used.
+    max_in_cutoff:
+        the largest in-cutoff neighbour count of any centre *before* the
+        ``max_neighbors`` budget (above it, the farthest neighbours were
+        dropped); 0 where the builder does not measure it.
     """
 
     R: np.ndarray
@@ -65,6 +69,7 @@ class LocalEnvironment:
     types: np.ndarray
     cutoff: float
     cutoff_smooth: float
+    max_in_cutoff: int = 0
 
     @property
     def n_atoms(self) -> int:
@@ -77,40 +82,56 @@ class LocalEnvironment:
     def neighbor_counts(self) -> np.ndarray:
         return self.mask.sum(axis=1).astype(np.int64)
 
-    def select(self, index) -> "LocalEnvironment":
-        """Sub-environment for a subset of centre atoms (used per-type)."""
+    def select(self, index, workspace=UNPOOLED) -> "LocalEnvironment":
+        """Sub-environment for a subset of centre atoms (used per-type).
+
+        The copies land in grow-only ``workspace`` buffers (``env.select.*``),
+        valid until the next ``select`` from the same workspace.
+        """
+
+        def rows(name: str) -> np.ndarray:
+            array = getattr(self, name)
+            out = workspace.capacity(
+                f"env.select.{name}", len(index), trailing=array.shape[1:], dtype=array.dtype
+            )
+            return np.take(array, index, axis=0, out=out, mode="clip")
+
+        fields = ("R", "displacements", "distances", "s", "ds_dr", "mask", "neighbor_indices", "neighbor_types", "types")
         return LocalEnvironment(
-            R=self.R[index],
-            displacements=self.displacements[index],
-            distances=self.distances[index],
-            s=self.s[index],
-            ds_dr=self.ds_dr[index],
-            mask=self.mask[index],
-            neighbor_indices=self.neighbor_indices[index],
-            neighbor_types=self.neighbor_types[index],
-            types=self.types[index],
-            cutoff=self.cutoff,
-            cutoff_smooth=self.cutoff_smooth,
+            **{name: rows(name) for name in fields}, cutoff=self.cutoff, cutoff_smooth=self.cutoff_smooth
         )
 
-    def compute_arrays(self, dtype, workspace, key: str = "") -> tuple[np.ndarray, np.ndarray]:
+    def compute_arrays(self, dtype, workspace) -> tuple[np.ndarray, np.ndarray]:
         """``(R, s)`` at the model's compute dtype.
 
         The environment matrix is always *built* in float64 (the invariant the
         precision policies document); the mixed-precision kernels read these
         once-downcast copies instead.  float64 returns the original arrays —
         no copy, so the golden path is untouched.  The reduced copies live in
-        ``workspace`` buffers (``env.cast.R/s.<key>``), which a pool re-fills
-        on steady-state steps without allocating.
+        grow-only ``workspace`` buffers (``env.cast.R/s``) shared by every
+        type block, which a pool re-fills on steady-state steps without
+        allocating.
         """
         dt = np.dtype(dtype)
         if dt == self.R.dtype:
             return self.R, self.s
-        r_c = workspace.buffer(f"env.cast.R.{key}", self.R.shape, dtype=dt)
-        s_c = workspace.buffer(f"env.cast.s.{key}", self.s.shape, dtype=dt)
+        r_c = workspace.capacity("env.cast.R", self.n_atoms, trailing=self.R.shape[1:], dtype=dt)
+        s_c = workspace.capacity("env.cast.s", self.n_atoms, trailing=self.s.shape[1:], dtype=dt)
         np.copyto(r_c, self.R)
         np.copyto(s_c, self.s)
         return r_c, s_c
+
+
+def _candidate_geometry(positions: np.ndarray, box: Box, nei: np.ndarray, cutoff: float):
+    """``(safe_idx, disp, dist, within)`` of every (centre, slot) candidate:
+    neighbour index (padding mapped to 0), minimum-image d_ij, |d_ij| and the
+    in-cutoff mask — line for line the scalar golden's arithmetic."""
+    slot_valid = nei >= 0
+    safe_idx = np.where(slot_valid, nei, 0)
+    disp = box.minimum_image(positions[safe_idx] - positions[:, None, :])
+    dist = np.linalg.norm(disp, axis=2)
+    within = slot_valid & (dist > 0.0) & (dist <= cutoff)
+    return safe_idx, disp, dist, within
 
 
 def build_local_environment(
@@ -140,53 +161,40 @@ def build_local_environment(
     n_pad = nei.shape[1] if max_neighbors is None else int(max_neighbors)
     n_pad = max(n_pad, 1)
 
-    positions = atoms.positions
     types = atoms.types
-
-    # Gather displacement vectors for every (centre, slot) pair.
-    slot_valid = nei >= 0
-    safe_idx = np.where(slot_valid, nei, 0)
-    disp = positions[safe_idx] - positions[:, None, :]
-    disp = box.minimum_image(disp)
-    dist = np.linalg.norm(disp, axis=2)
-    within = slot_valid & (dist > 0.0) & (dist <= cutoff)
-
-    # Compact each row to the leading slots, optionally grouped by type then
-    # by distance (deterministic ordering aids reproducibility and mirrors the
-    # paper's pre-classified layout).  The whole compaction runs as one global
-    # lexsort over all (centre, slot) pairs — no Python-level per-atom loop.
-    # The scalar per-atom version of this layout lives in
-    # :mod:`repro.deepmd.scalar` and pins this implementation in the parity
-    # test suite.
-    nei_types_raw = np.where(slot_valid, types[safe_idx], -1)
     width = nei.shape[1]
+    safe_idx, disp, dist, kept = _candidate_geometry(atoms.positions, box, nei, cutoff)
+    counts = kept.sum(axis=1)
+    max_in_cutoff = int(counts.max(initial=0))
 
-    # Budget truncation: among the in-cutoff slots of each row, keep the
-    # ``n_pad`` closest (distance ties broken by slot order, as the scalar
-    # reference does with its stable argsort).
-    dist_key = np.where(within, dist, np.inf)
-    order_by_dist = np.argsort(dist_key, axis=1, kind="stable")
-    rank = workspace.buffer("dp.env.rank", (n, width), dtype=np.int64)
-    np.put_along_axis(
-        rank, order_by_dist, np.broadcast_to(np.arange(width), (n, width)), axis=1
-    )
-    kept = within & (rank < n_pad)
+    if max_in_cutoff > n_pad:
+        # Budget truncation, only when some row overflows: keep each row's
+        # ``n_pad`` closest in-cutoff slots (distance ties broken by slot
+        # order, as the scalar reference does with its stable argsort).
+        order_by_dist = np.argsort(np.where(kept, dist, np.inf), axis=1, kind="stable")
+        rank = workspace.buffer("dp.env.rank", (n, width), dtype=np.int64)
+        np.put_along_axis(rank, order_by_dist, np.broadcast_to(np.arange(width), (n, width)), axis=1)
+        kept &= rank < n_pad
+        counts = np.minimum(counts, n_pad)
 
-    # One global stable lexsort: row-major, valid slots first, then by
-    # (type, distance) or by distance alone; remaining ties fall back to the
-    # original slot order via stability.
-    type_key = nei_types_raw if sort_neighbors_by_type else np.zeros_like(nei_types_raw)
-    rows = np.repeat(np.arange(n), width)
-    perm = np.lexsort((dist.ravel(), type_key.ravel(), (~kept).ravel(), rows))
-
-    # After the sort, position p belongs to centre p // width; the kept slots
-    # of each centre occupy its leading positions, i.e. output slot p % width.
-    pos = np.nonzero(kept.ravel()[perm])[0]
-    src = perm[pos]
-    out_r = pos // width
-    out_s = pos % width
-    src_r = src // width
-    src_c = src % width
+    # Compact to the kept pairs first (row-major, so already grouped by
+    # centre), then order only those: one stable sort on the complex key
+    # ``(centre, type) + i * distance`` — NumPy orders complex numbers
+    # lexicographically, real part first — groups each row by type then
+    # distance (the paper's pre-classified layout), exact ties falling back to
+    # slot order.  The per-atom loop version of this layout lives in
+    # :mod:`repro.deepmd.scalar` and pins this one in the parity suite.
+    src = np.flatnonzero(kept)
+    nbr = safe_idx.reshape(-1)[src]
+    nbr_types = types[nbr]
+    type_key = nbr_types if sort_neighbors_by_type else 0
+    n_types = int(np.max(type_key, initial=0)) + 1
+    d = dist.reshape(-1)[src]
+    order = np.argsort((src // width) * n_types + type_key + 1j * d, kind="stable")
+    # the sort keeps each centre's pairs in its row-major segment, so sorted
+    # position p is output slot p - (first position of its row)
+    row_shift = np.arange(n) * n_pad - (np.cumsum(counts) - counts)
+    out = np.arange(len(src)) + np.repeat(row_shift, counts)
 
     R = workspace.zeros("dp.env.R", (n, n_pad, 4))
     displacements = workspace.zeros("dp.env.displacements", (n, n_pad, 3))
@@ -197,11 +205,13 @@ def build_local_environment(
     neighbor_types = workspace.buffer("dp.env.neighbor_types", (n, n_pad), dtype=np.int64)
     neighbor_types.fill(-1)
 
-    displacements[out_r, out_s] = disp[src_r, src_c]
-    distances[out_r, out_s] = dist[src_r, src_c]
-    neighbor_indices[out_r, out_s] = nei[src_r, src_c]
-    neighbor_types[out_r, out_s] = nei_types_raw[src_r, src_c]
-    mask[out_r, out_s] = 1.0
+    displacements.reshape(-1, 3)[out] = disp.reshape(-1, 3)[src[order]]
+    distances.reshape(-1)[out] = d[order]
+    neighbor_indices.reshape(-1)[out] = nbr[order]
+    neighbor_types.reshape(-1)[out] = nbr_types[order]
+    mask.reshape(-1)[out] = 1.0
+    # free the candidate-sized arrays before the padded temporaries below
+    del safe_idx, disp, dist, kept
 
     s_values = switching_function(distances, cutoff, cutoff_smooth) * mask
     ds_values = switching_derivative(distances, cutoff, cutoff_smooth) * mask
@@ -224,6 +234,7 @@ def build_local_environment(
         types=types.copy(),
         cutoff=cutoff,
         cutoff_smooth=cutoff_smooth,
+        max_in_cutoff=max_in_cutoff,
     )
 
 
@@ -233,13 +244,6 @@ def suggested_max_neighbors(atoms: Atoms, box: Box, neighbors: NeighborData, cut
     The paper quotes 46/92/512 neighbours for H/O/Cu at the benchmark cutoffs;
     the suggestion here simply measures the actual maximum and adds a margin.
     """
-    positions = atoms.positions
-    nei = neighbors.neighbors
-    valid = nei >= 0
-    safe_idx = np.where(valid, nei, 0)
-    disp = positions[safe_idx] - positions[:, None, :]
-    disp = box.minimum_image(disp)
-    dist = np.linalg.norm(disp, axis=2)
-    within = valid & (dist > 0.0) & (dist <= cutoff)
-    max_count = int(within.sum(axis=1).max()) if len(positions) else 0
+    within = _candidate_geometry(atoms.positions, box, neighbors.neighbors, cutoff)[3]
+    max_count = int(within.sum(axis=1).max(initial=0))
     return max(int(np.ceil(max_count * margin)), 1)

@@ -401,13 +401,13 @@ class DeepPotential:
         energies = workspace.zeros("dp.many.energies", n_systems)
         virials = workspace.zeros("dp.many.virials", (n_systems, 3, 3))
 
-        for ti, idx, sub, g_d in self._type_blocks(
+        for _, idx, sub, g_d in self._type_blocks(
             env, per_atom, forces, policy, backend, compressed, compression_table, workspace
         ):
             # per-centre virial tensors, segment-reduced per system: the
             # (B, 3, 3) contraction keeps each centre's contribution separate
             # so the bincount below can assign it to the right system
-            pav = workspace.buffer(f"dp.many.pav.{ti}", (len(idx), 3, 3))
+            pav = workspace.capacity("dp.many.pav", len(idx), trailing=(3, 3))
             np.einsum("bni,bnj->bij", sub.displacements, g_d, out=pav)
             sys_ids = system_of_atom[idx]
             for a in range(3):
@@ -443,11 +443,11 @@ class DeepPotential:
             idx = np.nonzero(env.types == ti)[0]
             if len(idx) == 0:
                 continue
-            energies_t, g_d, sub = self._per_type_fast(
+            energies_t, g_d, sub, pairs = self._per_type_fast(
                 env, ti, idx, policy, backend, compressed, compression_table, workspace
             )
             per_atom[idx] = energies_t
-            self._scatter_forces(forces, idx, sub, g_d)
+            self._scatter_forces(forces, idx, sub, g_d, pairs)
             yield ti, idx, sub, g_d
 
     # reprolint: hot-path
@@ -472,8 +472,13 @@ class DeepPotential:
         contraction, fitting net and the whole backward chain run natively at
         that precision.  The float64 policy takes the original (golden) code
         path with the original arrays — bit-for-bit unchanged.
+
+        Scratch is keyed by role, not by centre type: the type blocks run one
+        after another, so one set of grow-only buffers sized by the largest
+        block serves them all, and each ``(B, N, M)`` operand is written into
+        a pooled buffer (``out=``, in-place scaling) rather than allocated.
         """
-        sub = env.select(atom_indices)
+        sub = env.select(atom_indices, workspace)
         batch, n_nei = sub.s.shape
         m_width = self.embeddings.width
         m2 = self.config.axis_neurons
@@ -484,40 +489,39 @@ class DeepPotential:
         # one downcast of the environment operands per step (into reused
         # workspace buffers): everything downstream reads these natively;
         # float64 gets the original arrays back, untouched
-        r_c, s_c = sub.compute_arrays(cd, workspace, key=str(center_type))
+        r_c, s_c = sub.compute_arrays(cd, workspace)
 
         fast_emb = self.fast_embeddings()
-        table = None
-        if compressed:
-            table = compression_table or self.active_compressed_embeddings()
 
         # --- embedding features G and the bookkeeping needed for the backward
-        g_shape = (batch, n_nei, m_width)
+        # the real (non-padding) neighbour slots of the block as one flat
+        # row-major index, shared by the G scatter, the dE/dG gather, the
+        # dE/ds scatter and the force scatter; padded G rows stay exactly zero
+        valid = sub.neighbor_types >= 0
+        pairs = np.flatnonzero(valid)
+        g = workspace.capacity("dp.emb.g", batch, trailing=(n_nei, m_width), dtype=cd)
+        g_rows = g.reshape(batch * n_nei, m_width)
         group_cache: dict[int, tuple[np.ndarray, object]] = {}
         if compressed:
             # batched multi-table interpolation: every real neighbour of the
             # batch in one gather + Hermite kernel, keyed by its table slot;
-            # padded slots are never evaluated (their G rows stay exactly
-            # zero, as the per-type loop left them)
-            valid = sub.neighbor_types >= 0
-            slots = table.slot_index(center_type, sub.neighbor_types[valid])
+            # padded slots are never evaluated
+            table = compression_table or self.active_compressed_embeddings()
+            slots = table.slot_index(center_type, sub.neighbor_types.reshape(-1)[pairs])
             # node placement inside evaluate_batched is float64 regardless of
             # the compute dtype, so the table always reads the fp64 s values
-            s_valid = sub.s[valid]
-            nv = len(s_valid)
-            g = workspace.buffer(f"dp.emb.g.{center_type}", g_shape, dtype=cd)
-            g_valid = workspace.capacity(f"dp.emb.vals.{center_type}", nv, trailing=(m_width,), dtype=cd)
-            dg_valid = workspace.capacity(f"dp.emb.ders.{center_type}", nv, trailing=(m_width,), dtype=cd)
+            s_valid = sub.s.reshape(-1)[pairs]
+            g_valid = workspace.capacity("dp.emb.vals", len(pairs), trailing=(m_width,), dtype=cd)
+            dg_valid = workspace.capacity("dp.emb.ders", len(pairs), trailing=(m_width,), dtype=cd)
             table.evaluate_batched(
                 slots, s_valid, out_values=g_valid, out_derivatives=dg_valid, dtype=cd
             )
             # dG/ds stays compact: only G must be dense for the descriptor
-            # contraction (padded rows exactly zero, as the loop left them)
+            # contraction
             g[~valid] = 0.0
-            g[valid] = g_valid
+            g_rows[pairs] = g_valid
         else:
-            valid = dg_valid = None
-            g = workspace.zeros(f"dp.emb.g.{center_type}", g_shape, dtype=cd)
+            g.fill(0)
             for tj in np.unique(sub.neighbor_types):
                 if tj < 0:
                     continue
@@ -530,12 +534,16 @@ class DeepPotential:
                 group_cache[tj] = (sel, net._cache)
 
         # --- descriptor (batched matmuls: BLAS-backed, unlike c_einsum)
-        a = np.matmul(r_c.transpose(0, 2, 1), g) / n_nei  # (B, 4, M)
+        a = workspace.capacity("dp.desc.a", batch, trailing=(4, m_width), dtype=cd)
+        np.matmul(r_c.transpose(0, 2, 1), g, out=a)  # (B, 4, M)
+        a /= n_nei
         a_axis = a[:, :, :m2]
-        d = np.matmul(a.transpose(0, 2, 1), a_axis)  # (B, M, M2)
-        d_flat = d.reshape(batch, m_width * m2)
+        d = workspace.capacity("dp.desc.d", batch, trailing=(m_width, m2), dtype=cd)
+        np.matmul(a.transpose(0, 2, 1), a_axis, out=d)  # (B, M, M2)
+        d_std = d.reshape(batch, m_width * m2)
         mean, std = self._standardization(center_type, cd)
-        d_std = (d_flat - mean) / std
+        d_std -= mean
+        d_std /= std
 
         # --- fitting net forward + backward (dE/dD)
         fit_net = self.fast_fittings()[center_type]
@@ -545,24 +553,33 @@ class DeepPotential:
             energies = energies.reshape(batch).astype(np.float64) + self.energy_bias[center_type]  # reprolint: allow[alloc] one tiny (B,) upcast per step at the fp64 accumulation boundary
         else:
             energies = energies.reshape(batch) + self.energy_bias[center_type]
-        ones = workspace.buffer(f"dp.fit.ones.{center_type}", (batch, 1), dtype=cd)
+        ones = workspace.capacity("dp.fit.ones", batch, trailing=(1,), dtype=cd)
         ones.fill(1.0)
-        grad_dstd = fit_net.backward_input(ones, backend=backend, dtypes=fit_dtypes)
-        grad_dflat = grad_dstd / std
-        grad_d = grad_dflat.reshape(batch, m_width, m2)
+        # the standardized descriptor is spent once the backward has run:
+        # dE/dD takes over its buffer
+        grad_d = np.divide(
+            fit_net.backward_input(ones, backend=backend, dtypes=fit_dtypes), std, out=d_std
+        ).reshape(batch, m_width, m2)
 
         # --- descriptor backward: dE/dA, dE/dR, dE/dG
         grad_a = np.matmul(a_axis, grad_d.transpose(0, 2, 1))  # (B, 4, M)
         grad_a[:, :, :m2] += np.matmul(a, grad_d)  # (B, 4, M2)
-        grad_r = np.matmul(g, grad_a.transpose(0, 2, 1)) / n_nei  # (B, N, 4)
-        grad_g = np.matmul(r_c, grad_a) / n_nei  # (B, N, M)
+        grad_r = workspace.capacity("dp.desc.grad_r", batch, trailing=(n_nei, 4), dtype=cd)
+        np.matmul(g, grad_a.transpose(0, 2, 1), out=grad_r)  # (B, N, 4)
+        grad_r /= n_nei
+        # G was last read by dE/dR just above, so dE/dG — the one other
+        # (B, N, M) array of the block — overwrites it in place
+        grad_g = np.matmul(r_c, grad_a, out=g)  # (B, N, M)
+        grad_g /= n_nei
 
         # --- embedding backward: dE/ds from the G path
-        grad_s_embed = workspace.zeros(f"dp.emb.grad_s.{center_type}", (batch, n_nei), dtype=cd)
+        grad_s_embed = workspace.capacity_zeros("dp.emb.grad_s", batch, trailing=(n_nei,), dtype=cd)
         if compressed:
             # contract against the compact dG/ds rows: padded slots contribute
-            # exactly zero, so only the valid rows need the dot product
-            grad_s_embed[valid] = np.einsum("nm,nm->n", grad_g[valid], dg_valid)
+            # exactly zero, so only the valid rows need the dot product (the
+            # compact G values are spent, so their buffer takes the gather)
+            np.take(g_rows, pairs, axis=0, out=g_valid, mode="clip")
+            grad_s_embed.reshape(-1)[pairs] = np.einsum("nm,nm->n", g_valid, dg_valid)
         else:
             for tj, (sel, cache) in group_cache.items():
                 net = fast_emb[(center_type, tj)]
@@ -571,7 +588,7 @@ class DeepPotential:
                 grad_s_embed[sel] = gs_sel[:, 0]
 
         g_d = self._geometric_chain(sub, grad_r, grad_s_embed)
-        return energies, g_d, sub
+        return energies, g_d, sub, pairs
 
     # ---------------------------------------------------------------------------
     # Golden scalar reference evaluation
@@ -647,7 +664,7 @@ class DeepPotential:
             grad_s_embed = graph.s_input.grad.reshape(batch, n_nei)
             grad_r = np.transpose(graph.r_transpose_input.grad, (0, 2, 1))
             g_d = self._geometric_chain(sub, grad_r, grad_s_embed)
-            self._scatter_forces(forces, idx, sub, g_d)
+            self._scatter_forces(forces, idx, sub, g_d, np.flatnonzero(sub.neighbor_types >= 0))
             virial -= np.einsum("bni,bnj->ij", sub.displacements, g_d)
 
         return ModelOutput(
@@ -688,24 +705,28 @@ class DeepPotential:
         grad_r_vec = grad_r[..., 1:4]
         radial = grad_s_total * ds_dr + np.einsum("bnk,bnk->bn", grad_r_vec, sub.displacements) * dh_dr
         g_d = radial[..., None] * unit + grad_r_vec * h[..., None]
-        return g_d * mask[..., None]
+        g_d *= mask[..., None]
+        return g_d
 
     @staticmethod
     # reprolint: hot-path
-    def _scatter_forces(forces: np.ndarray, atom_indices: np.ndarray, sub: LocalEnvironment, g_d: np.ndarray) -> None:
+    def _scatter_forces(
+        forces: np.ndarray, atom_indices: np.ndarray, sub: LocalEnvironment, g_d: np.ndarray, pairs: np.ndarray
+    ) -> None:
         """Accumulate forces from the displacement gradients.
 
         The energy of centre i depends on d_ij = r_j - r_i, so
-        F_j -= dE_i/dd_ij and F_i += dE_i/dd_ij.  The scatter runs through
-        the bincount reduction (:func:`scatter_add_vectors`), not
-        ``np.add.at`` — both evaluation paths share this chain, so the
+        F_j -= dE_i/dd_ij and F_i += dE_i/dd_ij.  ``pairs`` is the flat
+        row-major index of the block's real neighbour slots.  The scatter
+        runs through the bincount reduction (:func:`scatter_add_vectors`),
+        not ``np.add.at`` — both evaluation paths share this chain, so the
         path-equivalence tests see identical accumulation on both sides.
         """
-        batch, n_nei = sub.s.shape
-        valid = sub.mask > 0.0
-        centers = np.repeat(np.asarray(atom_indices), n_nei).reshape(batch, n_nei)
-        neighbor_ids = sub.neighbor_indices
-        scatter_add_vectors(forces, centers[valid], neighbor_ids[valid], g_d[valid])
+        n_nei = sub.max_neighbors
+        centers = np.asarray(atom_indices)[pairs // n_nei]
+        scatter_add_vectors(
+            forces, centers, sub.neighbor_indices.reshape(-1)[pairs], g_d.reshape(-1, 3)[pairs]
+        )
 
     # ---------------------------------------------------------------------------
     # Descriptor statistics helper (used by the trainer)

@@ -8,6 +8,8 @@ policy, the GEMM backend and optionally the compressed embedding tables.
 
 from __future__ import annotations
 
+import warnings
+
 from ..md.atoms import Atoms
 from ..md.box import Box
 from ..md.forcefields.base import ForceField, ForceResult
@@ -51,6 +53,7 @@ class DeepPotentialForceField(ForceField):
         self.session = session or Session()
         self.cutoff = model.config.cutoff
         self.n_evaluations = 0
+        self._overflow_warned = False
         self._table = None
         self._table_generation = None
         if self.compressed and not self.use_scalar_reference and not self.use_framework:
@@ -97,6 +100,15 @@ class DeepPotentialForceField(ForceField):
         elif self.use_framework:
             output = self.model.evaluate_with_framework(atoms, box, neighbors, session=self.session)
         else:
+            env = self.model.build_environment(atoms, box, neighbors, workspace=workspace)
+            if env.max_in_cutoff > env.max_neighbors and not self._overflow_warned:
+                self._overflow_warned = True
+                warnings.warn(
+                    f"an atom has {env.max_in_cutoff} neighbours inside the cutoff but max_neighbors="
+                    f"{env.max_neighbors}: the farthest are dropped and energy is no longer conserved",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
             output = self.model.evaluate(
                 atoms,
                 box,
@@ -105,6 +117,7 @@ class DeepPotentialForceField(ForceField):
                 backend=self.backend,
                 compressed=self.compressed,
                 compression_table=self._compression_table() if self.compressed else None,
+                environment=env,
                 workspace=workspace,
             )
         return ForceResult(

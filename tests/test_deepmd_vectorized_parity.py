@@ -9,8 +9,10 @@ Coverage:
   :meth:`DeepPotential.evaluate` vs :func:`evaluate_scalar`, to 1e-10 in
   double precision,
 * the documented mixed-precision tolerances (MIX-fp32 / MIX-fp16),
-* edge cases: an atom with zero neighbours, a fully used padding row, and a
-  padding budget smaller than the true neighbour count,
+* edge cases: an atom with zero neighbours, a fully used padding row, a
+  padding budget smaller than the true neighbour count, exact distance ties
+  (a perfect lattice), a ghost-masked table, a 0-atom system and a
+  ``hypothesis`` sweep over small random systems,
 
 across >= 5 random seeds on both benchmark chemistries (water and copper).
 """
@@ -19,6 +21,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.deepmd import (
     MIX_FP16,
@@ -31,7 +35,7 @@ from repro.deepmd import (
 from repro.deepmd.scalar import atom_raw_descriptor
 from repro.md import Box, copper_system, water_system
 from repro.md.atoms import Atoms
-from repro.md.neighbor import build_neighbor_data
+from repro.md.neighbor import NeighborData, build_neighbor_data
 from repro.md.workspace import Workspace
 from repro.serving import pack_systems
 
@@ -114,17 +118,7 @@ class TestEnvironmentMatrixParity:
     def test_vectorized_matches_scalar_exactly(self, kind, seed):
         atoms, box, cutoff, smooth = make_system(kind, seed)
         neighbors = build_neighbor_data(atoms.positions, box, cutoff, skin=0.2)
-        for max_nei in (None, 64, 8):
-            for sort in (True, False):
-                env_vec = build_local_environment(
-                    atoms, box, neighbors, cutoff, smooth,
-                    max_neighbors=max_nei, sort_neighbors_by_type=sort,
-                )
-                env_ref = build_local_environment_scalar(
-                    atoms, box, neighbors, cutoff, smooth,
-                    max_neighbors=max_nei, sort_neighbors_by_type=sort,
-                )
-                assert_env_equal(env_vec, env_ref)
+        self._assert_matches_scalar(atoms, box, neighbors, cutoff, smooth, (None, 64, 8))
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_padding_wider_than_neighbor_table(self, seed):
@@ -136,6 +130,77 @@ class TestEnvironmentMatrixParity:
         assert_env_equal(env_vec, env_ref)
         # the extra slots are pure padding
         assert np.all(env_vec.mask[:, neighbors.max_neighbors:] == 0.0)
+
+
+    @staticmethod
+    def _assert_matches_scalar(atoms, box, neighbors, cutoff, smooth, budgets):
+        for max_nei in budgets:
+            for sort in (True, False):
+                env_vec = build_local_environment(
+                    atoms, box, neighbors, cutoff, smooth,
+                    max_neighbors=max_nei, sort_neighbors_by_type=sort,
+                )
+                env_ref = build_local_environment_scalar(
+                    atoms, box, neighbors, cutoff, smooth,
+                    max_neighbors=max_nei, sort_neighbors_by_type=sort,
+                )
+                assert_env_equal(env_vec, env_ref)
+
+    def test_exact_distance_ties_fall_back_to_slot_order(self):
+        """A perfect lattice: every shell is one big exact tie, with and
+        without the budget pass cutting through the middle of a shell."""
+        atoms, box = copper_system((3, 3, 3), perturbation=0.0)
+        cutoff, smooth = 4.2, 3.4
+        neighbors = build_neighbor_data(atoms.positions, box, cutoff, skin=0.2)
+        probe = build_local_environment(atoms, box, neighbors, cutoff, smooth)
+        shells = np.unique(probe.distances[0][probe.mask[0] > 0.0])
+        assert len(shells) < probe.neighbor_counts()[0]  # ties really are exact
+        self._assert_matches_scalar(atoms, box, neighbors, cutoff, smooth, (None, 64, 8, 3))
+
+    def test_ghost_masked_table_and_empty_system(self):
+        """The ``dp_ranks`` shape — most rows masked to ``-1`` (ghosts the
+        rank does not evaluate), pad fraction ~0.8 — and a 0-atom system."""
+        atoms, box, cutoff, smooth = make_system("water", 5)
+        full = build_neighbor_data(atoms.positions, box, cutoff, skin=0.2)
+        neighbors, counts = full.neighbors.copy(), full.counts.copy()
+        n_owned = len(atoms) * 2 // 5
+        neighbors[n_owned:] = -1
+        counts[n_owned:] = 0
+        masked = NeighborData(
+            neighbors=neighbors, counts=counts, pairs=np.empty((0, 2), dtype=np.int64),
+            cutoff=full.cutoff, skin=full.skin,
+        )
+        env = build_local_environment(atoms, box, masked, cutoff, smooth, max_neighbors=64)
+        assert 0.7 < 1.0 - env.mask.mean() < 0.9
+        assert not env.mask[n_owned:].any() and np.all(env.neighbor_indices[n_owned:] == -1)
+        self._assert_matches_scalar(atoms, box, masked, cutoff, smooth, (None, 64, 8))
+
+        empty = Atoms(positions=np.zeros((0, 3)), types=np.zeros(0, dtype=np.int64), masses=np.zeros(0))
+        none = build_neighbor_data(empty.positions, box, cutoff)
+        self._assert_matches_scalar(empty, box, none, cutoff, smooth, (None, 4))
+        assert build_local_environment(empty, box, none, cutoff, smooth, max_neighbors=4).R.shape == (0, 4, 4)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 100_000),
+        n=st.integers(1, 40),
+        n_types=st.integers(1, 3),
+        max_nei=st.one_of(st.none(), st.integers(1, 24)),
+        periodic=st.tuples(st.booleans(), st.booleans(), st.booleans()),
+        on_lattice=st.booleans(),
+    )
+    def test_property_random_systems_match_scalar(self, seed, n, n_types, max_nei, periodic, on_lattice):
+        rng = np.random.default_rng(seed)
+        box = Box(np.array([7.0, 8.0, 9.0]), periodic)
+        if on_lattice:
+            # coarse grid sites: exact distance ties and coincident atoms
+            positions = rng.integers(0, 5, size=(n, 3)) * 1.5
+        else:
+            positions = rng.uniform(0.0, 1.0, size=(n, 3)) * box.lengths
+        atoms = Atoms(positions=positions, types=rng.integers(0, n_types, size=n), masses=np.ones(n))
+        cutoff, smooth = 3.0, 2.2
+        neighbors = build_neighbor_data(positions, box, cutoff, skin=float(rng.choice([0.0, 0.4])))
+        self._assert_matches_scalar(atoms, box, neighbors, cutoff, smooth, (max_nei,))
 
 
 class TestInferenceParity:
@@ -237,6 +302,30 @@ class TestPairStyleAndSimulationThreading:
 
         with pytest.raises(ValueError):
             DeepPotentialForceField(model, use_framework=True, use_scalar_reference=True)
+
+    def test_neighbor_budget_overflow_warns_once_per_force_field(self):
+        import warnings
+
+        from repro.deepmd import DeepPotentialForceField
+
+        atoms, box, cutoff, smooth = make_system("copper", 5)
+        neighbors = build_neighbor_data(atoms.positions, box, cutoff)
+        densest = int(build_local_environment(atoms, box, neighbors, cutoff, smooth).neighbor_counts().max())
+
+        tight = make_model("copper", 5, cutoff, smooth, max_neighbors=densest - 1)
+        for compressed in (False, True):  # one warning per force field, not per model or per step
+            force_field = DeepPotentialForceField(tight, compressed=compressed)
+            with pytest.warns(RuntimeWarning, match=rf"{densest} neighbours .* max_neighbors={densest - 1}") as caught:
+                force_field.compute(atoms, box, neighbors)
+                force_field.compute(atoms, box, neighbors, workspace=Workspace())
+            assert len(caught) == 1
+
+        exact_fit = DeepPotentialForceField(make_model("copper", 5, cutoff, smooth, max_neighbors=densest))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            exact_fit.compute(atoms, box, neighbors)
+            # deliberate truncation below the pair style stays quiet
+            build_local_environment(atoms, box, neighbors, cutoff, smooth, max_neighbors=3)
 
     def test_simulation_records_inference_path_and_virial(self):
         from repro.deepmd import DeepPotentialForceField

@@ -58,7 +58,7 @@ def _water_model(seed: int = 3):
         embedding_sizes=(6, 12),
         axis_neurons=4,
         fitting_sizes=(16, 16),
-        max_neighbors=48,
+        max_neighbors=64,
         seed=seed,
     )
     model = DeepPotential(config)

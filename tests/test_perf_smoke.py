@@ -5,11 +5,13 @@ explicitly with::
 
     PYTHONPATH=src python -m pytest -m slow tests/test_perf_smoke.py -s
 
-Two hot paths are guarded: Deep Potential inference (vectorized vs the scalar
-reference) and the neighbour-list build (vectorized binned build vs the
-brute-force reference).  The assertions are deliberately loose against the
-measured margins so they only fire when someone genuinely reintroduces
-Python-level loops into a hot path, not on scheduler noise.
+Three hot paths are guarded: Deep Potential inference (vectorized vs the scalar
+reference), the environment-matrix build (production vs its scalar golden) and
+the neighbour-list build (vectorized binned build vs the brute-force
+reference).  The assertions are deliberately loose against the measured
+margins so they only fire when someone genuinely reintroduces Python-level
+loops (or a pass over every candidate slot) into a hot path, not on scheduler
+noise.
 """
 
 from __future__ import annotations
@@ -19,8 +21,13 @@ import time
 import numpy as np
 import pytest
 
-from repro.deepmd import DeepPotential, DeepPotentialConfig
-from repro.md import Box, water_system
+from repro.deepmd import (
+    DeepPotential,
+    DeepPotentialConfig,
+    build_local_environment,
+    build_local_environment_scalar,
+)
+from repro.md import Box, Workspace, water_system
 from repro.md.neighbor import _brute_force_pairs, _cell_list_pairs, build_neighbor_data
 
 #: Minimum speedup of the vectorized path over the scalar reference that this
@@ -63,6 +70,45 @@ def test_vectorized_inference_beats_scalar_on_512_atoms():
     assert speedup >= SMOKE_SPEEDUP, (
         f"vectorized path only {speedup:.2f}x faster than the scalar reference - "
         "a Python-level loop has probably crept back into the hot path"
+    )
+
+
+@pytest.mark.slow
+def test_environment_build_keeps_up_with_its_scalar_golden_at_999_atoms():
+    """The production env build must not fall behind the per-atom loop again.
+
+    At 999-atom water (the ``dp_serial`` shape: cutoff 6 + skin 1.5, 100
+    slots) the scalar golden's 999 small per-row sorts take ~35 ms; the
+    production build took 2.3x that while it lexsorted all ~200k candidate
+    slots, and ~0.7x since it compacts to the ~85k kept pairs first.
+    """
+    atoms, box, _ = water_system(333, rng=22)
+    cutoff, smooth, max_nei = 6.0, 5.0, 100
+    neighbors = build_neighbor_data(atoms.positions, box, cutoff, skin=1.5)
+    workspace = Workspace()
+
+    def best_of(build, repeats):
+        best = np.inf
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            build()
+            best = min(best, time.perf_counter() - t0)
+        return best
+
+    t_fast = best_of(
+        lambda: build_local_environment(
+            atoms, box, neighbors, cutoff, smooth, max_neighbors=max_nei, workspace=workspace
+        ),
+        6,
+    )
+    t_scalar = best_of(
+        lambda: build_local_environment_scalar(atoms, box, neighbors, cutoff, smooth, max_neighbors=max_nei), 3
+    )
+    ratio = t_fast / t_scalar
+    print(f"\n999-atom env build: production {t_fast*1e3:.0f} ms, scalar golden {t_scalar*1e3:.0f} ms, {ratio:.2f}x")
+    assert ratio <= 1.25, (
+        f"production environment build takes {ratio:.2f}x the scalar golden's time - "
+        "a pass over every candidate slot has probably crept back into the sort"
     )
 
 
