@@ -21,6 +21,10 @@ Two guards:
   allocations (``np.zeros``/``np.empty``/``np.full``/``np.ones`` and their
   ``_like`` variants), counted by monkeypatching the allocators.
 
+The engine test counts ``np.vstack``/``np.concatenate``/``np.stack`` the same
+way: 0 per steady-state rank-step (a ``RankDomain``'s owned and ghost rows
+are views of one array; it was 3 while ``local_atoms`` re-stacked them).
+
 Run with::
 
     PYTHONPATH=src python -m pytest -q -s benchmarks/bench_run_loop.py
@@ -92,15 +96,21 @@ def _best_steps_per_second(sim: Simulation, n_steps: int = 50, repeats: int = 3)
     return best
 
 
-class _AllocationCounter:
-    """Counts explicit NumPy array allocations while active."""
+#: the calls that re-derive a rank's owned-then-ghost layout by copying
+_COUNTED_STACKERS = ("vstack", "concatenate", "stack")
 
-    def __init__(self) -> None:
+
+class _AllocationCounter:
+    """Counts calls of the named ``np.*`` functions while active (default:
+    the explicit array allocators)."""
+
+    def __init__(self, names=_COUNTED_ALLOCATORS) -> None:
         self.count = 0
+        self._names = names
         self._originals: dict[str, object] = {}
 
     def __enter__(self) -> "_AllocationCounter":
-        for name in _COUNTED_ALLOCATORS:
+        for name in self._names:
             original = getattr(np, name)
             self._originals[name] = original
 
@@ -221,7 +231,9 @@ def test_steady_state_allocation_budget(make_sim):
 
 
 def test_engine_steady_state_reuses_rank_pools():
-    """The engine's per-rank workspaces stop missing once shapes settle."""
+    """The engine's per-rank workspaces stop missing once shapes settle, and
+    no steady-state step stacks a rank's owned and ghost rows: a
+    ``RankDomain``'s local arrays are views, cut once per rebuild."""
     atoms, box = copper_system((4, 4, 4), perturbation=0.05, rng=2)
     atoms.initialize_velocities(200.0, rng=3)
     engine = DomainDecomposedSimulation(
@@ -231,8 +243,11 @@ def test_engine_steady_state_reuses_rank_pools():
     engine.run(5)
     misses = [domain.workspace.misses for domain in engine.domains]
     builds = engine.n_builds
-    engine.run(10)
+    with _AllocationCounter(_COUNTED_STACKERS) as stackers:
+        engine.run(10)
     assert engine.n_builds == builds, "steady-state window must not rebuild"
+    print(f"stacking calls per rank-step: {stackers.count / (10 * engine.n_ranks):.2f} (gate 0)")
+    assert stackers.count == 0
     for domain, before in zip(engine.domains, misses):
         assert domain.workspace.misses == before, (
             f"rank {domain.rank} workspace reallocated in steady state"

@@ -144,6 +144,34 @@ class BatchModelOutput:
         return outputs
 
 
+class PinnedTable:
+    """One consumer's own compressed table at its own grid, current with the weights.
+
+    Held by reference so other consumers of the shared model cannot swap the
+    grid underneath a running force field or serving engine (and so two
+    consumers with different grids never trigger a per-step rebuild storm
+    through the model's single cache slot); rebuilt only when
+    :meth:`DeepPotential.invalidate_kernels` bumps the kernel generation.
+    """
+
+    def __init__(self, model: "DeepPotential", n_points: int, min_distance: float, policy) -> None:
+        self.model, self.n_points, self.min_distance, self.policy = model, n_points, min_distance, policy
+        self.table: TabulatedEmbeddingSet | None = None
+        self._generation = None
+
+    def current(self) -> TabulatedEmbeddingSet:
+        if self.table is None or self._generation != self.model.kernel_generation:
+            self.table = self.model.compressed_embeddings(
+                n_points=self.n_points, min_distance=self.min_distance
+            )
+            self._generation = self.model.kernel_generation
+            if not self.policy.is_double:
+                # build the reduced-precision packed nodes up front so the
+                # first mixed-precision evaluation pays no cast either
+                self.table.ensure_packed(self.policy.compute_dtype)
+        return self.table
+
+
 class DeepPotential:
     """A trainable Deep Potential model."""
 

@@ -16,7 +16,7 @@ from ..md.forcefields.base import ForceField, ForceResult
 from ..md.neighbor import NeighborData
 from ..nnframework.session import Session
 from .gemm import GemmBackend, _dtype_name
-from .model import DeepPotential
+from .model import DeepPotential, PinnedTable
 from .precision import DOUBLE, get_policy
 
 
@@ -54,33 +54,17 @@ class DeepPotentialForceField(ForceField):
         self.cutoff = model.config.cutoff
         self.n_evaluations = 0
         self._overflow_warned = False
-        self._table = None
-        self._table_generation = None
+        self._table = PinnedTable(
+            model, self.compression_points, self.compression_min_distance, self.precision
+        )
         if self.compressed and not self.use_scalar_reference and not self.use_framework:
             # build the tables eagerly so the first MD step pays no tabulation
             # cost and the grid parameters are fixed by this pair style
             self._compression_table()
 
     def _compression_table(self):
-        """This pair style's own table at its configured grid.
-
-        Held by reference so other consumers of the shared model cannot swap
-        the grid underneath a running force field (and so two pair styles
-        with different grids never trigger a per-step rebuild storm through
-        the model's single cache slot); rebuilt only when
-        :meth:`DeepPotential.invalidate_kernels` bumps the kernel generation.
-        """
-        if self._table is None or self._table_generation != self.model.kernel_generation:
-            self._table = self.model.compressed_embeddings(
-                n_points=self.compression_points,
-                min_distance=self.compression_min_distance,
-            )
-            self._table_generation = self.model.kernel_generation
-            if not self.precision.is_double:
-                # build the reduced-precision packed nodes up front so the
-                # first mixed-precision MD step pays no cast either
-                self._table.ensure_packed(self.precision.compute_dtype)
-        return self._table
+        """This pair style's own table at its configured grid, current with the weights."""
+        return self._table.current()
 
     @property
     def path(self) -> str:

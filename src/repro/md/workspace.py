@@ -96,19 +96,6 @@ class Workspace:
         array.fill(0)
         return array
 
-    def adopt(self, name: str, array: np.ndarray) -> np.ndarray:
-        """Register an externally allocated array as the buffer behind ``name``.
-
-        Subsequent :meth:`buffer`/:meth:`zeros` requests with a matching shape
-        and dtype return the adopted array itself, so code written against the
-        workspace API can be pointed at external storage — the multiprocess
-        executor adopts shared-memory slab views here, turning what would be
-        per-step copies into direct writes visible to the worker processes.
-        """
-        array = np.asarray(array)
-        self._arrays[name] = array
-        return array
-
     # -- grow-only capacity buffers --------------------------------------------
     def capacity(self, name: str, length: int, trailing: tuple[int, ...] = (), dtype=np.float64) -> np.ndarray:
         """A view of ``length`` rows over a grow-only backing buffer.
@@ -165,7 +152,7 @@ class ScopedWorkspace:
     """A name-prefixing proxy over a :class:`Workspace`.
 
     Implements the same buffer-vending surface (``buffer``/``zeros``/
-    ``capacity``/``capacity_zeros``/``adopt``/``scoped``) with every name
+    ``capacity``/``capacity_zeros``/``scoped``) with every name
     rewritten to ``<prefix>.<name>``, so two scopes over one pool can never
     collide; hit/miss accounting stays on the shared parent pool.
     """
@@ -193,9 +180,6 @@ class ScopedWorkspace:
 
     def zeros(self, name: str, shape, dtype=np.float64) -> np.ndarray:
         return self._parent.zeros(self._key(name), shape, dtype)
-
-    def adopt(self, name: str, array: np.ndarray) -> np.ndarray:
-        return self._parent.adopt(self._key(name), array)
 
     def capacity(self, name: str, length: int, trailing: tuple[int, ...] = (), dtype=np.float64) -> np.ndarray:
         return self._parent.capacity(self._key(name), length, trailing=trailing, dtype=dtype)

@@ -22,6 +22,10 @@ This package reproduces the *structure* of the paper's parallel runtime:
   dynamics over simulated ranks with ghost exchange, reverse force scatter
   and atom migration, pinned to the serial loop by the cross-rank parity
   suite,
+* :mod:`domain` — one rank's state and the owned-then-ghost layout of its
+  arrays (private memory, or the rank's shared-slab rows),
+* :mod:`evaluators` — the per-strategy owner-computes force evaluation of
+  one rank, run by parent and workers alike,
 * :mod:`executor` — who runs the per-rank force stages: the sequential
   golden reference, or concurrent forked worker processes over
   shared-memory slabs (bit-identical by the fixed-order gather),
@@ -54,7 +58,8 @@ from .memory_pool import RdmaBufferManager
 from .threadpool import PersistentWorkerPool, ThreadingModel, WorkerError
 from .exchange import GhostExchange, resolve_delivery_scheme, scheme_supports_node_box
 from .simcomm import GhostExchangeSimulator
-from .engine import DomainDecomposedSimulation, RankDomain
+from .domain import RankDomain
+from .engine import DomainDecomposedSimulation
 from .executor import (
     EXECUTOR_NAMES,
     MultiprocessRankExecutor,

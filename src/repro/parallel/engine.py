@@ -49,11 +49,13 @@ The per-rank stages of a force evaluation (neighbour builds, density prepare,
 force finish) are delegated to a :class:`~repro.parallel.executor.RankExecutor`:
 ``executor="sequential"`` (default) runs them in-process in rank order — the
 golden reference — while ``executor="process"`` runs them concurrently on a
-persistent pool of forked worker processes with shared-memory position/force
-slabs.  All parent-side communication (migration, ghost exchange, halo
-forward, reverse scatter) and all reductions happen in fixed rank order, so
-the concurrent executor is *bit-identical* to the sequential one (pinned by
-``tests/test_parallel_executor.py`` with exact equality).
+persistent pool of forked worker processes, each rank's local arrays
+(:class:`~repro.parallel.domain.RankDomain`) living in shared-memory rows
+parent and worker both address.  All parent-side communication (migration,
+ghost exchange, halo forward, reverse scatter) and all reductions happen in
+fixed rank order, so the concurrent executor is *bit-identical* to the
+sequential one (pinned by ``tests/test_parallel_executor.py`` with exact
+equality).
 
 Intra-node load balancing (``node_balance=True``, §III-C) wires the node-box
 organization into the dynamics: under node-based delivery every rank of a
@@ -92,13 +94,15 @@ from ..md.atoms import Atoms
 from ..md.box import Box
 from ..md.forcefields.base import ForceField
 from ..md.integrators import VelocityVerlet
-from ..md.neighbor import NeighborData, max_displacement
+from ..md.neighbor import max_displacement
 from ..md.stepping import EngineBackend, SimulationReport, SteppingLoop, validate_cutoff
 from ..md.thermostats import Thermostat
-from ..md.workspace import Workspace, scatter_add_scalars, scatter_add_vectors
+from ..md.workspace import Workspace
 from ..units import temperature as instantaneous_temperature
 from ..utils.timer import PhaseTimer
 from .decomposition import DecompositionStats, SpatialDecomposition
+from .domain import RankDomain
+from .evaluators import _EVALUATORS, _RankEvaluator
 from .exchange import GhostExchange, resolve_delivery_scheme, scheme_supports_node_box
 from .executor import make_executor
 from .loadbalance import IntraNodeLoadBalancer, LoadBalanceStats
@@ -109,362 +113,6 @@ from .topology import RankTopology
 #: 48/24 convention the scheme models use.
 BYTES_PER_GHOST_ATOM = 48.0
 BYTES_PER_VECTOR = 24.0
-
-
-class RankDomain:
-    """The per-rank state of the distributed simulation."""
-
-    def __init__(
-        self,
-        rank: int,
-        gids: np.ndarray,
-        positions: np.ndarray,
-        velocities: np.ndarray,
-        forces: np.ndarray,
-        masses: np.ndarray,
-        types: np.ndarray,
-    ) -> None:
-        self.rank = rank
-        self.gids = np.ascontiguousarray(gids, dtype=np.int64)
-        self.positions = np.ascontiguousarray(positions, dtype=np.float64)
-        self.velocities = np.ascontiguousarray(velocities, dtype=np.float64)
-        self.forces = np.ascontiguousarray(forces, dtype=np.float64)
-        self.masses = np.ascontiguousarray(masses, dtype=np.float64)
-        self.types = np.ascontiguousarray(types, dtype=np.int64)
-        self.ref_positions: np.ndarray | None = None
-        # ghost copies (read-only atoms owned by other ranks)
-        self.ghost_gids = np.empty(0, dtype=np.int64)
-        self.ghost_owners = np.empty(0, dtype=np.int64)
-        self.ghost_positions = np.empty((0, 3))
-        self.ghost_forces = np.empty((0, 3))
-        self.ghost_types = np.empty(0, dtype=np.int64)
-        self.ghost_masses = np.empty(0, dtype=np.float64)
-        #: per-owner (owner_rank, ghost_row_indices, owner_slots) triples;
-        #: invariant between rebuilds, precomputed by the ghost exchange so
-        #: the per-step refresh/scatter are straight gathers.
-        self.ghost_groups: list[tuple[int, np.ndarray, np.ndarray]] = []
-        self.local_gids = self.gids
-        self.neighbors: NeighborData | None = None
-        #: node-box share under intra-node load balancing: the sorted gids
-        #: this rank *evaluates* (None ⇒ classic owner-computes), plus the
-        #: same share as a global boolean mask for vectorized pair filtering.
-        self.balance_gids: np.ndarray | None = None
-        self.balance_mask: np.ndarray | None = None
-        self.pair_seconds = 0.0
-        self.neigh_seconds = 0.0
-        self.scratch: dict = {}
-        #: per-rank scratch pool: force-field output buffers, integrator
-        #: stages and density accumulators live here, stable between
-        #: rebuilds/migrations (each rank of a real engine owns its own).
-        self.workspace = Workspace()
-
-    @property
-    def n_owned(self) -> int:
-        return len(self.gids)
-
-    @property
-    def n_ghost(self) -> int:
-        return len(self.ghost_gids)
-
-    @property
-    def n_local(self) -> int:
-        return self.n_owned + self.n_ghost
-
-    def local_positions(self) -> np.ndarray:
-        return np.vstack([self.positions, self.ghost_positions])
-
-    def local_atoms(self, type_names: tuple[str, ...]) -> Atoms:
-        """The rank's owned+ghost system as an :class:`Atoms` container."""
-        return Atoms(
-            positions=self.local_positions(),
-            types=np.concatenate([self.types, self.ghost_types]),
-            masses=np.concatenate([self.masses, self.ghost_masses]),
-            ids=self.local_gids.copy(),
-            type_names=type_names,
-        )
-
-
-# ---------------------------------------------------------------------------
-# Per-strategy rank evaluators (owner-computes force decomposition)
-# ---------------------------------------------------------------------------
-
-
-def _owner_computed_mask(pairs: np.ndarray, local_gids: np.ndarray, n_owned: int) -> np.ndarray:
-    """Mask of local pairs this rank computes (owner-of-lowest-id rule).
-
-    Owned atoms occupy local slots ``[0, n_owned)``, so a pair is computed
-    here exactly when its lowest-global-id member is an owned slot.  Every
-    pair of the global system is therefore computed by exactly one rank, and
-    pairs between two ghosts are never computed locally.
-    """
-    ga, gb = local_gids[pairs[:, 0]], local_gids[pairs[:, 1]]
-    lowest = np.where(ga < gb, pairs[:, 0], pairs[:, 1])
-    return lowest < n_owned
-
-
-def _computed_pairs(domain) -> np.ndarray:
-    """The subset of the local pair list this rank computes.
-
-    Classic owner-computes (``balance_mask is None``): the rank owning the
-    pair's lowest-gid member computes it.  Under intra-node load balancing
-    the same rule runs on the *assignment*: the rank whose node-box share
-    contains the lowest-gid member computes the pair — it necessarily holds
-    both members, because the node-box copy plus its ghost shell covers the
-    cutoff+skin environment of every assigned atom.  Either way each global
-    pair is computed by exactly one rank.
-    """
-    pairs = domain.neighbors.pairs
-    if len(pairs) == 0:
-        return pairs
-    if domain.balance_mask is None:
-        return pairs[_owner_computed_mask(pairs, domain.local_gids, domain.n_owned)]
-    ga, gb = domain.local_gids[pairs[:, 0]], domain.local_gids[pairs[:, 1]]
-    return pairs[domain.balance_mask[np.minimum(ga, gb)]]
-
-
-class _RankEvaluator:
-    """Computes one rank's energy/force contribution from its local system."""
-
-    #: whether :meth:`prepare` produces a per-owned-atom quantity that must be
-    #: forward-exchanged to ghost copies before :meth:`finish` (EAM density).
-    needs_halo = False
-
-    def __init__(self, engine: "DomainDecomposedSimulation") -> None:
-        self.engine = engine
-
-    def rebuild(self, domain: RankDomain) -> None:
-        """Refresh rank-local structures after a neighbour/ghost rebuild."""
-
-    def prepare(self, domain: RankDomain) -> np.ndarray | None:
-        """Stage 1: per-owned-atom intermediates to forward, or ``None``."""
-        return None
-
-    def finish(self, domain: RankDomain, halo: np.ndarray | None):
-        """Stage 2: returns ``(energy, local_forces, virial_or_None)``."""
-        raise NotImplementedError
-
-
-class _PairEvaluator(_RankEvaluator):
-    """Pair-decomposable force fields (LJ, Morse): filtered half pair list."""
-
-    def rebuild(self, domain: RankDomain) -> None:
-        domain.scratch["pairs"] = _computed_pairs(domain)
-
-    def finish(self, domain: RankDomain, halo):
-        engine = self.engine
-        base = domain.neighbors
-        data = NeighborData(
-            neighbors=base.neighbors,
-            counts=base.counts,
-            pairs=domain.scratch["pairs"],
-            cutoff=base.cutoff,
-            skin=base.skin,
-        )
-        result = engine.force_field.compute(
-            domain.local_atoms(engine.type_names), engine.box, data, workspace=domain.workspace
-        )
-        return result.energy, result.forces, result.virial
-
-
-class _MolecularEvaluator(_RankEvaluator):
-    """Pair + bonded terms (flexible water): rank-local remapped topology."""
-
-    def rebuild(self, domain: RankDomain) -> None:
-        engine = self.engine
-        force_field = engine.force_field
-        topology = force_field.topology
-
-        lookup = np.full(engine.n_global, -1, dtype=np.int64)
-        lookup[domain.local_gids] = np.arange(domain.n_local)
-
-        def remap(terms: np.ndarray) -> np.ndarray:
-            if len(terms) == 0:
-                return terms.copy()
-            computed_here = engine._owner_of[terms.min(axis=1)] == domain.rank
-            selected = terms[computed_here]
-            local = lookup[selected]
-            if np.any(local < 0):
-                raise RuntimeError(
-                    f"rank {domain.rank}: a bonded partner left the ghost shell; "
-                    "increase the neighbour skin or shrink the timestep"
-                )
-            return local
-
-        local_topology = type(topology)(
-            bonds=remap(topology.bonds),
-            angles=remap(topology.angles),
-            molecules=topology.molecules[domain.local_gids],
-        )
-        domain.scratch["local_ff"] = force_field.with_topology(local_topology)
-        domain.scratch["pairs"] = _computed_pairs(domain)
-
-    def finish(self, domain: RankDomain, halo):
-        engine = self.engine
-        base = domain.neighbors
-        data = NeighborData(
-            neighbors=base.neighbors,
-            counts=base.counts,
-            pairs=domain.scratch["pairs"],
-            cutoff=base.cutoff,
-            skin=base.skin,
-        )
-        result = domain.scratch["local_ff"].compute(
-            domain.local_atoms(engine.type_names), engine.box, data, workspace=domain.workspace
-        )
-        return result.energy, result.forces, result.virial
-
-
-class _PerAtomEvaluator(_RankEvaluator):
-    """Per-atom energies over full neighbour lists (Deep Potential).
-
-    Rows this rank does not evaluate are masked out of the padded table, so
-    the force field only evaluates the environments of this rank's atoms and
-    scatters forces onto owned atoms and ghost copies alike.  Classic
-    owner-computes evaluates the owned rows (whose neighbour lists are
-    complete by construction of the ghost shell); under intra-node load
-    balancing the rank instead evaluates its node-box *share* — the rows
-    whose gid it was assigned, owned or node-peer ghost alike, every one of
-    them inside the node box whose cutoff+skin environment the node's ghost
-    shell covers.
-    """
-
-    def rebuild(self, domain: RankDomain) -> None:
-        base = domain.neighbors
-        neighbors = base.neighbors.copy()
-        counts = base.counts.copy()
-        if domain.balance_mask is None:
-            neighbors[domain.n_owned:, :] = -1
-            counts[domain.n_owned:] = 0
-            domain.scratch["eval_rows"] = None
-        else:
-            keep = domain.balance_mask[domain.local_gids]
-            neighbors[~keep, :] = -1
-            counts[~keep] = 0
-            domain.scratch["eval_rows"] = np.nonzero(keep)[0]
-        domain.scratch["masked"] = NeighborData(
-            neighbors=neighbors,
-            counts=counts,
-            pairs=np.empty((0, 2), dtype=np.int64),
-            cutoff=base.cutoff,
-            skin=base.skin,
-        )
-
-    def finish(self, domain: RankDomain, halo):
-        engine = self.engine
-        result = engine.force_field.compute(
-            domain.local_atoms(engine.type_names),
-            engine.box,
-            domain.scratch["masked"],
-            workspace=domain.workspace,
-        )
-        if result.per_atom_energy is None:
-            raise RuntimeError(
-                "the 'peratom' parallel strategy requires a per-atom energy decomposition"
-            )
-        rows = domain.scratch["eval_rows"]
-        if rows is None:
-            energy = float(result.per_atom_energy[: domain.n_owned].sum())
-        else:
-            energy = float(result.per_atom_energy[rows].sum())
-        return energy, result.forces, result.virial
-
-
-class _DensityEvaluator(_RankEvaluator):
-    """EAM-like force fields (Gupta): two-stage with a density halo exchange.
-
-    Stage 1 accumulates each owned atom's embedding density from the full
-    local pair list (complete by construction) and returns the embedding
-    derivative ``1/sqrt(rho)``; the engine forward-exchanges it to ghost
-    copies — the in-process analogue of LAMMPS' mid-force EAM communication.
-    Stage 2 evaluates each owner-filtered pair once using the owner-computed
-    derivatives of both members.
-    """
-
-    needs_halo = True
-
-    def rebuild(self, domain: RankDomain) -> None:
-        # Ghost-ghost pairs contribute only to ghost densities, which the halo
-        # exchange overwrites with owner-computed values — drop them up front.
-        pairs = domain.neighbors.pairs
-        if len(pairs):
-            touches_owned = (pairs[:, 0] < domain.n_owned) | (pairs[:, 1] < domain.n_owned)
-            pairs = pairs[touches_owned]
-        domain.scratch["density_pairs"] = pairs
-
-    def prepare(self, domain: RankDomain) -> np.ndarray:  # reprolint: hot-path
-        engine = self.engine
-        force_field = engine.force_field
-        pairs = domain.scratch["density_pairs"]
-        n_local = domain.n_local
-        positions = domain.local_positions()
-
-        if len(pairs):
-            delta = positions[pairs[:, 0]] - positions[pairs[:, 1]]
-            delta = engine.box.minimum_image(delta)
-            r = np.linalg.norm(delta, axis=1)
-            mask = r <= force_field.cutoff
-            pairs, delta, r = pairs[mask], delta[mask], r[mask]
-        else:
-            delta = np.empty((0, 3))  # reprolint: allow[alloc] empty-pair-list early-out, not the steady-state path
-            r = np.empty(0)  # reprolint: allow[alloc] empty-pair-list early-out, not the steady-state path
-
-        if len(pairs):
-            repulsion, density_pair, drep_dr, drho_dr = force_field.pair_terms(r)
-        else:
-            repulsion = density_pair = drep_dr = drho_dr = np.empty(0)  # reprolint: allow[alloc] empty-pair-list early-out, not the steady-state path
-
-        rep_atom = domain.workspace.zeros("density.rep_atom", n_local)
-        rho = domain.workspace.zeros("density.rho", n_local)
-        if len(pairs):
-            scatter_add_scalars(rep_atom, pairs[:, 0], repulsion)
-            scatter_add_scalars(rep_atom, pairs[:, 1], repulsion)
-            scatter_add_scalars(rho, pairs[:, 0], density_pair)
-            scatter_add_scalars(rho, pairs[:, 1], density_pair)
-
-        sqrt_rho, inv_sqrt = force_field.embedding_terms(rho)
-        per_atom = rep_atom - sqrt_rho
-        per_atom[rho == 0.0] = rep_atom[rho == 0.0]
-
-        domain.scratch.update(
-            pairs=pairs, delta=delta, r=r, drep_dr=drep_dr, drho_dr=drho_dr,
-            inv_sqrt=inv_sqrt, energy=float(per_atom[: domain.n_owned].sum()),
-        )
-        # rho/inv_sqrt are only complete for owned atoms; ghost entries are
-        # replaced by the owner-computed values the halo exchange delivers.
-        return inv_sqrt[: domain.n_owned]
-
-    def finish(self, domain: RankDomain, halo: np.ndarray | None):  # reprolint: hot-path
-        scratch = domain.scratch
-        inv_sqrt = scratch["inv_sqrt"]
-        if domain.n_ghost:
-            inv_sqrt[domain.n_owned:] = halo
-
-        pairs = scratch["pairs"]
-        forces = domain.workspace.zeros("density.forces", (domain.n_local, 3))
-        if len(pairs):
-            keep = _owner_computed_mask(pairs, domain.local_gids, domain.n_owned)
-            pairs = pairs[keep]
-            delta, r = scratch["delta"][keep], scratch["r"][keep]
-            drep_dr, drho_dr = scratch["drep_dr"][keep], scratch["drho_dr"][keep]
-            dE_dr = self.engine.force_field.pair_dE_dr(
-                drep_dr, drho_dr, inv_sqrt[pairs[:, 0]], inv_sqrt[pairs[:, 1]]
-            )
-            pair_forces = (-dE_dr / r)[:, None] * delta
-            scatter_add_vectors(forces, pairs[:, 0], pairs[:, 1], pair_forces)
-        return scratch["energy"], forces, None
-
-
-_EVALUATORS = {
-    "pair": _PairEvaluator,
-    "molecular": _MolecularEvaluator,
-    "peratom": _PerAtomEvaluator,
-    "density": _DensityEvaluator,
-}
-
-
-# ---------------------------------------------------------------------------
-# The engine
-# ---------------------------------------------------------------------------
 
 
 class DomainDecomposedSimulation(EngineBackend):
@@ -578,16 +226,12 @@ class DomainDecomposedSimulation(EngineBackend):
         self.domains: list[RankDomain] = []
         for rank in range(self.topology.n_ranks):
             idx = np.nonzero(owners == rank)[0]
-            domain = RankDomain(
-                rank=rank,
-                gids=idx,
-                positions=atoms.positions[idx],
-                velocities=atoms.velocities[idx],
-                forces=atoms.forces[idx],
-                masses=atoms.masses[idx],
-                types=atoms.types[idx],
+            self.domains.append(
+                RankDomain(
+                    rank, idx, atoms.positions[idx], atoms.velocities[idx], atoms.forces[idx],
+                    atoms.masses[idx], atoms.types[idx],
+                )
             )
-            self.domains.append(domain)
         self._owner_of = np.empty(self.n_global, dtype=np.int64)
         self._slot_of = np.empty(self.n_global, dtype=np.int64)
         self._refresh_directory()
@@ -612,7 +256,7 @@ class DomainDecomposedSimulation(EngineBackend):
     # -- migration ----------------------------------------------------------------
     def _migrate(self) -> int:
         """Move atoms whose wrapped coordinates crossed a sub-box boundary."""
-        incoming: list[list[tuple]] = [[] for _ in range(self.n_ranks)]
+        incoming: list[list[tuple]] = [[] for _ in range(self.n_ranks)]  # RankDomain.owned() slices
         moved = 0
         for domain in self.domains:
             if domain.n_owned == 0:
@@ -623,37 +267,17 @@ class DomainDecomposedSimulation(EngineBackend):
                 continue
             for dest in np.unique(owners[leaving]):
                 mask = owners == dest
-                incoming[int(dest)].append(
-                    (
-                        domain.gids[mask],
-                        domain.positions[mask],
-                        domain.velocities[mask],
-                        domain.forces[mask],
-                        domain.masses[mask],
-                        domain.types[mask],
-                    )
-                )
+                incoming[int(dest)].append(domain.owned(mask))
                 self.comm_messages += 1
                 self.comm_bytes_forward += mask.sum() * (BYTES_PER_GHOST_ATOM + 2 * BYTES_PER_VECTOR)
-            keep = ~leaving
-            domain.gids = domain.gids[keep]
-            domain.positions = domain.positions[keep]
-            domain.velocities = domain.velocities[keep]
-            domain.forces = domain.forces[keep]
-            domain.masses = domain.masses[keep]
-            domain.types = domain.types[keep]
+            domain.set_owned(domain.owned(~leaving))
             moved += int(leaving.sum())
         for rank, domain in enumerate(self.domains):
             if not incoming[rank]:
                 continue
-            gids = np.concatenate([domain.gids] + [p[0] for p in incoming[rank]])
-            order = np.argsort(gids, kind="stable")
-            domain.gids = gids[order]
-            domain.positions = np.vstack([domain.positions] + [p[1] for p in incoming[rank]])[order]
-            domain.velocities = np.vstack([domain.velocities] + [p[2] for p in incoming[rank]])[order]
-            domain.forces = np.vstack([domain.forces] + [p[3] for p in incoming[rank]])[order]
-            domain.masses = np.concatenate([domain.masses] + [p[4] for p in incoming[rank]])[order]
-            domain.types = np.concatenate([domain.types] + [p[5] for p in incoming[rank]])[order]
+            merged = [np.concatenate(parts) for parts in zip(domain.owned(), *incoming[rank])]
+            order = np.argsort(merged[0], kind="stable")  # by gid
+            domain.set_owned([field[order] for field in merged])
         self.n_migrated += moved
         self._refresh_directory()
         return moved
@@ -662,73 +286,39 @@ class DomainDecomposedSimulation(EngineBackend):
     def _exchange_ghosts(self) -> None:
         """Rebuild every rank's ghost list through the delivery rules."""
         self.n_exchanges += 1
-        counts = np.zeros(self.n_ranks, dtype=np.int64)
         # each sender's slab is wrapped once per rebuild (it is reused for
         # every receiver in the sender's ghost shell)
-        wrapped = [
-            self.box.wrap(domain.positions) if domain.n_owned else domain.positions
-            for domain in self.domains
-        ]
+        wrapped = [self.box.wrap(domain.positions) for domain in self.domains]
         for domain in self.domains:
-            gid_parts: list[np.ndarray] = []
-            pos_parts: list[np.ndarray] = []
-            owner_parts: list[np.ndarray] = []
-
-            def receive(sender: RankDomain, mask: np.ndarray | None) -> None:
+            # seeded with an empty message, so a rank nobody sends to needs no branch
+            gid_parts = [np.empty(0, dtype=np.int64)]
+            pos_parts = [np.empty((0, 3))]
+            owner_parts = [np.empty(0, dtype=np.int64)]
+            for rank, select in self.exchange.senders(self.scheme, domain.rank):
+                sender = self.domains[rank]
                 if sender.n_owned == 0:
-                    return
-                gids = sender.gids if mask is None else sender.gids[mask]
+                    continue
+                # a node peer's whole slab, else the sender's masked slice
+                mask = slice(None) if select is None else select(wrapped[rank], domain.rank, prewrapped=True)
+                gids = sender.gids[mask]
                 if len(gids) == 0:
-                    return
-                positions = sender.positions if mask is None else sender.positions[mask]
+                    continue
                 gid_parts.append(gids.copy())
-                pos_parts.append(positions.copy())
-                owner_parts.append(np.full(len(gids), sender.rank, dtype=np.int64))
+                pos_parts.append(sender.positions[mask].copy())
+                owner_parts.append(np.full(len(gids), rank, dtype=np.int64))
                 self.comm_messages += 1
                 self.comm_bytes_forward += len(gids) * BYTES_PER_GHOST_ATOM
-
-            if self.scheme == "p2p":
-                for rank in self.exchange.p2p_neighbor_ranks(domain.rank):
-                    sender = self.domains[rank]
-                    if sender.n_owned == 0:
-                        continue
-                    receive(
-                        sender,
-                        self.exchange.p2p_selection(wrapped[rank], domain.rank, prewrapped=True),
-                    )
-            else:
-                for rank in self.exchange.node_peer_ranks(domain.rank):
-                    receive(self.domains[rank], None)
-                for rank in self.exchange.node_neighbor_ranks(domain.rank):
-                    sender = self.domains[rank]
-                    if sender.n_owned == 0:
-                        continue
-                    receive(
-                        sender,
-                        self.exchange.node_selection(wrapped[rank], domain.rank, prewrapped=True),
-                    )
-
-            if gid_parts:
-                gids = np.concatenate(gid_parts)
-                order = np.argsort(gids, kind="stable")
-                domain.ghost_gids = gids[order]
-                domain.ghost_positions = np.vstack(pos_parts)[order]
-                domain.ghost_owners = np.concatenate(owner_parts)[order]
-            else:
-                domain.ghost_gids = np.empty(0, dtype=np.int64)
-                domain.ghost_positions = np.empty((0, 3))
-                domain.ghost_owners = np.empty(0, dtype=np.int64)
-            domain.ghost_types = self._types_global[domain.ghost_gids]
-            domain.ghost_masses = self._masses_global[domain.ghost_gids]
-            domain.ghost_forces = np.zeros((domain.n_ghost, 3))
-            domain.local_gids = np.concatenate([domain.gids, domain.ghost_gids])
+            gids = np.concatenate(gid_parts)
+            order = np.argsort(gids, kind="stable")
+            ghost_gids, ghost_owners = gids[order], np.concatenate(owner_parts)[order]
+            domain.set_ghosts(ghost_gids, self._types_global, self._masses_global)
+            domain.fill(domain.positions, domain.forces, np.concatenate(pos_parts)[order])
             domain.ghost_groups = []
-            for owner in np.unique(domain.ghost_owners):
-                rows = np.nonzero(domain.ghost_owners == owner)[0]
-                slots = self._slot_of[domain.ghost_gids[rows]]
+            for owner in np.unique(ghost_owners):
+                rows = np.nonzero(ghost_owners == owner)[0]
+                slots = self._slot_of[ghost_gids[rows]]
                 domain.ghost_groups.append((int(owner), rows, slots))
-            counts[domain.rank] = domain.n_ghost
-        self._ghost_count_log.append(counts)
+        self._ghost_count_log.append(self.ghost_counts())
 
     def _refresh_ghost_positions(self) -> None:
         """Forward exchange: ghost copies track their owners' positions."""
@@ -795,11 +385,7 @@ class DomainDecomposedSimulation(EngineBackend):
                 count = base + (1 if slot < remainder else 0)
                 share = gids[start : start + count]
                 start += count
-                domain = self.domains[rank]
-                domain.balance_gids = share
-                mask = np.zeros(self.n_global, dtype=bool)
-                mask[share] = True
-                domain.balance_mask = mask
+                self.domains[rank].assign_share(share, self.n_global)
 
     # -- neighbour lists ----------------------------------------------------------
     def _needs_rebuild(self) -> bool:
@@ -859,18 +445,7 @@ class DomainDecomposedSimulation(EngineBackend):
             for domain, (rank_energy, local_forces, rank_virial) in zip(
                 self.domains, executor.finish(halos)
             ):
-                # local_forces may live in the rank workspace or the shared
-                # force slab (valid only until the rank's next evaluation) —
-                # owned forces must survive into the integrator, so copy them
-                # into the persistent per-rank array; the ghost tail is
-                # consumed by the reverse scatter below before the buffer is
-                # ever reused.
-                owned = local_forces[: domain.n_owned]
-                if domain.forces.shape == owned.shape:
-                    np.copyto(domain.forces, owned)
-                else:
-                    domain.forces = owned.copy()
-                domain.ghost_forces = local_forces[domain.n_owned:]
+                domain.store_forces(local_forces)
                 energy += rank_energy
                 if rank_virial is not None:
                     virial = rank_virial.copy() if virial is None else virial + rank_virial
@@ -882,23 +457,20 @@ class DomainDecomposedSimulation(EngineBackend):
         self.last_virial = virial
         return energy
 
-    # -- integration -------------------------------------------------------------
-    def _integrate(self, domain: RankDomain, half: str) -> None:
-        if domain.n_owned == 0:
-            return
-        shim = SimpleNamespace(
-            positions=domain.positions,
-            velocities=domain.velocities,
-            forces=domain.forces,
-            masses=domain.masses,
-        )
-        if half == "first":
-            self.integrator.first_half(shim, self.box, workspace=domain.workspace)
-            domain.positions = shim.positions  # wrap() rebinds the attribute
-        else:
-            self.integrator.second_half(shim, self.box, workspace=domain.workspace)
+    # -- EngineBackend hooks (the run loop itself lives in md.stepping) -----------
+    def integrate_first_half(self) -> None:
+        # a domain carries the positions/velocities/forces/masses the
+        # integrator reads; its in-place wrap keeps ``positions`` the same view
+        for domain in self.domains:
+            if domain.n_owned:
+                self.integrator.first_half(domain, self.box, workspace=domain.workspace)
 
-    def _apply_thermostat(self) -> None:
+    def integrate_second_half(self) -> None:
+        for domain in self.domains:
+            if domain.n_owned:
+                self.integrator.second_half(domain, self.box, workspace=domain.workspace)
+
+    def apply_thermostat(self) -> None:
         """Thermostats act on gathered velocities (a collective), so even
         stochastic thermostats draw per-atom noise in global id order and stay
         bit-compatible with the serial loop.  Only masses and velocities are
@@ -910,18 +482,6 @@ class DomainDecomposedSimulation(EngineBackend):
         self.thermostat.apply(shim, self.timestep_fs)
         for domain in self.domains:
             domain.velocities = np.ascontiguousarray(shim.velocities[domain.gids])
-
-    # -- EngineBackend hooks (the run loop itself lives in md.stepping) -----------
-    def integrate_first_half(self) -> None:
-        for domain in self.domains:
-            self._integrate(domain, "first")
-
-    def integrate_second_half(self) -> None:
-        for domain in self.domains:
-            self._integrate(domain, "second")
-
-    def apply_thermostat(self) -> None:
-        self._apply_thermostat()
 
     def sample_temperature(self) -> float:
         velocities = self._gather_array("velocities", out=self._gather_buffer("sample"))
@@ -952,9 +512,10 @@ class DomainDecomposedSimulation(EngineBackend):
     def close(self) -> None:
         """Release executor resources (worker processes, shared memory).
 
-        Idempotent, and a no-op for the sequential executor.  The engine
-        stays inspectable after close (gather, stats), but further force
-        evaluations on a process executor will fail.
+        Idempotent, and a no-op for the sequential executor.  A process
+        executor first moves every domain's arrays back to private memory, so
+        the engine stays inspectable after close (gather, stats, domains);
+        further force evaluations on it will fail.
         """
         self._executor.close()
 

@@ -137,6 +137,23 @@ class GhostExchange:
         node_coord = self.topology.node_of_rank(rank)
         return [r for r in self.topology.ranks_on_node(node_coord) if r != rank]
 
+    def senders(self, pattern: str, rank: int):
+        """Who ships ghosts to ``rank`` under a delivery pattern, in delivery order.
+
+        Yields ``(sender_rank, select)``: ``select`` is the selection method
+        masking the sender's atom slab, or ``None`` for a node peer, whose
+        whole slab is visible through shared memory.  The engine's exchange
+        and the whole-system :meth:`deliver` both walk this list.
+        """
+        if pattern == "p2p":
+            for sender in self.p2p_neighbor_ranks(rank):
+                yield sender, self.p2p_selection
+        else:
+            for sender in self.node_peer_ranks(rank):
+                yield sender, None
+            for sender in self.node_neighbor_ranks(rank):
+                yield sender, self.node_selection
+
     # -- per-sender selections -------------------------------------------------------
     def p2p_selection(
         self, sender_positions: np.ndarray, receiver_rank: int, prewrapped: bool = False
@@ -177,39 +194,19 @@ class GhostExchange:
 
     def deliver_p2p(self, rank: int, positions: np.ndarray, owners: np.ndarray | None = None) -> np.ndarray:
         """Sorted atom ids delivered to ``rank`` by the p2p pattern."""
-        owners = self.owners(positions) if owners is None else owners
-        delivered: list[np.ndarray] = []
-        for neighbor in self.p2p_neighbor_ranks(rank):
-            sender_atoms = np.nonzero(owners == neighbor)[0]
-            if len(sender_atoms) == 0:
-                continue
-            mask = self.p2p_selection(positions[sender_atoms], rank)
-            delivered.append(sender_atoms[mask])
-        if not delivered:
-            return np.empty(0, dtype=np.int64)
-        return np.unique(np.concatenate(delivered))
+        return self.deliver("p2p", rank, positions, owners)
 
     def deliver_node_based(self, rank: int, positions: np.ndarray, owners: np.ndarray | None = None) -> np.ndarray:
         """Sorted atom ids available to ``rank`` after the node-based exchange."""
-        owners = self.owners(positions) if owners is None else owners
-        delivered: list[np.ndarray] = []
-        # (a) node peers' local atoms via shared memory.
-        for peer in self.node_peer_ranks(rank):
-            delivered.append(np.nonzero(owners == peer)[0])
-        # (b) ghost atoms shipped by neighbouring nodes (node-box slabs).
-        for neighbor in self.node_neighbor_ranks(rank):
-            sender_atoms = np.nonzero(owners == neighbor)[0]
-            if len(sender_atoms) == 0:
-                continue
-            mask = self.node_selection(positions[sender_atoms], rank)
-            delivered.append(sender_atoms[mask])
-        if not delivered:
-            return np.empty(0, dtype=np.int64)
-        return np.unique(np.concatenate(delivered))
+        return self.deliver("node-based", rank, positions, owners)
 
     def deliver(self, scheme: str, rank: int, positions: np.ndarray, owners: np.ndarray | None = None) -> np.ndarray:
         """Delivery under a scheme label (see :data:`DELIVERY_SCHEMES`)."""
-        pattern = resolve_delivery_scheme(scheme)
-        if pattern == "p2p":
-            return self.deliver_p2p(rank, positions, owners)
-        return self.deliver_node_based(rank, positions, owners)
+        owners = self.owners(positions) if owners is None else owners
+        delivered = [np.empty(0, dtype=np.int64)]
+        for sender, select in self.senders(resolve_delivery_scheme(scheme), rank):
+            sender_atoms = np.nonzero(owners == sender)[0]
+            if select is not None and len(sender_atoms):
+                sender_atoms = sender_atoms[select(positions[sender_atoms], rank)]
+            delivered.append(sender_atoms)
+        return np.unique(np.concatenate(delivered))

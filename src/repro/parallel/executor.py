@@ -12,12 +12,16 @@ per-rank stages:
   pinned against.
 * :class:`MultiprocessRankExecutor` runs them concurrently on a
   :class:`~repro.parallel.threadpool.PersistentWorkerPool` of forked worker
-  processes.  Positions, forces and the density halo travel through
-  ``multiprocessing.shared_memory`` slabs (one row per rank) instead of
-  per-domain copies: the parent publishes each rank's owned+ghost positions
-  into the position slab, workers build neighbour lists and evaluate forces
-  directly on zero-copy slab views, and write their local force arrays into
-  the force slab the parent reduces from.
+  processes.  ``bind`` moves every :class:`~repro.parallel.domain.RankDomain`'s
+  local position and force arrays onto that rank's rows of the
+  ``multiprocessing.shared_memory`` slabs (:meth:`RankDomain.rehome`), the
+  **one home** parent and worker both address: the parent's integrator,
+  ghost refresh and reverse scatter write the rows the worker evaluates from
+  — stepping a rank *is* publishing it — and the worker, a ``RankDomain``
+  over the same rows, stores its forces where the parent's reductions read
+  them.  The density halo travels through a third slab, cut the same way
+  (:meth:`RankDomain.split`).  ``close`` moves the arrays back to private
+  memory *before* the slabs are unlinked: a closed engine stays inspectable.
 
 **The bitwise rule.**  Workers execute the *same* evaluator code as the
 sequential executor on the *same* float64 bytes, and the parent reduces
@@ -29,12 +33,12 @@ exact array equality, not tolerances.
 
 Structural state (which gids each rank owns, its ghost list, its node-box
 share) changes only at neighbour rebuilds and is shipped once per rebuild
-over the pool's pipes; the per-step traffic is shared-memory only.
+over the pool's pipes — the worker's domain re-cuts its views from it; the
+per-step traffic is a pipe round-trip per stage and no array copy.
 """
 
 from __future__ import annotations
 
-import os
 import time
 import weakref
 from multiprocessing import shared_memory
@@ -42,10 +46,10 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from ..md.atoms import Atoms
 from ..md.neighbor import build_neighbor_data
-from ..md.workspace import Workspace
-from .threadpool import PersistentWorkerPool, worker_reply
+from .domain import RankDomain
+from .evaluators import _EVALUATORS
+from .threadpool import PersistentWorkerPool, usable_cpu_count, worker_reply
 
 __all__ = [
     "RankExecutor",
@@ -56,8 +60,8 @@ __all__ = [
     "EXECUTOR_NAMES",
 ]
 
-#: Accepted ``executor=`` labels ("multiprocess" is an alias of "process").
-EXECUTOR_NAMES = ("sequential", "process", "multiprocess")
+#: Accepted ``executor=`` labels.
+EXECUTOR_NAMES = ("sequential", "process")
 
 
 class RankExecutor:
@@ -77,7 +81,8 @@ class RankExecutor:
         self.engine = engine
 
     def publish_positions(self) -> None:
-        """Make every rank's current owned+ghost positions visible to it."""
+        """Make every rank's current owned+ghost positions visible to it
+        (nothing to do while the domains' arrays are what the ranks read)."""
 
     def rebuild(self) -> None:
         """Per-rank neighbour builds + evaluator rebuilds (timed per rank)."""
@@ -165,9 +170,9 @@ def _release_blocks(blocks: list) -> None:
         try:
             block.close()
         except BufferError:
-            # a live numpy view (e.g. a domain's ghost-force tail) still
-            # exports the buffer; the mapping is freed when it is collected —
-            # the unlink above already removed the backing segment.
+            # an exporter keeps the mapping until it is collected.  NumPy
+            # views are not exporters: close() unmaps under them and their
+            # next read segfaults, so the executor rehomes every domain first.
             pass
 
 
@@ -177,9 +182,8 @@ class SharedRankArrays:
     One row per rank, ``n_global`` atoms wide (a rank's owned+ghost set can
     never exceed the global atom count, so row ``r`` holds rank ``r``'s local
     arrays in its leading ``n_local`` entries).  Created by the parent before
-    the workers fork, so every process addresses the *same* mapping and the
-    per-step position publish / force read-back are plain memory writes — no
-    pickling, no pipes.
+    the workers fork, so every process addresses the *same* mapping: what
+    one side writes the other reads — no pickling, no pipes, no copies.
     """
 
     def __init__(self, n_ranks: int, n_global: int) -> None:
@@ -197,8 +201,13 @@ class SharedRankArrays:
         array.fill(0.0)
         return array
 
+    def rows(self, rank: int) -> tuple[np.ndarray, np.ndarray]:
+        """Rank ``rank``'s ``(positions, forces)`` rows, a :class:`RankDomain` home."""
+        return self.positions[rank], self.forces[rank]
+
     def close(self) -> None:
-        """Unlink and release the segments; idempotent."""
+        """Unlink and unmap the segments; idempotent.  No view of the slabs
+        may be read after this."""
         self.positions = self.forces = self.halo = None
         self._finalizer()
 
@@ -206,71 +215,6 @@ class SharedRankArrays:
 # ---------------------------------------------------------------------------
 # The worker side
 # ---------------------------------------------------------------------------
-
-
-class _WorkerDomain:
-    """A worker-process mirror of :class:`~repro.parallel.engine.RankDomain`.
-
-    Presents exactly the surface the rank evaluators consume (``n_owned``,
-    ``local_gids``, ``neighbors``, ``scratch``, ``workspace``,
-    ``local_positions``/``local_atoms``) but backed by the rank's shared-slab
-    row: ``local_positions`` is a zero-copy view of the position slab and the
-    evaluated forces land in the force slab for the parent to reduce.
-    Structural fields are refreshed from the per-rebuild pipe payload.
-    """
-
-    def __init__(self, rank: int, init) -> None:
-        self.rank = rank
-        self._init = init
-        self._pos_row = init.shared.positions[rank]
-        self._frc_row = init.shared.forces[rank]
-        self._halo_row = init.shared.halo[rank]
-        self.workspace = Workspace()
-        self.scratch: dict = {}
-        self.neighbors = None
-        self.balance_mask: np.ndarray | None = None
-        self.n_owned = 0
-        self.n_ghost = 0
-        self.n_local = 0
-
-    def configure(self, gids: np.ndarray, ghost_gids: np.ndarray, balance_gids) -> None:
-        init = self._init
-        self.gids = gids
-        self.ghost_gids = ghost_gids
-        self.n_owned = len(gids)
-        self.n_ghost = len(ghost_gids)
-        self.n_local = self.n_owned + self.n_ghost
-        self.local_gids = np.concatenate([gids, ghost_gids])
-        self._local_types = init.types[self.local_gids]
-        self._local_masses = init.masses[self.local_gids]
-        if balance_gids is None:
-            self.balance_mask = None
-        else:
-            mask = np.zeros(init.n_global, dtype=bool)
-            mask[balance_gids] = True
-            self.balance_mask = mask
-
-    def local_positions(self) -> np.ndarray:
-        return self._pos_row[: self.n_local]
-
-    def local_atoms(self, type_names: tuple[str, ...]) -> Atoms:
-        # the slab view is contiguous float64, so Atoms adopts it zero-copy
-        return Atoms(
-            positions=self.local_positions(),
-            types=self._local_types,
-            masses=self._local_masses,
-            ids=self.local_gids.copy(),
-            type_names=type_names,
-        )
-
-    def force_sink(self) -> np.ndarray:
-        return self._frc_row[: self.n_local]
-
-    def stage_sink(self) -> np.ndarray:
-        return self._halo_row[: self.n_owned]
-
-    def halo_view(self) -> np.ndarray:
-        return self._halo_row[self.n_owned : self.n_local]
 
 
 def _worker_main(conn, ranks, init) -> None:
@@ -283,27 +227,23 @@ def _worker_main(conn, ranks, init) -> None:
     finish the energy/virial scalars) so the parent can keep per-rank
     ``pair_seconds``/``neigh_seconds`` measured, not modelled.
     """
-    from .engine import _EVALUATORS  # deferred: engine imports this module
-
-    host = SimpleNamespace(
-        force_field=init.force_field,
-        box=init.box,
-        type_names=init.type_names,
-        n_global=init.n_global,
-        _owner_of=None,
-    )
-    evaluator = _EVALUATORS[init.strategy](host)
-    domains = [_WorkerDomain(rank, init) for rank in ranks]
+    evaluator = _EVALUATORS[init.strategy](init)
+    domains = [RankDomain(rank) for rank in ranks]
+    for domain in domains:
+        domain.rehome(init.shared.rows(domain.rank))
+    halo_rows = [init.shared.halo[rank] for rank in ranks]
 
     def handle(message):
         kind = message[0]
         if kind == "rebuild":
             payloads, owner_of = message[1], message[2]
-            if owner_of is not None:
-                host._owner_of = owner_of
+            init._owner_of = owner_of  # this fork's copy; only the molecular remap reads it
             replies = []
-            for domain, payload in zip(domains, payloads):
-                domain.configure(**payload)
+            for domain, (gids, ghost_gids, balance_gids) in zip(domains, payloads):
+                domain.gids = gids
+                domain.set_ghosts(ghost_gids, init.types, init.masses)
+                domain.cut()  # views only: the parent filled the rows
+                domain.assign_share(balance_gids, init.n_global)
                 start = time.perf_counter()
                 domain.neighbors = build_neighbor_data(
                     domain.local_positions(), init.box, init.cutoff, init.skin
@@ -314,22 +254,20 @@ def _worker_main(conn, ranks, init) -> None:
             return replies
         if kind == "prepare":
             replies = []
-            for domain in domains:
+            for domain, halo_row in zip(domains, halo_rows):
                 start = time.perf_counter()
                 stage = evaluator.prepare(domain)
                 replies.append(time.perf_counter() - start)
-                domain.stage_sink()[:] = stage
+                domain.split(halo_row)[0][:] = stage
             return replies
         if kind == "finish":
             replies = []
-            for domain in domains:
-                halo = domain.halo_view() if evaluator.needs_halo else None
+            for domain, halo_row in zip(domains, halo_rows):
+                halo = domain.split(halo_row)[1] if evaluator.needs_halo else None
                 start = time.perf_counter()
                 energy, local_forces, virial = evaluator.finish(domain, halo)
                 elapsed = time.perf_counter() - start
-                sink = domain.force_sink()
-                if local_forces is not sink:
-                    np.copyto(sink, local_forces)
+                domain.store_forces(local_forces)
                 replies.append((energy, virial, elapsed))
             return replies
         raise ValueError(f"unknown worker request {kind!r}")
@@ -370,16 +308,17 @@ class MultiprocessRankExecutor(RankExecutor):
     def bind(self, engine) -> None:
         self.engine = engine
         n_ranks = engine.n_ranks
-        n_workers = self._requested_workers
-        if n_workers is None:
-            n_workers = min(n_ranks, os.cpu_count() or 1)
-        n_workers = int(n_workers)
+        requested = self._requested_workers
+        n_workers = usable_cpu_count() if requested is None else int(requested)
         if n_workers < 1:
             raise ValueError("number of workers must be >= 1")
-        n_workers = min(n_workers, n_ranks)
-        self.n_workers = n_workers
+        self.n_workers = n_workers = min(n_workers, n_ranks)
 
         self.shared = SharedRankArrays(n_ranks, engine.n_global)
+        # the slab rows become the domains' home *before* the fork, so each
+        # worker's RankDomain over the same rows sees what the parent steps
+        for domain in engine.domains:
+            domain.rehome(self.shared.rows(domain.rank))
         self._partition = [
             [int(r) for r in chunk] for chunk in np.array_split(np.arange(n_ranks), n_workers)
         ]
@@ -394,6 +333,7 @@ class MultiprocessRankExecutor(RankExecutor):
             skin=engine.neighbor_skin,
             strategy=engine.strategy,
             shared=self.shared,
+            _owner_of=None,
         )
         # fork: workers inherit init (force field, globals, slab mappings)
         # without pickling a byte of it.
@@ -401,67 +341,40 @@ class MultiprocessRankExecutor(RankExecutor):
             _worker_main, [(ranks, init) for ranks in self._partition]
         )
 
-    def publish_positions(self) -> None:
-        for domain in self.engine.domains:
-            row = self.shared.positions[domain.rank]
-            row[: domain.n_owned] = domain.positions
-            row[domain.n_owned : domain.n_local] = domain.ghost_positions
+    def _stage(self, messages):
+        """One broadcast + fixed-order gather: ``(domain, reply)`` in rank order."""
+        replies = self.pool.broadcast(messages)
+        for ranks, worker_replies in zip(self._partition, replies):
+            for rank, reply in zip(ranks, worker_replies):
+                yield self.engine.domains[rank], reply
 
     def rebuild(self) -> None:
         engine = self.engine
         owner_of = engine._owner_of.copy() if engine.strategy == "molecular" else None
         messages = []
         for ranks in self._partition:
-            payloads = [
-                dict(
-                    gids=engine.domains[rank].gids,
-                    ghost_gids=engine.domains[rank].ghost_gids,
-                    balance_gids=engine.domains[rank].balance_gids,
-                )
-                for rank in ranks
-            ]
+            domains = [engine.domains[rank] for rank in ranks]
+            payloads = [(d.gids, d.ghost_gids, d.balance_gids) for d in domains]
             messages.append(("rebuild", payloads, owner_of))
-        replies = self.pool.broadcast(messages)
-        for ranks, elapsed in zip(self._partition, replies):
-            for rank, seconds in zip(ranks, elapsed):
-                engine.domains[rank].neigh_seconds += seconds
-        if engine.evaluator.needs_halo:
-            # re-adopt the halo slab views: the n_owned/n_ghost split moved
-            for domain in engine.domains:
-                engine.workspace.adopt(
-                    f"halo.sink{domain.rank}",
-                    self.shared.halo[domain.rank, domain.n_owned : domain.n_local],
-                )
+        for domain, seconds in self._stage(messages):
+            domain.neigh_seconds += seconds
 
     def prepare(self) -> list:
-        engine = self.engine
-        replies = self.pool.broadcast(("prepare",))
-        for ranks, elapsed in zip(self._partition, replies):
-            for rank, seconds in zip(ranks, elapsed):
-                engine.domains[rank].pair_seconds += seconds
-        return [
-            self.shared.halo[domain.rank, : domain.n_owned] for domain in engine.domains
-        ]
+        for domain, seconds in self._stage(("prepare",)):
+            domain.pair_seconds += seconds
+        return [domain.split(self.shared.halo[domain.rank])[0] for domain in self.engine.domains]
 
     def halo_sinks(self) -> list:
-        # the adopted slab views registered at rebuild time — the parent's
-        # forward exchange writes straight into shared memory
-        workspace = self.engine.workspace
-        return [
-            workspace.buffer(f"halo.sink{domain.rank}", domain.n_ghost)
-            for domain in self.engine.domains
-        ]
+        # the ghost tails of the halo slab rows — the parent's forward
+        # exchange writes straight into shared memory
+        return [domain.split(self.shared.halo[domain.rank])[1] for domain in self.engine.domains]
 
     def finish(self, halos) -> list:
         # halos were already delivered through the shared halo slab
-        engine = self.engine
-        replies = self.pool.broadcast(("finish",))
         results = []
-        for ranks, worker_results in zip(self._partition, replies):
-            for rank, (energy, virial, seconds) in zip(ranks, worker_results):
-                domain = engine.domains[rank]
-                domain.pair_seconds += seconds
-                results.append((energy, self.shared.forces[rank, : domain.n_local], virial))
+        for domain, (energy, virial, seconds) in self._stage(("finish",)):
+            domain.pair_seconds += seconds
+            results.append((energy, domain.local_forces(), virial))
         return results
 
     def close(self) -> None:
@@ -469,6 +382,10 @@ class MultiprocessRankExecutor(RankExecutor):
             self.pool.close()
             self.pool = None
         if self.shared is not None:
+            # unmapping under a live view segfaults its next reader: the
+            # domains go back to private memory first
+            for domain in self.engine.domains:
+                domain.rehome(None)
             self.shared.close()
             self.shared = None
 
@@ -478,13 +395,14 @@ def make_executor(spec="sequential", n_workers: int | None = None) -> RankExecut
 
     ``spec`` may be an executor instance (returned as-is) or one of
     :data:`EXECUTOR_NAMES`; ``n_workers`` only applies to the process
-    executor (default: one worker per rank, capped at the CPU count).
+    executor (default: one worker per rank, capped at the CPUs this process
+    may run on).
     """
     if isinstance(spec, RankExecutor):
         return spec
     name = str(spec).lower()
     if name == "sequential":
         return SequentialRankExecutor()
-    if name in ("process", "multiprocess"):
+    if name == "process":
         return MultiprocessRankExecutor(n_workers=n_workers)
-    raise KeyError(f"unknown executor {spec!r}; available: {sorted(set(EXECUTOR_NAMES))}")
+    raise KeyError(f"unknown executor {spec!r}; available: {sorted(EXECUTOR_NAMES)}")

@@ -20,10 +20,22 @@ the sequential executor regardless of which worker finishes first.
 from __future__ import annotations
 
 import multiprocessing as mp
+import os
 import traceback
 from dataclasses import dataclass, field
 
 from ..hardware.specs import FugakuSpec, FUGAKU
+
+
+#: Workers *inherit* the engine state and the shared-memory mappings.
+START_METHOD = "fork"
+
+
+def usable_cpu_count() -> int:
+    """CPUs this process may run on: its affinity mask where there is one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 class WorkerError(RuntimeError):
@@ -41,13 +53,13 @@ class PersistentWorkerPool:
     process/region start.
     """
 
-    def __init__(self, target, per_worker_args, context: str = "fork") -> None:
-        if context not in mp.get_all_start_methods():
+    def __init__(self, target, per_worker_args) -> None:
+        if START_METHOD not in mp.get_all_start_methods():
             raise RuntimeError(
-                f"start method {context!r} unavailable; the persistent pool "
+                f"start method {START_METHOD!r} unavailable; the persistent pool "
                 "relies on fork inheritance (no pickling of engine state)"
             )
-        ctx = mp.get_context(context)
+        ctx = mp.get_context(START_METHOD)
         self._conns = []
         self._procs = []
         self._closed = False

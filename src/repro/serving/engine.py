@@ -36,6 +36,7 @@ import time
 import numpy as np
 
 from ..deepmd.gemm import GemmBackend
+from ..deepmd.model import PinnedTable
 from ..deepmd.precision import DOUBLE, get_policy
 from ..md.integrators import VelocityVerlet
 from ..md.workspace import Workspace
@@ -66,18 +67,14 @@ class ServingEngine:
         self.stats = ServingStats()
 
         # Per-model caches, built once per engine and shared by every
-        # request: the compressed table (keyed on the model's kernel
-        # generation), its packed low-precision copy when the policy computes
-        # below fp64, and — warmed lazily by the first evaluation — the
-        # per-(type, dtype) standardization stats and low-precision layer
+        # request: the compressed table (rebuilt when the model's kernel
+        # generation moves), its packed low-precision copy when the policy
+        # computes below fp64, and — warmed lazily by the first evaluation —
+        # the per-(type, dtype) standardization stats and low-precision layer
         # caches inside the model itself.
-        self._table = None
+        self._table = PinnedTable(model, compression_points, compression_min_distance, self.policy)
         if self.compressed:
-            self._table = model.compressed_embeddings(
-                n_points=compression_points, min_distance=compression_min_distance
-            )
-            if np.dtype(self.policy.compute_dtype) != np.float64:
-                self._table.ensure_packed(self.policy.compute_dtype)
+            self._table.current()
 
         # one pool, one scope per thread that packs into it: the serving
         # thread and synchronous evaluate_batch callers never share a buffer
@@ -143,6 +140,7 @@ class ServingEngine:
             workspace = self._sync_scope
         batch = pack_systems(self.model, systems, workspace=workspace)
         with self._evaluate_lock:
+            table = self._table.current() if self.compressed else None
             return self.model.evaluate_many(
                 batch.env,
                 batch.system_of_atom,
@@ -150,7 +148,7 @@ class ServingEngine:
                 precision=self.policy,
                 backend=self.backend,
                 compressed=self.compressed,
-                compression_table=self._table,
+                compression_table=table,
                 workspace=workspace,
             )
 
@@ -158,12 +156,13 @@ class ServingEngine:
         """Cache-build counters for the cross-request reuse tests."""
         lp_builds = sum(net.lp_cache_builds for net in self.model.fast_embeddings().values())
         lp_builds += sum(net.lp_cache_builds for net in self.model.fast_fittings().values())
+        table = self._table.table
         return {
             "table_cache_builds": self.model.table_cache_builds,
-            "packed_cache_builds": 0 if self._table is None else self._table.packed_cache_builds,
+            "packed_cache_builds": 0 if table is None else table.packed_cache_builds,
             "lp_cache_builds": lp_builds,
             "standardization_entries": len(self.model._lp_standardization),
-            "table_id": id(self._table),
+            "table_id": id(table),
         }
 
     # ------------------------------------------------------------------

@@ -236,11 +236,11 @@ class TestStaleCacheRegression:
         atoms, box, neighbors = _copper_case(model)
         fine = DeepPotentialForceField(model, compressed=True, compression_points=256)
         coarse = DeepPotentialForceField(model, compressed=True, compression_points=32)
-        fine_table, coarse_table = fine._table, coarse._table
+        fine_table, coarse_table = fine._table.table, coarse._table.table
         for _ in range(3):
             fine.compute(atoms, box, neighbors)
             coarse.compute(atoms, box, neighbors)
-        assert fine._table is fine_table and coarse._table is coarse_table
+        assert fine._table.table is fine_table and coarse._table.table is coarse_table
 
     def test_pair_style_table_refreshes_after_invalidate_kernels(self, tiny_copper_model):
         """invalidate_kernels (the trainer updated weights) must propagate to
@@ -250,11 +250,11 @@ class TestStaleCacheRegression:
         model = tiny_copper_model
         atoms, box, neighbors = _copper_case(model)
         ff = DeepPotentialForceField(model, compressed=True, compression_points=64)
-        stale = ff._table
+        stale = ff._table.table
         model.invalidate_kernels()
         ff.compute(atoms, box, neighbors)
-        assert ff._table is not stale
-        assert ff._table.n_points == 64
+        assert ff._table.table is not stale
+        assert ff._table.table.n_points == 64
 
 
 class TestCompressionQuality:

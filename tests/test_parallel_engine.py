@@ -12,7 +12,7 @@ import pytest
 
 from repro.deepmd import DeepPotential, DeepPotentialConfig
 from repro.deepmd.pair_style import DeepPotentialForceField
-from repro.md import BerendsenThermostat, GuptaPotential, LennardJones, Simulation, copper_system, water_system
+from repro.md import Atoms, BerendsenThermostat, Box, GuptaPotential, LennardJones, Simulation, copper_system, water_system
 from repro.md.forcefields.water import WaterReference
 from repro.parallel import DomainDecomposedSimulation, RankTopology
 from repro.perfmodel import CommCostModel, plan_with_measured_volume
@@ -227,6 +227,86 @@ class TestConstructionAndValidation:
         force_field.parallel_strategy = "astral-projection"
         with pytest.raises(KeyError):
             DomainDecomposedSimulation(atoms, box, force_field, timestep_fs=1.0)
+
+
+class TestRankDomainOwnsTheLayout:
+    """``positions``/``ghost_positions`` and ``forces``/``ghost_forces`` are the
+    owned head and ghost tail of one contiguous local array each."""
+
+    @staticmethod
+    def _assert_one_home(domain):
+        local = domain.local_positions()
+        assert local.shape == (domain.n_local, 3) and local.flags["C_CONTIGUOUS"]
+        assert domain.positions.shape == (domain.n_owned, 3)
+        assert domain.ghost_positions.shape == (domain.n_ghost, 3)
+        for view in (domain.positions, domain.ghost_positions):
+            assert view.size == 0 or np.shares_memory(local, view)
+        for view in (domain.forces, domain.ghost_forces):
+            assert view.size == 0 or np.shares_memory(domain.local_forces(), view)
+        atoms = domain.local_atoms(("Cu",))
+        assert np.shares_memory(atoms.positions, local) or domain.n_local == 0
+        np.testing.assert_array_equal(atoms.ids[: domain.n_owned], domain.gids)
+
+    def test_views_survive_rebuilds_and_migration(self):
+        rng = np.random.default_rng(11)
+        box = Box.cubic(14.0)
+        atoms = Atoms.from_symbols(rng.uniform(0.0, 14.0, size=(96, 3)), ["Cu"] * 96)
+        atoms.initialize_velocities(2500.0, rng=12)
+        engine = DomainDecomposedSimulation(
+            atoms, box, LennardJones(0.01, 2.3, 4.0), timestep_fs=2.0,
+            rank_dims=(2, 2, 2), neighbor_skin=0.4, neighbor_every=1,
+        )
+        engine.run(1)
+        for domain in engine.domains:
+            self._assert_one_home(domain)
+        owned_before = engine.owned_counts()
+        while np.array_equal(engine.owned_counts(), owned_before):
+            engine.run(1)
+            assert engine.n_builds < 50, "the hot gas never migrated"
+        assert engine.n_migrated >= 1
+        for domain in engine.domains:
+            self._assert_one_home(domain)
+
+    @pytest.mark.parametrize("executor", ["sequential", "process"])
+    def test_empty_rank_and_ghostless_rank_still_bind(self, executor):
+        box = Box.cubic(14.0)
+        grid = np.stack(np.meshgrid(np.arange(3), np.arange(4), np.arange(4), indexing="ij"), axis=-1)
+        atoms = Atoms.from_symbols(grid.reshape(-1, 3) * 2.6 + np.array([0.8, 2.0, 2.0]), ["Cu"] * 48)
+        # every atom sits in the x < 7 half: rank 1 of a 2x1x1 grid owns nothing
+        with DomainDecomposedSimulation(
+            atoms.copy(), box, LennardJones(0.01, 2.3, 4.0), timestep_fs=1.0,
+            rank_dims=(2, 1, 1), neighbor_skin=0.4, neighbor_every=2, executor=executor,
+        ) as split:
+            split.run(4)
+            assert split.owned_counts().tolist() == [48, 0]
+            for domain in split.domains:
+                self._assert_one_home(domain)
+            forces = split.gather().forces
+        # a single rank receives no ghosts at all
+        with DomainDecomposedSimulation(
+            atoms.copy(), box, LennardJones(0.01, 2.3, 4.0), timestep_fs=1.0,
+            rank_dims=(1, 1, 1), neighbor_skin=0.4, neighbor_every=2, executor=executor,
+        ) as single:
+            single.run(4)
+            assert single.ghost_counts().tolist() == [0]
+            self._assert_one_home(single.domains[0])
+            np.testing.assert_allclose(single.gather().forces, forces, rtol=0.0, atol=1e-10)
+
+    def test_integrator_steps_a_domain_in_place(self):
+        atoms, box = _copper_pair()
+        engine = DomainDecomposedSimulation(
+            atoms, box, LennardJones(0.05, 2.3, 5.0), timestep_fs=2.0,
+            rank_dims=(2, 1, 1), neighbor_skin=0.4, neighbor_every=5,
+        )
+        engine.compute_forces()
+        domain = engine.domains[0]
+        home = domain.positions.__array_interface__["data"][0]
+        before = domain.positions.copy()
+        engine.integrator.first_half(domain, box, workspace=domain.workspace)
+        assert domain.positions.__array_interface__["data"][0] == home
+        assert np.shares_memory(domain.positions, domain.local_positions())
+        assert not np.array_equal(domain.positions, before)
+        np.testing.assert_array_equal(domain.positions, box.wrap(domain.positions))
 
 
 @pytest.mark.slow

@@ -19,6 +19,8 @@ Node-box balancing (``node_balance=True``, §III-C) is pinned three ways:
 """
 
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -31,7 +33,6 @@ from repro.md import (
     GuptaPotential,
     LennardJones,
     Simulation,
-    Workspace,
     copper_system,
     water_system,
 )
@@ -45,7 +46,7 @@ from repro.parallel import (
     WorkerError,
     make_executor,
 )
-from repro.parallel.threadpool import worker_reply
+from repro.parallel.threadpool import usable_cpu_count, worker_reply
 
 TOLERANCE = 1.0e-10
 N_STEPS = 12  # neighbor_every=5 => initial build + 2 rebuilds + migrations
@@ -333,11 +334,43 @@ def _echo_handler(tag, message):
     return (tag, message)
 
 
+_POST_CLOSE_SCRIPT = """
+import os
+import numpy as np
+from repro.md import LennardJones, copper_system
+from repro.parallel import DomainDecomposedSimulation
+
+atoms, box = copper_system((3, 3, 3), perturbation=0.05, rng=0)
+atoms.initialize_velocities(300.0, rng=1)
+engine = DomainDecomposedSimulation(
+    atoms, box, LennardJones(0.05, 2.3, 5.0), timestep_fs=2.0, rank_dims=(2, 2, 1),
+    neighbor_skin=0.4, neighbor_every=5, executor="process",
+)
+engine.run(10)
+before = engine.gather()
+ghost_sums = [float(domain.ghost_forces.sum()) for domain in engine.domains]
+shared = engine._executor.shared
+slab = shared.positions
+segments = ["/dev/shm/" + block.name.lstrip("/") for block in shared._blocks]
+assert all(os.path.exists(path) for path in segments)
+engine.close()
+after = engine.gather()
+for field in ("positions", "velocities", "forces"):
+    np.testing.assert_array_equal(getattr(after, field), getattr(before, field))
+for domain, ghost_sum in zip(engine.domains, ghost_sums):
+    assert not np.shares_memory(domain.positions, slab)
+    assert float(domain.ghost_forces.sum()) == ghost_sum
+    local = domain.local_atoms(engine.type_names)
+    assert len(local) == domain.n_local and np.isfinite(local.positions).all()
+assert not any(os.path.exists(path) for path in segments)
+print("inspectable")
+"""
+
+
 class TestExecutorPlumbing:
     def test_make_executor_names(self):
         assert isinstance(make_executor("sequential"), SequentialRankExecutor)
         assert isinstance(make_executor("process"), MultiprocessRankExecutor)
-        assert isinstance(make_executor("multiprocess"), MultiprocessRankExecutor)
         instance = SequentialRankExecutor()
         assert make_executor(instance) is instance
         with pytest.raises(KeyError, match="sequential"):
@@ -348,6 +381,32 @@ class TestExecutorPlumbing:
         engine.run(2)
         engine.close()
         engine.close()
+
+    def test_domain_arrays_live_in_the_slabs_while_open(self):
+        """Stepping a rank is publishing it: the parent's views are slab rows."""
+        engine = _engine(_copper_lj_setup(), (2, 1, 1), executor="process")
+        try:
+            engine.run(2)
+            shared = engine._executor.shared
+            for domain in engine.domains:
+                assert np.shares_memory(domain.positions, shared.positions[domain.rank])
+                assert np.shares_memory(domain.ghost_positions, shared.positions[domain.rank])
+                assert np.shares_memory(domain.forces, shared.forces[domain.rank])
+                assert not np.shares_memory(domain.velocities, shared.positions)
+        finally:
+            engine.close()
+
+    def test_closed_process_engine_stays_inspectable(self):
+        """``close()`` unmaps the slabs, so every domain must be back in
+        private memory first — reading a stale slab view segfaults, hence the
+        subprocess: a crash fails this test, not the session."""
+        result = subprocess.run(
+            [sys.executable, "-c", _POST_CLOSE_SCRIPT],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip().endswith("inspectable")
 
     def test_engine_context_manager(self):
         with _engine(_copper_lj_setup(), (2, 1, 1), executor="process") as engine:
@@ -374,20 +433,10 @@ class TestExecutorPlumbing:
             # the worker survives its own exception and keeps serving
             assert pool.broadcast(("still-alive",)) == [(0, ("still-alive",))]
 
-    def test_workspace_adopt_points_buffers_at_external_storage(self):
-        workspace = Workspace()
-        slab = np.arange(12, dtype=np.float64).reshape(4, 3)
-        adopted = workspace.adopt("forces", slab)
-        assert adopted is slab
-        assert workspace.buffer("forces", (4, 3)) is slab
-        zeroed = workspace.zeros("forces", (4, 3))
-        assert zeroed is slab
-        np.testing.assert_array_equal(slab, 0.0)
-
     def test_worker_count_never_exceeds_cores_by_default(self):
         engine = _engine(_copper_lj_setup(), (2, 2, 2), executor="process")
         try:
-            expected = min(engine.n_ranks, os.cpu_count() or 1)
+            expected = min(engine.n_ranks, usable_cpu_count())
             assert engine._executor.pool.n_workers == expected
         finally:
             engine.close()
