@@ -17,6 +17,14 @@ the pre-PR cell list on a 4000-atom build.  A per-rank section runs the
 domain-decomposed engine and checks the per-rank build time shrinks with the
 rank grid — the neighbour-build share of the paper's strong-scaling story.
 
+A ranked-geometry section times one rank's owned+ghost system of the repo
+benchmark's two ranked workloads (``lj_ranks``: copper on 2x1x1 p2p ranks;
+``dp_ranks``: water on 2x2x1 node-based ranks with ``node_balance``) four
+ways — the full search vs the primary-row search, pairs only vs with the
+padded table read — and gates what a pair-style rank saves: the primary-row
+pairs-only build must be >= 1.25x faster than the full build with its table
+(what every rank paid before ghosts stopped being centres).
+
 Run with::
 
     PYTHONPATH=src python -m pytest -q -s benchmarks/bench_neighbor_build.py
@@ -28,12 +36,13 @@ import time
 
 import numpy as np
 
-from repro.md import Box, copper_system
+from repro.md import Box, copper_system, water_system
 from repro.md.forcefields import LennardJones
 from repro.md.neighbor import (
     BRUTE_FORCE_THRESHOLD,
     _brute_force_pairs,
     _cell_list_pairs,
+    build_neighbor_data,
 )
 from repro.parallel import DomainDecomposedSimulation
 
@@ -187,3 +196,57 @@ def test_bench_per_rank_build_times():
     # ghost shells keep per-rank systems larger than n/ranks, but the build
     # each rank pays must still drop clearly by the 8-rank grid
     assert mean_by_ranks[8] < 0.6 * mean_by_ranks[1]
+
+
+def _rank_zero(atoms, box, cutoff, skin, **ranks):
+    """Rank 0's domain after one ghost exchange and build."""
+    engine = DomainDecomposedSimulation(
+        atoms, box, LennardJones(epsilon=0.01, sigma=2.3, cutoff=cutoff),
+        timestep_fs=1.0, neighbor_skin=skin, **ranks,
+    )
+    engine.compute_forces()
+    return engine.domains[0]
+
+
+def test_bench_ranked_geometry_primary_rows():
+    """Full vs primary-row build on the ranked workloads' rank-0 geometry."""
+    copper, copper_box = copper_system((8, 8, 8), perturbation=0.05, rng=14)
+    water, water_box, _ = water_system(333, rng=15)
+    cases = {
+        "lj_ranks": (copper, copper_box, 5.0, 0.4, dict(rank_dims=(2, 1, 1), scheme="p2p")),
+        "dp_ranks": (
+            water, water_box, 6.0, 1.5,
+            dict(rank_dims=(2, 2, 1), scheme="node-based", node_balance=True),
+        ),
+    }
+    print("\nOne rank's build, owned+ghost system of the ranked e2e workloads (ms, best of 7)")
+    print(
+        f"{'geometry':>9} {'local':>6} {'primary':>8} {'full pairs':>11} {'kept':>7} "
+        f"{'full':>7} {'full+table':>11} {'primary':>8} {'primary+table':>14}"
+    )
+    saved = {}
+    for name, (atoms, box, cutoff, skin, ranks) in cases.items():
+        domain = _rank_zero(atoms, box, cutoff, skin, **ranks)
+        positions, primary = domain.local_positions(), domain.primary_rows()
+        full = build_neighbor_data(positions, box, cutoff, skin)
+        assert len(domain.neighbors.pairs) < len(full.pairs)
+        times = [
+            _best_of(fn, reps=7)
+            for fn in (
+                lambda: build_neighbor_data(positions, box, cutoff, skin),
+                lambda: build_neighbor_data(positions, box, cutoff, skin).neighbors,
+                lambda: build_neighbor_data(positions, box, cutoff, skin, primary=primary),
+                lambda: build_neighbor_data(positions, box, cutoff, skin, primary=primary).neighbors,
+            )
+        ]
+        saved[name] = times[1] / times[2]
+        print(
+            f"{name:>9} {len(positions):>6} {int(primary.sum()):>8} {len(full.pairs):>11} "
+            f"{len(domain.neighbors.pairs):>7} "
+            + " ".join(f"{t*1e3:>{w}.2f}" for t, w in zip(times, (7, 11, 8, 14)))
+        )
+    print(
+        f"lj_ranks rank build: {saved['lj_ranks']:.2f}x (full with table -> primary rows, "
+        "pairs only; >= 1.25x required)"
+    )
+    assert saved["lj_ranks"] >= 1.25

@@ -23,7 +23,11 @@ Two guards:
 
 The engine test counts ``np.vstack``/``np.concatenate``/``np.stack`` the same
 way: 0 per steady-state rank-step (a ``RankDomain``'s owned and ghost rows
-are views of one array; it was 3 while ``local_atoms`` re-stacked them).
+are views of one array; it was 3 while ``local_atoms`` re-stacked them) — and
+the explicit allocators too: 0 per steady-state rank-step (it was 2, the
+velocity and force blocks ``Atoms`` zero-filled for every fresh
+``local_atoms`` container, which is now made once per rebuild over the
+domain's own rows).
 
 Run with::
 
@@ -232,8 +236,9 @@ def test_steady_state_allocation_budget(make_sim):
 
 def test_engine_steady_state_reuses_rank_pools():
     """The engine's per-rank workspaces stop missing once shapes settle, and
-    no steady-state step stacks a rank's owned and ghost rows: a
-    ``RankDomain``'s local arrays are views, cut once per rebuild."""
+    no steady-state step stacks a rank's owned and ghost rows or allocates a
+    fresh ``Atoms`` block: a ``RankDomain``'s local arrays are views, cut
+    once per rebuild, and ``local_atoms`` is one container per cut."""
     atoms, box = copper_system((4, 4, 4), perturbation=0.05, rng=2)
     atoms.initialize_velocities(200.0, rng=3)
     engine = DomainDecomposedSimulation(
@@ -243,11 +248,18 @@ def test_engine_steady_state_reuses_rank_pools():
     engine.run(5)
     misses = [domain.workspace.misses for domain in engine.domains]
     builds = engine.n_builds
-    with _AllocationCounter(_COUNTED_STACKERS) as stackers:
+    containers = [domain.local_atoms(engine.type_names) for domain in engine.domains]
+    with _AllocationCounter(_COUNTED_STACKERS) as stackers, _AllocationCounter() as allocators:
         engine.run(10)
     assert engine.n_builds == builds, "steady-state window must not rebuild"
-    print(f"stacking calls per rank-step: {stackers.count / (10 * engine.n_ranks):.2f} (gate 0)")
+    rank_steps = 10 * engine.n_ranks
+    print(f"stacking calls per rank-step: {stackers.count / rank_steps:.2f} (gate 0)")
+    print(f"explicit allocations per rank-step: {allocators.count / rank_steps:.2f} (gate 0)")
     assert stackers.count == 0
+    assert allocators.count == 0
+    for domain, container in zip(engine.domains, containers):
+        # the same container all window long: no per-step Atoms, no gid copy
+        assert domain.local_atoms(engine.type_names) is container
     for domain, before in zip(engine.domains, misses):
         assert domain.workspace.misses == before, (
             f"rank {domain.rank} workspace reallocated in steady state"

@@ -4,13 +4,25 @@ The paper's configuration uses a 2 A skin and rebuilds the neighbour list
 every 50 steps; between rebuilds the list is only considered stale when an
 atom has moved more than half the skin.  Both behaviours are reproduced here.
 
-Two representations are produced in one pass:
+A build runs one pair search and returns a :class:`NeighborData` holding what
+the search produced:
 
-* a *padded full list* (``neighbors[i, k]`` = index of the k-th neighbour of
-  atom i, -1 padded) — this is the layout consumed by the Deep Potential
-  environment matrix, which needs all neighbours of every atom;
-* a *half pair list* (each i<j pair once) — the layout used by the pairwise
-  reference potentials with Newton's third law enabled.
+* the *half pair list* (each i<j pair once) — the layout the pairwise,
+  molecular and density potentials read, with Newton's third law enabled;
+* the *padded full table* (``neighbors[i, k]`` = index of the k-th neighbour
+  of atom i, -1 padded) — the layout the Deep Potential environment matrix
+  reads.  It is derived from the pair list on **first read** and cached, so a
+  run whose force field only reads pairs never sorts or stores it.
+
+**Primary rows.**  A rank of the domain-decomposed engine searches its
+owned+ghost system but only ever *centres* an evaluation on the rows it
+computes (its owned atoms; its node-box share under ``node_balance``); ghosts
+appear as neighbours only, exactly as in LAMMPS.  ``build_neighbor_data(...,
+primary=mask)`` states that as data: the search returns the pairs with at
+least one primary member — pairs between two non-primary rows are never
+generated, let alone distance-checked — and the padded table has rows for
+primary centres only.  ``primary=None`` (every serial caller) is the full
+search, byte for byte.
 
 The production pair search (:func:`_cell_list_pairs`) is a fully vectorized
 binned build: atoms are binned with one stable sort, the half stencil of cell
@@ -46,19 +58,59 @@ from .box import Box
 BRUTE_FORCE_THRESHOLD = 96
 
 
-@dataclass
 class NeighborData:
-    """The product of one neighbour-list build."""
+    """The product of one neighbour-list build.
 
-    neighbors: np.ndarray  # (n, max_nei), int64, padded with -1
-    counts: np.ndarray  # (n,), int64
-    pairs: np.ndarray  # (n_pairs, 2), int64, i < j
-    cutoff: float
-    skin: float
+    ``pairs`` is what the search produced; the padded ``neighbors``/``counts``
+    table is derived from it on first read and cached (see the module
+    docstring).  With a ``primary`` mask only primary centres get a row —
+    every other row is empty.  A caller that already holds a table passes it
+    as ``neighbors=``/``counts=``.
+    """
+
+    def __init__(
+        self,
+        pairs: np.ndarray,  # (n_pairs, 2), int64, i < j
+        cutoff: float,
+        skin: float,
+        n_atoms: int | None = None,
+        primary: np.ndarray | None = None,  # (n,), bool
+        neighbors: np.ndarray | None = None,  # (n, max_nei), int64, padded with -1
+        counts: np.ndarray | None = None,  # (n,), int64
+    ) -> None:
+        if (neighbors is None) != (counts is None):
+            raise ValueError("neighbors and counts come together")
+        if n_atoms is None and counts is None:
+            raise ValueError("n_atoms is required when no table is given")
+        self.pairs = pairs
+        self.cutoff = cutoff
+        self.skin = skin
+        self.n_atoms = len(counts) if n_atoms is None else int(n_atoms)
+        self.primary = primary
+        self._table = None if neighbors is None else (neighbors, counts)
 
     @property
-    def n_atoms(self) -> int:
-        return len(self.counts)
+    def has_table(self) -> bool:
+        """Whether the padded table exists yet (given, or already read)."""
+        return self._table is not None
+
+    def _padded(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._table is None:
+            centres = np.concatenate([self.pairs[:, 0], self.pairs[:, 1]])
+            others = np.concatenate([self.pairs[:, 1], self.pairs[:, 0]])
+            if self.primary is not None:
+                keep = self.primary[centres]
+                centres, others = centres[keep], others[keep]
+            self._table = _pairs_to_padded(self.n_atoms, centres, others)
+        return self._table
+
+    @property
+    def neighbors(self) -> np.ndarray:
+        return self._padded()[0]
+
+    @property
+    def counts(self) -> np.ndarray:
+        return self._padded()[1]
 
     @property
     def max_neighbors(self) -> int:
@@ -139,7 +191,9 @@ def _bin_atoms(positions: np.ndarray, box: Box, cutoff: float) -> tuple[np.ndarr
     return n_cells, flat
 
 
-def _cell_list_pairs(positions: np.ndarray, box: Box, cutoff: float) -> tuple[np.ndarray, np.ndarray]:
+def _cell_list_pairs(
+    positions: np.ndarray, box: Box, cutoff: float, primary: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """All i<j pairs within ``cutoff`` using a vectorized binned search.
 
     One stable sort bins the atoms; occupied cells and the half stencil of
@@ -147,6 +201,12 @@ def _cell_list_pairs(positions: np.ndarray, box: Box, cutoff: float) -> tuple[np
     one ``repeat``/``cumsum`` batch expansion and distance-filtered in bulk.
     Cost scales with atoms and occupied cells — there is no Python loop over
     cells and no brute-force fallback for thin or slab-shaped boxes.
+
+    With a ``primary`` mask only pairs with at least one primary member come
+    back: the sort puts each cell's primaries first, and a non-primary atom
+    is expanded only onto the leading primaries of the *other* cell, so a
+    candidate between two non-primary atoms never exists.  ``None`` and an
+    all-true mask sort and expand identically — same pairs, same order.
     """
     n = len(positions)
     empty = np.empty(0, dtype=np.int64)
@@ -157,9 +217,10 @@ def _cell_list_pairs(positions: np.ndarray, box: Box, cutoff: float) -> tuple[np
     ny, nz = int(n_cells[1]), int(n_cells[2])
     periodic = box.periodic
 
-    # one stable sort groups atoms by cell; occupied cells + extents follow
-    # from the boundaries of the sorted flat indices (never the total grid)
-    order = np.argsort(flat, kind="stable")
+    # one stable sort groups atoms by cell (primaries leading each cell's
+    # run); occupied cells + extents follow from the boundaries of the sorted
+    # flat indices (never the total grid)
+    order = np.argsort(flat if primary is None else 2 * flat + ~primary, kind="stable")
     sorted_flat = flat[order]
     boundary = np.empty(n, dtype=bool)
     boundary[0] = True
@@ -167,6 +228,7 @@ def _cell_list_pairs(positions: np.ndarray, box: Box, cutoff: float) -> tuple[np
     occ_start = np.nonzero(boundary)[0]
     occ_flat = sorted_flat[occ_start]
     occ_count = np.diff(np.append(occ_start, n))
+    occ_primary = occ_count if primary is None else np.add.reduceat(primary[order], occ_start, dtype=np.int64)
     n_occ = len(occ_flat)
 
     occ_cell = np.empty((n_occ, 3), dtype=np.int64)
@@ -203,20 +265,31 @@ def _cell_list_pairs(positions: np.ndarray, box: Box, cutoff: float) -> tuple[np
     src, dst = src[unique_idx], dst[unique_idx]
 
     # batch-expand every cell pair into candidate atom pairs, division-free:
-    # one *entry* per (cell pair, left atom); a cross-cell entry expands to the
-    # whole right cell, a same-cell entry only to the atoms after it in the
-    # sorted order (the strict triangle), so no candidate is ever generated
-    # twice.  The candidate count is known at the cell-pair level, which also
-    # picks the narrowest safe index dtype for the big expansion arrays.
+    # one *entry* per (cell pair, left atom); a cross-cell entry expands to
+    # the part of the right cell it may pair with (all of it for a primary
+    # atom, its leading primaries otherwise), a same-cell entry only to the
+    # atoms after it in the sorted order (the strict triangle, cut off at the
+    # last primary row), so no candidate is ever generated twice.  The
+    # candidate count is known at the cell-pair level, which drops the cell
+    # pairs that cannot produce one and also picks the narrowest safe index
+    # dtype for the big expansion arrays.
     same_cell = src == dst
     count_a, count_b = occ_count[src], occ_count[dst]
-    per_pair = np.where(same_cell, count_a * (count_a - 1) // 2, count_a * count_b)
+    primary_a, primary_b = occ_primary[src], occ_primary[dst]
+    per_pair = np.where(
+        same_cell,
+        primary_a * (primary_a - 1) // 2 + primary_a * (count_a - primary_a),
+        primary_a * count_b + (count_a - primary_a) * primary_b,
+    )
     total = int(per_pair.sum())
     if total == 0:
         return empty, empty
+    live = per_pair > 0
+    src, dst, same_cell = src[live], dst[live], same_cell[live]
     idx_dtype = np.int32 if max(total, n) < np.iinfo(np.int32).max else np.int64
-    count_a = count_a.astype(idx_dtype)
-    count_b = count_b.astype(idx_dtype)
+    count_a, count_b, primary_a, primary_b = (
+        counts[live].astype(idx_dtype) for counts in (count_a, count_b, primary_a, primary_b)
+    )
     n_entries = int(count_a.sum(dtype=np.int64))
 
     entry_pair = np.repeat(np.arange(len(src), dtype=idx_dtype), count_a)
@@ -225,7 +298,9 @@ def _cell_list_pairs(positions: np.ndarray, box: Box, cutoff: float) -> tuple[np
     )
     entry_slot_i = occ_start.astype(idx_dtype)[src][entry_pair] + entry_off
     same_entry = same_cell[entry_pair]
-    reps = np.where(same_entry, count_a[entry_pair] - 1 - entry_off, count_b[entry_pair])
+    # how much of the right cell the entry's atom may pair with
+    reach = np.where(entry_off < primary_a[entry_pair], count_b[entry_pair], primary_b[entry_pair])
+    reps = np.where(same_entry, np.maximum(reach - 1 - entry_off, 0), reach)
     entry_base_j = np.where(
         same_entry, entry_slot_i + 1, occ_start.astype(idx_dtype)[dst][entry_pair]
     )
@@ -298,8 +373,19 @@ def max_displacement(positions: np.ndarray, reference: np.ndarray, box: Box) -> 
     return float(np.sqrt(np.max(np.einsum("ij,ij->i", delta, delta))))
 
 
-def build_neighbor_data(positions: np.ndarray, box: Box, cutoff: float, skin: float = 0.0) -> NeighborData:
-    """Build neighbour data for ``positions`` with search radius cutoff+skin."""
+def build_neighbor_data(
+    positions: np.ndarray,
+    box: Box,
+    cutoff: float,
+    skin: float = 0.0,
+    primary: np.ndarray | None = None,
+) -> NeighborData:
+    """Build neighbour data for ``positions`` with search radius cutoff+skin.
+
+    ``primary`` is an optional ``(n,)`` boolean mask of the rows evaluations
+    are centred on: only pairs touching a primary row are searched for, and
+    only primary rows get padded-table entries (see the module docstring).
+    """
     if cutoff <= 0:
         raise ValueError("cutoff must be positive")
     if skin < 0:
@@ -313,15 +399,19 @@ def build_neighbor_data(positions: np.ndarray, box: Box, cutoff: float, skin: fl
             f"({max_allowed:.3f} A) of the box"
         )
     n = len(positions)
+    if primary is not None:
+        primary = np.asarray(primary, dtype=bool)
+        if primary.shape != (n,):
+            raise ValueError("primary must be a boolean mask with one entry per atom")
     if n <= BRUTE_FORCE_THRESHOLD:
         half_i, half_j = _brute_force_pairs(positions, box, search)
+        if primary is not None:
+            touches_primary = primary[half_i] | primary[half_j]
+            half_i, half_j = half_i[touches_primary], half_j[touches_primary]
     else:
-        half_i, half_j = _cell_list_pairs(positions, box, search)
-    full_i = np.concatenate([half_i, half_j])
-    full_j = np.concatenate([half_j, half_i])
-    neighbors, counts = _pairs_to_padded(n, full_i, full_j)
+        half_i, half_j = _cell_list_pairs(positions, box, search, primary)
     pairs = np.stack([half_i, half_j], axis=1) if len(half_i) else np.empty((0, 2), dtype=np.int64)
-    return NeighborData(neighbors=neighbors, counts=counts, pairs=pairs, cutoff=cutoff, skin=skin)
+    return NeighborData(pairs=pairs, cutoff=cutoff, skin=skin, n_atoms=n, primary=primary)
 
 
 @dataclass

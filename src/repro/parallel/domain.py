@@ -17,10 +17,13 @@ structural fields — stores its forces where the parent reads them.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 
 from ..md.atoms import Atoms
-from ..md.neighbor import NeighborData
+from ..md.box import Box
+from ..md.neighbor import NeighborData, build_neighbor_data
 from ..md.workspace import Workspace
 
 _NO_VECTORS = np.empty((0, 3))
@@ -115,6 +118,7 @@ class RankDomain:
         """
         rows = np.empty((2, self.n_local, 3)) if self._rows is None else self._rows
         self._local_positions, self._local_forces = rows[0][: self.n_local], rows[1][: self.n_local]
+        self._local_atoms = None
         self.positions, self.ghost_positions = self.split(self._local_positions)
         self.forces, self.ghost_forces = self.split(self._local_forces)
 
@@ -153,6 +157,24 @@ class RankDomain:
             self.balance_mask = np.zeros(n_global, dtype=bool)
             self.balance_mask[gids] = True
 
+    def primary_rows(self) -> np.ndarray:
+        """Mask of the local rows this rank centres evaluations on: its owned
+        rows, or under ``node_balance`` its node-box share — the only case
+        where a ghost row is a centre.  Every other row is a neighbour only."""
+        if self.balance_mask is None:
+            return np.arange(self.n_local) < self.n_owned
+        return self.balance_mask[self.local_gids]
+
+    def build_neighbors(self, box: Box, cutoff: float, skin: float) -> float:
+        """Rebuild ``neighbors`` over the local system, searching only the
+        pairs that touch a primary row; returns the wall-clock seconds.  The
+        one build call of both rank executors."""
+        start = time.perf_counter()
+        self.neighbors = build_neighbor_data(
+            self._local_positions, box, cutoff, skin, primary=self.primary_rows()
+        )
+        return time.perf_counter() - start
+
     # -- what the evaluators consume ---------------------------------------------------
     def local_positions(self) -> np.ndarray:
         return self._local_positions
@@ -161,15 +183,20 @@ class RankDomain:
         return self._local_forces
 
     def local_atoms(self, type_names: tuple[str, ...]) -> Atoms:
-        """The rank's owned+ghost system as an :class:`Atoms` container
-        (contiguous float64 views, so ``Atoms`` adopts them zero-copy)."""
-        return Atoms(
-            positions=self._local_positions,
-            types=self.local_types,
-            masses=self.local_masses,
-            ids=self.local_gids.copy(),
-            type_names=type_names,
-        )
+        """The rank's owned+ghost system as an :class:`Atoms` container over
+        the domain's own arrays (``Atoms`` adopts contiguous float64/int64
+        arrays zero-copy), made once per :meth:`cut` and reused until the
+        next: a steady-state step allocates nothing here."""
+        if self._local_atoms is None:
+            self._local_atoms = Atoms(
+                positions=self._local_positions,
+                types=self.local_types,
+                masses=self.local_masses,
+                forces=self._local_forces,
+                ids=self.local_gids,
+                type_names=type_names,
+            )
+        return self._local_atoms
 
     def store_forces(self, local_forces: np.ndarray) -> None:
         """Keep an evaluation's owned+ghost forces: they come back in a

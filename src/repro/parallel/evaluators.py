@@ -9,45 +9,28 @@ classes run in the parent (sequential executor) and in the forked workers;
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
+from ..md.neighbor import NeighborData
 from ..md.workspace import scatter_add_scalars, scatter_add_vectors
 from .domain import RankDomain
 
 
-def _owner_computed_mask(pairs: np.ndarray, local_gids: np.ndarray, n_owned: int) -> np.ndarray:
-    """Mask of local pairs this rank computes (owner-of-lowest-id rule).
+def _computed_here(domain: RankDomain, pairs: np.ndarray) -> np.ndarray:
+    """Mask of local pairs this rank computes (lowest-id-member rule).
 
-    Owned atoms occupy local slots ``[0, n_owned)``, so a pair is computed
-    here exactly when its lowest-global-id member is an owned slot.  Every
-    pair of the global system is therefore computed by exactly one rank, and
-    pairs between two ghosts are never computed locally.
+    A rank's pair list (:meth:`RankDomain.build_neighbors`) holds the pairs
+    with at least one *primary* member — an owned row, or under intra-node
+    load balancing a row of the rank's node-box share.  A pair is computed
+    here exactly when its lowest-global-id member is primary: the rank that
+    owns (or was assigned) that atom necessarily holds both members, because
+    its ghost shell covers the cutoff+skin environment of every primary row.
+    Every pair of the global system is therefore computed by exactly one
+    rank; pairs between two non-primary rows are never even searched for.
     """
-    ga, gb = local_gids[pairs[:, 0]], local_gids[pairs[:, 1]]
-    lowest = np.where(ga < gb, pairs[:, 0], pairs[:, 1])
-    return lowest < n_owned
-
-
-def _computed_pairs(domain) -> np.ndarray:
-    """The subset of the local pair list this rank computes.
-
-    Classic owner-computes (``balance_mask is None``): the rank owning the
-    pair's lowest-gid member computes it.  Under intra-node load balancing
-    the same rule runs on the *assignment*: the rank whose node-box share
-    contains the lowest-gid member computes the pair — it necessarily holds
-    both members, because the node-box copy plus its ghost shell covers the
-    cutoff+skin environment of every assigned atom.  Either way each global
-    pair is computed by exactly one rank.
-    """
-    pairs = domain.neighbors.pairs
-    if len(pairs) == 0:
-        return pairs
-    if domain.balance_mask is None:
-        return pairs[_owner_computed_mask(pairs, domain.local_gids, domain.n_owned)]
     ga, gb = domain.local_gids[pairs[:, 0]], domain.local_gids[pairs[:, 1]]
-    return pairs[domain.balance_mask[np.minimum(ga, gb)]]
+    lowest = np.where(ga < gb, pairs[:, 0], pairs[:, 1])
+    return domain.neighbors.primary[lowest]
 
 
 class _RankEvaluator:
@@ -76,7 +59,14 @@ class _PairEvaluator(_RankEvaluator):
     """Pair-decomposable force fields (LJ, Morse): filtered half pair list."""
 
     def rebuild(self, domain: RankDomain) -> None:
-        domain.scratch["computed"] = replace(domain.neighbors, pairs=_computed_pairs(domain))
+        # a pair style reads ``pairs`` only: the padded table is never built
+        built = domain.neighbors
+        domain.scratch["computed"] = NeighborData(
+            pairs=built.pairs[_computed_here(domain, built.pairs)],
+            cutoff=built.cutoff,
+            skin=built.skin,
+            n_atoms=built.n_atoms,
+        )
 
     def _force_field_for(self, domain: RankDomain):
         return self.engine.force_field
@@ -132,8 +122,8 @@ class _MolecularEvaluator(_PairEvaluator):
 class _PerAtomEvaluator(_RankEvaluator):
     """Per-atom energies over full neighbour lists (Deep Potential).
 
-    Rows this rank does not evaluate are masked out of the padded table, so
-    the force field only evaluates the environments of this rank's atoms and
+    The rank's padded table has rows for its primary centres only, so the
+    force field only evaluates the environments of this rank's atoms and
     scatters forces onto owned atoms and ghost copies alike.  Classic
     owner-computes evaluates the owned rows (whose neighbour lists are
     complete by construction of the ghost shell); under intra-node load
@@ -143,40 +133,19 @@ class _PerAtomEvaluator(_RankEvaluator):
     shell covers.
     """
 
-    def rebuild(self, domain: RankDomain) -> None:
-        base = domain.neighbors
-        neighbors = base.neighbors.copy()
-        counts = base.counts.copy()
-        if domain.balance_mask is None:
-            neighbors[domain.n_owned:, :] = -1
-            counts[domain.n_owned:] = 0
-            domain.scratch["eval_rows"] = None
-        else:
-            keep = domain.balance_mask[domain.local_gids]
-            neighbors[~keep, :] = -1
-            counts[~keep] = 0
-            domain.scratch["eval_rows"] = np.nonzero(keep)[0]
-        domain.scratch["masked"] = replace(
-            base, neighbors=neighbors, counts=counts, pairs=np.empty((0, 2), dtype=np.int64)
-        )
-
     def finish(self, domain: RankDomain, halo):
         engine = self.engine
         result = engine.force_field.compute(
             domain.local_atoms(engine.type_names),
             engine.box,
-            domain.scratch["masked"],
+            domain.neighbors,
             workspace=domain.workspace,
         )
         if result.per_atom_energy is None:
             raise RuntimeError(
                 "the 'peratom' parallel strategy requires a per-atom energy decomposition"
             )
-        rows = domain.scratch["eval_rows"]
-        if rows is None:
-            energy = float(result.per_atom_energy[: domain.n_owned].sum())
-        else:
-            energy = float(result.per_atom_energy[rows].sum())
+        energy = float(result.per_atom_energy[domain.neighbors.primary].sum())
         return energy, result.forces, result.virial
 
 
@@ -193,19 +162,13 @@ class _DensityEvaluator(_RankEvaluator):
 
     needs_halo = True
 
-    def rebuild(self, domain: RankDomain) -> None:
-        # Ghost-ghost pairs contribute only to ghost densities, which the halo
-        # exchange overwrites with owner-computed values — drop them up front.
-        pairs = domain.neighbors.pairs
-        if len(pairs):
-            touches_owned = (pairs[:, 0] < domain.n_owned) | (pairs[:, 1] < domain.n_owned)
-            pairs = pairs[touches_owned]
-        domain.scratch["density_pairs"] = pairs
-
     def prepare(self, domain: RankDomain) -> np.ndarray:  # reprolint: hot-path
         engine = self.engine
         force_field = engine.force_field
-        pairs = domain.scratch["density_pairs"]
+        # every pair touching an owned atom, and no other: ghost-ghost pairs
+        # would only feed ghost densities, which the halo exchange overwrites
+        # with owner-computed values — the rank's build never searches them
+        pairs = domain.neighbors.pairs
         n_local = domain.n_local
         positions = domain.local_positions()
 
@@ -253,7 +216,7 @@ class _DensityEvaluator(_RankEvaluator):
         pairs = scratch["pairs"]
         forces = domain.workspace.zeros("density.forces", (domain.n_local, 3))
         if len(pairs):
-            keep = _owner_computed_mask(pairs, domain.local_gids, domain.n_owned)
+            keep = _computed_here(domain, pairs)
             pairs = pairs[keep]
             delta, r = scratch["delta"][keep], scratch["r"][keep]
             drep_dr, drho_dr = scratch["drep_dr"][keep], scratch["drho_dr"][keep]

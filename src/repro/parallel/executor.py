@@ -46,7 +46,6 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from ..md.neighbor import build_neighbor_data
 from .domain import RankDomain
 from .evaluators import _EVALUATORS
 from .threadpool import PersistentWorkerPool, usable_cpu_count, worker_reply
@@ -118,11 +117,9 @@ class SequentialRankExecutor(RankExecutor):
         # ``bench_parallel_engine.py`` track.
         engine = self.engine
         for domain in engine.domains:
-            start = time.perf_counter()
-            domain.neighbors = build_neighbor_data(
-                domain.local_positions(), engine.box, engine.cutoff, engine.neighbor_skin
+            domain.neigh_seconds += domain.build_neighbors(
+                engine.box, engine.cutoff, engine.neighbor_skin
             )
-            domain.neigh_seconds += time.perf_counter() - start
             engine.evaluator.rebuild(domain)
 
     def prepare(self) -> list:
@@ -244,13 +241,8 @@ def _worker_main(conn, ranks, init) -> None:
                 domain.set_ghosts(ghost_gids, init.types, init.masses)
                 domain.cut()  # views only: the parent filled the rows
                 domain.assign_share(balance_gids, init.n_global)
-                start = time.perf_counter()
-                domain.neighbors = build_neighbor_data(
-                    domain.local_positions(), init.box, init.cutoff, init.skin
-                )
-                elapsed = time.perf_counter() - start
+                replies.append(domain.build_neighbors(init.box, init.cutoff, init.skin))
                 evaluator.rebuild(domain)
-                replies.append(elapsed)
             return replies
         if kind == "prepare":
             replies = []

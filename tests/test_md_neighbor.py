@@ -1,5 +1,7 @@
 """Neighbour-list construction: correctness and invariants."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from repro.md import Box, NeighborList, copper_system
 from repro.md.forcefields import LennardJones
 from repro.md.neighbor import (
     BRUTE_FORCE_THRESHOLD,
+    NeighborData,
     build_neighbor_data,
     _brute_force_pairs,
     _cell_list_pairs,
@@ -327,6 +330,176 @@ class TestNonPeriodicClamping:
         brute = _pair_set(*_brute_force_pairs(positions, box, cutoff))
         cell = _pair_set(*_cell_list_pairs(positions, box, cutoff))
         assert brute == cell
+
+
+def _box_matrix_case(kind: str, n: int, rng):
+    """One geometry of the randomized box matrix the classes above cover."""
+    if kind == "cubic":
+        box, cutoff = Box.cubic(float(rng.uniform(11.0, 18.0))), 2.8
+        frac = rng.uniform(0.0, 1.0, size=(n, 3))
+    elif kind == "slab":  # two cells on z
+        box, cutoff = Box(np.array([40.0, 34.0, 16.0])), 7.5
+        frac = rng.uniform(0.0, 1.0, size=(n, 3))
+    elif kind == "thin":  # a single cell on z
+        box, cutoff = Box(np.array([28.0, 24.0, 7.0])), 3.4
+        frac = rng.uniform(0.0, 1.0, size=(n, 3))
+    else:  # mixed periodicity, atoms spilling out of the open axes
+        periodic = tuple(bool(flag) for flag in rng.integers(0, 2, size=3))
+        box, cutoff = Box(rng.uniform(5.8, 20.0, size=3), periodic), 2.8
+        spill = np.where(np.asarray(periodic), 0.0, 1.5)
+        frac = rng.uniform(-spill, 1.0 + spill, size=(n, 3))
+    return frac * box.lengths, box, cutoff
+
+
+_BOX_KINDS = ("cubic", "slab", "thin", "mixed")
+#: both sides of BRUTE_FORCE_THRESHOLD
+_BOX_SIZES = (BRUTE_FORCE_THRESHOLD - 30, BRUTE_FORCE_THRESHOLD + 150)
+
+
+class TestPrimaryRows:
+    """``primary=mask``: ghosts are neighbours, never centres.
+
+    The search returns exactly the pairs of the full build that touch a
+    primary row — on every geometry and on both build strategies — and the
+    padded table has rows for primary centres only.
+    """
+
+    @pytest.mark.parametrize("n", _BOX_SIZES)
+    @pytest.mark.parametrize("kind", _BOX_KINDS)
+    def test_primary_pairs_are_the_full_pairs_touching_a_primary_row(self, kind, n):
+        rng = np.random.default_rng([_BOX_KINDS.index(kind), n])
+        for _ in range(6):
+            positions, box, cutoff = _box_matrix_case(kind, n, rng)
+            full = build_neighbor_data(positions, box, cutoff)
+            for fraction in (0.1, 0.5, 0.9):
+                mask = rng.uniform(size=n) < fraction
+                data = build_neighbor_data(positions, box, cutoff, primary=mask)
+                expected = {
+                    (int(i), int(j)) for i, j in full.pairs if mask[i] or mask[j]
+                }
+                found = [(int(i), int(j)) for i, j in data.pairs]
+                assert len(found) == len(set(found)), "a pair came back twice"
+                assert set(found) == expected
+
+    @pytest.mark.parametrize("n", _BOX_SIZES)
+    @pytest.mark.parametrize("kind", _BOX_KINDS)
+    def test_no_mask_and_all_true_mask_are_the_full_build_in_order(self, kind, n):
+        rng = np.random.default_rng([7, _BOX_KINDS.index(kind), n])
+        for _ in range(4):
+            positions, box, cutoff = _box_matrix_case(kind, n, rng)
+            full = build_neighbor_data(positions, box, cutoff)
+            everyone = build_neighbor_data(positions, box, cutoff, primary=np.ones(n, dtype=bool))
+            np.testing.assert_array_equal(everyone.pairs, full.pairs)
+            np.testing.assert_array_equal(everyone.neighbors, full.neighbors)
+            np.testing.assert_array_equal(everyone.counts, full.counts)
+
+    def test_unmasked_build_is_byte_identical_to_the_pre_mask_build(self):
+        # sha256 of ``pairs`` / ``neighbors`` recorded at the commit before the
+        # mask existed: serial pair order and table layout did not move
+        rng = np.random.default_rng(2024)
+        box = Box(np.array([22.0, 17.0, 9.5]), (True, False, True))
+        positions = rng.uniform(-0.3, 1.3, size=(500, 3)) * box.lengths
+        data = build_neighbor_data(positions, box, 3.1, skin=0.4)
+        assert hashlib.sha256(data.pairs.tobytes()).hexdigest() == (
+            "da71b4efc4b69b6761ec0e4a66d86cbf61c8450bacbebc0564aa157fbab56c18"
+        )
+        assert hashlib.sha256(data.neighbors.tobytes()).hexdigest() == (
+            "ebf22ae0e6a885de50447883c07d1b2d5ba9dbcef0f99b42c4c0c9e573f3ae96"
+        )
+        atoms, cbox = copper_system((4, 4, 4), perturbation=0.05, rng=3)
+        data = build_neighbor_data(atoms.positions, cbox, 5.0, skin=0.4)
+        assert hashlib.sha256(data.pairs.tobytes()).hexdigest() == (
+            "5da0a663d77a237b70be7ca1f3fdb476d536a20e5c364f103640c88750ec1dc1"
+        )
+        assert hashlib.sha256(data.neighbors.tobytes()).hexdigest() == (
+            "7ddc5a39f0b97c54062d545d9c63412b0589e9b393b46b3e4c9f8e7cec3fcecb"
+        )
+
+    @pytest.mark.parametrize("n", _BOX_SIZES)
+    def test_empty_mask_finds_nothing(self, n):
+        # the build of a rank that owns no atom
+        positions, box, cutoff = _box_matrix_case("cubic", n, np.random.default_rng(5))
+        data = build_neighbor_data(positions, box, cutoff, primary=np.zeros(n, dtype=bool))
+        assert data.pairs.shape == (0, 2)
+        assert data.n_atoms == n
+        assert data.counts.tolist() == [0] * n
+        assert np.all(data.neighbors == -1)
+
+    @pytest.mark.parametrize("n", _BOX_SIZES)
+    def test_single_primary_row_gets_its_whole_environment(self, n):
+        positions, box, cutoff = _box_matrix_case("cubic", n, np.random.default_rng(6))
+        full = build_neighbor_data(positions, box, cutoff)
+        centre = int(np.argmax(full.counts))
+        mask = np.zeros(n, dtype=bool)
+        mask[centre] = True
+        data = build_neighbor_data(positions, box, cutoff, primary=mask)
+        assert len(data.pairs) == full.counts[centre] > 0
+        assert np.all((data.pairs == centre).any(axis=1))
+        assert sorted(data.neighbors_of(centre)) == sorted(full.neighbors_of(centre))
+
+    @pytest.mark.parametrize("n", _BOX_SIZES)
+    def test_table_has_full_rows_for_primary_centres_and_empty_rows_otherwise(self, n):
+        rng = np.random.default_rng(8)
+        positions, box, cutoff = _box_matrix_case("slab", n, rng)
+        full = build_neighbor_data(positions, box, cutoff)
+        mask = rng.uniform(size=n) < 0.6
+        data = build_neighbor_data(positions, box, cutoff, primary=mask)
+        assert data.neighbors.shape[0] == n
+        np.testing.assert_array_equal(data.counts, np.where(mask, full.counts, 0))
+        assert np.all(data.neighbors[~mask] == -1)
+        for i in np.nonzero(mask)[0]:
+            assert sorted(data.neighbors_of(i)) == sorted(full.neighbors_of(i))
+
+    def test_mask_must_have_one_entry_per_atom(self):
+        atoms, box = copper_system((3, 3, 3))
+        with pytest.raises(ValueError):
+            build_neighbor_data(atoms.positions, box, 3.0, primary=np.ones(5, dtype=bool))
+
+
+class TestLazyTable:
+    """The padded table is derived from the pairs on first read, once."""
+
+    def test_build_produces_pairs_only_until_the_table_is_read(self):
+        atoms, box = copper_system((3, 3, 3), perturbation=0.03, rng=9)
+        data = build_neighbor_data(atoms.positions, box, 4.0)
+        assert not data.has_table
+        assert data.n_atoms == len(atoms)  # answering this builds nothing
+        assert not data.has_table
+        table, counts = data.neighbors, data.counts
+        assert data.has_table
+        assert data.neighbors is table and data.counts is counts  # cached, not re-derived
+        assert data.max_neighbors == table.shape[1]
+
+    def test_a_given_table_is_kept_as_is(self):
+        neighbors = np.array([[1, -1], [0, -1], [-1, -1]])
+        counts = np.array([1, 1, 0])
+        data = NeighborData(
+            neighbors=neighbors, counts=counts, pairs=np.empty((0, 2), dtype=np.int64), cutoff=3.0, skin=0.5
+        )
+        assert data.has_table and data.n_atoms == 3
+        assert data.neighbors is neighbors and data.counts is counts
+
+    def test_table_and_counts_come_together(self):
+        pairs = np.empty((0, 2), dtype=np.int64)
+        with pytest.raises(ValueError):
+            NeighborData(pairs=pairs, cutoff=3.0, skin=0.0, neighbors=np.full((2, 1), -1))
+        with pytest.raises(ValueError):
+            NeighborData(pairs=pairs, cutoff=3.0, skin=0.0)  # neither a table nor n_atoms
+
+    def test_serial_lj_run_never_builds_a_table(self):
+        from repro.md import Simulation
+
+        atoms, box = copper_system((4, 4, 4), perturbation=0.05, rng=10)
+        atoms.initialize_velocities(300.0, rng=11)
+        sim = Simulation(
+            atoms, box, LennardJones(0.05, 2.3, 5.0), timestep_fs=2.0, neighbor_skin=0.4, neighbor_every=3
+        )
+        built = []
+        build = sim.neighbor_list.build
+        sim.neighbor_list.build = lambda *args: built.append(build(*args)) or built[-1]
+        sim.run(10)
+        assert len(built) >= 3
+        assert not any(data.has_table for data in built)
 
 
 class TestMDInvariants:

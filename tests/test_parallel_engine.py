@@ -14,7 +14,9 @@ from repro.deepmd import DeepPotential, DeepPotentialConfig
 from repro.deepmd.pair_style import DeepPotentialForceField
 from repro.md import Atoms, BerendsenThermostat, Box, GuptaPotential, LennardJones, Simulation, copper_system, water_system
 from repro.md.forcefields.water import WaterReference
+from repro.md.neighbor import build_neighbor_data
 from repro.parallel import DomainDecomposedSimulation, RankTopology
+from repro.parallel.domain import RankDomain
 from repro.perfmodel import CommCostModel, plan_with_measured_volume
 
 
@@ -307,6 +309,130 @@ class TestRankDomainOwnsTheLayout:
         assert np.shares_memory(domain.positions, domain.local_positions())
         assert not np.array_equal(domain.positions, before)
         np.testing.assert_array_equal(domain.positions, box.wrap(domain.positions))
+
+
+def _water_reference_setup():
+    atoms, box, topology = water_system(27, rng=5, jitter=0.15)
+    atoms.initialize_velocities(300.0, rng=6)
+    return atoms, box, WaterReference(topology, cutoff=3.0), dict(timestep_fs=0.5, scheme="p2p")
+
+
+def _copper_setup(force_field, **kwargs):
+    atoms, box = _copper_pair()
+    return atoms, box, force_field, dict(timestep_fs=2.0, **kwargs)
+
+
+class TestGhostsAreNeighboursNeverCentres:
+    """A rank's build searches only the pairs that touch its primary rows
+    (owned atoms, or its node-box share) and gives only those rows a padded
+    table row — and only a force field that reads the table ever has one."""
+
+    @pytest.mark.parametrize(
+        "setup",
+        [
+            lambda: _copper_setup(LennardJones(0.05, 2.3, 5.0), scheme="p2p"),
+            lambda: _copper_setup(LennardJones(0.05, 2.3, 5.0), scheme="node-based", node_balance=True),
+            lambda: _copper_setup(GuptaPotential(cutoff=5.0), scheme="node-based"),
+            _water_reference_setup,
+        ],
+        ids=["lj-p2p", "lj-node-balance", "gupta-node", "water-p2p"],
+    )
+    def test_pair_molecular_and_density_runs_never_build_a_table(self, setup, monkeypatch):
+        atoms, box, force_field, kwargs = setup()
+        built = []
+        build_neighbors = RankDomain.build_neighbors
+
+        def recording(domain, *args):
+            seconds = build_neighbors(domain, *args)
+            built.append(domain.neighbors)
+            return seconds
+
+        monkeypatch.setattr(RankDomain, "build_neighbors", recording)
+        engine = DomainDecomposedSimulation(
+            atoms, box, force_field, rank_dims=(2, 2, 1), neighbor_skin=0.4, neighbor_every=3, **kwargs
+        )
+        engine.run(7)
+        assert len(built) == engine.n_builds * engine.n_ranks >= 3 * engine.n_ranks
+        assert not any(data.has_table for data in built)
+        for domain in engine.domains:
+            handed_over = domain.scratch.get("computed")
+            assert handed_over is None or not handed_over.has_table
+
+    @pytest.mark.parametrize("node_balance", [False, True])
+    def test_a_rank_holds_exactly_the_full_pairs_touching_its_primary_rows(self, node_balance):
+        atoms, box = _copper_pair()
+        engine = DomainDecomposedSimulation(
+            atoms, box, LennardJones(0.05, 2.3, 5.0), timestep_fs=2.0, rank_dims=(2, 2, 1),
+            scheme="node-based", node_balance=node_balance, neighbor_skin=0.4, neighbor_every=5,
+        )
+        engine.compute_forces()
+        ghost_centres = 0
+        for domain in engine.domains:
+            primary = domain.primary_rows()
+            owned_rows = np.arange(domain.n_local) < domain.n_owned
+            if node_balance:
+                ghost_centres += int((primary & ~owned_rows).sum())
+            else:
+                np.testing.assert_array_equal(primary, owned_rows)
+            full = build_neighbor_data(domain.local_positions(), box, engine.cutoff, engine.neighbor_skin)
+            expected = {(int(i), int(j)) for i, j in full.pairs if primary[i] or primary[j]}
+            assert 0 < len(expected) < len(full.pairs)
+            assert {(int(i), int(j)) for i, j in domain.neighbors.pairs} == expected
+        # the node-box share is the one case where a ghost row is a centre
+        assert (ghost_centres > 0) == node_balance
+
+    def test_deep_potential_table_has_rows_for_primary_centres_only(self):
+        atoms, box = _copper_pair()
+        engine = DomainDecomposedSimulation(
+            atoms, box, _tiny_dp_force_field(), timestep_fs=1.0, rank_dims=(2, 2, 1),
+            scheme="node-based", node_balance=True, neighbor_skin=0.4, neighbor_every=5,
+        )
+        engine.run(2)
+        for domain in engine.domains:
+            data, primary = domain.neighbors, domain.primary_rows()
+            assert data.has_table  # the environment matrix read it
+            assert np.all(data.counts[~primary] == 0) and np.all(data.neighbors[~primary] == -1)
+            full = build_neighbor_data(domain.local_positions(), box, engine.cutoff, engine.neighbor_skin)
+            np.testing.assert_array_equal(data.counts[primary], full.counts[primary])
+
+    def test_ownerless_rank_finds_nothing_and_a_single_rank_is_the_serial_build(self):
+        box = Box.cubic(14.0)
+        grid = np.stack(np.meshgrid(np.arange(3), np.arange(4), np.arange(4), indexing="ij"), axis=-1)
+        atoms = Atoms.from_symbols(grid.reshape(-1, 3) * 2.6 + np.array([0.8, 2.0, 2.0]), ["Cu"] * 48)
+        common = dict(timestep_fs=1.0, neighbor_skin=0.4, neighbor_every=2)
+        split = DomainDecomposedSimulation(atoms.copy(), box, LennardJones(0.01, 2.3, 4.0), rank_dims=(2, 1, 1), **common)
+        split.compute_forces()
+        ownerless = split.domains[1]
+        assert ownerless.n_owned == 0 and ownerless.n_ghost > 0
+        assert not ownerless.primary_rows().any()
+        assert ownerless.neighbors.pairs.shape == (0, 2)
+
+        single = DomainDecomposedSimulation(atoms.copy(), box, LennardJones(0.01, 2.3, 4.0), rank_dims=(1, 1, 1), **common)
+        single.compute_forces()
+        alone = single.domains[0]
+        assert alone.n_ghost == 0 and alone.primary_rows().all()
+        serial = build_neighbor_data(alone.local_positions(), box, 4.0, 0.4)
+        np.testing.assert_array_equal(alone.neighbors.pairs, serial.pairs)
+
+    def test_local_atoms_is_made_once_per_rebuild_over_the_domains_own_rows(self):
+        atoms, box = _copper_pair()
+        engine = DomainDecomposedSimulation(
+            atoms, box, LennardJones(0.05, 2.3, 5.0), timestep_fs=2.0,
+            rank_dims=(2, 1, 1), neighbor_skin=0.4, neighbor_every=3,
+        )
+        engine.run(1)
+        domain = engine.domains[0]
+        local = domain.local_atoms(engine.type_names)
+        assert domain.local_atoms(engine.type_names) is local
+        assert np.shares_memory(local.positions, domain.local_positions())
+        assert np.shares_memory(local.forces, domain.local_forces())
+        assert local.ids is domain.local_gids
+        builds = engine.n_builds
+        while engine.n_builds == builds:
+            engine.run(1)
+        rebuilt = domain.local_atoms(engine.type_names)
+        assert rebuilt is not local
+        assert np.shares_memory(rebuilt.positions, domain.local_positions())
 
 
 @pytest.mark.slow
