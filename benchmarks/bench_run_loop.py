@@ -6,11 +6,10 @@ integrator and the engine's gather/scatter arrays, so a steady-state MD step
 performs near-zero fresh ``np.zeros``/``np.empty`` allocations and the
 Newton pair scatter runs through ``np.bincount`` instead of the
 ``np.add.at`` scalar loop.  The baseline side runs the allocating LJ
-reference body (``LennardJones.compute`` without a workspace, kept as the
+reference body (``repro.reference.forcefields.lennard_jones``, kept as the
 golden baseline the same way ``deepmd/scalar.py`` and ``_brute_force_pairs``
-are) through the same loop, via an adapter that does not forward the
-simulation's pool — so the comparison is the same dynamics with and without
-the pooled force path.
+are) through the same loop via ``ReferenceForceField`` — so the comparison
+is the same dynamics with and without the pooled force path.
 
 Two guards:
 
@@ -43,9 +42,9 @@ import numpy as np
 import pytest
 
 from repro.md import LennardJones, Simulation, copper_system, water_system
-from repro.md.forcefields.base import ForceField
 from repro.md.forcefields.water import WaterReference
 from repro.parallel import DomainDecomposedSimulation
+from repro.reference.forcefields import ReferenceForceField
 
 #: ~900 atoms: the scale the issue's acceptance criterion names (and large
 #: enough that the pair phase, not Python overhead, dominates).
@@ -66,16 +65,6 @@ _COUNTED_ALLOCATORS = (
 )
 
 
-class _Unpooled(ForceField):
-    """Runs ``inner``'s allocating reference body: the pool is not forwarded."""
-
-    def __init__(self, inner) -> None:
-        self.inner, self.cutoff = inner, inner.cutoff
-
-    def compute(self, atoms, box, neighbors, workspace=None):
-        return self.inner.compute(atoms, box, neighbors)
-
-
 def _lj_simulation(pooled: bool) -> Simulation:
     atoms, box = copper_system(SYSTEM_CELLS, perturbation=0.05, rng=0)
     atoms.initialize_velocities(300.0, rng=1)
@@ -83,7 +72,7 @@ def _lj_simulation(pooled: bool) -> Simulation:
     return Simulation(
         atoms,
         box,
-        force_field if pooled else _Unpooled(force_field),
+        force_field if pooled else ReferenceForceField(force_field),
         timestep_fs=1.0,
         neighbor_skin=2.0,
         neighbor_every=50,

@@ -24,8 +24,8 @@ class DeepPotentialForceField(ForceField):
     """Adapter from :class:`DeepPotential` to the MD engine force-field API."""
 
     #: The energy is a sum of per-atom terms over full neighbour lists: each
-    #: rank evaluates its owned atoms only (ghost rows are masked out of the
-    #: padded table) and reverse-scatters the neighbour forces.
+    #: rank evaluates its primary rows only (its padded table has no row for
+    #: a ghost) and reverse-scatters the neighbour forces.
     parallel_strategy = "peratom"
 
     def __init__(

@@ -67,12 +67,11 @@ class ForceField:
     ) -> ForceResult:
         """Evaluate energy/forces; see :class:`ForceResult`.
 
-        ``workspace`` (a :class:`repro.md.workspace.Workspace`) opts into the
-        ``out=``-style low-allocation path: the returned force/per-atom
-        arrays are preallocated workspace buffers, valid until the *next*
-        ``compute`` call with the same workspace.  With ``workspace=None``
-        (the default) every array is freshly allocated — the original
-        reference behaviour the workspace paths are parity-pinned against.
+        ``workspace`` is the buffer pool, never an arithmetic switch: the
+        returned arrays are :class:`repro.md.workspace.Workspace` buffers,
+        valid until the *next* ``compute`` on the same workspace; ``None``
+        resolves to :data:`repro.md.workspace.UNPOOLED`, the same body on
+        freshly owned arrays.
         """
         raise NotImplementedError
 
@@ -120,24 +119,3 @@ class ForceField:
                     energies[i, axis, slot] = self.compute(trial, box, nd).energy
 
         return -(energies[..., 0] - energies[..., 1]) / (2.0 * delta)
-
-
-def accumulate_pair_forces(
-    n_atoms: int,
-    pairs: np.ndarray,
-    pair_forces: np.ndarray,
-) -> np.ndarray:
-    """Scatter per-pair forces (acting on atom i of each i<j pair) onto atoms.
-
-    ``pair_forces[k]`` is the force on ``pairs[k, 0]`` due to ``pairs[k, 1]``;
-    Newton's third law applies the opposite force to the partner.  This is
-    the allocating *reference* scatter; the workspace hot paths use
-    :func:`repro.md.workspace.scatter_add_vectors` (per-component
-    ``np.bincount``, ~4x faster at MD pair counts) instead.
-    """
-    forces = np.zeros((n_atoms, 3))
-    if len(pairs) == 0:
-        return forces
-    np.add.at(forces, pairs[:, 0], pair_forces)
-    np.add.at(forces, pairs[:, 1], -pair_forces)
-    return forces

@@ -17,8 +17,9 @@ import numpy as np
 from ..atoms import Atoms
 from ..box import Box
 from ..neighbor import NeighborData
-from ..workspace import minimum_image_into, scatter_add_scalars, scatter_add_vectors
+from ..workspace import UNPOOLED, scatter_add_scalars, scatter_add_vectors
 from .base import ForceField, ForceResult
+from .pairs import compress_pairs, stage_pairs
 
 #: Cleri & Rosato (PRB 48, 22) parameters for Cu.
 CU_GUPTA = {"a": 0.0855, "xi": 1.224, "p": 10.960, "q": 2.278, "r0": 2.556}
@@ -49,7 +50,6 @@ class GuptaPotential(ForceField):
         self.r0 = float(r0)
         self.cutoff = float(cutoff)
 
-    # -- staged pair terms (shared by the serial path and the parallel engine) --
     def pair_terms(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Per-pair ``(repulsion, density, d(rep)/dr, d(rho)/dr)`` at distances ``r``.
 
@@ -66,147 +66,48 @@ class GuptaPotential(ForceField):
         drho_dr = -2.0 * self.q * self.xi * self.xi / self.r0 * np.exp(-2.0 * self.q * x)
         return repulsion, density_pair, drep_dr, drho_dr
 
-    @staticmethod
-    def embedding_terms(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(sqrt(rho), 1/sqrt(rho))`` with rho floored away from zero.
-
-        The floor keeps zero-density atoms finite; their (meaningless)
-        derivative is never consumed because such atoms have no in-cutoff
-        pairs, and their energy is fixed up separately in ``compute``.
-        """
-        sqrt_rho = np.sqrt(np.maximum(rho, 1.0e-300))
-        return sqrt_rho, 1.0 / sqrt_rho
-
-    @staticmethod
-    def pair_dE_dr(
-        drep_dr: np.ndarray,
-        drho_dr: np.ndarray,
-        inv_sqrt_i: np.ndarray,
-        inv_sqrt_j: np.ndarray,
-    ) -> np.ndarray:
-        """Radial derivative of the total energy for one pair:
-
-        ``dE/dr = d(rep)/dr - 0.5 (1/sqrt(rho_i) + 1/sqrt(rho_j)) d(rho)/dr``
-
-        Shared by the serial ``compute`` and the parallel density evaluator so
-        the force expression has a single source of truth.
-        """
-        return drep_dr - 0.5 * (inv_sqrt_i + inv_sqrt_j) * drho_dr
-
-    # The no-workspace branch below is the golden reference the workspace
-    # path is parity-pinned against: it deliberately keeps the allocating
-    # ``np.zeros`` + ``np.add.at`` formulation, exemption-documented line by
-    # line rather than rewritten.
     # reprolint: hot-path
-    def compute(
-        self, atoms: Atoms, box: Box, neighbors: NeighborData, workspace=None
-    ) -> ForceResult:
-        if workspace is not None:
-            return self._compute_workspace(atoms, box, neighbors, workspace)
-        n = len(atoms)
-        pairs = neighbors.pairs
-        forces = np.zeros((n, 3))  # reprolint: allow[alloc] golden no-workspace reference branch, kept allocating for the parity pin
-        per_atom = np.zeros(n)  # reprolint: allow[alloc] golden no-workspace reference branch, kept allocating for the parity pin
-        if len(pairs) == 0:
-            return ForceResult(0.0, forces, per_atom)
-
-        delta = atoms.positions[pairs[:, 0]] - atoms.positions[pairs[:, 1]]
-        delta = box.minimum_image(delta)
-        r = np.linalg.norm(delta, axis=1)
-        mask = r <= self.cutoff
-        pairs, delta, r = pairs[mask], delta[mask], r[mask]
-        if len(pairs) == 0:
-            return ForceResult(0.0, forces, per_atom)
-
-        i_idx, j_idx = pairs[:, 0], pairs[:, 1]
+    def density_stage(self, positions: np.ndarray, box: Box, pairs: np.ndarray, w):
+        """Stage 1: per-atom energies and the embedding derivative
+        ``1/sqrt(rho)``, complete for every atom whose whole environment is in
+        ``pairs``, plus the in-cutoff pairs' staged terms for :meth:`force_stage`."""
+        i, j, delta, r = stage_pairs("gupta.all", positions, box, pairs, w)
+        np.sqrt(r, out=r)
+        keep = np.nonzero(r <= self.cutoff)[0]
+        i, j, delta, r = compress_pairs("gupta", keep, i, j, delta, r, w)
         repulsion, density_pair, drep_dr, drho_dr = self.pair_terms(r)
 
-        # per-atom repulsive energy and embedding density
-        rep_atom = np.zeros(n)  # reprolint: allow[alloc] golden no-workspace reference branch, kept allocating for the parity pin
-        np.add.at(rep_atom, i_idx, repulsion)  # reprolint: allow[alloc] golden reference scatter the bincount path is pinned against
-        np.add.at(rep_atom, j_idx, repulsion)  # reprolint: allow[alloc] golden reference scatter the bincount path is pinned against
-        rho = np.zeros(n)  # reprolint: allow[alloc] golden no-workspace reference branch, kept allocating for the parity pin
-        np.add.at(rho, i_idx, density_pair)  # reprolint: allow[alloc] golden reference scatter the bincount path is pinned against
-        np.add.at(rho, j_idx, density_pair)  # reprolint: allow[alloc] golden reference scatter the bincount path is pinned against
-
-        sqrt_rho, inv_sqrt = self.embedding_terms(rho)
-        per_atom = rep_atom - sqrt_rho
-        # Atoms with no neighbours contribute nothing.
-        per_atom[rho == 0.0] = rep_atom[rho == 0.0]
-        energy = float(per_atom.sum())
-
-        # Pair force magnitude (positive = repulsive), acting on atom i along +delta.
-        dE_dr = self.pair_dE_dr(drep_dr, drho_dr, inv_sqrt[i_idx], inv_sqrt[j_idx])
-        f_mag = -dE_dr  # force on i along +delta direction
-        pair_forces = (f_mag / r)[:, None] * delta
-        np.add.at(forces, i_idx, pair_forces)  # reprolint: allow[alloc] golden reference scatter the bincount path is pinned against
-        np.add.at(forces, j_idx, -pair_forces)  # reprolint: allow[alloc] golden reference scatter the bincount path is pinned against
-        return ForceResult(energy, forces, per_atom)
-
-    # reprolint: hot-path
-    def _compute_workspace(self, atoms: Atoms, box: Box, neighbors: NeighborData, w) -> ForceResult:
-        """Preallocated hot path: in-cutoff pairs are *compressed* (the
-        exp-heavy staged terms only run on surviving pairs), per-atom
-        densities and the Newton scatter accumulate through ``np.bincount``
-        into workspace buffers; the staged ``pair_terms`` /
-        ``embedding_terms`` / ``pair_dE_dr`` formulas stay the single source
-        of truth shared with the parallel density evaluator."""
-        n = len(atoms)
-        pairs = neighbors.pairs
-        forces = w.zeros("gupta.forces", (n, 3))
-        per_atom = w.zeros("gupta.per_atom", n)
-        n_pairs = len(pairs)
-        if n_pairs == 0:
-            return ForceResult(0.0, forces, per_atom)
-        delta_all = w.capacity("gupta.delta_all", n_pairs, (3,))
-        gather = w.capacity("gupta.gather", n_pairs, (3,))
-        np.take(atoms.positions, pairs[:, 0], axis=0, out=delta_all)
-        np.take(atoms.positions, pairs[:, 1], axis=0, out=gather)
-        delta_all -= gather
-        scratch = w.capacity("gupta.scratch", n_pairs)
-        minimum_image_into(box, delta_all, scratch)
-        r_all = w.capacity("gupta.r_all", n_pairs)
-        np.einsum("ij,ij->i", delta_all, delta_all, out=r_all)
-        np.sqrt(r_all, out=r_all)
-
-        keep = np.nonzero(r_all <= self.cutoff)[0]
-        m = len(keep)
-        if m == 0:
-            return ForceResult(0.0, forces, per_atom)
-        i_idx = w.capacity("gupta.i", m, dtype=np.int64)
-        j_idx = w.capacity("gupta.j", m, dtype=np.int64)
-        np.take(pairs[:, 0], keep, out=i_idx)
-        np.take(pairs[:, 1], keep, out=j_idx)
-        delta = w.capacity("gupta.delta", m, (3,))
-        np.take(delta_all, keep, axis=0, out=delta)
-        r = w.capacity("gupta.r", m)
-        np.take(r_all, keep, out=r)
-
-        repulsion, density_pair, drep_dr, drho_dr = self.pair_terms(r)
-
+        n = len(positions)
         rep_atom = w.zeros("gupta.rep_atom", n)
-        scatter_add_scalars(rep_atom, i_idx, repulsion)
-        scatter_add_scalars(rep_atom, j_idx, repulsion)
+        scatter_add_scalars(rep_atom, i, repulsion)
+        scatter_add_scalars(rep_atom, j, repulsion)
         rho = w.zeros("gupta.rho", n)
-        scatter_add_scalars(rho, i_idx, density_pair)
-        scatter_add_scalars(rho, j_idx, density_pair)
+        scatter_add_scalars(rho, i, density_pair)
+        scatter_add_scalars(rho, j, density_pair)
 
-        sqrt_rho, inv_sqrt = self.embedding_terms(rho)
+        # the floor keeps zero-density atoms finite: their derivative is never
+        # consumed (no in-cutoff pair) and their energy is the bare repulsion
+        sqrt_rho = np.sqrt(np.maximum(rho, 1.0e-300))
+        per_atom = w.buffer("gupta.per_atom", n)
         np.subtract(rep_atom, sqrt_rho, out=per_atom)
         isolated = rho == 0.0
         per_atom[isolated] = rep_atom[isolated]
-        energy = float(per_atom.sum())
+        return per_atom, 1.0 / sqrt_rho, (i, j, delta, r, drep_dr, drho_dr)
 
-        dE_dr = self.pair_dE_dr(drep_dr, drho_dr, inv_sqrt[i_idx], inv_sqrt[j_idx])
-        coeff = w.capacity("gupta.coeff", m)
-        np.negative(dE_dr, out=coeff)
+    # reprolint: hot-path
+    def force_stage(self, staged, inv_sqrt: np.ndarray, w) -> np.ndarray:
+        """Stage 2: the Newton-scattered pair forces (``delta`` is scaled in place):
+        ``dE/dr = d(rep)/dr - 0.5 (1/sqrt(rho_i) + 1/sqrt(rho_j)) d(rho)/dr``."""
+        i, j, delta, r, drep_dr, drho_dr = staged
+        forces = w.zeros("gupta.forces", (len(inv_sqrt), 3))
+        coeff = w.capacity("gupta.coeff", len(r))
+        np.negative(drep_dr - 0.5 * (inv_sqrt[i] + inv_sqrt[j]) * drho_dr, out=coeff)
         coeff /= r
         delta *= coeff[:, None]
-        scatter_add_vectors(forces, i_idx, j_idx, delta)
-        return ForceResult(energy, forces, per_atom)
+        return scatter_add_vectors(forces, i, j, delta)
 
-    def cohesive_energy_estimate(self, atoms: Atoms, box: Box, neighbors: NeighborData) -> float:
-        """Energy per atom (eV/atom), a convenient sanity metric for copper."""
-        if len(atoms) == 0:
-            return 0.0
-        return self.compute(atoms, box, neighbors).energy / len(atoms)
+    def compute(self, atoms: Atoms, box: Box, neighbors: NeighborData, workspace=None) -> ForceResult:
+        w = UNPOOLED if workspace is None else workspace
+        per_atom, inv_sqrt, staged = self.density_stage(atoms.positions, box, neighbors.pairs, w)
+        forces = self.force_stage(staged, inv_sqrt, w)
+        return ForceResult(float(per_atom.sum()), forces, per_atom)

@@ -12,8 +12,9 @@ import numpy as np
 from ..atoms import Atoms
 from ..box import Box
 from ..neighbor import NeighborData
-from ..workspace import minimum_image_into, scatter_add_scalars, scatter_add_vectors
-from .base import ForceField, ForceResult, accumulate_pair_forces
+from ..workspace import UNPOOLED
+from .base import ForceField, ForceResult
+from .pairs import scatter_pairs, stage_pairs
 
 
 class LennardJones(ForceField):
@@ -29,76 +30,21 @@ class LennardJones(ForceField):
         sr6 = (self.sigma / self.cutoff) ** 6
         self._e_cut = 4.0 * self.epsilon * (sr6 * sr6 - sr6) if shift else 0.0
 
+    # reprolint: hot-path
     def compute(
         self, atoms: Atoms, box: Box, neighbors: NeighborData, workspace=None
     ) -> ForceResult:
-        if workspace is not None:
-            return self._compute_workspace(atoms, box, neighbors, workspace)
+        """Out-of-cutoff pairs (the neighbour list carries the skin) are
+        handled by *masked* arithmetic — their energy/force terms are
+        multiplied to exact zero instead of being compressed out — so no
+        boolean-index re-gathers are needed and every array keeps the stable
+        between-rebuild pair count."""
+        w = UNPOOLED if workspace is None else workspace
         n = len(atoms)
-        pairs = neighbors.pairs
-        forces = np.zeros((n, 3))
-        per_atom = np.zeros(n)
-        if len(pairs) == 0:
-            return ForceResult(0.0, forces, per_atom)
-
-        delta = atoms.positions[pairs[:, 0]] - atoms.positions[pairs[:, 1]]
-        delta = box.minimum_image(delta)
-        r2 = np.einsum("ij,ij->i", delta, delta)
-        mask = r2 <= self.cutoff * self.cutoff
-        pairs = pairs[mask]
-        delta = delta[mask]
-        r2 = r2[mask]
-        if len(pairs) == 0:
-            return ForceResult(0.0, forces, per_atom)
-
-        inv_r2 = 1.0 / r2
-        sr2 = self.sigma * self.sigma * inv_r2
-        sr6 = sr2 * sr2 * sr2
-        sr12 = sr6 * sr6
-        pair_energy = 4.0 * self.epsilon * (sr12 - sr6) - self._e_cut
-        # dE/dr * (1/r) so the force vector is coeff * delta
-        coeff = 24.0 * self.epsilon * (2.0 * sr12 - sr6) * inv_r2
-        pair_forces = coeff[:, None] * delta
-
-        forces = accumulate_pair_forces(n, pairs, pair_forces)
-        np.add.at(per_atom, pairs[:, 0], 0.5 * pair_energy)
-        np.add.at(per_atom, pairs[:, 1], 0.5 * pair_energy)
-        return ForceResult(float(pair_energy.sum()), forces, per_atom)
-
-    # reprolint: hot-path
-    def _compute_workspace(self, atoms: Atoms, box: Box, neighbors: NeighborData, w) -> ForceResult:
-        """The preallocated hot path: same per-pair arithmetic as the
-        reference ``compute`` above, staged through workspace buffers.
-
-        Out-of-cutoff pairs (the neighbour list carries the skin) are handled
-        by *masked* arithmetic — their energy/force terms are multiplied to
-        exact zero instead of being compressed out — so no boolean-index
-        re-gathers are needed and every array keeps the stable between-rebuild
-        pair count.  The Newton scatter runs through ``np.bincount``.
-        """
-        n = len(atoms)
-        pairs = neighbors.pairs
         forces = w.zeros("lj.forces", (n, 3))
         per_atom = w.zeros("lj.per_atom", n)
-        n_pairs = len(pairs)
-        if n_pairs == 0:
-            return ForceResult(0.0, forces, per_atom)
-        # contiguous index copies: consumed by one take and six bincounts
-        i = w.capacity("lj.i", n_pairs, dtype=np.int64)
-        j = w.capacity("lj.j", n_pairs, dtype=np.int64)
-        np.copyto(i, pairs[:, 0])
-        np.copyto(j, pairs[:, 1])
-
-        delta = w.capacity("lj.delta", n_pairs, (3,))
-        gather = w.capacity("lj.gather", n_pairs, (3,))
-        np.take(atoms.positions, i, axis=0, out=delta)
-        np.take(atoms.positions, j, axis=0, out=gather)
-        delta -= gather
-        scratch = w.capacity("lj.scratch", n_pairs)
-        minimum_image_into(box, delta, scratch)
-
-        r2 = w.capacity("lj.r2", n_pairs)
-        np.einsum("ij,ij->i", delta, delta, out=r2)
+        i, j, delta, r2 = stage_pairs("lj", atoms.positions, box, neighbors.pairs, w)
+        n_pairs = len(r2)
         mask = w.capacity("lj.mask", n_pairs, dtype=np.bool_)
         np.less_equal(r2, self.cutoff * self.cutoff, out=mask)
 
@@ -126,9 +72,4 @@ class LennardJones(ForceField):
         coeff *= mask
 
         delta *= coeff[:, None]
-        scatter_add_vectors(forces, i, j, delta)
-        energy = float(pair_energy.sum())
-        pair_energy *= 0.5
-        scatter_add_scalars(per_atom, i, pair_energy)
-        scatter_add_scalars(per_atom, j, pair_energy)
-        return ForceResult(energy, forces, per_atom)
+        return ForceResult(scatter_pairs(forces, per_atom, i, j, delta, pair_energy), forces, per_atom)

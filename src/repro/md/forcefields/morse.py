@@ -12,8 +12,9 @@ import numpy as np
 from ..atoms import Atoms
 from ..box import Box
 from ..neighbor import NeighborData
-from ..workspace import minimum_image_into, scatter_add_scalars, scatter_add_vectors
-from .base import ForceField, ForceResult, accumulate_pair_forces
+from ..workspace import UNPOOLED
+from .base import ForceField, ForceResult
+from .pairs import scatter_pairs, stage_pairs
 
 #: Literature Morse parameters for copper (Girifalco & Weizer, 1959).
 CU_MORSE = {"d": 0.3429, "alpha": 1.3588, "r0": 2.866}
@@ -42,64 +43,17 @@ class MorsePotential(ForceField):
         x = np.exp(-self.alpha * (r - self.r0))
         return self.d * (x * x - 2.0 * x)
 
-    def _pair_energy_force(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Returns (energy, -dE/dr)."""
-        x = np.exp(-self.alpha * (r - self.r0))
-        energy = self.d * (x * x - 2.0 * x) - self._e_cut
-        dedr = self.d * (-2.0 * self.alpha * x * x + 2.0 * self.alpha * x)
-        return energy, -dedr
-
+    # reprolint: hot-path
     def compute(
         self, atoms: Atoms, box: Box, neighbors: NeighborData, workspace=None
     ) -> ForceResult:
-        if workspace is not None:
-            return self._compute_workspace(atoms, box, neighbors, workspace)
+        """Masked per-pair arithmetic: skin pairs multiply to exact zero."""
+        w = UNPOOLED if workspace is None else workspace
         n = len(atoms)
-        pairs = neighbors.pairs
-        forces = np.zeros((n, 3))
-        per_atom = np.zeros(n)
-        if len(pairs) == 0:
-            return ForceResult(0.0, forces, per_atom)
-        delta = atoms.positions[pairs[:, 0]] - atoms.positions[pairs[:, 1]]
-        delta = box.minimum_image(delta)
-        r = np.linalg.norm(delta, axis=1)
-        mask = r <= self.cutoff
-        pairs, delta, r = pairs[mask], delta[mask], r[mask]
-        if len(pairs) == 0:
-            return ForceResult(0.0, forces, per_atom)
-        energy, f_mag = self._pair_energy_force(r)
-        pair_forces = (f_mag / r)[:, None] * delta
-        forces = accumulate_pair_forces(n, pairs, pair_forces)
-        np.add.at(per_atom, pairs[:, 0], 0.5 * energy)
-        np.add.at(per_atom, pairs[:, 1], 0.5 * energy)
-        return ForceResult(float(energy.sum()), forces, per_atom)
-
-    # reprolint: hot-path
-    def _compute_workspace(self, atoms: Atoms, box: Box, neighbors: NeighborData, w) -> ForceResult:
-        """Preallocated hot path: masked per-pair arithmetic (skin pairs
-        multiply to exact zero) over workspace buffers, bincount scatter."""
-        n = len(atoms)
-        pairs = neighbors.pairs
         forces = w.zeros("morse.forces", (n, 3))
         per_atom = w.zeros("morse.per_atom", n)
-        n_pairs = len(pairs)
-        if n_pairs == 0:
-            return ForceResult(0.0, forces, per_atom)
-        i = w.capacity("morse.i", n_pairs, dtype=np.int64)
-        j = w.capacity("morse.j", n_pairs, dtype=np.int64)
-        np.copyto(i, pairs[:, 0])
-        np.copyto(j, pairs[:, 1])
-
-        delta = w.capacity("morse.delta", n_pairs, (3,))
-        gather = w.capacity("morse.gather", n_pairs, (3,))
-        np.take(atoms.positions, i, axis=0, out=delta)
-        np.take(atoms.positions, j, axis=0, out=gather)
-        delta -= gather
-        scratch = w.capacity("morse.scratch", n_pairs)
-        minimum_image_into(box, delta, scratch)
-
-        r = w.capacity("morse.r", n_pairs)
-        np.einsum("ij,ij->i", delta, delta, out=r)
+        i, j, delta, r = stage_pairs("morse", atoms.positions, box, neighbors.pairs, w)
+        n_pairs = len(r)
         np.sqrt(r, out=r)
         mask = w.capacity("morse.mask", n_pairs, dtype=np.bool_)
         np.less_equal(r, self.cutoff, out=mask)
@@ -129,9 +83,4 @@ class MorsePotential(ForceField):
         f_mag /= r
 
         delta *= f_mag[:, None]
-        scatter_add_vectors(forces, i, j, delta)
-        total = float(energy.sum())
-        energy *= 0.5
-        scatter_add_scalars(per_atom, i, energy)
-        scatter_add_scalars(per_atom, j, energy)
-        return ForceResult(total, forces, per_atom)
+        return ForceResult(scatter_pairs(forces, per_atom, i, j, delta, energy), forces, per_atom)

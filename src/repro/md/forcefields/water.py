@@ -20,8 +20,9 @@ from ..atoms import Atoms
 from ..box import Box
 from ..neighbor import NeighborData
 from ..water import WaterTopology
-from ..workspace import UNPOOLED, scatter_add_scalars, scatter_add_vectors
+from ..workspace import UNPOOLED
 from .base import ForceField, ForceResult
+from .pairs import compress_pairs, scatter_pairs, stage_pairs
 
 #: Coulomb constant e^2 / (4 pi eps0) in eV*A.
 COULOMB_CONSTANT = 14.399645
@@ -140,38 +141,26 @@ class WaterReference(ForceField):
         neighbors: NeighborData,
         forces: np.ndarray,
         per_atom: np.ndarray,
-        workspace=None,
+        w,
     ) -> float:
-        pairs = neighbors.pairs
-        if len(pairs) == 0:
-            return 0.0
         mol = self.topology.molecules
-        mask_inter = mol[pairs[:, 0]] != mol[pairs[:, 1]]
-        pairs = pairs[mask_inter]
-        if len(pairs) == 0:
-            return 0.0
-        delta = atoms.positions[pairs[:, 0]] - atoms.positions[pairs[:, 1]]
-        delta = box.minimum_image(delta)
-        r2 = np.einsum("ij,ij->i", delta, delta)
-        within = r2 <= self.cutoff * self.cutoff
-        pairs, delta, r2 = pairs[within], delta[within], r2[within]
-        if len(pairs) == 0:
-            return 0.0
+        i, j, delta, r2 = stage_pairs("water.all", atoms.positions, box, neighbors.pairs, w)
+        keep = np.nonzero((mol[i] != mol[j]) & (r2 <= self.cutoff * self.cutoff))[0]
+        i, j, delta, r2 = compress_pairs("water", keep, i, j, delta, r2, w)
         r = np.sqrt(r2)
         inv_r = 1.0 / r
 
         charges = np.where(atoms.types == 0, Q_OXYGEN, Q_HYDROGEN)
-        qq = COULOMB_CONSTANT * charges[pairs[:, 0]] * charges[pairs[:, 1]]
+        qq = COULOMB_CONSTANT * charges[i] * charges[j]
         rc = self.cutoff
         # Shifted-force Coulomb: E = qq (1/r - 1/rc + (r - rc)/rc^2); E(rc)=E'(rc)=0.
         e_coul = qq * (inv_r - 1.0 / rc + (r - rc) / (rc * rc))
         f_coul = qq * (inv_r * inv_r - 1.0 / (rc * rc))  # -dE/dr
 
         # O-O Lennard-Jones.
-        oo_mask = (atoms.types[pairs[:, 0]] == 0) & (atoms.types[pairs[:, 1]] == 0)
-        buffers = UNPOOLED if workspace is None else workspace
-        e_lj = buffers.capacity_zeros("water.e_lj", len(e_coul))
-        f_lj = buffers.capacity_zeros("water.f_lj", len(f_coul))
+        oo_mask = (atoms.types[i] == 0) & (atoms.types[j] == 0)
+        e_lj = w.capacity_zeros("water.e_lj", len(e_coul))
+        f_lj = w.capacity_zeros("water.f_lj", len(f_coul))
         if np.any(oo_mask):
             inv_r2 = 1.0 / r2[oo_mask]
             sr2 = self.lj_sigma * self.lj_sigma * inv_r2
@@ -182,31 +171,19 @@ class WaterReference(ForceField):
 
         energy = e_coul + e_lj
         f_mag = f_coul + f_lj
-        pair_forces = (f_mag * inv_r)[:, None] * delta
-        if workspace is not None:
-            # the nonbonded pair list dominates the term count — scatter it
-            # through bincount instead of the np.add.at scalar loop
-            scatter_add_vectors(forces, pairs[:, 0], pairs[:, 1], pair_forces)
-            half = 0.5 * energy
-            scatter_add_scalars(per_atom, pairs[:, 0], half)
-            scatter_add_scalars(per_atom, pairs[:, 1], half)
-        else:
-            np.add.at(forces, pairs[:, 0], pair_forces)  # reprolint: allow[alloc] golden reference scatter the bincount path is pinned against
-            np.add.at(forces, pairs[:, 1], -pair_forces)  # reprolint: allow[alloc] golden reference scatter the bincount path is pinned against
-            np.add.at(per_atom, pairs[:, 0], 0.5 * energy)  # reprolint: allow[alloc] golden reference scatter the bincount path is pinned against
-            np.add.at(per_atom, pairs[:, 1], 0.5 * energy)  # reprolint: allow[alloc] golden reference scatter the bincount path is pinned against
-        return float(energy.sum())
+        delta *= (f_mag * inv_r)[:, None]
+        return scatter_pairs(forces, per_atom, i, j, delta, energy)
 
     # reprolint: hot-path
     def compute(
         self, atoms: Atoms, box: Box, neighbors: NeighborData, workspace=None
     ) -> ForceResult:
         n = len(atoms)
-        buffers = UNPOOLED if workspace is None else workspace
-        forces = buffers.zeros("water.forces", (n, 3))
-        per_atom = buffers.zeros("water.per_atom", n)
+        w = UNPOOLED if workspace is None else workspace
+        forces = w.zeros("water.forces", (n, 3))
+        per_atom = w.zeros("water.per_atom", n)
         energy = 0.0
         energy += self._bond_terms(atoms, box, forces, per_atom)
         energy += self._angle_terms(atoms, box, forces, per_atom)
-        energy += self._nonbonded_terms(atoms, box, neighbors, forces, per_atom, workspace)
+        energy += self._nonbonded_terms(atoms, box, neighbors, forces, per_atom, w)
         return ForceResult(energy, forces, per_atom)

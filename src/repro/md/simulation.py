@@ -17,11 +17,9 @@ exchange; the two are pinned together by
 
 Per-step scratch (forces, per-atom energies, pair temporaries, integrator
 accelerations) comes from the :class:`~repro.md.workspace.Workspace` every
-simulation owns (``sim.workspace``).  The allocating LJ/Morse/Gupta/water
-reference arithmetic is reached by calling ``ForceField.compute`` without a
-workspace — ``benchmarks/bench_run_loop.py`` and
-``tests/test_stepping_core.py`` drive it through the whole loop with a
-force-field adapter that does not forward the pool.
+simulation owns (``sim.workspace``).  The allocating LJ/Morse/Gupta
+reference arithmetic lives in :mod:`repro.reference.forcefields`, whose
+``ReferenceForceField`` adapter runs it through this same loop.
 """
 
 from __future__ import annotations

@@ -20,14 +20,10 @@ Two kinds of buffers are provided:
 
 Every consumer takes its buffers from this vending surface (``buffer`` /
 ``zeros`` / ``capacity`` / ``capacity_zeros`` / ``scoped``), so each kernel has
-one body.  The engines own a :class:`Workspace`; the public entry points that
-accept ``workspace=None`` (``DeepPotential.evaluate`` / ``evaluate_many``,
-``build_local_environment``, ``pack_systems``, the integrator half-steps)
-resolve it to :data:`UNPOOLED`, the stateless allocating implementation of the
-same surface — identical arithmetic on freshly owned arrays.  ``workspace=None``
-selects *different arithmetic* only where a reference is pinned against the
-pooled path: the LJ/Morse/Gupta ``compute`` reference bodies and the water
-``np.add.at`` scatter (``tests/test_stepping_core.py::TestWorkspaceParity``).
+one body.  The engines own a :class:`Workspace`; every public entry point that
+accepts ``workspace=None`` resolves it to :data:`UNPOOLED`, the stateless
+allocating implementation of the same surface — identical arithmetic on
+freshly owned arrays.  No ``workspace`` argument ever selects arithmetic.
 
 Scatter-accumulation helpers live here too: :func:`scatter_add_vectors` and
 :func:`scatter_add_scalars` replace ``np.ufunc.at`` (a per-element scalar

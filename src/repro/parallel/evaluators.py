@@ -12,11 +12,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..md.neighbor import NeighborData
-from ..md.workspace import scatter_add_scalars, scatter_add_vectors
 from .domain import RankDomain
 
 
-def _computed_here(domain: RankDomain, pairs: np.ndarray) -> np.ndarray:
+def _computed_here(domain: RankDomain, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """Mask of local pairs this rank computes (lowest-id-member rule).
 
     A rank's pair list (:meth:`RankDomain.build_neighbors`) holds the pairs
@@ -28,8 +27,7 @@ def _computed_here(domain: RankDomain, pairs: np.ndarray) -> np.ndarray:
     Every pair of the global system is therefore computed by exactly one
     rank; pairs between two non-primary rows are never even searched for.
     """
-    ga, gb = domain.local_gids[pairs[:, 0]], domain.local_gids[pairs[:, 1]]
-    lowest = np.where(ga < gb, pairs[:, 0], pairs[:, 1])
+    lowest = np.where(domain.local_gids[i] < domain.local_gids[j], i, j)
     return domain.neighbors.primary[lowest]
 
 
@@ -62,7 +60,7 @@ class _PairEvaluator(_RankEvaluator):
         # a pair style reads ``pairs`` only: the padded table is never built
         built = domain.neighbors
         domain.scratch["computed"] = NeighborData(
-            pairs=built.pairs[_computed_here(domain, built.pairs)],
+            pairs=built.pairs[_computed_here(domain, *built.pairs.T)],
             cutoff=built.cutoff,
             skin=built.skin,
             n_atoms=built.n_atoms,
@@ -163,45 +161,14 @@ class _DensityEvaluator(_RankEvaluator):
     needs_halo = True
 
     def prepare(self, domain: RankDomain) -> np.ndarray:  # reprolint: hot-path
-        engine = self.engine
-        force_field = engine.force_field
         # every pair touching an owned atom, and no other: ghost-ghost pairs
         # would only feed ghost densities, which the halo exchange overwrites
         # with owner-computed values — the rank's build never searches them
-        pairs = domain.neighbors.pairs
-        n_local = domain.n_local
-        positions = domain.local_positions()
-
-        if len(pairs):
-            delta = positions[pairs[:, 0]] - positions[pairs[:, 1]]
-            delta = engine.box.minimum_image(delta)
-            r = np.linalg.norm(delta, axis=1)
-            mask = r <= force_field.cutoff
-            pairs, delta, r = pairs[mask], delta[mask], r[mask]
-        else:
-            delta = np.empty((0, 3))  # reprolint: allow[alloc] empty-pair-list early-out, not the steady-state path
-            r = np.empty(0)  # reprolint: allow[alloc] empty-pair-list early-out, not the steady-state path
-
-        if len(pairs):
-            repulsion, density_pair, drep_dr, drho_dr = force_field.pair_terms(r)
-        else:
-            repulsion = density_pair = drep_dr = drho_dr = np.empty(0)  # reprolint: allow[alloc] empty-pair-list early-out, not the steady-state path
-
-        rep_atom = domain.workspace.zeros("density.rep_atom", n_local)
-        rho = domain.workspace.zeros("density.rho", n_local)
-        if len(pairs):
-            scatter_add_scalars(rep_atom, pairs[:, 0], repulsion)
-            scatter_add_scalars(rep_atom, pairs[:, 1], repulsion)
-            scatter_add_scalars(rho, pairs[:, 0], density_pair)
-            scatter_add_scalars(rho, pairs[:, 1], density_pair)
-
-        sqrt_rho, inv_sqrt = force_field.embedding_terms(rho)
-        per_atom = rep_atom - sqrt_rho
-        per_atom[rho == 0.0] = rep_atom[rho == 0.0]
-
+        per_atom, inv_sqrt, staged = self.engine.force_field.density_stage(
+            domain.local_positions(), self.engine.box, domain.neighbors.pairs, domain.workspace
+        )
         domain.scratch.update(
-            pairs=pairs, delta=delta, r=r, drep_dr=drep_dr, drho_dr=drho_dr,
-            inv_sqrt=inv_sqrt, energy=float(per_atom[: domain.n_owned].sum()),
+            staged=staged, inv_sqrt=inv_sqrt, energy=float(per_atom[: domain.n_owned].sum())
         )
         # rho/inv_sqrt are only complete for owned atoms; ghost entries are
         # replaced by the owner-computed values the halo exchange delivers.
@@ -212,19 +179,11 @@ class _DensityEvaluator(_RankEvaluator):
         inv_sqrt = scratch["inv_sqrt"]
         if domain.n_ghost:
             inv_sqrt[domain.n_owned:] = halo
-
-        pairs = scratch["pairs"]
-        forces = domain.workspace.zeros("density.forces", (domain.n_local, 3))
-        if len(pairs):
-            keep = _computed_here(domain, pairs)
-            pairs = pairs[keep]
-            delta, r = scratch["delta"][keep], scratch["r"][keep]
-            drep_dr, drho_dr = scratch["drep_dr"][keep], scratch["drho_dr"][keep]
-            dE_dr = self.engine.force_field.pair_dE_dr(
-                drep_dr, drho_dr, inv_sqrt[pairs[:, 0]], inv_sqrt[pairs[:, 1]]
-            )
-            pair_forces = (-dE_dr / r)[:, None] * delta
-            scatter_add_vectors(forces, pairs[:, 0], pairs[:, 1], pair_forces)
+        staged = scratch["staged"]
+        keep = _computed_here(domain, *staged[:2])
+        forces = self.engine.force_field.force_stage(
+            tuple(term[keep] for term in staged), inv_sqrt, domain.workspace
+        )
         return scratch["energy"], forces, None
 
 

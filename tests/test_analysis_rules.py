@@ -928,3 +928,29 @@ def test_cli_update_golden_requires_a_reason(tmp_path):
 def test_production_tree_is_clean():
     violations = lint_paths(["src"])
     assert violations == [], "\n".join(v.format() for v in violations)
+
+
+def test_production_never_imports_the_reference_package():
+    """``repro.reference`` reads production modules, never the reverse."""
+    import ast
+    from pathlib import Path
+
+    import repro
+
+    root = Path(repro.__file__).parent
+    offenders = []
+    for path in sorted(root.rglob("*.py")):
+        package = path.relative_to(root.parent).parts[:-1]
+        if package[:2] == ("repro", "reference"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                targets = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = package[: len(package) - node.level + 1] if node.level else ()
+                stem = ".".join([*base, *([node.module] if node.module else [])])
+                targets = [f"{stem}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            offenders += [(str(path), t) for t in targets if t.startswith("repro.reference")]
+    assert offenders == []

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.md import (
+    Box,
     GuptaPotential,
     LennardJones,
     MorsePotential,
@@ -11,8 +12,9 @@ from repro.md import (
     copper_system,
     water_system,
 )
-from repro.md.forcefields.base import accumulate_pair_forces
 from repro.md.neighbor import build_neighbor_data
+from repro.md.workspace import minimum_image_into, scatter_add_scalars, scatter_add_vectors
+from repro.reference.forcefields import accumulate_pair_forces
 
 
 def builder(box, cutoff):
@@ -192,6 +194,49 @@ class TestHelpers:
         forces = accumulate_pair_forces(2, pairs, pair_forces)
         np.testing.assert_allclose(forces[0], [1.0, 0.0, 0.0])
         np.testing.assert_allclose(forces[1], [-1.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize(
+        "periodic",
+        [(True, True, True), (True, True, False), (False, True, False), (False, False, False)],
+        ids=["periodic", "slab", "mixed", "open"],
+    )
+    def test_minimum_image_into_is_box_minimum_image(self, periodic):
+        """The in-place form every pooled path stages through is the same
+        arithmetic as ``Box.minimum_image``, images several cells out included."""
+        box = Box(np.array([7.0, 9.5, 11.25]), periodic)
+        delta = np.random.default_rng(0).uniform(-4.0, 4.0, (500, 3)) * box.lengths
+        delta[:3] = [[3.5, -4.75, 5.625], [0.0, 9.5, -11.25], [-17.5, 14.25, 28.125]]  # half-cell ties
+        expected = box.minimum_image(delta)
+        staged = delta.copy()
+        assert minimum_image_into(box, staged, np.empty(len(delta))) is staged
+        np.testing.assert_array_equal(staged, expected)
+        empty = np.empty((0, 3))
+        assert minimum_image_into(box, empty, np.empty(0)).shape == (0, 3)
+
+    def test_bincount_scatters_match_add_at(self):
+        """``scatter_add_*`` against the ``np.add.at`` loops they replace, to
+        1e-13 at force scale: every index repeated ~100 times per role, a
+        non-zero ``out``, empty inputs."""
+        rng = np.random.default_rng(1)
+        n, m = 40, 4_000
+        i, j = rng.integers(0, n, m), rng.integers(0, n, m)
+        vectors, scalars = rng.normal(size=(m, 3)), rng.normal(size=m)
+        start_v, start_s = rng.normal(size=(n, 3)), rng.normal(size=n)
+
+        expected = start_v.copy()
+        np.add.at(expected, i, vectors)
+        np.add.at(expected, j, -vectors)
+        got = scatter_add_vectors(start_v.copy(), i, j, vectors)
+        np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-13)
+
+        expected = start_s.copy()
+        np.add.at(expected, i, scalars)
+        got = scatter_add_scalars(start_s.copy(), i, scalars)
+        np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-13)
+
+        none = np.empty(0, dtype=np.int64)
+        np.testing.assert_array_equal(scatter_add_vectors(start_v.copy(), none, none, np.empty((0, 3))), start_v)
+        np.testing.assert_array_equal(scatter_add_scalars(start_s.copy(), none, np.empty(0)), start_s)
 
     def test_momentum_conservation_all_fields(self, small_copper):
         atoms, box = small_copper

@@ -89,6 +89,23 @@ class TestReportParity:
         assert len(engine.trajectory) == len(serial.trajectory) == 2
         np.testing.assert_allclose(engine.trajectory[-1], serial.trajectory[-1], atol=1e-10)
 
+    def test_one_rank_gupta_is_bitwise_serial(self):
+        """The density evaluator runs ``GuptaPotential``'s own stage functions,
+        so with nothing to exchange or filter one rank *is* the serial path."""
+        atoms, box = _copper_pair(rng=3)
+        common = dict(timestep_fs=2.0, neighbor_skin=0.4, neighbor_every=5)
+        serial = Simulation(atoms.copy(), box, GuptaPotential(cutoff=5.0), **common)
+        single = DomainDecomposedSimulation(
+            atoms.copy(), box, GuptaPotential(cutoff=5.0), rank_dims=(1, 1, 1), **common
+        )
+        serial_report, single_report = serial.run(24), single.run(24)
+        assert single_report.neighbor_builds == serial_report.neighbor_builds > 1
+        gathered = single.gather()
+        np.testing.assert_array_equal(gathered.positions, serial.atoms.positions)
+        np.testing.assert_array_equal(gathered.velocities, serial.atoms.velocities)
+        np.testing.assert_array_equal(gathered.forces, serial.atoms.forces)
+        np.testing.assert_array_equal(single_report.potential_energies, serial_report.potential_energies)
+
     def test_report_fields_match_serial_deep_potential(self):
         atoms, box = _copper_pair(rng=5)
         serial = Simulation(atoms.copy(), box, _tiny_dp_force_field(), timestep_fs=0.5,

@@ -31,11 +31,11 @@ from repro.md import (
     copper_system,
     water_system,
 )
-from repro.md.forcefields.base import ForceField
 from repro.md.forcefields.water import WaterReference
 from repro.md.neighbor import build_neighbor_data
 from repro.md.stepping import harvest_force_field_info, validate_cutoff
 from repro.parallel import DomainDecomposedSimulation
+from repro.reference.forcefields import ReferenceForceField
 
 
 def _copper(rng=0, temperature=300.0):
@@ -273,17 +273,6 @@ def _force_field_cases():
     ]
 
 
-class _Unpooled(ForceField):
-    """Runs ``inner``'s allocating reference arithmetic inside a pooled loop
-    by not forwarding the simulation's workspace."""
-
-    def __init__(self, inner):
-        self.inner, self.cutoff = inner, inner.cutoff
-
-    def compute(self, atoms, box, neighbors, workspace=None):
-        return self.inner.compute(atoms, box, neighbors)
-
-
 class TestWorkspaceParity:
     @pytest.mark.parametrize(
         "name, force_field, atoms, box",
@@ -291,11 +280,22 @@ class TestWorkspaceParity:
         ids=[case[0] for case in _force_field_cases()],
     )
     def test_workspace_path_matches_reference(self, name, force_field, atoms, box):
+        """Three-way pin: a warmed pool and ``workspace=None`` (``UNPOOLED``)
+        run one body, so they agree bit for bit; both agree with the
+        ``np.add.at`` reference body to 1e-12 (water has none: its scatter is
+        pinned against ``np.add.at`` and its forces against finite differences
+        in ``test_md_forcefields.py``)."""
         data = build_neighbor_data(atoms.positions, box, force_field.cutoff, 0.4)
-        reference = force_field.compute(atoms, box, data)
+        unpooled = force_field.compute(atoms, box, data)
+        reference = None if name == "water" else ReferenceForceField(force_field).compute(atoms, box, data)
         workspace = Workspace()
         for _ in range(2):  # second call exercises fully warmed buffers
             fast = force_field.compute(atoms, box, data, workspace=workspace)
+            assert fast.energy == unpooled.energy
+            np.testing.assert_array_equal(fast.forces, unpooled.forces)
+            np.testing.assert_array_equal(fast.per_atom_energy, unpooled.per_atom_energy)
+            if reference is None:
+                continue
             assert fast.energy == pytest.approx(reference.energy, abs=1e-10)
             np.testing.assert_allclose(fast.forces, reference.forces, rtol=0.0, atol=1e-12)
             np.testing.assert_allclose(
@@ -308,7 +308,7 @@ class TestWorkspaceParity:
         atoms, box = _copper(rng=11)
         pooled = _serial(atoms, box)
         reference = _serial(atoms, box)
-        reference.force_field = _Unpooled(reference.force_field)
+        reference.force_field = ReferenceForceField(reference.force_field)
         pooled.run(40)
         reference.run(40)
         np.testing.assert_allclose(
