@@ -39,6 +39,7 @@ from repro.deepmd import DeepPotential, DeepPotentialConfig
 from repro.deepmd.pair_style import DeepPotentialForceField
 from repro.md import Simulation, water_system
 from repro.md.neighbor import build_neighbor_data
+from repro.reference.deepmd import tabulated_evaluate
 
 #: Minimum accepted steps/sec speedup of compressed over uncompressed.
 TARGET_SPEEDUP = 2.0
@@ -157,7 +158,7 @@ def test_bench_compressed_speedup_and_parity():
     env = model.build_environment(atoms, box, neighbors)
     s_real = env.s[env.mask > 0.0]
     for key, slot in table._slot_of.items():
-        golden_v, golden_d = table.evaluate(key, s_real)
+        golden_v, golden_d = tabulated_evaluate(table, key, s_real)
         batched_v, batched_d = table.evaluate_batched(np.full(s_real.shape, slot), s_real)
         np.testing.assert_allclose(batched_v, golden_v, rtol=0.0, atol=GOLDEN_TOLERANCE)
         np.testing.assert_allclose(batched_d, golden_d, rtol=0.0, atol=GOLDEN_TOLERANCE)

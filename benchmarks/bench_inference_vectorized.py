@@ -2,7 +2,7 @@
 
 The vectorized hot path (batched environment matrix + stacked embedding /
 fitting evaluation + scatter-based force accumulation) must beat the retained
-per-atom scalar reference (:mod:`repro.deepmd.scalar`) by at least 10x; this
+per-atom scalar reference (:mod:`repro.reference.scalar`) by at least 10x; this
 is the speedup that unlocks the larger scenario sweeps of later PRs.
 
 Run with::
@@ -19,6 +19,7 @@ import numpy as np
 from repro.deepmd import DeepPotential, DeepPotentialConfig
 from repro.md import water_system
 from repro.md.neighbor import build_neighbor_data
+from repro.reference.scalar import evaluate_scalar
 
 #: Minimum accepted speedup of the batched path over the scalar reference.
 TARGET_SPEEDUP = 10.0
@@ -57,7 +58,7 @@ def test_bench_inference_vectorized():
     model.fast_fittings()
 
     t0 = time.perf_counter()
-    out_scalar = model.evaluate_scalar(atoms, box, neighbors)
+    out_scalar = evaluate_scalar(model, atoms, box, neighbors)
     t_scalar = time.perf_counter() - t0
 
     # Best of a few repetitions for the (fast) vectorized path.

@@ -7,7 +7,7 @@ performs near-zero fresh ``np.zeros``/``np.empty`` allocations and the
 Newton pair scatter runs through ``np.bincount`` instead of the
 ``np.add.at`` scalar loop.  The baseline side runs the allocating LJ
 reference body (``repro.reference.forcefields.lennard_jones``, kept as the
-golden baseline the same way ``deepmd/scalar.py`` and ``_brute_force_pairs``
+golden baseline the same way ``reference/scalar.py`` and ``_brute_force_pairs``
 are) through the same loop via ``ReferenceForceField`` — so the comparison
 is the same dynamics with and without the pooled force path.
 

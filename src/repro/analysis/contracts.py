@@ -18,8 +18,6 @@ from dataclasses import dataclass
 __all__ = [
     "GoldenSite",
     "GOLDEN_SITES",
-    "FAST_PATH_MODULES",
-    "FAST_PATH_NAMES",
     "HOT_PATH_MARKER",
     "COLD_PATH_MARKER",
     "WORKER_ENTRYPOINTS",
@@ -41,7 +39,7 @@ class GoldenSite:
 
     ``path_suffix`` selects the file; ``qualname`` selects a function, method
     (``Class.method``) or whole class inside it — ``None`` freezes the entire
-    module (the ``deepmd/scalar.py`` pattern).
+    module (the ``reference/scalar.py`` pattern).
     """
 
     path_suffix: str
@@ -49,12 +47,12 @@ class GoldenSite:
     note: str
 
 
-#: The golden references of the ROADMAP architecture notes (PRs 1, 3, 5, 7).
-#: Each must stay free of fast-path idioms so the parity pins keep comparing
+#: The golden references of the ROADMAP architecture notes (PRs 1, 3, 5, 7, 9).
+#: Each is frozen by its RL007 fingerprint so the parity pins keep comparing
 #: an optimized path against genuinely un-optimized arithmetic.
 GOLDEN_SITES: tuple[GoldenSite, ...] = (
     GoldenSite(
-        "repro/deepmd/scalar.py",
+        "repro/reference/scalar.py",
         None,
         "PR 1: the per-atom scalar Deep Potential reference, pinned at 1e-10",
     ),
@@ -64,8 +62,8 @@ GOLDEN_SITES: tuple[GoldenSite, ...] = (
         "PR 3: the O(N^2) pair-search reference the binned build is bitwise-confirmed against",
     ),
     GoldenSite(
-        "repro/deepmd/compression.py",
-        "TabulatedEmbeddingSet.evaluate",
+        "repro/reference/deepmd.py",
+        "tabulated_evaluate",
         "PR 5: the per-key table reference the batched Hermite kernel is pinned to at 1e-12",
     ),
     GoldenSite(
@@ -78,15 +76,6 @@ GOLDEN_SITES: tuple[GoldenSite, ...] = (
         None,
         "PR 9: the one-system-at-a-time serving reference the batched path is pinned to at 1e-10",
     ),
-)
-
-#: Modules whose import inside a golden site marks fast-path leakage (matched
-#: on the last dotted component so relative imports resolve too).
-FAST_PATH_MODULES: frozenset[str] = frozenset({"workspace", "gemm"})
-
-#: Names whose import or call inside a golden site marks fast-path leakage.
-FAST_PATH_NAMES: frozenset[str] = frozenset(
-    {"scatter_add_vectors", "scatter_add_scalars", "GemmBackend"}
 )
 
 #: The in-source marker body registering a function as a per-step hot path;

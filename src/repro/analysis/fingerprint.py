@@ -1,7 +1,6 @@
 """AST-normalized fingerprints of the declared golden regions (RL007).
 
-RL001 bans a *list of idioms* inside a golden site; this module catches the
-complementary silent-edit class: any semantic change at all.  A region's
+A golden region is frozen against any semantic change at all.  A region's
 fingerprint is the SHA-256 of its ``ast.dump`` with locations excluded and
 docstrings stripped, so comments, blank lines, formatting and documentation
 edits never trip the rule while a changed constant, reordered statement or

@@ -8,7 +8,7 @@ string literals — e.g. the rule self-test corpus — is never mistaken for a
 directive), and each rule walks the tree through a small registry.
 
 Two rule shapes exist.  Per-file :class:`Rule` subclasses see one
-:class:`ParsedFile` at a time (RL001–RL005).  Whole-program
+:class:`ParsedFile` at a time (RL002–RL005).  Whole-program
 :class:`ProgramRule` subclasses see a :class:`Project` — every parsed file
 plus the :class:`~repro.analysis.project.ProjectIndex` and
 :class:`~repro.analysis.callgraph.CallGraph` built over them — and power the

@@ -1,8 +1,8 @@
-"""RL001–RL008: the house contracts as AST rules.
+"""RL002–RL008: the house contracts as AST rules.
 
 Each rule encodes one ROADMAP architecture note (see :mod:`.contracts` for
 the declared sites); suppression, pragma bookkeeping and formatting live in
-:mod:`.reprolint`.  RL001–RL005 are per-file :class:`Rule` detectors yielding
+:mod:`.reprolint`.  RL002–RL005 are per-file :class:`Rule` detectors yielding
 ``(line, message)``; RL006–RL008 are whole-program :class:`ProgramRule`
 detectors over the :class:`~repro.analysis.reprolint.Project` — its call
 graph and golden fingerprints — yielding ``(rel_path, line, message)``.
@@ -27,7 +27,6 @@ from .reprolint import (
 )
 
 __all__ = [
-    "GoldenFreezeRule",
     "HotPathAllocationRule",
     "BackendPurityRule",
     "FixedOrderReductionRule",
@@ -39,100 +38,6 @@ __all__ = [
     "PROGRAM_RULES",
     "allocation_findings",
 ]
-
-
-def _last_component(module: str | None) -> str:
-    if not module:
-        return ""
-    return module.rsplit(".", 1)[-1]
-
-
-# ---------------------------------------------------------------------------
-# RL001 — golden-freeze
-# ---------------------------------------------------------------------------
-
-
-class GoldenFreezeRule(Rule):
-    """Declared golden sites must stay free of fast-path idioms.
-
-    The parity pins (scalar DP, brute-force pairs, per-key tables, the
-    sequential executor) are only meaningful while the reference side stays
-    un-optimized: no ``einsum``/``bincount`` batching, no ``workspace=``
-    buffer pooling, no imports from the fast-path modules.
-    """
-
-    rule_id = "RL001"
-    slug = "golden"
-    description = "golden reference sites must not grow fast-path idioms"
-
-    _BANNED_CALL_TAILS = frozenset({"einsum", "bincount"})
-
-    def applies(self, parsed: ParsedFile) -> bool:
-        return any(
-            parsed.rel_path.endswith(site.path_suffix) for site in contracts.GOLDEN_SITES
-        )
-
-    def _regions(self, parsed: ParsedFile):
-        for site in contracts.GOLDEN_SITES:
-            if not parsed.rel_path.endswith(site.path_suffix):
-                continue
-            if site.qualname is None:
-                yield site, parsed.tree
-                continue
-            for qualname, node in parsed.functions + parsed.classes:
-                if qualname == site.qualname:
-                    yield site, node
-
-    def check(self, parsed: ParsedFile):
-        for site, region in self._regions(parsed):
-            where = site.qualname or "module"
-            for node in ast.walk(region):
-                yield from self._check_node(node, where)
-
-    def _check_node(self, node: ast.AST, where: str):
-        if isinstance(node, ast.Call):
-            name = call_name(node)
-            if name is not None:
-                tail = name.rsplit(".", 1)[-1]
-                if tail in self._BANNED_CALL_TAILS or name in contracts.FAST_PATH_NAMES:
-                    yield (
-                        node.lineno,
-                        f"golden site {where} calls fast-path idiom {name}()",
-                    )
-            for keyword in node.keywords:
-                if keyword.arg == "workspace":
-                    yield (
-                        node.lineno,
-                        f"golden site {where} passes a workspace= buffer pool",
-                    )
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            args = node.args
-            every = args.posonlyargs + args.args + args.kwonlyargs
-            if any(arg.arg == "workspace" for arg in every):
-                yield (
-                    node.lineno,
-                    f"golden site {where} grew a workspace parameter on {node.name}()",
-                )
-        elif isinstance(node, ast.ImportFrom):
-            if _last_component(node.module) in contracts.FAST_PATH_MODULES:
-                yield (
-                    node.lineno,
-                    f"golden site {where} imports fast-path module {node.module or '.'}",
-                )
-            else:
-                for alias in node.names:
-                    if alias.name in contracts.FAST_PATH_NAMES:
-                        yield (
-                            node.lineno,
-                            f"golden site {where} imports fast-path name {alias.name}",
-                        )
-        elif isinstance(node, ast.Import):
-            for alias in node.names:
-                if _last_component(alias.name) in contracts.FAST_PATH_MODULES:
-                    yield (
-                        node.lineno,
-                        f"golden site {where} imports fast-path module {alias.name}",
-                    )
 
 
 # ---------------------------------------------------------------------------
@@ -515,13 +420,15 @@ class TransitiveHotPathRule(ProgramRule):
 class GoldenDriftRule(ProgramRule):
     """Golden regions must match their recorded AST fingerprints.
 
-    RL001 bans a list of fast-path idioms inside a golden site; this rule
-    catches every *other* semantic edit: each ``GOLDEN_SITES`` region is
-    hashed (AST dump, locations excluded, docstrings stripped — comments and
+    The freeze behind every parity pin: a reference is only worth comparing
+    against while it stays the un-optimized arithmetic it was recorded as.
+    Each ``GOLDEN_SITES`` region is hashed (AST dump, locations excluded, docstrings stripped — comments and
     formatting never trip it) and compared against the hash recorded in
     ``analysis/golden_baseline.json``.  An intentional golden edit is
     refreshed with ``python -m repro.analysis --update-golden --reason
-    "..."``; anything else is drift.  The rule only runs when a baseline is
+    "..."``; anything else is drift — which subsumes the idiom list the
+    retired RL001 kept (einsum/bincount batching, ``workspace=`` pooling,
+    fast-path imports: each is a semantic edit).  The rule only runs when a baseline is
     loaded (``lint_paths`` / the CLI), never on in-memory corpus lints.
     """
 
@@ -666,7 +573,6 @@ class WorkerContextRule(ProgramRule):
 
 
 ALL_RULES = (
-    GoldenFreezeRule,
     HotPathAllocationRule,
     BackendPurityRule,
     FixedOrderReductionRule,

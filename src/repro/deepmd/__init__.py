@@ -8,27 +8,27 @@ DeePMD-kit evaluates inside LAMMPS:
 * :mod:`envmat` — local environment matrices R_i for all atoms at once,
   built as batched NumPy from the MD engine's padded neighbour lists (with
   the paper's per-type pre-classification),
-* :mod:`scalar` — the loop-based golden reference (per-atom environment
-  build and per-atom inference) that the parity test suite pins the
-  vectorized hot path to,
 * :mod:`embedding` / :mod:`fitting` — the embedding and fitting networks
   (framework-backed for training, exportable to fast NumPy kernels),
 * :mod:`descriptor` — the symmetry-preserving descriptor D_i and its
   framework-graph construction,
-* :mod:`model` — :class:`DeepPotential`, with two evaluation paths: the
-  *baseline* path running through :mod:`repro.nnframework` (a stand-in for
-  TensorFlow, with per-session overhead), and the *optimized* framework-free
-  path with hand-written forward/backward kernels, mixed precision, the
-  sve-style tall-skinny GEMM backend, and tabulated (compressed) embedding
-  nets,
+* :mod:`model` — :class:`DeepPotential`, one reentrant framework-free
+  evaluator (``evaluate`` / ``evaluate_many``) with hand-written
+  forward/backward kernels, mixed precision, the sve-style tall-skinny GEMM
+  backend, and tabulated (compressed) embedding nets,
 * :mod:`reference` / :mod:`training` — pseudo-AIMD data generation and the
   trainer,
 * :mod:`pair_style` — the adapter exposing the model as an MD force field.
+
+The goldens this package is pinned against — the per-atom scalar loop
+(``repro.reference.scalar``), the per-key table interpolation and the
+framework (:mod:`repro.nnframework`) baseline
+(``repro.reference.deepmd``) — live in :mod:`repro.reference`, which nothing
+here imports.
 """
 
 from .smoothing import switching_function, switching_derivative
 from .envmat import LocalEnvironment, build_local_environment
-from .scalar import build_local_environment_scalar, evaluate_scalar
 from .gemm import GemmBackend, GemmStats
 from .networks import FastMLP
 from .precision import PrecisionPolicy, DOUBLE, MIX_FP32, MIX_FP16
@@ -45,8 +45,6 @@ __all__ = [
     "switching_derivative",
     "LocalEnvironment",
     "build_local_environment",
-    "build_local_environment_scalar",
-    "evaluate_scalar",
     "GemmBackend",
     "GemmStats",
     "FastMLP",

@@ -13,16 +13,13 @@ net (:meth:`FastMLP.backward_input`, one vector-Jacobian product per output
 component), not from finite differences — the table is exact at the nodes and
 never evaluates the net outside the tabulated range.
 
-Two evaluation paths, the ``deepmd/scalar.py`` pattern:
-
-* :meth:`TabulatedEmbeddingSet.evaluate` — the per-key golden reference.
-  One ``(center_type, neighbor_type)`` table at a time, kept deliberately
-  simple; do not optimize it.
-* :meth:`TabulatedEmbeddingSet.evaluate_batched` — the production hot path.
-  All tables are stacked into one packed node array so every neighbour of a
-  whole batch is interpolated with a single fused gather per Hermite node and
-  one vectorized kernel, whatever mixture of neighbour types the rows hold.
-  Pinned to the golden path at 1e-12 by ``tests/test_deepmd_compression.py``.
+:meth:`TabulatedEmbeddingSet.evaluate_batched` is the one evaluator: all
+tables are stacked into one packed node array so every neighbour of a whole
+batch is interpolated with a single fused gather per Hermite node and one
+vectorized kernel, whatever mixture of neighbour types the rows hold.  It is
+pinned at 1e-12 (``tests/test_deepmd_compression.py``) to the per-key golden
+:func:`repro.reference.deepmd.tabulated_evaluate`, which reads the same
+:attr:`TabulatedEmbeddingSet.tables` one ``(centre, neighbour)`` key at a time.
 
 Inputs outside ``[0, s_max]`` clamp to the end nodes — the value is
 constant-extrapolated there, so **dG/ds is zero** outside the range (a
@@ -86,20 +83,21 @@ def analytic_input_jacobian(net: FastMLP, s: np.ndarray) -> tuple[np.ndarray, np
 
     The input dimension is 1, so the Jacobian of the ``(K,)`` inputs is a
     ``(K, M)`` array obtained with one :meth:`FastMLP.backward_input`
-    vector-Jacobian product per output component (all sharing the cached
-    forward activations).  Never evaluates the net outside ``s`` — unlike a
-    centered difference at the first grid node.
+    vector-Jacobian product per output component, all reading one forward
+    tape local to this call (``net`` itself is left untouched).  Never
+    evaluates the net outside ``s`` — unlike a centered difference at the
+    first grid node.
     """
     s = np.asarray(s, dtype=np.float64).reshape(-1)
-    values = net.forward(s[:, None], cache=True)
+    tape: list = []
+    values = net.forward(s[:, None], cache=tape)
     m = values.shape[1]
     jacobian = np.empty_like(values)
     seed = np.zeros((len(s), m))
     for component in range(m):
         seed[:, component] = 1.0
-        jacobian[:, component] = net.backward_input(seed)[:, 0]
+        jacobian[:, component] = net.backward_input(seed, cache=tape)[:, 0]
         seed[:, component] = 0.0
-    net._cache = None  # the K-row grid cache has no further use
     return values, jacobian
 
 
@@ -260,7 +258,7 @@ class TabulatedEmbeddingSet:
         preallocated buffers of that output shape (the workspace path of the
         model); outputs are written in place and returned.  Outside
         ``[0, s_max]`` the value clamps to the end node and the derivative is
-        zero, matching :meth:`evaluate`.
+        zero.
 
         The slot indices are free-form: nothing here assumes the rows belong
         to one system, so the serving batch path
@@ -362,49 +360,6 @@ class TabulatedEmbeddingSet:
             return values.reshape(shape), derivs.reshape(shape)
         return out_values, out_derivatives
 
-    # -- golden per-key reference (the deepmd/scalar.py pattern) -----------------
-    def evaluate(self, key: tuple[int, int], s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Interpolated ``(G, dG/ds)`` for the scalar inputs ``s``, one table.
-
-        The un-optimized golden reference the batched path is pinned to at
-        1e-12: one (centre, neighbour) table at a time, no stacking.  Do not
-        optimize this method.  Values outside the tabulated range are clamped
-        to the end nodes, and the derivative there is zero (the value is
-        constant-extrapolated, so a non-zero dG/ds would make forces
-        inconsistent with the energy for close approaches).
-        """
-        table = self.tables[key]
-        s = np.asarray(s, dtype=np.float64).reshape(-1)
-        grid = table.grid
-        h = grid[1] - grid[0]
-        clamped = np.clip(s, grid[0], grid[-1])
-        idx = np.minimum((clamped - grid[0]) / h, len(grid) - 2).astype(int)
-        t = (clamped - grid[idx]) / h
-
-        y0 = table.values[idx]
-        y1 = table.values[idx + 1]
-        d0 = table.derivatives[idx] * h
-        d1 = table.derivatives[idx + 1] * h
-
-        t = t[:, None]
-        t2 = t * t
-        t3 = t2 * t
-        h00 = 2.0 * t3 - 3.0 * t2 + 1.0
-        h10 = t3 - 2.0 * t2 + t
-        h01 = -2.0 * t3 + 3.0 * t2
-        h11 = t3 - t2
-        values = h00 * y0 + h10 * d0 + h01 * y1 + h11 * d1
-
-        dh00 = (6.0 * t2 - 6.0 * t) / h
-        dh10 = (3.0 * t2 - 4.0 * t + 1.0) / h
-        dh01 = (-6.0 * t2 + 6.0 * t) / h
-        dh11 = (3.0 * t2 - 2.0 * t) / h
-        derivs = dh00 * y0 + dh10 * d0 + dh01 * y1 + dh11 * d1
-        out_of_range = (s < grid[0]) | (s > grid[-1])
-        if np.any(out_of_range):
-            derivs[out_of_range] = 0.0
-        return values, derivs
-
     # -- compression-quality metrics ---------------------------------------------
     def interpolation_errors(
         self, key: tuple[int, int], net: FastMLP, n_samples: int = 512, rng=None
@@ -418,15 +373,8 @@ class TabulatedEmbeddingSet:
         rng = np.random.default_rng(rng)
         s = rng.uniform(0.0, self.s_max, size=n_samples)
         exact, exact_deriv = analytic_input_jacobian(net, s)
-        approx, approx_deriv = self.evaluate(key, s)
+        approx, approx_deriv = self.evaluate_batched(np.full(n_samples, self._slot_of[key]), s)
         return InterpolationErrors(
             value=float(np.max(np.abs(exact - approx))),
             derivative=float(np.max(np.abs(exact_deriv - approx_deriv))),
         )
-
-    def max_interpolation_error(self, key: tuple[int, int], net: FastMLP, n_samples: int = 512, rng=None) -> float:
-        """Max |table - net| over random samples, a compression-quality metric.
-
-        See :meth:`interpolation_errors` for the derivative error as well.
-        """
-        return self.interpolation_errors(key, net, n_samples=n_samples, rng=rng).value

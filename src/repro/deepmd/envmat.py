@@ -183,7 +183,7 @@ def build_local_environment(
     # lexicographically, real part first — groups each row by type then
     # distance (the paper's pre-classified layout), exact ties falling back to
     # slot order.  The per-atom loop version of this layout lives in
-    # :mod:`repro.deepmd.scalar` and pins this one in the parity suite.
+    # :mod:`repro.reference.scalar` and pins this one in the parity suite.
     src = np.flatnonzero(kept)
     nbr = safe_idx.reshape(-1)[src]
     nbr_types = types[nbr]

@@ -2,24 +2,21 @@
 
 :class:`DeepPotential` combines the environment matrix, the embedding and
 fitting networks, descriptor standardization and per-type energy shifts into
-an interatomic potential with two evaluation paths:
+an interatomic potential with one evaluator in two batch shapes:
+:meth:`~DeepPotential.evaluate` (one system) and
+:meth:`~DeepPotential.evaluate_many` (a packed multi-system batch), both over
+the same per-type kernel.  This is the **framework-free** path the paper
+ships (§III-B.1): all kernels are hand-written NumPy (forward + analytic
+backward), matrix products run through a
+:class:`~repro.deepmd.gemm.GemmBackend` (blas or sve-like, NT→NN
+pre-transposition), the precision policy selects fp64/fp32/fp16 per
+component, and the embedding nets can be replaced by the compressed
+(tabulated) variant.
 
-* :meth:`evaluate` — the **optimized, framework-free** path.  All kernels are
-  hand-written NumPy (forward + analytic backward), matrix products run
-  through a :class:`~repro.deepmd.gemm.GemmBackend` (blas or sve-like, NT→NN
-  pre-transposition), the precision policy selects fp64/fp32/fp16 per
-  component, and the embedding nets can be replaced by the compressed
-  (tabulated) variant.  This is the code path the paper ships.
-
-* :meth:`evaluate_with_framework` — the **baseline** path.  The embedding and
-  fitting networks execute inside the mini framework
-  (:mod:`repro.nnframework`), one :class:`Session` run per evaluation, with
-  dE/ds and dE/dR obtained by automatic differentiation.  Numerically this
-  gives the same double-precision result, but it carries the framework's
-  fixed per-run overhead — the overhead the paper removes.
-
-Both paths share the geometric force chain (descriptor → neighbour
-displacements → atoms), so the equivalence of the two paths is testable.
+The per-atom scalar golden and the framework (one session run per evaluation)
+baseline it is pinned and priced against are functions of
+:mod:`repro.reference`, which this package never imports; they reuse the
+geometric force chain below, so path equivalence stays testable.
 """
 
 from __future__ import annotations
@@ -32,14 +29,14 @@ from ..md.atoms import Atoms
 from ..md.box import Box
 from ..md.neighbor import NeighborData
 from ..md.workspace import UNPOOLED, scatter_add_vectors
-from ..nnframework.session import Session
 from ..utils.rng import default_rng
 from .compression import TabulatedEmbeddingSet
-from .descriptor import build_descriptor_graph, raw_descriptors
+from .descriptor import raw_descriptors
 from .embedding import EmbeddingNetSet
 from .envmat import LocalEnvironment, build_local_environment
 from .fitting import FittingNetSet
 from .gemm import GemmBackend
+from .networks import FastMLP
 from .precision import DOUBLE, PrecisionPolicy, get_policy
 
 
@@ -173,7 +170,17 @@ class PinnedTable:
 
 
 class DeepPotential:
-    """A trainable Deep Potential model."""
+    """A trainable Deep Potential model; evaluation is reentrant.
+
+    :meth:`evaluate`/:meth:`evaluate_many` write nothing to the model or its
+    exported nets except the idempotent lazily-built caches
+    (:meth:`fast_embeddings`, ``FastMLP.operands``, :meth:`_standardization`,
+    the compressed table): every forward tape is a local of the call, so
+    threads may evaluate through one model concurrently, each with its own
+    workspace.  The counters (``GemmStats``, ``eval_dtype_counts``,
+    ``lp_cache_builds``) are diagnostics — exact only when one thread
+    evaluates.
+    """
 
     def __init__(self, config: DeepPotentialConfig) -> None:
         self.config = config
@@ -529,7 +536,7 @@ class DeepPotential:
         pairs = np.flatnonzero(valid)
         g = workspace.capacity("dp.emb.g", batch, trailing=(n_nei, m_width), dtype=cd)
         g_rows = g.reshape(batch * n_nei, m_width)
-        group_cache: dict[int, tuple[np.ndarray, object]] = {}
+        tapes: list[tuple[np.ndarray, FastMLP, list]] = []  # (rows, net, its forward tape)
         if compressed:
             # batched multi-table interpolation: every real neighbour of the
             # batch in one gather + Hermite kernel, keyed by its table slot;
@@ -557,9 +564,9 @@ class DeepPotential:
                 sel = sub.neighbor_types == tj
                 s_sel = s_c[sel]
                 net = fast_emb[(center_type, tj)]
-                g_sel = net.forward(s_sel[:, None], backend=backend, dtypes=emb_dtypes, cache=True)
-                g[sel] = g_sel
-                group_cache[tj] = (sel, net._cache)
+                tape: list = []
+                g[sel] = net.forward(s_sel[:, None], backend=backend, dtypes=emb_dtypes, cache=tape)
+                tapes.append((sel, net, tape))
 
         # --- descriptor (batched matmuls: BLAS-backed, unlike c_einsum)
         a = workspace.capacity("dp.desc.a", batch, trailing=(4, m_width), dtype=cd)
@@ -575,7 +582,8 @@ class DeepPotential:
 
         # --- fitting net forward + backward (dE/dD)
         fit_net = self.fast_fittings()[center_type]
-        energies = fit_net.forward(d_std, backend=backend, dtypes=fit_dtypes, cache=True)
+        fit_tape: list = []
+        energies = fit_net.forward(d_std, backend=backend, dtypes=fit_dtypes, cache=fit_tape)
         if mixed:
             # the per-atom energy accumulation (bias add onwards) is float64
             energies = energies.reshape(batch).astype(np.float64) + self.energy_bias[center_type]  # reprolint: allow[alloc] one tiny (B,) upcast per step at the fp64 accumulation boundary
@@ -586,7 +594,7 @@ class DeepPotential:
         # the standardized descriptor is spent once the backward has run:
         # dE/dD takes over its buffer
         grad_d = np.divide(
-            fit_net.backward_input(ones, backend=backend, dtypes=fit_dtypes), std, out=d_std
+            fit_net.backward_input(ones, backend=backend, dtypes=fit_dtypes, cache=fit_tape), std, out=d_std
         ).reshape(batch, m_width, m2)
 
         # --- descriptor backward: dE/dA, dE/dR, dE/dG
@@ -609,100 +617,12 @@ class DeepPotential:
             np.take(g_rows, pairs, axis=0, out=g_valid, mode="clip")
             grad_s_embed.reshape(-1)[pairs] = np.einsum("nm,nm->n", g_valid, dg_valid)
         else:
-            for tj, (sel, cache) in group_cache.items():
-                net = fast_emb[(center_type, tj)]
-                net._cache = cache
-                gs_sel = net.backward_input(grad_g[sel], backend=backend, dtypes=emb_dtypes)
+            for sel, net, tape in tapes:
+                gs_sel = net.backward_input(grad_g[sel], backend=backend, dtypes=emb_dtypes, cache=tape)
                 grad_s_embed[sel] = gs_sel[:, 0]
 
         g_d = self._geometric_chain(sub, grad_r, grad_s_embed)
         return energies, g_d, sub, pairs
-
-    # ---------------------------------------------------------------------------
-    # Golden scalar reference evaluation
-    # ---------------------------------------------------------------------------
-    def evaluate_scalar(
-        self,
-        atoms: Atoms,
-        box: Box,
-        neighbors: NeighborData,
-        environment: LocalEnvironment | None = None,
-    ) -> ModelOutput:
-        """Per-atom loop-based reference path (see :mod:`repro.deepmd.scalar`).
-
-        Orders of magnitude slower than :meth:`evaluate`; exists as the golden
-        implementation the vectorized hot path is pinned to by the parity
-        suite and the inference benchmark.
-        """
-        from .scalar import evaluate_scalar
-
-        return evaluate_scalar(self, atoms, box, neighbors, environment=environment)
-
-    # ---------------------------------------------------------------------------
-    # Baseline ("framework") evaluation
-    # ---------------------------------------------------------------------------
-    def evaluate_with_framework(
-        self,
-        atoms: Atoms,
-        box: Box,
-        neighbors: NeighborData,
-        session: Session | None = None,
-        environment: LocalEnvironment | None = None,
-    ) -> ModelOutput:
-        """Energies/forces with the embedding+fitting graphs run in the framework.
-
-        One session run is issued per centre type per evaluation, mirroring the
-        original hybrid-parallel model in which every thread executes a
-        TensorFlow session; the session accumulates the modelled fixed
-        overhead that §III-B.1 measures at ~4 ms per run.
-        """
-        session = session or Session()
-        env = environment if environment is not None else self.build_environment(atoms, box, neighbors)
-        n = env.n_atoms
-        per_atom = np.zeros(n)
-        forces = np.zeros((n, 3))
-        virial = np.zeros((3, 3))
-
-        for ti in range(self.n_types):
-            idx = np.nonzero(env.types == ti)[0]
-            if len(idx) == 0:
-                continue
-
-            def run_graph(ti=ti, idx=idx):
-                graph = build_descriptor_graph(
-                    env,
-                    ti,
-                    idx,
-                    self.embeddings,
-                    self.fittings,
-                    self.config.axis_neurons,
-                    self.descriptor_mean[ti],
-                    self.descriptor_std[ti],
-                    self.energy_bias[ti],
-                    inputs_require_grad=True,
-                )
-                total = graph.energies.sum()
-                total.backward()
-                return graph
-
-            graph = session.run(run_graph)
-            sub = env.select(idx)
-            batch, n_nei = sub.s.shape
-            per_atom[idx] = graph.energies.data.reshape(batch)
-            grad_s_embed = graph.s_input.grad.reshape(batch, n_nei)
-            grad_r = np.transpose(graph.r_transpose_input.grad, (0, 2, 1))
-            g_d = self._geometric_chain(sub, grad_r, grad_s_embed)
-            self._scatter_forces(forces, idx, sub, g_d, np.flatnonzero(sub.neighbor_types >= 0))
-            virial -= np.einsum("bni,bnj->ij", sub.displacements, g_d)
-
-        return ModelOutput(
-            energy=float(per_atom.sum()),
-            per_atom_energy=per_atom,
-            forces=forces,
-            precision=DOUBLE.name,
-            used_framework=True,
-            virial=virial,
-        )
 
     # ---------------------------------------------------------------------------
     # Shared geometric chain

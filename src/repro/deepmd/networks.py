@@ -121,9 +121,15 @@ class FastMLP:
         x: np.ndarray,
         backend: GemmBackend | None = None,
         dtypes: list | None = None,
-        cache: bool = True,
+        cache: bool | list = True,
     ) -> np.ndarray:
         """Evaluate the network on a ``(batch, in_features)`` input.
+
+        ``cache`` says where the forward tape :meth:`backward_input` reads
+        goes: ``True`` parks it on this net (single-threaded callers only), a
+        list the caller owns is filled in place and the shared net is left
+        untouched — what every concurrent evaluator passes — and ``False``
+        records nothing.
 
         ``dtypes`` optionally gives the compute precision per layer (defaults
         to float64 everywhere); this is how the mixed-precision policies pick
@@ -137,7 +143,7 @@ class FastMLP:
         if x.dtype not in (np.dtype(np.float32), np.dtype(np.float16)):  # reprolint: allow[dtype] dtype guard only; casts are governed by PrecisionPolicy
             x = x.astype(np.float64, copy=False)
         backend = backend or GemmBackend()
-        cache_entries: list[dict] = []
+        tape = [] if cache is True else cache
         h = x
         for li, layer in enumerate(self.layers):
             dtype = np.float64 if dtypes is None else dtypes[min(li, len(dtypes) - 1)]
@@ -157,11 +163,11 @@ class FastMLP:
                     out = out + h_c
                 elif layer.weight.shape[1] == 2 * layer.weight.shape[0]:
                     out = out + np.concatenate([h_c, h_c], axis=-1)
-            if cache:
-                cache_entries.append({"input": h_c, "output": out, "pre": pre, "dtype": dt})
+            if tape is not False:
+                tape.append({"input": h_c, "output": out, "pre": pre, "dtype": dt})
             h = out
-        if cache:
-            self._cache = cache_entries
+        if cache is True:
+            self._cache = tape
         return h
 
     def __call__(self, x, backend=None, dtypes=None):
@@ -173,14 +179,19 @@ class FastMLP:
         grad_output: np.ndarray,
         backend: GemmBackend | None = None,
         dtypes: list | None = None,
+        cache: list | None = None,
     ) -> np.ndarray:
         """Vector-Jacobian product: gradient of the cached forward wrt its input.
+
+        ``cache`` is the tape a ``forward(cache=<list>)`` filled; by default
+        the one ``forward(cache=True)`` parked on this net.
 
         When the backend was created with ``pretranspose=True`` the backward
         products use the stored transposed weights as NN GEMMs (the paper's
         GEMM-NT -> GEMM-NN preprocessing); otherwise NT products are issued.
         """
-        if self._cache is None:
+        tape = self._cache if cache is None else cache
+        if not tape:
             raise RuntimeError("forward(cache=True) must run before backward_input")
         backend = backend or GemmBackend()
         grad = np.atleast_2d(np.asarray(grad_output))
@@ -188,7 +199,7 @@ class FastMLP:
             grad = grad.astype(np.float64, copy=False)
         for li in range(len(self.layers) - 1, -1, -1):
             layer = self.layers[li]
-            entry = self._cache[li]
+            entry = tape[li]
             dtype = np.float64 if dtypes is None else dtypes[min(li, len(dtypes) - 1)]
             dt = np.dtype(dtype)
             native = dt != np.dtype(np.float64)

@@ -1,8 +1,7 @@
 """The Deep Potential model exposed as an MD force field ("pair style").
 
 ``pair_style deepmd`` is how LAMMPS users consume DeePMD-kit; this adapter
-plays the same role for :class:`repro.md.Simulation`, selecting the
-evaluation path (optimized kernels vs the framework baseline), the precision
+plays the same role for :class:`repro.md.Simulation`, selecting the precision
 policy, the GEMM backend and optionally the compressed embedding tables.
 """
 
@@ -14,7 +13,6 @@ from ..md.atoms import Atoms
 from ..md.box import Box
 from ..md.forcefields.base import ForceField, ForceResult
 from ..md.neighbor import NeighborData
-from ..nnframework.session import Session
 from .gemm import GemmBackend, _dtype_name
 from .model import DeepPotential, PinnedTable
 from .precision import DOUBLE, get_policy
@@ -36,28 +34,20 @@ class DeepPotentialForceField(ForceField):
         compressed: bool = False,
         compression_points: int = 2048,
         compression_min_distance: float = 0.5,
-        use_framework: bool = False,
-        use_scalar_reference: bool = False,
-        session: Session | None = None,
     ) -> None:
-        if use_framework and use_scalar_reference:
-            raise ValueError("choose at most one of use_framework / use_scalar_reference")
         self.model = model
         self.precision = get_policy(precision)
         self.backend = gemm_backend or GemmBackend()
         self.compressed = bool(compressed)
         self.compression_points = int(compression_points)
         self.compression_min_distance = float(compression_min_distance)
-        self.use_framework = bool(use_framework)
-        self.use_scalar_reference = bool(use_scalar_reference)
-        self.session = session or Session()
         self.cutoff = model.config.cutoff
         self.n_evaluations = 0
         self._overflow_warned = False
         self._table = PinnedTable(
             model, self.compression_points, self.compression_min_distance, self.precision
         )
-        if self.compressed and not self.use_scalar_reference and not self.use_framework:
+        if self.compressed:
             # build the tables eagerly so the first MD step pays no tabulation
             # cost and the grid parameters are fixed by this pair style
             self._compression_table()
@@ -66,44 +56,30 @@ class DeepPotentialForceField(ForceField):
         """This pair style's own table at its configured grid, current with the weights."""
         return self._table.current()
 
-    @property
-    def path(self) -> str:
-        """Which inference path this pair style drives."""
-        if self.use_scalar_reference:
-            return "scalar-reference"
-        if self.use_framework:
-            return "framework"
-        return "vectorized"
-
     def compute(
         self, atoms: Atoms, box: Box, neighbors: NeighborData, workspace=None
     ) -> ForceResult:
         self.n_evaluations += 1
-        if self.use_scalar_reference:
-            output = self.model.evaluate_scalar(atoms, box, neighbors)
-        elif self.use_framework:
-            output = self.model.evaluate_with_framework(atoms, box, neighbors, session=self.session)
-        else:
-            env = self.model.build_environment(atoms, box, neighbors, workspace=workspace)
-            if env.max_in_cutoff > env.max_neighbors and not self._overflow_warned:
-                self._overflow_warned = True
-                warnings.warn(
-                    f"an atom has {env.max_in_cutoff} neighbours inside the cutoff but max_neighbors="
-                    f"{env.max_neighbors}: the farthest are dropped and energy is no longer conserved",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-            output = self.model.evaluate(
-                atoms,
-                box,
-                neighbors,
-                precision=self.precision,
-                backend=self.backend,
-                compressed=self.compressed,
-                compression_table=self._compression_table() if self.compressed else None,
-                environment=env,
-                workspace=workspace,
+        env = self.model.build_environment(atoms, box, neighbors, workspace=workspace)
+        if env.max_in_cutoff > env.max_neighbors and not self._overflow_warned:
+            self._overflow_warned = True
+            warnings.warn(
+                f"an atom has {env.max_in_cutoff} neighbours inside the cutoff but max_neighbors="
+                f"{env.max_neighbors}: the farthest are dropped and energy is no longer conserved",
+                RuntimeWarning,
+                stacklevel=2,
             )
+        output = self.model.evaluate(
+            atoms,
+            box,
+            neighbors,
+            precision=self.precision,
+            backend=self.backend,
+            compressed=self.compressed,
+            compression_table=self._compression_table() if self.compressed else None,
+            environment=env,
+            workspace=workspace,
+        )
         return ForceResult(
             energy=output.energy,
             forces=output.forces,
@@ -112,28 +88,17 @@ class DeepPotentialForceField(ForceField):
         )
 
     def describe(self) -> dict[str, object]:
-        """A summary of the *effective* configuration (useful in reports).
-
-        The scalar-reference path always runs double-precision, uncompressed,
-        with plain NumPy products, whatever was configured — the description
-        reports what actually executes.
-        """
-        scalar = self.use_scalar_reference
-        compressed = False if scalar else self.compressed
-        table_dtype = None
-        if compressed and not self.use_framework:
-            # the dtype the batched table kernel actually gathers/computes in
-            # (regression: must match what the precision field promises)
-            table_dtype = _dtype_name(self.precision.compute_dtype)
+        """A summary of the effective configuration (useful in reports)."""
+        compressed = self.compressed
         return {
-            "path": self.path,
-            "precision": "double" if scalar else self.precision.name,
-            "gemm": "numpy-loop" if scalar else self.backend.kind,
+            "precision": self.precision.name,
+            "gemm": self.backend.kind,
             "compressed": compressed,
             "compression_points": self.compression_points if compressed else None,
             "compression_min_distance": self.compression_min_distance if compressed else None,
-            "table_dtype": table_dtype,
-            "framework": self.use_framework,
+            # the dtype the batched table kernel actually gathers/computes in
+            # (regression: must match what the precision field promises)
+            "table_dtype": _dtype_name(self.precision.compute_dtype) if compressed else None,
             "cutoff": self.cutoff,
             "n_parameters": self.model.n_parameters(),
         }

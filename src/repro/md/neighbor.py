@@ -31,7 +31,7 @@ gracefully for thin/slab boxes instead of falling back to O(N^2)), and
 candidate pairs are emitted with one ``repeat``/``cumsum`` batch expansion —
 no Python loop over cells, so cost scales with atoms and *occupied* cells,
 never with total cells.  The O(N^2) :func:`_brute_force_pairs` search is kept
-un-optimized as the golden reference (mirroring ``deepmd/scalar.py``) and is
+un-optimized as the golden reference (the ``reference/scalar.py`` pattern) and is
 only routed to below :data:`BRUTE_FORCE_THRESHOLD`.
 """
 
@@ -145,7 +145,7 @@ def _brute_force_pairs(positions: np.ndarray, box: Box, cutoff: float) -> tuple[
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     delta = positions[:, None, :] - positions[None, :, :]
     delta = box.minimum_image(delta)
-    dist2 = np.einsum("ijk,ijk->ij", delta, delta)  # reprolint: allow[golden] the O(N^2) reference keeps its original distance arithmetic
+    dist2 = np.einsum("ijk,ijk->ij", delta, delta)
     iu, ju = np.triu_indices(n, k=1)
     mask = dist2[iu, ju] <= cutoff * cutoff
     return iu[mask].astype(np.int64), ju[mask].astype(np.int64)

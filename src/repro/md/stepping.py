@@ -69,9 +69,9 @@ class SimulationReport:
     #: wall-clock seconds accounted to *this* ``run`` call (the timers object
     #: accumulates across successive runs of the same simulation).
     elapsed_seconds: float = 0.0
-    #: ``describe()`` of the force field, if it provides one — records which
-    #: inference path (e.g. vectorized vs scalar-reference Deep Potential)
-    #: produced this trajectory.
+    #: ``describe()`` of the force field, if it provides one — records the
+    #: effective configuration (e.g. the Deep Potential's precision policy and
+    #: compression grid) that produced this trajectory.
     force_field_info: dict = field(default_factory=dict)
     #: wall-clock seconds spent inside neighbour-list *builds* during this
     #: ``run`` call (summed over ranks for the domain-decomposed engine;

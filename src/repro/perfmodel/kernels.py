@@ -203,7 +203,7 @@ class KernelCostModel:
         framework's fixed session overhead (one session per thread, running
         concurrently) adds its full latency once.  ``batched=False`` models
         atom-at-a-time inference (every fitting-net GEMM runs with M=1,
-        the scalar-reference layout) instead of the vectorized batch.
+        the layout of ``repro.reference.scalar``) instead of the vectorized batch.
         """
         if atoms_on_rank < 0:
             raise ValueError("atom count must be non-negative")

@@ -15,18 +15,23 @@ Both are deliberately slow and deliberately simple: every tensor contraction
 of the batched path appears here as a loop whose body is a handful of scalar
 or per-row operations, so the parity suite
 (``tests/test_deepmd_vectorized_parity.py``) can pin the fast path to this
-reference at double-precision tolerance 1e-10.  Do not optimize this module.
+reference at double-precision tolerance 1e-10.  Do not optimize this module:
+the whole file is frozen by its RL007 fingerprint
+(``analysis/contracts.py::GOLDEN_SITES``).  It drives the nets through the
+parked ``forward(cache=True)`` / ``backward_input(grad)`` pair, which is
+single-threaded by construction.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..deepmd.envmat import LocalEnvironment
+from ..deepmd.model import ModelOutput
+from ..deepmd.smoothing import switching_derivative, switching_function
 from ..md.atoms import Atoms
 from ..md.box import Box
 from ..md.neighbor import NeighborData
-from .envmat import LocalEnvironment
-from .smoothing import switching_derivative, switching_function
 
 
 def build_local_environment_scalar(
@@ -153,8 +158,6 @@ def evaluate_scalar(
     is processed independently and every neighbour contribution is accumulated
     with explicit Python loops.
     """
-    from .model import ModelOutput  # local import to avoid a cycle
-
     env = (
         environment
         if environment is not None
@@ -212,8 +215,8 @@ def evaluate_scalar(
         grad_d = (grad_dstd / std).reshape(m_width, m2)
 
         # --- descriptor backward: dE/dA, then per-neighbour dE/dR, dE/dG
-        grad_a = np.einsum("kq,mq->km", a_axis, grad_d)  # reprolint: allow[golden] frozen descriptor-backward formulation the fast path is pinned against
-        grad_a[:, :m2] += np.einsum("km,mq->kq", a, grad_d)  # reprolint: allow[golden] frozen descriptor-backward formulation the fast path is pinned against
+        grad_a = np.einsum("kq,mq->km", a_axis, grad_d)
+        grad_a[:, :m2] += np.einsum("km,mq->kq", a, grad_d)
 
         for k in range(n_nei):
             if env.mask[i, k] <= 0.0:

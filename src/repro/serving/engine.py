@@ -23,9 +23,9 @@ velocity-verlet run; the burst group steps in lockstep with one fused force
 evaluation per step).  The synchronous :meth:`ServingEngine.evaluate_batch`
 is the same pack-evaluate path, callable from the client's thread for tests,
 benchmarks and embedding into existing drivers; it packs into its own scope
-of the engine's pool and takes the engine's evaluation lock, so it neither
-aliases a batch the serving thread is evaluating nor interleaves with it
-inside the model.
+of the engine's pool, so it never aliases a batch the serving thread is
+evaluating, and the model itself is reentrant (a forward's tape belongs to
+the call), so the two need no lock between them.
 """
 
 from __future__ import annotations
@@ -81,9 +81,6 @@ class ServingEngine:
         self._workspace = Workspace()
         self._loop_scope = self._workspace.scoped("serve.loop")
         self._sync_scope = self._workspace.scoped("serve.sync")
-        # the model keeps per-net forward caches between a forward and its
-        # backward, so only one thread at a time may evaluate through it
-        self._evaluate_lock = threading.Lock()
 
         self._queue = AdmissionQueue(max_batch_size=max_batch_size, max_wait_ms=max_wait_ms)
         self._thread: threading.Thread | None = None
@@ -139,18 +136,17 @@ class ServingEngine:
         if workspace is None:
             workspace = self._sync_scope
         batch = pack_systems(self.model, systems, workspace=workspace)
-        with self._evaluate_lock:
-            table = self._table.current() if self.compressed else None
-            return self.model.evaluate_many(
-                batch.env,
-                batch.system_of_atom,
-                batch.offsets,
-                precision=self.policy,
-                backend=self.backend,
-                compressed=self.compressed,
-                compression_table=table,
-                workspace=workspace,
-            )
+        table = self._table.current() if self.compressed else None
+        return self.model.evaluate_many(
+            batch.env,
+            batch.system_of_atom,
+            batch.offsets,
+            precision=self.policy,
+            backend=self.backend,
+            compressed=self.compressed,
+            compression_table=table,
+            workspace=workspace,
+        )
 
     def cache_probe(self) -> dict:
         """Cache-build counters for the cross-request reuse tests."""

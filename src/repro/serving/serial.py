@@ -1,8 +1,9 @@
 """One-system-at-a-time serving references (golden; do not optimize).
 
-This module is the serving counterpart of :mod:`repro.deepmd.scalar`: the
-plainest possible request loop, frozen by reprolint RL001 (see
-``analysis/contracts.py``).  :func:`evaluate_serial` answers a batch of
+This module is the serving counterpart of :mod:`repro.reference.scalar`: the
+plainest possible request loop, frozen by its reprolint RL007 fingerprint
+(see ``analysis/contracts.py``; it stays in this package only because
+``benchmarks/e2e`` imports it through :mod:`repro.serving`).  :func:`evaluate_serial` answers a batch of
 energy/force requests by calling :meth:`DeepPotential.evaluate` once per
 system; :func:`run_bursts_serial` advances each MD burst independently with
 the same first-half / forces / second-half step sequence the batched engine

@@ -9,6 +9,8 @@ over the real tree: the production source must stay clean.
 
 import textwrap
 
+import pytest
+
 from repro.analysis import lint_paths, lint_source, lint_sources
 from repro.analysis.contracts import GOLDEN_SITES
 from repro.analysis.fingerprint import (
@@ -18,7 +20,7 @@ from repro.analysis.fingerprint import (
 )
 from repro.analysis.reprolint import FRAMEWORK_RULE_ID, ParsedFile
 
-GOLDEN_MODULE_PATH = "src/repro/deepmd/scalar.py"
+GOLDEN_MODULE_PATH = "src/repro/reference/scalar.py"
 GOLDEN_FUNC_PATH = "src/repro/md/neighbor.py"
 GOLDEN_CLASS_PATH = "src/repro/parallel/executor.py"
 HOT_PATH = "src/repro/md/forcefields/fake.py"
@@ -35,82 +37,6 @@ def lint(source: str, path: str):
 
 def fired(violations, rule_id: str):
     return [v for v in violations if v.rule_id == rule_id]
-
-
-# ---------------------------------------------------------------------------
-# RL001 — golden-freeze
-# ---------------------------------------------------------------------------
-
-
-def test_rl001_einsum_in_frozen_module_fires_with_line():
-    violations = lint(
-        """\
-        import numpy as np
-
-        def reference(a, b):
-            return np.einsum("ij,ij->i", a, b)
-        """,
-        GOLDEN_MODULE_PATH,
-    )
-    (violation,) = fired(violations, "RL001")
-    assert violation.line == 4
-    assert "einsum" in violation.message
-    assert violation.format().startswith(f"{GOLDEN_MODULE_PATH}:4: RL001")
-
-
-def test_rl001_scoped_to_the_declared_function_only():
-    source = """\
-        import numpy as np
-
-        def _brute_force_pairs(positions):
-            return np.bincount(positions)
-
-        def binned_build(positions):
-            return np.bincount(positions)
-        """
-    violations = fired(lint(source, GOLDEN_FUNC_PATH), "RL001")
-    assert [v.line for v in violations] == [4]
-
-
-def test_rl001_workspace_parameter_and_kwarg_fire():
-    violations = fired(
-        lint(
-            """\
-            class SequentialRankExecutor:
-                def run(self, engine, workspace=None):
-                    return engine.compute(workspace=workspace)
-            """,
-            GOLDEN_CLASS_PATH,
-        ),
-        "RL001",
-    )
-    assert {v.line for v in violations} == {2, 3}
-
-
-def test_rl001_fast_path_import_fires():
-    violations = fired(
-        lint(
-            """\
-            from ..md.workspace import scatter_add_vectors
-            """,
-            GOLDEN_MODULE_PATH,
-        ),
-        "RL001",
-    )
-    assert [v.line for v in violations] == [1]
-
-
-def test_rl001_pragma_with_reason_suppresses():
-    violations = lint(
-        """\
-        import numpy as np
-
-        def reference(a, b):
-            return np.einsum("ij,ij->i", a, b)  # reprolint: allow[golden] frozen formulation
-        """,
-        GOLDEN_MODULE_PATH,
-    )
-    assert violations == []
 
 
 # ---------------------------------------------------------------------------
@@ -316,22 +242,6 @@ def test_rl004_does_not_apply_outside_parallel():
         PRODUCTION_PATH,
     )
     assert violations == []
-
-
-def test_rl001_serving_serial_module_is_frozen():
-    violations = fired(
-        lint(
-            """\
-            import numpy as np
-
-            def evaluate_serial(model, systems):
-                return np.bincount(systems)
-            """,
-            SERVING_GOLDEN_PATH,
-        ),
-        "RL001",
-    )
-    assert [v.line for v in violations] == [4]
 
 
 # ---------------------------------------------------------------------------
@@ -564,6 +474,107 @@ def _fingerprint_for(source: str, rel_path: str) -> tuple[str, str]:
     return golden_site_key(site), region_fingerprint(region)
 
 
+# The retired RL001 kept a list of fast-path idioms a golden site must not
+# grow.  Every seed its corpus carried, next to its clean twin: linted against
+# a baseline fingerprinted from the twin, each one is RL007 drift.
+_RETIRED_RL001_SEEDS = {
+    "einsum-in-frozen-module": (
+        GOLDEN_MODULE_PATH,
+        """\
+        import numpy as np
+
+        def reference(a, b):
+            return (a * b).sum(axis=1)
+        """,
+        """\
+        import numpy as np
+
+        def reference(a, b):
+            return np.einsum("ij,ij->i", a, b)
+        """,
+    ),
+    "bincount-in-declared-function": (
+        GOLDEN_FUNC_PATH,
+        """\
+        import numpy as np
+
+        def _brute_force_pairs(positions):
+            return np.sort(positions)
+
+        def binned_build(positions):
+            return np.bincount(positions)
+        """,
+        """\
+        import numpy as np
+
+        def _brute_force_pairs(positions):
+            return np.bincount(positions)
+
+        def binned_build(positions):
+            return np.bincount(positions)
+        """,
+    ),
+    "workspace-parameter-and-kwarg": (
+        GOLDEN_CLASS_PATH,
+        """\
+        class SequentialRankExecutor:
+            def run(self, engine):
+                return engine.compute()
+        """,
+        """\
+        class SequentialRankExecutor:
+            def run(self, engine, workspace=None):
+                return engine.compute(workspace=workspace)
+        """,
+    ),
+    "fast-path-import": (
+        GOLDEN_MODULE_PATH,
+        """\
+        import numpy as np
+        """,
+        """\
+        import numpy as np
+        from ..md.workspace import scatter_add_vectors
+        """,
+    ),
+    "bincount-in-serving-serial": (
+        SERVING_GOLDEN_PATH,
+        """\
+        import numpy as np
+
+        def evaluate_serial(model, systems):
+            return [model.evaluate(*system) for system in systems]
+        """,
+        """\
+        import numpy as np
+
+        def evaluate_serial(model, systems):
+            return np.bincount(systems)
+        """,
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_RETIRED_RL001_SEEDS))
+def test_rl007_fires_on_every_retired_rl001_seed(seed):
+    path, clean, seeded = _RETIRED_RL001_SEEDS[seed]
+    clean, seeded = textwrap.dedent(clean), textwrap.dedent(seeded)
+    key, fingerprint = _fingerprint_for(clean, path)
+    baseline = {key: fingerprint}
+    assert lint_sources({path: clean}, golden_baseline=baseline) == []
+    (violation,) = fired(lint_sources({path: seeded}, golden_baseline=baseline), "RL007")
+    assert "drifted" in violation.message
+
+
+def test_rl007_scoped_to_the_declared_function_only():
+    path, clean, _ = _RETIRED_RL001_SEEDS["bincount-in-declared-function"]
+    clean = textwrap.dedent(clean)
+    key, fingerprint = _fingerprint_for(clean, path)
+    neighbour_edited = clean.replace("np.bincount(positions)", "np.bincount(positions, minlength=4)")
+    assert neighbour_edited != clean
+    assert lint_sources({path: neighbour_edited}, golden_baseline={key: fingerprint}) == []
+
+
 def test_rl007_matching_fingerprint_is_clean():
     key, fingerprint = _fingerprint_for(_GOLDEN_FUNC_SOURCE, GOLDEN_FUNC_PATH)
     violations = lint_sources(
@@ -735,13 +746,30 @@ def test_rl000_reasonless_allow_is_a_violation():
         """\
         import numpy as np
 
+        # reprolint: hot-path
+        def compute(n):
+            return np.zeros(n)  # reprolint: allow[alloc]
+        """,
+        HOT_PATH,
+    )
+    assert [v.rule_id for v in violations] == [FRAMEWORK_RULE_ID]
+    assert "no reason" in violations[0].message
+
+
+def test_rl000_leftover_allow_golden_is_an_unknown_slug():
+    """RL001 and its ``golden`` slug are retired: a pragma left behind in a
+    golden site suppresses nothing and is itself reported."""
+    violations = lint(
+        """\
+        import numpy as np
+
         def reference(a, b):
-            return np.einsum("ij,ij->i", a, b)  # reprolint: allow[golden]
+            return np.einsum("ij,ij->i", a, b)  # reprolint: allow[golden] frozen formulation
         """,
         GOLDEN_MODULE_PATH,
     )
     assert [v.rule_id for v in violations] == [FRAMEWORK_RULE_ID]
-    assert "no reason" in violations[0].message
+    assert "allow[golden] names no known rule slug" in violations[0].message
 
 
 def test_rl000_unknown_slug_is_a_violation():
@@ -890,10 +918,12 @@ def test_cli_list_rules_and_explain(capsys):
 
     assert main(["--list-rules"]) == 0
     listing = capsys.readouterr().out
-    for rule_id in ("RL000", "RL001", "RL006", "RL007", "RL008"):
+    for rule_id in ("RL000", "RL002", "RL006", "RL007", "RL008"):
         assert rule_id in listing
+    assert "RL001" not in listing  # retired: RL007's fingerprint subsumes it
     assert main(["--explain", "RL006"]) == 0
     assert "call graph" in capsys.readouterr().out
+    assert main(["--explain", "RL001"]) == 2
     assert main(["--explain", "RL999"]) == 2
 
 

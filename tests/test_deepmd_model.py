@@ -1,4 +1,8 @@
-"""The Deep Potential model: forces, symmetries, precision, compression, baseline path."""
+"""The Deep Potential model: forces, symmetries, precision, compression, baseline path, reentrancy."""
+
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -15,7 +19,10 @@ from repro.deepmd.precision import get_policy
 from repro.md import copper_system, water_system
 from repro.md.atoms import Atoms
 from repro.md.neighbor import build_neighbor_data
+from repro.md.workspace import Workspace
 from repro.nnframework.session import Session
+from repro.reference.deepmd import evaluate_with_framework
+from repro.serving import pack_systems
 
 
 def _copper_case(model, n_cells=(3, 3, 3), perturbation=0.08, rng=1):
@@ -146,7 +153,7 @@ class TestBaselineFrameworkPath:
         atoms, box, neighbors = _copper_case(model, rng=8)
         fast = model.evaluate(atoms, box, neighbors)
         session = Session()
-        framework = model.evaluate_with_framework(atoms, box, neighbors, session=session)
+        framework = evaluate_with_framework(model, atoms, box, neighbors, session=session)
         assert framework.energy == pytest.approx(fast.energy, abs=1e-10)
         np.testing.assert_allclose(framework.forces, fast.forces, atol=1e-10)
         assert framework.used_framework and not fast.used_framework
@@ -160,9 +167,83 @@ class TestBaselineFrameworkPath:
         neighbors = build_neighbor_data(atoms.positions, box, model.config.cutoff)
         session = Session()
         fast = model.evaluate(atoms, box, neighbors)
-        framework = model.evaluate_with_framework(atoms, box, neighbors, session=session)
+        framework = evaluate_with_framework(model, atoms, box, neighbors, session=session)
         np.testing.assert_allclose(framework.forces, fast.forces, atol=1e-10)
         assert session.stats.runs == 2  # O and H graphs
+
+
+class TestReentrantEvaluation:
+    """Two threads, two different systems, one shared model, the uncompressed
+    path (embedding *and* fitting nets run forward + backward): a forward's
+    tape belongs to the call, so every output equals the single-threaded one
+    to the bit.  A tape parked on the shared net lets one thread run its
+    backward over the other's activations — wrong numbers or, the systems
+    having different sizes, a shape error."""
+
+    N_CALLS = 50
+
+    @staticmethod
+    def _race(workers):
+        """Run each callable ``N_CALLS`` times on its own thread, released together."""
+        barrier = threading.Barrier(len(workers))
+
+        def repeat(worker):
+            barrier.wait(timeout=60)
+            for _ in range(TestReentrantEvaluation.N_CALLS):
+                worker()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # hand the GIL over mid-evaluation as often as possible
+        try:
+            with ThreadPoolExecutor(max_workers=len(workers)) as pool:
+                for future in [pool.submit(repeat, worker) for worker in workers]:
+                    future.result(timeout=300)  # re-raises a worker's failure
+        finally:
+            sys.setswitchinterval(interval)
+
+    @staticmethod
+    def _systems(model):
+        systems = []
+        for n_molecules, seed in ((27, 30), (30, 31), (33, 32)):
+            atoms, box, _ = water_system(n_molecules, rng=seed)
+            systems.append((atoms, box, build_neighbor_data(atoms.positions, box, model.config.cutoff)))
+        return systems
+
+    @pytest.mark.parametrize("policy", ["double", "mix-fp32", "mix-fp16"])
+    def test_two_threads_share_one_model(self, tiny_water_model, policy):
+        model = tiny_water_model
+        systems = self._systems(model)
+
+        def single(system):
+            pool = Workspace()  # one per thread
+            expected = model.evaluate(*system, precision=policy)
+
+            def call():
+                out = model.evaluate(*system, precision=policy, workspace=pool)
+                assert out.energy == expected.energy
+                np.testing.assert_array_equal(out.per_atom_energy, expected.per_atom_energy)
+                np.testing.assert_array_equal(out.forces, expected.forces)
+                np.testing.assert_array_equal(out.virial, expected.virial)
+
+            return call
+
+        def many(batch_systems):
+            pool = Workspace()
+            batch = pack_systems(model, batch_systems, workspace=pool)
+            arguments = (batch.env, batch.system_of_atom, batch.offsets)
+            expected = model.evaluate_many(*arguments, precision=policy)
+
+            def call():
+                out = model.evaluate_many(*arguments, precision=policy, workspace=pool)
+                np.testing.assert_array_equal(out.energies, expected.energies)
+                np.testing.assert_array_equal(out.per_atom_energy, expected.per_atom_energy)
+                np.testing.assert_array_equal(out.forces, expected.forces)
+                np.testing.assert_array_equal(out.virials, expected.virials)
+
+            return call
+
+        self._race([single(systems[0]), single(systems[1])])
+        self._race([many(systems[:2]), many(systems[1:])])
 
 
 class TestPrecisionAndCompression:
@@ -222,11 +303,13 @@ class TestPairStyle:
         assert description["cutoff"] == pytest.approx(4.5)
 
     def test_framework_pair_style_accumulates_overhead(self, tiny_copper_model):
+        """The baseline is a reference function, not a pair-style option: the
+        caller's session is what accumulates the per-run overhead."""
         atoms, box = copper_system((3, 3, 3), rng=15)
         neighbors = build_neighbor_data(atoms.positions, box, 4.5)
-        ff = DeepPotentialForceField(tiny_copper_model, use_framework=True)
-        ff.compute(atoms, box, neighbors)
-        assert ff.session.stats.runs == 1
+        session = Session()
+        evaluate_with_framework(tiny_copper_model, atoms, box, neighbors, session=session)
+        assert session.stats.runs == 1
 
 
 class TestDegenerateSystems:

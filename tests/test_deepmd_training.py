@@ -64,14 +64,15 @@ class TestNetworkSets:
         table = TabulatedEmbeddingSet(nets, s_max=2.0, n_points=512)
         s = np.linspace(0.05, 1.9, 64)
         exact = nets[(0, 0)].forward(s[:, None], cache=False)
-        approx, deriv = table.evaluate((0, 0), s)
+        slots = np.zeros(len(s), dtype=np.int64)
+        approx, deriv = table.evaluate_batched(slots, s)
         np.testing.assert_allclose(approx, exact, atol=1e-4)
         # derivative consistent with finite differences of the table values
         h = 1e-4
-        plus, _ = table.evaluate((0, 0), s + h)
-        minus, _ = table.evaluate((0, 0), s - h)
+        plus, _ = table.evaluate_batched(slots, s + h)
+        minus, _ = table.evaluate_batched(slots, s - h)
         np.testing.assert_allclose(deriv, (plus - minus) / (2 * h), atol=1e-3)
-        assert table.max_interpolation_error((0, 0), nets[(0, 0)], rng=0) < 1e-3
+        assert table.interpolation_errors((0, 0), nets[(0, 0)], rng=0).value < 1e-3
 
     def test_compression_validation(self):
         nets = EmbeddingNetSet(1, sizes=(4,), rng=3).export()

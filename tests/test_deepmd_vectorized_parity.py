@@ -30,13 +30,16 @@ from repro.deepmd import (
     DeepPotential,
     DeepPotentialConfig,
     build_local_environment,
-    build_local_environment_scalar,
 )
-from repro.deepmd.scalar import atom_raw_descriptor
 from repro.md import Box, copper_system, water_system
 from repro.md.atoms import Atoms
 from repro.md.neighbor import NeighborData, build_neighbor_data
 from repro.md.workspace import Workspace
+from repro.reference.scalar import (
+    atom_raw_descriptor,
+    build_local_environment_scalar,
+    evaluate_scalar,
+)
 from repro.serving import pack_systems
 
 SEEDS = [0, 1, 2, 3, 4]
@@ -211,7 +214,7 @@ class TestInferenceParity:
         model = make_model(kind, seed, cutoff, smooth)
         neighbors = build_neighbor_data(atoms.positions, box, cutoff)
         out_vec = model.evaluate(atoms, box, neighbors)
-        out_ref = model.evaluate_scalar(atoms, box, neighbors)
+        out_ref = evaluate_scalar(model, atoms, box, neighbors)
         np.testing.assert_allclose(
             out_vec.per_atom_energy, out_ref.per_atom_energy, rtol=0.0, atol=DOUBLE_ATOL
         )
@@ -249,7 +252,7 @@ class TestInferenceParity:
         if compressed:
             out_ref = model.evaluate(atoms, box, neighbors, compressed=True)
         else:
-            out_ref = model.evaluate_scalar(atoms, box, neighbors)
+            out_ref = evaluate_scalar(model, atoms, box, neighbors)
         fp32_force_atol = COMPRESSED_FP32_FORCE_ATOL if compressed else FP32_FORCE_ATOL
         for policy, force_atol, energy_atol in (
             (MIX_FP32, fp32_force_atol, FP32_ENERGY_ATOL),
@@ -278,10 +281,12 @@ class TestInferenceParity:
 
 
 class TestPairStyleAndSimulationThreading:
-    """The vectorized path is what the MD stack drives by default, and the
-    scalar golden path stays reachable end-to-end."""
+    """The vectorized path is the one path the MD stack drives; the scalar
+    golden is a reference function the pair style is pinned against."""
 
     def test_pair_style_paths_agree(self):
+        import inspect
+
         from repro.deepmd import DeepPotentialForceField
 
         atoms, box, cutoff, smooth = make_system("copper", 5)
@@ -289,19 +294,18 @@ class TestPairStyleAndSimulationThreading:
         neighbors = build_neighbor_data(atoms.positions, box, cutoff)
 
         fast = DeepPotentialForceField(model)
-        golden = DeepPotentialForceField(model, use_scalar_reference=True)
-        assert fast.path == "vectorized"
-        assert golden.path == "scalar-reference"
-        assert fast.describe()["path"] == "vectorized"
-
         out_fast = fast.compute(atoms, box, neighbors)
-        out_golden = golden.compute(atoms, box, neighbors)
+        out_golden = evaluate_scalar(model, atoms, box, neighbors)
         np.testing.assert_allclose(out_fast.forces, out_golden.forces, rtol=0.0, atol=DOUBLE_ATOL)
         np.testing.assert_allclose(out_fast.virial, out_golden.virial, rtol=0.0, atol=DOUBLE_ATOL)
         assert out_fast.virial is not None
 
-        with pytest.raises(ValueError):
-            DeepPotentialForceField(model, use_framework=True, use_scalar_reference=True)
+        # one evaluator: no option selects another path
+        assert list(inspect.signature(DeepPotentialForceField).parameters) == [
+            "model", "precision", "gemm_backend", "compressed",
+            "compression_points", "compression_min_distance",
+        ]
+        assert not {"path", "framework"} & set(fast.describe())
 
     def test_neighbor_budget_overflow_warns_once_per_force_field(self):
         import warnings
@@ -341,7 +345,7 @@ class TestPairStyleAndSimulationThreading:
             neighbor_skin=0.2,
         )
         report = sim.run(2)
-        assert report.force_field_info["path"] == "vectorized"
+        assert report.force_field_info == sim.force_field.describe()
         assert sim.last_virial is not None and sim.last_virial.shape == (3, 3)
 
 
@@ -376,7 +380,7 @@ class TestEdgeCases:
         assert np.all(env_vec.R[-1] == 0.0)
 
         out_vec = model.evaluate(atoms, box, neighbors)
-        out_ref = model.evaluate_scalar(atoms, box, neighbors)
+        out_ref = evaluate_scalar(model, atoms, box, neighbors)
         np.testing.assert_allclose(out_vec.forces, out_ref.forces, rtol=0.0, atol=DOUBLE_ATOL)
         np.testing.assert_allclose(
             out_vec.per_atom_energy, out_ref.per_atom_energy, rtol=0.0, atol=DOUBLE_ATOL
@@ -416,7 +420,7 @@ class TestEdgeCases:
 
         model = make_model("copper", 8, cutoff, smooth, max_neighbors=densest)
         out_vec = model.evaluate(atoms, box, neighbors)
-        out_ref = model.evaluate_scalar(atoms, box, neighbors)
+        out_ref = evaluate_scalar(model, atoms, box, neighbors)
         np.testing.assert_allclose(out_vec.forces, out_ref.forces, rtol=0.0, atol=DOUBLE_ATOL)
 
 
@@ -473,3 +477,25 @@ class TestPooledEqualsUnpooled:
         for name, expected in pooled_arrays.items():
             np.testing.assert_array_equal(fresh_arrays[name], expected, err_msg=name)
             assert not np.shares_memory(fresh_arrays[name], again_arrays[name]), name
+
+
+@pytest.mark.parametrize("compressed", [False, True], ids=["exact", "compressed"])
+def test_evaluate_is_evaluate_many_of_one_up_to_reduction_order(compressed):
+    """ROADMAP 7 (a), closed by measurement: ``evaluate`` and a batch-of-one
+    ``evaluate_many`` share every kernel, so per-atom energies and forces are
+    equal to the bit — but the system energy (pairwise ``per_atom.sum()`` vs a
+    sequential ``bincount``) and the virial (``bni,bnj->ij`` vs per-centre
+    ``bij`` + segment sums) reduce in different orders and differ in the last
+    bits (measured <= 3e-16 relative / 3.6e-15 absolute on 27/64/125-molecule
+    water).  No bitwise-equal reduction exists, so the two stay two reductions
+    over one kernel; equality of those two is deliberately *not* asserted."""
+    atoms, box, cutoff, smooth = make_system("water", 2)
+    model = make_model("water", 2, cutoff, smooth)
+    system = (atoms, box, build_neighbor_data(atoms.positions, box, cutoff))
+    one = model.evaluate(*system, compressed=compressed)
+    batch = pack_systems(model, [system])
+    many = model.evaluate_many(batch.env, batch.system_of_atom, batch.offsets, compressed=compressed)
+    np.testing.assert_array_equal(many.forces, one.forces)
+    np.testing.assert_array_equal(many.per_atom_energy, one.per_atom_energy)
+    assert abs(many.energies[0] - one.energy) <= 1.0e-13 * max(1.0, abs(one.energy))
+    np.testing.assert_allclose(many.virials[0], one.virial, rtol=0.0, atol=1.0e-13)

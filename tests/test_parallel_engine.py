@@ -115,7 +115,7 @@ class TestReportParity:
         serial_report = serial.run(6)
         engine_report = engine.run(6)
         assert engine_report.force_field_info == serial_report.force_field_info
-        assert engine_report.force_field_info["path"] == "vectorized"
+        assert engine_report.force_field_info["precision"] == "double"
         assert engine_report.neighbor_builds == serial_report.neighbor_builds
         np.testing.assert_allclose(engine.last_virial, serial.last_virial, rtol=0.0, atol=1e-9)
         # the engine additionally accounts a comm phase next to the serial set

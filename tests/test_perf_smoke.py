@@ -25,10 +25,10 @@ from repro.deepmd import (
     DeepPotential,
     DeepPotentialConfig,
     build_local_environment,
-    build_local_environment_scalar,
 )
 from repro.md import Box, Workspace, water_system
 from repro.md.neighbor import _brute_force_pairs, _cell_list_pairs, build_neighbor_data
+from repro.reference.scalar import build_local_environment_scalar, evaluate_scalar
 
 #: Minimum speedup of the vectorized path over the scalar reference that this
 #: smoke test insists on (the real margin is far larger; see
@@ -55,7 +55,7 @@ def test_vectorized_inference_beats_scalar_on_512_atoms():
     model.fast_fittings()
 
     t0 = time.perf_counter()
-    out_scalar = model.evaluate_scalar(atoms, box, neighbors)
+    out_scalar = evaluate_scalar(model, atoms, box, neighbors)
     t_scalar = time.perf_counter() - t0
 
     t_vec = np.inf
