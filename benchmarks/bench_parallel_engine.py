@@ -36,7 +36,8 @@ import pytest
 
 from repro.md import LennardJones, copper_system, water_system
 from repro.md.forcefields.water import WaterReference
-from repro.parallel import DomainDecomposedSimulation, IntraNodeLoadBalancer
+from repro.parallel import DomainDecomposedSimulation
+from repro.perfmodel import IntraNodeLoadBalancer
 
 N_MOLECULES = 333  # 999 atoms
 N_STEPS = 10

@@ -19,7 +19,7 @@ import numpy as np
 from repro.md import Simulation, water_system
 from repro.md.forcefields.water import WaterReference
 from repro.parallel import DomainDecomposedSimulation
-from repro.perfmodel import CommCostModel, plan_with_measured_volume
+from repro.perfmodel import CommCostModel, modelled_plan, plan_with_measured_volume
 
 N_MOLECULES = 96
 N_STEPS = 25
@@ -62,7 +62,7 @@ def main() -> None:
           f"over {volume['exchanges']} exchanges")
 
     # 5. price the measured exchange on the machine model ---------------------
-    plan = engine.modelled_plan("p2p-utofu")
+    plan = modelled_plan(engine, "p2p-utofu")
     scaled = plan_with_measured_volume(plan, volume["forward_bytes_per_rank"])
     model = CommCostModel()
     print("\nFugaku-model exchange time for this decomposition:")

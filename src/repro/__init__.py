@@ -3,13 +3,15 @@ to 149 Nanoseconds per Day" (SC'24).
 
 The package is organised in layers (see the README's "Layout" table):
 
-* substrates: :mod:`repro.nnframework` (mini NN framework), :mod:`repro.md`
+* executes: :mod:`repro.nnframework` (mini NN framework), :mod:`repro.md`
   (MD engine), :mod:`repro.deepmd` (Deep Potential model),
-* machine: :mod:`repro.hardware` (Fugaku model), :mod:`repro.parallel`
-  (decomposition + communication schemes), :mod:`repro.perfmodel`
-  (per-step cost model, ns/day),
-* top: :mod:`repro.core` (optimization configuration + engine + experiment
-  harness) and :mod:`repro.analysis`.
+  :mod:`repro.parallel` (decomposition, ghost exchange, the ranked engine),
+  :mod:`repro.serving`,
+* prices: :mod:`repro.hardware` (Fugaku model), :mod:`repro.perfmodel`
+  (communication schemes, load balance and kernels as per-step costs,
+  ns/day), :mod:`repro.core` (optimization configuration + engine +
+  experiment harness) — these import the executing layer, never the reverse,
+* tooling: :mod:`repro.analysis` (reprolint).
 
 Most users should start from :class:`repro.core.OptimizationConfig` and
 :class:`repro.core.DeepMDEngine`; see ``examples/quickstart.py``.

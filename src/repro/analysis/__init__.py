@@ -1,16 +1,8 @@
-"""Analysis helpers: error metrics, SDMR, RDF comparison — and reprolint,
-the AST-based invariant linter (``python -m repro.analysis``)."""
+"""reprolint, the AST-based invariant linter (``python -m repro.analysis``)."""
 
-from .errors import energy_error_per_atom, force_rmse, force_max_error, precision_error_table
 from .reprolint import Violation, lint_paths, lint_source, lint_sources
-from .sdmr import sdmr_percent
 
 __all__ = [
-    "energy_error_per_atom",
-    "force_rmse",
-    "force_max_error",
-    "precision_error_table",
-    "sdmr_percent",
     "Violation",
     "lint_paths",
     "lint_source",

@@ -24,12 +24,11 @@ import numpy as np
 
 from ..hardware.specs import FUGAKU, FugakuSpec
 from ..parallel.decomposition import DecompositionStats, SpatialDecomposition
-from ..parallel.loadbalance import IntraNodeLoadBalancer
-from ..parallel.schemes import ExchangeContext, build_scheme
-from ..parallel.threadpool import ThreadingModel
 from ..parallel.topology import RankTopology
 from ..perfmodel.comm_cost import CommCostModel
-from ..perfmodel.kernels import KernelCostModel
+from ..perfmodel.kernels import KernelCostModel, ThreadingModel
+from ..perfmodel.loadbalance import IntraNodeLoadBalancer
+from ..perfmodel.schemes import ExchangeContext, build_scheme
 from ..perfmodel.timeline import StepTimeline
 from .config import OptimizationConfig
 from .systems import SystemSpec
@@ -134,12 +133,9 @@ class DeepMDEngine:
 
         # -- communication phase
         context = ExchangeContext(
-            topology=topology,
-            box=box,
+            decomposition=decomposition,
             cutoff=self.system.cutoff,
             atom_density=self.system.atom_density,
-            bytes_per_atom=self.machine.bytes_per_ghost_atom,
-            bytes_per_force=self.machine.bytes_per_force,
         )
         scheme = build_scheme(config.comm_scheme)
         plan = scheme.plan(context)

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..analysis.errors import energy_error_per_atom, force_rmse, precision_error_table
 from ..deepmd import (
     DeepPotential,
     DeepPotentialConfig,
@@ -30,16 +29,17 @@ from ..md import LangevinThermostat, Simulation, radial_distribution_function, w
 from ..md.neighbor import build_neighbor_data
 from ..md.rdf import RDFResult, rdf_overlap_error
 from ..parallel.decomposition import SpatialDecomposition
-from ..parallel.loadbalance import IntraNodeLoadBalancer
-from ..parallel.memory_pool import RdmaBufferManager
-from ..parallel.schemes import ExchangeContext, SCHEME_NAMES, build_scheme
 from ..parallel.topology import RankTopology
 from ..perfmodel.comm_cost import CommCostModel
-from ..perfmodel.strongscaling import parallel_efficiency
 from ..perfmodel.kernels import KernelCostModel
+from ..perfmodel.loadbalance import IntraNodeLoadBalancer
+from ..perfmodel.memory_pool import RdmaBufferManager
+from ..perfmodel.schemes import ExchangeContext, SCHEME_NAMES, build_scheme
+from ..perfmodel.strongscaling import parallel_efficiency
 from ..utils.tables import Table
 from .config import baseline_config, fig9_stage_configs, optimized_config
 from .engine import DeepMDEngine
+from .errors import energy_error_per_atom, force_rmse, precision_error_table
 from .systems import copper_spec, get_system, water_spec
 
 # ---------------------------------------------------------------------------

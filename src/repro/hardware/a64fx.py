@@ -113,12 +113,6 @@ class A64FXNode:
         # Same-CMG copies stream through HBM at roughly half duplex bandwidth.
         return n_bytes / (0.5 * self.spec.hbm_bandwidth_per_cmg)
 
-    def memory_bandwidth_time(self, n_bytes: float, cmgs: int = 1) -> float:
-        """Streaming time of ``n_bytes`` through HBM on ``cmgs`` CMGs."""
-        if n_bytes <= 0:
-            return 0.0
-        return n_bytes / (cmgs * self.spec.hbm_bandwidth_per_cmg)
-
     # -- convenience -----------------------------------------------------------
     def cores_per_rank(self, ranks_per_node: int = 4) -> int:
         return self.spec.compute_cores // ranks_per_node

@@ -109,11 +109,6 @@ class FugakuSpec:
     nic_cache: NICCacheSpec = field(default_factory=NICCacheSpec)
     total_nodes: int = 158_976
 
-    #: bytes communicated per ghost atom (position 3x8 + type 8 + id 8 + padding).
-    bytes_per_ghost_atom: float = 48.0
-    #: bytes per force send-back (3 x 8).
-    bytes_per_force: float = 24.0
-
     #: fixed framework (TensorFlow) overhead per session run, seconds (paper: ~4 ms).
     framework_overhead: float = 4.0e-3
     #: multiplier on kernel work due to redundant framework kernels

@@ -101,24 +101,3 @@ class TofuDNetwork:
     ) -> float:
         """Stand-alone time of one point-to-point message (occupancy + latency)."""
         return self.occupancy(n_bytes, use_rdma, registration_penalty) + self.latency(hops, use_rdma)
-
-    def hops_between(self, node_a, node_b) -> int:
-        return self.torus.hops(node_a, node_b)
-
-    def neighbors_within(self, coord, layers: tuple[int, int, int]) -> list[tuple[int, int, int]]:
-        """All distinct nodes within ``layers`` shells in each torus direction."""
-        lx, ly, lz = (int(l) for l in layers)
-        out: list[tuple[int, int, int]] = []
-        seen = set()
-        for dx in range(-lx, lx + 1):
-            for dy in range(-ly, ly + 1):
-                for dz in range(-lz, lz + 1):
-                    if dx == 0 and dy == 0 and dz == 0:
-                        continue
-                    wrapped = self.torus.wrap((coord[0] + dx, coord[1] + dy, coord[2] + dz))
-                    if wrapped == tuple(self.torus.wrap(coord)):
-                        continue
-                    if wrapped not in seen:
-                        seen.add(wrapped)
-                        out.append(wrapped)
-        return out

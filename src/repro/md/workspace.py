@@ -1,7 +1,7 @@
 """Preallocated per-step scratch buffers for the MD run loop.
 
 This is the *real* counterpart to the modelled registered-buffer pool of
-:mod:`repro.parallel.memory_pool`: where that module prices what pooled RDMA
+:mod:`repro.perfmodel.memory_pool`: where that module prices what pooled RDMA
 buffers save on the NIC, this one actually removes the per-step allocation
 churn from the hot loop.  A :class:`Workspace` hands out named, shape-stable
 NumPy buffers that survive across steps, so a steady-state MD step (no

@@ -7,7 +7,10 @@ node granularity (the *node-box* of the paper's intra-node load balance).
 
 Assignment is exact — the real atom coordinates of the benchmark systems are
 binned — which is what makes the load-balance statistics of Table III and
-Fig. 10 measured rather than modelled.
+Fig. 10 measured rather than modelled.  The two statistics containers
+(:class:`DecompositionStats`, :class:`LoadBalanceStats`), the SDMR metric and
+the even node-box split (:func:`even_shares`) live here so the engine and the
+machine model (:mod:`repro.perfmodel.loadbalance`) share one definition each.
 """
 
 from __future__ import annotations
@@ -18,6 +21,34 @@ import numpy as np
 
 from ..md.box import Box
 from .topology import RankTopology
+
+
+def sdmr_percent(values) -> float:
+    """SDMR = sqrt(variance) / mean * 100 (percent).
+
+    The paper writes it as sqrt(sigma^2 / mu) * 100 in the text, but the
+    values in Table III are consistent with the conventional coefficient of
+    variation used here.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    if values.size == 0:
+        return 0.0
+    mean = values.mean()
+    if mean == 0:
+        return 0.0
+    return float(values.std() / mean * 100.0)
+
+
+def even_shares(n: int, k: int) -> np.ndarray:
+    """Sizes of the ``k`` contiguous runs that split ``n`` items evenly.
+
+    ``floor(n/k)`` each, the remainder one-by-one on the leading slots: the
+    node-box split of §III-C.  The engine deals a node's sorted gids out by
+    these sizes and the load-balance model predicts them, so measured ==
+    predicted node-box counts holds by construction.
+    """
+    base, remainder = divmod(n, k)
+    return base + (np.arange(k) < remainder)
 
 
 @dataclass
@@ -49,9 +80,7 @@ class DecompositionStats:
     @property
     def sdmr_percent(self) -> float:
         """Standard-deviation-to-mean ratio in percent (the paper's metric)."""
-        if len(self.counts) == 0 or self.counts.mean() == 0:
-            return 0.0
-        return float(self.counts.std() / self.counts.mean() * 100.0)
+        return sdmr_percent(self.counts)
 
     def summary(self) -> dict[str, float]:
         return {
@@ -60,6 +89,30 @@ class DecompositionStats:
             "max": self.maximum,
             "sdmr%": self.sdmr_percent,
         }
+
+
+@dataclass
+class LoadBalanceStats:
+    """Per-rank atom counts and pair times (measured or modelled) for one organization."""
+
+    label: str
+    atom_counts: np.ndarray
+    pair_times: np.ndarray
+
+    def atom_stats(self) -> DecompositionStats:
+        return DecompositionStats(self.atom_counts)
+
+    def pair_time_stats(self) -> dict[str, float]:
+        t = self.pair_times
+        return {
+            "min": float(t.min()) if len(t) else 0.0,
+            "avg": float(t.mean()) if len(t) else 0.0,
+            "max": float(t.max()) if len(t) else 0.0,
+            "sdmr%": sdmr_percent(t),
+        }
+
+    def summary(self) -> dict[str, dict[str, float]]:
+        return {"natom": self.atom_stats().summary(), "pair": self.pair_time_stats()}
 
 
 @dataclass
@@ -113,28 +166,3 @@ class SpatialDecomposition:
         coord = np.array(self.topology.rank_coord(rank), dtype=np.float64)
         lower = coord * self.sub_box_lengths
         return lower, lower + self.sub_box_lengths
-
-    def atoms_per_core(self, n_atoms: int) -> float:
-        return n_atoms / self.topology.n_cores
-
-    def sub_box_in_cutoff_units(self, cutoff: float) -> np.ndarray:
-        """Sub-box side lengths expressed in units of the cutoff radius."""
-        if cutoff <= 0:
-            raise ValueError("cutoff must be positive")
-        return self.sub_box_lengths / cutoff
-
-
-def uniform_density_counts(
-    decomposition: SpatialDecomposition, n_atoms: int, rng=None, jitter: float = 0.0
-) -> np.ndarray:
-    """Expected per-rank counts for a uniform-density system (optionally jittered).
-
-    Useful for scales where materializing every atom would be wasteful; the
-    strong-scaling benchmarks use real coordinates instead.
-    """
-    base = n_atoms / decomposition.topology.n_ranks
-    counts = np.full(decomposition.topology.n_ranks, base)
-    if jitter > 0.0:
-        generator = np.random.default_rng(rng)
-        counts = generator.poisson(base, size=decomposition.topology.n_ranks).astype(float)
-    return counts

@@ -62,23 +62,11 @@ organization into the dynamics: under node-based delivery every rank of a
 node already holds the identical node-box atom copy (its node peers' atoms
 arrive as ghosts), so the engine splits each node's atoms evenly over the
 node's ranks — contiguous runs of the node's sorted gids, in NUMA slot order,
-exactly the ``floor(n/k)+remainder`` split
-:meth:`~repro.parallel.loadbalance.IntraNodeLoadBalancer.rank_counts_with_balance`
-predicts — and generalizes owner-computes to *assigned*-computes: a pair is
-evaluated by the rank assigned its lowest-gid member, a per-atom environment
-by the rank assigned its centre atom.  Measured per-rank ``pair_seconds``
-then become directly comparable to the :class:`LoadBalanceStats` model.
-
-Relation to :mod:`repro.perfmodel`: the perf package *prices* the ghost
-exchange of one representative rank on the Fugaku machine model, while this
-engine *executes* it.  The two meet through
-:meth:`DomainDecomposedSimulation.measured_comm_volume` /
-:meth:`modelled_plan` and
-:func:`repro.perfmodel.comm_cost.plan_with_measured_volume`, which rescale a
-modelled communication plan to the ghost volumes the engine actually moved,
-and through :meth:`load_balance_stats`, which feeds measured per-rank
-atom/ghost counts and pair times into the Table III-style
-:class:`~repro.parallel.decomposition.DecompositionStats` machinery.
+sized by :func:`~repro.parallel.decomposition.even_shares` — and generalizes
+owner-computes to *assigned*-computes: a pair is evaluated by the rank
+assigned its lowest-gid member, a per-atom environment by the rank assigned
+its centre atom.  :meth:`~DomainDecomposedSimulation.load_balance_stats`
+reports the measured per-rank ``pair_seconds`` in the Table III layout.
 
 Parity: ``tests/test_parallel_engine_parity.py`` pins every decomposition and
 both delivery schemes to the serial trajectories step-for-step at ``1e-10``.
@@ -100,19 +88,18 @@ from ..md.thermostats import Thermostat
 from ..md.workspace import Workspace
 from ..units import temperature as instantaneous_temperature
 from ..utils.timer import PhaseTimer
-from .decomposition import DecompositionStats, SpatialDecomposition
+from .decomposition import DecompositionStats, LoadBalanceStats, SpatialDecomposition, even_shares
 from .domain import RankDomain
 from .evaluators import _EVALUATORS, _RankEvaluator
-from .exchange import GhostExchange, resolve_delivery_scheme, scheme_supports_node_box
+from .exchange import (
+    BYTES_PER_GHOST_ATOM,
+    BYTES_PER_VECTOR,
+    GhostExchange,
+    resolve_delivery_scheme,
+    scheme_supports_node_box,
+)
 from .executor import make_executor
-from .loadbalance import IntraNodeLoadBalancer, LoadBalanceStats
 from .topology import RankTopology
-
-#: Bytes shipped per atom in the ghost-list exchange (position + id + type +
-#: mass) and per refreshed position / returned force (3 doubles).  The same
-#: 48/24 convention the scheme models use.
-BYTES_PER_GHOST_ATOM = 48.0
-BYTES_PER_VECTOR = 24.0
 
 
 class DomainDecomposedSimulation(EngineBackend):
@@ -370,21 +357,15 @@ class DomainDecomposedSimulation(EngineBackend):
         """Split each node-box's atoms evenly over the node's ranks (§III-C).
 
         Runs at every rebuild, after migration has settled ownership: each
-        node's owned gids are sorted and dealt out as contiguous runs, in
-        :meth:`RankTopology.ranks_on_node` slot order — exactly the
-        ``floor(n/k)`` + remainder split
-        :meth:`IntraNodeLoadBalancer.rank_counts_with_balance` predicts, so
-        :meth:`assigned_counts` is directly checkable against the model.
+        node's owned gids are sorted and dealt out as contiguous runs of
+        :func:`even_shares` sizes, in :meth:`RankTopology.ranks_on_node` slot
+        order.
         """
         for node_index in range(self.topology.n_nodes):
             ranks = self.topology.ranks_on_node(self.topology.node_coord(node_index))
             gids = np.sort(np.concatenate([self.domains[rank].gids for rank in ranks]))
-            base, remainder = divmod(len(gids), len(ranks))
-            start = 0
-            for slot, rank in enumerate(ranks):
-                count = base + (1 if slot < remainder else 0)
-                share = gids[start : start + count]
-                start += count
+            ends = np.cumsum(even_shares(len(gids), len(ranks)))
+            for rank, share in zip(ranks, np.split(gids, ends[:-1])):
                 self.domains[rank].assign_share(share, self.n_global)
 
     # -- neighbour lists ----------------------------------------------------------
@@ -590,9 +571,7 @@ class DomainDecomposedSimulation(EngineBackend):
     def load_balance_stats(self) -> LoadBalanceStats:
         """Measured evaluated-atom counts and pair times (Table III layout).
 
-        With ``node_balance`` the atom counts are the node-box shares, so the
-        SDMR of these *measured* stats lands directly next to the
-        :meth:`IntraNodeLoadBalancer.compare` predictions.
+        With ``node_balance`` the atom counts are the node-box shares.
         """
         suffix = "+lb" if self.node_balance else ""
         return LoadBalanceStats(
@@ -605,32 +584,12 @@ class DomainDecomposedSimulation(EngineBackend):
         """Cumulative per-rank wall-clock seconds spent building neighbour lists."""
         return np.array([domain.neigh_seconds for domain in self.domains])
 
-    def intra_node_balance(self, per_atom_time: float | None = None, **kwargs):
-        """Table III comparison seeded with the engine's measured pair cost."""
-        if per_atom_time is None:
-            evaluations = max(self.n_force_evaluations, 1)
-            total_pair = sum(domain.pair_seconds for domain in self.domains)
-            per_atom_time = total_pair / (evaluations * max(self.n_global, 1))
-            per_atom_time = max(per_atom_time, 1.0e-12)
-        balancer = IntraNodeLoadBalancer(self.decomposition)
-        return balancer.compare(self._gather_array("positions"), per_atom_time, **kwargs)
-
     def measured_comm_volume(self, bytes_per_atom: float = BYTES_PER_GHOST_ATOM) -> dict:
-        """Measured ghost-exchange volumes, for the perf-model bridge."""
-        if not self._ghost_count_log:
-            return {
-                "exchanges": 0,
-                "mean_ghosts_per_rank": 0.0,
-                "max_ghosts_per_rank": 0.0,
-                "forward_bytes_per_rank": 0.0,
-                "total_forward_bytes": self.comm_bytes_forward,
-                "total_reverse_bytes": self.comm_bytes_reverse,
-                "messages": self.comm_messages,
-            }
-        log = np.stack(self._ghost_count_log)
+        """Measured ghost-exchange volumes (all zero before the first exchange)."""
+        log = np.stack(self._ghost_count_log or [np.zeros(self.n_ranks)])
         mean_ghosts = float(log.mean())
         return {
-            "exchanges": len(log),
+            "exchanges": len(self._ghost_count_log),
             "mean_ghosts_per_rank": mean_ghosts,
             "max_ghosts_per_rank": float(log.max()),
             "forward_bytes_per_rank": mean_ghosts * bytes_per_atom,
@@ -638,20 +597,3 @@ class DomainDecomposedSimulation(EngineBackend):
             "total_reverse_bytes": self.comm_bytes_reverse,
             "messages": self.comm_messages,
         }
-
-    def modelled_plan(self, scheme_name: str | None = None):
-        """The priced :class:`CommunicationPlan` matching this engine's setup.
-
-        Combine with :func:`repro.perfmodel.comm_cost.plan_with_measured_volume`
-        to price the exchange at the ghost volumes the engine actually moved.
-        """
-        from .schemes import ExchangeContext, build_scheme
-
-        name = scheme_name or ("p2p-utofu" if self.scheme == "p2p" else "lb-4l")
-        context = ExchangeContext(
-            topology=self.topology,
-            box=self.box,
-            cutoff=self.exchange.cutoff,
-            atom_density=self.n_global / self.box.volume,
-        )
-        return build_scheme(name).plan(context)

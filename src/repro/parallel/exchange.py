@@ -1,4 +1,4 @@
-"""Ghost-exchange delivery logic shared by the checker and the engine.
+"""Ghost-exchange delivery logic: the communication schemes the engine executes.
 
 :class:`GhostExchange` is the executable core of the communication schemes:
 given a :class:`~repro.parallel.decomposition.SpatialDecomposition` and an
@@ -11,12 +11,9 @@ receives as ghosts* under
   atoms through shared memory plus every atom that neighbouring nodes ship
   because it falls in the *node-box* ghost shell.
 
-Historically this logic lived inside
-:class:`~repro.parallel.simcomm.GhostExchangeSimulator`, which only *checked*
-coverage; it was promoted into this reusable component so that
-:class:`repro.parallel.engine.DomainDecomposedSimulation` can drive real
-dynamics through the very same delivery rules the correctness properties pin
-down (p2p delivers exactly the reference set; node-based a superset of it).
+:class:`repro.parallel.engine.DomainDecomposedSimulation` drives real dynamics
+through the very delivery rules the correctness properties pin down (p2p
+delivers exactly the reference set; node-based a superset of it).
 
 The selection methods are *per-sender*: ``p2p_selection(sender_positions,
 receiver_rank)`` is literally the mask a sending rank applies to its own atom
@@ -34,6 +31,12 @@ from ..md.box import Box
 from .decomposition import SpatialDecomposition
 from .ghost import ghost_shell_ranks, layers_for_cutoff
 from .topology import RankTopology
+
+#: Bytes shipped per atom in the ghost-list exchange (position + id + type +
+#: mass) and per refreshed position / returned force (3 doubles): the one
+#: 48/24 convention of the engine's byte counters and the priced schemes.
+BYTES_PER_GHOST_ATOM = 48.0
+BYTES_PER_VECTOR = 24.0
 
 #: Scheme aliases accepted by :meth:`GhostExchange.deliver` and the engine;
 #: keys include the Fig. 7 bar labels of the priced schemes they execute.
@@ -183,26 +186,16 @@ class GhostExchange:
         return distance <= self.cutoff
 
     # -- whole-system deliveries (checker / convenience API) ---------------------------
-    def owners(self, positions: np.ndarray) -> np.ndarray:
-        return self.decomposition.assign_to_ranks(positions)
-
     def reference_ghosts(self, rank: int, positions: np.ndarray, owners: np.ndarray | None = None) -> np.ndarray:
         """Atom ids (owned elsewhere) within ``cutoff`` of the rank's sub-box."""
-        owners = self.owners(positions) if owners is None else owners
+        owners = self.decomposition.assign_to_ranks(positions) if owners is None else owners
         needed = self.p2p_selection(positions, rank) & (owners != rank)
         return np.nonzero(needed)[0]
 
-    def deliver_p2p(self, rank: int, positions: np.ndarray, owners: np.ndarray | None = None) -> np.ndarray:
-        """Sorted atom ids delivered to ``rank`` by the p2p pattern."""
-        return self.deliver("p2p", rank, positions, owners)
-
-    def deliver_node_based(self, rank: int, positions: np.ndarray, owners: np.ndarray | None = None) -> np.ndarray:
-        """Sorted atom ids available to ``rank`` after the node-based exchange."""
-        return self.deliver("node-based", rank, positions, owners)
-
     def deliver(self, scheme: str, rank: int, positions: np.ndarray, owners: np.ndarray | None = None) -> np.ndarray:
-        """Delivery under a scheme label (see :data:`DELIVERY_SCHEMES`)."""
-        owners = self.owners(positions) if owners is None else owners
+        """Sorted atom ids ``rank`` holds as ghosts after an exchange under a
+        scheme label (see :data:`DELIVERY_SCHEMES`)."""
+        owners = self.decomposition.assign_to_ranks(positions) if owners is None else owners
         delivered = [np.empty(0, dtype=np.int64)]
         for sender, select in self.senders(resolve_delivery_scheme(scheme), rank):
             sender_atoms = np.nonzero(owners == sender)[0]

@@ -10,11 +10,11 @@ attacks.
 This module provides
 
 * :func:`layers_for_cutoff` — how many rank/node layers the ghost shell spans,
-* :func:`ghost_shell_ranks` — the exact set of neighbouring domains,
-* :func:`overlap_volume` — the volume of a neighbour's sub-box that falls in
-  the ghost shell (used to size messages for uniform-density systems),
-* the closed-form ghost-count expressions of §III-C (eqs. 1 and 2), used to
-  quantify the memory overhead of the intra-node load balance.
+* :func:`ghost_shell_ranks` — the exact set of neighbouring domains.
+
+The uniform-density message sizing and the closed-form ghost counts of §III-C
+are model-side: :mod:`repro.perfmodel.schemes` and
+:mod:`repro.perfmodel.loadbalance`.
 """
 
 from __future__ import annotations
@@ -63,43 +63,3 @@ def neighbor_count(layers) -> int:
     """Neighbour count ignoring torus aliasing: (2Lx+1)(2Ly+1)(2Lz+1) - 1."""
     lx, ly, lz = (int(l) for l in layers)
     return (2 * lx + 1) * (2 * ly + 1) * (2 * lz + 1) - 1
-
-
-def overlap_volume(offset, sub_box_lengths, cutoff: float) -> float:
-    """Volume of the neighbour at ``offset`` that lies inside the ghost shell.
-
-    For a neighbour displaced by ``offset`` (in sub-box units) along each axis,
-    the slab of that neighbour's box needed by the centre rank has, per axis,
-
-    * the full side length when offset is 0,
-    * ``min(cutoff - (|offset|-1) * side, side)`` otherwise.
-    """
-    lengths = np.asarray(sub_box_lengths, dtype=np.float64)
-    volume = 1.0
-    for o, side in zip(offset, lengths):
-        o = abs(int(o))
-        if o == 0:
-            extent = side
-        else:
-            extent = min(max(cutoff - (o - 1) * side, 0.0), side)
-        volume *= extent
-    return float(volume)
-
-
-def ghost_count_original(a: float, r: float, density: float = 1.0) -> float:
-    """Equation (1): ghost atoms of one rank with sub-box side ``a`` and cutoff ``r``."""
-    if a <= 0 or r <= 0:
-        raise ValueError("side and cutoff must be positive")
-    return density * ((a + 2.0 * r) ** 3 - a ** 3)
-
-
-def ghost_count_load_balanced(a: float, r: float, density: float = 1.0) -> float:
-    """Equation (2): ghost atoms per rank with the node-box (2a x 2a x a) layout."""
-    if a <= 0 or r <= 0:
-        raise ValueError("side and cutoff must be positive")
-    return density * ((2.0 * a + 2.0 * r) * (2.0 * a + 2.0 * r) * (a + 2.0 * r) - a ** 3)
-
-
-def ghost_overhead_ratio(a: float, r: float) -> float:
-    """Ratio of eq. (2) to eq. (1); the paper quotes ~1.44 at a = 0.5 r."""
-    return ghost_count_load_balanced(a, r) / ghost_count_original(a, r)

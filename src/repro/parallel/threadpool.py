@@ -1,11 +1,11 @@
-"""Persistent worker dispatch: the real pool and its overhead model.
+"""Persistent worker dispatch.
 
 The original DeePMD-kit parallelizes with OpenMP; every parallel region pays a
 fork/join cost that becomes visible when the per-region work shrinks to a few
 microseconds (one or two atoms per thread).  The optimized code keeps a
 persistent thread pool whose workers spin, reducing the dispatch overhead by
-roughly an order of magnitude.  :class:`ThreadingModel` multiplies the
-per-region overhead by the number of parallel regions executed per MD step.
+roughly an order of magnitude
+(:class:`repro.perfmodel.kernels.ThreadingModel` prices that difference).
 
 :class:`PersistentWorkerPool` is the executable counterpart the concurrent
 engine dispatches through: a fixed set of long-lived worker *processes*
@@ -22,10 +22,6 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 import traceback
-from dataclasses import dataclass, field
-
-from ..hardware.specs import FugakuSpec, FUGAKU
-
 
 #: Workers *inherit* the engine state and the shared-memory mappings.
 START_METHOD = "fork"
@@ -87,8 +83,11 @@ class PersistentWorkerPool:
             messages = [messages] * self.n_workers
         if len(messages) != self.n_workers:
             raise ValueError(f"expected {self.n_workers} messages, got {len(messages)}")
-        for conn, message in zip(self._conns, messages):
-            conn.send(message)
+        for index, (conn, message) in enumerate(zip(self._conns, messages)):
+            try:
+                conn.send(message)
+            except OSError as exc:  # BrokenPipeError: the worker's end is gone
+                raise WorkerError(f"worker {index} died between requests: {exc!r}") from None
         return [self._receive(index) for index in range(self.n_workers)]
 
     def _receive(self, index: int):
@@ -139,37 +138,3 @@ def worker_reply(conn, handler, message) -> bool:
     except Exception:  # noqa: BLE001 - the traceback crosses the pipe
         conn.send(("error", traceback.format_exc()))
     return True
-
-
-@dataclass
-class ThreadingModel:
-    """Per-step threading overhead for a given runtime choice."""
-
-    kind: str = "openmp"
-    machine: FugakuSpec = field(default_factory=lambda: FUGAKU)
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("openmp", "threadpool"):
-            raise ValueError("threading kind must be 'openmp' or 'threadpool'")
-
-    @property
-    def per_region_overhead(self) -> float:
-        if self.kind == "openmp":
-            return self.machine.openmp_region_overhead
-        return self.machine.threadpool_region_overhead
-
-    def per_step_overhead(self, parallel_regions: int | None = None) -> float:
-        regions = (
-            self.machine.parallel_regions_per_step if parallel_regions is None else int(parallel_regions)
-        )
-        if regions < 0:
-            raise ValueError("number of parallel regions must be non-negative")
-        return regions * self.per_region_overhead
-
-    def speedup_over(self, other: "ThreadingModel", parallel_regions: int | None = None) -> float:
-        """Overhead ratio other/self (>1 when self is cheaper)."""
-        mine = self.per_step_overhead(parallel_regions)
-        theirs = other.per_step_overhead(parallel_regions)
-        if mine == 0:
-            return float("inf")
-        return theirs / mine

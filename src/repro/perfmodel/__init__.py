@@ -2,36 +2,84 @@
 
 The paper's headline numbers (149 ns/day, 31.7x speedup, 62 % parallel
 efficiency at 12,000 nodes) are wall-clock measurements on Fugaku.  Without
-the machine, this package models the per-step time from first principles:
+the machine, this package models the per-step time from first principles —
+it *prices* what :mod:`repro.parallel` *executes*:
 
 * :mod:`kernels` — FLOP counts of the Deep Potential inference per atom
   (embedding, descriptor, fitting, forward + backward), converted to time by
   the A64FX node model with the GEMM-efficiency/precision factors the paper
-  reports, plus framework overhead and threading overhead;
+  reports, plus framework overhead and the OpenMP-vs-thread-pool region
+  overhead (:class:`ThreadingModel`);
+* :mod:`schemes` + :mod:`messages` — the communication schemes compared in
+  Fig. 7 (LAMMPS 3-stage, p2p, node-based with 1/2/4 leaders, single-thread
+  and ref-layout variants) as planners producing a
+  :class:`CommunicationPlan` for one representative rank;
 * :mod:`comm_cost` — the time of a :class:`CommunicationPlan` on the TofuD
   model (gather/scatter over the NoC, messages over the TNIs, NIC-cache
   penalties, the force send-back);
+* :mod:`memory_pool` — RDMA registered-memory pooling (Fig. 8);
+* :mod:`loadbalance` — the intra-node load balancer's predicted per-rank
+  counts and modelled pair times (Table III, Fig. 10) and the ghost-count
+  closed forms of §III-C (eqs. 1 and 2);
 * :mod:`timeline` — assembling the phases into a step time and converting to
   nanoseconds per day;
-* :mod:`strongscaling` — sweeps over node counts and parallel efficiency.
+* :mod:`strongscaling` — sweeps over node counts and parallel efficiency;
+* :mod:`reconcile` — the one module that takes a running engine: the plan
+  matching its setup, that plan at the measured ghost volume, and the
+  Table III prediction seeded with its measured pair cost.
 
 All model constants live in :mod:`repro.hardware.specs`; the algorithmic
 inputs (message counts/sizes, atom counts per rank, FLOPs) come from the real
-decomposition and the real model configuration.
+decomposition (:mod:`repro.parallel.decomposition`, :mod:`repro.parallel.ghost`)
+and the real model configuration.
 """
 
-from .kernels import KernelCostModel, PerAtomFlops
-from .comm_cost import CommCostModel, CommTimeBreakdown, plan_with_measured_volume
+from .kernels import KernelCostModel, PerAtomFlops, ThreadingModel
+from .messages import Message, CommRound, CommunicationPlan
+from .schemes import (
+    CommScheme,
+    ThreeStageScheme,
+    P2PScheme,
+    NodeBasedScheme,
+    build_scheme,
+    SCHEME_NAMES,
+)
+from .comm_cost import CommCostModel, CommTimeBreakdown
+from .memory_pool import RdmaBufferManager
+from .loadbalance import (
+    IntraNodeLoadBalancer,
+    ghost_count_load_balanced,
+    ghost_count_original,
+    pair_time_model,
+)
 from .timeline import StepTimeline
 from .strongscaling import parallel_efficiency, scaling_table
+from .reconcile import intra_node_balance, modelled_plan, plan_with_measured_volume
 
 __all__ = [
     "KernelCostModel",
     "PerAtomFlops",
+    "ThreadingModel",
+    "Message",
+    "CommRound",
+    "CommunicationPlan",
+    "CommScheme",
+    "ThreeStageScheme",
+    "P2PScheme",
+    "NodeBasedScheme",
+    "build_scheme",
+    "SCHEME_NAMES",
     "CommCostModel",
     "CommTimeBreakdown",
-    "plan_with_measured_volume",
+    "RdmaBufferManager",
+    "IntraNodeLoadBalancer",
+    "pair_time_model",
+    "ghost_count_original",
+    "ghost_count_load_balanced",
     "StepTimeline",
     "parallel_efficiency",
     "scaling_table",
+    "modelled_plan",
+    "intra_node_balance",
+    "plan_with_measured_volume",
 ]

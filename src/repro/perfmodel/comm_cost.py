@@ -15,52 +15,14 @@ applies when buffers are registered per neighbour rather than pooled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from ..hardware.nic_cache import NICRegistrationCache
 from ..hardware.noc import NocModel
 from ..hardware.specs import FUGAKU, UNPACK_PER_MESSAGE, FugakuSpec
 from ..hardware.tni import TNIScheduler
 from ..hardware.tofu import TofuDNetwork, TorusCoordinates
-from ..parallel.messages import CommRound, CommunicationPlan
-
-
-def plan_with_measured_volume(
-    plan: CommunicationPlan, measured_forward_bytes: float
-) -> CommunicationPlan:
-    """Rescale a modelled plan to a *measured* forward exchange volume.
-
-    The scheme planners size their messages from a uniform-density geometric
-    model; the domain-decomposed engine reports the ghost bytes one rank
-    actually shipped per exchange
-    (``DomainDecomposedSimulation.measured_comm_volume()["forward_bytes_per_rank"]``).
-    This helper scales every message and the intra-node gather/scatter copies
-    by ``measured / modelled`` so the machine model prices the exchange the
-    running engine performed, keeping message counts, rounds, hop counts and
-    threading untouched.
-    """
-    if measured_forward_bytes < 0:
-        raise ValueError("measured volume must be non-negative")
-    modelled = plan.total_message_bytes
-    if modelled <= 0.0:
-        raise ValueError("cannot rescale a plan that models zero message bytes")
-    scale = measured_forward_bytes / modelled
-    rounds = [
-        CommRound(
-            messages=[replace(m, n_bytes=m.n_bytes * scale) for m in r.messages],
-            engines=r.engines,
-            threads=r.threads,
-        )
-        for r in plan.rounds
-    ]
-    scaled = replace(
-        plan,
-        rounds=rounds,
-        gather_bytes_per_rank=[b * scale for b in plan.gather_bytes_per_rank],
-        scatter_bytes_per_rank=[b * scale for b in plan.scatter_bytes_per_rank],
-        notes={**plan.notes, "measured_forward_bytes": measured_forward_bytes},
-    )
-    return scaled
+from .messages import CommunicationPlan
 
 
 @dataclass
@@ -170,7 +132,3 @@ class CommCostModel:
 
     def exchange_time(self, plan: CommunicationPlan) -> float:
         return self.evaluate(plan).total
-
-    def exchange_time_measured(self, plan: CommunicationPlan, measured_forward_bytes: float) -> float:
-        """Exchange time with the plan rescaled to a measured ghost volume."""
-        return self.exchange_time(plan_with_measured_volume(plan, measured_forward_bytes))

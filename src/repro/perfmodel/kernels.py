@@ -5,7 +5,9 @@ axis neurons, fitting sizes, neighbours per atom) and priced by the
 :class:`~repro.hardware.a64fx.A64FXNode` model.  The same counts drive both
 the baseline (framework, fp64, BLAS, OpenMP) and the optimized configuration;
 the configuration toggles change *which* efficiency factors, overheads and
-extra work apply — exactly the structure of Fig. 9.
+extra work apply — exactly the structure of Fig. 9.  :class:`ThreadingModel`
+prices the per-step parallel-region overhead (OpenMP fork/join vs the
+persistent pool that :mod:`repro.parallel.threadpool` executes).
 """
 
 from __future__ import annotations
@@ -249,3 +251,37 @@ class KernelCostModel:
             / max(threads_per_rank, 1)
         )
         return self.node_model.flops_time(flops, efficiency=0.10)
+
+
+@dataclass
+class ThreadingModel:
+    """Per-step threading overhead for a given runtime choice."""
+
+    kind: str = "openmp"
+    machine: FugakuSpec = field(default_factory=lambda: FUGAKU)
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("openmp", "threadpool"):
+            raise ValueError("threading kind must be 'openmp' or 'threadpool'")
+
+    @property
+    def per_region_overhead(self) -> float:
+        if self.kind == "openmp":
+            return self.machine.openmp_region_overhead
+        return self.machine.threadpool_region_overhead
+
+    def per_step_overhead(self, parallel_regions: int | None = None) -> float:
+        regions = (
+            self.machine.parallel_regions_per_step if parallel_regions is None else int(parallel_regions)
+        )
+        if regions < 0:
+            raise ValueError("number of parallel regions must be non-negative")
+        return regions * self.per_region_overhead
+
+    def speedup_over(self, other: "ThreadingModel", parallel_regions: int | None = None) -> float:
+        """Overhead ratio other/self (>1 when self is cheaper)."""
+        mine = self.per_step_overhead(parallel_regions)
+        theirs = other.per_step_overhead(parallel_regions)
+        if mine == 0:
+            return float("inf")
+        return theirs / mine

@@ -9,7 +9,11 @@ ghost), and split the evaluation evenly.
 
 :class:`IntraNodeLoadBalancer` implements both organizations on real atom
 coordinates and reports the statistics the paper tabulates (min/avg/max atom
-counts, SDMR, modelled pair times).
+counts, SDMR, modelled pair times); the engine *executes* the balanced one
+under ``node_balance=True`` and reports the same
+:class:`~repro.parallel.decomposition.LoadBalanceStats` with measured times.
+The closed-form ghost counts of eqs. (1) and (2) quantify what the node-box
+copy costs in memory.
 """
 
 from __future__ import annotations
@@ -18,33 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..parallel.decomposition import LoadBalanceStats, SpatialDecomposition, even_shares, sdmr_percent
 from ..utils.rng import default_rng
-from .decomposition import DecompositionStats, SpatialDecomposition
-
-
-@dataclass
-class LoadBalanceStats:
-    """Per-rank atom counts and modelled pair times for one organization."""
-
-    label: str
-    atom_counts: np.ndarray
-    pair_times: np.ndarray
-
-    def atom_stats(self) -> DecompositionStats:
-        return DecompositionStats(self.atom_counts)
-
-    def pair_time_stats(self) -> dict[str, float]:
-        t = self.pair_times
-        mean = float(t.mean()) if len(t) else 0.0
-        return {
-            "min": float(t.min()) if len(t) else 0.0,
-            "avg": mean,
-            "max": float(t.max()) if len(t) else 0.0,
-            "sdmr%": float(t.std() / mean * 100.0) if mean > 0 else 0.0,
-        }
-
-    def summary(self) -> dict[str, dict[str, float]]:
-        return {"natom": self.atom_stats().summary(), "pair": self.pair_time_stats()}
 
 
 #: Lower clamp on the multiplicative pair-time jitter.  The Gaussian noise of
@@ -95,19 +74,17 @@ class IntraNodeLoadBalancer:
     def rank_counts_with_balance(self, positions: np.ndarray) -> np.ndarray:
         """Atoms per rank after evenly splitting each node-box among its ranks.
 
-        The split assigns ``floor(n/k)`` atoms to every rank and distributes the
-        remainder one-by-one, which is exactly what dividing an atom index
-        range does in the implementation.
+        :func:`~repro.parallel.decomposition.even_shares` in
+        ``ranks_on_node`` slot order — the very split the engine deals out
+        under ``node_balance=True``.
         """
         topology = self.decomposition.topology
         nodes = self.decomposition.assign_to_nodes(positions)
         node_counts = np.bincount(nodes, minlength=topology.n_nodes)
-        ranks_per_node = topology.ranks_per_node
         counts = np.zeros(topology.n_ranks, dtype=np.int64)
         for node_index, total in enumerate(node_counts):
-            base, remainder = divmod(int(total), ranks_per_node)
-            for slot, rank in enumerate(topology.ranks_on_node(topology.node_coord(node_index))):
-                counts[rank] = base + (1 if slot < remainder else 0)
+            ranks = topology.ranks_on_node(topology.node_coord(node_index))
+            counts[ranks] = even_shares(total, len(ranks))
         return counts
 
     def compare(
@@ -136,8 +113,27 @@ class IntraNodeLoadBalancer:
 
     def dispersion_reduction(self, positions: np.ndarray) -> float:
         """Fractional reduction of the atom-count SDMR (paper: 79.7 %)."""
-        before = DecompositionStats(self.rank_counts_without_balance(positions)).sdmr_percent
-        after = DecompositionStats(self.rank_counts_with_balance(positions)).sdmr_percent
+        before = sdmr_percent(self.rank_counts_without_balance(positions))
+        after = sdmr_percent(self.rank_counts_with_balance(positions))
         if before == 0:
             return 0.0
         return (before - after) / before
+
+
+def ghost_count_original(a: float, r: float, density: float = 1.0) -> float:
+    """Equation (1): ghost atoms of one rank with sub-box side ``a`` and cutoff ``r``."""
+    if a <= 0 or r <= 0:
+        raise ValueError("side and cutoff must be positive")
+    return density * ((a + 2.0 * r) ** 3 - a ** 3)
+
+
+def ghost_count_load_balanced(a: float, r: float, density: float = 1.0) -> float:
+    """Equation (2): ghost atoms per rank with the node-box (2a x 2a x a) layout."""
+    if a <= 0 or r <= 0:
+        raise ValueError("side and cutoff must be positive")
+    return density * ((2.0 * a + 2.0 * r) * (2.0 * a + 2.0 * r) * (a + 2.0 * r) - a ** 3)
+
+
+def ghost_overhead_ratio(a: float, r: float) -> float:
+    """Ratio of eq. (2) to eq. (1); the paper quotes ~1.44 at a = 0.5 r."""
+    return ghost_count_load_balanced(a, r) / ghost_count_original(a, r)

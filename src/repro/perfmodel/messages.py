@@ -87,15 +87,3 @@ class CommunicationPlan:
     @property
     def total_message_bytes(self) -> float:
         return float(sum(r.total_bytes for r in self.rounds))
-
-    @property
-    def n_inter_node_messages(self) -> int:
-        return sum(1 for r in self.rounds for m in r.messages if not m.intra_node)
-
-    @property
-    def total_gather_bytes(self) -> float:
-        return float(sum(self.gather_bytes_per_rank))
-
-    @property
-    def total_scatter_bytes(self) -> float:
-        return float(sum(self.scatter_bytes_per_rank))

@@ -17,8 +17,10 @@ on the torus) and a uniform atom density:
   (sg-lb-4l), and the original atom organization without the load-balance
   broadcast (ref-4l).
 
-Every scheme produces a :class:`~repro.parallel.messages.CommunicationPlan`
-for a representative rank/node; the machine model prices the plan.
+Every scheme produces a :class:`~repro.perfmodel.messages.CommunicationPlan`
+for a representative rank/node; the machine model prices the plan.  The
+schemes the engine *executes* (p2p and node-based delivery) are
+:class:`repro.parallel.exchange.GhostExchange`.
 """
 
 from __future__ import annotations
@@ -28,9 +30,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..md.box import Box
-from .ghost import layers_for_cutoff, overlap_volume
+from ..parallel.decomposition import SpatialDecomposition
+from ..parallel.exchange import BYTES_PER_GHOST_ATOM, BYTES_PER_VECTOR
+from ..parallel.ghost import layers_for_cutoff
+from ..parallel.topology import RankTopology
 from .messages import CommRound, CommunicationPlan, Message
-from .topology import RankTopology
 
 #: Canonical scheme names used by the Fig. 7 benchmark (paper bar labels).
 SCHEME_NAMES = [
@@ -49,22 +53,22 @@ SCHEME_NAMES = [
 class ExchangeContext:
     """Everything a scheme needs to know about the problem instance."""
 
-    topology: RankTopology
-    box: Box
+    decomposition: SpatialDecomposition
     cutoff: float
     atom_density: float
-    bytes_per_atom: float = 48.0
-    bytes_per_force: float = 24.0
+    bytes_per_atom: float = BYTES_PER_GHOST_ATOM
+    bytes_per_force: float = BYTES_PER_VECTOR
 
     def __post_init__(self) -> None:
         if self.cutoff <= 0:
             raise ValueError("cutoff must be positive")
         if self.atom_density <= 0:
             raise ValueError("atom density must be positive")
-        self.rank_dims = np.array(self.topology.rank_dims, dtype=np.int64)
-        self.node_dims = np.array(self.topology.node_dims, dtype=np.int64)
-        self.sub_box_lengths = self.box.lengths / self.rank_dims
-        self.node_box_lengths = self.box.lengths / self.node_dims
+        self.topology = self.decomposition.topology
+        self.rank_dims = self.decomposition.rank_dims
+        self.node_dims = self.decomposition.node_dims
+        self.sub_box_lengths = self.decomposition.sub_box_lengths
+        self.node_box_lengths = self.decomposition.node_box_lengths
 
     @property
     def atoms_per_rank(self) -> float:
@@ -99,7 +103,29 @@ class ExchangeContext:
         if np.any(factors <= 0):
             raise ValueError("sub-box factors must be positive")
         lengths = factors * cutoff * np.array(topology.rank_dims)
-        return cls(topology=topology, box=Box(lengths), cutoff=cutoff, atom_density=atom_density, **kwargs)
+        decomposition = SpatialDecomposition(Box(lengths), topology)
+        return cls(decomposition, cutoff=cutoff, atom_density=atom_density, **kwargs)
+
+
+def overlap_volume(offset, sub_box_lengths, cutoff: float) -> float:
+    """Volume of the neighbour at ``offset`` that lies inside the ghost shell.
+
+    For a neighbour displaced by ``offset`` (in sub-box units) along each axis,
+    the slab of that neighbour's box needed by the centre rank has, per axis,
+
+    * the full side length when offset is 0,
+    * ``min(cutoff - (|offset|-1) * side, side)`` otherwise.
+    """
+    lengths = np.asarray(sub_box_lengths, dtype=np.float64)
+    volume = 1.0
+    for o, side in zip(offset, lengths):
+        o = abs(int(o))
+        if o == 0:
+            extent = side
+        else:
+            extent = min(max(cutoff - (o - 1) * side, 0.0), side)
+        volume *= extent
+    return float(volume)
 
 
 def _neighbor_offsets(layers: tuple[int, int, int], dims: np.ndarray) -> list[tuple[int, int, int]]:

@@ -960,19 +960,18 @@ def test_production_tree_is_clean():
     assert violations == [], "\n".join(v.format() for v in violations)
 
 
-def test_production_never_imports_the_reference_package():
-    """``repro.reference`` reads production modules, never the reverse."""
+def _repro_imports():
+    """``(path, importing sub-package, dotted target)`` of every import in
+    ``src/repro``, relative imports resolved."""
     import ast
     from pathlib import Path
 
     import repro
 
     root = Path(repro.__file__).parent
-    offenders = []
     for path in sorted(root.rglob("*.py")):
         package = path.relative_to(root.parent).parts[:-1]
-        if package[:2] == ("repro", "reference"):
-            continue
+        owner = package[1] if len(package) > 1 else path.stem
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
                 targets = [alias.name for alias in node.names]
@@ -982,5 +981,32 @@ def test_production_never_imports_the_reference_package():
                 targets = [f"{stem}.{alias.name}" for alias in node.names]
             else:
                 continue
-            offenders += [(str(path), t) for t in targets if t.startswith("repro.reference")]
+            for target in targets:
+                yield str(path.relative_to(root)), owner, target
+
+
+_EXECUTES = {"md", "deepmd", "nnframework", "parallel", "serving", "utils"}
+_PRICES = {"hardware", "perfmodel", "core", "analysis"}
+
+
+@pytest.mark.parametrize(
+    "importers, forbidden",
+    [
+        # ``repro.reference`` reads production modules, never the reverse
+        pytest.param(None, {"reference"}, id="production-never-imports-reference"),
+        # what a step executes never reads the Fugaku model, the experiment
+        # harness or the linter; ``perfmodel.reconcile`` looks the other way
+        pytest.param(_EXECUTES, _PRICES, id="execution-never-imports-model"),
+    ],
+)
+def test_import_direction(importers, forbidden):
+    """Layering pins: one row per direction, ``importers=None`` meaning every
+    sub-package outside ``forbidden``."""
+    offenders = [
+        (path, target)
+        for path, owner, target in _repro_imports()
+        if (owner in importers if importers is not None else owner not in forbidden)
+        and target.startswith("repro.")
+        and target.split(".")[1] in forbidden
+    ]
     assert offenders == []

@@ -81,11 +81,6 @@ class TestTorus:
         for index in (0, 17, 59):
             assert torus.index(torus.coordinate(index)) == index
 
-    def test_neighbors_within_counts(self):
-        net = TofuDNetwork(TorusCoordinates((8, 8, 8)))
-        assert len(net.neighbors_within((0, 0, 0), (1, 1, 1))) == 26
-        assert len(net.neighbors_within((0, 0, 0), (2, 2, 2))) == 124
-
     def test_message_time_components(self):
         net = TofuDNetwork(TorusCoordinates((4, 4, 4)))
         occ = net.occupancy(6800.0)

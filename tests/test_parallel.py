@@ -1,4 +1,4 @@
-"""Topology, decomposition, ghost geometry, schemes, load balance, simulated exchange."""
+"""Topology, decomposition, ghost geometry, schemes, load balance, ghost delivery."""
 
 import numpy as np
 import pytest
@@ -9,21 +9,23 @@ from repro.core.systems import copper_spec
 from repro.md import Box, copper_system
 from repro.parallel import (
     GhostExchange,
-    GhostExchangeSimulator,
-    IntraNodeLoadBalancer,
     RankTopology,
-    RdmaBufferManager,
     SpatialDecomposition,
+    layers_for_cutoff,
+    resolve_delivery_scheme,
+)
+from repro.parallel.decomposition import even_shares
+from repro.parallel.ghost import ghost_shell_ranks, neighbor_count
+from repro.perfmodel import (
+    IntraNodeLoadBalancer,
+    RdmaBufferManager,
     ThreadingModel,
     build_scheme,
     ghost_count_load_balanced,
     ghost_count_original,
-    layers_for_cutoff,
-    resolve_delivery_scheme,
 )
-from repro.parallel.ghost import ghost_overhead_ratio, ghost_shell_ranks, neighbor_count, overlap_volume
-from repro.parallel.loadbalance import PAIR_TIME_NOISE_FLOOR, pair_time_model
-from repro.parallel.schemes import SCHEME_NAMES, ExchangeContext
+from repro.perfmodel.loadbalance import PAIR_TIME_NOISE_FLOOR, ghost_overhead_ratio, pair_time_model
+from repro.perfmodel.schemes import SCHEME_NAMES, ExchangeContext, overlap_volume
 
 
 class TestTopology:
@@ -102,6 +104,16 @@ class TestDecomposition:
         assert np.all((ranks >= 0) & (ranks < decomposition.topology.n_ranks))
         assert decomposition.rank_counts(positions).total == 200
 
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(0, 10_000), k=st.integers(1, 64))
+    def test_property_even_shares(self, n, k):
+        shares = even_shares(n, k)
+        assert len(shares) == k
+        assert shares.sum() == n
+        assert shares.max() - shares.min() <= 1
+        # the remainder sits on the leading slots
+        assert np.array_equal(shares, np.sort(shares)[::-1])
+
 
 class TestGhostGeometry:
     def test_layers_for_cutoff(self):
@@ -119,6 +131,9 @@ class TestGhostGeometry:
         assert len(shell) == 26
         aliased = ghost_shell_ranks((0, 0, 0), (2, 2, 2), (1, 1, 1))
         assert len(aliased) == 7  # 2x2x2 torus: only 7 other nodes exist
+        # a grid wide enough not to alias reaches the paper's 26 / 124
+        assert len(ghost_shell_ranks((0, 0, 0), (8, 8, 8), (1, 1, 1))) == 26
+        assert len(ghost_shell_ranks((0, 0, 0), (8, 8, 8), (2, 2, 2))) == 124
 
     def test_overlap_volume_face_edge_corner(self):
         sub = [8.0, 8.0, 8.0]
@@ -255,21 +270,8 @@ class TestLoadBalance:
             assert summary["natom"]["max"] >= summary["natom"]["min"]
 
 
-class TestGhostExchangeSimulator:
-    def test_p2p_exact_and_node_covers(self):
-        atoms, box = copper_system((6, 6, 6), perturbation=0.05, rng=1)
-        topo = RankTopology((2, 2, 2))
-        decomposition = SpatialDecomposition(box, topo)
-        simulator = GhostExchangeSimulator(decomposition, cutoff=5.0)
-        for rank in (0, 7, 13):
-            checks = simulator.verify_rank(rank, atoms.positions)
-            assert checks["p2p_exact"]
-            assert checks["node_covers"]
-            assert checks["node_size"] >= checks["reference_size"]
-
-
 class TestGhostExchangeComponent:
-    """The promoted delivery component preserves the simulator's properties."""
+    """p2p delivers exactly the reference ghost set; node-based a superset."""
 
     def _setup(self, cutoff=5.0):
         atoms, box = copper_system((6, 6, 6), perturbation=0.05, rng=1)
@@ -278,11 +280,11 @@ class TestGhostExchangeComponent:
 
     def test_subset_and_exactness_through_new_api(self):
         atoms, exchange = self._setup()
-        owners = exchange.owners(atoms.positions)
+        owners = exchange.decomposition.assign_to_ranks(atoms.positions)
         for rank in (0, 7, 13):
             reference = exchange.reference_ghosts(rank, atoms.positions, owners)
-            p2p = exchange.deliver_p2p(rank, atoms.positions, owners)
-            node = exchange.deliver_node_based(rank, atoms.positions, owners)
+            p2p = exchange.deliver("p2p", rank, atoms.positions, owners)
+            node = exchange.deliver("node-based", rank, atoms.positions, owners)
             # p2p delivers exactly the reference set; node-based a superset
             np.testing.assert_array_equal(np.sort(reference), p2p)
             assert set(reference.tolist()) <= set(node.tolist())
@@ -290,22 +292,10 @@ class TestGhostExchangeComponent:
             assert not np.any(owners[p2p] == rank)
             assert not np.any(owners[node] == rank)
 
-    def test_simulator_delegates_to_component(self):
-        atoms, exchange = self._setup()
-        simulator = GhostExchangeSimulator(exchange.decomposition, cutoff=exchange.cutoff)
-        assert isinstance(simulator.exchange, GhostExchange)
-        for rank in (0, 9):
-            assert simulator.deliver_p2p(rank, atoms.positions) == set(
-                exchange.deliver_p2p(rank, atoms.positions).tolist()
-            )
-            assert simulator.deliver_node_based(rank, atoms.positions) == set(
-                exchange.deliver_node_based(rank, atoms.positions).tolist()
-            )
-
     def test_per_sender_selection_matches_delivery(self):
         """Assembling per-sender masks reproduces the aggregate delivery."""
         atoms, exchange = self._setup()
-        owners = exchange.owners(atoms.positions)
+        owners = exchange.decomposition.assign_to_ranks(atoms.positions)
         rank = 5
         assembled = []
         for sender in exchange.p2p_neighbor_ranks(rank):
@@ -313,7 +303,7 @@ class TestGhostExchangeComponent:
             mask = exchange.p2p_selection(atoms.positions[sender_atoms], rank)
             assembled.extend(sender_atoms[mask].tolist())
         np.testing.assert_array_equal(
-            np.unique(assembled), exchange.deliver_p2p(rank, atoms.positions, owners)
+            np.unique(assembled), exchange.deliver("p2p", rank, atoms.positions, owners)
         )
 
     def test_scheme_labels_resolve_to_delivery_patterns(self):
@@ -324,11 +314,11 @@ class TestGhostExchangeComponent:
             resolve_delivery_scheme("baseline-telepathy")
         np.testing.assert_array_equal(
             exchange.deliver("p2p-utofu", 0, atoms.positions),
-            exchange.deliver_p2p(0, atoms.positions),
+            exchange.deliver("p2p", 0, atoms.positions),
         )
         np.testing.assert_array_equal(
             exchange.deliver("lb-4l", 0, atoms.positions),
-            exchange.deliver_node_based(0, atoms.positions),
+            exchange.deliver("node-based", 0, atoms.positions),
         )
 
     def test_cutoff_validation(self):

@@ -17,7 +17,7 @@ from repro.md.forcefields.water import WaterReference
 from repro.md.neighbor import build_neighbor_data
 from repro.parallel import DomainDecomposedSimulation, RankTopology
 from repro.parallel.domain import RankDomain
-from repro.perfmodel import CommCostModel, plan_with_measured_volume
+from repro.perfmodel import CommCostModel, intra_node_balance, modelled_plan, plan_with_measured_volume
 
 
 def _copper_pair(rng=1, temperature=300.0):
@@ -168,7 +168,7 @@ class TestMeasuredStatistics:
         assert np.all(stats.pair_times > 0.0)  # wall-clock, per rank
         summary = stats.summary()
         assert {"natom", "pair"} <= set(summary)
-        comparison = engine.intra_node_balance(rng=0)
+        comparison = intra_node_balance(engine, rng=0)
         assert {"no", "yes"} <= set(comparison)
         assert comparison["yes"].atom_counts.sum() == len(atoms)
 
@@ -182,21 +182,22 @@ class TestMeasuredStatistics:
         assert volume["total_reverse_bytes"] > 0.0
         assert volume["messages"] > 0
 
-        plan = engine.modelled_plan()
+        plan = modelled_plan(engine)
         assert plan.scheme == "lb-4l"
         scaled = plan_with_measured_volume(plan, volume["forward_bytes_per_rank"])
         assert scaled.total_message_bytes == pytest.approx(volume["forward_bytes_per_rank"])
         assert scaled.n_messages == plan.n_messages
         assert scaled.notes["measured_forward_bytes"] == volume["forward_bytes_per_rank"]
         model = CommCostModel()
-        measured_time = model.exchange_time_measured(plan, volume["forward_bytes_per_rank"])
+        measured_time = model.exchange_time(scaled)
         assert measured_time > 0.0
         # pricing scales monotonically with the measured volume
-        assert model.exchange_time_measured(plan, 10 * volume["forward_bytes_per_rank"]) > measured_time
+        tenfold = plan_with_measured_volume(plan, 10 * volume["forward_bytes_per_rank"])
+        assert model.exchange_time(tenfold) > measured_time
 
     def test_plan_rescaling_validation(self):
         _, engine = self._run_engine()
-        plan = engine.modelled_plan("p2p-utofu")
+        plan = modelled_plan(engine, "p2p-utofu")
         with pytest.raises(ValueError):
             plan_with_measured_volume(plan, -1.0)
 

@@ -39,7 +39,6 @@ from repro.md import (
 from repro.md.forcefields.water import WaterReference
 from repro.parallel import (
     DomainDecomposedSimulation,
-    IntraNodeLoadBalancer,
     MultiprocessRankExecutor,
     PersistentWorkerPool,
     SequentialRankExecutor,
@@ -47,6 +46,7 @@ from repro.parallel import (
     make_executor,
 )
 from repro.parallel.threadpool import usable_cpu_count, worker_reply
+from repro.perfmodel import IntraNodeLoadBalancer
 
 TOLERANCE = 1.0e-10
 N_STEPS = 12  # neighbor_every=5 => initial build + 2 rebuilds + migrations
@@ -432,6 +432,17 @@ class TestExecutorPlumbing:
                 pool.broadcast(("boom",))
             # the worker survives its own exception and keeps serving
             assert pool.broadcast(("still-alive",)) == [(0, ("still-alive",))]
+
+    def test_pool_names_a_worker_that_died_between_requests(self):
+        """Same ``WorkerError`` whether a worker dies mid-request or between
+        two: the send to a dead worker used to leak a raw ``BrokenPipeError``."""
+        with PersistentWorkerPool(_echo_worker, [(i,) for i in range(2)]) as pool:
+            assert pool.broadcast(("ping",)) == [(0, ("ping",)), (1, ("ping",))]
+            pool._procs[1].terminate()
+            pool._procs[1].join(5.0)
+            assert not pool._procs[1].is_alive()
+            with pytest.raises(WorkerError, match="worker 1 died"):
+                pool.broadcast(("ping",))
 
     def test_worker_count_never_exceeds_cores_by_default(self):
         engine = _engine(_copper_lj_setup(), (2, 2, 2), executor="process")

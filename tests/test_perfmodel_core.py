@@ -3,8 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.analysis import energy_error_per_atom, force_max_error, force_rmse, sdmr_percent
-from repro.analysis.errors import precision_error_table
 from repro.core import (
     DeepMDEngine,
     FIG9_STAGES,
@@ -15,6 +13,7 @@ from repro.core import (
     water_spec,
 )
 from repro.core.config import fig9_stage_configs
+from repro.core.errors import energy_error_per_atom, force_max_error, force_rmse, precision_error_table
 from repro.core.experiments import (
     FIG11_NODE_COUNTS,
     communication_reduction,
@@ -28,9 +27,10 @@ from repro.core.experiments import (
     table3_loadbalance,
 )
 from repro.core.systems import get_system
-from repro.parallel.schemes import ExchangeContext, build_scheme
+from repro.parallel.decomposition import sdmr_percent
 from repro.parallel.topology import RankTopology
 from repro.perfmodel import CommCostModel, KernelCostModel, StepTimeline, parallel_efficiency, scaling_table
+from repro.perfmodel.schemes import ExchangeContext, build_scheme
 
 
 class TestKernelCostModel:
