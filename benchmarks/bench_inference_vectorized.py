@@ -53,10 +53,6 @@ def test_bench_inference_vectorized():
     model, atoms, box, neighbors = _water_inference_setup()
     n = len(atoms)
 
-    # Warm-up exports the fast kernels so neither path pays it inside timing.
-    model.fast_embeddings()
-    model.fast_fittings()
-
     t0 = time.perf_counter()
     out_scalar = evaluate_scalar(model, atoms, box, neighbors)
     t_scalar = time.perf_counter() - t0

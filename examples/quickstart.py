@@ -3,10 +3,11 @@
 This walks the full pipeline the paper's system implements:
 
 1. generate reference (pseudo-AIMD) data with the Gupta many-body potential,
-2. train a Deep Potential (embedding + fitting nets) on per-atom energies,
+2. train a Deep Potential (embedding + fitting nets) on per-atom energies —
+   offline, in ``repro.training``, which hands back a new frozen model,
 3. evaluate energies/forces with the optimized framework-free kernels under
    a mixed-precision policy, and
-4. run a short MD simulation with the trained model as the force field.
+4. run a short MD simulation with the frozen model as the force field.
 
 Run:  python examples/quickstart.py
 """
@@ -20,11 +21,10 @@ from repro.deepmd import (
     DeepPotentialConfig,
     DeepPotentialForceField,
     GemmBackend,
-    Trainer,
-    generate_copper_dataset,
 )
 from repro.md import LangevinThermostat, Simulation, copper_system
 from repro.md.neighbor import build_neighbor_data
+from repro.training import Trainer, generate_copper_dataset
 
 
 def main() -> None:
@@ -44,10 +44,10 @@ def main() -> None:
         max_neighbors=32,
         seed=1,
     )
-    model = DeepPotential(config)
-    trainer = Trainer(model, dataset, learning_rate=5e-3, rng=2)
+    trainer = Trainer(DeepPotential(config), dataset, learning_rate=5e-3, rng=2)
     print("Training the Deep Potential (per-atom energy matching)...")
     result = trainer.train(n_epochs=60)
+    model = result.model  # frozen: what inference and MD load
     print(f"  loss {result.loss_history[0]:.3e} -> {result.final_loss:.3e}, "
           f"energy RMSE {result.energy_rmse_per_atom * 1000:.1f} meV/atom")
 

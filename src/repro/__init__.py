@@ -3,10 +3,13 @@ to 149 Nanoseconds per Day" (SC'24).
 
 The package is organised in layers (see the README's "Layout" table):
 
-* executes: :mod:`repro.nnframework` (mini NN framework), :mod:`repro.md`
-  (MD engine), :mod:`repro.deepmd` (Deep Potential model),
-  :mod:`repro.parallel` (decomposition, ghost exchange, the ranked engine),
-  :mod:`repro.serving`,
+* executes: :mod:`repro.md` (MD engine), :mod:`repro.deepmd` (Deep
+  Potential inference on a frozen model), :mod:`repro.parallel`
+  (decomposition, ghost exchange, the ranked engine), :mod:`repro.serving`
+  — none of which imports the framework,
+* trains, offline: :mod:`repro.nnframework` (mini NN framework) and
+  :mod:`repro.training` (dataset generator, framework graph, trainer), which
+  hands inference a new frozen model,
 * prices: :mod:`repro.hardware` (Fugaku model), :mod:`repro.perfmodel`
   (communication schemes, load balance and kernels as per-step costs,
   ns/day), :mod:`repro.core` (optimization configuration + engine +

@@ -17,14 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..deepmd import (
-    DeepPotential,
-    DeepPotentialConfig,
-    DeepPotentialForceField,
-    GemmBackend,
-    Trainer,
-    generate_water_dataset,
-)
+from ..deepmd import DeepPotential, DeepPotentialConfig, DeepPotentialForceField, GemmBackend
 from ..md import LangevinThermostat, Simulation, radial_distribution_function, water_system
 from ..md.neighbor import build_neighbor_data
 from ..md.rdf import RDFResult, rdf_overlap_error
@@ -36,6 +29,7 @@ from ..perfmodel.loadbalance import IntraNodeLoadBalancer
 from ..perfmodel.memory_pool import RdmaBufferManager
 from ..perfmodel.schemes import ExchangeContext, SCHEME_NAMES, build_scheme
 from ..perfmodel.strongscaling import parallel_efficiency
+from ..training import Trainer, generate_water_dataset
 from ..utils.tables import Table
 from .config import baseline_config, fig9_stage_configs, optimized_config
 from .engine import DeepMDEngine
@@ -125,10 +119,9 @@ def train_water_model(
         max_neighbors=64,
         seed=seed,
     )
-    model = DeepPotential(config)
-    trainer = Trainer(model, dataset, learning_rate=4.0e-3, rng=seed)
+    trainer = Trainer(DeepPotential(config), dataset, learning_rate=4.0e-3, rng=seed)
     result = trainer.train(n_epochs=n_epochs)
-    return TrainedWaterModel(model=model, dataset=dataset, training_result=result)
+    return TrainedWaterModel(model=result.model, dataset=dataset, training_result=result)
 
 
 def table2_precision(trained: TrainedWaterModel | None = None) -> Table:

@@ -1,4 +1,4 @@
-"""Deep Potential (DeePMD) model: descriptor, networks, forces, training.
+"""Deep Potential (DeePMD) inference: descriptor, frozen networks, forces.
 
 This package implements the DeepPot-SE ("smooth edition") model that
 DeePMD-kit evaluates inside LAMMPS:
@@ -8,36 +8,30 @@ DeePMD-kit evaluates inside LAMMPS:
 * :mod:`envmat` — local environment matrices R_i for all atoms at once,
   built as batched NumPy from the MD engine's padded neighbour lists (with
   the paper's per-type pre-classification),
-* :mod:`embedding` / :mod:`fitting` — the embedding and fitting networks
-  (framework-backed for training, exportable to fast NumPy kernels),
-* :mod:`descriptor` — the symmetry-preserving descriptor D_i and its
-  framework-graph construction,
-* :mod:`model` — :class:`DeepPotential`, one reentrant framework-free
-  evaluator (``evaluate`` / ``evaluate_many``) with hand-written
-  forward/backward kernels, mixed precision, the sve-style tall-skinny GEMM
-  backend, and tabulated (compressed) embedding nets,
-* :mod:`reference` / :mod:`training` — pseudo-AIMD data generation and the
-  trainer,
+* :mod:`networks` — :class:`FastMLP`, the one home of a network's weights
+  (read-only arrays, hand-written forward/backward), and :func:`init_nets`,
+  the Glorot draw of an untrained model's nets,
+* :mod:`descriptor` — the symmetry-preserving descriptor D_i,
+* :mod:`model` — :class:`DeepPotential`, a frozen model behind one reentrant
+  framework-free evaluator (``evaluate`` / ``evaluate_many``) with mixed
+  precision, the sve-style tall-skinny GEMM backend, and tabulated
+  (compressed) embedding nets,
 * :mod:`pair_style` — the adapter exposing the model as an MD force field.
 
-The goldens this package is pinned against — the per-atom scalar loop
-(``repro.reference.scalar``), the per-key table interpolation and the
-framework (:mod:`repro.nnframework`) baseline
-(``repro.reference.deepmd``) — live in :mod:`repro.reference`, which nothing
-here imports.
+This is the paper's §III-B.1 in package form: nothing here imports
+:mod:`repro.nnframework`.  Training is offline (:mod:`repro.training`) and
+returns a new frozen model; the goldens this package is pinned against — the
+per-atom scalar loop, the per-key table interpolation and the framework
+baseline — live in :mod:`repro.reference`.  Nothing here imports either.
 """
 
 from .smoothing import switching_function, switching_derivative
 from .envmat import LocalEnvironment, build_local_environment
 from .gemm import GemmBackend, GemmStats
-from .networks import FastMLP
+from .networks import FastMLP, init_nets
 from .precision import PrecisionPolicy, DOUBLE, MIX_FP32, MIX_FP16
-from .embedding import EmbeddingNetSet
-from .fitting import FittingNetSet
 from .compression import TabulatedEmbeddingSet
 from .model import DeepPotential, DeepPotentialConfig, ModelOutput
-from .reference import ReferenceDataset, generate_copper_dataset, generate_water_dataset
-from .training import Trainer, TrainingResult
 from .pair_style import DeepPotentialForceField
 
 __all__ = [
@@ -48,20 +42,14 @@ __all__ = [
     "GemmBackend",
     "GemmStats",
     "FastMLP",
+    "init_nets",
     "PrecisionPolicy",
     "DOUBLE",
     "MIX_FP32",
     "MIX_FP16",
-    "EmbeddingNetSet",
-    "FittingNetSet",
     "TabulatedEmbeddingSet",
     "DeepPotential",
     "DeepPotentialConfig",
     "ModelOutput",
-    "ReferenceDataset",
-    "generate_copper_dataset",
-    "generate_water_dataset",
-    "Trainer",
-    "TrainingResult",
     "DeepPotentialForceField",
 ]

@@ -1,4 +1,4 @@
-"""DeepPot-SE descriptor assembled as a framework computation graph.
+"""DeepPot-SE descriptor, framework-free.
 
 The descriptor of centre atom i is
 
@@ -10,111 +10,17 @@ environment matrix.  D_i is invariant under translations and rotations (R_i
 enters only through the Gram-like contraction) and under neighbour
 permutations (the sum over neighbours).
 
-This module builds that computation as a graph of :mod:`repro.nnframework`
-tensors for a *batch of atoms sharing the same centre type*.  The graph is
-used by
-
-* the trainer (gradients with respect to the network parameters), and
-* the baseline ("TensorFlow") evaluation path, where the input leaves
-  ``s`` and ``R^T`` are marked ``requires_grad`` so that automatic
-  differentiation supplies dE/ds and dE/dR for the force chain.
+:func:`raw_descriptors` evaluates it, un-standardized, with the fast kernels —
+what the trainer's statistics pass reads.  The same computation as a graph of
+framework tensors (for parameter gradients and the §III-B.1 baseline) is
+:func:`repro.training.graph.build_descriptor_graph`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from ..nnframework import ops
-from ..nnframework.tensor import Tensor
-from .embedding import EmbeddingNetSet
 from .envmat import LocalEnvironment
-from .fitting import FittingNetSet
-
-
-@dataclass
-class DescriptorGraph:
-    """Handles to the interesting tensors of one per-type energy graph."""
-
-    center_type: int
-    atom_indices: np.ndarray
-    energies: Tensor  # (B, 1) per-atom energies (bias included)
-    descriptor: Tensor  # (B, M*M2) standardized descriptor
-    s_input: Tensor  # (B*N, 1) switching-function leaf
-    r_transpose_input: Tensor  # (B, 4, N) environment-matrix leaf
-
-
-def build_descriptor_graph(
-    env: LocalEnvironment,
-    center_type: int,
-    atom_indices: np.ndarray,
-    embeddings: EmbeddingNetSet,
-    fittings: FittingNetSet,
-    axis_neurons: int,
-    descriptor_mean: np.ndarray,
-    descriptor_std: np.ndarray,
-    energy_bias: float,
-    inputs_require_grad: bool = False,
-) -> DescriptorGraph:
-    """Build the per-atom energy graph for atoms ``atom_indices`` (one type).
-
-    ``descriptor_mean`` / ``descriptor_std`` are the standardization constants
-    of the flattened descriptor for this centre type; ``energy_bias`` is the
-    per-type atomic energy shift.
-    """
-    sub = env.select(atom_indices)
-    batch, n_nei = sub.s.shape
-    m_width = embeddings.width
-    m2 = int(axis_neurons)
-    if m2 > m_width:
-        raise ValueError("axis_neurons cannot exceed the embedding width")
-
-    s_flat = Tensor(
-        sub.s.reshape(batch * n_nei, 1), requires_grad=inputs_require_grad, name="s"
-    )
-    r_transpose = Tensor(
-        np.transpose(sub.R, (0, 2, 1)), requires_grad=inputs_require_grad, name="R^T"
-    )
-
-    # Per-neighbour embedding features, assembled per neighbour type through
-    # masking (padded slots have type -1 and never match).
-    g_total = None
-    for tj in range(embeddings.n_types):
-        type_mask = (sub.neighbor_types == tj).astype(np.float64).reshape(batch * n_nei, 1)
-        if not np.any(type_mask):
-            continue
-        net = embeddings.net(center_type, tj)
-        g_tj = net(s_flat)
-        masked = ops.mul(g_tj, Tensor(type_mask))
-        g_total = masked if g_total is None else ops.add(g_total, masked)
-    if g_total is None:
-        # No neighbours at all (isolated atoms): zero features.
-        g_total = Tensor(np.zeros((batch * n_nei, m_width)))
-
-    g_matrix = ops.reshape(g_total, (batch, n_nei, m_width))
-    # A = (1/N) R^T G  -> (B, 4, M)
-    a_matrix = ops.mul(ops.matmul(r_transpose, g_matrix), 1.0 / n_nei)
-    a_axis = a_matrix[:, :, :m2]
-    # D = A^T A_axis -> (B, M, M2)
-    d_matrix = ops.matmul(ops.transpose(a_matrix, (0, 2, 1)), a_axis)
-    d_flat = ops.reshape(d_matrix, (batch, m_width * m2))
-    d_std = ops.div(
-        ops.sub(d_flat, Tensor(descriptor_mean.reshape(1, -1))),
-        Tensor(descriptor_std.reshape(1, -1)),
-    )
-
-    fitting_net = fittings.net(center_type)
-    energies = ops.add(fitting_net(d_std), float(energy_bias))
-
-    return DescriptorGraph(
-        center_type=center_type,
-        atom_indices=np.asarray(atom_indices),
-        energies=energies,
-        descriptor=d_std,
-        s_input=s_flat,
-        r_transpose_input=r_transpose,
-    )
 
 
 def raw_descriptors(

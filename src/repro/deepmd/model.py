@@ -13,6 +13,10 @@ pre-transposition), the precision policy selects fp64/fp32/fp16 per
 component, and the embedding nets can be replaced by the compressed
 (tabulated) variant.
 
+A model is frozen: its networks are read-only :class:`FastMLP` kernels, drawn
+at construction or handed in as data (:meth:`DeepPotential.from_weights`, what
+:mod:`repro.training` returns).
+
 The per-atom scalar golden and the framework (one session run per evaluation)
 baseline it is pinned and priced against are functions of
 :mod:`repro.reference`, which this package never imports; they reuse the
@@ -22,6 +26,7 @@ geometric force chain below, so path equivalence stays testable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -32,11 +37,9 @@ from ..md.workspace import UNPOOLED, scatter_add_vectors
 from ..utils.rng import default_rng
 from .compression import TabulatedEmbeddingSet
 from .descriptor import raw_descriptors
-from .embedding import EmbeddingNetSet
 from .envmat import LocalEnvironment, build_local_environment
-from .fitting import FittingNetSet
 from .gemm import GemmBackend
-from .networks import FastMLP
+from .networks import FastMLP, init_nets
 from .precision import DOUBLE, PrecisionPolicy, get_policy
 
 
@@ -46,6 +49,9 @@ class DeepPotentialConfig:
 
     Defaults follow the paper's benchmark configuration (fitting net
     (240, 240, 240)); tests and examples use smaller networks for speed.
+    ``embedding_sizes`` needs at least one layer (its last entry is the
+    descriptor's feature width M); ``fitting_sizes=()`` is allowed and means a
+    linear fitting net — the output layer alone.
     """
 
     type_names: tuple[str, ...]
@@ -67,6 +73,13 @@ class DeepPotentialConfig:
             self.cutoff_smooth = max(self.cutoff - 1.0, 0.5 * self.cutoff)
         if not 0 < self.cutoff_smooth < self.cutoff:
             raise ValueError("require 0 < cutoff_smooth < cutoff")
+        if not self.embedding_sizes:
+            raise ValueError("embedding_sizes needs at least one layer")
+        for name in ("embedding_sizes", "fitting_sizes"):
+            if any(size < 1 for size in getattr(self, name)):
+                raise ValueError(f"{name} must be positive layer widths")
+        if self.axis_neurons < 1:
+            raise ValueError("axis_neurons must be at least 1")
         if self.axis_neurons > self.embedding_sizes[-1]:
             raise ValueError("axis_neurons cannot exceed the embedding width")
         if self.max_neighbors < 1:
@@ -141,69 +154,68 @@ class BatchModelOutput:
         return outputs
 
 
-class PinnedTable:
-    """One consumer's own compressed table at its own grid, current with the weights.
-
-    Held by reference so other consumers of the shared model cannot swap the
-    grid underneath a running force field or serving engine (and so two
-    consumers with different grids never trigger a per-step rebuild storm
-    through the model's single cache slot); rebuilt only when
-    :meth:`DeepPotential.invalidate_kernels` bumps the kernel generation.
-    """
-
-    def __init__(self, model: "DeepPotential", n_points: int, min_distance: float, policy) -> None:
-        self.model, self.n_points, self.min_distance, self.policy = model, n_points, min_distance, policy
-        self.table: TabulatedEmbeddingSet | None = None
-        self._generation = None
-
-    def current(self) -> TabulatedEmbeddingSet:
-        if self.table is None or self._generation != self.model.kernel_generation:
-            self.table = self.model.compressed_embeddings(
-                n_points=self.n_points, min_distance=self.min_distance
-            )
-            self._generation = self.model.kernel_generation
-            if not self.policy.is_double:
-                # build the reduced-precision packed nodes up front so the
-                # first mixed-precision evaluation pays no cast either
-                self.table.ensure_packed(self.policy.compute_dtype)
-        return self.table
-
-
 class DeepPotential:
-    """A trainable Deep Potential model; evaluation is reentrant.
+    """A frozen Deep Potential model; evaluation is reentrant.
+
+    The networks — one embedding net per (centre, neighbour) type pair, one
+    fitting net per centre type — are held once and never rebound, so a table
+    or kernel taken from a model stays current; only the calibration constants
+    (descriptor statistics, energy bias) can be set after construction.
 
     :meth:`evaluate`/:meth:`evaluate_many` write nothing to the model or its
-    exported nets except the idempotent lazily-built caches
-    (:meth:`fast_embeddings`, ``FastMLP.operands``, :meth:`_standardization`,
-    the compressed table): every forward tape is a local of the call, so
-    threads may evaluate through one model concurrently, each with its own
-    workspace.  The counters (``GemmStats``, ``eval_dtype_counts``,
-    ``lp_cache_builds``) are diagnostics — exact only when one thread
-    evaluates.
+    nets except the idempotent lazily-built caches (``FastMLP.operands``,
+    :meth:`_standardization`, the compressed table): every forward tape is a
+    local of the call, so threads may evaluate through one model
+    concurrently, each with its own workspace.  The counters (``GemmStats``,
+    ``eval_dtype_counts``, ``lp_cache_builds``) are diagnostics — exact only
+    when one thread evaluates.
     """
 
     def __init__(self, config: DeepPotentialConfig) -> None:
-        self.config = config
+        """An untrained model: every net drawn from ``config.seed``'s one stream."""
         rng = default_rng(config.seed)
-        self.embeddings = EmbeddingNetSet(config.n_types, config.embedding_sizes, rng=rng)
-        self.fittings = FittingNetSet(
-            config.n_types, config.descriptor_dim, config.fitting_sizes, rng=rng
-        )
+        types = range(config.n_types)
+        embeddings = init_nets(product(types, types), 1, config.embedding_sizes, rng=rng)
+        fittings = init_nets(types, config.descriptor_dim, config.fitting_sizes, 1, rng=rng)
+        self._assemble(config, embeddings, fittings)
+
+    @classmethod
+    def from_weights(
+        cls,
+        config: DeepPotentialConfig,
+        embedding_nets: dict[tuple[int, int], FastMLP],
+        fitting_nets: dict[int, FastMLP],
+        descriptor_mean: np.ndarray,
+        descriptor_std: np.ndarray,
+        energy_bias: np.ndarray,
+    ) -> "DeepPotential":
+        """A model over existing kernels and calibration constants (nothing is drawn)."""
+        types = range(config.n_types)
+        for name, nets, keys, ends in (
+            ("embedding_nets", embedding_nets, set(product(types, types)), (1, config.embedding_sizes[-1])),
+            ("fitting_nets", fitting_nets, set(types), (config.descriptor_dim, 1)),
+        ):
+            if set(nets) != keys or any((net.in_features, net.out_features) != ends for net in nets.values()):
+                raise ValueError(f"{name} must hold one {ends[0]} -> {ends[1]} net per key of {sorted(keys)}")
+        model = cls.__new__(cls)
+        model._assemble(config, dict(embedding_nets), dict(fitting_nets))
+        model.set_descriptor_stats(descriptor_mean, descriptor_std)
+        model.set_energy_bias(energy_bias)
+        return model
+
+    def _assemble(self, config, embeddings, fittings) -> None:
+        self.config = config
+        self._embeddings = embeddings
+        self._fittings = fittings
         dim = config.descriptor_dim
         self.descriptor_mean = np.zeros((config.n_types, dim))
         self.descriptor_std = np.ones((config.n_types, dim))
         self.energy_bias = np.zeros(config.n_types)
-        self._fast_embeddings = None
-        self._fast_fittings = None
         self._compressed: TabulatedEmbeddingSet | None = None
         self._compressed_key: tuple[int, float] | None = None
         #: once-cast low-precision descriptor mean/std per (type, dtype) —
-        #: rebuilt lazily after :meth:`set_descriptor_stats` or
-        #: :meth:`invalidate_kernels`
+        #: rebuilt lazily after :meth:`set_descriptor_stats`
         self._lp_standardization: dict[tuple[int, np.dtype], tuple[np.ndarray, np.ndarray]] = {}
-        #: bumped by :meth:`invalidate_kernels`; consumers holding exported
-        #: kernels or tables compare it to know theirs went stale
-        self.kernel_generation = 0
         #: how many times a compressed table was actually (re)built — the
         #: cross-request cache-reuse probe: a serving run of N requests over
         #: one model must leave this at 1, however many batches were formed
@@ -214,30 +226,15 @@ class DeepPotential:
     def n_types(self) -> int:
         return self.config.n_types
 
-    def parameters(self):
-        return self.embeddings.parameters() + self.fittings.parameters()
-
     def n_parameters(self) -> int:
-        return int(sum(p.size for p in self.parameters()))
+        nets = [*self._embeddings.values(), *self._fittings.values()]
+        return sum(net.n_parameters() for net in nets)
 
-    def invalidate_kernels(self) -> None:
-        """Drop exported kernels (call after the trainer updates weights)."""
-        self._fast_embeddings = None
-        self._fast_fittings = None
-        self._compressed = None
-        self._compressed_key = None
-        self._lp_standardization.clear()
-        self.kernel_generation += 1
+    def fast_embeddings(self) -> dict[tuple[int, int], FastMLP]:
+        return self._embeddings
 
-    def fast_embeddings(self):
-        if self._fast_embeddings is None:
-            self._fast_embeddings = self.embeddings.export()
-        return self._fast_embeddings
-
-    def fast_fittings(self):
-        if self._fast_fittings is None:
-            self._fast_fittings = self.fittings.export()
-        return self._fast_fittings
+    def fast_fittings(self) -> dict[int, FastMLP]:
+        return self._fittings
 
     # reprolint: cold-path tabulation builds once per (n_points, min_distance) key and is cached; the hot loop only reads the finished table
     def compressed_embeddings(
@@ -515,7 +512,7 @@ class DeepPotential:
         """
         sub = env.select(atom_indices, workspace)
         batch, n_nei = sub.s.shape
-        m_width = self.embeddings.width
+        m_width = self.config.embedding_sizes[-1]
         m2 = self.config.axis_neurons
         emb_dtypes = policy.embedding_dtypes(len(self.config.embedding_sizes))
         fit_dtypes = policy.fitting_dtypes(len(self.config.fitting_sizes) + 1)

@@ -1,8 +1,9 @@
 """Framework-free MLP kernels (the "TensorFlow removement" code path).
 
-:class:`FastMLP` evaluates an exported multi-layer perceptron with plain
-NumPy, caching activations so the input-gradient (vector-Jacobian product)
-needed by the analytic force computation can be obtained without a framework.
+:class:`FastMLP` is the one home of a network's weights: a multi-layer
+perceptron over read-only arrays, evaluated with plain NumPy, recording a
+forward tape so the input-gradient (vector-Jacobian product) needed by the
+analytic force computation can be obtained without a framework.
 All matrix products are routed through a :class:`~repro.deepmd.gemm.GemmBackend`
 so that precision, kernel choice (blas vs sve) and NT-vs-NN layout are
 accounted exactly as in the paper's optimized implementation.
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..nnframework.layers import MLP
+from ..utils.rng import default_rng, glorot_uniform
 from .gemm import GemmBackend
 
 
@@ -39,7 +40,7 @@ def _activation(name: str):
     raise ValueError(f"unknown activation {name!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class _LayerSpec:
     weight: np.ndarray
     weight_t: np.ndarray
@@ -49,12 +50,15 @@ class _LayerSpec:
 
 
 class FastMLP:
-    """An exported MLP evaluated with hand-written kernels.
+    """A frozen MLP evaluated with hand-written kernels.
 
     Parameters
     ----------
     layer_specs:
-        the output of :meth:`repro.nnframework.layers.MLP.export_weights`.
+        one ``{"weight", "bias", "activation", "resnet"}`` dict per layer
+        (``MLP.export_weights`` returns them); the arrays are copied and the
+        copies are read-only, so a kernel or a table built from it never goes
+        stale.
     """
 
     def __init__(self, layer_specs: list[dict]) -> None:
@@ -62,32 +66,28 @@ class FastMLP:
             raise ValueError("FastMLP needs at least one layer")
         self.layers: list[_LayerSpec] = []
         for spec in layer_specs:
-            weight = np.asarray(spec["weight"], dtype=np.float64)
+            weight = np.array(spec["weight"], dtype=np.float64)
             self.layers.append(
                 _LayerSpec(
                     weight=weight,
                     weight_t=np.ascontiguousarray(weight.T),
-                    bias=np.asarray(spec["bias"], dtype=np.float64),
+                    bias=np.array(spec["bias"], dtype=np.float64),
                     activation=spec["activation"],
                     resnet=bool(spec.get("resnet", False)),
                 )
             )
+            for array in (weight, self.layers[-1].weight_t, self.layers[-1].bias):
+                array.setflags(write=False)
         self.in_features = self.layers[0].weight.shape[0]
         self.out_features = self.layers[-1].weight.shape[1]
         self._cache: list[dict] | None = None
         #: low-precision copies of the layer operands, built once per dtype
-        #: (the weights are frozen at export time, so the copies stay valid
-        #: for the lifetime of this kernel; re-exporting after a weight
-        #: update — ``DeepPotential.invalidate_kernels`` — drops them along
-        #: with the kernel itself)
+        #: (the weights are frozen, so the copies stay valid for the lifetime
+        #: of this kernel)
         self._lp_operands: dict[np.dtype, list[_LayerSpec]] = {}
         #: number of low-precision operand builds (regression probe: steady
         #: state must not rebuild)
         self.lp_cache_builds = 0
-
-    @classmethod
-    def from_mlp(cls, mlp: MLP) -> "FastMLP":
-        return cls(mlp.export_weights())
 
     def operands(self, dtype) -> list[_LayerSpec]:
         """Layer operands (weight, weight_t, bias) at the compute dtype.
@@ -238,3 +238,26 @@ class FastMLP:
 
     def layer_shapes(self) -> list[tuple[int, int]]:
         return [tuple(l.weight.shape) for l in self.layers]
+
+
+def init_nets(keys, in_features: int, hidden, out_features: int | None = None, rng=None) -> dict:
+    """One Glorot-initialised :class:`FastMLP` per key, all drawn in order from one stream.
+
+    DeePMD's shape: ``tanh`` hidden layers with a residual link wherever a
+    layer keeps or doubles the width, zero biases and, when ``out_features``
+    is given, a linear output layer.  ``rng`` is a seed or a generator.
+    """
+    rng = default_rng(rng)
+    sizes = [int(in_features), *(int(h) for h in hidden)]
+    layers = [(n_in, n_out, "tanh", n_out in (n_in, 2 * n_in)) for n_in, n_out in zip(sizes, sizes[1:])]
+    if out_features is not None:
+        layers.append((sizes[-1], int(out_features), "linear", False))
+    return {
+        key: FastMLP(
+            [
+                {"weight": glorot_uniform((n_in, n_out), rng), "bias": np.zeros(n_out), "activation": act, "resnet": res}
+                for n_in, n_out, act, res in layers
+            ]
+        )
+        for key in keys
+    }

@@ -14,7 +14,7 @@ from ..md.box import Box
 from ..md.forcefields.base import ForceField, ForceResult
 from ..md.neighbor import NeighborData
 from .gemm import GemmBackend, _dtype_name
-from .model import DeepPotential, PinnedTable
+from .model import DeepPotential
 from .precision import DOUBLE, get_policy
 
 
@@ -44,17 +44,15 @@ class DeepPotentialForceField(ForceField):
         self.cutoff = model.config.cutoff
         self.n_evaluations = 0
         self._overflow_warned = False
-        self._table = PinnedTable(
-            model, self.compression_points, self.compression_min_distance, self.precision
-        )
+        # this pair style's own table (and its reduced-precision packed nodes),
+        # built eagerly so the first MD step pays no tabulation or cast; held
+        # by reference: the model is frozen, so it cannot go stale, and another
+        # consumer's grid cannot swap it underneath a run
+        self._table = None
         if self.compressed:
-            # build the tables eagerly so the first MD step pays no tabulation
-            # cost and the grid parameters are fixed by this pair style
-            self._compression_table()
-
-    def _compression_table(self):
-        """This pair style's own table at its configured grid, current with the weights."""
-        return self._table.current()
+            self._table = model.compressed_embeddings(self.compression_points, self.compression_min_distance)
+            if not self.precision.is_double:
+                self._table.ensure_packed(self.precision.compute_dtype)
 
     def compute(
         self, atoms: Atoms, box: Box, neighbors: NeighborData, workspace=None
@@ -76,7 +74,7 @@ class DeepPotentialForceField(ForceField):
             precision=self.precision,
             backend=self.backend,
             compressed=self.compressed,
-            compression_table=self._compression_table() if self.compressed else None,
+            compression_table=self._table,
             environment=env,
             workspace=workspace,
         )

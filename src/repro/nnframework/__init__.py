@@ -15,9 +15,12 @@ a small but real NN framework:
   function and *accounts* a configurable fixed overhead per run, mirroring the
   TensorFlow session-run overhead measured in the paper.
 
-The baseline (un-optimized) Deep Potential evaluation path runs through this
-framework; the optimized path (:mod:`repro.deepmd`) uses hand-written NumPy
-kernels, which is exactly the "TensorFlow removement" described in §III-B.1.
+Two things run through this framework: offline training
+(:mod:`repro.training`) and the baseline (un-optimized) Deep Potential
+evaluation (:func:`repro.reference.deepmd.evaluate_with_framework`).  The
+optimized path (:mod:`repro.deepmd`) uses hand-written NumPy kernels and
+never imports this package, which is exactly the "TensorFlow removement"
+described in §III-B.1.
 """
 
 from .tensor import Tensor, no_grad

@@ -4,16 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..utils.rng import default_rng
-
-
-def glorot_uniform(shape: tuple[int, ...], rng=None) -> np.ndarray:
-    """Glorot/Xavier uniform initialization (tanh-friendly, used by DeePMD)."""
-    rng = default_rng(rng)
-    fan_in = shape[0] if len(shape) > 1 else shape[0]
-    fan_out = shape[1] if len(shape) > 1 else shape[0]
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape)
+from ..utils.rng import default_rng, glorot_uniform  # noqa: F401 - the Glorot draw is defined once, in utils.rng
 
 
 def he_normal(shape: tuple[int, ...], rng=None) -> np.ndarray:

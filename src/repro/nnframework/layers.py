@@ -60,7 +60,7 @@ class Dense:
         return [self.weight, self.bias]
 
     def set_weights(self, weight: np.ndarray, bias: np.ndarray) -> None:
-        """Overwrite weights in place (used when exporting to the fast kernels)."""
+        """Overwrite weights in place (how ``repro.training.graph`` seeds a net from a frozen kernel's arrays)."""
         weight = np.asarray(weight, dtype=np.float64)
         bias = np.asarray(bias, dtype=np.float64)
         if weight.shape != (self.in_features, self.out_features):

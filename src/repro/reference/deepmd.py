@@ -16,7 +16,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..deepmd.compression import TabulatedEmbeddingSet
-from ..deepmd.descriptor import build_descriptor_graph
 from ..deepmd.envmat import LocalEnvironment
 from ..deepmd.model import DeepPotential, ModelOutput
 from ..deepmd.precision import DOUBLE
@@ -24,6 +23,7 @@ from ..md.atoms import Atoms
 from ..md.box import Box
 from ..md.neighbor import NeighborData
 from ..nnframework.session import Session
+from ..training.graph import build_descriptor_graph, framework_nets
 
 
 def tabulated_evaluate(
@@ -86,6 +86,7 @@ def evaluate_with_framework(
     overhead that §III-B.1 measures at ~4 ms per run.
     """
     session = session or Session()
+    embeddings, fittings = framework_nets(model)
     env = environment if environment is not None else model.build_environment(atoms, box, neighbors)
     n = env.n_atoms
     per_atom = np.zeros(n)
@@ -102,8 +103,8 @@ def evaluate_with_framework(
                 env,
                 ti,
                 idx,
-                model.embeddings,
-                model.fittings,
+                embeddings,
+                fittings,
                 model.config.axis_neurons,
                 model.descriptor_mean[ti],
                 model.descriptor_std[ti],

@@ -122,7 +122,7 @@ def atom_raw_descriptor(model, env: LocalEnvironment, atom_index: int) -> np.nda
     """Un-standardized flattened descriptor of one atom, computed per neighbour."""
     i = int(atom_index)
     n_nei = env.max_neighbors
-    m_width = model.embeddings.width
+    m_width = model.config.embedding_sizes[-1]
     m2 = model.config.axis_neurons
     center_type = int(env.types[i])
     fast_emb = model.fast_embeddings()
@@ -172,7 +172,7 @@ def evaluate_scalar(
     )
     n = env.n_atoms
     n_nei = env.max_neighbors
-    m_width = model.embeddings.width
+    m_width = model.config.embedding_sizes[-1]
     m2 = model.config.axis_neurons
     fast_emb = model.fast_embeddings()
     fast_fit = model.fast_fittings()

@@ -36,7 +36,6 @@ import time
 import numpy as np
 
 from ..deepmd.gemm import GemmBackend
-from ..deepmd.model import PinnedTable
 from ..deepmd.precision import DOUBLE, get_policy
 from ..md.integrators import VelocityVerlet
 from ..md.workspace import Workspace
@@ -67,14 +66,16 @@ class ServingEngine:
         self.stats = ServingStats()
 
         # Per-model caches, built once per engine and shared by every
-        # request: the compressed table (rebuilt when the model's kernel
-        # generation moves), its packed low-precision copy when the policy
-        # computes below fp64, and — warmed lazily by the first evaluation —
-        # the per-(type, dtype) standardization stats and low-precision layer
-        # caches inside the model itself.
-        self._table = PinnedTable(model, compression_points, compression_min_distance, self.policy)
+        # request: the compressed table (the model is frozen, so the table
+        # held here stays current), its packed low-precision copy when the
+        # policy computes below fp64, and — warmed lazily by the first
+        # evaluation — the per-(type, dtype) standardization stats and
+        # low-precision layer caches inside the model itself.
+        self._table = None
         if self.compressed:
-            self._table.current()
+            self._table = model.compressed_embeddings(compression_points, compression_min_distance)
+            if not self.policy.is_double:
+                self._table.ensure_packed(self.policy.compute_dtype)
 
         # one pool, one scope per thread that packs into it: the serving
         # thread and synchronous evaluate_batch callers never share a buffer
@@ -136,7 +137,6 @@ class ServingEngine:
         if workspace is None:
             workspace = self._sync_scope
         batch = pack_systems(self.model, systems, workspace=workspace)
-        table = self._table.current() if self.compressed else None
         return self.model.evaluate_many(
             batch.env,
             batch.system_of_atom,
@@ -144,7 +144,7 @@ class ServingEngine:
             precision=self.policy,
             backend=self.backend,
             compressed=self.compressed,
-            compression_table=table,
+            compression_table=self._table,
             workspace=workspace,
         )
 
@@ -152,7 +152,7 @@ class ServingEngine:
         """Cache-build counters for the cross-request reuse tests."""
         lp_builds = sum(net.lp_cache_builds for net in self.model.fast_embeddings().values())
         lp_builds += sum(net.lp_cache_builds for net in self.model.fast_fittings().values())
-        table = self._table.table
+        table = self._table
         return {
             "table_cache_builds": self.model.table_cache_builds,
             "packed_cache_builds": 0 if table is None else table.packed_cache_builds,

@@ -2,7 +2,7 @@
 
 The trainer fits the per-atom energies of the reference frames (the
 pseudo-AIMD labels) by gradient descent through the framework graph of
-:mod:`repro.deepmd.descriptor`.  Per-atom energy matching gives far more
+:mod:`repro.training.graph`.  Per-atom energy matching gives far more
 signal per frame than total-energy matching and keeps the optimization
 first-order (force matching would require differentiating through the force
 computation, i.e. second-order gradients, which the mini framework does not
@@ -15,6 +15,10 @@ Before training the trainer
 * sets the per-type atomic energy bias from a least-squares fit,
 
 both standard steps of the DeePMD-kit training pipeline.
+
+The trainer seeds its own framework tensors from copies of the model's
+frozen weights, never writes the model it was given, and hands back a *new*
+frozen model in ``TrainingResult.model``.
 """
 
 from __future__ import annotations
@@ -23,21 +27,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..deepmd.envmat import LocalEnvironment
+from ..deepmd.model import DeepPotential
+from ..deepmd.networks import FastMLP
 from ..md.neighbor import build_neighbor_data
 from ..nnframework import ops
 from ..nnframework.optimizers import Adam
 from ..nnframework.tensor import Tensor
 from ..utils.rng import default_rng
-from .descriptor import build_descriptor_graph
-from .envmat import LocalEnvironment
-from .model import DeepPotential
-from .reference import ReferenceDataset
+from .dataset import ReferenceDataset
+from .graph import build_descriptor_graph, framework_nets
 
 
 @dataclass
 class TrainingResult:
-    """Loss history and final per-atom energy errors."""
+    """The trained frozen model, the loss history and final per-atom energy errors."""
 
+    model: DeepPotential | None = None
     loss_history: list[float] = field(default_factory=list)
     energy_rmse_per_atom: float = 0.0
     validation_rmse_per_atom: float | None = None
@@ -56,7 +62,11 @@ class TrainingResult:
 
 
 class Trainer:
-    """Fits a :class:`DeepPotential` to a :class:`ReferenceDataset`."""
+    """Fits a :class:`DeepPotential` to a :class:`ReferenceDataset`.
+
+    ``model`` supplies the configuration and the starting weights; the
+    tensors and calibration constants being fitted live on the trainer.
+    """
 
     def __init__(
         self,
@@ -70,7 +80,12 @@ class Trainer:
         self.model = model
         self.dataset = dataset
         self.rng = default_rng(rng)
-        self.optimizer = Adam(model.parameters(), lr=learning_rate)
+        self.embeddings, self.fittings = framework_nets(model)
+        nets = [*self.embeddings.values(), *self.fittings.values()]
+        self.optimizer = Adam([p for net in nets for p in net.parameters()], lr=learning_rate)
+        self.energy_bias = model.energy_bias
+        self.descriptor_mean = model.descriptor_mean
+        self.descriptor_std = model.descriptor_std
         self._environments: list[LocalEnvironment] = []
         self._prepared = False
 
@@ -96,7 +111,7 @@ class Trainer:
                     values.append(frame.per_atom_energy[sel])
             if values:
                 bias[ti] = float(np.concatenate(values).mean())
-        self.model.set_energy_bias(bias)
+        self.energy_bias = bias
 
         # Descriptor standardization statistics per centre type.
         dim = cfg.descriptor_dim
@@ -113,7 +128,7 @@ class Trainer:
             mean[ti] = stacked.mean(axis=0)
             sigma = stacked.std(axis=0)
             std[ti] = np.where(sigma > 1.0e-8, sigma, 1.0)
-        self.model.set_descriptor_stats(mean, std)
+        self.descriptor_mean, self.descriptor_std = mean, std
         self._prepared = True
 
     # -- training loop ---------------------------------------------------------
@@ -146,12 +161,23 @@ class Trainer:
             if verbose:  # pragma: no cover - console convenience
                 print(f"epoch {epoch + 1:4d}  loss {result.loss_history[-1]:.6e}")
 
-        self.model.invalidate_kernels()
+        result.model = self.frozen_model()
         result.n_epochs = n_epochs
-        result.energy_rmse_per_atom = self.evaluate_rmse(self.dataset)
+        result.energy_rmse_per_atom = energy_rmse(result.model, self.dataset)
         if validation is not None and len(validation):
-            result.validation_rmse_per_atom = self.evaluate_rmse(validation)
+            result.validation_rmse_per_atom = energy_rmse(result.model, validation)
         return result
+
+    def frozen_model(self) -> DeepPotential:
+        """A new frozen model over the trainer's current weights and calibration."""
+        return DeepPotential.from_weights(
+            self.model.config,
+            {key: FastMLP(net.export_weights()) for key, net in self.embeddings.items()},
+            {key: FastMLP(net.export_weights()) for key, net in self.fittings.items()},
+            self.descriptor_mean,
+            self.descriptor_std,
+            self.energy_bias,
+        )
 
     def _frame_loss(self, frame, env: LocalEnvironment) -> Tensor:
         """Per-atom energy MSE of one frame as a framework scalar."""
@@ -165,12 +191,12 @@ class Trainer:
                 env,
                 ti,
                 idx,
-                self.model.embeddings,
-                self.model.fittings,
+                self.embeddings,
+                self.fittings,
                 cfg.axis_neurons,
-                self.model.descriptor_mean[ti],
-                self.model.descriptor_std[ti],
-                self.model.energy_bias[ti],
+                self.descriptor_mean[ti],
+                self.descriptor_std[ti],
+                self.energy_bias[ti],
                 inputs_require_grad=False,
             )
             target = Tensor(frame.per_atom_energy[idx].reshape(-1, 1))
@@ -182,17 +208,15 @@ class Trainer:
             total = ops.add(total, extra)
         return ops.mul(total, 1.0 / len(losses))
 
-    # -- evaluation ---------------------------------------------------------------
-    def evaluate_rmse(self, dataset: ReferenceDataset) -> float:
-        """Per-atom energy RMSE of the current model over ``dataset`` (eV/atom)."""
-        cfg = self.model.config
-        self.model.invalidate_kernels()
-        errors = []
-        for frame in dataset.frames:
-            neighbors = build_neighbor_data(frame.atoms.positions, frame.box, cfg.cutoff)
-            output = self.model.evaluate(frame.atoms, frame.box, neighbors)
-            errors.append(output.per_atom_energy - frame.per_atom_energy)
-        if not errors:
-            return 0.0
-        stacked = np.concatenate(errors)
-        return float(np.sqrt(np.mean(stacked * stacked)))
+
+def energy_rmse(model: DeepPotential, dataset: ReferenceDataset) -> float:
+    """Per-atom energy RMSE of ``model`` over ``dataset`` (eV/atom)."""
+    errors = []
+    for frame in dataset.frames:
+        neighbors = build_neighbor_data(frame.atoms.positions, frame.box, model.config.cutoff)
+        output = model.evaluate(frame.atoms, frame.box, neighbors)
+        errors.append(output.per_atom_energy - frame.per_atom_energy)
+    if not errors:
+        return 0.0
+    stacked = np.concatenate(errors)
+    return float(np.sqrt(np.mean(stacked * stacked)))

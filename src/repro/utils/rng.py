@@ -25,29 +25,13 @@ def default_rng(seed=None) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def spawn_rngs(seed, n: int) -> list[np.random.Generator]:
-    """Create ``n`` statistically independent child generators.
-
-    Used when a simulation component (e.g. per-rank workload jitter, or the
-    per-rank streams of the multiprocess executor's worker ranks) needs one
-    stream per simulated MPI rank while remaining reproducible regardless of
-    evaluation order.
-
-    ``seed`` may be an integer, ``None``, or an existing ``Generator``.  When a
-    generator is passed, the child entropy is drawn *from that generator's
-    stream* (``bit_generator.random_raw``), so two generators in the same
-    state spawn identical children — previously this case silently fell back
-    to ``SeedSequence(None)`` (fresh OS entropy) and was irreproducible.  Note
-    that deriving the entropy advances the parent generator.
-    """
-    if n < 0:
-        raise ValueError("number of streams must be non-negative")
-    if isinstance(seed, np.random.Generator):
-        entropy = [int(word) for word in seed.bit_generator.random_raw(4)]
-        root = np.random.SeedSequence(entropy)
-    else:
-        root = np.random.SeedSequence(seed)
-    return [np.random.default_rng(s) for s in root.spawn(n)]
+def glorot_uniform(shape: tuple[int, ...], rng=None) -> np.ndarray:
+    """Glorot/Xavier uniform initialization (tanh-friendly, used by DeePMD) —
+    the one definition, for the framework layers and the frozen kernels alike."""
+    rng = default_rng(rng)
+    fan_in, fan_out = shape[0], shape[1] if len(shape) > 1 else shape[0]
+    limit = np.sqrt(6.0 / (fan_in + fan_out))
+    return rng.uniform(-limit, limit, size=shape)
 
 
 def random_unit_vectors(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.deepmd import DeepPotential, DeepPotentialConfig, Trainer, generate_copper_dataset
+from repro.deepmd import DeepPotential, DeepPotentialConfig
 from repro.md import copper_system, water_system
 from repro.md.neighbor import build_neighbor_data
+from repro.training import Trainer, generate_copper_dataset
 
 
 @pytest.fixture(scope="session")
@@ -69,10 +70,9 @@ def trained_copper_model():
         max_neighbors=32,
         seed=4,
     )
-    model = DeepPotential(config)
-    trainer = Trainer(model, dataset, learning_rate=5.0e-3, rng=5)
+    trainer = Trainer(DeepPotential(config), dataset, learning_rate=5.0e-3, rng=5)
     result = trainer.train(n_epochs=25)
-    return model, dataset, result
+    return result.model, dataset, result
 
 
 def neighbor_data_for(atoms, box, cutoff):

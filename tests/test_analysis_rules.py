@@ -985,7 +985,9 @@ def _repro_imports():
                 yield str(path.relative_to(root)), owner, target
 
 
-_EXECUTES = {"md", "deepmd", "nnframework", "parallel", "serving", "utils"}
+_INFERS = {"md", "deepmd", "parallel", "serving", "utils"}
+_TRAINS = {"nnframework", "training"}
+_EXECUTES = _INFERS | _TRAINS
 _PRICES = {"hardware", "perfmodel", "core", "analysis"}
 
 
@@ -997,6 +999,10 @@ _PRICES = {"hardware", "perfmodel", "core", "analysis"}
         # what a step executes never reads the Fugaku model, the experiment
         # harness or the linter; ``perfmodel.reconcile`` looks the other way
         pytest.param(_EXECUTES, _PRICES, id="execution-never-imports-model"),
+        # the paper's "TensorFlow removement" (§III-B.1): a frozen model is
+        # all the MD engine, the ranks and the server load; training is
+        # offline and hands back a new one
+        pytest.param(_INFERS, _TRAINS, id="inference-never-imports-framework"),
     ],
 )
 def test_import_direction(importers, forbidden):

@@ -9,7 +9,7 @@ from repro.deepmd.compression import (
     TabulatedEmbeddingSet,
     analytic_input_jacobian,
 )
-from repro.deepmd.embedding import EmbeddingNetSet
+from repro.deepmd.networks import init_nets
 from repro.md import Box, copper_system
 from repro.md.atoms import Atoms
 from repro.md.neighbor import build_neighbor_data
@@ -19,10 +19,15 @@ from repro.reference.deepmd import tabulated_evaluate
 GOLDEN_TOLERANCE = 1.0e-12
 
 
+def _embedding_nets(n_types, sizes, rng):
+    """Seeded embedding kernels, one per (centre, neighbour) type pair."""
+    return init_nets(np.ndindex(n_types, n_types), 1, sizes, rng=rng)
+
+
 @pytest.fixture(scope="module")
 def two_type_tables():
     """All four (centre, neighbour) tables of a two-species embedding set."""
-    nets = EmbeddingNetSet(2, sizes=(6, 12), rng=3).export()
+    nets = _embedding_nets(2, (6, 12), rng=3)
     return TabulatedEmbeddingSet(nets, s_max=2.0, n_points=256), nets
 
 
@@ -106,7 +111,7 @@ class TestBatchedVsGolden:
 
 class TestAnalyticDerivatives:
     def test_jacobian_matches_finite_differences(self):
-        nets = EmbeddingNetSet(1, sizes=(4, 8), rng=7).export()
+        nets = _embedding_nets(1, (4, 8), rng=7)
         net = nets[(0, 0)]
         s = np.linspace(0.1, 1.9, 23)
         net.forward(np.array([[0.5]]), cache=True)
@@ -123,7 +128,7 @@ class TestAnalyticDerivatives:
     def test_first_node_derivative_is_one_sided_exact(self):
         """The node-0 derivative is the analytic dG/ds at s=0 — the builder
         never evaluates the net at s < 0 (the old centered difference did)."""
-        nets = EmbeddingNetSet(1, sizes=(4, 8), rng=8).export()
+        nets = _embedding_nets(1, (4, 8), rng=8)
         net = nets[(0, 0)]
         table = TabulatedEmbeddingSet(nets, s_max=1.0, n_points=64)
         step = 1.0e-6  # one-sided second-order difference, s >= 0 only
@@ -135,7 +140,7 @@ class TestAnalyticDerivatives:
 
     def test_table_nodes_are_exact(self):
         """Analytic build makes the table exact at every grid node."""
-        nets = EmbeddingNetSet(1, sizes=(4, 8), rng=9).export()
+        nets = _embedding_nets(1, (4, 8), rng=9)
         table = TabulatedEmbeddingSet(nets, s_max=1.5, n_points=32)
         grid = table.tables[(0, 0)].grid
         values, _ = tabulated_evaluate(table, (0, 0), grid)
@@ -200,14 +205,6 @@ class TestStaleCacheRegression:
         # unchanged parameters hit the cache
         assert model.compressed_embeddings(n_points=128, min_distance=0.25) is third
 
-    def test_invalidate_kernels_drops_table_and_key(self, tiny_copper_model):
-        model = tiny_copper_model
-        model.compressed_embeddings(n_points=64)
-        model.invalidate_kernels()
-        assert model._compressed is None and model._compressed_key is None
-        rebuilt = model.compressed_embeddings(n_points=64)
-        assert rebuilt.n_points == 64
-
     def test_evaluate_uses_the_active_table(self, tiny_copper_model):
         """evaluate(compressed=True) honours a pre-built custom table instead
         of silently rebuilding the default grid."""
@@ -230,7 +227,7 @@ class TestStaleCacheRegression:
         reference = ff.compute(atoms, box, neighbors)
         model.compressed_embeddings(n_points=16)  # someone else's coarse grid
         swapped = ff.compute(atoms, box, neighbors)
-        assert ff._compression_table().n_points == 256
+        assert ff._table.n_points == 256
         np.testing.assert_array_equal(swapped.forces, reference.forces)
 
     def test_two_pair_styles_with_different_grids_do_not_thrash(self, tiny_copper_model):
@@ -242,25 +239,12 @@ class TestStaleCacheRegression:
         atoms, box, neighbors = _copper_case(model)
         fine = DeepPotentialForceField(model, compressed=True, compression_points=256)
         coarse = DeepPotentialForceField(model, compressed=True, compression_points=32)
-        fine_table, coarse_table = fine._table.table, coarse._table.table
+        builds = model.table_cache_builds
         for _ in range(3):
             fine.compute(atoms, box, neighbors)
             coarse.compute(atoms, box, neighbors)
-        assert fine._table.table is fine_table and coarse._table.table is coarse_table
-
-    def test_pair_style_table_refreshes_after_invalidate_kernels(self, tiny_copper_model):
-        """invalidate_kernels (the trainer updated weights) must propagate to
-        the pair style's held table on the next compute."""
-        from repro.deepmd import DeepPotentialForceField
-
-        model = tiny_copper_model
-        atoms, box, neighbors = _copper_case(model)
-        ff = DeepPotentialForceField(model, compressed=True, compression_points=64)
-        stale = ff._table.table
-        model.invalidate_kernels()
-        ff.compute(atoms, box, neighbors)
-        assert ff._table.table is not stale
-        assert ff._table.table.n_points == 64
+        assert model.table_cache_builds == builds
+        assert (fine._table.n_points, coarse._table.n_points) == (256, 32)
 
 
 class TestCompressionQuality:
@@ -277,7 +261,7 @@ class TestCompressionQuality:
         assert errors.value == pytest.approx(golden, abs=GOLDEN_TOLERANCE)
 
     def test_table_errors_decrease_monotonically_with_n_points(self):
-        nets = EmbeddingNetSet(1, sizes=(6, 12), rng=11).export()
+        nets = _embedding_nets(1, (6, 12), rng=11)
         value_errors, deriv_errors = [], []
         for n_points in (32, 128, 512):
             table = TabulatedEmbeddingSet(nets, s_max=2.0, n_points=n_points)

@@ -154,7 +154,7 @@ class TestGemmBackend:
 class TestFastMLP:
     def test_matches_framework_mlp(self):
         mlp = MLP(3, [8, 8], out_features=2, rng=0)
-        fast = FastMLP.from_mlp(mlp)
+        fast = FastMLP(mlp.export_weights())
         x = np.random.default_rng(1).normal(size=(5, 3))
         from repro.nnframework import Tensor
 
@@ -165,7 +165,7 @@ class TestFastMLP:
         from repro.nnframework import Tensor, ops
 
         mlp = MLP(4, [8, 8], out_features=1, rng=2)
-        fast = FastMLP.from_mlp(mlp)
+        fast = FastMLP(mlp.export_weights())
         x = np.random.default_rng(3).normal(size=(6, 4))
         t = Tensor(x, requires_grad=True)
         ops.sum(mlp(t)).backward()
@@ -175,7 +175,7 @@ class TestFastMLP:
 
     def test_nt_vs_nn_backward_identical(self):
         mlp = MLP(4, [6], out_features=1, rng=4)
-        fast = FastMLP.from_mlp(mlp)
+        fast = FastMLP(mlp.export_weights())
         x = np.random.default_rng(5).normal(size=(3, 4))
         fast.forward(x)
         nn = fast.backward_input(np.ones((3, 1)), backend=GemmBackend(pretranspose=True))
@@ -184,12 +184,12 @@ class TestFastMLP:
         np.testing.assert_allclose(nn, nt, atol=1e-12)
 
     def test_backward_requires_forward_cache(self):
-        fast = FastMLP.from_mlp(MLP(2, [4], out_features=1, rng=6))
+        fast = FastMLP(MLP(2, [4], out_features=1, rng=6).export_weights())
         with pytest.raises(RuntimeError):
             fast.backward_input(np.ones((1, 1)))
 
     def test_parameter_count_and_shapes(self):
         mlp = MLP(3, [5], out_features=2, rng=7)
-        fast = FastMLP.from_mlp(mlp)
+        fast = FastMLP(mlp.export_weights())
         assert fast.n_parameters() == 3 * 5 + 5 + 5 * 2 + 2
         assert fast.layer_shapes() == [(3, 5), (5, 2)]

@@ -1,5 +1,6 @@
 """The Deep Potential model: forces, symmetries, precision, compression, baseline path, reentrancy."""
 
+import hashlib
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -11,6 +12,7 @@ from repro.deepmd import (
     DOUBLE,
     MIX_FP16,
     MIX_FP32,
+    DeepPotential,
     DeepPotentialConfig,
     DeepPotentialForceField,
     GemmBackend,
@@ -48,6 +50,25 @@ class TestConfig:
             DeepPotentialConfig(type_names=("Cu",), cutoff=6.0, cutoff_smooth=7.0)
         with pytest.raises(ValueError):
             DeepPotentialConfig(type_names=("Cu",), cutoff=6.0, embedding_sizes=(4,), axis_neurons=8)
+        # the network-shape checks fail at the config boundary and name the field
+        with pytest.raises(ValueError, match="embedding_sizes"):
+            DeepPotentialConfig(type_names=("Cu",), cutoff=6.0, embedding_sizes=())
+        with pytest.raises(ValueError, match="axis_neurons"):
+            DeepPotentialConfig(type_names=("Cu",), cutoff=6.0, axis_neurons=0)
+        with pytest.raises(ValueError, match="fitting_sizes"):
+            DeepPotentialConfig(type_names=("Cu",), cutoff=6.0, fitting_sizes=(8, 0))
+
+    def test_empty_fitting_sizes_is_a_linear_fitting_net(self):
+        config = DeepPotentialConfig(
+            type_names=("Cu",), cutoff=4.5, embedding_sizes=(4,), axis_neurons=2, fitting_sizes=(), max_neighbors=48, seed=0
+        )
+        model = DeepPotential(config)
+        assert model.fast_fittings()[0].layer_shapes() == [(8, 1)]
+        atoms, box = copper_system((3, 3, 3), perturbation=0.05, rng=0)
+        neighbors = build_neighbor_data(atoms.positions, box, config.cutoff)
+        fast = model.evaluate(atoms, box, neighbors)
+        framework = evaluate_with_framework(model, atoms, box, neighbors)
+        np.testing.assert_allclose(fast.forces, framework.forces, atol=1e-10)
 
     def test_precision_policy_lookup(self):
         assert get_policy("double") is DOUBLE
@@ -56,6 +77,92 @@ class TestConfig:
             get_policy("fp8")
         assert MIX_FP16.uses_fp16 and MIX_FP16.uses_fp32
         assert not DOUBLE.uses_fp16
+
+
+def _digest(*arrays) -> str:
+    digest = hashlib.sha256()
+    for array in arrays:
+        digest.update(np.ascontiguousarray(array).tobytes())
+    return digest.hexdigest()
+
+
+_TINY = dict(cutoff=4.5, cutoff_smooth=3.5, embedding_sizes=(6, 12), axis_neurons=4, fitting_sizes=(16, 16), max_neighbors=48)
+
+#: config, weights sha256, then (energy.hex(), sha256 of per-atom energies +
+#: forces + virial) of one ``double`` evaluate, exact and compressed — recorded
+#: at the commit before the model drew its weights straight into ``FastMLP``
+#: (it then built framework ``MLP`` tensors and exported a copy)
+_PARENT_PINS = {
+    "copper": (
+        dict(type_names=("Cu",), seed=0, **_TINY),
+        "e18e8a52cf9041139a16f87cde9a6449b60d202d3eebfe893c15a7aedda99bd5",
+        ("-0x1.1da46ed91ec1cp-3", "68f2b74e7be22c5ac2fb21eeab5463039afe21a5ec005962c255ce157f869061"),
+        ("-0x1.1da46ed91eb8cp-3", "a102e1faf623c106ac8305f3ac50d3b8ae0155271e7042a36733447c2fdf62cf"),
+    ),
+    "water": (
+        dict(type_names=("O", "H"), seed=1, **_TINY),
+        "95bceed97a676d4b5c83b74bb744e7742438cf1762a6cfd73282f847d4b29582",
+        ("-0x1.3e8d950ee80afp-2", "dad945d922227ab87a41536c4f77873fdc05fed7ed696ec3f4327a9459a3f37d"),
+        ("-0x1.3e8d950ee8163p-2", "fe5a532487f7e446a258124d740595cb5d62a9875f3eced6bc1f1b3719483b72"),
+    ),
+    # the benchmark's dp_serial network on a 64-molecule box
+    "dp_serial": (
+        dict(type_names=("O", "H"), cutoff=6.0, embedding_sizes=(32, 64, 128), axis_neurons=8,
+             fitting_sizes=(32, 32), max_neighbors=100, seed=2),
+        "4e3d0c42c4616bf8f134594c58eb599c59f3c8438c23be1e0b275af4f162ddd5",
+        ("0x1.f6bb9b78bde43p-3", "d54df11fb5690d607e5477fb74ca633d221b087ed6e6fce133e857fce4b923f6"),
+        ("0x1.f6bb9b78bde24p-3", "07d3076e6dd95bf54404fcf28227cfc93e592008dc8a9ea9661f1af16586b3ae"),
+    ),
+}
+
+
+class TestFrozenWeights:
+    @pytest.mark.parametrize("name", sorted(_PARENT_PINS))
+    def test_seeded_weights_and_outputs_match_the_recorded_parent(self, name):
+        kwargs, weights, exact, compressed = _PARENT_PINS[name]
+        model = DeepPotential(DeepPotentialConfig(**kwargs))
+        layers = [
+            layer
+            for nets in (model.fast_embeddings(), model.fast_fittings())
+            for key in sorted(nets)
+            for layer in nets[key].layers
+        ]
+        assert _digest(*[array for layer in layers for array in (layer.weight, layer.bias)]) == weights
+        if name == "copper":
+            atoms, box = copper_system((3, 3, 3), perturbation=0.08, rng=1)
+        else:
+            atoms, box, _ = water_system(27 if name == "water" else 64, rng=2)
+        neighbors = build_neighbor_data(atoms.positions, box, kwargs["cutoff"])
+        for use_table, (energy, arrays) in ((False, exact), (True, compressed)):
+            out = model.evaluate(atoms, box, neighbors, compressed=use_table)
+            assert out.energy.hex() == energy
+            assert _digest(out.per_atom_energy, out.forces, out.virial) == arrays
+
+    def test_frozen_means_frozen(self, tiny_copper_model):
+        """What replaced the invalidation protocol: a held kernel or table
+        cannot go stale because the weights are read-only — an in-place
+        update of a live model raises instead of silently diverging."""
+        model = tiny_copper_model
+        for nets in (model.fast_embeddings(), model.fast_fittings()):
+            for net in nets.values():
+                for layer in net.layers:
+                    assert not any(a.flags.writeable for a in (layer.weight, layer.weight_t, layer.bias))
+        with pytest.raises(ValueError):
+            model.fast_embeddings()[(0, 0)].layers[0].weight[0, 0] = 1.0
+        with pytest.raises(AttributeError):
+            model.fast_fittings()[0].layers[0].weight = np.zeros(1)
+        assert model.fast_embeddings() is model.fast_embeddings()
+        assert not hasattr(model, "invalidate_kernels") and not hasattr(model, "parameters")
+
+    def test_from_weights_takes_data_and_checks_it(self, tiny_water_model):
+        model = tiny_water_model
+        args = (model.descriptor_mean, model.descriptor_std, model.energy_bias)
+        clone = DeepPotential.from_weights(model.config, model.fast_embeddings(), model.fast_fittings(), *args)
+        assert clone.fast_embeddings()[(1, 0)] is model.fast_embeddings()[(1, 0)]
+        with pytest.raises(ValueError, match="embedding_nets"):
+            DeepPotential.from_weights(model.config, {(0, 0): model.fast_embeddings()[(0, 0)]}, model.fast_fittings(), *args)
+        with pytest.raises(ValueError, match="fitting_nets"):
+            DeepPotential.from_weights(model.config, model.fast_embeddings(), model.fast_embeddings(), *args)
 
 
 class TestForces:

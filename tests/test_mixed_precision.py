@@ -9,8 +9,8 @@ The regression story of this suite:
   counters and the ``table_dtype`` field of ``describe()`` must all agree on
   what actually executes;
 * **once-per-policy operand caches** — the low-precision weight/bias/table
-  copies are built exactly once per policy and dropped by
-  ``invalidate_kernels``; steady-state mixed GEMMs see zero in-call operand
+  copies are built exactly once per policy and live as long as the frozen
+  weights they were cast from; steady-state mixed GEMMs see zero in-call operand
   casts (``GemmStats.cast_bytes``) — the per-call ``astype`` churn is gone;
 * **Table II tolerances** — MIX-fp32 / MIX-fp16 energy/force RMSE vs the
   fp64 golden output, on both the uncompressed and the compressed path,
@@ -92,7 +92,7 @@ class TestEffectiveComputeDtype:
         assert flops.get("fp32", 0.0) > 0.0
         assert flops.get("fp64", 0.0) == 0.0
         # and so did every batched table interpolation
-        table = ff._compression_table()
+        table = ff._table
         assert table.eval_dtype_counts.get("fp32", 0) > 0
         assert table.eval_dtype_counts.get("fp64", 0) == 0
         assert "fp32" in table.packed_dtypes()
@@ -105,7 +105,7 @@ class TestEffectiveComputeDtype:
         ff.compute(atoms, box, neighbors)
         assert backend.stats.flops_by_dtype.get("fp64", 0.0) > 0.0
         assert backend.stats.flops_by_dtype.get("fp32", 0.0) == 0.0
-        table = ff._compression_table()
+        table = ff._table
         assert table.eval_dtype_counts.get("fp64", 0) > 0
         assert table.eval_dtype_counts.get("fp32", 0) == 0
         assert ff.describe()["table_dtype"] == "fp64"
@@ -150,20 +150,6 @@ class TestOperandCaches:
         packed_before = table.ensure_packed(np.float32)
         model.evaluate(atoms, box, neighbors, precision="mix-fp32", compressed=True)
         assert table.ensure_packed(np.float32) is packed_before
-
-    def test_invalidate_kernels_drops_low_precision_caches(self):
-        model, atoms, box, neighbors = _water_model()
-        model.evaluate(atoms, box, neighbors, precision="mix-fp32", compressed=True)
-        old_emb = model.fast_embeddings()
-        generation = model.kernel_generation
-        model.invalidate_kernels()
-        assert model.kernel_generation == generation + 1
-        new_emb = model.fast_embeddings()
-        for key, net in new_emb.items():
-            assert net is not old_emb[key]
-            assert net.lp_cache_builds == 0
-        # the fresh table has no reduced copy until a mixed evaluation runs
-        assert model.compressed_embeddings().packed_dtypes() == ("fp64",)
 
     def test_mixed_workspace_steady_state_reuses_buffers(self):
         model, atoms, box, neighbors = _water_model()

@@ -51,8 +51,6 @@ def test_vectorized_inference_beats_scalar_on_512_atoms():
     )
     model = DeepPotential(config)
     neighbors = build_neighbor_data(atoms.positions, box, config.cutoff)
-    model.fast_embeddings()
-    model.fast_fittings()
 
     t0 = time.perf_counter()
     out_scalar = evaluate_scalar(model, atoms, box, neighbors)

@@ -461,33 +461,6 @@ class TestCacheReuse:
         assert table_ids[0] == table_ids[1]
         assert serving_model.table_cache_builds == 1
 
-    def test_weight_update_reaches_the_engine_table(self):
-        """After a weight update + ``invalidate_kernels`` the engine must not
-        keep serving the table it resolved at construction."""
-        config = DeepPotentialConfig(
-            type_names=("Cu",),
-            cutoff=4.5,
-            cutoff_smooth=3.5,
-            embedding_sizes=(6, 12),
-            axis_neurons=4,
-            fitting_sizes=(16, 16),
-            max_neighbors=16,
-            seed=13,
-        )
-        model = DeepPotential(config)
-        system = prepare_system(model, *_cluster(8, 31))
-        with ServingEngine(model, max_batch_size=2, max_wait_ms=1.0) as engine:
-            before = float(engine.evaluate_batch([system]).energies[0])
-            for parameter in model.embeddings.parameters():
-                parameter.data *= 1.5
-            model.invalidate_kernels()
-            synchronous = float(engine.evaluate_batch([system]).energies[0])
-            submitted = engine.submit(system[0], system[1]).result(timeout=60).energy
-        fresh = float(ServingEngine(model).evaluate_batch([system]).energies[0])
-        assert abs(fresh - before) > 1e-5, "the update must be visible at all"
-        assert synchronous == fresh
-        assert submitted == pytest.approx(fresh, abs=PARITY_ATOL)
-
 
 # ---------------------------------------------------------------------------
 # Stress tier (slow): concurrent clients, mixed request kinds

@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.utils.rng import default_rng, random_unit_vectors, spawn_rngs
+from repro.utils.rng import default_rng, random_unit_vectors
 from repro.utils.tables import Table, format_table
 from repro.utils.timer import PhaseTimer, Timer
 
@@ -19,37 +19,6 @@ def test_default_rng_seed_reproducible():
     a = default_rng(42).random(5)
     b = default_rng(42).random(5)
     np.testing.assert_allclose(a, b)
-
-
-def test_spawn_rngs_independent_streams():
-    streams = spawn_rngs(7, 3)
-    values = [s.random(4) for s in streams]
-    assert not np.allclose(values[0], values[1])
-    assert not np.allclose(values[1], values[2])
-
-
-def test_spawn_rngs_negative_count_rejected():
-    with pytest.raises(ValueError):
-        spawn_rngs(0, -1)
-
-
-def test_spawn_rngs_from_generator_is_deterministic():
-    """The regression: seeding with a Generator used to fall through to
-    ``SeedSequence(generator)``'s OS-entropy path, so two identically seeded
-    parents spawned *different* children on every call."""
-    values_a = [rng.random(3) for rng in spawn_rngs(np.random.default_rng(42), 3)]
-    values_b = [rng.random(3) for rng in spawn_rngs(np.random.default_rng(42), 3)]
-    for a, b in zip(values_a, values_b):
-        np.testing.assert_array_equal(a, b)
-
-
-def test_spawn_rngs_from_generator_consumes_parent_state():
-    """Spawning draws from the parent, so successive spawns differ (the
-    children stay independent streams, not copies)."""
-    parent = np.random.default_rng(42)
-    first = spawn_rngs(parent, 1)[0].random(3)
-    second = spawn_rngs(parent, 1)[0].random(3)
-    assert not np.allclose(first, second)
 
 
 def test_random_unit_vectors_are_normalized():
