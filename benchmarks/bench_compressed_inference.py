@@ -19,7 +19,11 @@ on).  This benchmark pins it the way PR 1/3/4 pinned their fast paths:
   ``TRANSIENT_PEAK_BUDGET_MIB`` of its baseline.  The call count above only
   sees explicit allocators, so an expression temporary the size of a
   ``(B, N, M)`` block (``matmul(...) / n``: two of them, 34 MB each at this
-  size) slips past it; this one is deterministic too — bytes, not a timing.
+  size) slips past it; this one is deterministic too — bytes, not a timing;
+* **pool size** — what the step keeps resident: ``Workspace.nbytes`` after the
+  same window stays within ``POOL_BUDGET_MIB``.  The blocked compressed step
+  holds two ``(B, N, M)``-class buffers (dense G, compact dG/ds); a third — a
+  compact copy of G, or a full dE/dG — is 35-41 MiB at fp32 and fails it.
 
 Run with::
 
@@ -53,6 +57,9 @@ ALLOCATION_BUDGET = 2
 #: step (measured ~15 MiB, set by the env build's (n, width, 3) candidate
 #: geometry; one (B, N, M) expression temporary alone is >= 33 MiB).
 TRANSIENT_PEAK_BUDGET_MIB = 16.0
+#: Workspace pool after steady-state compressed steps, per precision policy
+#: (measured 103 / 185 MiB; 137 / 253 with a compact G copy and a full dE/dG).
+POOL_BUDGET_MIB = {"mix-fp32": 110.0, "double": 200.0}
 #: Table resolution used for the speed runs (the paper's two-level table has
 #: a comparable node count; accuracy at this grid is ~1e-10 in the forces).
 N_POINTS = 512
@@ -228,5 +235,11 @@ def test_compressed_steady_state_allocation_budget(precision):
     assert transient_mib <= TRANSIENT_PEAK_BUDGET_MIB, (
         "a steady-state compressed step allocated a (B, N, M)-sized temporary "
         "(an expression result the explicit-allocator count cannot see)"
+    )
+    pool_mib = sim.workspace.nbytes / 2**20
+    print(f"workspace pool: {pool_mib:.1f} MiB (budget {POOL_BUDGET_MIB[precision]:.0f})")
+    assert pool_mib <= POOL_BUDGET_MIB[precision], (
+        "the compressed step pooled a third (B, N, M)-class buffer "
+        "(only dense G and the compact dG/ds rows are whole-type-block sized)"
     )
 

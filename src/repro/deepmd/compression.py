@@ -13,13 +13,20 @@ net (:meth:`FastMLP.backward_input`, one vector-Jacobian product per output
 component), not from finite differences — the table is exact at the nodes and
 never evaluates the net outside the tabulated range.
 
-:meth:`TabulatedEmbeddingSet.evaluate_batched` is the one evaluator: all
-tables are stacked into one packed node array so every neighbour of a whole
-batch is interpolated with a single fused gather per Hermite node and one
-vectorized kernel, whatever mixture of neighbour types the rows hold.  It is
-pinned at 1e-12 (``tests/test_deepmd_compression.py``) to the per-key golden
-:func:`repro.reference.deepmd.tabulated_evaluate`, which reads the same
-:attr:`TabulatedEmbeddingSet.tables` one ``(centre, neighbour)`` key at a time.
+:meth:`TabulatedEmbeddingSet.place` + :meth:`HermitePlacement.interpolate`
+are the one evaluator: all tables are stacked into one packed node array, so
+``place`` resolves every neighbour of a whole batch — whatever mixture of
+neighbour types the rows hold — to a node window and its Hermite basis
+weights once, and ``interpolate`` turns any row range of that placement into
+``(G, dG/ds)`` with one fused gather and two contractions.  The model's
+compressed step (:meth:`repro.deepmd.model.DeepPotential._per_type_fast`)
+calls the kernel once per cache-sized block of centres and consumes the block
+while it is hot; :meth:`TabulatedEmbeddingSet.evaluate_batched` is the same
+placement and a loop over the same kernel in :data:`HERMITE_CHUNK_ROWS` row
+blocks.  It is pinned at 1e-12 (``tests/test_deepmd_compression.py``) to the
+per-key golden :func:`repro.reference.deepmd.tabulated_evaluate`, which reads
+the same :attr:`TabulatedEmbeddingSet.tables` one ``(centre, neighbour)`` key
+at a time.
 
 Inputs outside ``[0, s_max]`` clamp to the end nodes — the value is
 constant-extrapolated there, so **dG/ds is zero** outside the range (a
@@ -53,10 +60,21 @@ HERMITE_DERIVATIVE_FLOPS_PER_NEIGHBOR = 17.0
 #: Per (neighbour, component): the dE/ds contraction of dG/ds with dE/dG.
 EMBEDDING_GRAD_DOT_FLOPS_PER_COMPONENT = 2.0
 
-#: Rows per cache block of the batched kernel: the gathered (rows, 4, M)
-#: operand block and both output slices stay resident between the gather and
-#: the two contractions (measured ~3x over whole-array passes at 90k rows).
+#: Rows per cache block — the one block-size constant of the compressed path.
+#: In the kernel the gathered (rows, 4, M) operand block and both output
+#: slices stay resident between the gather and the two contractions (measured
+#: ~3x over whole-array passes at 90k rows); the model's compressed step sizes
+#: its centre blocks from it (:func:`centre_block`), so a block's G rows are
+#: still cache-hot when the descriptor contraction reads them.  It never
+#: selects arithmetic (pinned ``array_equal`` at 1 row, the default and one
+#: block per batch).
 HERMITE_CHUNK_ROWS = 1024
+
+
+def centre_block(n_neighbors: int) -> int:
+    """Centres per block of a padded ``(B, n_neighbors, M)`` pass: as many as
+    fit in :data:`HERMITE_CHUNK_ROWS` neighbour rows, and at least one."""
+    return max(1, HERMITE_CHUNK_ROWS // n_neighbors)
 
 
 @dataclass
@@ -68,6 +86,38 @@ class _Table:
     @property
     def width(self) -> int:
         return self.values.shape[1]
+
+
+@dataclass
+class HermitePlacement:
+    """Where every row of one batched evaluation lands in the packed table.
+
+    Built by :meth:`TabulatedEmbeddingSet.place`; row ``i`` interpolates the
+    node window ``windows[base[i]]`` with the basis weights of row ``i``.
+    """
+
+    windows: np.ndarray  # (n_nodes - 1, 2, 2M) overlapping node-pair view at the compute dtype
+    base: np.ndarray  # (n,) window index: table slot * K + segment
+    value_weights: np.ndarray  # (n, 4) h00, h10, h01, h11
+    deriv_weights: np.ndarray  # (n, 4) their t-derivatives over the grid step
+    clamped: np.ndarray | None  # (n,) True outside [0, s_max]; None when no row is
+
+    # reprolint: hot-path
+    def interpolate(self, lo: int, hi: int, out_values: np.ndarray, out_derivatives: np.ndarray) -> None:
+        """``(G, dG/ds)`` of rows ``[lo, hi)`` into two ``(hi - lo, M)`` buffers.
+
+        One fancy-index over the window view gathers all four Hermite
+        operands ``[y0, h*d0, y1, h*d1]`` of the row block; the value and
+        derivative combinations run as two ``einsum`` contractions against
+        the (row, 4) basis weights — no per-term temporaries, and the k-order
+        of the contraction matches the golden 4-term sum exactly.  Clamped
+        rows keep the end-node value and get a zero derivative.
+        """
+        nodes = self.windows[self.base[lo:hi]].reshape(hi - lo, 4, out_values.shape[1])
+        np.einsum("nkm,nk->nm", nodes, self.value_weights[lo:hi], out=out_values)
+        np.einsum("nkm,nk->nm", nodes, self.deriv_weights[lo:hi], out=out_derivatives)
+        if self.clamped is not None:
+            out_derivatives[self.clamped[lo:hi]] = 0.0
 
 
 @dataclass
@@ -243,6 +293,75 @@ class TabulatedEmbeddingSet:
         return np.where(valid, slots, 0)
 
     # reprolint: hot-path
+    def place(self, slots: np.ndarray, s: np.ndarray, dtype=np.float64) -> HermitePlacement:
+        """Node placement and Hermite basis weights of every ``(slot, s)`` row.
+
+        ``slots`` and ``s`` share any shape and are read flat.  The slot
+        indices are free-form: nothing here assumes the rows belong to one
+        system, so the serving batch path
+        (:meth:`repro.deepmd.model.DeepPotential.evaluate_many`) places the
+        concatenated rows of a whole multi-system batch at once.
+
+        ``dtype`` is the compute precision of the interpolation
+        (:attr:`PrecisionPolicy.compute_dtype` on the production path):
+        float64 reads the master table and is the golden-pinned reference;
+        lower precisions gather from the once-cast reduced node array of
+        :meth:`ensure_packed` and run the basis arithmetic and contractions
+        natively at that precision.  The node *placement* (grid index and the
+        out-of-range clamp) is always resolved in float64 so every precision
+        interpolates the same segment.
+
+        Everything per-row that does not touch the M-wide node data happens
+        here, once per call, so :meth:`HermitePlacement.interpolate` is only
+        the gather and the two contractions.
+        """
+        dt = np.dtype(dtype)
+        name = _dtype_name(dt)
+        self.eval_dtype_counts[name] = self.eval_dtype_counts.get(name, 0) + 1
+        if dt == np.dtype(np.float64):
+            windows = self._node_windows
+        else:
+            self.ensure_packed(dt)
+            windows = self._packed_lp[dt][1]
+        flat_s = np.asarray(s, dtype=np.float64).reshape(-1)
+        flat_slots = np.asarray(slots, dtype=np.int64).reshape(-1)
+        grid = self._grid
+        h = self._h if dt == np.dtype(np.float64) else dt.type(self._h)
+        clamped = np.clip(flat_s, grid[0], grid[-1])
+        idx = np.minimum((clamped - grid[0]) / self._h, len(grid) - 2).astype(int)  # reprolint: allow[alloc] fp64 node placement must produce a fresh int index array
+        t = ((clamped - grid[idx]) / self._h)[:, None]
+        if dt != np.dtype(np.float64):
+            t = t.astype(dt)  # reprolint: allow[alloc] one (n,1) downcast per call at the precision boundary
+        t2 = t * t
+        t3 = t2 * t
+        value_weights = np.concatenate(  # reprolint: allow[alloc] one (n,4) basis block per call, row-sliced by every kernel block
+            [
+                2.0 * t3 - 3.0 * t2 + 1.0,  # h00 -> y0
+                t3 - 2.0 * t2 + t,  # h10 -> h*d0
+                -2.0 * t3 + 3.0 * t2,  # h01 -> y1
+                t3 - t2,  # h11 -> h*d1
+            ],
+            axis=1,
+        )
+        deriv_weights = np.concatenate(  # reprolint: allow[alloc] one (n,4) basis block per call, row-sliced by every kernel block
+            [
+                (6.0 * t2 - 6.0 * t) / h,
+                (3.0 * t2 - 4.0 * t + 1.0) / h,
+                (-6.0 * t2 + 6.0 * t) / h,
+                (3.0 * t2 - 2.0 * t) / h,
+            ],
+            axis=1,
+        )
+        out_of_range = (flat_s < grid[0]) | (flat_s > grid[-1])
+        return HermitePlacement(
+            windows=windows,
+            base=flat_slots * len(grid) + idx,
+            value_weights=value_weights,
+            deriv_weights=deriv_weights,
+            clamped=out_of_range if np.any(out_of_range) else None,
+        )
+
+    # reprolint: hot-path
     def evaluate_batched(
         self,
         slots: np.ndarray,
@@ -255,60 +374,23 @@ class TabulatedEmbeddingSet:
 
         ``slots`` and ``s`` share any leading shape; the result appends the
         table width M.  ``out_values`` / ``out_derivatives`` are optional
-        preallocated buffers of that output shape (the workspace path of the
-        model); outputs are written in place and returned.  Outside
-        ``[0, s_max]`` the value clamps to the end node and the derivative is
-        zero.
+        preallocated buffers of that output shape; outputs are written in
+        place and returned.  Outside ``[0, s_max]`` the value clamps to the
+        end node and the derivative is zero.
 
-        The slot indices are free-form: nothing here assumes the rows belong
-        to one system, so the serving batch path
-        (:meth:`repro.deepmd.model.DeepPotential.evaluate_many`) passes the
-        concatenated slot/s arrays of a whole multi-system batch and every
-        neighbour of every packed system interpolates in the same fused
-        gather + Hermite kernel.
-
-        ``dtype`` is the compute precision of the interpolation
-        (:attr:`PrecisionPolicy.compute_dtype` on the production path):
-        float64 reads the master table and is the golden-pinned reference;
-        lower precisions gather from the once-cast reduced node array of
-        :meth:`ensure_packed` and run the basis arithmetic and contractions
-        natively at that precision.  The node *placement* (grid index and the
-        out-of-range clamp) is always resolved in float64 so every precision
-        interpolates the same segment.
-
-        One fancy-index over the window view gathers all four Hermite
-        operands of a row block; the value/derivative combinations run as two
-        ``einsum`` contractions against the (row, 4) basis weights — no
-        per-term temporaries, and the k-order of the contraction matches the
-        golden 4-term sum exactly.  Rows are processed in
-        :data:`HERMITE_CHUNK_ROWS` blocks so the gathered operands stay
-        cache-resident between the gather and the contractions.
+        This is :meth:`place` followed by :meth:`HermitePlacement.interpolate`
+        over :data:`HERMITE_CHUNK_ROWS` row blocks, so the gathered operands
+        stay cache-resident between the gather and the contractions — the
+        kernel the model's compressed step drives block by block itself.
         """
         dt = np.dtype(dtype)
-        name = _dtype_name(dt)
-        self.eval_dtype_counts[name] = self.eval_dtype_counts.get(name, 0) + 1
-        if dt == np.dtype(np.float64):
-            windows = self._node_windows
-        else:
-            self.ensure_packed(dt)
-            windows = self._packed_lp[dt][1]
-        s_arr = np.asarray(s, dtype=np.float64)
-        flat_s = s_arr.reshape(-1)
-        flat_slots = np.asarray(slots, dtype=np.int64).reshape(-1)
-        grid = self._grid
-        h = self._h if dt == np.dtype(np.float64) else dt.type(self._h)
+        placement = self.place(slots, s, dtype=dt)
+        n_flat = len(placement.base)
         m = self.width
-        n_flat = len(flat_s)
-        clamped = np.clip(flat_s, grid[0], grid[-1])
-        idx = np.minimum((clamped - grid[0]) / self._h, len(grid) - 2).astype(int)  # reprolint: allow[alloc] fp64 node placement must produce a fresh int index array
-        t_all = ((clamped - grid[idx]) / self._h)[:, None]
-        if dt != np.dtype(np.float64):
-            t_all = t_all.astype(dt)  # reprolint: allow[alloc] one (n,1) downcast per call at the precision boundary
-        base = flat_slots * len(grid) + idx
 
         if (out_values is None) != (out_derivatives is None):
             raise ValueError("out_values and out_derivatives must be provided together")
-        shape = (*s_arr.shape, m)
+        shape = (*np.shape(s), m)
         if out_values is None:
             values = np.empty((n_flat, m), dtype=dt)  # reprolint: allow[alloc] out-less reference branch; the workspace path passes buffers
             derivs = np.empty((n_flat, m), dtype=dt)  # reprolint: allow[alloc] out-less reference branch; the workspace path passes buffers
@@ -326,35 +408,7 @@ class TabulatedEmbeddingSet:
 
         for lo in range(0, n_flat, HERMITE_CHUNK_ROWS):
             hi = min(lo + HERMITE_CHUNK_ROWS, n_flat)
-            # block gather: (rows, 4, M) operands [y0, h*d0, y1, h*d1]
-            nodes = windows[base[lo:hi]].reshape(hi - lo, 4, m)
-            t = t_all[lo:hi]
-            t2 = t * t
-            t3 = t2 * t
-            value_weights = np.concatenate(  # reprolint: allow[alloc] per-chunk (rows,4) basis block, cache-resident by design
-                [
-                    2.0 * t3 - 3.0 * t2 + 1.0,  # h00 -> y0
-                    t3 - 2.0 * t2 + t,  # h10 -> h*d0
-                    -2.0 * t3 + 3.0 * t2,  # h01 -> y1
-                    t3 - t2,  # h11 -> h*d1
-                ],
-                axis=1,
-            )
-            deriv_weights = np.concatenate(  # reprolint: allow[alloc] per-chunk (rows,4) basis block, cache-resident by design
-                [
-                    (6.0 * t2 - 6.0 * t) / h,
-                    (3.0 * t2 - 4.0 * t + 1.0) / h,
-                    (-6.0 * t2 + 6.0 * t) / h,
-                    (3.0 * t2 - 2.0 * t) / h,
-                ],
-                axis=1,
-            )
-            np.einsum("nkm,nk->nm", nodes, value_weights, out=values[lo:hi])
-            np.einsum("nkm,nk->nm", nodes, deriv_weights, out=derivs[lo:hi])
-
-        out_of_range = (flat_s < grid[0]) | (flat_s > grid[-1])
-        if np.any(out_of_range):
-            derivs[out_of_range] = 0.0
+            placement.interpolate(lo, hi, values[lo:hi], derivs[lo:hi])
 
         if out_values is None:
             return values.reshape(shape), derivs.reshape(shape)

@@ -35,7 +35,7 @@ from ..md.box import Box
 from ..md.neighbor import NeighborData
 from ..md.workspace import UNPOOLED, scatter_add_vectors
 from ..utils.rng import default_rng
-from .compression import TabulatedEmbeddingSet
+from .compression import TabulatedEmbeddingSet, centre_block
 from .descriptor import raw_descriptors
 from .envmat import LocalEnvironment, build_local_environment
 from .gemm import GemmBackend
@@ -509,6 +509,22 @@ class DeepPotential:
         after another, so one set of grow-only buffers sized by the largest
         block serves them all, and each ``(B, N, M)`` operand is written into
         a pooled buffer (``out=``, in-place scaling) rather than allocated.
+
+        The compressed branch touches its ``(B, N, M)`` data in two sweeps
+        over blocks of :func:`~repro.deepmd.compression.centre_block` centres
+        (``HERMITE_CHUNK_ROWS`` neighbour rows).  Forward, per block: the
+        Hermite kernel writes G into one reused ``(rows, M)`` chunk and dG/ds
+        into its compact rows, the chunk is copied into the dense ``g`` rows
+        and ``R^T G`` of the block follows while they are cache-hot.
+        Backward, per block: dE/dR from the kept dense ``g``, the block's
+        dE/dG into a block-sized buffer, its valid rows gathered and
+        contracted against the block's dG/ds rows.  So dense G is written
+        once, no compact copy of G and no ``(B, N, M)`` dE/dG ever exist, and
+        the only ``(B, N, M)``-class buffers are ``g`` and the compact dG/ds.
+        Descriptor, fitting net and dE/dA stay whole-type-block calls (row
+        chunking the fitting GEMM would change bits), and every per-row and
+        per-centre operation is the call the whole-array form made on the
+        same operands: the block size never selects arithmetic.
         """
         sub = env.select(atom_indices, workspace)
         batch, n_nei = sub.s.shape
@@ -533,25 +549,34 @@ class DeepPotential:
         pairs = np.flatnonzero(valid)
         g = workspace.capacity("dp.emb.g", batch, trailing=(n_nei, m_width), dtype=cd)
         g_rows = g.reshape(batch * n_nei, m_width)
+        a = workspace.capacity("dp.desc.a", batch, trailing=(4, m_width), dtype=cd)
         tapes: list[tuple[np.ndarray, FastMLP, list]] = []  # (rows, net, its forward tape)
         if compressed:
-            # batched multi-table interpolation: every real neighbour of the
-            # batch in one gather + Hermite kernel, keyed by its table slot;
-            # padded slots are never evaluated
+            # batched multi-table interpolation, keyed by each real
+            # neighbour's table slot; padded slots are never evaluated.  Node
+            # placement is float64 regardless of the compute dtype, so the
+            # table always reads the fp64 s values
             table = compression_table or self.active_compressed_embeddings()
             slots = table.slot_index(center_type, sub.neighbor_types.reshape(-1)[pairs])
-            # node placement inside evaluate_batched is float64 regardless of
-            # the compute dtype, so the table always reads the fp64 s values
-            s_valid = sub.s.reshape(-1)[pairs]
-            g_valid = workspace.capacity("dp.emb.vals", len(pairs), trailing=(m_width,), dtype=cd)
-            dg_valid = workspace.capacity("dp.emb.ders", len(pairs), trailing=(m_width,), dtype=cd)
-            table.evaluate_batched(
-                slots, s_valid, out_values=g_valid, out_derivatives=dg_valid, dtype=cd
-            )
+            placement = table.place(slots, sub.s.reshape(-1)[pairs], dtype=cd)
+            # a centre block is centres [b0, b1) and, pairs being row-major,
+            # the compact rows [lo, hi)
+            block = min(centre_block(n_nei), batch)
+            edges = [*range(0, batch, block), batch]
+            bounds = np.searchsorted(pairs, np.multiply(edges, n_nei)).tolist()
+            blocks = list(zip(edges[:-1], edges[1:], bounds[:-1], bounds[1:]))
+            chunk = workspace.capacity("dp.emb.chunk", block * n_nei, trailing=(m_width,), dtype=cd)
             # dG/ds stays compact: only G must be dense for the descriptor
             # contraction
-            g[~valid] = 0.0
-            g_rows[pairs] = g_valid
+            dg_valid = workspace.capacity("dp.emb.ders", len(pairs), trailing=(m_width,), dtype=cd)
+            g_rows[np.flatnonzero(~valid)] = 0.0
+            for b0, b1, lo, hi in blocks:
+                g_block = chunk[: hi - lo]
+                placement.interpolate(lo, hi, g_block, dg_valid[lo:hi])
+                g_rows[pairs[lo:hi]] = g_block
+                np.matmul(r_c[b0:b1].transpose(0, 2, 1), g[b0:b1], out=a[b0:b1])
+            # spent: free the (n, 4) basis blocks before the backward's temporaries
+            del placement
         else:
             g.fill(0)
             for tj in np.unique(sub.neighbor_types):
@@ -564,10 +589,10 @@ class DeepPotential:
                 tape: list = []
                 g[sel] = net.forward(s_sel[:, None], backend=backend, dtypes=emb_dtypes, cache=tape)
                 tapes.append((sel, net, tape))
+            np.matmul(r_c.transpose(0, 2, 1), g, out=a)
 
-        # --- descriptor (batched matmuls: BLAS-backed, unlike c_einsum)
-        a = workspace.capacity("dp.desc.a", batch, trailing=(4, m_width), dtype=cd)
-        np.matmul(r_c.transpose(0, 2, 1), g, out=a)  # (B, 4, M)
+        # --- descriptor (batched matmuls: BLAS-backed, unlike c_einsum);
+        # a = R^T G / N is (B, 4, M)
         a /= n_nei
         a_axis = a[:, :, :m2]
         d = workspace.capacity("dp.desc.d", batch, trailing=(m_width, m2), dtype=cd)
@@ -594,29 +619,36 @@ class DeepPotential:
             fit_net.backward_input(ones, backend=backend, dtypes=fit_dtypes, cache=fit_tape), std, out=d_std
         ).reshape(batch, m_width, m2)
 
-        # --- descriptor backward: dE/dA, dE/dR, dE/dG
+        # --- descriptor backward: dE/dA
         grad_a = np.matmul(a_axis, grad_d.transpose(0, 2, 1))  # (B, 4, M)
         grad_a[:, :, :m2] += np.matmul(a, grad_d)  # (B, 4, M2)
-        grad_r = workspace.capacity("dp.desc.grad_r", batch, trailing=(n_nei, 4), dtype=cd)
-        np.matmul(g, grad_a.transpose(0, 2, 1), out=grad_r)  # (B, N, 4)
-        grad_r /= n_nei
-        # G was last read by dE/dR just above, so dE/dG — the one other
-        # (B, N, M) array of the block — overwrites it in place
-        grad_g = np.matmul(r_c, grad_a, out=g)  # (B, N, M)
-        grad_g /= n_nei
 
-        # --- embedding backward: dE/ds from the G path
+        # --- embedding backward: dE/dR (B, N, 4) and dE/ds from the G path
+        grad_r = workspace.capacity("dp.desc.grad_r", batch, trailing=(n_nei, 4), dtype=cd)
         grad_s_embed = workspace.capacity_zeros("dp.emb.grad_s", batch, trailing=(n_nei,), dtype=cd)
         if compressed:
-            # contract against the compact dG/ds rows: padded slots contribute
-            # exactly zero, so only the valid rows need the dot product (the
-            # compact G values are spent, so their buffer takes the gather)
-            np.take(g_rows, pairs, axis=0, out=g_valid, mode="clip")
-            grad_s_embed.reshape(-1)[pairs] = np.einsum("nm,nm->n", g_valid, dg_valid)
+            # padded slots contribute exactly zero, so only the valid rows of
+            # a block's dE/dG need the dot product with the compact dG/ds rows
+            # (the G chunk is spent, so it takes the gather)
+            grad_s_flat = grad_s_embed.reshape(-1)
+            grad_g = workspace.capacity("dp.emb.grad_g", block, trailing=(n_nei, m_width), dtype=cd)
+            for b0, b1, lo, hi in blocks:
+                np.matmul(g[b0:b1], grad_a[b0:b1].transpose(0, 2, 1), out=grad_r[b0:b1])
+                grad_g_block = np.matmul(r_c[b0:b1], grad_a[b0:b1], out=grad_g[: b1 - b0])
+                grad_g_block /= n_nei
+                rows = pairs[lo:hi]
+                np.take(grad_g_block.reshape(-1, m_width), rows - b0 * n_nei, axis=0, out=chunk[: hi - lo], mode="clip")
+                grad_s_flat[rows] = np.einsum("nm,nm->n", chunk[: hi - lo], dg_valid[lo:hi])
         else:
+            np.matmul(g, grad_a.transpose(0, 2, 1), out=grad_r)
+            # G was last read by dE/dR just above, so dE/dG — the one other
+            # (B, N, M) array of the block — overwrites it in place
+            grad_g = np.matmul(r_c, grad_a, out=g)  # (B, N, M)
+            grad_g /= n_nei
             for sel, net, tape in tapes:
                 gs_sel = net.backward_input(grad_g[sel], backend=backend, dtypes=emb_dtypes, cache=tape)
                 grad_s_embed[sel] = gs_sel[:, 0]
+        grad_r /= n_nei
 
         g_d = self._geometric_chain(sub, grad_r, grad_s_embed)
         return energies, g_d, sub, pairs

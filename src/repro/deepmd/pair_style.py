@@ -44,6 +44,7 @@ class DeepPotentialForceField(ForceField):
         self.cutoff = model.config.cutoff
         self.n_evaluations = 0
         self._overflow_warned = False
+        self._clamp_warned = False
         # this pair style's own table (and its reduced-precision packed nodes),
         # built eagerly so the first MD step pays no tabulation or cast; held
         # by reference: the model is frozen, so it cannot go stale, and another
@@ -64,6 +65,15 @@ class DeepPotentialForceField(ForceField):
             warnings.warn(
                 f"an atom has {env.max_in_cutoff} neighbours inside the cutoff but max_neighbors="
                 f"{env.max_neighbors}: the farthest are dropped and energy is no longer conserved",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+        if self.compressed and not self._clamp_warned and env.s.max(initial=0.0) > self._table.s_max:
+            self._clamp_warned = True
+            warnings.warn(
+                f"a pair is closer than compression_min_distance={self.compression_min_distance} A: "
+                f"s(r) exceeds the table's s_max={self._table.s_max:g}, so the compressed embedding is "
+                "clamped there and no longer follows the exact model",
                 RuntimeWarning,
                 stacklevel=2,
             )

@@ -66,12 +66,16 @@ class Workspace:
         self.misses = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        n_bytes = sum(a.nbytes for a in self._arrays.values())
-        n_bytes += sum(a.nbytes for a in self._capacities.values())
         return (
             f"Workspace({len(self._arrays) + len(self._capacities)} buffers, "
-            f"{n_bytes / 1024.0:.1f} KiB, hits={self.hits}, misses={self.misses})"
+            f"{self.nbytes / 1024.0:.1f} KiB, hits={self.hits}, misses={self.misses})"
         )
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the pool: every exact-shape buffer plus every
+        grow-only backing store at its full capacity."""
+        return sum(a.nbytes for a in (*self._arrays.values(), *self._capacities.values()))
 
     # -- exact-shape buffers ---------------------------------------------------
     def buffer(self, name: str, shape, dtype=np.float64) -> np.ndarray:

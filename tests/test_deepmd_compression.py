@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.deepmd.compression import (
+    HERMITE_CHUNK_ROWS,
     TabulatedEmbeddingSet,
     analytic_input_jacobian,
 )
@@ -38,16 +39,21 @@ def _copper_case(model, rng=12):
 
 
 class TestBatchedVsGolden:
-    def test_batched_matches_golden_per_key_path(self, two_type_tables):
-        """The production stacked evaluator is pinned to the per-key golden
-        reference at 1e-12, including clamped out-of-range inputs."""
+    @pytest.mark.parametrize("n_rows", [4096, 2500, 0], ids=["whole-blocks", "ragged-last-block", "empty"])
+    def test_batched_matches_golden_per_key_path(self, two_type_tables, n_rows):
+        """The production stacked evaluator (placement + a loop over the block
+        kernel) is pinned to the per-key golden reference at 1e-12, including
+        clamped out-of-range inputs, whatever the row count leaves for the
+        last block."""
         table, _ = two_type_tables
         rng = np.random.default_rng(0)
-        s = rng.uniform(-0.3, 2.5, size=4096)  # includes both out-of-range ends
+        s = rng.uniform(-0.3, 2.5, size=n_rows)  # includes both out-of-range ends
+        assert n_rows == 0 or (np.any(s < 0.0) and np.any(s > table.s_max) and n_rows > HERMITE_CHUNK_ROWS)
         for key, slot in table._slot_of.items():
             slots = np.full(s.shape, slot)
             batched_v, batched_d = table.evaluate_batched(slots, s)
             golden_v, golden_d = tabulated_evaluate(table, key, s)
+            assert batched_v.shape == batched_d.shape == (n_rows, table.width)
             np.testing.assert_allclose(batched_v, golden_v, rtol=0.0, atol=GOLDEN_TOLERANCE)
             np.testing.assert_allclose(batched_d, golden_d, rtol=0.0, atol=GOLDEN_TOLERANCE)
 

@@ -331,6 +331,34 @@ class TestPairStyleAndSimulationThreading:
             # deliberate truncation below the pair style stays quiet
             build_local_environment(atoms, box, neighbors, cutoff, smooth, max_neighbors=3)
 
+    def test_table_clamp_warns_once_per_compressed_force_field(self):
+        """A pair inside ``compression_min_distance`` drives s(r) past the
+        table's ``s_max``: the compressed pair style says so once instead of
+        silently clamping; the exact pair style and a normal box stay quiet."""
+        import warnings
+
+        from repro.deepmd import DeepPotentialForceField
+
+        atoms, box, cutoff, smooth = make_system("water", 0)
+        model = make_model("water", 0, cutoff, smooth)
+        squeezed = atoms.copy()
+        squeezed.positions[1] = squeezed.positions[0] + np.array([0.4, 0.0, 0.0])  # an O-H pair at 0.4 A
+
+        force_field = DeepPotentialForceField(model, compressed=True)
+        assert 1.0 / 0.4 > force_field._table.s_max
+        with pytest.warns(RuntimeWarning, match=r"closer than compression_min_distance=0\.5 A") as caught:
+            for _ in range(2):
+                force_field.compute(squeezed, box, build_neighbor_data(squeezed.positions, box, cutoff))
+        assert len(caught) == 1
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            neighbors = build_neighbor_data(atoms.positions, box, cutoff)
+            DeepPotentialForceField(model, compressed=True).compute(atoms, box, neighbors)
+            # no table, nothing to clamp: the exact path reads no s_max
+            squeezed_neighbors = build_neighbor_data(squeezed.positions, box, cutoff)
+            DeepPotentialForceField(model).compute(squeezed, box, squeezed_neighbors)
+
     def test_simulation_records_inference_path_and_virial(self):
         from repro.deepmd import DeepPotentialForceField
         from repro.md.simulation import Simulation
@@ -477,6 +505,56 @@ class TestPooledEqualsUnpooled:
         for name, expected in pooled_arrays.items():
             np.testing.assert_array_equal(fresh_arrays[name], expected, err_msg=name)
             assert not np.shares_memory(fresh_arrays[name], again_arrays[name]), name
+
+
+    @pytest.mark.parametrize("policy", ["double", "mix-fp32", "mix-fp16"])
+    def test_block_size_never_selects_arithmetic(self, policy, monkeypatch):
+        """The compressed step's centre blocks are a cache decision: one
+        centre per block, the default and one block per type block give the
+        same bits, pooled and unpooled — on a full box, on type blocks smaller
+        than one centre block, on a centre with no in-cutoff neighbour and on
+        the 0-atom serving request."""
+        from repro.deepmd import compression
+
+        atoms, box, cutoff, cutoff_smooth = make_system("water", 0)
+        model = make_model("water", 0, cutoff, cutoff_smooth)
+        # two waters and a lone hydrogen out of everyone's cutoff
+        open_box = Box.cubic(40.0, periodic=False)
+        positions = np.vstack([atoms.positions[:6] - atoms.positions[0] + 20.0, [[2.0, 2.0, 2.0]]])
+        types = np.append(atoms.types[:6], 1)
+        cluster = Atoms(positions=positions, types=types, masses=np.ones(7), type_names=atoms.type_names)
+        empty = Atoms(positions=np.zeros((0, 3)), types=np.zeros(0, dtype=np.int64), masses=np.zeros(0))
+        systems = [
+            (a, b, build_neighbor_data(a.positions, b, cutoff))
+            for a, b in ((atoms, box), (cluster, open_box), (empty, open_box))
+        ]
+        env = model.build_environment(*systems[1])
+        assert env.neighbor_counts()[-1] == 0
+        default_block = compression.centre_block(env.max_neighbors)
+        assert np.sum(cluster.types == 0) < default_block < np.sum(atoms.types == 0)
+
+        def run(rows, pool):
+            monkeypatch.setattr(compression, "HERMITE_CHUNK_ROWS", rows)
+            options = dict(precision=policy, compressed=True, workspace=pool)
+            out = {}
+            for name, system in zip(("box", "cluster"), systems):
+                single = model.evaluate(*system, **options)
+                for field in ("energy", "per_atom_energy", "forces", "virial"):
+                    out[f"{name}.{field}"] = np.array(getattr(single, field))  # copied out of the pool
+            batch = pack_systems(model, systems, workspace=pool)
+            many = model.evaluate_many(batch.env, batch.system_of_atom, batch.offsets, **options)
+            for field in ("energies", "per_atom_energy", "forces", "virials"):
+                out[f"many.{field}"] = np.array(getattr(many, field))
+            return out
+
+        default_rows = compression.HERMITE_CHUNK_ROWS
+        expected = run(default_rows, None)
+        assert expected["many.forces"].shape == (len(atoms) + len(cluster), 3)
+        pool = Workspace()  # one pool through every block size: its block buffers regrow
+        for rows in (1, default_rows, 10**6):
+            for workspace in (None, pool):
+                for name, value in run(rows, workspace).items():
+                    np.testing.assert_array_equal(value, expected[name], err_msg=f"{name} at {rows} rows")
 
 
 @pytest.mark.parametrize("compressed", [False, True], ids=["exact", "compressed"])

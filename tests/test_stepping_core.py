@@ -342,6 +342,10 @@ class TestWorkspaceParity:
         assert v2.base is v1.base and v2.shape == (8, 3)
         v3 = w.capacity("p", 40, (3,))
         assert v3.base is not v1.base
+        # nbytes is what the pool holds: backing stores at capacity, not the views handed out
+        assert w.nbytes == c.nbytes + v3.base.nbytes > c.nbytes + v3.nbytes
+        scoped = w.scoped("s").capacity("p", 2)  # a scope's buffers live in the parent pool
+        assert w.nbytes == c.nbytes + v3.base.nbytes + scoped.base.nbytes
 
 
 # ---------------------------------------------------------------------------
