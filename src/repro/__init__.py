@@ -5,11 +5,13 @@ The package is organised in layers (see the README's "Layout" table):
 
 * executes: :mod:`repro.md` (MD engine), :mod:`repro.deepmd` (Deep
   Potential inference on a frozen model), :mod:`repro.parallel`
-  (decomposition, ghost exchange, the ranked engine), :mod:`repro.serving`
-  — none of which imports the framework,
-* trains, offline: :mod:`repro.nnframework` (mini NN framework) and
-  :mod:`repro.training` (dataset generator, framework graph, trainer), which
-  hands inference a new frozen model,
+  (decomposition, ghost exchange, the ranked engine), :mod:`repro.serving`,
+* trains, offline: :mod:`repro.training` (dataset generator, trainer on the
+  :mod:`repro.deepmd` kernels with analytic gradients), which hands
+  inference a new frozen model,
+* pins: :mod:`repro.reference` — the goldens production is checked against,
+  including the mini autodiff framework (the §III-B.1 baseline and the
+  gradient golden); production never imports it,
 * prices: :mod:`repro.hardware` (Fugaku model), :mod:`repro.perfmodel`
   (communication schemes, load balance and kernels as per-step costs,
   ns/day), :mod:`repro.core` (optimization configuration + engine +

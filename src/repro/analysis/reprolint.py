@@ -8,7 +8,7 @@ string literals — e.g. the rule self-test corpus — is never mistaken for a
 directive), and each rule walks the tree through a small registry.
 
 Two rule shapes exist.  Per-file :class:`Rule` subclasses see one
-:class:`ParsedFile` at a time (RL002–RL005).  Whole-program
+:class:`ParsedFile` at a time (RL003–RL005).  Whole-program
 :class:`ProgramRule` subclasses see a :class:`Project` — every parsed file
 plus the :class:`~repro.analysis.project.ProjectIndex` and
 :class:`~repro.analysis.callgraph.CallGraph` built over them — and power the
@@ -21,8 +21,8 @@ Directives are recognised on real comment tokens only:
 
 ``# reprolint: hot-path``
     on a ``def`` line (or the line directly above it) registers that function
-    as a per-step hot path for the allocation rules (RL002 directly, RL006
-    transitively through the call graph).
+    as a per-step hot path for the allocation rule (RL006: its body and,
+    through the call graph, everything it reaches).
 
 ``# reprolint: cold-path <reason>``
     on a ``def`` (same binding rules) declares a rebuild-only boundary: RL006

@@ -1,8 +1,8 @@
-"""RL002–RL008: the house contracts as AST rules.
+"""RL003–RL008: the house contracts as AST rules.
 
 Each rule encodes one ROADMAP architecture note (see :mod:`.contracts` for
 the declared sites); suppression, pragma bookkeeping and formatting live in
-:mod:`.reprolint`.  RL002–RL005 are per-file :class:`Rule` detectors yielding
+:mod:`.reprolint`.  RL003–RL005 are per-file :class:`Rule` detectors yielding
 ``(line, message)``; RL006–RL008 are whole-program :class:`ProgramRule`
 detectors over the :class:`~repro.analysis.reprolint.Project` — its call
 graph and golden fingerprints — yielding ``(rel_path, line, message)``.
@@ -27,7 +27,6 @@ from .reprolint import (
 )
 
 __all__ = [
-    "HotPathAllocationRule",
     "BackendPurityRule",
     "FixedOrderReductionRule",
     "DtypeDisciplineRule",
@@ -41,16 +40,16 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# RL002 — hot-path allocation
+# The allocator idioms RL006 looks for
 # ---------------------------------------------------------------------------
 
 
 def allocation_findings(node: ast.Call):
     """``(line, description)`` for each allocator idiom in one call node.
 
-    Shared by RL002 (directly marked hot paths) and RL006 (functions the call
-    graph proves reachable from one): ``np.zeros/empty/...`` constructors,
-    ``np.ufunc.at`` scalar scatters, and out-less ``.astype`` copies.
+    What RL006 flags in a hot path and everything the call graph proves it
+    reaches: ``np.zeros/empty/...`` constructors, ``np.ufunc.at`` scalar
+    scatters, and out-less ``.astype`` copies.
     """
     # .astype is matched structurally: the receiver may be any expression
     # (a chained reshape, a subscript), which a dotted-name resolve misses
@@ -82,30 +81,6 @@ def _astype_copy_false(node: ast.Call) -> bool:
         if keyword.arg == "copy" and isinstance(keyword.value, ast.Constant):
             return keyword.value.value is False
     return False
-
-
-class HotPathAllocationRule(Rule):
-    """Registered per-step hot paths must not call allocating constructors.
-
-    The static complement of ``bench_run_loop.py``'s zero-allocation budget:
-    ``np.zeros/empty/...``, ``np.ufunc.at`` scalar scatters and out-less
-    ``.astype`` casts are flagged inside any function carrying the
-    ``# reprolint: hot-path`` marker, unless the line carries an
-    ``allow[alloc]`` pragma with a written reason (reference branches,
-    empty-pair early-outs).
-    """
-
-    rule_id = "RL002"
-    slug = "alloc"
-    description = "registered hot paths must stay allocation-free"
-
-    def check(self, parsed: ParsedFile):
-        for qualname, func in parsed.hot_path_functions():
-            for node in ast.walk(func):
-                if not isinstance(node, ast.Call):
-                    continue
-                for line, description in allocation_findings(node):
-                    yield line, f"hot path {qualname} {description}"
 
 
 # ---------------------------------------------------------------------------
@@ -323,17 +298,19 @@ class DtypeDisciplineRule(Rule):
 
 
 class TransitiveHotPathRule(ProgramRule):
-    """Helpers reachable from a hot path are held to the RL002 contract.
+    """Hot paths, and everything they reach, must stay allocation-free.
 
-    RL002 checks the body of a ``# reprolint: hot-path`` marked function;
-    this rule walks the conservative call graph from every marker and applies
-    the same no-allocation check to everything it can prove the hot path
-    reaches — a helper allocating ``np.zeros`` per call is just as much a
+    The static complement of ``bench_run_loop.py``'s zero-allocation budget.
+    ``np.zeros/empty/...``, ``np.ufunc.at`` scalar scatters and out-less
+    ``.astype`` casts are flagged in the body of a ``# reprolint: hot-path``
+    marked function and in everything the conservative call graph proves it
+    reaches: a helper allocating ``np.zeros`` per call is just as much a
     steady-state allocation as the same line inlined into the marked body.
     Boundaries: a ``# reprolint: cold-path <reason>`` marked function (and its
     callees) is exempt — the rebuild/cache-build cadence — and golden regions
     are excluded (reference code allocates by design).  Per-line exemptions
-    use the same ``allow[alloc]`` pragma as RL002.
+    use an ``allow[alloc]`` pragma with a written reason (reference branches,
+    empty-pair early-outs).
     """
 
     rule_id = "RL006"
@@ -347,26 +324,24 @@ class TransitiveHotPathRule(ProgramRule):
             return
         cold_ids = self._marked_ids(project, "cold")
         golden_ids = self._golden_function_ids(project)
-        hot_nested = self._nested_ids(index, hot_roots)
         stop = lambda fid: fid in cold_ids or fid in golden_ids  # noqa: E731
-        origin = project.callgraph.reachable_from(sorted(hot_roots), stop=stop)
+        origin = {root: root for root in hot_roots}
+        origin.update(project.callgraph.reachable_from(sorted(hot_roots), stop=stop))
         for fid in sorted(origin):
             info = index.functions[fid]
             if not contracts.in_production_tree(info.rel_path):
                 continue
-            if fid in hot_nested:
-                continue  # lexically inside a marked body: RL002 already checks it
             root = index.functions[origin[fid]]
+            where = (
+                f"hot path {info.qualname}"
+                if fid == origin[fid]
+                else f"{info.qualname} (reachable from hot path {root.qualname})"
+            )
             for node in own_nodes(info.node):
                 if not isinstance(node, ast.Call):
                     continue
                 for line, description in allocation_findings(node):
-                    yield (
-                        info.rel_path,
-                        line,
-                        f"{info.qualname} (reachable from hot path "
-                        f"{root.qualname}) {description}",
-                    )
+                    yield info.rel_path, line, f"{where} {description}"
 
     @staticmethod
     def _marked_ids(project: Project, which: str) -> set[str]:
@@ -383,16 +358,6 @@ class TransitiveHotPathRule(ProgramRule):
                 if fid in project.index.functions:
                     ids.add(fid)
         return ids
-
-    @staticmethod
-    def _nested_ids(index, roots: set[str]) -> set[str]:
-        """Function ids lexically nested inside any of ``roots``."""
-        nested: set[str] = set()
-        for root in roots:
-            root_info = index.functions[root]
-            prefix = f"{root_info.module}::{root_info.qualname}."
-            nested.update(fid for fid in index.functions if fid.startswith(prefix))
-        return nested
 
     @staticmethod
     def _golden_function_ids(project: Project) -> set[str]:
@@ -573,7 +538,6 @@ class WorkerContextRule(ProgramRule):
 
 
 ALL_RULES = (
-    HotPathAllocationRule,
     BackendPurityRule,
     FixedOrderReductionRule,
     DtypeDisciplineRule,

@@ -11,18 +11,21 @@ DeePMD-kit evaluates inside LAMMPS:
 * :mod:`networks` — :class:`FastMLP`, the one home of a network's weights
   (read-only arrays, hand-written forward/backward), and :func:`init_nets`,
   the Glorot draw of an untrained model's nets,
-* :mod:`descriptor` — the symmetry-preserving descriptor D_i,
+* :mod:`descriptor` — the symmetry-preserving descriptor D_i outside the hot
+  path, with its vector-Jacobian product (what training differentiates),
 * :mod:`model` — :class:`DeepPotential`, a frozen model behind one reentrant
   framework-free evaluator (``evaluate`` / ``evaluate_many``) with mixed
   precision, the sve-style tall-skinny GEMM backend, and tabulated
   (compressed) embedding nets,
 * :mod:`pair_style` — the adapter exposing the model as an MD force field.
 
-This is the paper's §III-B.1 in package form: nothing here imports
-:mod:`repro.nnframework`.  Training is offline (:mod:`repro.training`) and
+This is the paper's §III-B.1 in package form: no autograd framework
+anywhere.  Training is offline (:mod:`repro.training`), runs on these same
+kernels (``FastMLP.backward_input`` also yields parameter gradients) and
 returns a new frozen model; the goldens this package is pinned against — the
-per-atom scalar loop, the per-key table interpolation and the framework
-baseline — live in :mod:`repro.reference`.  Nothing here imports either.
+per-atom scalar loop, the per-key table interpolation, and the framework
+baseline with its autograd gradients — live in :mod:`repro.reference`.
+Nothing here imports either.
 """
 
 from .smoothing import switching_function, switching_derivative

@@ -712,4 +712,4 @@ class DeepPotential:
         idx = np.nonzero(env.types == center_type)[0]
         if len(idx) == 0:
             return np.empty((0, self.config.descriptor_dim))
-        return raw_descriptors(env, center_type, idx, self.fast_embeddings(), self.config.axis_neurons)
+        return raw_descriptors(env, center_type, idx, self.fast_embeddings(), self.config.axis_neurons)[0]

@@ -3,7 +3,10 @@
 :class:`FastMLP` is the one home of a network's weights: a multi-layer
 perceptron over read-only arrays, evaluated with plain NumPy, recording a
 forward tape so the input-gradient (vector-Jacobian product) needed by the
-analytic force computation can be obtained without a framework.
+analytic force computation can be obtained without a framework.  The same
+backward loop also hands out the parameter gradients training needs, so
+:mod:`repro.training` runs on these kernels too and the autograd framework
+is only the reference it is checked against.
 All matrix products are routed through a :class:`~repro.deepmd.gemm.GemmBackend`
 so that precision, kernel choice (blas vs sve) and NT-vs-NN layout are
 accounted exactly as in the paper's optimized implementation.
@@ -56,7 +59,7 @@ class FastMLP:
     ----------
     layer_specs:
         one ``{"weight", "bias", "activation", "resnet"}`` dict per layer
-        (``MLP.export_weights`` returns them); the arrays are copied and the
+        (what :func:`init_nets` and the trainer build); the arrays are copied and the
         copies are read-only, so a kernel or a table built from it never goes
         stale.
     """
@@ -180,11 +183,15 @@ class FastMLP:
         backend: GemmBackend | None = None,
         dtypes: list | None = None,
         cache: list | None = None,
+        param_grads: list | None = None,
     ) -> np.ndarray:
         """Vector-Jacobian product: gradient of the cached forward wrt its input.
 
         ``cache`` is the tape a ``forward(cache=<list>)`` filled; by default
-        the one ``forward(cache=True)`` parked on this net.
+        the one ``forward(cache=True)`` parked on this net.  A ``param_grads``
+        list, when given, receives each layer's ``(dW, db)`` from the same
+        loop, last layer first (how :mod:`repro.training` gets its parameter
+        gradients).
 
         When the backend was created with ``pretranspose=True`` the backward
         products use the stored transposed weights as NN GEMMs (the paper's
@@ -224,6 +231,8 @@ class FastMLP:
                 elif layer.weight.shape[1] == 2 * layer.weight.shape[0]:
                     act_out = act_out - np.concatenate([entry["input"], entry["input"]], axis=-1)
             grad_pre = grad * act_deriv(act_out)
+            if param_grads is not None:
+                param_grads.append((entry["input"].T @ grad_pre, grad_pre.sum(0)))
             if backend.pretranspose:
                 grad = backend.matmul(grad_pre, weight_t, dtype=dt, native_out=native)
             else:

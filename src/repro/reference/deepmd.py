@@ -4,7 +4,7 @@
   ``TabulatedEmbeddingSet.evaluate_batched`` is pinned to at 1e-12
   (``tests/test_deepmd_compression.py``); frozen by its RL007 fingerprint.
 * :func:`evaluate_with_framework` — the paper's *baseline* (§III-B.1): the
-  embedding and fitting networks run inside :mod:`repro.nnframework`, one
+  embedding and fitting networks run inside :mod:`repro.reference.nnframework`, one
   ``Session`` run per centre type per evaluation, dE/ds and dE/dR by automatic
   differentiation.  Same double-precision numbers as
   ``DeepPotential.evaluate`` plus the framework's fixed per-run overhead —
@@ -22,8 +22,8 @@ from ..deepmd.precision import DOUBLE
 from ..md.atoms import Atoms
 from ..md.box import Box
 from ..md.neighbor import NeighborData
-from ..nnframework.session import Session
-from ..training.graph import build_descriptor_graph, framework_nets
+from .nnframework.session import Session
+from .graph import build_descriptor_graph, framework_nets
 
 
 def tabulated_evaluate(

@@ -3,9 +3,11 @@
 :func:`build_descriptor_graph` builds the DeepPot-SE descriptor
 (:mod:`repro.deepmd.descriptor` has the formula) and the fitting net of a
 *batch of atoms sharing the same centre type* as a graph of
-:mod:`repro.nnframework` tensors.  The graph is used by
+:mod:`repro.reference.nnframework` tensors.  The graph is used by
 
-* the trainer (gradients with respect to the network parameters), and
+* the gradient golden: autograd parameter gradients of the per-atom energy
+  loss, which the analytic ones of :class:`repro.training.Trainer` are
+  pinned to (``tests/test_deepmd_training.py``), and
 * the baseline ("TensorFlow") evaluation path
   (:func:`repro.reference.deepmd.evaluate_with_framework`), where the input
   leaves ``s`` and ``R^T`` are marked ``requires_grad`` so that automatic
@@ -24,9 +26,9 @@ import numpy as np
 from ..deepmd.envmat import LocalEnvironment
 from ..deepmd.model import DeepPotential
 from ..deepmd.networks import FastMLP
-from ..nnframework import ops
-from ..nnframework.layers import MLP
-from ..nnframework.tensor import Tensor
+from .nnframework import ops
+from .nnframework.layers import MLP
+from .nnframework.tensor import Tensor
 
 
 def _as_mlp(net: FastMLP, in_features: int, hidden, out_features: int | None) -> MLP:

@@ -13,9 +13,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import ops
-from .initializers import glorot_uniform, zeros
 from .tensor import Tensor
-from ..utils.rng import default_rng
+from ...utils.rng import default_rng, glorot_uniform
 
 Activation = Callable[[Tensor], Tensor]
 
@@ -51,7 +50,7 @@ class Dense:
         self.weight = Tensor.parameter(
             glorot_uniform((in_features, out_features), rng), name=f"{name}.weight"
         )
-        self.bias = Tensor.parameter(zeros((out_features,)), name=f"{name}.bias")
+        self.bias = Tensor.parameter(np.zeros(out_features), name=f"{name}.bias")
 
     def __call__(self, x: Tensor) -> Tensor:
         return self.activation(ops.add(ops.matmul(x, self.weight), self.bias))
@@ -60,7 +59,7 @@ class Dense:
         return [self.weight, self.bias]
 
     def set_weights(self, weight: np.ndarray, bias: np.ndarray) -> None:
-        """Overwrite weights in place (how ``repro.training.graph`` seeds a net from a frozen kernel's arrays)."""
+        """Overwrite weights in place (how ``repro.reference.graph`` seeds a net from a frozen kernel's arrays)."""
         weight = np.asarray(weight, dtype=np.float64)
         bias = np.asarray(bias, dtype=np.float64)
         if weight.shape != (self.in_features, self.out_features):

@@ -40,63 +40,43 @@ def fired(violations, rule_id: str):
 
 
 # ---------------------------------------------------------------------------
-# RL002 — hot-path allocation
+# The retired RL002: a marked hot path's own body is RL006 at depth zero
 # ---------------------------------------------------------------------------
 
+# Every seed the RL002 corpus carried, with the lines RL002 flagged in it
+# (``[]`` for the clean twins): RL006 flags exactly those lines.
+_RETIRED_RL002_SEEDS = {
+    "alloc-scatter-and-astype": (
+        """\
+        import numpy as np
 
-def test_rl002_marked_function_flags_alloc_scatter_and_astype():
-    violations = fired(
-        lint(
-            """\
-            import numpy as np
+        # reprolint: hot-path
+        def compute(pairs, values, n):
+            out = np.zeros(n)
+            np.add.at(out, pairs, values)
+            return out.reshape(-1, 1).astype(np.float64)
+        """,
+        [5, 6, 7],
+    ),
+    "marker-on-def-line": (
+        """\
+        import numpy as np
 
-            # reprolint: hot-path
-            def compute(pairs, values, n):
-                out = np.zeros(n)
-                np.add.at(out, pairs, values)
-                return out.reshape(-1, 1).astype(np.float64)
-            """,
-            HOT_PATH,
-        ),
-        "RL002",
-    )
-    assert [v.line for v in violations] == [5, 6, 7]
-    assert "np.zeros" in violations[0].message
-    assert "bincount" in violations[1].message
-    assert ".astype" in violations[2].message
-
-
-def test_rl002_unmarked_function_is_not_checked():
-    violations = lint(
+        def compute(n):  # reprolint: hot-path
+            return np.empty(n)
+        """,
+        [4],
+    ),
+    "unmarked-function": (
         """\
         import numpy as np
 
         def setup(n):
             return np.zeros(n)
         """,
-        HOT_PATH,
-    )
-    assert violations == []
-
-
-def test_rl002_marker_on_def_line_registers_too():
-    violations = fired(
-        lint(
-            """\
-            import numpy as np
-
-            def compute(n):  # reprolint: hot-path
-                return np.empty(n)
-            """,
-            HOT_PATH,
-        ),
-        "RL002",
-    )
-    assert [v.line for v in violations] == [4]
-
-
-def test_rl002_copy_false_astype_is_a_view_request_not_an_alloc():
-    violations = lint(
+        [],
+    ),
+    "copy-false-astype-is-a-view-request": (
         """\
         import numpy as np
 
@@ -104,13 +84,9 @@ def test_rl002_copy_false_astype_is_a_view_request_not_an_alloc():
         def compute(x):
             return x.astype(np.float64, copy=False)
         """,
-        HOT_PATH,
-    )
-    assert violations == []
-
-
-def test_rl002_pragma_with_reason_suppresses():
-    violations = lint(
+        [],
+    ),
+    "pragma-with-reason": (
         """\
         import numpy as np
 
@@ -118,9 +94,44 @@ def test_rl002_pragma_with_reason_suppresses():
         def compute(n):
             return np.zeros(n)  # reprolint: allow[alloc] reference branch allocates by design
         """,
-        HOT_PATH,
+        [],
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_RETIRED_RL002_SEEDS))
+def test_rl006_flags_every_retired_rl002_finding_at_the_same_line(seed):
+    source, rl002_lines = _RETIRED_RL002_SEEDS[seed]
+    violations = lint(source, HOT_PATH)
+    assert [(v.rule_id, v.path, v.line) for v in violations] == [("RL006", HOT_PATH, line) for line in rl002_lines]
+
+
+def test_rl006_names_the_marked_function_and_the_idiom():
+    source, _ = _RETIRED_RL002_SEEDS["alloc-scatter-and-astype"]
+    messages = [v.message for v in lint(source, HOT_PATH)]
+    assert all(message.startswith("hot path compute ") for message in messages)
+    assert "np.zeros" in messages[0]
+    assert "bincount" in messages[1]
+    assert ".astype" in messages[2]
+
+
+def test_rl006_checks_a_nested_def_of_a_marked_body():
+    violations = fired(
+        lint(
+            """\
+            import numpy as np
+
+            # reprolint: hot-path
+            def compute(n):
+                def fill():
+                    return np.zeros(n)
+                return fill()
+            """,
+            HOT_PATH,
+        ),
+        "RL006",
     )
-    assert violations == []
+    assert [v.line for v in violations] == [6]
 
 
 # ---------------------------------------------------------------------------
@@ -873,9 +884,9 @@ def test_render_json_report_round_trips_as_a_baseline(tmp_path):
     )
     payload = json.loads(render_json(violations))
     assert payload["tool"] == "reprolint"
-    assert payload["counts"] == {"RL002": 1}
+    assert payload["counts"] == {"RL006": 1}
     assert {entry["id"] for entry in payload["rules"]} >= {
-        "RL000", "RL002", "RL006", "RL007", "RL008",
+        "RL000", "RL006", "RL007", "RL008",
     }
     report = tmp_path / "report.json"
     report.write_text(render_json(violations), encoding="utf-8")
@@ -918,12 +929,14 @@ def test_cli_list_rules_and_explain(capsys):
 
     assert main(["--list-rules"]) == 0
     listing = capsys.readouterr().out
-    for rule_id in ("RL000", "RL002", "RL006", "RL007", "RL008"):
+    for rule_id in ("RL000", "RL006", "RL007", "RL008"):
         assert rule_id in listing
     assert "RL001" not in listing  # retired: RL007's fingerprint subsumes it
+    assert "RL002" not in listing  # retired: RL006 at depth zero
     assert main(["--explain", "RL006"]) == 0
     assert "call graph" in capsys.readouterr().out
     assert main(["--explain", "RL001"]) == 2
+    assert main(["--explain", "RL002"]) == 2
     assert main(["--explain", "RL999"]) == 2
 
 
@@ -935,7 +948,7 @@ def test_cli_json_output_file_and_exit_codes(tmp_path, capsys):
     bad.write_text("import numpy as np\n\n# reprolint: hot-path\ndef f(n):\n    return np.zeros(n)\n")
     report = tmp_path / "report.json"
     assert main([str(bad), "--format", "json", "--output", str(report)]) == 1
-    assert "RL002: 1" in capsys.readouterr().out
+    assert "RL006: 1" in capsys.readouterr().out
     # the JSON report doubles as a baseline: the same findings now pass
     assert main([str(bad), "--baseline", str(report)]) == 0
     assert "hidden by --baseline" in capsys.readouterr().out
@@ -986,7 +999,7 @@ def _repro_imports():
 
 
 _INFERS = {"md", "deepmd", "parallel", "serving", "utils"}
-_TRAINS = {"nnframework", "training"}
+_TRAINS = {"training"}
 _EXECUTES = _INFERS | _TRAINS
 _PRICES = {"hardware", "perfmodel", "core", "analysis"}
 
@@ -994,7 +1007,8 @@ _PRICES = {"hardware", "perfmodel", "core", "analysis"}
 @pytest.mark.parametrize(
     "importers, forbidden",
     [
-        # ``repro.reference`` reads production modules, never the reverse
+        # ``repro.reference`` reads production modules, never the reverse —
+        # the autograd framework lives there, so training never imports it
         pytest.param(None, {"reference"}, id="production-never-imports-reference"),
         # what a step executes never reads the Fugaku model, the experiment
         # harness or the linter; ``perfmodel.reconcile`` looks the other way

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.deepmd import FastMLP, GemmBackend, build_local_environment, switching_derivative, switching_function
 from repro.deepmd.envmat import suggested_max_neighbors
 from repro.md.neighbor import build_neighbor_data
-from repro.nnframework import MLP
+from repro.reference.nnframework import MLP
 
 
 class TestSwitchingFunction:
@@ -156,13 +156,13 @@ class TestFastMLP:
         mlp = MLP(3, [8, 8], out_features=2, rng=0)
         fast = FastMLP(mlp.export_weights())
         x = np.random.default_rng(1).normal(size=(5, 3))
-        from repro.nnframework import Tensor
+        from repro.reference.nnframework import Tensor
 
         expected = mlp(Tensor(x)).data
         np.testing.assert_allclose(fast.forward(x), expected, atol=1e-12)
 
     def test_backward_input_matches_autodiff(self):
-        from repro.nnframework import Tensor, ops
+        from repro.reference.nnframework import Tensor, ops
 
         mlp = MLP(4, [8, 8], out_features=1, rng=2)
         fast = FastMLP(mlp.export_weights())

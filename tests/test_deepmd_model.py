@@ -22,7 +22,7 @@ from repro.md import copper_system, water_system
 from repro.md.atoms import Atoms
 from repro.md.neighbor import build_neighbor_data
 from repro.md.workspace import Workspace
-from repro.nnframework.session import Session
+from repro.reference.nnframework.session import Session
 from repro.reference.deepmd import evaluate_with_framework
 from repro.serving import pack_systems
 

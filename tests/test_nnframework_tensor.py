@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.nnframework import Tensor, ops
-from repro.nnframework.tensor import no_grad
+from repro.reference.nnframework import Tensor, ops
+from repro.reference.nnframework.tensor import no_grad
 
 
 def numerical_gradient(fn, x, eps=1e-6):

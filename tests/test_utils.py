@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.utils.rng import default_rng, random_unit_vectors
+from repro.utils.rng import default_rng, glorot_uniform, random_unit_vectors
 from repro.utils.tables import Table, format_table
 from repro.utils.timer import PhaseTimer, Timer
 
@@ -25,6 +25,12 @@ def test_random_unit_vectors_are_normalized():
     vectors = random_unit_vectors(default_rng(1), 100)
     norms = np.linalg.norm(vectors, axis=1)
     np.testing.assert_allclose(norms, 1.0, atol=1e-12)
+
+
+def test_glorot_uniform_shape_and_range():
+    w = glorot_uniform((10, 20), rng=0)
+    assert w.shape == (10, 20)
+    assert np.abs(w).max() <= np.sqrt(6.0 / 30.0) + 1e-12
 
 
 def test_timer_accumulates():
