@@ -1,59 +1,38 @@
 """CLI: ``python -m repro.analysis [paths...]`` — lint the house invariants.
 
-Exits 0 when every contract holds, 1 with diagnostics otherwise.  The default
-targets are ``src tests benchmarks`` — the same roots CI lints — so a bare
-local run reproduces the CI gate.
-
-Beyond linting: ``--format text|json|sarif`` (``--output`` writes the report
-to a file, CI uploads the JSON as a build artifact), ``--baseline report.json``
-hides findings already present in a previous JSON report, ``--list-rules`` /
-``--explain RLxxx`` document the catalogue, and ``--update-golden --reason
-"..."`` refreshes the RL007 fingerprint baseline after an intentional golden
-edit.
+Prints one ``path:line: RLxxx message`` line per finding and a per-rule count
+summary, then exits 0 when every contract holds and 1 otherwise.  The default
+targets are ``src tests benchmarks``; CI lints ``src tests benchmarks
+examples``.  ``--update-golden --reason "..."`` refreshes the RL007
+fingerprint baseline after an intentional golden edit.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-import textwrap
-from pathlib import Path
+from collections import Counter
 
 from .fingerprint import (
     DEFAULT_BASELINE_PATH,
     collect_fingerprints,
     write_golden_baseline,
 )
-from .report import (
-    apply_baseline,
-    load_report_baseline,
-    render_json,
-    render_sarif,
-    render_text,
-    rule_catalogue,
-)
-from .reprolint import FRAMEWORK_RULE_ID, ParsedFile, iter_python_files, lint_paths
-from .rules import ALL_RULES, PROGRAM_RULES
+from .reprolint import ParsedFile, Violation, iter_python_files, lint_paths
 
 DEFAULT_PATHS = ["src", "tests", "benchmarks"]
 
-_RENDERERS = {"text": render_text, "json": render_json, "sarif": render_sarif}
 
-
-def _explain(rule_id: str) -> int:
-    for rule_cls in ALL_RULES + PROGRAM_RULES:
-        if rule_cls.rule_id == rule_id:
-            print(f"{rule_cls.rule_id} [{rule_cls.slug}] {rule_cls.description}")
-            doc = textwrap.dedent(rule_cls.__doc__ or "").strip()
-            if doc:
-                print()
-                print(doc)
-            return 0
-    if rule_id == FRAMEWORK_RULE_ID:
-        print(f"{FRAMEWORK_RULE_ID} [pragma] pragma hygiene and parse errors")
-        return 0
-    print(f"unknown rule id {rule_id!r}; see --list-rules", file=sys.stderr)
-    return 2
+def render_text(violations: list[Violation]) -> str:
+    """The findings, one per line, then ``reprolint: clean`` or the counts."""
+    lines = [violation.format() for violation in violations]
+    counts = Counter(violation.rule_id for violation in violations)
+    if counts:
+        summary = ", ".join(f"{rule_id}: {n}" for rule_id, n in sorted(counts.items()))
+        lines.append(f"reprolint: {len(violations)} violation(s) ({summary})")
+    else:
+        lines.append("reprolint: clean")
+    return "\n".join(lines)
 
 
 def _update_golden(paths: list[str], reason: str) -> int:
@@ -89,34 +68,6 @@ def main(argv: list[str] | None = None) -> int:
         help=f"files or directories to lint (default: {' '.join(DEFAULT_PATHS)})",
     )
     parser.add_argument(
-        "--format",
-        choices=sorted(_RENDERERS),
-        default="text",
-        dest="fmt",
-        help="report format (default: text)",
-    )
-    parser.add_argument(
-        "--output",
-        type=Path,
-        default=None,
-        help="write the report to this file instead of stdout",
-    )
-    parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        help="previous JSON report; findings recorded there are hidden",
-    )
-    parser.add_argument(
-        "--list-rules", action="store_true", help="print the rule catalogue and exit"
-    )
-    parser.add_argument(
-        "--explain",
-        metavar="RLxxx",
-        default=None,
-        help="print one rule's full documentation and exit",
-    )
-    parser.add_argument(
         "--update-golden",
         action="store_true",
         help="refresh analysis/golden_baseline.json from the current tree (RL007)",
@@ -128,34 +79,13 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    if args.list_rules:
-        for entry in rule_catalogue():
-            print(f"{entry['id']} [{entry['slug']}] {entry['description']}")
-        return 0
-    if args.explain is not None:
-        return _explain(args.explain)
     if args.update_golden:
         if not args.reason or not args.reason.strip():
             parser.error("--update-golden requires --reason (why did the golden regions change?)")
         return _update_golden(args.paths, args.reason.strip())
 
     violations = lint_paths(args.paths)
-    suppressed = 0
-    if args.baseline is not None:
-        try:
-            baseline = load_report_baseline(args.baseline)
-        except (OSError, ValueError, KeyError) as exc:
-            print(f"unreadable --baseline {args.baseline}: {exc}", file=sys.stderr)
-            return 2
-        violations, suppressed = apply_baseline(violations, baseline)
-
-    report = _RENDERERS[args.fmt](violations, suppressed)
-    if args.output is not None:
-        args.output.write_text(report, encoding="utf-8")
-        # keep the terminal summary even when the report goes to a file
-        print(render_text(violations, suppressed))
-    else:
-        print(report, end="" if report.endswith("\n") else "\n")
+    print(render_text(violations))
     return 1 if violations else 0
 
 

@@ -1,25 +1,18 @@
 """A conservative whole-program call graph over the :class:`ProjectIndex`.
 
 Edges are added only where the resolver can *prove* the callee from the
-indexed symbol tables:
+indexed symbol tables.  There are four edge kinds, the ones RL006's hot paths
+actually reach through:
 
-* direct name calls — local defs, nested functions, module functions,
-  ``f = g`` module aliases and imported functions;
-* constructor calls — ``ClassName(...)`` edges to ``__init__`` (through the
-  indexed MRO) and types the local variable it is assigned to;
-* dispatch-dict construction — ``D[key](...)`` where ``D = {"k": Cls, ...}``
-  edges to every value class (the ``parallel.engine._EVALUATORS`` idiom);
-* method calls — ``self.m()`` / ``cls.m()`` through the enclosing class,
-  ``instance.m()`` for locals with a known constructor type, ``Class.m()``
-  unbound calls and ``mod.f()`` module-attribute calls, each expanded with
-  ``ForceField.compute``-style override edges into every indexed subclass;
-* closure edges — a function implicitly reaches its directly nested defs and
-  any project function it passes as a call argument (callbacks such as the
-  worker pool's ``worker_reply(conn, handle, message)``).
+* name calls — a def nested in an enclosing function, a module function or an
+  imported function;
+* constructor calls — ``ClassName(...)`` edges to ``__init__`` through the
+  indexed MRO;
+* ``self.m()`` / ``cls.m()`` — through the owner class's MRO;
+* ``Class.m()`` unbound calls and ``mod.f()`` module-attribute calls.
 
 Anything else — multi-level attribute receivers (``self.backend.step()``),
-parameters, untyped locals — is recorded in :attr:`CallGraph.skipped` rather
-than guessed at, so rules built on reachability (RL006/RL008) can only
+parameters, locals, callbacks — gets no edge, so reachability can only
 under-approximate, never invent, a path.  Lambda bodies are attributed to the
 enclosing function.
 """
@@ -27,7 +20,6 @@ enclosing function.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
 
 from .project import ClassInfo, FunctionInfo, ProjectIndex
 
@@ -50,46 +42,26 @@ def own_nodes(func: ast.AST):
             stack.extend(ast.iter_child_nodes(node))
 
 
-def _dotted(node: ast.AST) -> str | None:
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
-@dataclass
-class _LocalTypes:
-    """Per-function bindings proved by the first pass over the body."""
-
-    callables: dict[str, str] = field(default_factory=dict)  # name -> function id
-    instances: dict[str, list[str]] = field(default_factory=dict)  # name -> class ids
-    class_aliases: dict[str, str] = field(default_factory=dict)  # name -> class id
-
-
 class CallGraph:
-    """``caller function id -> callee function ids`` plus the skipped calls."""
+    """``caller function id -> callee function ids``."""
 
     def __init__(self, index: ProjectIndex) -> None:
         self.index = index
         self.edges: dict[str, set[str]] = {}
-        #: caller id -> [(line, dotted-or-descriptor)] of unresolvable calls
-        self.skipped: dict[str, list[tuple[int, str]]] = {}
 
     @classmethod
     def build(cls, index: ProjectIndex) -> "CallGraph":
         graph = cls(index)
         for info in index.functions.values():
-            graph._build_function(info)
+            for node in own_nodes(info.node):
+                if isinstance(node, ast.Call):
+                    callee = graph._callee(info, node.func)
+                    if callee is not None:
+                        graph.edges.setdefault(info.id, set()).add(callee.id)
         return graph
 
     # -- reachability ----------------------------------------------------------
-    def reachable_from(
-        self, roots, stop=None
-    ) -> dict[str, str]:
+    def reachable_from(self, roots, stop=None) -> dict[str, str]:
         """BFS over the edges: ``{reached function id: originating root id}``.
 
         ``stop`` is an optional predicate on function ids; a function it
@@ -114,109 +86,22 @@ class CallGraph:
         return origin
 
     # -- construction ----------------------------------------------------------
-    def _add_edge(self, caller: str, callee: FunctionInfo | None) -> bool:
-        if callee is None:
-            return False
-        self.edges.setdefault(caller, set()).add(callee.id)
-        return True
-
-    def _skip(self, caller: str, line: int, what: str) -> None:
-        self.skipped.setdefault(caller, []).append((line, what))
-
-    def _build_function(self, info: FunctionInfo) -> None:
-        locals_ = self._collect_locals(info)
-        # closure edges: nested defs run in this function's context even when
-        # only passed around (the worker pool's handler pattern)
-        nested_prefix = info.qualname + "."
-        for other in self.index.functions.values():
-            if other.module == info.module and other.qualname.startswith(nested_prefix):
-                if "." not in other.qualname[len(nested_prefix):]:
-                    self._add_edge(info.id, other)
-        for node in own_nodes(info.node):
-            if not isinstance(node, ast.Call):
-                continue
-            self._resolve_call(info, node, locals_)
-            for arg in list(node.args) + [kw.value for kw in node.keywords]:
-                self._reference_edge(info, arg, locals_)
-
-    def _collect_locals(self, info: FunctionInfo) -> _LocalTypes:
-        locals_ = _LocalTypes()
-        for node in own_nodes(info.node):
-            if not isinstance(node, ast.Assign) or len(node.targets) != 1:
-                continue
-            target = node.targets[0]
-            if not isinstance(target, ast.Name):
-                continue
-            value = node.value
-            if isinstance(value, ast.Name):
-                resolved = self.index.resolve(info.module, value.id)
-                if isinstance(resolved, FunctionInfo):
-                    locals_.callables[target.id] = resolved.id
-                elif isinstance(resolved, ClassInfo):
-                    locals_.class_aliases[target.id] = resolved.id
-            elif isinstance(value, ast.Call):
-                classes = self._constructed_classes(info, value, locals_)
-                if classes:
-                    locals_.instances[target.id] = classes
-        return locals_
-
-    def _constructed_classes(
-        self, info: FunctionInfo, call: ast.Call, locals_: _LocalTypes
-    ) -> list[str]:
-        """Class ids a call expression provably constructs (possibly many)."""
-        func = call.func
+    def _callee(self, info: FunctionInfo, func: ast.AST) -> FunctionInfo | None:
+        """The one function a call target provably runs, else ``None``."""
         if isinstance(func, ast.Name):
-            if func.id in locals_.class_aliases:
-                return [locals_.class_aliases[func.id]]
-            resolved = self.index.resolve(info.module, func.id)
-            if isinstance(resolved, ClassInfo):
-                return [resolved.id]
-        elif isinstance(func, ast.Subscript) and isinstance(func.value, ast.Name):
-            dispatch = self.index.resolve_dispatch(info.module, func.value.id)
-            if dispatch:
-                return list(dispatch)
-        elif isinstance(func, ast.Attribute):
-            ref = _dotted(func)
-            if ref is not None:
-                resolved = self.index.resolve(info.module, ref)
-                if isinstance(resolved, ClassInfo):
-                    return [resolved.id]
-        return []
+            return self._nested_def(info, func.id) or self._resolved(info.module, func.id)
+        if not (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)):
+            return None  # multi-level receivers, subscripts, call results
+        receiver, method = func.value.id, func.attr
+        if receiver in ("self", "cls") and info.class_id is not None:
+            return self.index.lookup_method(self.index.classes[info.class_id], method)
+        owner = self.index.resolve(info.module, receiver)
+        if isinstance(owner, ClassInfo):
+            return self.index.lookup_method(owner, method)
+        return self._resolved(info.module, f"{receiver}.{method}")
 
-    def _reference_edge(self, info: FunctionInfo, arg: ast.AST, locals_: _LocalTypes) -> None:
-        """A project function passed as a call argument may be called back."""
-        if isinstance(arg, ast.Name):
-            if arg.id in locals_.callables:
-                self._add_edge(info.id, self.index.functions[locals_.callables[arg.id]])
-                return
-            resolved = self.index.resolve(info.module, arg.id)
-            if isinstance(resolved, FunctionInfo):
-                self._add_edge(info.id, resolved)
-
-    def _resolve_call(self, info: FunctionInfo, call: ast.Call, locals_: _LocalTypes) -> None:
-        func = call.func
-        if isinstance(func, ast.Name):
-            if self._resolve_name_call(info, call, func.id, locals_):
-                return
-            self._skip(info.id, call.lineno, func.id)
-        elif isinstance(func, ast.Subscript):
-            classes = self._constructed_classes(info, call, locals_)
-            if classes:
-                for class_id in classes:
-                    self._constructor_edge(info, class_id)
-                return
-            self._skip(info.id, call.lineno, "<subscript call>")
-        elif isinstance(func, ast.Attribute):
-            if self._resolve_attribute_call(info, call, func, locals_):
-                return
-            self._skip(info.id, call.lineno, _dotted(func) or f"<{type(func.value).__name__} receiver>")
-        else:
-            self._skip(info.id, call.lineno, f"<{type(func).__name__} call>")
-
-    def _resolve_name_call(
-        self, info: FunctionInfo, call: ast.Call, name: str, locals_: _LocalTypes
-    ) -> bool:
-        # nested function in an enclosing *function* scope (innermost first)
+    def _nested_def(self, info: FunctionInfo, name: str) -> FunctionInfo | None:
+        """A def named ``name`` nested in an enclosing *function* (innermost first)."""
         parts = info.qualname.split(".")
         for i in range(len(parts), 0, -1):
             prefix = ".".join(parts[:i])
@@ -224,59 +109,12 @@ class CallGraph:
                 continue  # class-level prefixes don't provide name visibility
             candidate = self.index.functions.get(f"{info.module}::{prefix}.{name}")
             if candidate is not None:
-                return self._add_edge(info.id, candidate)
-        if name in locals_.callables:
-            return self._add_edge(info.id, self.index.functions[locals_.callables[name]])
-        if name in locals_.class_aliases:
-            return self._constructor_edge(info, locals_.class_aliases[name])
-        resolved = self.index.resolve(info.module, name)
-        if isinstance(resolved, FunctionInfo):
-            return self._add_edge(info.id, resolved)
-        if isinstance(resolved, ClassInfo):
-            return self._constructor_edge(info, resolved.id)
-        return False
+                return candidate
+        return None
 
-    def _constructor_edge(self, info: FunctionInfo, class_id: str) -> bool:
-        """``ClassName(...)`` reaches ``__init__`` (through the indexed MRO)."""
-        class_info = self.index.classes[class_id]
-        init = self.index.lookup_method(class_info, "__init__")
-        self._add_edge(info.id, init)
-        return True  # a class with no indexed __init__ is still resolved
-
-    def _resolve_attribute_call(
-        self, info: FunctionInfo, call: ast.Call, func: ast.Attribute, locals_: _LocalTypes
-    ) -> bool:
-        if not isinstance(func.value, ast.Name):
-            return False  # multi-level receivers are conservatively skipped
-        receiver, method = func.value.id, func.attr
-        if receiver in ("self", "cls") and info.class_id is not None:
-            owner = self.index.classes[info.class_id]
-            return self._method_edges(info, owner, method)
-        if receiver in locals_.instances:
-            resolved_any = False
-            for class_id in locals_.instances[receiver]:
-                resolved_any |= self._method_edges(info, self.index.classes[class_id], method)
-            return resolved_any
-        if receiver in locals_.class_aliases:
-            owner = self.index.classes[locals_.class_aliases[receiver]]
-            return self._method_edges(info, owner, method)
-        resolved = self.index.resolve(info.module, receiver)
-        if isinstance(resolved, ClassInfo):
-            return self._method_edges(info, resolved, method)
-        # module-attribute call: ``mod.f()`` through an imported module
-        binding = self.index.imports.get(info.module, {}).get(receiver)
-        if binding is not None and binding in self.index.modules:
-            target = self.index.resolve(binding, method)
-            if isinstance(target, FunctionInfo):
-                return self._add_edge(info.id, target)
-            if isinstance(target, ClassInfo):
-                return self._constructor_edge(info, target.id)
-        return False
-
-    def _method_edges(self, info: FunctionInfo, owner: ClassInfo, method: str) -> bool:
-        targets = self.index.method_targets(owner, method)
-        if not targets:
-            return False
-        for target in targets:
-            self._add_edge(info.id, target)
-        return True
+    def _resolved(self, module: str, dotted: str) -> FunctionInfo | None:
+        """A function, or a class's ``__init__`` (through the indexed MRO)."""
+        target = self.index.resolve(module, dotted)
+        if isinstance(target, ClassInfo):
+            return self.index.lookup_method(target, "__init__")
+        return target

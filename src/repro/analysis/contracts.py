@@ -4,7 +4,10 @@ Every entry here encodes one of the ROADMAP's architecture notes as data the
 AST rules can enforce.  The declarations are intentionally *explicit* — a new
 golden site, hot-path registration or sanctioned dtype module is a reviewed
 edit to this file (or a ``# reprolint:`` annotation in the source), never an
-inference the linter makes on its own.
+inference the linter makes on its own.  The worker-context declarations
+retired with RL008: the contract that the parent keeps every comm step is
+pinned at runtime by the exact sequential == process equality in
+``tests/test_parallel_executor.py``.
 
 Path matching is by normalized POSIX suffix, so the same declarations work for
 ``src/repro/...`` on disk and for the synthetic filenames the rule self-tests
@@ -20,10 +23,6 @@ __all__ = [
     "GOLDEN_SITES",
     "HOT_PATH_MARKER",
     "COLD_PATH_MARKER",
-    "WORKER_ENTRYPOINTS",
-    "WORKER_FORBIDDEN_CALLS",
-    "WORKER_FORBIDDEN_CONSTRUCTORS",
-    "SHARED_SLAB_COMPONENT",
     "ALLOCATING_CONSTRUCTORS",
     "DTYPE_SANCTIONED_SUFFIXES",
     "LOW_PRECISION_ATTRS",
@@ -89,55 +88,6 @@ HOT_PATH_MARKER = "hot-path"
 #: everything it calls) to the no-allocation contract.  The reason is
 #: mandatory, like every other exemption.
 COLD_PATH_MARKER = "cold-path"
-
-#: The functions whose bodies execute in *worker context* (RL008): the
-#: persistent-pool subprocess entry of the multiprocess executor.
-#: Everything reachable from it through the call graph is held to the PR 7
-#: contract — the parent keeps every comm, integration and reduction step.
-WORKER_ENTRYPOINTS: tuple[tuple[str, str], ...] = (
-    ("repro/parallel/executor.py", "_worker_main"),
-)
-
-#: Parent-only primitives (matched on the last dotted component of a call):
-#: ghost-exchange selection/delivery, the engine's comm steps, integrator
-#: half-steps and thermostats, global reductions/gathers.  A worker-reachable function calling any of these forks the
-#: comm/integration sequence out of the parent and silently un-pins the
-#: bitwise sequential-vs-process parity.
-WORKER_FORBIDDEN_CALLS: frozenset[str] = frozenset(
-    {
-        # GhostExchange API + engine comm steps (parent-only, PR 7)
-        "p2p_selection",
-        "node_selection",
-        "p2p_neighbor_ranks",
-        "node_peer_ranks",
-        "node_neighbor_ranks",
-        "deliver",
-        "_exchange_ghosts",
-        "_migrate",
-        "_forward_halo",
-        "_reverse_scatter_forces",
-        "_refresh_ghost_positions",
-        # integration + thermostat scheduling (parent-only, PR 4/7)
-        "first_half",
-        "second_half",
-        "integrate_first_half",
-        "integrate_second_half",
-        "apply_thermostat",
-        # global reductions (parent-only, PR 7)
-        "sample_temperature",
-        "capture_positions",
-    }
-)
-
-#: Constructing a comm component in worker context is as much a fork of the
-#: parent-owned exchange as calling one.
-WORKER_FORBIDDEN_CONSTRUCTORS: frozenset[str] = frozenset({"GhostExchange"})
-
-#: Attribute component naming the shared-memory slab bundle
-#: (``SharedRankArrays`` travels as ``init.shared`` / ``self.shared``).
-#: Worker-reachable code writing through a ``*.shared.*`` chain bypasses the
-#: own-rank row views that make slab writes race-free.
-SHARED_SLAB_COMPONENT = "shared"
 
 #: NumPy constructors that allocate a fresh array every call — banned inside
 #: registered hot paths (the static complement of ``bench_run_loop.py``'s

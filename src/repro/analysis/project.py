@@ -2,17 +2,14 @@
 
 :class:`ProjectIndex` turns a set of :class:`~repro.analysis.reprolint.ParsedFile`
 objects into the symbol tables the call-graph resolver needs: the dotted module
-name of every file, every function and class (with its methods and resolved
-base classes), every import binding (absolute and relative, ``import x as y``
-and ``from . import z``), module-level function aliases (``f = g``) and
-dispatch dictionaries (``D = {"k": ClassName, ...}`` — the
-``parallel.engine._EVALUATORS`` idiom).
+name of every file, every function and class (with its methods and the base
+classes as written), and every import binding (absolute and relative,
+``import x as y`` and ``from . import z``).
 
 Resolution is deliberately *conservative*: a name that cannot be traced to a
-definition inside the linted roots resolves to ``None`` and the call-graph
-records it as skipped.  The whole-program rules (RL006–RL008) only ever act on
-edges the index can prove, so an unresolvable receiver bounds their blast
-radius instead of widening it.
+definition inside the linted roots resolves to ``None`` and the call graph adds
+no edge for it.  RL006 only ever acts on edges the index can prove, so an
+unresolvable receiver bounds its reach instead of widening it.
 """
 
 from __future__ import annotations
@@ -20,10 +17,8 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import PurePosixPath
-from typing import TYPE_CHECKING
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints only
-    from .reprolint import ParsedFile
+from .reprolint import ParsedFile, dotted_name
 
 __all__ = [
     "FunctionInfo",
@@ -54,10 +49,6 @@ class FunctionInfo:
     node: ast.AST
     class_id: str | None = None  # owning class id when this is a method
 
-    @property
-    def name(self) -> str:
-        return self.qualname.rsplit(".", 1)[-1]
-
 
 @dataclass
 class ClassInfo:
@@ -65,15 +56,8 @@ class ClassInfo:
 
     id: str  # "<module>::<qualname>"
     module: str
-    qualname: str
-    rel_path: str
-    node: ast.ClassDef
     base_refs: list[str] = field(default_factory=list)
     methods: dict[str, str] = field(default_factory=dict)  # name -> function id
-
-    @property
-    def name(self) -> str:
-        return self.qualname.rsplit(".", 1)[-1]
 
 
 def _symbol_id(module: str, qualname: str) -> str:
@@ -84,50 +68,36 @@ class ProjectIndex:
     """Modules, classes, functions and import bindings across all linted files."""
 
     def __init__(self) -> None:
-        self.modules: dict[str, str] = {}  # module name -> rel_path
+        self.modules: set[str] = set()
         self.functions: dict[str, FunctionInfo] = {}
         self.classes: dict[str, ClassInfo] = {}
         #: per-module import bindings: local name -> absolute dotted target
         self.imports: dict[str, dict[str, str]] = {}
-        #: per-module ``f = g`` aliases: alias name -> target name as written
-        self.aliases: dict[str, dict[str, str]] = {}
-        #: per-module dispatch dicts: dict name -> class ids of the values
-        self.dispatch_dicts: dict[str, dict[str, list[str]]] = {}
-        #: class id -> ids of classes that list it as a base
-        self.subclasses: dict[str, list[str]] = {}
 
     # -- construction ----------------------------------------------------------
     @classmethod
-    def build(cls, parsed_files: dict[str, "ParsedFile"]) -> "ProjectIndex":
+    def build(cls, parsed_files: dict[str, ParsedFile]) -> "ProjectIndex":
         index = cls()
         for rel_path, parsed in parsed_files.items():
             index._index_file(rel_path, parsed)
-        for rel_path, parsed in parsed_files.items():
-            index._index_module_bindings(rel_path, parsed)
-        index._link_subclasses()
         return index
 
-    def _index_file(self, rel_path: str, parsed: "ParsedFile") -> None:
+    def _index_file(self, rel_path: str, parsed: ParsedFile) -> None:
         module = module_name_for(rel_path)
-        self.modules[module] = rel_path
+        self.modules.add(module)
         class_quals = {qualname for qualname, _ in parsed.classes}
         for qualname, node in parsed.classes:
             info = ClassInfo(
                 id=_symbol_id(module, qualname),
                 module=module,
-                qualname=qualname,
-                rel_path=rel_path,
-                node=node,
                 base_refs=[
-                    ref for ref in (_dotted(base) for base in node.bases) if ref
+                    ref for ref in (dotted_name(base) for base in node.bases) if ref
                 ],
             )
             self.classes[info.id] = info
         for qualname, node in parsed.functions:
-            owner = qualname.rsplit(".", 1)[0] if "." in qualname else None
-            class_id = (
-                _symbol_id(module, owner) if owner in class_quals else None
-            )
+            owner, _, name = qualname.rpartition(".")
+            class_id = _symbol_id(module, owner) if owner in class_quals else None
             info = FunctionInfo(
                 id=_symbol_id(module, qualname),
                 module=module,
@@ -138,23 +108,23 @@ class ProjectIndex:
             )
             self.functions[info.id] = info
             if class_id is not None:
-                self.classes[class_id].methods.setdefault(info.name, info.id)
+                self.classes[class_id].methods.setdefault(name, info.id)
+        self.imports[module] = self._import_bindings(module, parsed.tree)
 
-    def _index_module_bindings(self, rel_path: str, parsed: "ParsedFile") -> None:
-        module = module_name_for(rel_path)
-        bindings = self.imports.setdefault(module, {})
+    @classmethod
+    def _import_bindings(cls, module: str, tree: ast.Module) -> dict[str, str]:
         # imports are collected from the whole tree (function-level imports
         # included) and bound at module granularity — a deliberate
-        # approximation that lets `from .engine import _EVALUATORS` inside
-        # a worker entrypoint resolve
-        for node in ast.walk(parsed.tree):
+        # approximation that lets a function-local import resolve
+        bindings: dict[str, str] = {}
+        for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     local = alias.asname or alias.name.split(".", 1)[0]
                     target = alias.name if alias.asname else alias.name.split(".", 1)[0]
                     bindings[local] = target
             elif isinstance(node, ast.ImportFrom):
-                base = self._relative_base(module, node.level, node.module)
+                base = cls._relative_base(module, node.level, node.module)
                 if base is None:
                     continue
                 for alias in node.names:
@@ -162,25 +132,7 @@ class ProjectIndex:
                         continue
                     local = alias.asname or alias.name
                     bindings[local] = f"{base}.{alias.name}" if base else alias.name
-        aliases = self.aliases.setdefault(module, {})
-        dispatch = self.dispatch_dicts.setdefault(module, {})
-        for stmt in parsed.tree.body:
-            if not isinstance(stmt, ast.Assign) or len(stmt.targets) != 1:
-                continue
-            target = stmt.targets[0]
-            if not isinstance(target, ast.Name):
-                continue
-            if isinstance(stmt.value, ast.Name):
-                aliases[target.id] = stmt.value.id
-            elif isinstance(stmt.value, ast.Dict):
-                class_ids = []
-                for value in stmt.value.values:
-                    ref = _dotted(value)
-                    resolved = self.resolve_class(module, ref) if ref else None
-                    if resolved is not None:
-                        class_ids.append(resolved.id)
-                if class_ids:
-                    dispatch[target.id] = class_ids
+        return bindings
 
     @staticmethod
     def _relative_base(module: str, level: int, target: str | None) -> str | None:
@@ -194,15 +146,8 @@ class ProjectIndex:
             base_parts.append(target)
         return ".".join(base_parts)
 
-    def _link_subclasses(self) -> None:
-        for info in self.classes.values():
-            for ref in info.base_refs:
-                base = self.resolve_class(info.module, ref)
-                if base is not None:
-                    self.subclasses.setdefault(base.id, []).append(info.id)
-
     # -- symbol resolution -----------------------------------------------------
-    def split_absolute(self, dotted: str) -> tuple[str, str] | None:
+    def _split_absolute(self, dotted: str) -> tuple[str, str] | None:
         """``(module, qualname)`` for an absolute dotted path, longest module wins."""
         parts = dotted.split(".")
         for i in range(len(parts) - 1, 0, -1):
@@ -213,12 +158,13 @@ class ProjectIndex:
 
     def resolve(
         self, module: str, dotted: str, _visited: frozenset[str] = frozenset()
-    ):
+    ) -> FunctionInfo | ClassInfo | None:
         """Resolve a name used in ``module`` to a Function/ClassInfo, or ``None``.
 
-        Checks, in order: definitions in the module itself, module-level
-        aliases, import bindings (following one-hop re-exports through
-        ``__init__`` style modules).
+        Checks definitions in the module itself, then import bindings
+        (following re-exports through ``__init__`` style modules).  The cycle
+        guard keys on ``(module, name)``: a bare-name guard would make every
+        ``from x import f`` shadow itself.
         """
         local = _symbol_id(module, dotted)
         if not dotted or local in _visited:
@@ -229,44 +175,13 @@ class ProjectIndex:
         if local in self.classes:
             return self.classes[local]
         head, _, rest = dotted.partition(".")
-        alias_target = self.aliases.get(module, {}).get(head)
-        if alias_target is not None and not rest:
-            return self.resolve(module, alias_target, _visited)
         binding = self.imports.get(module, {}).get(head)
         if binding is None:
             return None
-        absolute = f"{binding}.{rest}" if rest else binding
-        split = self.split_absolute(absolute)
+        split = self._split_absolute(f"{binding}.{rest}" if rest else binding)
         if split is None:
             return None
-        target_module, qualname = split
-        if not qualname:
-            return None
-        if target_module == module and qualname == dotted:
-            return None
-        return self.resolve(target_module, qualname, _visited)
-
-    def resolve_class(self, module: str, dotted: str) -> ClassInfo | None:
-        resolved = self.resolve(module, dotted)
-        return resolved if isinstance(resolved, ClassInfo) else None
-
-    def resolve_function(self, module: str, dotted: str) -> FunctionInfo | None:
-        resolved = self.resolve(module, dotted)
-        return resolved if isinstance(resolved, FunctionInfo) else None
-
-    def resolve_dispatch(self, module: str, name: str) -> list[str] | None:
-        """Class ids behind a dispatch-dict name visible from ``module``."""
-        local = self.dispatch_dicts.get(module, {}).get(name)
-        if local is not None:
-            return local
-        binding = self.imports.get(module, {}).get(name)
-        if binding is None:
-            return None
-        split = self.split_absolute(binding)
-        if split is None:
-            return None
-        target_module, qualname = split
-        return self.dispatch_dicts.get(target_module, {}).get(qualname)
+        return self.resolve(*split, _visited)
 
     # -- method lookup ---------------------------------------------------------
     def lookup_method(
@@ -280,46 +195,9 @@ class ProjectIndex:
         if method_id is not None:
             return self.functions[method_id]
         for ref in class_info.base_refs:
-            base = self.resolve_class(class_info.module, ref)
-            if base is not None:
+            base = self.resolve(class_info.module, ref)
+            if isinstance(base, ClassInfo):
                 found = self.lookup_method(base, name, _visited)
                 if found is not None:
                     return found
         return None
-
-    def method_targets(self, class_info: ClassInfo, name: str) -> list[FunctionInfo]:
-        """Every implementation a ``receiver.name()`` call could dispatch to.
-
-        The defining method on the class (or an indexed base) plus every
-        override on a transitive subclass — the ``ForceField.compute``-style
-        edge set: a call through a base-typed receiver may land in any
-        registered subclass.
-        """
-        targets: dict[str, FunctionInfo] = {}
-        defined = self.lookup_method(class_info, name)
-        if defined is not None:
-            targets[defined.id] = defined
-        stack = list(self.subclasses.get(class_info.id, ()))
-        seen: set[str] = set()
-        while stack:
-            sub_id = stack.pop()
-            if sub_id in seen:
-                continue
-            seen.add(sub_id)
-            sub = self.classes[sub_id]
-            method_id = sub.methods.get(name)
-            if method_id is not None:
-                targets[method_id] = self.functions[method_id]
-            stack.extend(self.subclasses.get(sub_id, ()))
-        return list(targets.values())
-
-
-def _dotted(node: ast.AST) -> str | None:
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None

@@ -12,8 +12,7 @@ Two rule shapes exist.  Per-file :class:`Rule` subclasses see one
 :class:`ProgramRule` subclasses see a :class:`Project` — every parsed file
 plus the :class:`~repro.analysis.project.ProjectIndex` and
 :class:`~repro.analysis.callgraph.CallGraph` built over them — and power the
-transitive contracts (RL006 hot-path propagation, RL007 golden fingerprints,
-RL008 worker-context discipline).
+transitive contracts (RL006 hot-path propagation, RL007 golden fingerprints).
 
 Pragmas
 -------
@@ -37,9 +36,9 @@ Directives are recognised on real comment tokens only:
 Running
 -------
 ``python -m repro.analysis [paths...]`` lints the given files/directories
-(default: ``src tests benchmarks``, the CI gate) and exits non-zero on any
-finding.  Programmatic entry points: :func:`lint_paths` and, for the
-self-test corpora, :func:`lint_source` / :func:`lint_sources`.
+(default: ``src tests benchmarks``) and exits non-zero on any finding.
+Programmatic entry points: :func:`lint_paths` and, for the self-test corpora,
+:func:`lint_source` / :func:`lint_sources`.
 """
 
 from __future__ import annotations
@@ -51,6 +50,7 @@ import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from . import fingerprint
 from .contracts import COLD_PATH_MARKER, HOT_PATH_MARKER
 
 __all__ = [
@@ -259,7 +259,6 @@ class Rule:
 
     rule_id: str = "RL999"
     slug: str = "unnamed"
-    description: str = ""
 
     def applies(self, parsed: ParsedFile) -> bool:
         return True
@@ -304,7 +303,6 @@ class ProgramRule:
 
     rule_id: str = "RL999"
     slug: str = "unnamed"
-    description: str = ""
 
     def check(self, project: Project):
         """Yield ``(rel_path, line, message)`` candidates."""
@@ -488,22 +486,27 @@ def iter_python_files(paths: list[str | Path]) -> list[Path]:
     return sorted(files, key=lambda p: p.as_posix())
 
 
-def lint_paths(
-    paths: list[str | Path],
-    golden_baseline: dict[str, str] | None | object = "default",
-) -> list[Violation]:
+def lint_paths(paths: list[str | Path]) -> list[Violation]:
     """Lint every ``.py`` file under ``paths``; violations in path order.
 
-    RL007 checks against the committed ``analysis/golden_baseline.json`` by
-    default; pass an explicit mapping to substitute one, or ``None`` to
-    disable fingerprint checking.
+    RL007 checks against the committed ``analysis/golden_baseline.json``.
+    When that file is missing or unreadable the run reports an RL000 finding
+    naming it instead of linting with the golden freeze switched off.
     """
-    if golden_baseline == "default":
-        from .fingerprint import load_golden_baseline
-
-        golden_baseline = load_golden_baseline()
-    sources: dict[str, str] = {}
     violations: list[Violation] = []
+    baseline_path = fingerprint.DEFAULT_BASELINE_PATH
+    golden_baseline = fingerprint.load_golden_baseline(baseline_path)
+    if golden_baseline is None:
+        violations.append(
+            Violation(
+                str(baseline_path),
+                1,
+                FRAMEWORK_RULE_ID,
+                "golden baseline is missing or unreadable, so RL007 cannot "
+                "check any golden site; restore the committed file",
+            )
+        )
+    sources: dict[str, str] = {}
     for path in iter_python_files(paths):
         rel_path = path.as_posix()
         try:

@@ -1,11 +1,13 @@
-"""RL003–RL008: the house contracts as AST rules.
+"""RL003–RL007: the house contracts as AST rules.
 
 Each rule encodes one ROADMAP architecture note (see :mod:`.contracts` for
 the declared sites); suppression, pragma bookkeeping and formatting live in
 :mod:`.reprolint`.  RL003–RL005 are per-file :class:`Rule` detectors yielding
-``(line, message)``; RL006–RL008 are whole-program :class:`ProgramRule`
+``(line, message)``; RL006 and RL007 are whole-program :class:`ProgramRule`
 detectors over the :class:`~repro.analysis.reprolint.Project` — its call
 graph and golden fingerprints — yielding ``(rel_path, line, message)``.
+The retired ids (RL001, RL002, RL008) are not reused, and their pragma slugs
+are RL000 unknown-slug findings.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ __all__ = [
     "DtypeDisciplineRule",
     "TransitiveHotPathRule",
     "GoldenDriftRule",
-    "WorkerContextRule",
     "ALL_RULES",
     "PROGRAM_RULES",
     "allocation_findings",
@@ -100,7 +101,6 @@ class BackendPurityRule(Rule):
 
     rule_id = "RL003"
     slug = "backend"
-    description = "EngineBackend implementations must not grow run-loop features"
 
     _LOOP_DRIVERS = frozenset(
         {"integrate_first_half", "integrate_second_half", "compute_forces"}
@@ -195,7 +195,6 @@ class FixedOrderReductionRule(Rule):
 
     rule_id = "RL004"
     slug = "order"
-    description = "parallel/serving-package loops must not iterate unordered sets"
 
     def applies(self, parsed: ParsedFile) -> bool:
         return contracts.in_parallel_package(parsed.rel_path) or contracts.in_serving_package(
@@ -270,7 +269,6 @@ class DtypeDisciplineRule(Rule):
 
     rule_id = "RL005"
     slug = "dtype"
-    description = "low-precision dtype literals only at the policy boundary"
 
     def applies(self, parsed: ParsedFile) -> bool:
         return contracts.in_production_tree(parsed.rel_path) and not (
@@ -315,7 +313,6 @@ class TransitiveHotPathRule(ProgramRule):
 
     rule_id = "RL006"
     slug = "alloc"
-    description = "helpers reachable from hot paths must stay allocation-free"
 
     def check(self, project: Project):
         index = project.index
@@ -394,12 +391,13 @@ class GoldenDriftRule(ProgramRule):
     "..."``; anything else is drift — which subsumes the idiom list the
     retired RL001 kept (einsum/bincount batching, ``workspace=`` pooling,
     fast-path imports: each is a semantic edit).  The rule only runs when a baseline is
-    loaded (``lint_paths`` / the CLI), never on in-memory corpus lints.
+    loaded (``lint_paths`` / the CLI), never on in-memory corpus lints; a
+    missing or unreadable committed baseline is an RL000 finding there, so
+    the freeze cannot silently switch off.
     """
 
     rule_id = "RL007"
     slug = "drift"
-    description = "golden regions must match their recorded fingerprints"
 
     _REFRESH = "python -m repro.analysis --update-golden --reason '...'"
 
@@ -440,103 +438,6 @@ class GoldenDriftRule(ProgramRule):
                     )
 
 
-# ---------------------------------------------------------------------------
-# RL008 — worker-context write discipline
-# ---------------------------------------------------------------------------
-
-
-class WorkerContextRule(ProgramRule):
-    """Worker-reachable code must not do the parent's comm/integration work.
-
-    The PR 7 invariant, statically: the parent keeps every communication,
-    integration and reduction step; workers only build neighbour lists and
-    evaluate forces, writing results through their own rank's slab views.
-    Everything the call graph proves reachable from a declared worker
-    entrypoint (``contracts.WORKER_ENTRYPOINTS`` — the multiprocess pool's
-    subprocess main) must not call ``GhostExchange``/engine comm primitives,
-    integrator half-steps, thermostats or global reductions, nor write
-    through a ``*.shared.*`` slab chain directly (own-rank row views,
-    captured once at domain construction, are the sanctioned write path).
-    Exemptions use ``allow[worker]`` with a reason.
-    """
-
-    rule_id = "RL008"
-    slug = "worker"
-    description = "worker-reachable code must not run parent-only primitives"
-
-    def check(self, project: Project):
-        index = project.index
-        entries: set[str] = set()
-        for path_suffix, qualname in contracts.WORKER_ENTRYPOINTS:
-            for rel_path in project.files:
-                if rel_path.endswith(path_suffix):
-                    fid = f"{module_name_for(rel_path)}::{qualname}"
-                    if fid in index.functions:
-                        entries.add(fid)
-        if not entries:
-            return
-        origin = project.callgraph.reachable_from(sorted(entries))
-        in_context = {fid: fid for fid in entries}
-        in_context.update(origin)
-        for fid in sorted(in_context):
-            info = index.functions[fid]
-            entry = index.functions[in_context[fid]]
-            context = (
-                "is a worker entrypoint"
-                if fid in entries
-                else f"runs in worker context (reachable from {entry.qualname})"
-            )
-            for node in own_nodes(info.node):
-                if isinstance(node, ast.Call):
-                    yield from self._check_call(info, node, context)
-                elif isinstance(node, (ast.Assign, ast.AugAssign)):
-                    targets = (
-                        node.targets if isinstance(node, ast.Assign) else [node.target]
-                    )
-                    for target in targets:
-                        yield from self._check_write(info, target, context)
-
-    def _check_call(self, info, node: ast.Call, context: str):
-        name = call_name(node)
-        if name is None:
-            return
-        tail = name.rsplit(".", 1)[-1]
-        if tail in contracts.WORKER_FORBIDDEN_CALLS:
-            yield (
-                info.rel_path,
-                node.lineno,
-                f"{info.qualname} {context} but calls parent-only "
-                f"primitive {name}()",
-            )
-        elif tail in contracts.WORKER_FORBIDDEN_CONSTRUCTORS:
-            yield (
-                info.rel_path,
-                node.lineno,
-                f"{info.qualname} {context} but constructs the parent-owned "
-                f"comm component {name}",
-            )
-
-    def _check_write(self, info, target: ast.AST, context: str):
-        if isinstance(target, (ast.Tuple, ast.List)):
-            for element in target.elts:
-                yield from self._check_write(info, element, context)
-            return
-        if isinstance(target, ast.Subscript):
-            chain = dotted_name(target.value)
-        elif isinstance(target, ast.Attribute):
-            chain = dotted_name(target)
-        else:
-            return
-        if chain and contracts.SHARED_SLAB_COMPONENT in chain.split("."):
-            yield (
-                info.rel_path,
-                target.lineno,
-                f"{info.qualname} {context} but writes the shared slab "
-                f"{chain} directly; workers write only through their own "
-                "rank's views",
-            )
-
-
 ALL_RULES = (
     BackendPurityRule,
     FixedOrderReductionRule,
@@ -546,5 +447,4 @@ ALL_RULES = (
 PROGRAM_RULES = (
     TransitiveHotPathRule,
     GoldenDriftRule,
-    WorkerContextRule,
 )

@@ -1,9 +1,8 @@
-"""Small shared utilities: RNG helpers, phase timers, ASCII tables, logging."""
+"""Small shared utilities: RNG helpers, phase timers, ASCII tables."""
 
 from .rng import default_rng
 from .timer import PhaseTimer, Timer
 from .tables import Table, format_table
-from .logging import get_logger
 
 __all__ = [
     "default_rng",
@@ -11,5 +10,4 @@ __all__ = [
     "Timer",
     "Table",
     "format_table",
-    "get_logger",
 ]

@@ -1,8 +1,8 @@
 """Call-graph resolver edge cases: the conservative contract, pinned.
 
 Each case builds a :class:`ProjectIndex` + :class:`CallGraph` over a small
-in-memory project and asserts the exact edge set (or the exact skip record —
-the resolver must *prove* a callee, never guess one).
+in-memory project and asserts the exact edge set — the resolver must *prove*
+a callee, never guess one, so a call it cannot prove gets no edge.
 """
 
 import textwrap
@@ -33,23 +33,6 @@ def edges(graph: CallGraph, caller: str) -> set[str]:
 def test_module_name_strips_src_and_init():
     assert module_name_for("src/repro/md/neighbor.py") == "repro.md.neighbor"
     assert module_name_for("src/repro/parallel/__init__.py") == "repro.parallel"
-
-
-def test_direct_call_and_module_alias():
-    _, graph = build(
-        {
-            "src/pkg/mod.py": """\
-                def f():
-                    pass
-
-                g = f
-
-                def caller():
-                    g()
-                """
-        }
-    )
-    assert edges(graph, "pkg.mod::caller") == {"pkg.mod::f"}
 
 
 def test_from_import_with_same_name_resolves_across_modules():
@@ -92,34 +75,8 @@ def test_recursion_terminates_and_roots_are_excluded():
 
 
 # ---------------------------------------------------------------------------
-# methods, overrides, constructors
+# methods and constructors
 # ---------------------------------------------------------------------------
-
-_FORCEFIELD = """\
-    class Base:
-        def compute(self):
-            pass
-
-    class Sub(Base):
-        def compute(self):
-            pass
-
-    class SubSub(Sub):
-        pass
-
-    def driver():
-        field = Base()
-        field.compute()
-    """
-
-
-def test_method_call_expands_to_every_subclass_override():
-    _, graph = build({"src/pkg/mod.py": _FORCEFIELD})
-    assert edges(graph, "pkg.mod::driver") == {
-        "pkg.mod::Base.compute",
-        "pkg.mod::Sub.compute",
-    }
-
 
 def test_self_method_call_resolves_through_the_owner_class():
     _, graph = build(
@@ -135,6 +92,55 @@ def test_self_method_call_resolves_through_the_owner_class():
         }
     )
     assert edges(graph, "pkg.mod::Engine.run") == {"pkg.mod::Engine.step"}
+
+
+def test_self_method_call_reaches_an_inherited_method():
+    _, graph = build(
+        {
+            "src/pkg/mod.py": """\
+                class Base:
+                    def step(self):
+                        pass
+
+                class Engine(Base):
+                    def run(self):
+                        self.step()
+                """
+        }
+    )
+    assert edges(graph, "pkg.mod::Engine.run") == {"pkg.mod::Base.step"}
+
+
+def test_unbound_class_method_and_module_attribute_calls():
+    _, graph = build(
+        {
+            "src/pkg/a.py": """\
+                from . import b
+                from .b import Table
+
+                def caller():
+                    Table.build()
+                    b.helper()
+                    b.Table()
+                """,
+            "src/pkg/b.py": """\
+                class Table:
+                    def __init__(self):
+                        pass
+
+                    def build(self):
+                        pass
+
+                def helper():
+                    pass
+                """,
+        }
+    )
+    assert edges(graph, "pkg.a::caller") == {
+        "pkg.b::Table.build",
+        "pkg.b::helper",
+        "pkg.b::Table.__init__",
+    }
 
 
 def test_constructor_reaches_init_through_the_mro():
@@ -156,42 +162,17 @@ def test_constructor_reaches_init_through_the_mro():
     assert edges(graph, "pkg.mod::make") == {"pkg.mod::Base.__init__"}
 
 
-def test_dispatch_dict_constructor_edges_to_every_value_class():
-    _, graph = build(
-        {
-            "src/pkg/mod.py": """\
-                class A:
-                    def __init__(self):
-                        pass
-
-                class B:
-                    def __init__(self):
-                        pass
-
-                KINDS = {"a": A, "b": B}
-
-                def make(kind):
-                    return KINDS[kind]()
-                """
-        }
-    )
-    assert edges(graph, "pkg.mod::make") == {
-        "pkg.mod::A.__init__",
-        "pkg.mod::B.__init__",
-    }
-
-
-# ---------------------------------------------------------------------------
-# closures, lambdas, callbacks
-# ---------------------------------------------------------------------------
-
-
-def test_nested_def_gets_a_closure_edge_and_its_calls_stay_its_own():
+def test_nested_def_is_reached_when_called_by_name():
     _, graph = build(
         {
             "src/pkg/mod.py": """\
                 def outer():
                     def inner():
+                        leaf()
+                    return inner()
+
+                def defines_only():
+                    def unused():
                         leaf()
 
                 def leaf():
@@ -201,6 +182,12 @@ def test_nested_def_gets_a_closure_edge_and_its_calls_stay_its_own():
     )
     assert edges(graph, "pkg.mod::outer") == {"pkg.mod::outer.inner"}
     assert edges(graph, "pkg.mod::outer.inner") == {"pkg.mod::leaf"}
+    assert edges(graph, "pkg.mod::defines_only") == set()
+
+
+# ---------------------------------------------------------------------------
+# lambdas
+# ---------------------------------------------------------------------------
 
 
 def test_lambda_body_is_attributed_to_the_enclosing_function():
@@ -221,27 +208,12 @@ def test_lambda_body_is_attributed_to_the_enclosing_function():
     assert "pkg.mod::leaf" in edges(graph, "pkg.mod::caller")
 
 
-def test_function_passed_as_argument_gets_a_reference_edge():
-    _, graph = build(
-        {
-            "src/pkg/mod.py": """\
-                def handler(message):
-                    pass
-
-                def register(conn):
-                    conn.on_message(handler)
-                """
-        }
-    )
-    assert "pkg.mod::handler" in edges(graph, "pkg.mod::register")
-
-
 # ---------------------------------------------------------------------------
-# the conservative contract: skip, never guess
+# the conservative contract: no edge, never a guess
 # ---------------------------------------------------------------------------
 
 
-def test_multi_level_receiver_is_skipped_with_line_and_descriptor():
+def test_multi_level_receiver_gets_no_edge():
     _, graph = build(
         {
             "src/pkg/mod.py": """\
@@ -251,10 +223,9 @@ def test_multi_level_receiver_is_skipped_with_line_and_descriptor():
         }
     )
     assert edges(graph, "pkg.mod::run") == set()
-    assert graph.skipped["pkg.mod::run"] == [(2, "self.backend.step")]
 
 
-def test_unknown_name_call_is_skipped_not_guessed():
+def test_unknown_name_call_gets_no_edge():
     _, graph = build(
         {
             "src/pkg/mod.py": """\
@@ -264,10 +235,9 @@ def test_unknown_name_call_is_skipped_not_guessed():
         }
     )
     assert edges(graph, "pkg.mod::run") == set()
-    assert graph.skipped["pkg.mod::run"] == [(2, "mystery")]
 
 
-def test_parameter_receiver_method_is_skipped():
+def test_parameter_receiver_method_gets_no_edge():
     _, graph = build(
         {
             "src/pkg/mod.py": """\
@@ -277,7 +247,6 @@ def test_parameter_receiver_method_is_skipped():
         }
     )
     assert edges(graph, "pkg.mod::run") == set()
-    assert graph.skipped["pkg.mod::run"] == [(2, "engine.compute")]
 
 
 def test_reachability_stop_predicate_is_a_hard_boundary():

@@ -1,4 +1,4 @@
-"""Logging wrapper and PhaseTimer snapshot conventions.
+"""Timer and PhaseTimer snapshot conventions.
 
 ``SimulationReport.phase_seconds`` is built from
 ``PhaseTimer.snapshot()`` + ``totals_since()`` — these tests pin the
@@ -6,11 +6,8 @@ conventions that contract depends on: snapshots are frozen copies,
 deltas are per-run (not cumulative), and zero-delta phases are dropped.
 """
 
-import logging
-
 import pytest
 
-from repro.utils.logging import get_logger, set_verbosity
 from repro.utils.timer import PhaseTimer, Timer
 
 
@@ -149,57 +146,3 @@ def test_merge_leaves_operands_untouched():
     assert a.totals == {"pair": 1.0}
     assert b.totals == pytest.approx({"pair": 2.0, "comm": 0.5})
 
-
-# ---------------------------------------------------------------------------
-# Logging wrapper
-# ---------------------------------------------------------------------------
-
-
-def test_get_logger_namespaces_under_repro():
-    logger = get_logger("md.engine")
-    assert logger.name == "repro.md.engine"
-
-
-def test_get_logger_keeps_existing_repro_prefix():
-    logger = get_logger("repro.parallel")
-    assert logger.name == "repro.parallel"
-
-
-def test_root_configuration_is_idempotent():
-    get_logger("a")
-    get_logger("b")
-    root = logging.getLogger("repro")
-    assert len(root.handlers) == 1
-
-
-def test_set_verbosity_accepts_int_and_string():
-    root = logging.getLogger("repro")
-    previous = root.level
-    try:
-        set_verbosity(logging.DEBUG)
-        assert root.level == logging.DEBUG
-        set_verbosity("INFO")
-        assert root.level == logging.INFO
-    finally:
-        root.setLevel(previous)
-
-
-def test_child_logger_propagates_to_package_handler():
-    logger = get_logger("md.capture_test")
-    records = []
-
-    class _Capture(logging.Handler):
-        def emit(self, record):
-            records.append(record.getMessage())
-
-    root = logging.getLogger("repro")
-    capture = _Capture()
-    root.addHandler(capture)
-    previous = root.level
-    try:
-        set_verbosity("INFO")
-        logger.info("hello from the child")
-    finally:
-        root.removeHandler(capture)
-        root.setLevel(previous)
-    assert records == ["hello from the child"]
