@@ -97,7 +97,7 @@ def load_golden_baseline(path: str | Path = DEFAULT_BASELINE_PATH) -> dict[str, 
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError):
         return None
-    fingerprints = payload.get("fingerprints")
+    fingerprints = payload.get("fingerprints") if isinstance(payload, dict) else None
     if not isinstance(fingerprints, dict):
         return None
     return {str(k): str(v) for k, v in fingerprints.items()}

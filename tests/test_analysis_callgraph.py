@@ -74,6 +74,113 @@ def test_recursion_terminates_and_roots_are_excluded():
     assert reached == {"pkg.mod::other": "pkg.mod::loop"}
 
 
+def test_import_as_binds_the_module_for_attribute_calls():
+    _, graph = build(
+        {
+            "src/pkg/a.py": """\
+                import pkg.b as helpers
+
+                def caller():
+                    return helpers.helper()
+                """,
+            "src/pkg/b.py": """\
+                def helper():
+                    pass
+                """,
+        }
+    )
+    assert edges(graph, "pkg.a::caller") == {"pkg.b::helper"}
+
+
+def test_re_exported_name_is_followed_to_its_definition():
+    _, graph = build(
+        {
+            "src/pkg/a.py": """\
+                from .api import helper
+
+                def caller():
+                    return helper()
+                """,
+            "src/pkg/api.py": """\
+                from .b import helper
+                """,
+            "src/pkg/b.py": """\
+                def helper():
+                    pass
+                """,
+        }
+    )
+    assert edges(graph, "pkg.a::caller") == {"pkg.b::helper"}
+
+
+def test_nested_def_shadows_a_module_function_of_the_same_name():
+    _, graph = build(
+        {
+            "src/pkg/mod.py": """\
+                def leaf():
+                    pass
+
+                def outer():
+                    def leaf():
+                        pass
+                    return leaf()
+                """
+        }
+    )
+    assert edges(graph, "pkg.mod::outer") == {"pkg.mod::outer.leaf"}
+
+
+def test_method_names_are_not_visible_as_bare_names():
+    # a class body is not an enclosing scope: a bare ``helper()`` inside a
+    # method is the module function, never the sibling method
+    _, graph = build(
+        {
+            "src/pkg/mod.py": """\
+                def helper():
+                    pass
+
+                class Engine:
+                    def helper(self):
+                        pass
+
+                    def run(self):
+                        return helper()
+                """
+        }
+    )
+    assert edges(graph, "pkg.mod::Engine.run") == {"pkg.mod::helper"}
+
+
+def test_reachability_reports_the_first_root_that_reaches_a_function():
+    _, graph = build(
+        {
+            "src/pkg/mod.py": """\
+                def first():
+                    shared()
+
+                def second():
+                    shared()
+                    own()
+
+                def shared():
+                    leaf()
+
+                def leaf():
+                    pass
+
+                def own():
+                    pass
+                """
+        }
+    )
+    reached = graph.reachable_from(["pkg.mod::first", "pkg.mod::second"])
+    assert reached == {
+        "pkg.mod::shared": "pkg.mod::first",
+        "pkg.mod::own": "pkg.mod::second",
+        "pkg.mod::leaf": "pkg.mod::first",
+    }
+
+
 # ---------------------------------------------------------------------------
 # methods and constructors
 # ---------------------------------------------------------------------------
@@ -109,6 +216,43 @@ def test_self_method_call_reaches_an_inherited_method():
         }
     )
     assert edges(graph, "pkg.mod::Engine.run") == {"pkg.mod::Base.step"}
+
+
+def test_cls_method_call_resolves_through_the_mro():
+    _, graph = build(
+        {
+            "src/pkg/mod.py": """\
+                class Base:
+                    @classmethod
+                    def build(cls):
+                        pass
+
+                class Table(Base):
+                    @classmethod
+                    def make(cls):
+                        return cls.build()
+                """
+        }
+    )
+    assert edges(graph, "pkg.mod::Table.make") == {"pkg.mod::Base.build"}
+
+
+def test_cyclic_bases_terminate_method_lookup():
+    _, graph = build(
+        {
+            "src/pkg/mod.py": """\
+                class A(B):
+                    pass
+
+                class B(A):
+                    pass
+
+                def make():
+                    return A()
+                """
+        }
+    )
+    assert edges(graph, "pkg.mod::make") == set()
 
 
 def test_unbound_class_method_and_module_attribute_calls():
@@ -247,6 +391,79 @@ def test_parameter_receiver_method_gets_no_edge():
         }
     )
     assert edges(graph, "pkg.mod::run") == set()
+
+
+def test_local_instance_method_call_gets_no_edge():
+    # a local's type is not inferred, so neither the base method nor any
+    # subclass override is guessed
+    _, graph = build(
+        {
+            "src/pkg/mod.py": """\
+                class Base:
+                    def compute(self):
+                        pass
+
+                class Sub(Base):
+                    def compute(self):
+                        pass
+
+                def driver():
+                    field = Base()
+                    field.compute()
+                """
+        }
+    )
+    assert edges(graph, "pkg.mod::driver") == set()
+
+
+def test_assigned_alias_call_gets_no_edge():
+    _, graph = build(
+        {
+            "src/pkg/mod.py": """\
+                def f():
+                    pass
+
+                g = f
+
+                def caller():
+                    g()
+                """
+        }
+    )
+    assert edges(graph, "pkg.mod::caller") == set()
+
+
+def test_dispatch_dict_call_gets_no_edge():
+    _, graph = build(
+        {
+            "src/pkg/mod.py": """\
+                class A:
+                    def __init__(self):
+                        pass
+
+                KINDS = {"a": A}
+
+                def make(kind):
+                    return KINDS[kind]()
+                """
+        }
+    )
+    assert edges(graph, "pkg.mod::make") == set()
+
+
+def test_function_passed_as_argument_gets_no_edge():
+    _, graph = build(
+        {
+            "src/pkg/mod.py": """\
+                def handler(message):
+                    pass
+
+                def register(conn):
+                    conn.on_message(handler)
+                """
+        }
+    )
+    assert edges(graph, "pkg.mod::register") == set()
 
 
 def test_reachability_stop_predicate_is_a_hard_boundary():

@@ -384,6 +384,52 @@ def test_rl006_resolves_helpers_imported_from_another_module():
     assert violation.line == 4
 
 
+def test_rl006_reaches_an_allocating_method_through_self():
+    violations = fired(
+        lint(
+            """\
+            import numpy as np
+
+            class Field:
+                # reprolint: hot-path
+                def compute(self, n):
+                    return self.scratch(n)
+
+                def scratch(self, n):
+                    return np.zeros(n)
+            """,
+            HOT_PATH,
+        ),
+        "RL006",
+    )
+    (violation,) = violations
+    assert violation.line == 9
+    assert "Field.scratch (reachable from hot path Field.compute)" in violation.message
+
+
+def test_rl006_reaches_an_allocating_constructor():
+    violations = fired(
+        lint(
+            """\
+            import numpy as np
+
+            class Buffer:
+                def __init__(self, n):
+                    self.data = np.zeros(n)
+
+            # reprolint: hot-path
+            def compute(n):
+                return Buffer(n)
+            """,
+            HOT_PATH,
+        ),
+        "RL006",
+    )
+    (violation,) = violations
+    assert violation.line == 5
+    assert "Buffer.__init__ (reachable from hot path compute)" in violation.message
+
+
 def test_rl006_cold_path_marker_is_a_boundary():
     violations = lint(
         """\
@@ -651,7 +697,9 @@ def test_rl007_disabled_without_a_baseline():
     assert fired(lint_source(edited, GOLDEN_FUNC_PATH), "RL007") == []
 
 
-@pytest.mark.parametrize("content", [None, "{not json", '{"fingerprints": []}'])
+@pytest.mark.parametrize(
+    "content", [None, "{not json", '{"fingerprints": []}', '["fingerprints"]']
+)
 def test_lint_paths_reports_a_missing_or_unreadable_golden_baseline(
     tmp_path, monkeypatch, content
 ):
@@ -672,6 +720,27 @@ def test_lint_paths_reports_a_missing_or_unreadable_golden_baseline(
         FRAMEWORK_RULE_ID,
     )
     assert "golden baseline is missing or unreadable" in violation.message
+
+
+def test_lint_paths_checks_rl007_against_a_readable_golden_baseline(
+    tmp_path, monkeypatch
+):
+    # the positive control of the fail-open fix: a readable baseline is
+    # loaded and RL007 checks against it, so an unrecorded site fires
+    from repro.analysis import fingerprint
+
+    baseline = tmp_path / "golden_baseline.json"
+    baseline.write_text('{"fingerprints": {}}', encoding="utf-8")
+    monkeypatch.setattr(fingerprint, "DEFAULT_BASELINE_PATH", baseline)
+    clean = tmp_path / "clean.py"
+    clean.write_text("x = 1\n", encoding="utf-8")
+    assert lint_paths([clean]) == []
+    golden = tmp_path / GOLDEN_FUNC_PATH
+    golden.parent.mkdir(parents=True)
+    golden.write_text(_GOLDEN_FUNC_SOURCE, encoding="utf-8")
+    (violation,) = fired(lint_paths([golden]), "RL007")
+    assert violation.path == golden.as_posix()
+    assert "no recorded fingerprint" in violation.message
 
 
 # ---------------------------------------------------------------------------
@@ -824,6 +893,21 @@ def test_cli_prints_findings_and_counts_and_sets_the_exit_code(tmp_path, capsys)
     bad.write_text("import numpy as np\n")
     assert main([str(bad)]) == 0
     assert capsys.readouterr().out == "reprolint: clean\n"
+
+
+def test_render_text_counts_each_rule_in_id_order():
+    from repro.analysis.__main__ import render_text
+    from repro.analysis.reprolint import Violation
+
+    violations = [
+        Violation("b.py", 3, "RL006", "second"),
+        Violation("a.py", 1, FRAMEWORK_RULE_ID, "first"),
+        Violation("b.py", 7, "RL006", "third"),
+    ]
+    lines = render_text(violations).splitlines()
+    assert lines[:-1] == [v.format() for v in violations]
+    assert lines[-1] == "reprolint: 3 violation(s) (RL000: 1, RL006: 2)"
+    assert render_text([]) == "reprolint: clean"
 
 
 def test_cli_update_golden_requires_a_reason(tmp_path):
