@@ -25,6 +25,13 @@ padded table read — and gates what a pair-style rank saves: the primary-row
 pairs-only build must be >= 1.25x faster than the full build with its table
 (what every rank paid before ghosts stopped being centres).
 
+An ``lj_serial`` section builds the repo benchmark's serial Lennard-Jones
+geometry (14x14x14 copper, 10 976 atoms, cutoff 5.0 A + skin 0.4 A: 2.24 M
+candidates for 296 k pairs), prints the build time and gates the
+tracemalloc peak of one build at <= 32 MiB.  The search streams its
+candidates in ``PAIR_BLOCK_CANDIDATES`` blocks (~23 MiB measured); writing
+every candidate out before filtering any peaked at 117 MiB.
+
 Run with::
 
     PYTHONPATH=src python -m pytest -q -s benchmarks/bench_neighbor_build.py
@@ -33,6 +40,7 @@ Run with::
 from __future__ import annotations
 
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -250,3 +258,25 @@ def test_bench_ranked_geometry_primary_rows():
         "pairs only; >= 1.25x required)"
     )
     assert saved["lj_ranks"] >= 1.25
+
+
+def test_bench_lj_serial_build_peak():
+    """One build of the ``lj_serial`` geometry stays within a 32 MiB peak."""
+    atoms, box = copper_system((14, 14, 14), perturbation=0.05, rng=16)
+    cutoff, skin = 5.0, 0.4
+    build = _best_of(build_neighbor_data, atoms.positions, box, cutoff, skin, reps=5)
+    tracemalloc.start()
+    try:
+        data = build_neighbor_data(atoms.positions, box, cutoff, skin)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    print(
+        f"\nlj_serial geometry: {len(atoms)} atoms, {len(data.pairs)} pairs, "
+        f"build {build*1e3:.1f} ms (best of 5), tracemalloc peak {peak / 2**20:.1f} MiB "
+        "(<= 32 MiB required)"
+    )
+    assert peak <= 32 * 2**20, (
+        f"one lj_serial build peaked at {peak / 2**20:.1f} MiB — a candidate-sized "
+        "temporary has probably come back into the pair search"
+    )

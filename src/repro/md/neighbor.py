@@ -28,11 +28,30 @@ The production pair search (:func:`_cell_list_pairs`) is a fully vectorized
 binned build: atoms are binned with one stable sort, the half stencil of cell
 pairs is enumerated as flat arrays (with per-axis shift sets that degrade
 gracefully for thin/slab boxes instead of falling back to O(N^2)), and
-candidate pairs are emitted with one ``repeat``/``cumsum`` batch expansion —
-no Python loop over cells, so cost scales with atoms and *occupied* cells,
-never with total cells.  The O(N^2) :func:`_brute_force_pairs` search is kept
-un-optimized as the golden reference (the ``reference/scalar.py`` pattern) and is
-only routed to below :data:`BRUTE_FORCE_THRESHOLD`.
+candidate pairs are expanded with ``repeat``/``cumsum`` — no Python loop over
+cells, so cost scales with atoms and *occupied* cells, never with total
+cells.  The O(N^2) :func:`_brute_force_pairs` search is kept un-optimized as
+the golden reference (the ``reference/scalar.py`` pattern) and is only routed
+to below :data:`BRUTE_FORCE_THRESHOLD`.
+
+**Blocked candidates.**  The search never holds every candidate at once.  One
+*entry* is (cell pair, left atom); its candidates are a contiguous run of the
+right cell.  The entries are cut into blocks of about
+:data:`PAIR_BLOCK_CANDIDATES` candidates, and each block is expanded,
+prefiltered, confirmed and appended before the next one starts.  Blocks run
+in entry order and the confirmation is per candidate, so the output is the
+same pairs in the same order at *any* block size (pinned with the constant
+at 1, 7 and above the candidate total).  The fp32 prefilter sums the three
+per-axis terms column by column instead of through a ``(n, 3) @ (3,)``
+product.  That only reassociates a sum of three non-negative terms, and the
+rounding error of such a sum is bounded by the same few relative ulps in
+every order (no cancellation is possible), so the slack bound still covers
+it and the prefilter stays conservative: it can keep a few more or fewer
+far-away candidates, never drop one the exact pass would keep.
+
+A build refuses non-finite positions with a ``ValueError`` naming the first
+bad row; a NaN or inf row would otherwise get zero neighbours (every
+distance comparison with it is false) and the run would go on.
 """
 
 from __future__ import annotations
@@ -56,6 +75,17 @@ from .box import Box
 #: genuinely tiny systems only; above it no O(N^2) path is reachable.
 #: ``benchmarks/bench_neighbor_build.py`` re-measures and asserts the choice.
 BRUTE_FORCE_THRESHOLD = 96
+
+#: Candidates per block of the binned pair search (whole entries, so a block
+#: can run longer when one atom alone reaches more).  A block's index and
+#: prefilter arrays stay around 1 MiB, so they live in cache; a 10 976-atom
+#: copper build (cutoff 5 + skin 0.4 A) peaks at ~23 MiB of temporaries
+#: instead of the 117 MiB its 2.24 M candidates took when they were written
+#: out at once.  Measured on that build (best of 7, one x86-64 core): 2**12 114 ms
+#: (per-block overhead), 2**14 72 ms, 2**15 67 ms, 2**16-2**17 77 ms, 2**18
+#: 82 ms.  The value never changes which pairs come back or their order —
+#: only how many candidates are in flight at a time.
+PAIR_BLOCK_CANDIDATES = 2**15
 
 
 class NeighborData:
@@ -197,10 +227,11 @@ def _cell_list_pairs(
     """All i<j pairs within ``cutoff`` using a vectorized binned search.
 
     One stable sort bins the atoms; occupied cells and the half stencil of
-    cell pairs are enumerated as flat arrays; candidate pairs are emitted in
-    one ``repeat``/``cumsum`` batch expansion and distance-filtered in bulk.
-    Cost scales with atoms and occupied cells — there is no Python loop over
-    cells and no brute-force fallback for thin or slab-shaped boxes.
+    cell pairs are enumerated as flat arrays; candidate pairs are expanded
+    with ``repeat``/``cumsum`` and distance-filtered in blocks of about
+    :data:`PAIR_BLOCK_CANDIDATES` (see the module docstring).  Cost scales
+    with atoms and occupied cells — there is no Python loop over cells (only
+    over blocks) and no brute-force fallback for thin or slab-shaped boxes.
 
     With a ``primary`` mask only pairs with at least one primary member come
     back: the sort puts each cell's primaries first, and a non-primary atom
@@ -304,13 +335,6 @@ def _cell_list_pairs(
     entry_base_j = np.where(
         same_entry, entry_slot_i + 1, occ_start.astype(idx_dtype)[dst][entry_pair]
     )
-    # every candidate's j-slot is its entry's base plus a within-run offset;
-    # both sides expand with sequential repeats — no integer division
-    slot_i = np.repeat(entry_slot_i, reps)
-    in_j = np.arange(total, dtype=idx_dtype) - np.repeat(
-        (np.cumsum(reps, dtype=np.int64) - reps).astype(idx_dtype), reps
-    )
-    slot_j = np.repeat(entry_base_j, reps) + in_j
 
     # distance filter in sorted-row space: a reduced-precision prefilter with
     # a rigorous slack bound throws away the ~85% of candidates that are far
@@ -337,23 +361,51 @@ def _cell_list_pairs(
         frac = frac_sorted
         slack = (cutoff + f64_error) ** 2
         lengths_sq = lengths * lengths
-    delta_frac = np.repeat(np.take(frac, entry_slot_i, axis=0), reps, axis=0)
-    delta_frac -= np.take(frac, slot_j, axis=0)
-    images = np.rint(delta_frac)
-    for axis in range(3):
-        if not periodic[axis]:
-            images[:, axis] = 0.0
-    delta_frac -= images
-    candidate_idx = np.nonzero((delta_frac * delta_frac) @ lengths_sq <= slack)[0]
+    # one contiguous column per axis: a block gathers 1-D runs, not rows
+    frac_cols = [np.ascontiguousarray(frac[:, axis]) for axis in range(3)]
 
-    # exact confirmation, bitwise-identical to the brute-force reference
-    slot_i = slot_i[candidate_idx]
-    slot_j = slot_j[candidate_idx]
-    delta = np.take(pos_sorted, slot_i, axis=0) - np.take(pos_sorted, slot_j, axis=0)
-    delta = box.minimum_image(delta)
-    mask = np.einsum("ij,ij->i", delta, delta) <= cutoff * cutoff
-    gi = np.take(order, slot_i[mask])
-    gj = np.take(order, slot_j[mask])
+    # stream the candidates in blocks of whole entries, about
+    # ``PAIR_BLOCK_CANDIDATES`` each, cut on the running candidate count;
+    # blocks run in entry order, so the output is the same pairs in the same
+    # order at any block size and no candidate-sized array ever exists
+    reps_end = np.cumsum(reps, dtype=np.int64)
+    block = PAIR_BLOCK_CANDIDATES
+    cuts = np.searchsorted(reps_end, np.arange(block, total, block, dtype=np.int64), side="right")
+    bounds = np.unique(np.concatenate(([0], cuts, [n_entries])))
+    found_i, found_j = [], []
+    for start, stop in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        block_slot_i, block_reps = entry_slot_i[start:stop], reps[start:stop]
+        n_block = int(reps_end[stop - 1]) - (int(reps_end[start - 1]) if start else 0)
+        # every candidate's j-slot is its entry's base plus a within-run
+        # offset; both sides expand with sequential repeats — no division
+        slot_i = np.repeat(block_slot_i, block_reps)
+        in_j = np.arange(n_block, dtype=idx_dtype) - np.repeat(
+            (np.cumsum(block_reps, dtype=np.int64) - block_reps).astype(idx_dtype), block_reps
+        )
+        slot_j = np.repeat(entry_base_j[start:stop], block_reps) + in_j
+
+        dist2 = None
+        for axis, col in enumerate(frac_cols):
+            # in place: one block-sized temporary per axis, summed x, y, z
+            delta_frac = np.repeat(np.take(col, block_slot_i), block_reps)
+            delta_frac -= np.take(col, slot_j)
+            if periodic[axis]:
+                delta_frac -= np.rint(delta_frac)
+            delta_frac *= delta_frac
+            delta_frac *= lengths_sq[axis]
+            dist2 = delta_frac if dist2 is None else np.add(dist2, delta_frac, out=dist2)
+        candidate_idx = np.nonzero(dist2 <= slack)[0]
+
+        # exact confirmation, bitwise-identical to the brute-force reference
+        slot_i = slot_i[candidate_idx]
+        slot_j = slot_j[candidate_idx]
+        delta = np.take(pos_sorted, slot_i, axis=0) - np.take(pos_sorted, slot_j, axis=0)
+        delta = box.minimum_image(delta)
+        mask = np.einsum("ij,ij->i", delta, delta) <= cutoff * cutoff
+        found_i.append(np.take(order, slot_i[mask]))
+        found_j.append(np.take(order, slot_j[mask]))
+    gi = np.concatenate(found_i)
+    gj = np.concatenate(found_j)
     return np.minimum(gi, gj).astype(np.int64), np.maximum(gi, gj).astype(np.int64)
 
 
@@ -391,6 +443,9 @@ def build_neighbor_data(
     if skin < 0:
         raise ValueError("skin must be non-negative")
     positions = np.asarray(positions, dtype=np.float64)
+    if not np.isfinite(positions).all():
+        row = int(np.nonzero(~np.isfinite(positions).all(axis=-1))[0][0])
+        raise ValueError(f"position row {row} is not finite: {positions[row]}")
     search = cutoff + skin
     max_allowed = box.max_cutoff()
     if search > max_allowed + 1e-9:
@@ -460,7 +515,8 @@ class NeighborList:
             return True
         if self.skin <= 0.0:
             return True
-        return max_displacement(atoms.positions, self._reference_positions, box) > 0.5 * self.skin
+        # a non-finite displacement is stale too: the build then names the row
+        return not max_displacement(atoms.positions, self._reference_positions, box) <= 0.5 * self.skin
 
     def maybe_rebuild(self, atoms: Atoms, box: Box) -> tuple[NeighborData, bool]:
         """Rebuild if stale; returns ``(data, rebuilt)``."""

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.md import Box, NeighborList, copper_system
+from repro.md import Box, NeighborList, copper_system, neighbor
 from repro.md.forcefields import LennardJones
 from repro.md.neighbor import (
     BRUTE_FORCE_THRESHOLD,
@@ -454,6 +454,89 @@ class TestPrimaryRows:
         atoms, box = copper_system((3, 3, 3))
         with pytest.raises(ValueError):
             build_neighbor_data(atoms.positions, box, 3.0, primary=np.ones(5, dtype=bool))
+
+
+class TestBlockedSearch:
+    """The binned search streams its candidates in blocks of whole entries.
+
+    ``PAIR_BLOCK_CANDIDATES`` is a memory decision only: one entry per block,
+    a small odd size and one block for everything give the same pairs in the
+    same order as the default, on every geometry of the box matrix, with and
+    without a primary mask, and on perfect copper FCC, where exact distance
+    ties sit on the cutoff.
+    """
+
+    @staticmethod
+    def _at_block_sizes(monkeypatch, build):
+        default = build()
+        assert len(default) > 0
+        for block in (1, 7, 10**9):
+            monkeypatch.setattr(neighbor, "PAIR_BLOCK_CANDIDATES", block)
+            np.testing.assert_array_equal(build(), default, err_msg=f"block={block}")
+        monkeypatch.undo()
+
+    @pytest.mark.parametrize("kind", _BOX_KINDS)
+    def test_block_size_never_selects_pairs(self, kind, monkeypatch):
+        n = BRUTE_FORCE_THRESHOLD + 150
+        rng = np.random.default_rng([11, _BOX_KINDS.index(kind)])
+        for _ in range(2):
+            positions, box, cutoff = _box_matrix_case(kind, n, rng)
+            for mask in (None, np.ones(n, dtype=bool), rng.uniform(size=n) < 0.5):
+                self._at_block_sizes(
+                    monkeypatch, lambda: build_neighbor_data(positions, box, cutoff, primary=mask).pairs
+                )
+
+    @pytest.mark.parametrize("search", [3.615 / np.sqrt(2.0), 3.615, 5.4])
+    def test_block_size_never_selects_pairs_on_fcc_ties(self, search, monkeypatch):
+        atoms, box = copper_system((4, 4, 4))
+        mask = np.arange(len(atoms)) % 3 == 0
+        for primary in (None, mask):
+            self._at_block_sizes(
+                monkeypatch, lambda: build_neighbor_data(atoms.positions, box, search, primary=primary).pairs
+            )
+
+
+class TestNonFinitePositions:
+    """A NaN or inf coordinate fails the build loudly, naming the row."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("n_cells", [(2, 2, 2), (4, 4, 4)])  # brute force and binned
+    def test_build_names_the_first_non_finite_row(self, bad, n_cells):
+        atoms, box = copper_system(n_cells, perturbation=0.05, rng=12)
+        positions = atoms.positions.copy()
+        positions[17, 1] = bad
+        positions[23, 0] = bad
+        with pytest.raises(ValueError, match="row 17 is not finite"):
+            build_neighbor_data(positions, box, 3.0, skin=0.4)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_simulation_refuses_a_non_finite_start(self, bad):
+        from repro.md import Simulation
+
+        atoms, box = copper_system((4, 4, 4), perturbation=0.05, rng=13)
+        atoms.positions[40, 2] = bad
+        sim = Simulation(atoms, box, LennardJones(0.05, 2.3, 5.0), timestep_fs=2.0, neighbor_skin=0.4)
+        with pytest.raises(ValueError, match="row 40 is not finite"):
+            sim.run(3)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # wrapping an inf row
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_simulation_stops_at_the_rebuild_after_a_row_goes_non_finite(self, bad):
+        # a non-finite displacement counts as stale, so the very next step
+        # rebuilds and the build names the row — no rebuild_every wait
+        from repro.md import Simulation
+
+        atoms, box = copper_system((4, 4, 4), perturbation=0.05, rng=14)
+        atoms.initialize_velocities(300.0, rng=15)
+        sim = Simulation(
+            atoms, box, LennardJones(0.05, 2.3, 5.0), timestep_fs=2.0, neighbor_skin=0.4, neighbor_every=1000
+        )
+        sim.run(2)
+        builds = sim.neighbor_list.n_builds
+        atoms.velocities[63, 0] = bad
+        with pytest.raises(ValueError, match="row 63 is not finite"):
+            sim.run(1)
+        assert sim.neighbor_list.n_builds == builds
 
 
 class TestLazyTable:
