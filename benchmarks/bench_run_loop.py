@@ -20,6 +20,16 @@ Two guards:
   allocations (``np.zeros``/``np.empty``/``np.full``/``np.ones`` and their
   ``_like`` variants), counted by monkeypatching the allocators.
 
+An ``lj_serial`` section computes Lennard-Jones forces on the repo
+benchmark's serial geometry (14x14x14 copper, 10 976 atoms, cutoff 5.0 A +
+skin 0.4 A: ~296 k pairs), prints the compute time and gates two numbers
+after warm-up: the pool one compute holds (``Workspace.nbytes`` <= 24 MiB;
+the kernel runs in ``PAIR_BLOCK_ROWS`` blocks, ~18 MiB measured, where
+whole-array per-pair temporaries held ~46 MiB) and the steady-state
+tracemalloc peak (<= 1 MiB above baseline; the component-major pair forces
+reach the ``np.bincount`` scatter without a column copy, ~0.2 MiB measured,
+where the strided columns cost ~6.8 MiB).
+
 The engine test counts ``np.vstack``/``np.concatenate``/``np.stack`` the same
 way: 0 per steady-state rank-step (a ``RankDomain``'s owned and ghost rows
 are views of one array; it was 3 while ``local_atoms`` re-stacked them) — and
@@ -36,13 +46,15 @@ Run with::
 from __future__ import annotations
 
 import time
+import tracemalloc
 
 import numpy as np
 
 import pytest
 
-from repro.md import LennardJones, Simulation, copper_system, water_system
+from repro.md import LennardJones, Simulation, Workspace, copper_system, water_system
 from repro.md.forcefields.water import WaterReference
+from repro.md.neighbor import build_neighbor_data
 from repro.parallel import DomainDecomposedSimulation
 from repro.reference.forcefields import ReferenceForceField
 
@@ -145,6 +157,49 @@ def test_workspace_loop_speedup_and_parity():
     assert speedup >= SPEEDUP_TARGET, (
         f"workspace loop only {speedup:.2f}x over the allocating loop "
         f"(expected >= {SPEEDUP_TARGET}x)"
+    )
+
+
+#: one LJ compute's pool and steady-state tracemalloc peak at lj_serial size
+LJ_SERIAL_POOL_MIB = 24
+LJ_SERIAL_PEAK_MIB = 1
+
+
+def test_lj_serial_compute_pool_and_peak():
+    """The blocked pair kernel holds block-sized temporaries, and a warmed
+    compute allocates nothing pair-sized."""
+    atoms, box = copper_system((14, 14, 14), perturbation=0.05, rng=16)
+    data = build_neighbor_data(atoms.positions, box, 5.0, skin=0.4)
+    force_field = LennardJones(0.05, 2.3, 5.0)
+    workspace = Workspace()
+    for _ in range(3):  # warm-up: fills the pool
+        force_field.compute(atoms, box, data, workspace=workspace)
+    times = []
+    for _ in range(10):
+        start = time.perf_counter()
+        force_field.compute(atoms, box, data, workspace=workspace)
+        times.append(time.perf_counter() - start)
+    tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        force_field.compute(atoms, box, data, workspace=workspace)
+        peak = tracemalloc.get_traced_memory()[1] - baseline
+    finally:
+        tracemalloc.stop()
+    pool = workspace.nbytes
+    print(
+        f"\nlj_serial geometry: {len(atoms)} atoms, {len(data.pairs)} pairs, "
+        f"LJ compute {np.median(times) * 1e3:.1f} ms (median of 10), "
+        f"pool {pool / 2**20:.1f} MiB (<= {LJ_SERIAL_POOL_MIB} MiB required), "
+        f"steady-state peak {peak / 2**20:.2f} MiB (<= {LJ_SERIAL_PEAK_MIB} MiB required)"
+    )
+    assert pool <= LJ_SERIAL_POOL_MIB * 2**20, (
+        f"one LJ compute holds {pool / 2**20:.1f} MiB — a pair-sized temporary "
+        "has probably come back into the block loop"
+    )
+    assert peak <= LJ_SERIAL_PEAK_MIB * 2**20, (
+        f"a warmed LJ compute peaked at {peak / 2**20:.2f} MiB — the force "
+        "scatter is probably copying strided columns again"
     )
 
 

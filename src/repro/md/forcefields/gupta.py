@@ -19,7 +19,7 @@ from ..box import Box
 from ..neighbor import NeighborData
 from ..workspace import UNPOOLED, scatter_add_scalars, scatter_add_vectors
 from .base import ForceField, ForceResult
-from .pairs import compress_pairs, stage_pairs
+from .pairs import compress_pairs, pair_operands, stage_pairs
 
 #: Cleri & Rosato (PRB 48, 22) parameters for Cu.
 CU_GUPTA = {"a": 0.0855, "xi": 1.224, "p": 10.960, "q": 2.278, "r0": 2.556}
@@ -71,7 +71,8 @@ class GuptaPotential(ForceField):
         """Stage 1: per-atom energies and the embedding derivative
         ``1/sqrt(rho)``, complete for every atom whose whole environment is in
         ``pairs``, plus the in-cutoff pairs' staged terms for :meth:`force_stage`."""
-        i, j, delta, r = stage_pairs("gupta.all", positions, box, pairs, w)
+        coords, i, j = pair_operands("gupta.all", positions, pairs, w)
+        delta, r = stage_pairs("gupta.all", coords, box, i, j, w)
         np.sqrt(r, out=r)
         keep = np.nonzero(r <= self.cutoff)[0]
         i, j, delta, r = compress_pairs("gupta", keep, i, j, delta, r, w)

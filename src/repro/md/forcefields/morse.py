@@ -14,7 +14,7 @@ from ..box import Box
 from ..neighbor import NeighborData
 from ..workspace import UNPOOLED
 from .base import ForceField, ForceResult
-from .pairs import scatter_pairs, stage_pairs
+from .pairs import pair_blocks, pair_operands, scatter_pairs
 
 #: Literature Morse parameters for copper (Girifalco & Weizer, 1959).
 CU_MORSE = {"d": 0.3429, "alpha": 1.3588, "r0": 2.866}
@@ -47,40 +47,45 @@ class MorsePotential(ForceField):
     def compute(
         self, atoms: Atoms, box: Box, neighbors: NeighborData, workspace=None
     ) -> ForceResult:
-        """Masked per-pair arithmetic: skin pairs multiply to exact zero."""
+        """Masked per-pair arithmetic, block by block: skin pairs multiply to exact zero."""
         w = UNPOOLED if workspace is None else workspace
         n = len(atoms)
         forces = w.zeros("morse.forces", (n, 3))
         per_atom = w.zeros("morse.per_atom", n)
-        i, j, delta, r = stage_pairs("morse", atoms.positions, box, neighbors.pairs, w)
-        n_pairs = len(r)
-        np.sqrt(r, out=r)
-        mask = w.capacity("morse.mask", n_pairs, dtype=np.bool_)
-        np.less_equal(r, self.cutoff, out=mask)
+        coords, i, j = pair_operands("morse", atoms.positions, neighbors.pairs, w)
+        n_pairs = len(i)
+        pair_energy = w.capacity("morse.energy", n_pairs)
+        pair_forces = w.capacity("morse.pair_forces", 3 * n_pairs).reshape(3, n_pairs)
+        for rows, delta, r in pair_blocks("morse", coords, box, i, j, w):
+            m = len(r)
+            np.sqrt(r, out=r)
+            mask = w.capacity("morse.mask", m, dtype=np.bool_)
+            np.less_equal(r, self.cutoff, out=mask)
 
-        # x = exp(-alpha (r - r0)); energy = d (x^2 - 2x) - e_cut
-        x = w.capacity("morse.x", n_pairs)
-        np.subtract(r, self.r0, out=x)
-        x *= -self.alpha
-        np.exp(x, out=x)
-        energy = w.capacity("morse.energy", n_pairs)
-        np.multiply(x, x, out=energy)
-        two_x = w.capacity("morse.two_x", n_pairs)
-        np.multiply(x, 2.0, out=two_x)
-        energy -= two_x
-        energy *= self.d
-        energy -= self._e_cut
-        energy *= mask
+            # x = exp(-alpha (r - r0)); energy = d (x^2 - 2x) - e_cut
+            x = w.capacity("morse.x", m)
+            np.subtract(r, self.r0, out=x)
+            x *= -self.alpha
+            np.exp(x, out=x)
+            energy = pair_energy[rows]
+            np.multiply(x, x, out=energy)
+            two_x = w.capacity("morse.two_x", m)
+            np.multiply(x, 2.0, out=two_x)
+            energy -= two_x
+            energy *= self.d
+            energy -= self._e_cut
+            energy *= mask
 
-        # f_mag = -dE/dr = -d (-2 a x^2 + 2 a x)
-        f_mag = w.capacity("morse.f_mag", n_pairs)
-        np.multiply(x, x, out=f_mag)
-        f_mag *= -2.0 * self.alpha
-        two_x *= self.alpha  # (2 x) * alpha == 2 alpha x
-        f_mag += two_x
-        f_mag *= -self.d
-        f_mag *= mask
-        f_mag /= r
+            # f_mag = -dE/dr = -d (-2 a x^2 + 2 a x)
+            f_mag = w.capacity("morse.f_mag", m)
+            np.multiply(x, x, out=f_mag)
+            f_mag *= -2.0 * self.alpha
+            two_x *= self.alpha  # (2 x) * alpha == 2 alpha x
+            f_mag += two_x
+            f_mag *= -self.d
+            f_mag *= mask
+            f_mag /= r
 
-        delta *= f_mag[:, None]
-        return ForceResult(scatter_pairs(forces, per_atom, i, j, delta, energy), forces, per_atom)
+            np.multiply(delta.T, f_mag, out=pair_forces[:, rows])
+        energy = scatter_pairs(forces, per_atom, i, j, pair_forces.T, pair_energy)
+        return ForceResult(energy, forces, per_atom)

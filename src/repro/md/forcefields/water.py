@@ -22,7 +22,7 @@ from ..neighbor import NeighborData
 from ..water import WaterTopology
 from ..workspace import UNPOOLED
 from .base import ForceField, ForceResult
-from .pairs import compress_pairs, scatter_pairs, stage_pairs
+from .pairs import compress_pairs, pair_operands, scatter_pairs, stage_pairs
 
 #: Coulomb constant e^2 / (4 pi eps0) in eV*A.
 COULOMB_CONSTANT = 14.399645
@@ -144,7 +144,8 @@ class WaterReference(ForceField):
         w,
     ) -> float:
         mol = self.topology.molecules
-        i, j, delta, r2 = stage_pairs("water.all", atoms.positions, box, neighbors.pairs, w)
+        coords, i, j = pair_operands("water.all", atoms.positions, neighbors.pairs, w)
+        delta, r2 = stage_pairs("water.all", coords, box, i, j, w)
         keep = np.nonzero((mol[i] != mol[j]) & (r2 <= self.cutoff * self.cutoff))[0]
         i, j, delta, r2 = compress_pairs("water", keep, i, j, delta, r2, w)
         r = np.sqrt(r2)

@@ -230,6 +230,9 @@ def scatter_add_vectors(
     The Newton's-third-law pair-force scatter, written as six ``np.bincount``
     reductions instead of two ``np.add.at`` scalar loops.  ``out`` must be
     ``(n, 3)`` and is accumulated into (callers zero it first when needed).
+    ``values`` is ``(m, 3)``: row-major input pays one contiguous copy of each
+    strided column; component-major input (the ``.T`` view of a ``(3, m)``
+    array, as the blocked pair kernels pass) is copy-free, with the same sums.
     """
     n = out.shape[0]
     for axis in range(3):

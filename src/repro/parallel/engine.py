@@ -377,11 +377,24 @@ class DomainDecomposedSimulation(EngineBackend):
             return True
         if self.neighbor_skin <= 0.0:
             return True
-        max_disp = max(
-            max_displacement(domain.positions, domain.ref_positions, self.box)
+        # a non-finite displacement is stale too (a Python ``max`` would drop
+        # a NaN): the rebuild then names the row
+        return not all(
+            max_displacement(domain.positions, domain.ref_positions, self.box) <= 0.5 * self.neighbor_skin
             for domain in self.domains
         )
-        return max_disp > 0.5 * self.neighbor_skin
+
+    def _refuse_non_finite(self) -> None:
+        """Fail the rebuild loudly on a NaN/inf coordinate, naming the row
+        (migration would otherwise route it to a rank that does not exist)."""
+        for domain in self.domains:
+            finite = np.isfinite(domain.positions).all(axis=1)
+            if not finite.all():
+                row = int(np.argmin(finite))
+                raise ValueError(
+                    f"rank {domain.rank} position row {row} (atom {int(domain.gids[row])}) "
+                    f"is not finite: {domain.positions[row]}"
+                )
 
     # -- force evaluation --------------------------------------------------------
     def compute_forces(self) -> float:
@@ -395,6 +408,7 @@ class DomainDecomposedSimulation(EngineBackend):
         self._steps_since_build += 1
         executor = self._executor
         if self._needs_rebuild():
+            self._refuse_non_finite()
             with self.timers.phase("comm"):
                 self._migrate()
                 self._exchange_ghosts()

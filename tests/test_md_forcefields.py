@@ -1,17 +1,24 @@
 """Reference force fields: analytic forces vs finite differences, physics sanity."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from test_md_neighbor import _BOX_KINDS, _box_matrix_case
 
 from repro.md import (
+    Atoms,
     Box,
     GuptaPotential,
     LennardJones,
     MorsePotential,
+    Simulation,
     WaterReference,
+    Workspace,
     copper_system,
     water_system,
 )
+from repro.md.forcefields import pairs
 from repro.md.neighbor import build_neighbor_data
 from repro.md.workspace import minimum_image_into, scatter_add_scalars, scatter_add_vectors
 from repro.reference.forcefields import accumulate_pair_forces
@@ -187,6 +194,85 @@ class TestWaterReference:
         np.testing.assert_allclose(total, 0.0, atol=1e-9)
 
 
+class TestBlockedPairKernel:
+    """LJ and Morse run in blocks of ``PAIR_BLOCK_ROWS`` rows of the pair list.
+
+    The block size is a cache decision only: one row per block, a small odd
+    size and one block for everything give the default's energy, per-atom
+    energies and forces bit for bit, from a warmed pool and from
+    ``UNPOOLED``, on every geometry of the box matrix and on perfect copper
+    FCC, where exact distance ties sit on the cutoff.
+    """
+
+    @staticmethod
+    def _at_block_sizes(monkeypatch, force_field, atoms, box, data):
+        pool = Workspace()
+
+        def outputs(workspace):
+            result = force_field.compute(atoms, box, data, workspace=workspace)
+            return result.energy, result.per_atom_energy.copy(), result.forces.copy()
+
+        default = outputs(pool)
+        assert len(data.pairs) > 0
+        for block in (pairs.PAIR_BLOCK_ROWS, 1, 7, len(data.pairs) + 1):
+            monkeypatch.setattr(pairs, "PAIR_BLOCK_ROWS", block)
+            for workspace in (pool, None):
+                for got, want in zip(outputs(workspace), default):
+                    np.testing.assert_array_equal(got, want, err_msg=f"block={block}, workspace={workspace}")
+        monkeypatch.undo()
+
+    @pytest.mark.parametrize("kind", _BOX_KINDS)
+    def test_block_size_never_selects_arithmetic(self, kind, monkeypatch):
+        rng = np.random.default_rng([35, _BOX_KINDS.index(kind)])
+        positions, box, search = _box_matrix_case(kind, 160, rng)
+        atoms = Atoms.from_symbols(positions, ["Cu"] * len(positions))
+        data = build_neighbor_data(positions, box, search)
+        # the pair styles cut inside the search radius, so skin rows are masked
+        for force_field in (LennardJones(0.05, 0.8, search - 0.3), MorsePotential(cutoff=search - 0.3)):
+            self._at_block_sizes(monkeypatch, force_field, atoms, box, data)
+
+    @pytest.mark.parametrize("kind", _BOX_KINDS)
+    def test_staged_r2_is_the_row_major_einsum(self, kind):
+        """The component-major staging sums ``r2`` in the order
+        ``np.einsum("ij,ij->i")`` sums a contiguous ``(n, 3)`` row."""
+        rng = np.random.default_rng([36, _BOX_KINDS.index(kind)])
+        positions, box, search = _box_matrix_case(kind, 400, rng)
+        data = build_neighbor_data(positions, box, search)
+        coords, i, j = pairs.pair_operands("test", positions, data.pairs, Workspace())
+        delta, r2 = pairs.stage_pairs("test", coords, box, i, j, Workspace())
+        rows = np.ascontiguousarray(delta)
+        np.testing.assert_array_equal(rows, box.minimum_image(positions[i] - positions[j]))
+        np.testing.assert_array_equal(r2, np.einsum("ij,ij->i", rows, rows))
+
+    @pytest.mark.parametrize("cutoff", [3.615 / np.sqrt(2.0), 3.615])
+    def test_block_size_never_selects_arithmetic_on_fcc_ties(self, cutoff, monkeypatch):
+        atoms, box = copper_system((4, 4, 4))
+        data = build_neighbor_data(atoms.positions, box, cutoff, skin=0.4)
+        for force_field in (LennardJones(0.05, 2.3, cutoff), MorsePotential(cutoff=cutoff)):
+            self._at_block_sizes(monkeypatch, force_field, atoms, box, data)
+
+    @pytest.mark.parametrize(
+        "force_field, expected",
+        [
+            (LennardJones(0.05, 2.3, 5.0), "193f4c3f8c10edf3f02ad4d108e06b59512ce6d6bcd69b7d397d51f948399a66"),
+            (MorsePotential(cutoff=5.0), "60161c2617d526ccaba26ed11839a5adce4ddf42246cc52241d0bd9c7129222c"),
+        ],
+        ids=["lj", "morse"],
+    )
+    def test_trajectory_is_pinned(self, force_field, expected):
+        """sha256 of a fixed-seed 40-step run (23 k pairs: three default
+        blocks), recorded on the unblocked kernel: final positions,
+        velocities and forces, then every sampled potential energy."""
+        atoms, box = copper_system((6, 6, 6), perturbation=0.05, rng=np.random.default_rng(35))
+        atoms.initialize_velocities(300.0, rng=np.random.default_rng(36))
+        sim = Simulation(atoms, box, force_field, timestep_fs=2.0, neighbor_skin=0.4, neighbor_every=5)
+        report = sim.run(40)
+        digest = hashlib.sha256()
+        for array in (atoms.positions, atoms.velocities, atoms.forces, np.asarray(report.potential_energies)):
+            digest.update(np.ascontiguousarray(array).tobytes())
+        assert digest.hexdigest() == expected
+
+
 class TestHelpers:
     def test_accumulate_pair_forces_newton(self):
         pairs = np.array([[0, 1]])
@@ -228,6 +314,9 @@ class TestHelpers:
         np.add.at(expected, j, -vectors)
         got = scatter_add_vectors(start_v.copy(), i, j, vectors)
         np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-13)
+        # component-major input (the pair kernels' layout) sums the same columns
+        component_major = np.ascontiguousarray(vectors.T).T
+        np.testing.assert_array_equal(scatter_add_vectors(start_v.copy(), i, j, component_major), got)
 
         expected = start_s.copy()
         np.add.at(expected, i, scalars)

@@ -367,6 +367,22 @@ print("inspectable")
 """
 
 
+class TestNonFiniteRankRow:
+    """A rank row that goes NaN makes the lists stale, like a serial
+    :class:`NeighborList`: the next step fails loudly, naming the row,
+    instead of stepping on with NaN energies on the old lists."""
+
+    @pytest.mark.parametrize("executor", ["sequential", "process"])
+    @pytest.mark.parametrize("rank", [0, 1])
+    def test_next_step_names_the_row(self, executor, rank):
+        with _engine(_copper_lj_setup(), (2, 1, 1), executor=executor) as engine:
+            engine.run(2)
+            engine.domains[rank].positions[0] = np.nan
+            gid = int(engine.domains[rank].gids[0])
+            with pytest.raises(ValueError, match=rf"rank {rank} position row 0 \(atom {gid}\) is not finite"):
+                engine.run(1)
+
+
 class TestExecutorPlumbing:
     def test_make_executor_names(self):
         assert isinstance(make_executor("sequential"), SequentialRankExecutor)
