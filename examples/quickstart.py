@@ -54,11 +54,11 @@ def main() -> None:
     # 3. evaluate with the optimized kernels -----------------------------------
     atoms, box = copper_system((3, 3, 3), perturbation=0.05, rng=3)
     neighbors = build_neighbor_data(atoms.positions, box, config.cutoff)
-    backend = GemmBackend(kind="sve")
+    backend = GemmBackend()
     for precision in ("double", "mix-fp32", "mix-fp16"):
         output = model.evaluate(atoms, box, neighbors, precision=precision, backend=backend)
         print(f"  {precision:9s} E = {output.energy:12.6f} eV   max|F| = {np.abs(output.forces).max():.4f} eV/A")
-    print(f"  GEMM calls issued: {backend.stats.calls} ({backend.stats.sve_calls} via the sve kernel)")
+    print(f"  GEMM calls issued: {backend.stats.calls} ({backend.stats.flops / 1e6:.1f} MFLOP)")
 
     # 4. short MD with the trained potential -----------------------------------
     print("Running 50 MD steps at 300 K with the Deep Potential force field...")

@@ -30,15 +30,6 @@ def force_rmse(predicted: np.ndarray, reference: np.ndarray) -> float:
     return float(np.sqrt(np.mean(diff * diff)))
 
 
-def force_max_error(predicted: np.ndarray, reference: np.ndarray) -> float:
-    """Maximum absolute force component error in eV/A."""
-    predicted = np.asarray(predicted, dtype=np.float64)
-    reference = np.asarray(reference, dtype=np.float64)
-    if predicted.shape != reference.shape:
-        raise ValueError("force arrays must have the same shape")
-    return float(np.max(np.abs(predicted - reference)))
-
-
 def precision_error_table(results: dict[str, dict[str, float]]) -> Table:
     """Format per-precision error dictionaries as the Table II layout.
 

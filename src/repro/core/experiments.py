@@ -133,8 +133,7 @@ def table2_precision(trained: TrainedWaterModel | None = None) -> Table:
 
     results: dict[str, dict[str, float]] = {}
     for label, precision in (("Double", "double"), ("MIX-fp32", "mix-fp32"), ("MIX-fp16", "mix-fp16")):
-        backend = GemmBackend(kind="sve" if precision != "double" else "blas")
-        output = model.evaluate(frame.atoms, frame.box, neighbors, precision=precision, backend=backend)
+        output = model.evaluate(frame.atoms, frame.box, neighbors, precision=precision, backend=GemmBackend())
         results[label] = {
             "energy": energy_error_per_atom(output.energy, frame.energy, len(frame.atoms)),
             "force": force_rmse(output.forces, frame.forces),

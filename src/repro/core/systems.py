@@ -33,13 +33,6 @@ class SystemSpec:
     fitting_sizes: tuple[int, ...] = (240, 240, 240)
     type_names: tuple[str, ...] = ("X",)
 
-    def box_for_atoms(self, n_atoms: int) -> Box:
-        """A cubic box holding ``n_atoms`` at the system's density."""
-        if n_atoms <= 0:
-            raise ValueError("atom count must be positive")
-        edge = (n_atoms / self.atom_density) ** (1.0 / 3.0)
-        return Box.cubic(edge)
-
     # -- coordinate synthesis --------------------------------------------------
     def build_positions(self, n_atoms: int, rng=None) -> tuple[np.ndarray, Box]:
         """Synthesize realistic coordinates with about ``n_atoms`` atoms.

@@ -15,8 +15,8 @@ DeePMD-kit evaluates inside LAMMPS:
   path, with its vector-Jacobian product (what training differentiates),
 * :mod:`model` — :class:`DeepPotential`, a frozen model behind one reentrant
   framework-free evaluator (``evaluate`` / ``evaluate_many``) with mixed
-  precision, the sve-style tall-skinny GEMM backend, and tabulated
-  (compressed) embedding nets,
+  precision, FLOP-accounted GEMMs (:mod:`gemm`), and tabulated (compressed)
+  embedding nets,
 * :mod:`pair_style` — the adapter exposing the model as an MD force field.
 
 This is the paper's §III-B.1 in package form: no autograd framework

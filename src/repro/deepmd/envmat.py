@@ -9,10 +9,9 @@ where d_ij = r_j - r_i (minimum image).  Rows are padded to a fixed maximum
 neighbour count so all per-atom quantities are dense arrays.
 
 The paper's kernel-simplification optimization ("reorganize the environment
-matrix to pre-classify each type of atom") is reproduced by
-``sort_neighbors_by_type=True``: neighbours are grouped by species so the
-per-type embedding nets operate on contiguous slices instead of slicing and
-concatenating intermediate matrices.
+matrix to pre-classify each type of atom") is always on: neighbours are
+grouped by species so the per-type embedding nets operate on contiguous
+slices instead of slicing and concatenating intermediate matrices.
 """
 
 from __future__ import annotations
@@ -141,7 +140,6 @@ def build_local_environment(
     cutoff: float,
     cutoff_smooth: float,
     max_neighbors: int | None = None,
-    sort_neighbors_by_type: bool = True,
     workspace=None,
 ) -> LocalEnvironment:
     """Build the dense local environments of all atoms.
@@ -187,10 +185,9 @@ def build_local_environment(
     src = np.flatnonzero(kept)
     nbr = safe_idx.reshape(-1)[src]
     nbr_types = types[nbr]
-    type_key = nbr_types if sort_neighbors_by_type else 0
-    n_types = int(np.max(type_key, initial=0)) + 1
+    n_types = int(np.max(nbr_types, initial=0)) + 1
     d = dist.reshape(-1)[src]
-    order = np.argsort((src // width) * n_types + type_key + 1j * d, kind="stable")
+    order = np.argsort((src // width) * n_types + nbr_types + 1j * d, kind="stable")
     # the sort keeps each centre's pairs in its row-major segment, so sorted
     # position p is output slot p - (first position of its row)
     row_shift = np.arange(n) * n_pad - (np.cumsum(counts) - counts)

@@ -1,23 +1,16 @@
-"""GEMM back-ends for the framework-free kernels.
+"""The one executed GEMM of the framework-free kernels, plus its accounting.
 
-§III-B.2 of the paper replaces the BLAS GEMM of the fitting net with a
-hand-written SVE-512 kernel specialized for tall-and-skinny inputs (M <= 3
-rows once each core only holds one or two atoms), and pre-transposes the
-parameter matrices so the backward pass uses NN instead of NT products.
+:class:`GemmBackend` multiplies with NumPy at the compute precision the
+caller asks for and records the work in :class:`GemmStats`: FLOPs (in total
+and per dtype), calls, and the bytes of operands it had to cast on the way
+in.  The harness and the precision tests read those counters.
 
-Running on commodity hardware we cannot execute SVE instructions, so the two
-back-ends here are *numerically identical* (both ultimately call NumPy), but
-they differ in
-
-* how the multiplication is organised (the ``sve`` backend reproduces the
-  row-broadcast multiply-accumulate structure of the kernel, and only engages
-  when the M dimension is at most :attr:`GemmBackend.sve_m_threshold`, exactly
-  like the real implementation),
-* the *accounting*: FLOPs, the precision used, and whether an NT or NN product
-  was issued are all recorded in :class:`GemmStats`, which the performance
-  model (:mod:`repro.perfmodel`) converts into modelled execution time with
-  the per-backend efficiencies reported in the paper (sve-gemm 1.4x over
-  BLAS, fp32 1.6x over fp64, fp16 1.5x over fp32).
+§III-B.2 of the paper's hand-written SVE-512 kernel for tall-and-skinny
+fitting GEMMs (M <= 3) and its NT -> NN pre-transposition are *priced*, not
+executed: :meth:`repro.hardware.a64fx.A64FXNode.fitting_gemm_time` and
+:mod:`repro.perfmodel.kernels` model them.  The backward pass here always
+takes the pre-transposed NN product (see
+:meth:`repro.deepmd.networks.FastMLP.backward_input`).
 """
 
 from __future__ import annotations
@@ -41,11 +34,6 @@ class GemmStats:
     flops: float = 0.0
     flops_by_dtype: dict[str, float] = field(default_factory=dict)
     calls: int = 0
-    nn_calls: int = 0
-    nt_calls: int = 0
-    sve_calls: int = 0
-    blas_calls: int = 0
-    tall_skinny_calls: int = 0
     #: bytes of operand data down/up-cast *inside* :meth:`GemmBackend.matmul`
     #: because an operand arrived in a dtype other than the compute dtype.
     #: The true mixed-precision fast path pre-casts its parameter matrices
@@ -53,44 +41,17 @@ class GemmStats:
     #: state this counts only activation casts — the regression tests pin it.
     cast_bytes: float = 0.0
 
-    def record(self, m: int, n: int, k: int, dtype: str, transposed_b: bool, used_sve: bool) -> None:
+    def record(self, m: int, n: int, k: int, dtype: str) -> None:
         flops = 2.0 * m * n * k
         self.flops += flops
         self.flops_by_dtype[dtype] = self.flops_by_dtype.get(dtype, 0.0) + flops
         self.calls += 1
-        if transposed_b:
-            self.nt_calls += 1
-        else:
-            self.nn_calls += 1
-        if used_sve:
-            self.sve_calls += 1
-        else:
-            self.blas_calls += 1
-        if m <= 3:
-            self.tall_skinny_calls += 1
 
     def reset(self) -> None:
         self.flops = 0.0
         self.flops_by_dtype.clear()
         self.calls = 0
-        self.nn_calls = 0
-        self.nt_calls = 0
-        self.sve_calls = 0
-        self.blas_calls = 0
-        self.tall_skinny_calls = 0
         self.cast_bytes = 0.0
-
-    def merge(self, other: "GemmStats") -> None:
-        self.flops += other.flops
-        for k, v in other.flops_by_dtype.items():
-            self.flops_by_dtype[k] = self.flops_by_dtype.get(k, 0.0) + v
-        self.calls += other.calls
-        self.nn_calls += other.nn_calls
-        self.nt_calls += other.nt_calls
-        self.sve_calls += other.sve_calls
-        self.blas_calls += other.blas_calls
-        self.tall_skinny_calls += other.tall_skinny_calls
-        self.cast_bytes += other.cast_bytes
 
 
 def _dtype_name(dtype) -> str:
@@ -100,60 +61,14 @@ def _dtype_name(dtype) -> str:
     return str(np.dtype(dtype))
 
 
-def _sve_like_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-broadcast multiply-accumulate, mirroring the SVE kernel structure.
-
-    Each element ``a[i, k]`` is broadcast against row ``b[k, :]`` and
-    accumulated (the svmla pattern).  For the tall-and-skinny shapes this is
-    the same arithmetic as a dot product, just organised the way the paper's
-    kernel organises it.
-    """
-    m, k = a.shape
-    k2, n = b.shape
-    assert k == k2
-    out = np.zeros((m, n), dtype=np.result_type(a.dtype, b.dtype))
-    for row in range(m):
-        # One pass of MLA accumulations over the K dimension.
-        out[row] = (a[row][:, None] * b).sum(axis=0)
-    return out
-
-
 @dataclass
 class GemmBackend:
-    """Executes (and accounts) the GEMM calls of the fast kernels.
+    """Executes (and accounts) the GEMM calls of the fast kernels."""
 
-    Parameters
-    ----------
-    kind:
-        ``"blas"`` (plain NumPy dot) or ``"sve"`` (row-broadcast kernel for
-        tall-and-skinny inputs, falling back to BLAS above the threshold —
-        the same switch the paper uses).
-    pretranspose:
-        when true, callers are expected to supply pre-transposed parameter
-        matrices so backward products are NN; :meth:`matmul` records NT calls
-        otherwise.  (The numerical result is identical either way.)
-    sve_m_threshold:
-        maximum M dimension for which the sve kernel engages (3 in the paper).
-    """
-
-    kind: str = "blas"
-    pretranspose: bool = True
-    sve_m_threshold: int = 3
     stats: GemmStats = field(default_factory=GemmStats)
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("blas", "sve"):
-            raise ValueError("gemm backend kind must be 'blas' or 'sve'")
-
-    def matmul(
-        self,
-        a: np.ndarray,
-        b: np.ndarray,
-        dtype=np.float64,
-        transposed_b: bool = False,
-        native_out: bool = False,
-    ) -> np.ndarray:
-        """Compute ``a @ b`` (or ``a @ b.T`` when ``transposed_b``).
+    def matmul(self, a: np.ndarray, b: np.ndarray, dtype=np.float64, native_out: bool = False) -> np.ndarray:
+        """Compute ``a @ b``.
 
         ``dtype`` is the compute precision: inputs not already at that
         precision are cast (the cast traffic is charged to
@@ -172,30 +87,20 @@ class GemmBackend:
         """
         a = np.asarray(a)
         b = np.asarray(b)
-        if transposed_b:
-            b_eff = b.T
-        else:
-            b_eff = b
-        if a.ndim != 2 or b_eff.ndim != 2:
+        if a.ndim != 2 or b.ndim != 2:
             raise ValueError("GemmBackend.matmul expects 2-D operands")
         m, k = a.shape
-        k2, n = b_eff.shape
+        k2, n = b.shape
         if k != k2:
-            raise ValueError(f"inner dimensions mismatch: {a.shape} x {b_eff.shape}")
+            raise ValueError(f"inner dimensions mismatch: {a.shape} x {b.shape}")
 
         dt = np.dtype(dtype)
         if a.dtype != dt:
             self.stats.cast_bytes += float(a.nbytes)
-        if b_eff.dtype != dt:
-            self.stats.cast_bytes += float(b_eff.nbytes)
-        a_cast = a.astype(dt, copy=False)
-        b_cast = b_eff.astype(dt, copy=False)
-        use_sve = self.kind == "sve" and m <= self.sve_m_threshold
-        if use_sve:
-            out = _sve_like_matmul(a_cast, b_cast)
-        else:
-            out = a_cast @ b_cast
-        self.stats.record(m, n, k, _dtype_name(dtype), transposed_b, use_sve)
+        if b.dtype != dt:
+            self.stats.cast_bytes += float(b.nbytes)
+        out = a.astype(dt, copy=False) @ b.astype(dt, copy=False)
+        self.stats.record(m, n, k, _dtype_name(dtype))
         if native_out:
             return out
         return out.astype(np.float64, copy=False)

@@ -8,8 +8,8 @@ an interatomic potential with one evaluator in two batch shapes:
 the same per-type kernel.  This is the **framework-free** path the paper
 ships (§III-B.1): all kernels are hand-written NumPy (forward + analytic
 backward), matrix products run through a
-:class:`~repro.deepmd.gemm.GemmBackend` (blas or sve-like, NT→NN
-pre-transposition), the precision policy selects fp64/fp32/fp16 per
+:class:`~repro.deepmd.gemm.GemmBackend` (NN products on pre-transposed
+weights), the precision policy selects fp64/fp32/fp16 per
 component, and the embedding nets can be replaced by the compressed
 (tabulated) variant.
 

@@ -7,9 +7,8 @@ analytic force computation can be obtained without a framework.  The same
 backward loop also hands out the parameter gradients training needs, so
 :mod:`repro.training` runs on these kernels too and the autograd framework
 is only the reference it is checked against.
-All matrix products are routed through a :class:`~repro.deepmd.gemm.GemmBackend`
-so that precision, kernel choice (blas vs sve) and NT-vs-NN layout are
-accounted exactly as in the paper's optimized implementation.
+All matrix products are routed through a :class:`~repro.deepmd.gemm.GemmBackend`,
+which runs them at the layer's precision and accounts their FLOPs.
 """
 
 from __future__ import annotations
@@ -193,9 +192,8 @@ class FastMLP:
         loop, last layer first (how :mod:`repro.training` gets its parameter
         gradients).
 
-        When the backend was created with ``pretranspose=True`` the backward
-        products use the stored transposed weights as NN GEMMs (the paper's
-        GEMM-NT -> GEMM-NN preprocessing); otherwise NT products are issued.
+        The backward products use the stored transposed weights as NN GEMMs
+        (the paper's GEMM-NT -> GEMM-NN preprocessing).
         """
         tape = self._cache if cache is None else cache
         if not tape:
@@ -210,10 +208,7 @@ class FastMLP:
             dtype = np.float64 if dtypes is None else dtypes[min(li, len(dtypes) - 1)]
             dt = np.dtype(dtype)
             native = dt != np.dtype(np.float64)
-            weight, weight_t = layer.weight, layer.weight_t
-            if native:
-                lp = self.operands(dt)[li]
-                weight, weight_t = lp.weight, lp.weight_t
+            weight_t = self.operands(dt)[li].weight_t if native else layer.weight_t
             _, act_deriv = _activation(layer.activation)
             grad_resnet = None
             if layer.resnet:
@@ -233,10 +228,7 @@ class FastMLP:
             grad_pre = grad * act_deriv(act_out)
             if param_grads is not None:
                 param_grads.append((entry["input"].T @ grad_pre, grad_pre.sum(0)))
-            if backend.pretranspose:
-                grad = backend.matmul(grad_pre, weight_t, dtype=dt, native_out=native)
-            else:
-                grad = backend.matmul(grad_pre, weight, dtype=dt, transposed_b=True, native_out=native)
+            grad = backend.matmul(grad_pre, weight_t, dtype=dt, native_out=native)
             if grad_resnet is not None:
                 grad = grad + grad_resnet
         return grad
@@ -244,9 +236,6 @@ class FastMLP:
     # -- convenience -------------------------------------------------------------
     def n_parameters(self) -> int:
         return int(sum(l.weight.size + l.bias.size for l in self.layers))
-
-    def layer_shapes(self) -> list[tuple[int, int]]:
-        return [tuple(l.weight.shape) for l in self.layers]
 
 
 def init_nets(keys, in_features: int, hidden, out_features: int | None = None, rng=None) -> dict:

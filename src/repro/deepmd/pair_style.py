@@ -2,7 +2,8 @@
 
 ``pair_style deepmd`` is how LAMMPS users consume DeePMD-kit; this adapter
 plays the same role for :class:`repro.md.Simulation`, selecting the precision
-policy, the GEMM backend and optionally the compressed embedding tables.
+policy, the FLOP-accounting GEMM backend and optionally the compressed
+embedding tables.
 """
 
 from __future__ import annotations
@@ -100,7 +101,6 @@ class DeepPotentialForceField(ForceField):
         compressed = self.compressed
         return {
             "precision": self.precision.name,
-            "gemm": self.backend.kind,
             "compressed": compressed,
             "compression_points": self.compression_points if compressed else None,
             "compression_min_distance": self.compression_min_distance if compressed else None,

@@ -54,14 +54,6 @@ class PrecisionPolicy:
         return [first] + [self.fitting_dtype] * (n_layers - 1)
 
     @property
-    def uses_fp16(self) -> bool:
-        return np.dtype(self.fitting_first_layer_dtype or self.fitting_dtype) == np.dtype(np.float16)
-
-    @property
-    def uses_fp32(self) -> bool:
-        return np.dtype(self.embedding_dtype) == np.dtype(np.float32)
-
-    @property
     def is_double(self) -> bool:
         """True when every component computes in float64 (the golden path)."""
         return (

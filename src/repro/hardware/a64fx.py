@@ -102,17 +102,3 @@ class A64FXNode:
         speed = PRECISION_SPEEDUP.get(dtype, 1.0)
         rate = cores * self.spec.peak_flops_per_core_fp64 * efficiency * speed
         return flops / rate
-
-    # -- memory ---------------------------------------------------------------
-    def memcpy_time(self, n_bytes: float, cross_numa: bool = False) -> float:
-        """Time of a memory copy within the node."""
-        if n_bytes <= 0:
-            return 0.0
-        if cross_numa:
-            return self.spec.noc_latency + n_bytes / self.spec.noc_bandwidth
-        # Same-CMG copies stream through HBM at roughly half duplex bandwidth.
-        return n_bytes / (0.5 * self.spec.hbm_bandwidth_per_cmg)
-
-    # -- convenience -----------------------------------------------------------
-    def cores_per_rank(self, ranks_per_node: int = 4) -> int:
-        return self.spec.compute_cores // ranks_per_node

@@ -33,13 +33,3 @@ class NICRegistrationCache:
     def per_message_penalty(self, registered_regions: int) -> float:
         """Expected extra time per message due to cache misses (seconds)."""
         return self.miss_probability(registered_regions) * self.spec.miss_penalty
-
-    def regions_for(self, n_neighbors: int, pooled: bool) -> int:
-        """Registered regions needed for ``n_neighbors`` connections.
-
-        Without the pool, every neighbour needs a send and a receive buffer
-        registration; with the pool a single large region serves everyone.
-        """
-        if n_neighbors < 0:
-            raise ValueError("neighbour count must be non-negative")
-        return 1 if pooled else 2 * n_neighbors

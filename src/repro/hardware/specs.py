@@ -40,17 +40,8 @@ class A64FXSpec:
     intra_node_sync_latency: float = 1.5e-6
 
     @property
-    def compute_cores(self) -> int:
-        return self.n_cmgs * self.compute_cores_per_cmg
-
-    @property
     def peak_flops_per_core_fp64(self) -> float:
         return self.clock_hz * self.flops_per_core_per_cycle_fp64
-
-    @property
-    def peak_flops_fp64(self) -> float:
-        """Per-node peak (~3.38 TFLOPS at 2.2 GHz)."""
-        return self.compute_cores * self.peak_flops_per_core_fp64
 
 
 @dataclass(frozen=True)

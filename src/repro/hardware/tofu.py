@@ -91,13 +91,3 @@ class TofuDNetwork:
         if not use_rdma:
             latency *= self.spec.mpi_overhead_factor
         return latency
-
-    def message_time(
-        self,
-        n_bytes: float,
-        hops: int = 1,
-        use_rdma: bool = True,
-        registration_penalty: float = 0.0,
-    ) -> float:
-        """Stand-alone time of one point-to-point message (occupancy + latency)."""
-        return self.occupancy(n_bytes, use_rdma, registration_penalty) + self.latency(hops, use_rdma)

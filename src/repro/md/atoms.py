@@ -106,9 +106,6 @@ class Atoms:
             type_names=self.type_names,
         )
 
-    def counts_by_type(self) -> np.ndarray:
-        return np.bincount(self.types, minlength=self.n_types)
-
     # -- initialization helpers ----------------------------------------------
     def initialize_velocities(self, temperature_k: float, rng=None, zero_momentum: bool = True) -> None:
         """Draw Maxwell-Boltzmann velocities at ``temperature_k``."""

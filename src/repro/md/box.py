@@ -81,12 +81,6 @@ class Box:
     def cartesian(self, fractional: np.ndarray) -> np.ndarray:
         return np.asarray(fractional, dtype=np.float64) * self.lengths
 
-    def replicate(self, nx: int, ny: int, nz: int) -> "Box":
-        """Return the box of an ``nx x ny x nz`` supercell."""
-        if min(nx, ny, nz) < 1:
-            raise ValueError("replication factors must be >= 1")
-        return Box(self.lengths * np.array([nx, ny, nz]), self.periodic)
-
     def max_cutoff(self) -> float:
         """Largest cutoff compatible with the minimum-image convention."""
         periodic_lengths = [

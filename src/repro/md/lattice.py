@@ -111,12 +111,3 @@ def cells_for_atom_count(target_atoms: int, atoms_per_cell: int = 4) -> tuple[in
                 best = (score, (nx, ny, nz))
     assert best is not None
     return best[1]
-
-
-def copper_benchmark_counts() -> dict[str, int]:
-    """Atom counts of the copper systems quoted in the paper."""
-    return {
-        "strong_scaling": 540_000,
-        "summit_baseline": 13_500_000,
-        "fugaku_baseline": 2_100_000,
-    }

@@ -425,6 +425,13 @@ def max_displacement(positions: np.ndarray, reference: np.ndarray, box: Box) -> 
     return float(np.sqrt(np.max(np.einsum("ij,ij->i", delta, delta))))
 
 
+def require_finite(values: np.ndarray, quantity: str) -> None:
+    """Raise ``ValueError`` naming ``quantity`` and the first row of ``values`` holding a NaN or inf."""
+    if not np.isfinite(values).all():
+        row = int(np.nonzero(~np.isfinite(values).all(axis=-1))[0][0])
+        raise ValueError(f"{quantity} row {row} is not finite: {values[row]}")
+
+
 def build_neighbor_data(
     positions: np.ndarray,
     box: Box,
@@ -443,9 +450,7 @@ def build_neighbor_data(
     if skin < 0:
         raise ValueError("skin must be non-negative")
     positions = np.asarray(positions, dtype=np.float64)
-    if not np.isfinite(positions).all():
-        row = int(np.nonzero(~np.isfinite(positions).all(axis=-1))[0][0])
-        raise ValueError(f"position row {row} is not finite: {positions[row]}")
+    require_finite(positions, "position")
     search = cutoff + skin
     max_allowed = box.max_cutoff()
     if search > max_allowed + 1e-9:

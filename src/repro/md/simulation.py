@@ -35,7 +35,7 @@ from .box import Box
 from .forcefields.base import ForceField
 from .integrators import VelocityVerlet
 from .neighbor import NeighborList
-from .stepping import EngineBackend, SimulationReport, SteppingLoop, validate_cutoff
+from .stepping import EngineBackend, SimulationReport, SteppingLoop, validate_cutoff, validate_state
 from .thermostats import Thermostat
 from .workspace import Workspace
 
@@ -57,6 +57,7 @@ class Simulation(EngineBackend):
 
     def __post_init__(self) -> None:
         cutoff = validate_cutoff(self.force_field)
+        validate_state(self.atoms)
         self.integrator = VelocityVerlet(self.timestep_fs)
         self.neighbor_list = NeighborList(
             cutoff=cutoff, skin=self.neighbor_skin, rebuild_every=self.neighbor_every

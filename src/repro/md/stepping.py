@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..utils.timer import PhaseTimer
+from .neighbor import require_finite
 
 
 def validate_cutoff(force_field) -> float:
@@ -47,6 +48,16 @@ def validate_cutoff(force_field) -> float:
     if cutoff is None or cutoff <= 0:
         raise ValueError("force field must define a positive cutoff")
     return float(cutoff)
+
+
+def validate_state(atoms) -> None:
+    """Refuse a NaN or inf position or velocity up front, naming the quantity and row.
+
+    Every engine checks at construction: a bad velocity would otherwise only
+    surface a step later, as a position.
+    """
+    require_finite(atoms.positions, "position")
+    require_finite(atoms.velocities, "velocity")
 
 
 def harvest_force_field_info(force_field) -> dict:
@@ -84,10 +95,6 @@ class SimulationReport:
     phase_seconds: dict = field(default_factory=dict)
 
     @property
-    def final_potential_energy(self) -> float:
-        return float(self.potential_energies[-1]) if len(self.potential_energies) else 0.0
-
-    @property
     def mean_temperature(self) -> float:
         return float(self.temperatures.mean()) if len(self.temperatures) else 0.0
 
@@ -95,12 +102,6 @@ class SimulationReport:
     def steps_per_second(self) -> float:
         """MD throughput over this run's accounted wall-clock time."""
         return self.n_steps / self.elapsed_seconds if self.elapsed_seconds > 0.0 else 0.0
-
-    def energy_drift_per_atom(self, n_atoms: int) -> float:
-        """|E_last - E_first| / n_atoms, a cheap NVE-quality metric (eV/atom)."""
-        if len(self.potential_energies) < 2 or n_atoms == 0:
-            return 0.0
-        return abs(float(self.potential_energies[-1] - self.potential_energies[0])) / n_atoms
 
 
 class EngineBackend:

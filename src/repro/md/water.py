@@ -137,11 +137,3 @@ def water_system(
     angles = np.stack([oxygens + 1, oxygens, oxygens + 2], axis=1)
     topology = WaterTopology(bonds=bonds, angles=angles, molecules=molecule_ids)
     return atoms, box, topology
-
-
-def water_benchmark_counts() -> dict[str, int]:
-    """Atom counts of the water systems quoted in the paper."""
-    return {
-        "strong_scaling": 558_000,
-        "vsc_baseline": 8_400,
-    }

@@ -58,10 +58,6 @@ class DecompositionStats:
     counts: np.ndarray
 
     @property
-    def n_domains(self) -> int:
-        return len(self.counts)
-
-    @property
     def total(self) -> int:
         return int(self.counts.sum())
 
@@ -149,12 +145,6 @@ class SpatialDecomposition:
         node_cells = cells // block
         ny, nz = int(self.node_dims[1]), int(self.node_dims[2])
         return (node_cells[:, 0] * ny + node_cells[:, 1]) * nz + node_cells[:, 2]
-
-    # -- statistics --------------------------------------------------------------------
-    def rank_counts(self, positions: np.ndarray) -> DecompositionStats:
-        ranks = self.assign_to_ranks(positions)
-        counts = np.bincount(ranks, minlength=self.topology.n_ranks)
-        return DecompositionStats(counts)
 
     def node_counts(self, positions: np.ndarray) -> DecompositionStats:
         nodes = self.assign_to_nodes(positions)

@@ -83,7 +83,7 @@ from ..md.box import Box
 from ..md.forcefields.base import ForceField
 from ..md.integrators import VelocityVerlet
 from ..md.neighbor import max_displacement
-from ..md.stepping import EngineBackend, SimulationReport, SteppingLoop, validate_cutoff
+from ..md.stepping import EngineBackend, SimulationReport, SteppingLoop, validate_cutoff, validate_state
 from ..md.thermostats import Thermostat
 from ..md.workspace import Workspace
 from ..units import temperature as instantaneous_temperature
@@ -147,6 +147,7 @@ class DomainDecomposedSimulation(EngineBackend):
         node_balance: bool = False,
     ) -> None:
         cutoff = validate_cutoff(force_field)
+        validate_state(atoms)
         self.box = box
         self.force_field = force_field
         self.timestep_fs = float(timestep_fs)
@@ -573,10 +574,6 @@ class DomainDecomposedSimulation(EngineBackend):
                 [len(domain.balance_gids) for domain in self.domains], dtype=np.int64
             )
         return self.owned_counts()
-
-    def decomposition_stats(self) -> DecompositionStats:
-        """Measured per-rank owned-atom statistics (Table III columns)."""
-        return DecompositionStats(self.owned_counts())
 
     def ghost_stats(self) -> DecompositionStats:
         """Measured per-rank ghost-count statistics (§III-C memory overhead)."""

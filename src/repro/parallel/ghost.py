@@ -57,9 +57,3 @@ def ghost_shell_ranks(coord, dims, layers) -> list[tuple[int, int, int]]:
                     seen.add(wrapped)
                     out.append(wrapped)
     return out
-
-
-def neighbor_count(layers) -> int:
-    """Neighbour count ignoring torus aliasing: (2Lx+1)(2Ly+1)(2Lz+1) - 1."""
-    lx, ly, lz = (int(l) for l in layers)
-    return (2 * lx + 1) * (2 * ly + 1) * (2 * lz + 1) - 1

@@ -87,13 +87,6 @@ class RankTopology:
     def node_of_rank(self, rank: int) -> tuple[int, int, int]:
         return self.node_of_rank_coord(self.rank_coord(rank))
 
-    def numa_of_rank(self, rank: int) -> int:
-        """NUMA/CMG index (0..ranks_per_node-1) of a rank within its node."""
-        coord = self.rank_coord(rank)
-        bx, by, bz = self.rank_block
-        ox, oy, oz = (int(c) % b for c, b in zip(coord, self.rank_block))
-        return (ox * by + oy) * bz + oz
-
     def ranks_on_node(self, node_coord) -> list[int]:
         """All rank indices belonging to one node, ordered by NUMA id."""
         bx, by, bz = self.rank_block
@@ -119,9 +112,6 @@ class RankTopology:
             raise IndexError(f"node {index} out of range")
         return (x, y, z)
 
-    def same_node(self, rank_a: int, rank_b: int) -> bool:
-        return self.node_of_rank(rank_a) == self.node_of_rank(rank_b)
-
     # -- factory helpers ------------------------------------------------------------
     @staticmethod
     def paper_topologies() -> dict[int, tuple[int, int, int]]:
@@ -134,16 +124,6 @@ class RankTopology:
             6144: (16, 24, 16),
             12000: (20, 30, 20),
         }
-
-    @classmethod
-    def for_nodes(cls, n_nodes: int, **kwargs) -> "RankTopology":
-        """Topology for one of the node counts used in the paper."""
-        shapes = cls.paper_topologies()
-        if n_nodes not in shapes:
-            raise KeyError(
-                f"no predefined topology for {n_nodes} nodes; available: {sorted(shapes)}"
-            )
-        return cls(node_dims=shapes[n_nodes], **kwargs)
 
     @classmethod
     def for_rank_grid(cls, rank_dims, rank_block=None, **kwargs) -> "RankTopology":

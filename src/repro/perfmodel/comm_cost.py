@@ -43,16 +43,6 @@ class CommTimeBreakdown:
     def total(self) -> float:
         return self.forward + self.reverse
 
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "gather": self.gather,
-            "network": self.network,
-            "scatter": self.scatter,
-            "sync": self.sync,
-            "reverse": self.reverse,
-            "total": self.total,
-        }
-
 
 @dataclass
 class CommCostModel:

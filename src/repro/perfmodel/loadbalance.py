@@ -132,8 +132,3 @@ def ghost_count_load_balanced(a: float, r: float, density: float = 1.0) -> float
     if a <= 0 or r <= 0:
         raise ValueError("side and cutoff must be positive")
     return density * ((2.0 * a + 2.0 * r) * (2.0 * a + 2.0 * r) * (a + 2.0 * r) - a ** 3)
-
-
-def ghost_overhead_ratio(a: float, r: float) -> float:
-    """Ratio of eq. (2) to eq. (1); the paper quotes ~1.44 at a = 0.5 r."""
-    return ghost_count_load_balanced(a, r) / ghost_count_original(a, r)

@@ -67,10 +67,6 @@ class RdmaBufferManager:
             return 0
         return 1 if self.pooled else len(self.buffers)
 
-    @property
-    def total_registered_bytes(self) -> int:
-        return sum(b.size for b in self.buffers)
-
     def per_message_penalty(self, cache: NICRegistrationCache | None = None) -> float:
         """Expected NIC-cache penalty per message for the current allocation."""
         cache = cache or NICRegistrationCache(NICCacheSpec())

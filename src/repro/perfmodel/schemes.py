@@ -75,10 +75,6 @@ class ExchangeContext:
         return float(self.atom_density * np.prod(self.sub_box_lengths))
 
     @property
-    def atoms_per_node(self) -> float:
-        return float(self.atom_density * np.prod(self.node_box_lengths))
-
-    @property
     def reverse_ratio(self) -> float:
         return self.bytes_per_force / self.bytes_per_atom
 

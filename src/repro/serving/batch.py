@@ -59,6 +59,16 @@ class SystemBatch:
         return slice(int(self.offsets[s]), int(self.offsets[s + 1]))
 
 
+def check_type_space(types: np.ndarray, n_types: int, label: str) -> None:
+    """Refuse atom types outside the model's ``n_types``-type space.
+
+    The per-type compaction would silently skip unknown types, serving back
+    zero energies for garbage input.
+    """
+    if len(types) and (types.min() < 0 or types.max() >= n_types):
+        raise ValueError(f"{label} has atom types outside the model's {n_types}-type space")
+
+
 def prepare_system(model, atoms, box):
     """``(atoms, box, neighbors)`` with the neighbour list built at the model cutoff.
 
@@ -112,12 +122,7 @@ def pack_systems(model, systems, workspace=None) -> SystemBatch:
 
     n_types = model.n_types
     for s, env in enumerate(envs):
-        if env.n_atoms and (env.types.min() < 0 or env.types.max() >= n_types):
-            # the per-type compaction would silently skip unknown types,
-            # serving back zero energies for garbage input — reject instead
-            raise ValueError(
-                f"system {s} has atom types outside the model's {n_types}-type space"
-            )
+        check_type_space(env.types, n_types, f"system {s}")
         lo, hi = int(offsets[s]), int(offsets[s + 1])
         R[lo:hi] = env.R
         displacements[lo:hi] = env.displacements

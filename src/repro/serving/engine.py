@@ -38,8 +38,10 @@ import numpy as np
 from ..deepmd.gemm import GemmBackend
 from ..deepmd.precision import DOUBLE, get_policy
 from ..md.integrators import VelocityVerlet
+from ..md.neighbor import require_finite
+from ..md.stepping import validate_state
 from ..md.workspace import Workspace
-from .batch import pack_systems, prepare_system
+from .batch import check_type_space, pack_systems, prepare_system
 from .queue import AdmissionQueue, BurstResult, ServingRequest, ServingStats
 
 __all__ = ["ServingEngine"]
@@ -112,12 +114,25 @@ class ServingEngine:
     # client surface
     # ------------------------------------------------------------------
     def submit(self, atoms, box):
-        """Queue an energy/force one-shot; returns a ServingFuture of ModelOutput."""
+        """Queue an energy/force one-shot; returns a ServingFuture of ModelOutput.
+
+        A request with a NaN/inf position or an atom type outside the model
+        raises ``ValueError`` here, in the caller's thread, and is never
+        queued: admitted, it would fail the whole batch it shares.
+        """
+        require_finite(atoms.positions, "position")
+        check_type_space(atoms.types, self.model.n_types, "request")
         request = ServingRequest(kind="energy", atoms=atoms.copy(), box=box)
         return self._queue.submit(request)
 
     def submit_md(self, atoms, box, n_steps: int, timestep_fs: float):
-        """Queue a short MD burst; returns a ServingFuture of BurstResult."""
+        """Queue a short MD burst; returns a ServingFuture of BurstResult.
+
+        Rejected at once, like :meth:`submit`, for a NaN/inf position or
+        velocity or an atom type outside the model.
+        """
+        validate_state(atoms)
+        check_type_space(atoms.types, self.model.n_types, "request")
         request = ServingRequest(
             kind="md",
             atoms=atoms.copy(),

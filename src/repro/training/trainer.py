@@ -58,13 +58,6 @@ class TrainingResult:
     def final_loss(self) -> float:
         return self.loss_history[-1] if self.loss_history else float("nan")
 
-    @property
-    def improved(self) -> bool:
-        """Did the loss decrease over training?"""
-        if len(self.loss_history) < 2:
-            return False
-        return self.loss_history[-1] < self.loss_history[0]
-
 
 class Trainer:
     """Fits a :class:`DeepPotential` to a :class:`ReferenceDataset`.

@@ -104,13 +104,6 @@ def ns_per_day(step_time_seconds: float, timestep_fs: float) -> float:
     return steps_per_day * timestep_fs / FS_PER_NS
 
 
-def step_time_for_ns_per_day(nsday: float, timestep_fs: float) -> float:
-    """Inverse of :func:`ns_per_day`: the per-step time (s) implied by a rate."""
-    if nsday <= 0:
-        raise ValueError("ns/day must be positive")
-    return SECONDS_PER_DAY * timestep_fs / (nsday * FS_PER_NS)
-
-
 def maxwell_boltzmann_sigma(mass_amu: float, temperature_k: float) -> float:
     """Standard deviation (A/fs) of each velocity component at a temperature."""
     if mass_amu <= 0:

@@ -32,11 +32,3 @@ def glorot_uniform(shape: tuple[int, ...], rng=None) -> np.ndarray:
     fan_in, fan_out = shape[0], shape[1] if len(shape) > 1 else shape[0]
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape)
-
-
-def random_unit_vectors(rng: np.random.Generator, n: int) -> np.ndarray:
-    """``n`` uniformly distributed unit vectors, shape ``(n, 3)``."""
-    v = rng.normal(size=(n, 3))
-    norms = np.linalg.norm(v, axis=1, keepdims=True)
-    norms[norms == 0.0] = 1.0
-    return v / norms

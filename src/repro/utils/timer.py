@@ -110,13 +110,3 @@ class PhaseTimer:
             lines.append("%-12s %12.6f %7.2f%%" % (name, secs, pct))
         lines.append("%-12s %12.6f %7.2f%%" % ("total", tot, 100.0 if tot else 0.0))
         return "\n".join(lines)
-
-    def merge(self, other: "PhaseTimer") -> "PhaseTimer":
-        """Return a new PhaseTimer holding the sum of both breakdowns."""
-        merged = PhaseTimer()
-        for src in (self, other):
-            for name, secs in src.totals.items():
-                merged.totals[name] = merged.totals.get(name, 0.0) + secs
-            for name, cnt in src.counts.items():
-                merged.counts[name] = merged.counts.get(name, 0) + cnt
-        return merged

@@ -15,7 +15,6 @@ from repro.deepmd import (
     DeepPotential,
     DeepPotentialConfig,
     DeepPotentialForceField,
-    GemmBackend,
 )
 from repro.deepmd.precision import get_policy
 from repro.md import copper_system, water_system
@@ -63,7 +62,7 @@ class TestConfig:
             type_names=("Cu",), cutoff=4.5, embedding_sizes=(4,), axis_neurons=2, fitting_sizes=(), max_neighbors=48, seed=0
         )
         model = DeepPotential(config)
-        assert model.fast_fittings()[0].layer_shapes() == [(8, 1)]
+        assert [layer.weight.shape for layer in model.fast_fittings()[0].layers] == [(8, 1)]
         atoms, box = copper_system((3, 3, 3), perturbation=0.05, rng=0)
         neighbors = build_neighbor_data(atoms.positions, box, config.cutoff)
         fast = model.evaluate(atoms, box, neighbors)
@@ -75,8 +74,9 @@ class TestConfig:
         assert get_policy(MIX_FP32) is MIX_FP32
         with pytest.raises(KeyError):
             get_policy("fp8")
-        assert MIX_FP16.uses_fp16 and MIX_FP16.uses_fp32
-        assert not DOUBLE.uses_fp16
+        assert MIX_FP16.fitting_dtypes(2) == [np.float16, np.float32]
+        assert MIX_FP16.embedding_dtypes(1) == [np.float32]
+        assert DOUBLE.fitting_dtypes(2) == [np.float64, np.float64]
 
 
 def _digest(*arrays) -> str:
@@ -365,13 +365,6 @@ class TestPrecisionAndCompression:
         assert err32 < 1e-4
         assert err16 < 5e-2
         assert err32 <= err16 + 1e-12
-
-    def test_sve_backend_matches_blas(self, tiny_copper_model):
-        model = tiny_copper_model
-        atoms, box, neighbors = _copper_case(model, rng=11)
-        blas = model.evaluate(atoms, box, neighbors, backend=GemmBackend(kind="blas"))
-        sve = model.evaluate(atoms, box, neighbors, backend=GemmBackend(kind="sve"))
-        assert sve.energy == pytest.approx(blas.energy, rel=1e-12)
 
     def test_compressed_embedding_close_to_exact(self, tiny_copper_model):
         model = tiny_copper_model

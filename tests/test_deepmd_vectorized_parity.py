@@ -138,16 +138,9 @@ class TestEnvironmentMatrixParity:
     @staticmethod
     def _assert_matches_scalar(atoms, box, neighbors, cutoff, smooth, budgets):
         for max_nei in budgets:
-            for sort in (True, False):
-                env_vec = build_local_environment(
-                    atoms, box, neighbors, cutoff, smooth,
-                    max_neighbors=max_nei, sort_neighbors_by_type=sort,
-                )
-                env_ref = build_local_environment_scalar(
-                    atoms, box, neighbors, cutoff, smooth,
-                    max_neighbors=max_nei, sort_neighbors_by_type=sort,
-                )
-                assert_env_equal(env_vec, env_ref)
+            env_vec = build_local_environment(atoms, box, neighbors, cutoff, smooth, max_neighbors=max_nei)
+            env_ref = build_local_environment_scalar(atoms, box, neighbors, cutoff, smooth, max_neighbors=max_nei)
+            assert_env_equal(env_vec, env_ref)
 
     def test_exact_distance_ties_fall_back_to_slot_order(self):
         """A perfect lattice: every shell is one big exact tie, with and

@@ -37,12 +37,6 @@ class TestBox:
     def test_max_cutoff_is_half_min_length(self):
         assert Box.orthorhombic(10, 20, 30).max_cutoff() == pytest.approx(5.0)
 
-    def test_replicate(self):
-        box = Box.cubic(3.0).replicate(2, 2, 1)
-        np.testing.assert_allclose(box.lengths, [6.0, 6.0, 3.0])
-        with pytest.raises(ValueError):
-            Box.cubic(1.0).replicate(0, 1, 1)
-
     def test_fractional_roundtrip(self):
         box = Box.orthorhombic(2.0, 4.0, 8.0)
         pos = np.array([[1.0, 1.0, 1.0]])
@@ -95,10 +89,6 @@ class TestAtoms:
         subset = atoms.select(atoms.types == 1)
         assert len(subset) == 2
         np.testing.assert_array_equal(subset.ids, [1, 2])
-
-    def test_counts_by_type(self):
-        atoms = Atoms.from_symbols(np.zeros((3, 3)), ["O", "H", "H"])
-        np.testing.assert_array_equal(atoms.counts_by_type(), [1, 2])
 
     def test_initialize_velocities_temperature_and_momentum(self):
         atoms = Atoms.from_symbols(np.zeros((500, 3)), ["Cu"] * 500)

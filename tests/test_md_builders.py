@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.md import copper_system, fcc_lattice, water_system
-from repro.md.lattice import cells_for_atom_count, copper_benchmark_counts
-from repro.md.water import water_box_length, water_benchmark_counts
+from repro.md.lattice import cells_for_atom_count
+from repro.md.water import water_box_length
 from repro.units import CU_LATTICE_CONSTANT
 
 
@@ -48,11 +48,6 @@ class TestFCC:
         with pytest.raises(ValueError):
             cells_for_atom_count(0)
 
-    def test_benchmark_counts_match_paper(self):
-        counts = copper_benchmark_counts()
-        assert counts["strong_scaling"] == 540_000
-        assert counts["fugaku_baseline"] == 2_100_000
-
 
 class TestWater:
     def test_water_system_composition(self):
@@ -91,6 +86,3 @@ class TestWater:
     def test_box_length_validation(self):
         with pytest.raises(ValueError):
             water_box_length(0)
-
-    def test_benchmark_counts(self):
-        assert water_benchmark_counts()["strong_scaling"] == 558_000

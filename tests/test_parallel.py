@@ -15,7 +15,7 @@ from repro.parallel import (
     resolve_delivery_scheme,
 )
 from repro.parallel.decomposition import even_shares
-from repro.parallel.ghost import ghost_shell_ranks, neighbor_count
+from repro.parallel.ghost import ghost_shell_ranks
 from repro.perfmodel import (
     IntraNodeLoadBalancer,
     RdmaBufferManager,
@@ -24,24 +24,20 @@ from repro.perfmodel import (
     ghost_count_load_balanced,
     ghost_count_original,
 )
-from repro.perfmodel.loadbalance import PAIR_TIME_NOISE_FLOOR, ghost_overhead_ratio, pair_time_model
+from repro.perfmodel.loadbalance import PAIR_TIME_NOISE_FLOOR, pair_time_model
 from repro.perfmodel.schemes import SCHEME_NAMES, ExchangeContext, overlap_volume
 
 
 class TestTopology:
     def test_paper_topology_sizes(self):
-        topo = RankTopology.for_nodes(96)
+        topo = RankTopology(node_dims=RankTopology.paper_topologies()[96])
         assert topo.n_nodes == 96
         assert topo.ranks_per_node == 4
         assert topo.n_ranks == 384
         assert topo.n_cores == 4608
-        topo12k = RankTopology.for_nodes(12000)
+        topo12k = RankTopology(node_dims=RankTopology.paper_topologies()[12000])
         assert topo12k.n_nodes == 12000
         assert topo12k.n_cores == 576_000  # the paper's 576K cores
-
-    def test_unknown_node_count_raises(self):
-        with pytest.raises(KeyError):
-            RankTopology.for_nodes(1000)
 
     def test_rank_coordinate_roundtrip_and_node_mapping(self):
         topo = RankTopology((2, 3, 2))
@@ -56,11 +52,6 @@ class TestTopology:
             for rank in ranks:
                 assert topo.node_of_rank(rank) == node
 
-    def test_numa_assignment_covers_all_domains(self):
-        topo = RankTopology((2, 2, 2))
-        numas = {topo.numa_of_rank(r) for r in topo.ranks_on_node((0, 0, 0))}
-        assert numas == {0, 1, 2, 3}
-
     def test_validation(self):
         with pytest.raises(ValueError):
             RankTopology((0, 1, 1))
@@ -73,8 +64,8 @@ class TestDecomposition:
         atoms, box = copper_system((6, 6, 6), perturbation=0.05, rng=0)
         topo = RankTopology((2, 2, 2))
         decomposition = SpatialDecomposition(box, topo)
-        stats = decomposition.rank_counts(atoms.positions)
-        assert stats.total == len(atoms)
+        ranks = decomposition.assign_to_ranks(atoms.positions)
+        assert np.bincount(ranks, minlength=topo.n_ranks).sum() == len(atoms)
         node_stats = decomposition.node_counts(atoms.positions)
         assert node_stats.total == len(atoms)
 
@@ -101,8 +92,8 @@ class TestDecomposition:
         positions = rng.uniform(0, 12.0, size=(200, 3))
         decomposition = SpatialDecomposition(box, RankTopology((2, 2, 2)))
         ranks = decomposition.assign_to_ranks(positions)
+        assert ranks.shape == (200,)
         assert np.all((ranks >= 0) & (ranks < decomposition.topology.n_ranks))
-        assert decomposition.rank_counts(positions).total == 200
 
     @settings(max_examples=200, deadline=None)
     @given(n=st.integers(0, 10_000), k=st.integers(1, 64))
@@ -121,18 +112,14 @@ class TestGhostGeometry:
         assert layers_for_cutoff([4.0, 4.0, 8.0], 8.0) == (2, 2, 1)
         assert layers_for_cutoff([4.0, 4.0, 4.0], 8.0) == (2, 2, 2)
 
-    def test_neighbor_counts_match_paper(self):
-        assert neighbor_count((1, 1, 1)) == 26
-        assert neighbor_count((2, 2, 1)) == 74
-        assert neighbor_count((2, 2, 2)) == 124
-
     def test_ghost_shell_ranks_dedup_on_small_grid(self):
         shell = ghost_shell_ranks((0, 0, 0), (3, 3, 3), (1, 1, 1))
         assert len(shell) == 26
         aliased = ghost_shell_ranks((0, 0, 0), (2, 2, 2), (1, 1, 1))
         assert len(aliased) == 7  # 2x2x2 torus: only 7 other nodes exist
-        # a grid wide enough not to alias reaches the paper's 26 / 124
+        # a grid wide enough not to alias reaches the paper's 26 / 74 / 124
         assert len(ghost_shell_ranks((0, 0, 0), (8, 8, 8), (1, 1, 1))) == 26
+        assert len(ghost_shell_ranks((0, 0, 0), (8, 8, 8), (2, 2, 1))) == 74
         assert len(ghost_shell_ranks((0, 0, 0), (8, 8, 8), (2, 2, 2))) == 124
 
     def test_overlap_volume_face_edge_corner(self):
@@ -148,7 +135,7 @@ class TestGhostGeometry:
 
     def test_ghost_count_equations_and_ratio(self):
         # the paper's example: a = 0.5 r gives ~1.44x more ghosts with load balance
-        ratio = ghost_overhead_ratio(0.5, 1.0)
+        ratio = ghost_count_load_balanced(0.5, 1.0) / ghost_count_original(0.5, 1.0)
         assert ratio == pytest.approx(1.44, abs=0.05)
         assert ghost_count_load_balanced(1.0, 1.0) > ghost_count_original(1.0, 1.0)
         with pytest.raises(ValueError):
@@ -336,7 +323,7 @@ class TestMemoryPoolAndThreading:
         unpooled.allocate_for_neighbors(124, 8)
         assert unpooled.registered_regions == 248
         assert unpooled.per_message_penalty() > pooled.per_message_penalty()
-        assert pooled.total_registered_bytes == unpooled.total_registered_bytes
+        assert sum(b.size for b in pooled.buffers) == sum(b.size for b in unpooled.buffers)
         pooled.reset()
         assert pooled.registered_regions == 0
 

@@ -13,7 +13,7 @@ from repro.core import (
     water_spec,
 )
 from repro.core.config import fig9_stage_configs
-from repro.core.errors import energy_error_per_atom, force_max_error, force_rmse, precision_error_table
+from repro.core.errors import energy_error_per_atom, force_rmse, precision_error_table
 from repro.core.experiments import (
     FIG11_NODE_COUNTS,
     communication_reduction,
@@ -143,7 +143,7 @@ class TestCommCostModel:
         cost = CommCostModel()
         plan = build_scheme("lb-4l").plan(self._context((0.5, 0.5, 1)))
         breakdown = cost.evaluate(plan)
-        for value in breakdown.as_dict().values():
+        for value in (breakdown.gather, breakdown.network, breakdown.scatter, breakdown.sync, breakdown.reverse):
             assert value >= 0.0
         assert breakdown.total == pytest.approx(breakdown.forward + breakdown.reverse)
 
@@ -294,7 +294,6 @@ class TestAnalysis:
         forces_a = np.zeros((4, 3))
         forces_b = np.full((4, 3), 0.1)
         assert force_rmse(forces_a, forces_b) == pytest.approx(0.1)
-        assert force_max_error(forces_a, forces_b) == pytest.approx(0.1)
         with pytest.raises(ValueError):
             force_rmse(np.zeros((2, 3)), np.zeros((3, 3)))
         with pytest.raises(ValueError):

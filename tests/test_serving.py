@@ -306,14 +306,16 @@ class TestServingEngine:
     def test_failed_request_raises_through_its_future(self, serving_model):
         bad = Atoms(
             positions=np.array([[1.0, 1.0, 1.0]]),
-            types=np.full(1, 7, dtype=np.int64),  # no such type in the model
+            types=np.zeros(1, dtype=np.int64),
             masses=np.ones(1),
         )
         good = _mixed_systems(serving_model)[0]
         with ServingEngine(serving_model, max_batch_size=1, max_wait_ms=1.0) as engine:
-            bad_future = engine.submit(bad, Box.cubic(20.0, periodic=False))
+            # admissible at submit, but the model cutoff exceeds this periodic
+            # box's minimum image, so the neighbour build fails in the loop
+            bad_future = engine.submit(bad, Box.cubic(6.0))
             good_future = engine.submit(good[0], good[1])
-            with pytest.raises(Exception):
+            with pytest.raises(ValueError, match="minimum-image"):
                 bad_future.result(timeout=60)
             # a poisoned batch must not take the engine down with it
             assert good_future.result(timeout=60).forces.shape == (len(good[0]), 3)
@@ -387,6 +389,75 @@ class TestServingEngine:
             atoms.positions[:] = 0.0  # client mutates after submit
             out = future.result(timeout=60)
         assert np.abs(out.forces).max() > 0.0  # evaluated the snapshot, not the zeros
+
+
+_OUTSIDE_TYPES = "request has atom types outside the model's 1-type space"
+
+#: inadmissible requests: case -> (attribute, index, value, expected message)
+POISON = {
+    "nan position": ("positions", (1, 2), np.nan, "position row 1 is not finite"),
+    "inf position": ("positions", (2, 0), np.inf, "position row 2 is not finite"),
+    "nan velocity": ("velocities", (1, 1), np.nan, "velocity row 1 is not finite"),
+    "inf velocity": ("velocities", (3, 0), -np.inf, "velocity row 3 is not finite"),
+    "negative type": ("types", 0, -1, _OUTSIDE_TYPES),
+    "unknown type": ("types", 0, 1, _OUTSIDE_TYPES),  # the fixture model has one type
+}
+
+
+def _poison(atoms, case):
+    """A copy of ``atoms`` made inadmissible as ``case`` says, and the message it must raise."""
+    attribute, index, value, message = POISON[case]
+    bad = atoms.copy()
+    getattr(bad, attribute)[index] = value
+    return bad, message
+
+
+class TestSubmitValidation:
+    """A bad request fails alone, in the caller's thread, before it is queued."""
+
+    def test_nan_request_fails_at_submit_and_its_batch_mates_are_served(self, serving_model):
+        systems = _mixed_systems(serving_model, sizes=(6, 9, 8))
+        reference = evaluate_serial(
+            serving_model,
+            [systems[0], systems[2]],
+            compressed=True,
+            compression_table=serving_model.compressed_embeddings(),
+        )
+        nan_atoms, message = _poison(systems[1][0], "nan position")
+        with ServingEngine(serving_model, max_batch_size=8, max_wait_ms=50.0) as engine:
+            first = engine.submit(*systems[0][:2])
+            with pytest.raises(ValueError, match=message):
+                engine.submit(nan_atoms, systems[1][1])
+            last = engine.submit(*systems[2][:2])
+            results = [first.result(timeout=60), last.result(timeout=60)]
+            # the engine keeps serving after the rejection
+            again = engine.submit(*systems[1][:2]).result(timeout=60)
+            assert engine.stats.n_requests == 3
+        for got, ref in zip(results, reference):
+            assert abs(got.energy - ref.energy) < PARITY_ATOL
+            np.testing.assert_allclose(got.forces, ref.forces, atol=PARITY_ATOL)
+            np.testing.assert_allclose(got.virial, ref.virial, atol=PARITY_ATOL)
+        assert np.isfinite(again.forces).all()
+
+    @pytest.mark.parametrize("case", ["inf position", "negative type", "unknown type"])
+    def test_submit_rejects(self, serving_model, case):
+        atoms, box, _ = _mixed_systems(serving_model)[0]
+        bad, message = _poison(atoms, case)
+        with ServingEngine(serving_model) as engine:
+            with pytest.raises(ValueError, match=message):
+                engine.submit(bad, box)
+        assert engine.stats.n_requests == 0
+
+    @pytest.mark.parametrize(
+        "case", ["nan position", "nan velocity", "inf velocity", "unknown type"]
+    )
+    def test_submit_md_rejects(self, serving_model, case):
+        atoms, box, _ = _mixed_systems(serving_model)[0]
+        bad, message = _poison(atoms, case)
+        with ServingEngine(serving_model) as engine:
+            with pytest.raises(ValueError, match=message):
+                engine.submit_md(bad, box, 3, 0.5)
+        assert engine.stats.n_requests == 0
 
 
 # ---------------------------------------------------------------------------

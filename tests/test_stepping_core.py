@@ -209,7 +209,6 @@ class TestSamplingEdgeCases:
         assert report.n_steps == 5
         assert len(report.potential_energies) == 0
         assert len(report.temperatures) == 0
-        assert report.final_potential_energy == 0.0
         assert report.mean_temperature == 0.0
 
     @pytest.mark.parametrize("backend", sorted(BACKENDS), ids=sorted(BACKENDS))
@@ -220,7 +219,6 @@ class TestSamplingEdgeCases:
         assert report.n_steps == 0
         assert len(report.potential_energies) == 0
         assert report.steps_per_second == 0.0
-        assert report.energy_drift_per_atom(len(atoms)) == 0.0
 
     @pytest.mark.parametrize("backend", sorted(BACKENDS), ids=sorted(BACKENDS))
     def test_negative_steps_rejected(self, backend):
@@ -364,6 +362,15 @@ class TestSharedValidation:
         for make_backend in (Simulation, DomainDecomposedSimulation):
             with pytest.raises(ValueError, match="positive cutoff"):
                 make_backend(atoms.copy(), box, NoCutoff(), timestep_fs=1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("quantity", ["position", "velocity"])
+    @pytest.mark.parametrize("backend", sorted(BACKENDS), ids=sorted(BACKENDS))
+    def test_construction_refuses_a_non_finite_state(self, backend, quantity, bad):
+        atoms, box = _copper()
+        getattr(atoms, {"position": "positions", "velocity": "velocities"}[quantity])[3, 1] = bad
+        with pytest.raises(ValueError, match=rf"^{quantity} row 3 is not finite"):
+            BACKENDS[backend](atoms, box)
 
     def test_force_field_info_harvesting_is_shared(self):
         assert harvest_force_field_info(LennardJones(0.05, 2.3, 5.0)) == {}

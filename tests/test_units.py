@@ -39,9 +39,7 @@ def test_temperature_zero_for_empty_system():
 
 def test_ns_per_day_known_value():
     # 149 ns/day at 1 fs per step corresponds to ~0.58 ms per step
-    step_time = units.step_time_for_ns_per_day(149.0, 1.0)
-    assert step_time == pytest.approx(5.798e-4, rel=1e-3)
-    assert units.ns_per_day(step_time, 1.0) == pytest.approx(149.0, rel=1e-12)
+    assert units.ns_per_day(5.798e-4, 1.0) == pytest.approx(149.0, rel=1e-3)
 
 
 def test_ns_per_day_scales_with_timestep():
@@ -51,8 +49,6 @@ def test_ns_per_day_scales_with_timestep():
 def test_ns_per_day_rejects_nonpositive_step_time():
     with pytest.raises(ValueError):
         units.ns_per_day(0.0, 1.0)
-    with pytest.raises(ValueError):
-        units.step_time_for_ns_per_day(-1.0, 1.0)
 
 
 def test_maxwell_boltzmann_sigma_validation():

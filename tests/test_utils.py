@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.utils.rng import default_rng, glorot_uniform, random_unit_vectors
+from repro.utils.rng import default_rng, glorot_uniform
 from repro.utils.tables import Table, format_table
 from repro.utils.timer import PhaseTimer, Timer
 
@@ -19,12 +19,6 @@ def test_default_rng_seed_reproducible():
     a = default_rng(42).random(5)
     b = default_rng(42).random(5)
     np.testing.assert_allclose(a, b)
-
-
-def test_random_unit_vectors_are_normalized():
-    vectors = random_unit_vectors(default_rng(1), 100)
-    norms = np.linalg.norm(vectors, axis=1)
-    np.testing.assert_allclose(norms, 1.0, atol=1e-12)
 
 
 def test_glorot_uniform_shape_and_range():
@@ -52,17 +46,6 @@ def test_phase_timer_fractions_sum_to_one():
     assert timers.total() == pytest.approx(4.0)
     assert timers.fraction("pair") == pytest.approx(0.75)
     assert "pair" in timers.summary()
-
-
-def test_phase_timer_merge():
-    a = PhaseTimer()
-    a.add("pair", 1.0)
-    b = PhaseTimer()
-    b.add("pair", 2.0)
-    b.add("comm", 1.0)
-    merged = a.merge(b)
-    assert merged.totals["pair"] == pytest.approx(3.0)
-    assert merged.totals["comm"] == pytest.approx(1.0)
 
 
 def test_table_roundtrip_and_column():

@@ -132,17 +132,3 @@ def test_summary_of_empty_timer_shows_zero_total():
     lines = PhaseTimer().summary().splitlines()
     assert lines[-1].split()[0] == "total"
     assert "0.00%" in lines[-1]
-
-
-def test_merge_leaves_operands_untouched():
-    a = PhaseTimer()
-    a.add("pair", 1.0)
-    b = PhaseTimer()
-    b.add("pair", 2.0)
-    b.add("comm", 0.5)
-    merged = a.merge(b)
-    assert merged.totals == pytest.approx({"pair": 3.0, "comm": 0.5})
-    assert merged.counts == {"pair": 2, "comm": 1}
-    assert a.totals == {"pair": 1.0}
-    assert b.totals == pytest.approx({"pair": 2.0, "comm": 0.5})
-
