@@ -12,9 +12,9 @@ The package is organised in layers (see the README's "Layout" table):
 * pins: :mod:`repro.reference` — the goldens production is checked against,
   including the mini autodiff framework (the §III-B.1 baseline and the
   gradient golden); production never imports it,
-* prices: :mod:`repro.hardware` (Fugaku model), :mod:`repro.perfmodel`
-  (communication schemes, load balance and kernels as per-step costs,
-  ns/day), :mod:`repro.core` (optimization configuration + engine +
+* prices: :mod:`repro.perfmodel` (the Fugaku spec and its pricing
+  functions; communication schemes, load balance and kernels as per-step
+  costs, ns/day), :mod:`repro.core` (optimization configuration + engine +
   experiment harness) — these import the executing layer, never the reverse,
 * tooling: :mod:`repro.analysis` (reprolint).
 

@@ -43,8 +43,9 @@ class OptimizationConfig:
         ``"openmp"`` or ``"threadpool"``.
     memory_pool:
         pool RDMA buffer registrations (avoids NIC-cache thrashing).
-    ranks_per_node / threads_per_rank:
-        process geometry (the paper uses 4 x 12 for the optimized code).
+    threads_per_rank:
+        compute threads per rank (the paper runs 4 ranks of 12 per node; the
+        rank block comes from :class:`~repro.parallel.topology.RankTopology`).
     """
 
     name: str
@@ -58,7 +59,6 @@ class OptimizationConfig:
     load_balance: bool = True
     threading: str = "threadpool"
     memory_pool: bool = True
-    ranks_per_node: int = 4
     threads_per_rank: int = 12
 
     def __post_init__(self) -> None:

@@ -18,16 +18,16 @@ model (the README's "Parallel engine" section relates it to the executed engine)
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..hardware.specs import FUGAKU, FugakuSpec
 from ..parallel.decomposition import DecompositionStats, SpatialDecomposition
 from ..parallel.topology import RankTopology
 from ..perfmodel.comm_cost import CommCostModel
-from ..perfmodel.kernels import KernelCostModel, ThreadingModel
+from ..perfmodel.kernels import KernelCostModel
 from ..perfmodel.loadbalance import IntraNodeLoadBalancer
+from ..perfmodel.machine import FUGAKU, FugakuSpec, threading_overhead
 from ..perfmodel.schemes import ExchangeContext, build_scheme
 from ..perfmodel.timeline import StepTimeline
 from .config import OptimizationConfig
@@ -60,8 +60,7 @@ class DeepMDEngine:
     """Performance engine for one benchmark system."""
 
     system: SystemSpec
-    machine: FugakuSpec = field(default_factory=lambda: FUGAKU)
-    rng_seed: int = 2024
+    machine: FugakuSpec = FUGAKU
 
     def __post_init__(self) -> None:
         self.kernel_model = KernelCostModel(
@@ -76,18 +75,27 @@ class DeepMDEngine:
 
     # -- helpers --------------------------------------------------------------
     def topology_for(self, n_nodes: int, config: OptimizationConfig) -> RankTopology:
+        """The node grid of ``n_nodes``: the paper's shape, else an exact cube-root grid.
+
+        Raises ``ValueError`` when neither holds exactly ``n_nodes`` nodes
+        (50 would otherwise be modelled as 4 x 3 x 4 = 48).
+        """
         shapes = RankTopology.paper_topologies()
         if n_nodes in shapes:
             node_dims = shapes[n_nodes]
         else:
-            edge = round(n_nodes ** (1.0 / 3.0))
-            edge = max(edge, 1)
+            edge = max(round(n_nodes ** (1.0 / 3.0)), 1)
             node_dims = (edge, max(n_nodes // (edge * edge), 1), edge)
+            if edge * node_dims[1] * edge != n_nodes:
+                raise ValueError(
+                    f"cannot model {n_nodes} nodes: its cube-root grid {node_dims} "
+                    f"holds {edge * node_dims[1] * edge}"
+                )
         return RankTopology(node_dims=node_dims, threads_per_rank=config.threads_per_rank)
 
     def _positions(self, n_atoms: int):
         if n_atoms not in self._position_cache:
-            positions, box = self.system.build_positions(n_atoms, rng=self.rng_seed)
+            positions, box = self.system.build_positions(n_atoms, rng=2024)
             self._position_cache[n_atoms] = (positions, box)
         return self._position_cache[n_atoms]
 
@@ -118,7 +126,6 @@ class DeepMDEngine:
         max_atoms_on_rank = stats.maximum
 
         # -- compute (pair) phase of the most loaded rank
-        threading = ThreadingModel(config.threading, self.machine)
         compute_time = self.kernel_model.rank_compute_time(
             atoms_on_rank=max_atoms_on_rank,
             threads_per_rank=config.threads_per_rank,
@@ -128,7 +135,7 @@ class DeepMDEngine:
             pretranspose=config.pretranspose,
             framework=config.use_framework,
             batched=config.batched_inference,
-            threading_overhead=threading.per_step_overhead(),
+            threading_overhead=threading_overhead(self.machine, config.threading),
         )
 
         # -- communication phase

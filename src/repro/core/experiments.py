@@ -26,7 +26,7 @@ from ..parallel.topology import RankTopology
 from ..perfmodel.comm_cost import CommCostModel
 from ..perfmodel.kernels import KernelCostModel
 from ..perfmodel.loadbalance import IntraNodeLoadBalancer
-from ..perfmodel.memory_pool import RdmaBufferManager
+from ..perfmodel.machine import FUGAKU, message_occupancy, nic_cache_penalty, tni_makespan, wire_latency
 from ..perfmodel.schemes import ExchangeContext, SCHEME_NAMES, build_scheme
 from ..perfmodel.strongscaling import parallel_efficiency
 from ..training import Trainer, generate_water_dataset
@@ -243,8 +243,12 @@ def fig8_memory_pool(
     iterations: int = 10_000,
     payload_bytes: int = 8,
 ) -> Table:
-    """Fig. 8: communication time over ``iterations`` tiny messages per neighbour."""
-    cost = CommCostModel()
+    """Fig. 8: communication time over ``iterations`` tiny messages per neighbour.
+
+    Pooled, one registered region serves every neighbour; otherwise each
+    neighbour registers a send and a receive buffer of its own.
+    """
+    network = FUGAKU.network
     table = Table(
         headers=["neighbors", "buffers", "registered regions", "time [s]", "time per message [us]"],
         title="Fig. 8 — RDMA memory pool vs per-neighbour registration",
@@ -252,14 +256,13 @@ def fig8_memory_pool(
     for pooled in (True, False):
         label = "buf_pool" if pooled else "no_buf_pool"
         for n_neighbors in neighbor_counts:
-            manager = RdmaBufferManager(pooled=pooled)
-            manager.allocate_for_neighbors(n_neighbors, payload_bytes)
-            penalty = manager.per_message_penalty(cost.nic_cache)
-            per_message = cost.network.occupancy(payload_bytes, use_rdma=True, registration_penalty=penalty)
+            regions = 1 if pooled else 2 * n_neighbors
+            penalty = nic_cache_penalty(FUGAKU.nic_cache, regions)
+            per_message = message_occupancy(network, payload_bytes, registration_penalty=penalty)
             # Messages to the neighbours are issued in turn on the 6 TNIs.
-            per_iteration = cost.tni.makespan([per_message] * n_neighbors) + cost.network.latency(1)
+            per_iteration = tni_makespan(network, [per_message] * n_neighbors) + wire_latency(network)
             total = per_iteration * iterations
-            table.add_row(n_neighbors, label, manager.registered_regions, total, per_message * 1.0e6)
+            table.add_row(n_neighbors, label, regions, total, per_message * 1.0e6)
     return table
 
 

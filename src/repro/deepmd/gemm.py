@@ -7,7 +7,7 @@ in.  The harness and the precision tests read those counters.
 
 §III-B.2 of the paper's hand-written SVE-512 kernel for tall-and-skinny
 fitting GEMMs (M <= 3) and its NT -> NN pre-transposition are *priced*, not
-executed: :meth:`repro.hardware.a64fx.A64FXNode.fitting_gemm_time` and
+executed: :func:`repro.perfmodel.machine.fitting_gemm_time` and
 :mod:`repro.perfmodel.kernels` model them.  The backward pass here always
 takes the pre-transposed NN product (see
 :meth:`repro.deepmd.networks.FastMLP.backward_input`).

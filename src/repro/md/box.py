@@ -29,10 +29,6 @@ class Box:
     def cubic(length: float, periodic: bool = True) -> "Box":
         return Box(np.full(3, float(length)), (periodic,) * 3)
 
-    @staticmethod
-    def orthorhombic(lx: float, ly: float, lz: float) -> "Box":
-        return Box(np.array([lx, ly, lz], dtype=np.float64))
-
     @property
     def volume(self) -> float:
         return float(np.prod(self.lengths))
@@ -74,12 +70,6 @@ class Box:
         """Minimum-image distances between position arrays ``a`` and ``b``."""
         delta = self.minimum_image(np.asarray(a) - np.asarray(b))
         return np.linalg.norm(delta, axis=-1)
-
-    def fractional(self, positions: np.ndarray) -> np.ndarray:
-        return np.asarray(positions, dtype=np.float64) / self.lengths
-
-    def cartesian(self, fractional: np.ndarray) -> np.ndarray:
-        return np.asarray(fractional, dtype=np.float64) * self.lengths
 
     def max_cutoff(self) -> float:
         """Largest cutoff compatible with the minimum-image convention."""

@@ -51,7 +51,11 @@ far-away candidates, never drop one the exact pass would keep.
 
 A build refuses non-finite positions with a ``ValueError`` naming the first
 bad row; a NaN or inf row would otherwise get zero neighbours (every
-distance comparison with it is false) and the run would go on.
+distance comparison with it is false) and the run would go on.  It also
+refuses two rows at the same place (a kept pair at zero minimum-image
+distance), naming both: pair potentials would divide by zero, and the Deep
+Potential environment would drop the pair and return a finite energy.  The
+binned search tests the squared distances its exact pass already computes.
 """
 
 from __future__ import annotations
@@ -401,7 +405,11 @@ def _cell_list_pairs(
         slot_j = slot_j[candidate_idx]
         delta = np.take(pos_sorted, slot_i, axis=0) - np.take(pos_sorted, slot_j, axis=0)
         delta = box.minimum_image(delta)
-        mask = np.einsum("ij,ij->i", delta, delta) <= cutoff * cutoff
+        exact2 = np.einsum("ij,ij->i", delta, delta)
+        if not exact2.all():
+            first = int(np.argmin(exact2))
+            raise _coincident(order[slot_i[first]], order[slot_j[first]])
+        mask = exact2 <= cutoff * cutoff
         found_i.append(np.take(order, slot_i[mask]))
         found_j.append(np.take(order, slot_j[mask]))
     gi = np.concatenate(found_i)
@@ -423,6 +431,11 @@ def max_displacement(positions: np.ndarray, reference: np.ndarray, box: Box) -> 
         return 0.0
     delta = box.minimum_image(np.asarray(positions) - np.asarray(reference))
     return float(np.sqrt(np.max(np.einsum("ij,ij->i", delta, delta))))
+
+
+def _coincident(i: int, j: int) -> ValueError:
+    i, j = sorted((int(i), int(j)))
+    return ValueError(f"position rows {i} and {j} coincide (zero minimum-image distance)")
 
 
 def require_finite(values: np.ndarray, quantity: str) -> None:
@@ -468,6 +481,10 @@ def build_neighbor_data(
         if primary is not None:
             touches_primary = primary[half_i] | primary[half_j]
             half_i, half_j = half_i[touches_primary], half_j[touches_primary]
+        delta = box.minimum_image(positions[half_i] - positions[half_j])
+        zero = np.nonzero(np.einsum("ij,ij->i", delta, delta) == 0.0)[0]
+        if len(zero):
+            raise _coincident(half_i[zero[0]], half_j[zero[0]])
     else:
         half_i, half_j = _cell_list_pairs(positions, box, search, primary)
     pairs = np.stack([half_i, half_j], axis=1) if len(half_i) else np.empty((0, 2), dtype=np.int64)

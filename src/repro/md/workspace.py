@@ -1,8 +1,9 @@
 """Preallocated per-step scratch buffers for the MD run loop.
 
 This is the *real* counterpart to the modelled registered-buffer pool of
-:mod:`repro.perfmodel.memory_pool`: where that module prices what pooled RDMA
-buffers save on the NIC, this one actually removes the per-step allocation
+Fig. 8 (:func:`repro.core.experiments.fig8_memory_pool`, priced by
+:func:`repro.perfmodel.machine.nic_cache_penalty`): where that prices what
+pooled RDMA buffers save on the NIC, this one actually removes the per-step allocation
 churn from the hot loop.  A :class:`Workspace` hands out named, shape-stable
 NumPy buffers that survive across steps, so a steady-state MD step (no
 neighbour rebuild, no migration) performs near-zero fresh ``np.zeros`` /

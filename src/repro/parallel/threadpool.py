@@ -5,7 +5,7 @@ fork/join cost that becomes visible when the per-region work shrinks to a few
 microseconds (one or two atoms per thread).  The optimized code keeps a
 persistent thread pool whose workers spin, reducing the dispatch overhead by
 roughly an order of magnitude
-(:class:`repro.perfmodel.kernels.ThreadingModel` prices that difference).
+(:func:`repro.perfmodel.machine.threading_overhead` prices that difference).
 
 :class:`PersistentWorkerPool` is the executable counterpart the concurrent
 engine dispatches through: a fixed set of long-lived worker *processes*

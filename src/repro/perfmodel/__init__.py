@@ -5,11 +5,16 @@ efficiency at 12,000 nodes) are wall-clock measurements on Fugaku.  Without
 the machine, this package models the per-step time from first principles —
 it *prices* what :mod:`repro.parallel` *executes*:
 
+* :mod:`machine` — the Fugaku spec (:data:`FUGAKU`: A64FX node, TofuD
+  network, NIC registration cache) and the plain functions that price counts
+  on it: GEMM, fitting-GEMM and vector time, the OpenMP-vs-thread-pool
+  region overhead, NoC copies and syncs, message occupancy and wire latency,
+  the TNI makespan, the NIC-cache penalty behind the RDMA memory pool
+  (Fig. 8) and the torus hop distance;
 * :mod:`kernels` — FLOP counts of the Deep Potential inference per atom
   (embedding, descriptor, fitting, forward + backward), converted to time by
-  the A64FX node model with the GEMM-efficiency/precision factors the paper
-  reports, plus framework overhead and the OpenMP-vs-thread-pool region
-  overhead (:class:`ThreadingModel`);
+  the A64FX functions with the GEMM-efficiency/precision factors the paper
+  reports, plus framework overhead;
 * :mod:`schemes` + :mod:`messages` — the communication schemes compared in
   Fig. 7 (LAMMPS 3-stage, p2p, node-based with 1/2/4 leaders, single-thread
   and ref-layout variants) as planners producing a
@@ -17,7 +22,6 @@ it *prices* what :mod:`repro.parallel` *executes*:
 * :mod:`comm_cost` — the time of a :class:`CommunicationPlan` on the TofuD
   model (gather/scatter over the NoC, messages over the TNIs, NIC-cache
   penalties, the force send-back);
-* :mod:`memory_pool` — RDMA registered-memory pooling (Fig. 8);
 * :mod:`loadbalance` — the intra-node load balancer's predicted per-rank
   counts and modelled pair times (Table III, Fig. 10) and the ghost-count
   closed forms of §III-C (eqs. 1 and 2);
@@ -28,13 +32,14 @@ it *prices* what :mod:`repro.parallel` *executes*:
   matching its setup, that plan at the measured ghost volume, and the
   Table III prediction seeded with its measured pair cost.
 
-All model constants live in :mod:`repro.hardware.specs`; the algorithmic
+All model constants live in :mod:`repro.perfmodel.machine`; the algorithmic
 inputs (message counts/sizes, atom counts per rank, FLOPs) come from the real
 decomposition (:mod:`repro.parallel.decomposition`, :mod:`repro.parallel.ghost`)
 and the real model configuration.
 """
 
-from .kernels import KernelCostModel, PerAtomFlops, ThreadingModel
+from .machine import FUGAKU, A64FXSpec, FugakuSpec, NICCacheSpec, TofuDSpec
+from .kernels import KernelCostModel, PerAtomFlops
 from .messages import Message, CommRound, CommunicationPlan
 from .schemes import (
     CommScheme,
@@ -45,7 +50,6 @@ from .schemes import (
     SCHEME_NAMES,
 )
 from .comm_cost import CommCostModel, CommTimeBreakdown
-from .memory_pool import RdmaBufferManager
 from .loadbalance import (
     IntraNodeLoadBalancer,
     ghost_count_load_balanced,
@@ -57,9 +61,13 @@ from .strongscaling import parallel_efficiency, scaling_table
 from .reconcile import intra_node_balance, modelled_plan, plan_with_measured_volume
 
 __all__ = [
+    "FUGAKU",
+    "A64FXSpec",
+    "FugakuSpec",
+    "NICCacheSpec",
+    "TofuDSpec",
     "KernelCostModel",
     "PerAtomFlops",
-    "ThreadingModel",
     "Message",
     "CommRound",
     "CommunicationPlan",
@@ -71,7 +79,6 @@ __all__ = [
     "SCHEME_NAMES",
     "CommCostModel",
     "CommTimeBreakdown",
-    "RdmaBufferManager",
     "IntraNodeLoadBalancer",
     "pair_time_model",
     "ghost_count_original",

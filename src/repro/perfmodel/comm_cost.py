@@ -15,13 +15,19 @@ applies when buffers are registered per neighbour rather than pooled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from ..hardware.nic_cache import NICRegistrationCache
-from ..hardware.noc import NocModel
-from ..hardware.specs import FUGAKU, UNPACK_PER_MESSAGE, FugakuSpec
-from ..hardware.tni import TNIScheduler
-from ..hardware.tofu import TofuDNetwork, TorusCoordinates
+from .machine import (
+    FUGAKU,
+    UNPACK_PER_MESSAGE,
+    FugakuSpec,
+    message_occupancy,
+    nic_cache_penalty,
+    noc_copy_time,
+    noc_sync_time,
+    tni_makespan,
+    wire_latency,
+)
 from .messages import CommunicationPlan
 
 
@@ -48,43 +54,26 @@ class CommTimeBreakdown:
 class CommCostModel:
     """Evaluates :class:`CommunicationPlan` objects on the Fugaku model."""
 
-    machine: FugakuSpec = field(default_factory=lambda: FUGAKU)
-
-    def __post_init__(self) -> None:
-        self.network = TofuDNetwork(TorusCoordinates((1, 1, 1)), self.machine.network)
-        self.noc = NocModel(self.machine.node)
-        self.tni = TNIScheduler(self.machine.network)
-        self.nic_cache = NICRegistrationCache(self.machine.nic_cache)
+    machine: FugakuSpec = FUGAKU
 
     # -- one direction -----------------------------------------------------------
-    def _network_time(self, plan: CommunicationPlan, byte_scale: float = 1.0) -> float:
+    def _network_time(self, plan: CommunicationPlan, byte_scale: float) -> float:
+        network = self.machine.network
         penalty = 0.0
         if plan.registered_regions is not None:
-            penalty = self.nic_cache.per_message_penalty(plan.registered_regions)
+            penalty = nic_cache_penalty(self.machine.nic_cache, plan.registered_regions)
         sharing = max(1, int(plan.ranks_sharing_network))
-        round_overhead = (
-            self.machine.network.rdma_round_overhead
-            if plan.use_rdma
-            else self.machine.network.mpi_round_overhead
-        )
+        round_overhead = network.rdma_round_overhead if plan.use_rdma else network.mpi_round_overhead
         total = 0.0
         for comm_round in plan.rounds:
             occupancies = []
             max_latency = 0.0
             for message in comm_round.messages:
                 if message.intra_node:
-                    single = self.noc.gather_time(
-                        [message.n_bytes * byte_scale], copy_threads=plan.copy_threads
-                    )
+                    single = noc_copy_time(self.machine.node, [message.n_bytes * byte_scale], plan.copy_threads)
                 else:
-                    single = self.network.occupancy(
-                        message.n_bytes * byte_scale,
-                        use_rdma=plan.use_rdma,
-                        registration_penalty=penalty,
-                    )
-                    max_latency = max(
-                        max_latency, self.network.latency(message.hops, plan.use_rdma)
-                    )
+                    single = message_occupancy(network, message.n_bytes * byte_scale, plan.use_rdma, penalty)
+                    max_latency = max(max_latency, wire_latency(network, message.hops, plan.use_rdma))
                 # Rank-level schemes: every rank of the node issues the same
                 # pattern concurrently, competing for the node's TNIs/links.
                 occupancies.extend([single] * sharing)
@@ -92,9 +81,7 @@ class CommCostModel:
             # round is pipelined and charged once (the last message's arrival).
             total += (
                 round_overhead
-                + self.tni.makespan(
-                    occupancies, engines=comm_round.engines, threads=comm_round.threads
-                )
+                + tni_makespan(network, occupancies, comm_round.engines, comm_round.threads)
                 + max_latency
             )
         return total
@@ -102,13 +89,14 @@ class CommCostModel:
     def evaluate(self, plan: CommunicationPlan) -> CommTimeBreakdown:
         """Time of the full exchange (positions out, forces back)."""
         breakdown = CommTimeBreakdown()
-        breakdown.gather = self.noc.gather_time(plan.gather_bytes_per_rank, plan.copy_threads)
-        breakdown.scatter = self.noc.scatter_time(plan.scatter_bytes_per_rank, plan.copy_threads)
+        node = self.machine.node
+        breakdown.gather = noc_copy_time(node, plan.gather_bytes_per_rank, plan.copy_threads)
+        breakdown.scatter = noc_copy_time(node, plan.scatter_bytes_per_rank, plan.copy_threads)
         if plan.unpack_messages:
             breakdown.scatter += (
                 plan.unpack_messages * UNPACK_PER_MESSAGE / max(1, min(plan.copy_threads, 48))
             )
-        breakdown.sync = self.noc.synchronization_time(plan.n_intra_node_syncs)
+        breakdown.sync = noc_sync_time(node, plan.n_intra_node_syncs)
         breakdown.network = self._network_time(plan, byte_scale=1.0)
 
         # Reverse path: ghost forces flow back with a smaller payload; the

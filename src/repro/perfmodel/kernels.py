@@ -1,22 +1,19 @@
 """Kernel cost model of Deep Potential inference.
 
 FLOP counts are derived from the model hyper-parameters (embedding sizes,
-axis neurons, fitting sizes, neighbours per atom) and priced by the
-:class:`~repro.hardware.a64fx.A64FXNode` model.  The same counts drive both
+axis neurons, fitting sizes, neighbours per atom) and priced by the A64FX
+functions of :mod:`repro.perfmodel.machine`.  The same counts drive both
 the baseline (framework, fp64, BLAS, OpenMP) and the optimized configuration;
 the configuration toggles change *which* efficiency factors, overheads and
-extra work apply — exactly the structure of Fig. 9.  :class:`ThreadingModel`
-prices the per-step parallel-region overhead (OpenMP fork/join vs the
-persistent pool that :mod:`repro.parallel.threadpool` executes).
+extra work apply — exactly the structure of Fig. 9.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import math
 
-from ..hardware.a64fx import A64FXNode
-from ..hardware.specs import FUGAKU, FugakuSpec
+from .machine import FUGAKU, FugakuSpec, fitting_gemm_time, gemm_time, vector_time
 
 
 @dataclass(frozen=True)
@@ -70,10 +67,9 @@ class KernelCostModel:
     axis_neurons: int = 16
     fitting_sizes: tuple[int, ...] = (240, 240, 240)
     neighbors_per_atom: int = 512
-    machine: FugakuSpec = field(default_factory=lambda: FUGAKU)
+    machine: FugakuSpec = FUGAKU
 
     def __post_init__(self) -> None:
-        self.node_model = A64FXNode(self.machine.node)
         self.m_width = self.embedding_sizes[-1]
         self.descriptor_dim = self.m_width * self.axis_neurons
 
@@ -152,33 +148,26 @@ class KernelCostModel:
         fit_dtype = emb_dtype
         fit_first_dtype = "fp16" if precision == "mix-fp16" else fit_dtype
 
+        node = self.machine.node
         time = 0.0
         # environment + descriptor: bandwidth/vector work at moderate efficiency
-        time += self.node_model.flops_time(flops.environment, dtype="fp64", efficiency=0.10)
-        time += self.node_model.flops_time(
-            flops.descriptor_forward + flops.descriptor_backward, dtype=emb_dtype, efficiency=0.20
-        )
+        time += vector_time(node, flops.environment, 0.10)
+        time += vector_time(node, flops.descriptor_forward + flops.descriptor_backward, 0.20, emb_dtype)
         # embedding net: regular-shaped GEMMs over the neighbour dimension (or
         # the interpolation table when compressed)
         if compressed:
-            time += self.node_model.flops_time(
-                flops.embedding_forward + flops.embedding_backward, dtype=emb_dtype, efficiency=0.15
-            )
+            time += vector_time(node, flops.embedding_forward + flops.embedding_backward, 0.15, emb_dtype)
         else:
             sizes = (1, *self.embedding_sizes)
             for n_in, n_out in zip(sizes[:-1], sizes[1:]):
-                time += 2.0 * self.node_model.gemm_time(
-                    self.neighbors_per_atom, n_out, n_in, dtype=emb_dtype, backend=backend
-                )
+                time += 2.0 * gemm_time(node, self.neighbors_per_atom, n_out, n_in, emb_dtype, backend)
         # fitting net: tall-and-skinny GEMMs, forward + backward
         m_dim = atoms_per_thread
         sizes = (self.descriptor_dim, *self.fitting_sizes, 1)
         for layer, (n_in, n_out) in enumerate(zip(sizes[:-1], sizes[1:])):
             dtype = fit_first_dtype if layer == 0 else fit_dtype
-            fwd = self.node_model.fitting_gemm_time(m_dim, n_out, n_in, dtype=dtype, backend=backend)
-            bwd = self.node_model.fitting_gemm_time(
-                m_dim, n_in, n_out, dtype=dtype, backend=backend, transposed_b=not pretranspose
-            )
+            fwd = fitting_gemm_time(node, m_dim, n_out, n_in, dtype, backend)
+            bwd = fitting_gemm_time(node, m_dim, n_in, n_out, dtype, backend, transposed_b=not pretranspose)
             time += (fwd + bwd) / m_dim  # per atom
         if framework:
             time *= self.machine.framework_kernel_factor
@@ -196,7 +185,6 @@ class KernelCostModel:
         framework: bool = False,
         batched: bool = True,
         threading_overhead: float = 0.0,
-        neighbor_rebuild_every: int = 50,
     ) -> float:
         """Pair-phase time of one rank for one MD step.
 
@@ -223,9 +211,8 @@ class KernelCostModel:
         if framework:
             time += self.machine.framework_overhead
         time += threading_overhead
-        # neighbour-list rebuild, amortized over the rebuild cadence
-        rebuild = self.neighbor_rebuild_time(atoms_on_rank, threads_per_rank)
-        time += rebuild / max(neighbor_rebuild_every, 1)
+        # neighbour-list rebuild, amortized over the paper's 50-step cadence
+        time += self.neighbor_rebuild_time(atoms_on_rank, threads_per_rank) / 50
         # integration / thermostat / bookkeeping
         time += 2.0e-6 + 5.0e-9 * atoms_on_rank
         return time
@@ -250,38 +237,4 @@ class KernelCostModel:
             * max(atoms_on_rank, 1)
             / max(threads_per_rank, 1)
         )
-        return self.node_model.flops_time(flops, efficiency=0.10)
-
-
-@dataclass
-class ThreadingModel:
-    """Per-step threading overhead for a given runtime choice."""
-
-    kind: str = "openmp"
-    machine: FugakuSpec = field(default_factory=lambda: FUGAKU)
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("openmp", "threadpool"):
-            raise ValueError("threading kind must be 'openmp' or 'threadpool'")
-
-    @property
-    def per_region_overhead(self) -> float:
-        if self.kind == "openmp":
-            return self.machine.openmp_region_overhead
-        return self.machine.threadpool_region_overhead
-
-    def per_step_overhead(self, parallel_regions: int | None = None) -> float:
-        regions = (
-            self.machine.parallel_regions_per_step if parallel_regions is None else int(parallel_regions)
-        )
-        if regions < 0:
-            raise ValueError("number of parallel regions must be non-negative")
-        return regions * self.per_region_overhead
-
-    def speedup_over(self, other: "ThreadingModel", parallel_regions: int | None = None) -> float:
-        """Overhead ratio other/self (>1 when self is cheaper)."""
-        mine = self.per_step_overhead(parallel_regions)
-        theirs = other.per_step_overhead(parallel_regions)
-        if mine == 0:
-            return float("inf")
-        return theirs / mine
+        return vector_time(self.machine.node, flops, 0.10)

@@ -34,6 +34,7 @@ from ..parallel.decomposition import SpatialDecomposition
 from ..parallel.exchange import BYTES_PER_GHOST_ATOM, BYTES_PER_VECTOR
 from ..parallel.ghost import layers_for_cutoff
 from ..parallel.topology import RankTopology
+from .machine import torus_hops
 from .messages import CommRound, CommunicationPlan, Message
 
 #: Canonical scheme names used by the Fig. 7 benchmark (paper bar labels).
@@ -56,8 +57,6 @@ class ExchangeContext:
     decomposition: SpatialDecomposition
     cutoff: float
     atom_density: float
-    bytes_per_atom: float = BYTES_PER_GHOST_ATOM
-    bytes_per_force: float = BYTES_PER_VECTOR
 
     def __post_init__(self) -> None:
         if self.cutoff <= 0:
@@ -76,10 +75,10 @@ class ExchangeContext:
 
     @property
     def reverse_ratio(self) -> float:
-        return self.bytes_per_force / self.bytes_per_atom
+        return BYTES_PER_VECTOR / BYTES_PER_GHOST_ATOM
 
     def local_bytes_per_rank(self) -> float:
-        return self.atoms_per_rank * self.bytes_per_atom
+        return self.atoms_per_rank * BYTES_PER_GHOST_ATOM
 
     @classmethod
     def from_subbox_factors(
@@ -88,7 +87,6 @@ class ExchangeContext:
         cutoff: float,
         subbox_factors: tuple[float, float, float],
         atom_density: float,
-        **kwargs,
     ) -> "ExchangeContext":
         """Build a context whose sub-box sides are ``factors * cutoff``.
 
@@ -100,7 +98,7 @@ class ExchangeContext:
             raise ValueError("sub-box factors must be positive")
         lengths = factors * cutoff * np.array(topology.rank_dims)
         decomposition = SpatialDecomposition(Box(lengths), topology)
-        return cls(decomposition, cutoff=cutoff, atom_density=atom_density, **kwargs)
+        return cls(decomposition, cutoff=cutoff, atom_density=atom_density)
 
 
 def overlap_volume(offset, sub_box_lengths, cutoff: float) -> float:
@@ -155,14 +153,8 @@ def _node_hops(rank_offset: tuple[int, int, int], topology: RankTopology) -> int
     is the common case; the resulting hop counts match the average to within
     one hop.
     """
-    block = topology.rank_block
-    node_dims = topology.node_dims
-    hops = 0
-    for off, b, d in zip(rank_offset, block, node_dims):
-        node_off = int(np.floor(off / b)) if off < 0 else int(off // b)
-        node_off = abs(node_off) % d
-        hops += min(node_off, d - node_off)
-    return hops
+    node_offset = [int(off) // b for off, b in zip(rank_offset, topology.rank_block)]
+    return torus_hops(node_offset, topology.node_dims)
 
 
 class CommScheme:
@@ -197,7 +189,7 @@ class ThreeStageScheme(CommScheme):
             slab_depth = min(context.cutoff, float(context.sub_box_lengths[axis]) * n_layers)
             volume_per_direction = cross_section * slab_depth
             bytes_per_round = (
-                volume_per_direction / n_layers * context.atom_density * context.bytes_per_atom
+                volume_per_direction / n_layers * context.atom_density * BYTES_PER_GHOST_ATOM
             )
             for layer in range(1, n_layers + 1):
                 messages = []
@@ -240,7 +232,7 @@ class P2PScheme(CommScheme):
         messages = []
         for offset in offsets:
             volume = overlap_volume(offset, context.sub_box_lengths, context.cutoff)
-            n_bytes = volume * context.atom_density * context.bytes_per_atom
+            n_bytes = volume * context.atom_density * BYTES_PER_GHOST_ATOM
             hops = _node_hops(offset, context.topology)
             intra = hops == 0
             messages.append(Message(n_bytes=n_bytes, hops=max(hops, 1), intra_node=intra))
@@ -263,10 +255,8 @@ class NodeBasedScheme(CommScheme):
 
     leaders: int = 4
     multithread: bool = True
-    load_balanced: bool = True
     ref_layout: bool = False
     use_rdma: bool = True
-    use_memory_pool: bool = True
     name: str = field(default="lb-4l", init=False)
 
     def __post_init__(self) -> None:
@@ -289,11 +279,9 @@ class NodeBasedScheme(CommScheme):
         total_ghost_bytes = 0.0
         for offset in offsets:
             volume = overlap_volume(offset, context.node_box_lengths, context.cutoff)
-            n_bytes = volume * context.atom_density * context.bytes_per_atom
+            n_bytes = volume * context.atom_density * BYTES_PER_GHOST_ATOM
             total_ghost_bytes += n_bytes
-            hops = sum(
-                min(abs(o) % d, d - abs(o) % d) for o, d in zip(offset, context.node_dims)
-            )
+            hops = torus_hops(offset, context.node_dims)
             messages.append(Message(n_bytes=n_bytes, hops=max(hops, 1), intra_node=False))
 
         threads_per_leader = 6 if self.multithread else 1
@@ -311,7 +299,7 @@ class NodeBasedScheme(CommScheme):
         # load-balanced organization additionally keeps the slightly larger
         # node-box ghost list per rank (eq. 2 vs eq. 1), a few extra kilobytes.
         scatter_total = total_ghost_bytes
-        if self.load_balanced and not self.ref_layout:
+        if not self.ref_layout:
             scatter_total *= 1.05
         plan.scatter_bytes_per_rank = [scatter_total / ranks_per_node] * ranks_per_node
 
@@ -321,14 +309,16 @@ class NodeBasedScheme(CommScheme):
         # differs between the multithreaded and single-thread variants.
         plan.copy_threads = self.leaders * topology.threads_per_rank
         plan.unpack_messages = len(messages)
-        plan.registered_regions = None if self.use_memory_pool else 2 * len(messages)
+        # The leaders' buffers come from one registered pool (registered_regions
+        # stays None); DeepMDEngine prices per-neighbour registration instead
+        # when a configuration turns the memory pool off.
         plan.reverse_traffic_ratio = context.reverse_ratio
         plan.notes = {
             "node_layers": node_layers,
             "n_neighbor_nodes": len(offsets),
             "leaders": self.leaders,
             "multithread": self.multithread,
-            "load_balanced": self.load_balanced and not self.ref_layout,
+            "load_balanced": not self.ref_layout,
             "messages_per_rank": len(offsets) / max(self.leaders, 1),
             "pattern": "node-based",
         }

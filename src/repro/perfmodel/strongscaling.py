@@ -20,11 +20,7 @@ def parallel_efficiency(ns_day: Sequence[float], nodes: Sequence[int]) -> list[f
     base_nodes, base_perf = pairs[0]
     if base_perf <= 0 or base_nodes <= 0:
         raise ValueError("baseline performance and node count must be positive")
-    efficiencies = [0.0] * len(ns_day)
-    for n, perf in zip(nodes, ns_day):
-        eff = (perf / base_perf) / (n / base_nodes)
-        efficiencies[list(nodes).index(n)] = eff
-    return efficiencies
+    return [(perf / base_perf) / (n / base_nodes) for n, perf in zip(nodes, ns_day)]
 
 
 def scaling_table(

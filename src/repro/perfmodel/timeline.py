@@ -34,12 +34,6 @@ class StepTimeline:
             return 0.0
         return self.phases.get(phase, 0.0) / total
 
-    def speedup_over(self, other: "StepTimeline") -> float:
-        """How much faster this timeline is than ``other`` (>1 = faster)."""
-        if self.step_time == 0.0:
-            return float("inf")
-        return other.step_time / self.step_time
-
     def summary(self) -> str:
         lines = [f"{'phase':<12}{'ms':>12}{'%':>8}"]
         total = self.step_time

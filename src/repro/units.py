@@ -27,7 +27,6 @@ and the kinetic energy of a particle is
 
 from __future__ import annotations
 
-import math
 
 # --- fundamental constants (CODATA 2018) -----------------------------------
 ELECTRON_VOLT = 1.602176634e-19  # J
@@ -104,22 +103,11 @@ def ns_per_day(step_time_seconds: float, timestep_fs: float) -> float:
     return steps_per_day * timestep_fs / FS_PER_NS
 
 
-def maxwell_boltzmann_sigma(mass_amu: float, temperature_k: float) -> float:
-    """Standard deviation (A/fs) of each velocity component at a temperature."""
-    if mass_amu <= 0:
-        raise ValueError("mass must be positive")
-    if temperature_k < 0:
-        raise ValueError("temperature must be non-negative")
-    return math.sqrt(KB * temperature_k * ACC_CONV / mass_amu)
-
-
 def maxwell_boltzmann_sigmas(masses_amu, temperature_k: float):
-    """Vectorized :func:`maxwell_boltzmann_sigma` over a mass array.
+    """Standard deviation (A/fs) of each velocity component at a temperature, per mass.
 
-    Element-for-element identical to the scalar version (``sqrt`` is
-    correctly rounded either way); used by the thermostats and velocity
-    initialization so per-atom sigma arrays are one expression instead of a
-    Python loop.
+    Used by the thermostats and velocity initialization, so per-atom sigma
+    arrays are one expression instead of a Python loop.
     """
     import numpy as np
 

@@ -2,7 +2,7 @@
 
 The MD engine reports a timing breakdown similar to LAMMPS' ``Pair``, ``Neigh``,
 ``Comm``, ``Other`` summary.  ``PhaseTimer`` accumulates seconds per named
-phase; ``Timer`` is a simple context-manager stopwatch.
+phase.
 """
 
 from __future__ import annotations
@@ -10,36 +10,6 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-
-
-@dataclass
-class Timer:
-    """A simple stopwatch; use as a context manager or via start/stop."""
-
-    elapsed: float = 0.0
-    _start: float | None = None
-
-    def start(self) -> None:
-        self._start = time.perf_counter()
-
-    def stop(self) -> float:
-        if self._start is None:
-            raise RuntimeError("timer was not started")
-        delta = time.perf_counter() - self._start
-        self.elapsed += delta
-        self._start = None
-        return delta
-
-    def reset(self) -> None:
-        self.elapsed = 0.0
-        self._start = None
-
-    def __enter__(self) -> "Timer":
-        self.start()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
 
 
 @dataclass

@@ -957,7 +957,7 @@ def _repro_imports():
 _INFERS = {"md", "deepmd", "parallel", "serving", "utils"}
 _TRAINS = {"training"}
 _EXECUTES = _INFERS | _TRAINS
-_PRICES = {"hardware", "perfmodel", "core", "analysis"}
+_PRICES = {"perfmodel", "core", "analysis"}
 
 
 @pytest.mark.parametrize(

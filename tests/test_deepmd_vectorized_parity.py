@@ -189,8 +189,10 @@ class TestEnvironmentMatrixParity:
         rng = np.random.default_rng(seed)
         box = Box(np.array([7.0, 8.0, 9.0]), periodic)
         if on_lattice:
-            # coarse grid sites: exact distance ties and coincident atoms
-            positions = rng.integers(0, 5, size=(n, 3)) * 1.5
+            # distinct coarse grid sites: exact distance ties (two atoms at
+            # one site are refused by the neighbour build)
+            sites = rng.choice(125, size=n, replace=False)
+            positions = np.stack(np.unravel_index(sites, (5, 5, 5)), axis=1) * 1.5
         else:
             positions = rng.uniform(0.0, 1.0, size=(n, 3)) * box.lengths
         atoms = Atoms(positions=positions, types=rng.integers(0, n_types, size=n), masses=np.ones(n))

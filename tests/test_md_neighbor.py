@@ -261,16 +261,17 @@ class TestGeneralizedStencil:
     def test_atoms_exactly_on_box_faces(self):
         box = Box(np.array([12.0, 15.0, 9.0]))
         lx, ly, lz = box.lengths
+        # every row sits on a face; no two are periodic images of one place
         positions = np.array(
             [
                 [0.0, 0.0, 0.0],
-                [lx, 0.0, 0.0],  # wraps onto the first atom's cell
-                [0.0, ly, lz],
-                [lx, ly, lz],
+                [lx, 0.6, 0.0],  # wraps onto the first atom's cell
+                [0.4, ly, lz],
+                [lx, ly, 0.9],
                 [0.5, 0.2, 0.1],
                 [lx - 0.5, 0.3, 0.2],
                 [0.25 * lx, ly, 0.5 * lz],
-                [0.25 * lx, 0.0, 0.5 * lz],
+                [0.25 * lx + 0.4, 0.0, 0.5 * lz],
                 [6.0, 7.5, 4.5],
             ]
         )
@@ -278,8 +279,13 @@ class TestGeneralizedStencil:
         brute = _pair_set(*_brute_force_pairs(positions, box, cutoff))
         cell = _pair_set(*_cell_list_pairs(positions, box, cutoff))
         assert brute == cell
+        assert (0, 1) in cell and (0, 3) in cell  # pairs across the x and y faces
         data = build_neighbor_data(positions, box, cutoff)
         assert _pair_set(data.pairs[:, 0], data.pairs[:, 1]) == brute
+        # rows on opposite faces at the same place are one place: refused
+        positions[1] = [lx, 0.0, 0.0]
+        with pytest.raises(ValueError, match="position rows 0 and 1 coincide"):
+            _cell_list_pairs(positions, box, cutoff)
 
 
 class TestNonPeriodicClamping:
@@ -536,6 +542,41 @@ class TestNonFinitePositions:
         with pytest.raises(ValueError, match="row 63 is not finite"):
             sim.run(1)
         assert sim.neighbor_list.n_builds == builds
+
+
+class TestCoincidentPositions:
+    """Two rows at the same place fail the build loudly, naming both rows."""
+
+    @pytest.mark.parametrize("n_cells", [(2, 2, 2), (4, 4, 4)])  # brute force and binned
+    def test_build_names_both_coincident_rows(self, n_cells):
+        atoms, box = copper_system(n_cells, perturbation=0.05, rng=16)
+        positions = atoms.positions.copy()
+        positions[20] = positions[5]
+        with pytest.raises(ValueError, match="position rows 5 and 20 coincide"):
+            build_neighbor_data(positions, box, 3.0, skin=0.4)
+
+    def test_both_branches_of_the_threshold_are_covered(self):
+        assert len(copper_system((2, 2, 2))[0]) <= BRUTE_FORCE_THRESHOLD < len(copper_system((4, 4, 4))[0])
+
+    @pytest.mark.parametrize("n_cells", [(2, 2, 2), (4, 4, 4)])
+    def test_periodic_images_at_zero_and_box_length_coincide(self, n_cells):
+        atoms, box = copper_system(n_cells, perturbation=0.05, rng=17)
+        positions = atoms.positions.copy()
+        positions[3] = [0.0, 1.1, 2.3]
+        positions[30] = [box.lengths[0], 1.1, 2.3]
+        with pytest.raises(ValueError, match="position rows 3 and 30 coincide"):
+            build_neighbor_data(positions, box, 3.0, skin=0.4)
+        # on an open axis the two rows are a box length apart
+        open_x = Box(box.lengths, (False, True, True))
+        build_neighbor_data(positions, open_x, 3.0, skin=0.4)
+
+    def test_lennard_jones_simulation_refuses_coincident_atoms(self):
+        from repro.md import Atoms, Simulation
+
+        atoms = Atoms.from_symbols(np.ones((2, 3)), ["Cu", "Cu"])
+        sim = Simulation(atoms, Box.cubic(20.0, periodic=False), LennardJones(0.05, 2.3, 5.0), timestep_fs=2.0)
+        with pytest.raises(ValueError, match="position rows 0 and 1 coincide"):
+            sim.run(1)
 
 
 class TestLazyTable:

@@ -18,14 +18,12 @@ from repro.parallel.decomposition import even_shares
 from repro.parallel.ghost import ghost_shell_ranks
 from repro.perfmodel import (
     IntraNodeLoadBalancer,
-    RdmaBufferManager,
-    ThreadingModel,
     build_scheme,
     ghost_count_load_balanced,
     ghost_count_original,
 )
 from repro.perfmodel.loadbalance import PAIR_TIME_NOISE_FLOOR, pair_time_model
-from repro.perfmodel.schemes import SCHEME_NAMES, ExchangeContext, overlap_volume
+from repro.perfmodel.schemes import SCHEME_NAMES, ExchangeContext, _neighbor_offsets, overlap_volume
 
 
 class TestTopology:
@@ -185,6 +183,25 @@ class TestSchemes:
         with pytest.raises(KeyError):
             build_scheme("telepathy")
 
+    def test_message_hops_are_torus_distances_between_nodes(self):
+        ctx = self._context((0.5, 0.5, 0.5))
+        topo = ctx.topology
+
+        def node_distance(node):
+            # the representative rank sits on node (0, 0, 0)
+            return sum(min(n % d, d - n % d) for n, d in zip(node, topo.node_dims))
+
+        p2p = build_scheme("p2p-utofu").plan(ctx)
+        offsets = _neighbor_offsets(layers_for_cutoff(ctx.sub_box_lengths, ctx.cutoff), ctx.rank_dims)
+        for offset, message in zip(offsets, p2p.rounds[0].messages, strict=True):
+            hops = node_distance(topo.node_of_rank_coord([o % r for o, r in zip(offset, ctx.rank_dims)]))
+            assert (message.hops, message.intra_node) == (max(hops, 1), hops == 0)
+        node = build_scheme("lb-4l").plan(ctx)
+        offsets = _neighbor_offsets(layers_for_cutoff(ctx.node_box_lengths, ctx.cutoff), ctx.node_dims)
+        for offset, message in zip(offsets, node.rounds[0].messages, strict=True):
+            assert message.hops == max(node_distance(offset), 1)
+        assert max(m.hops for m in node.rounds[0].messages) > 1
+
     def test_leader_variants_differ_in_threads(self):
         ctx = self._context((0.5, 0.5, 0.5))
         lb1 = build_scheme("lb-1l").plan(ctx)
@@ -312,32 +329,3 @@ class TestGhostExchangeComponent:
         atoms, exchange = self._setup()
         with pytest.raises(ValueError):
             GhostExchange(exchange.decomposition, cutoff=0.0)
-
-
-class TestMemoryPoolAndThreading:
-    def test_buffer_manager_regions(self):
-        pooled = RdmaBufferManager(pooled=True)
-        pooled.allocate_for_neighbors(124, 8)
-        assert pooled.registered_regions == 1
-        unpooled = RdmaBufferManager(pooled=False)
-        unpooled.allocate_for_neighbors(124, 8)
-        assert unpooled.registered_regions == 248
-        assert unpooled.per_message_penalty() > pooled.per_message_penalty()
-        assert sum(b.size for b in pooled.buffers) == sum(b.size for b in unpooled.buffers)
-        pooled.reset()
-        assert pooled.registered_regions == 0
-
-    def test_buffer_manager_validation(self):
-        manager = RdmaBufferManager()
-        with pytest.raises(ValueError):
-            manager.allocate(0, -5)
-        with pytest.raises(ValueError):
-            manager.allocate(0, 8, "sideways")
-
-    def test_threadpool_cheaper_than_openmp(self):
-        openmp = ThreadingModel("openmp")
-        pool = ThreadingModel("threadpool")
-        assert pool.per_step_overhead() < openmp.per_step_overhead()
-        assert pool.speedup_over(openmp) > 1.0
-        with pytest.raises(ValueError):
-            ThreadingModel("green-threads")

@@ -149,13 +149,13 @@ class TestCommCostModel:
 
 
 class TestTimelineAndScaling:
-    def test_timeline_ns_day_and_speedup(self):
+    def test_timeline_ns_day_and_fraction(self):
         a = StepTimeline(timestep_fs=1.0)
         a.add("pair", 1e-3)
         b = StepTimeline(timestep_fs=1.0)
         b.add("pair", 2e-3)
         assert a.ns_day == pytest.approx(86.4)
-        assert a.speedup_over(b) == pytest.approx(2.0)
+        assert b.ns_day == pytest.approx(43.2)
         assert a.fraction("pair") == 1.0
         assert "ns/day" in a.summary()
         with pytest.raises(ValueError):
@@ -167,6 +167,9 @@ class TestTimelineAndScaling:
         assert eff[1] == pytest.approx(0.5)
         with pytest.raises(ValueError):
             parallel_efficiency([1.0], [1, 2])
+        # a repeated node count keeps its own entry, in input order
+        assert parallel_efficiency([10.0, 18.0, 18.0], [100, 200, 200]) == pytest.approx([1.0, 0.9, 0.9])
+        assert parallel_efficiency([18.0, 10.0], [200, 100]) == pytest.approx([0.9, 1.0])
         table = scaling_table([100, 800], [10.0, 40.0], "copper", baseline_ns_day=5.0)
         assert len(table) == 2
         assert table.column("speedup vs baseline")[1] == pytest.approx(8.0)
@@ -223,6 +226,17 @@ class TestEngineAndExperiments:
         assert {"pair", "comm"} <= set(report.timeline.phases)
         assert report.rank_count_stats["max"] >= report.rank_count_stats["avg"]
 
+    def test_topology_models_exactly_the_requested_nodes(self):
+        engine = DeepMDEngine(copper_spec())
+        config = optimized_config()
+        for n_nodes in (8, 64, 96, 100, 1000, 12_000):
+            assert engine.topology_for(n_nodes, config).n_nodes == n_nodes
+        for n_nodes, product in ((50, 48), (200, 180), (500, 448)):
+            with pytest.raises(ValueError, match=rf"cannot model {n_nodes} nodes.*holds {product}"):
+                engine.topology_for(n_nodes, config)
+        with pytest.raises(ValueError, match="cannot model 50 nodes"):
+            engine.step_report(config, n_nodes=50, n_atoms=1000)
+
     def test_optimization_ladder_is_monotonic(self):
         engine = DeepMDEngine(copper_spec())
         reports = engine.optimization_ladder(fig9_stage_configs(), n_nodes=96, atoms_per_core=1)
@@ -266,6 +280,23 @@ class TestEngineAndExperiments:
         # pooling does not matter at 26 neighbours, but wins clearly at 124
         assert unpooled[26] == pytest.approx(pooled[26], rel=0.05)
         assert unpooled[124] > 1.3 * pooled[124]
+        # one region when pooled, a send and a receive buffer per neighbour otherwise
+        regions = {(r["buffers"], r["neighbors"]): r["registered regions"] for r in records}
+        assert regions == {("buf_pool", 26): 1, ("buf_pool", 124): 1, ("no_buf_pool", 26): 52, ("no_buf_pool", 124): 248}
+
+    def test_a_second_machine_spec_prices_differently(self):
+        from dataclasses import replace
+
+        from repro.perfmodel import FUGAKU
+
+        slow_network = replace(FUGAKU, network=replace(FUGAKU.network, hop_latency=2 * FUGAKU.network.hop_latency))
+        slow_node = replace(FUGAKU, node=replace(FUGAKU.node, clock_hz=FUGAKU.node.clock_hz / 2))
+        config = optimized_config()
+        fugaku = DeepMDEngine(copper_spec()).step_report(config, n_nodes=96, atoms_per_core=1).timeline.phases
+        network = DeepMDEngine(copper_spec(), slow_network).step_report(config, 96, atoms_per_core=1).timeline.phases
+        node = DeepMDEngine(copper_spec(), slow_node).step_report(config, 96, atoms_per_core=1).timeline.phases
+        assert network["pair"] == fugaku["pair"] and network["comm"] > fugaku["comm"]
+        assert node["pair"] > fugaku["pair"] and node["comm"] == fugaku["comm"]
 
     def test_fig9_and_table1_shapes(self):
         table = fig9_computation(systems=("copper",), atoms_per_core=(1,))

@@ -1,17 +1,18 @@
 """The production package keeps only what runs.
 
 Every top-level function or class and every non-dunder method in the
-non-reference ``src/repro`` tree must be named, as a whole word, somewhere in
-``src/``, ``benchmarks/`` or ``examples/`` outside its own definition.  A name
-only tests call is surface that no user path exercises; it goes, or it is
-listed in :data:`ALLOWED` with the reason it stays.  Import statements and
-``__all__`` lists do not count as uses: re-exporting a name does not run it.
+non-reference ``src/repro`` tree must be referenced in code — a ``Name`` or an
+``Attribute`` node of the AST — somewhere in ``src/``, ``benchmarks/`` or
+``examples/`` outside its own definition.  A name only tests call is surface
+that no user path exercises; it goes, or it is listed in :data:`ALLOWED` with
+the reason it stays.  Words in docstrings, comments and strings are not code,
+and neither are import statements or ``__all__`` lists: re-exporting a name
+does not run it.
 """
 
 from __future__ import annotations
 
 import ast
-import re
 from collections import defaultdict
 from pathlib import Path
 
@@ -39,30 +40,22 @@ ALLOWED = {
     "intra_node_balance": "engine-to-modelled-balancer bridge (README, parallel engine)",
     "ghost_count_original": "the paper's eq. (1) ghost count; the 1.44x ghost-overhead figure is pinned on it",
     "ghost_count_load_balanced": "the paper's eq. (2) ghost count; the 1.44x ghost-overhead figure is pinned on it",
+    "lint_source": "entry point of reprolint's seeded-violation corpus (one in-memory file under a chosen path)",
+    "run_bursts_serial": "the RL007-frozen serial golden that ServingEngine.submit_md is pinned against",
 }
-
-_WORD = re.compile(r"[A-Za-z_]\w*")
 
 
 def _is_dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 
 
-def _statements(body):
-    """Every statement of ``body``, nested blocks included (expressions are not visited)."""
-    for stmt in body:
-        yield stmt
-        for field in ("body", "orelse", "finalbody", "handlers"):
-            yield from _statements(getattr(stmt, field, ()))
-
-
-def _not_a_use(stmt: ast.stmt) -> bool:
-    """Imports and ``__all__`` lists mention a name without running it."""
-    if isinstance(stmt, (ast.Import, ast.ImportFrom)):
-        return True
-    return isinstance(stmt, ast.Assign) and any(
-        isinstance(target, ast.Name) and target.id == "__all__" for target in stmt.targets
-    )
+def _references(tree: ast.Module):
+    """``(name, line)`` of every ``Name`` and ``Attribute`` node: what code names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.end_lineno
 
 
 def _production(path: Path) -> bool:
@@ -85,29 +78,23 @@ def _definitions(tree: ast.Module):
 def surface():
     """Production names with no use outside their own definition: qualname -> ``path:line``.
 
-    Every searched file is parsed and tokenized once; only the words that
-    name a production definition are indexed, by ``(path, line)``.
+    Every searched file is parsed once; only the references that name a
+    production definition are indexed, by ``(path, line)``.
     """
     parsed = []
     definitions = []
     for top in SEARCHED:
         for path in sorted((ROOT / top).rglob("*.py")):
-            text = path.read_text()
-            tree = ast.parse(text)
-            skipped = set()
-            for stmt in _statements(tree.body):
-                if _not_a_use(stmt):
-                    skipped.update(range(stmt.lineno, stmt.end_lineno + 1))
-            parsed.append((path, text, skipped))
+            tree = ast.parse(path.read_text())
+            parsed.append((path, tree))
             if _production(path):
                 definitions.extend((path, qualname, node) for qualname, node in _definitions(tree))
     names = {node.name for _, _, node in definitions}
     uses: dict[str, list[tuple[Path, int]]] = defaultdict(list)
-    for path, text, skipped in parsed:
-        for lineno, line in enumerate(text.splitlines(), 1):
-            if lineno not in skipped:
-                for word in names.intersection(_WORD.findall(line)):
-                    uses[word].append((path, lineno))
+    for path, tree in parsed:
+        for name, line in _references(tree):
+            if name in names:
+                uses[name].append((path, line))
     unused = {}
     for path, qualname, node in definitions:
         span = range(node.lineno, node.end_lineno + 1)
@@ -127,3 +114,9 @@ def test_every_allowed_name_is_still_unused(surface):
     # an entry whose name gained a production caller is stale: drop it
     stale = sorted(set(ALLOWED) - set(surface))
     assert not stale, f"allowlisted names that production code now uses: {stale}"
+
+
+def test_only_code_references_count():
+    # docstrings, comments and strings name nothing; Name and Attribute nodes do
+    tree = ast.parse('"""See Box.orthorhombic."""\n# cartesian coordinates\nx = "speedup_over"\ny = box.wrap(z)\n')
+    assert sorted(name for name, _ in _references(tree)) == ["box", "wrap", "x", "y", "z"]

@@ -26,7 +26,7 @@ def test_temperature_matches_equipartition():
     rng = np.random.default_rng(0)
     n = 4000
     mass = 40.0
-    sigma = units.maxwell_boltzmann_sigma(mass, 300.0)
+    sigma = units.maxwell_boltzmann_sigmas([mass], 300.0)[0]
     velocities = rng.normal(0.0, sigma, size=(n, 3))
     masses = np.full(n, mass)
     temperature = units.temperature(masses, velocities, n_dof=3 * n)
@@ -51,11 +51,11 @@ def test_ns_per_day_rejects_nonpositive_step_time():
         units.ns_per_day(0.0, 1.0)
 
 
-def test_maxwell_boltzmann_sigma_validation():
+def test_maxwell_boltzmann_sigmas_validation():
     with pytest.raises(ValueError):
-        units.maxwell_boltzmann_sigma(-1.0, 300.0)
+        units.maxwell_boltzmann_sigmas([40.0, -1.0], 300.0)
     with pytest.raises(ValueError):
-        units.maxwell_boltzmann_sigma(1.0, -300.0)
+        units.maxwell_boltzmann_sigmas([1.0], -300.0)
 
 
 def test_masses_table_contains_benchmark_elements():

@@ -1,13 +1,11 @@
 """Utilities: RNG helpers, timers, tables."""
 
-import time
-
 import numpy as np
 import pytest
 
 from repro.utils.rng import default_rng, glorot_uniform
 from repro.utils.tables import Table, format_table
-from repro.utils.timer import PhaseTimer, Timer
+from repro.utils.timer import PhaseTimer
 
 
 def test_default_rng_passthrough():
@@ -25,18 +23,6 @@ def test_glorot_uniform_shape_and_range():
     w = glorot_uniform((10, 20), rng=0)
     assert w.shape == (10, 20)
     assert np.abs(w).max() <= np.sqrt(6.0 / 30.0) + 1e-12
-
-
-def test_timer_accumulates():
-    timer = Timer()
-    with timer:
-        time.sleep(0.01)
-    assert timer.elapsed > 0.005
-
-
-def test_timer_stop_without_start_raises():
-    with pytest.raises(RuntimeError):
-        Timer().stop()
 
 
 def test_phase_timer_fractions_sum_to_one():

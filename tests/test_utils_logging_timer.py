@@ -1,4 +1,4 @@
-"""Timer and PhaseTimer snapshot conventions.
+"""PhaseTimer snapshot conventions.
 
 ``SimulationReport.phase_seconds`` is built from
 ``PhaseTimer.snapshot()`` + ``totals_since()`` — these tests pin the
@@ -8,42 +8,7 @@ deltas are per-run (not cumulative), and zero-delta phases are dropped.
 
 import pytest
 
-from repro.utils.timer import PhaseTimer, Timer
-
-
-# ---------------------------------------------------------------------------
-# Timer
-# ---------------------------------------------------------------------------
-
-
-def test_timer_context_manager_accumulates_and_clears_start():
-    timer = Timer()
-    with timer:
-        pass
-    first = timer.elapsed
-    assert first > 0.0
-    assert timer._start is None
-    with timer:
-        pass
-    assert timer.elapsed > first  # accumulates across uses
-
-
-def test_timer_stop_returns_the_delta_not_the_total():
-    timer = Timer()
-    timer.start()
-    first = timer.stop()
-    timer.start()
-    second = timer.stop()
-    assert timer.elapsed == pytest.approx(first + second)
-
-
-def test_timer_reset_clears_elapsed_and_pending_start():
-    timer = Timer()
-    timer.start()
-    timer.reset()
-    assert timer.elapsed == 0.0
-    with pytest.raises(RuntimeError):
-        timer.stop()
+from repro.utils.timer import PhaseTimer
 
 
 # ---------------------------------------------------------------------------
