@@ -96,7 +96,10 @@ class BackendPurityRule(Rule):
     capture and thermostat *scheduling* have exactly one implementation site
     (``md/stepping.py``).  A backend that grows its own stepping loop,
     constructs a ``SimulationReport`` or captures trajectory frames forks the
-    run loop and silently un-pins the cross-rank parity suite.
+    run loop and silently un-pins the cross-rank parity suite.  So does a
+    loop anywhere in the production tree that calls both an integrator's
+    ``first_half`` and its ``second_half``: that is a step sequence written
+    by hand outside any backend.
     """
 
     rule_id = "RL003"
@@ -105,6 +108,7 @@ class BackendPurityRule(Rule):
     _LOOP_DRIVERS = frozenset(
         {"integrate_first_half", "integrate_second_half", "compute_forces"}
     )
+    _HALF_STEPS = frozenset({"first_half", "second_half"})
 
     def applies(self, parsed: ParsedFile) -> bool:
         return not parsed.rel_path.endswith("repro/md/stepping.py")
@@ -114,6 +118,26 @@ class BackendPurityRule(Rule):
             if not self._is_backend(cls):
                 continue
             yield from self._check_backend(cls, class_qualname)
+        if contracts.in_production_tree(parsed.rel_path):
+            for loop in self._stepping_loops(parsed.tree):
+                yield (
+                    loop.lineno,
+                    "loop calls an integrator's first_half and second_half; the stepping "
+                    "sequence lives only in md/stepping.py (step an EngineBackend instead)",
+                )
+
+    def _stepping_loops(self, node: ast.AST) -> list[ast.AST]:
+        """The innermost ``for``/``while`` loops under ``node`` that call both half-steps."""
+        found = [loop for child in ast.iter_child_nodes(node) for loop in self._stepping_loops(child)]
+        if not found and isinstance(node, (ast.For, ast.While)):
+            called = {
+                call.func.attr if isinstance(call.func, ast.Attribute) else getattr(call.func, "id", None)
+                for call in ast.walk(node)
+                if isinstance(call, ast.Call)
+            }
+            if self._HALF_STEPS <= called:
+                return [node]
+        return found
 
     @staticmethod
     def _is_backend(cls: ast.ClassDef) -> bool:

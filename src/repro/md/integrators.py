@@ -44,11 +44,3 @@ class VelocityVerlet:
     def second_half(self, atoms: Atoms, box: Box, workspace=None) -> None:
         """Advance velocities the remaining half step with the new forces."""
         self._half_kick(atoms, UNPOOLED if workspace is None else workspace)
-
-    def step(self, atoms: Atoms, box: Box, force_callback) -> float:
-        """One full step; ``force_callback(atoms)`` must refresh ``atoms.forces``
-        and return the potential energy."""
-        self.first_half(atoms, box)
-        energy = force_callback(atoms)
-        self.second_half(atoms, box)
-        return energy

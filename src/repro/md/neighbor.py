@@ -445,6 +445,16 @@ def require_finite(values: np.ndarray, quantity: str) -> None:
         raise ValueError(f"{quantity} row {row} is not finite: {values[row]}")
 
 
+def require_minimum_image(box: Box, search: float) -> None:
+    """Raise ``ValueError`` when the search radius ``search`` (cutoff+skin) exceeds the box's minimum-image limit."""
+    max_allowed = box.max_cutoff()
+    if search > max_allowed + 1e-9:
+        raise ValueError(
+            f"cutoff+skin ({search:.3f} A) exceeds the minimum-image limit "
+            f"({max_allowed:.3f} A) of the box"
+        )
+
+
 def build_neighbor_data(
     positions: np.ndarray,
     box: Box,
@@ -465,12 +475,7 @@ def build_neighbor_data(
     positions = np.asarray(positions, dtype=np.float64)
     require_finite(positions, "position")
     search = cutoff + skin
-    max_allowed = box.max_cutoff()
-    if search > max_allowed + 1e-9:
-        raise ValueError(
-            f"cutoff+skin ({search:.3f} A) exceeds the minimum-image limit "
-            f"({max_allowed:.3f} A) of the box"
-        )
+    require_minimum_image(box, search)
     n = len(positions)
     if primary is not None:
         primary = np.asarray(primary, dtype=bool)

@@ -34,7 +34,7 @@ from .atoms import Atoms
 from .box import Box
 from .forcefields.base import ForceField
 from .integrators import VelocityVerlet
-from .neighbor import NeighborList
+from .neighbor import NeighborList, require_minimum_image
 from .stepping import EngineBackend, SimulationReport, SteppingLoop, validate_cutoff, validate_state
 from .thermostats import Thermostat
 from .workspace import Workspace
@@ -58,6 +58,7 @@ class Simulation(EngineBackend):
     def __post_init__(self) -> None:
         cutoff = validate_cutoff(self.force_field)
         validate_state(self.atoms)
+        require_minimum_image(self.box, cutoff + self.neighbor_skin)
         self.integrator = VelocityVerlet(self.timestep_fs)
         self.neighbor_list = NeighborList(
             cutoff=cutoff, skin=self.neighbor_skin, rebuild_every=self.neighbor_every

@@ -4,9 +4,11 @@ There is exactly **one** implementation of the MD timestep pipeline in this
 repository and it lives here: :class:`SteppingLoop` owns the velocity-Verlet
 sequence, the thermostat application point, energy/temperature sampling,
 trajectory capture, per-run wall-clock accounting and
-:class:`SimulationReport` assembly.  The serial :class:`repro.md.Simulation`
-and the domain-decomposed
-:class:`repro.parallel.engine.DomainDecomposedSimulation` are thin
+:class:`SimulationReport` assembly.  The serial :class:`repro.md.Simulation`,
+the domain-decomposed
+:class:`repro.parallel.engine.DomainDecomposedSimulation` and the serving
+engine's MD burst batch (``repro.serving.engine._BurstGroup``, many small
+systems in lockstep with one fused force evaluation per step) are thin
 :class:`EngineBackend` implementations: they provide the force evaluation
 (with whatever neighbour/ghost/migration machinery their execution strategy
 needs), the two integrator half-steps, and the gather/reduce primitives the

@@ -82,7 +82,7 @@ from ..md.atoms import Atoms
 from ..md.box import Box
 from ..md.forcefields.base import ForceField
 from ..md.integrators import VelocityVerlet
-from ..md.neighbor import max_displacement
+from ..md.neighbor import max_displacement, require_minimum_image
 from ..md.stepping import EngineBackend, SimulationReport, SteppingLoop, validate_cutoff, validate_state
 from ..md.thermostats import Thermostat
 from ..md.workspace import Workspace
@@ -148,6 +148,7 @@ class DomainDecomposedSimulation(EngineBackend):
     ) -> None:
         cutoff = validate_cutoff(force_field)
         validate_state(atoms)
+        require_minimum_image(box, cutoff + float(neighbor_skin))
         self.box = box
         self.force_field = force_field
         self.timestep_fs = float(timestep_fs)

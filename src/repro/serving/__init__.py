@@ -10,7 +10,7 @@ and :mod:`repro.serving.serial` for the frozen one-at-a-time references.
 
 from .batch import SystemBatch, pack_systems, prepare_system
 from .engine import ServingEngine
-from .queue import AdmissionQueue, BurstResult, ServingFuture, ServingRequest, ServingStats
+from .queue import AdmissionQueue, BurstResult, ServingRequest, ServingStats
 from .serial import evaluate_serial, run_bursts_serial
 
 __all__ = [
@@ -20,7 +20,6 @@ __all__ = [
     "ServingEngine",
     "AdmissionQueue",
     "BurstResult",
-    "ServingFuture",
     "ServingRequest",
     "ServingStats",
     "evaluate_serial",

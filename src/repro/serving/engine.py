@@ -11,25 +11,30 @@ into a request server for many small independent systems:
   are built once at engine construction and shared across every request the
   engine ever serves (probed by ``tests/test_serving.py`` via
   ``table_cache_builds`` / ``packed_cache_builds`` / ``lp_cache_builds``).
-* **One serving thread** — admit a batch, build its neighbour lists, pack,
-  run the fused kernels, split, fulfil; then admit the next.  Not a
-  prep/compute pipeline: under the GIL the hand-offs cost as much as the
+* **One serving thread** — admit a batch, build each request's neighbour
+  list, pack, run the fused kernels, split, fulfil; then admit the next.  Not
+  a prep/compute pipeline: under the GIL the hand-offs cost as much as the
   overlap buys on one CPU and more across two (``benchmarks/e2e/README.md``,
   ``serving.engine.pipeline_efficiency``).
 
 Two request kinds are served: ``energy`` one-shots (energies, forces and a
 per-system virial for one configuration) and ``md`` bursts (a short
-velocity-verlet run; the burst group steps in lockstep with one fused force
-evaluation per step).  The synchronous :meth:`ServingEngine.evaluate_batch`
-is the same pack-evaluate path, callable from the client's thread for tests,
-benchmarks and embedding into existing drivers; it packs into its own scope
-of the engine's pool, so it never aliases a batch the serving thread is
-evaluating, and the model itself is reentrant (a forward's tape belongs to
-the call), so the two need no lock between them.
+velocity-Verlet run; an admitted burst batch is a private ``EngineBackend``
+stepped by the one ``SteppingLoop``, one fused force evaluation per step).  A
+request whose neighbour build raises ``ValueError`` at admission fails alone
+and leaves its batch; any other exception in the serving thread is forwarded
+to every unfulfilled request of the batch.  The synchronous
+:meth:`ServingEngine.evaluate_batch` is the same pack-evaluate path, callable
+from the client's thread for tests, benchmarks and embedding into existing
+drivers; it packs into its own scope of the engine's pool, so it never
+aliases a batch the serving thread is evaluating, and the model itself is
+reentrant (a forward's tape belongs to the call), so the two need no lock
+between them.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 
@@ -39,8 +44,9 @@ from ..deepmd.gemm import GemmBackend
 from ..deepmd.precision import DOUBLE, get_policy
 from ..md.integrators import VelocityVerlet
 from ..md.neighbor import require_finite
-from ..md.stepping import validate_state
+from ..md.stepping import EngineBackend, SteppingLoop, validate_state
 from ..md.workspace import Workspace
+from ..utils.timer import PhaseTimer
 from .batch import check_type_space, pack_systems, prepare_system
 from .queue import AdmissionQueue, BurstResult, ServingRequest, ServingStats
 
@@ -114,11 +120,10 @@ class ServingEngine:
     # client surface
     # ------------------------------------------------------------------
     def submit(self, atoms, box):
-        """Queue an energy/force one-shot; returns a ServingFuture of ModelOutput.
+        """Queue an energy/force one-shot; returns a ``Future`` of ModelOutput.
 
         A request with a NaN/inf position or an atom type outside the model
-        raises ``ValueError`` here, in the caller's thread, and is never
-        queued: admitted, it would fail the whole batch it shares.
+        raises ``ValueError`` here, in the caller's thread, and is never queued.
         """
         require_finite(atoms.positions, "position")
         check_type_space(atoms.types, self.model.n_types, "request")
@@ -126,13 +131,18 @@ class ServingEngine:
         return self._queue.submit(request)
 
     def submit_md(self, atoms, box, n_steps: int, timestep_fs: float):
-        """Queue a short MD burst; returns a ServingFuture of BurstResult.
+        """Queue a short MD burst; returns a ``Future`` of BurstResult.
 
         Rejected at once, like :meth:`submit`, for a NaN/inf position or
-        velocity or an atom type outside the model.
+        velocity, an atom type outside the model, an ``n_steps`` that is not
+        an integer >= 0 or a ``timestep_fs`` that is not finite and > 0.
         """
         validate_state(atoms)
         check_type_space(atoms.types, self.model.n_types, "request")
+        if not isinstance(n_steps, (int, np.integer)) or n_steps < 0:
+            raise ValueError(f"n_steps must be an integer >= 0, got {n_steps!r}")
+        if not (math.isfinite(timestep_fs) and timestep_fs > 0):
+            raise ValueError(f"timestep_fs must be finite and > 0, got {timestep_fs!r}")
         request = ServingRequest(
             kind="md",
             atoms=atoms.copy(),
@@ -184,72 +194,94 @@ class ServingEngine:
             admitted = self._queue.admit()
             if admitted is None:
                 return
+            # a request cancelled while queued is dropped; the rest can no longer be cancelled
+            admitted = [r for r in admitted if r.future.set_running_or_notify_cancel()]
             try:
-                if admitted[0].kind == "energy":
-                    self._serve_energy(admitted)
+                served, systems = self._build_neighbors(admitted)
+                if not served:
+                    continue
+                if served[0].kind == "energy":
+                    # split() copies out of the pool buffers, so fulfilled
+                    # results stay valid after the scope is repacked
+                    outputs = self.evaluate_batch(systems, workspace=self._loop_scope).split()
                 else:
-                    self._compute_bursts(admitted)
+                    outputs = self._compute_bursts(served, systems)
+                self.stats.record_batch(served, time.perf_counter())
+                for request, output in zip(served, outputs):
+                    request.future.set_result(output)
             except BaseException as exc:  # noqa: BLE001 - forwarded to futures
                 for request in admitted:
                     if not request.future.done():
                         request.future.set_exception(exc)
 
-    def _evaluate_requests(self, configurations):
-        """Neighbour lists → pack → fused evaluate of ``(atoms, box)`` pairs, in the loop's scope."""
-        systems = [prepare_system(self.model, atoms, box) for atoms, box in configurations]
-        return self.evaluate_batch(systems, workspace=self._loop_scope)
+    def _build_neighbors(self, admitted):
+        """``(served, systems)``: a request whose neighbour build raises ``ValueError`` fails alone."""
+        served, systems = [], []
+        for request in admitted:
+            try:
+                systems.append(prepare_system(self.model, request.atoms, request.box))
+                served.append(request)
+            except ValueError as exc:
+                request.future.set_exception(exc)
+        return served, systems
 
-    def _serve_energy(self, admitted) -> None:
-        out = self._evaluate_requests([(r.atoms, r.box) for r in admitted])
-        # split() copies out of the pool buffers, so fulfilled results stay
-        # valid after the scope is repacked
-        outputs = out.split()
-        self.stats.record_batch(admitted, time.perf_counter())
-        for request, output in zip(admitted, outputs):
-            request.future.set_result(output)
+    def _compute_bursts(self, served, systems) -> list:
+        """Step the burst batch on the stepping loop; one BurstResult per burst."""
+        group = _BurstGroup(self, served, systems)
+        SteppingLoop(group).run(max(request.n_steps for request in served), sample_every=0)
+        return [
+            BurstResult(atoms=request.atoms, energies=np.asarray(energies), n_steps=request.n_steps)
+            for request, energies in zip(served, group.energies)
+        ]
 
-    def _compute_bursts(self, admitted) -> None:
-        """Advance the burst group in lockstep, one fused evaluation per step.
 
-        Mirrors :func:`repro.serving.serial.run_bursts_serial` step for step:
-        velocity-verlet first half, neighbour rebuild, fused force
-        evaluation, second half.  Systems whose ``n_steps`` are done drop out
-        of the group; the remaining ones keep batching.
-        """
-        states = [request.atoms for request in admitted]
-        integrators = [VelocityVerlet(request.timestep_fs) for request in admitted]
-        targets = [request.n_steps for request in admitted]
-        energies: list[list[float]] = [[] for _ in admitted]
+class _BurstGroup(EngineBackend):
+    """An admitted MD burst batch as a :class:`SteppingLoop` backend, step for step ``run_bursts_serial``.
 
-        def fused_forces(live):
-            out = self._evaluate_requests([(states[i], admitted[i].box) for i in live])
-            for k, i in enumerate(live):
-                states[i].forces = out.forces[out.offsets[k] : out.offsets[k + 1]].copy()
-            return out
+    The initial evaluation covers every burst (``n_steps == 0`` included) on the admission builds; a
+    burst leaves the live set once its ``n_steps`` are done.  One lockstep rebuild per step counts as one build.
+    """
 
-        everyone = list(range(len(admitted)))
-        # initial forces for every burst (n_steps == 0 included), matching
-        # the serial reference which always evaluates once before stepping
-        fused_forces(everyone)
-        live = [i for i in everyone if targets[i] > 0]
-        done = 0
-        while live:
-            for i in live:
-                integrators[i].first_half(states[i], admitted[i].box)
-            out = fused_forces(live)
-            for k, i in enumerate(live):
-                energies[i].append(float(out.energies[k]))
-            for i in live:
-                integrators[i].second_half(states[i], admitted[i].box)
-            done += 1
-            live = [i for i in live if done < targets[i]]
+    force_field = None
 
-        self.stats.record_batch(admitted, time.perf_counter())
-        for i, request in enumerate(admitted):
-            request.future.set_result(
-                BurstResult(
-                    atoms=states[i],
-                    energies=np.asarray(energies[i]),
-                    n_steps=targets[i],
-                )
-            )
+    def __init__(self, engine: ServingEngine, requests, systems) -> None:
+        self.engine = engine
+        self.requests = requests
+        self.integrators = [VelocityVerlet(request.timestep_fs) for request in requests]
+        self.energies: list[list[float]] = [[] for _ in requests]
+        self.live = list(range(len(requests)))
+        self.steps_done = 0
+        self.timers = PhaseTimer()
+        self._admission_systems = systems
+
+    def compute_forces(self) -> float:
+        requests, live = self.requests, self.live
+        with self.timers.phase("neigh"):
+            if self._last_energy is None:
+                systems = self._admission_systems
+            else:
+                systems = [prepare_system(self.engine.model, requests[i].atoms, requests[i].box) for i in live]
+        with self.timers.phase("pair"):
+            out = self.engine.evaluate_batch(systems, workspace=self.engine._loop_scope)
+        for k, i in enumerate(live):
+            requests[i].atoms.forces = out.forces[out.offsets[k] : out.offsets[k + 1]].copy()
+            if self._last_energy is not None:
+                self.energies[i].append(float(out.energies[k]))
+        self._last_energy = float(out.energies.sum())
+        return self._last_energy
+
+    def integrate_first_half(self) -> None:
+        self.live = [i for i in self.live if self.steps_done < self.requests[i].n_steps]
+        for i in self.live:
+            self.integrators[i].first_half(self.requests[i].atoms, self.requests[i].box)
+
+    def integrate_second_half(self) -> None:
+        for i in self.live:
+            self.integrators[i].second_half(self.requests[i].atoms, self.requests[i].box)
+        self.steps_done += 1
+
+    def neighbor_build_count(self) -> int:
+        return self.timers.counts.get("neigh", 0)
+
+    def neighbor_build_seconds(self) -> float:
+        return self.timers.totals.get("neigh", 0.0)

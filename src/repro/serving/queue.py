@@ -1,12 +1,13 @@
 """Request admission for the serving engine.
 
 The queue side of :mod:`repro.serving.engine`: clients submit
-:class:`ServingRequest` objects and block on :class:`ServingFuture` handles;
-the engine's serving thread pulls *batches* out via
-:meth:`AdmissionQueue.admit`, which groups pending requests under a
-max-batch-size / max-wait-ms admission window so that concurrent small
-requests coalesce into one fused evaluation instead of dribbling through one
-at a time.
+:class:`ServingRequest` objects and block on standard-library
+:class:`concurrent.futures.Future` handles.  The engine's serving thread
+pulls *batches* out via :meth:`AdmissionQueue.admit`, which groups pending
+requests under a max-batch-size / max-wait-ms admission window so that
+concurrent small requests coalesce into one fused evaluation instead of
+dribbling through one at a time.  A request cancelled while queued is
+dropped at admission; an admitted one can no longer be cancelled.
 
 Admission policy: the window opens when the oldest pending request arrived.
 ``admit`` returns as soon as ``max_batch_size`` same-kind requests are
@@ -27,44 +28,17 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
     "ServingRequest",
-    "ServingFuture",
     "AdmissionQueue",
     "ServingStats",
     "BurstResult",
 ]
-
-
-class ServingFuture:
-    """A one-shot result handle fulfilled by the engine's serving thread."""
-
-    def __init__(self) -> None:
-        self._event = threading.Event()
-        self._result = None
-        self._exception: BaseException | None = None
-
-    def done(self) -> bool:
-        return self._event.is_set()
-
-    def set_result(self, result) -> None:
-        self._result = result
-        self._event.set()
-
-    def set_exception(self, exc: BaseException) -> None:
-        self._exception = exc
-        self._event.set()
-
-    def result(self, timeout: float | None = None):
-        if not self._event.wait(timeout):
-            raise TimeoutError("serving request did not complete in time")
-        if self._exception is not None:
-            raise self._exception
-        return self._result
 
 
 @dataclass
@@ -76,7 +50,7 @@ class ServingRequest:
     box: object
     n_steps: int = 0
     timestep_fs: float = 0.0
-    future: ServingFuture = field(default_factory=ServingFuture)
+    future: Future = field(default_factory=Future)
     t_submit: float = 0.0
     t_admit: float = 0.0
 
@@ -104,15 +78,10 @@ class AdmissionQueue:
         self.max_batch_size = int(max_batch_size)
         self.max_wait_s = float(max_wait_ms) / 1e3
         self._pending: deque[ServingRequest] = deque()
-        self._lock = threading.Lock()
-        self._cond = threading.Condition(self._lock)
+        self._cond = threading.Condition(threading.Lock())
         self._closed = False
 
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._pending)
-
-    def submit(self, request: ServingRequest) -> ServingFuture:
+    def submit(self, request: ServingRequest) -> Future:
         request.t_submit = time.perf_counter()
         with self._cond:
             if self._closed:

@@ -82,7 +82,7 @@ def run_bursts_serial(
         )
         state.forces = out.forces.copy()
         energies = []
-        for _ in range(int(n_steps)):
+        for _ in range(int(n_steps)):  # reprolint: allow[backend] the golden one-burst-at-a-time step sequence
             integrator.first_half(state, box)
             neighbors = build_neighbor_data(state.positions, box, model.config.cutoff)
             out = model.evaluate(

@@ -181,6 +181,59 @@ def test_rl003_stepping_module_is_exempt():
     assert lint(_IMPURE_BACKEND, "src/repro/md/stepping.py") == []
 
 
+# a lockstep burst loop written by hand outside any backend (the shape served
+# MD had before it ran on SteppingLoop)
+_HAND_WRITTEN_STEPS = """\
+    class Engine:
+        def compute_bursts(self, states, integrators, boxes, targets):
+            live = list(range(len(states)))
+            done = 0
+            while live:
+                for i in live:
+                    integrators[i].first_half(states[i], boxes[i])
+                self.fused_forces(live)
+                for i in live:
+                    integrators[i].second_half(states[i], boxes[i])
+                done += 1
+                live = [i for i in live if done < targets[i]]
+    """
+
+
+def test_rl003_flags_a_stepping_loop_outside_a_backend():
+    violations = fired(lint(_HAND_WRITTEN_STEPS, SERVING_PATH), "RL003")
+    # the innermost loop holding both halves: the while, not its two for loops
+    assert [v.line for v in violations] == [5]
+    assert "first_half and second_half" in violations[0].message
+
+
+def test_rl003_stepping_loop_pragma_suppresses():
+    source = _HAND_WRITTEN_STEPS.replace(
+        "while live:", "while live:  # reprolint: allow[backend] a golden reference loop"
+    )
+    assert lint(source, SERVING_PATH) == []
+
+
+def test_rl003_stepping_loop_check_is_production_only():
+    assert lint(_HAND_WRITTEN_STEPS, "tests/test_fake_bursts.py") == []
+
+
+def test_rl003_one_half_per_loop_is_clean():
+    violations = lint(
+        """\
+        class RankedBackend(EngineBackend):
+            def integrate_first_half(self):
+                for domain in self.domains:
+                    self.integrator.first_half(domain, self.box)
+
+            def integrate_second_half(self):
+                for domain in self.domains:
+                    self.integrator.second_half(domain, self.box)
+        """,
+        BACKEND_PATH,
+    )
+    assert violations == []
+
+
 # ---------------------------------------------------------------------------
 # RL004 — fixed-order reductions
 # ---------------------------------------------------------------------------

@@ -213,12 +213,12 @@ class TestConstructionAndValidation:
         atoms, box = _copper_pair()
         with pytest.raises(KeyError):
             DomainDecomposedSimulation(atoms, box, LennardJones(0.05, 2.3, 5.0), timestep_fs=1.0,
-                                       rank_dims=(2, 1, 1), scheme="telepathy")
+                                       rank_dims=(2, 1, 1), scheme="telepathy", neighbor_skin=0.4)
 
     def test_scheme_aliases_accepted(self):
         atoms, box = _copper_pair()
         engine = DomainDecomposedSimulation(atoms, box, LennardJones(0.05, 2.3, 5.0), timestep_fs=1.0,
-                                            rank_dims=(2, 1, 1), scheme="lb-4l")
+                                            rank_dims=(2, 1, 1), scheme="lb-4l", neighbor_skin=0.4)
         assert engine.scheme == "node-based"
         assert engine.scheme_label == "lb-4l"
 
@@ -230,7 +230,9 @@ class TestConstructionAndValidation:
 
         with pytest.raises(ValueError):
             DomainDecomposedSimulation(atoms, box, NoCutoff(), timestep_fs=1.0)
-        engine = DomainDecomposedSimulation(atoms, box, LennardJones(0.05, 2.3, 5.0), timestep_fs=1.0)
+        engine = DomainDecomposedSimulation(
+            atoms, box, LennardJones(0.05, 2.3, 5.0), timestep_fs=1.0, neighbor_skin=0.4
+        )
         with pytest.raises(ValueError):
             engine.run(-1)
 
@@ -239,7 +241,7 @@ class TestConstructionAndValidation:
         force_field = LennardJones(0.05, 2.3, 5.0)
         force_field.parallel_strategy = "astral-projection"
         with pytest.raises(KeyError):
-            DomainDecomposedSimulation(atoms, box, force_field, timestep_fs=1.0)
+            DomainDecomposedSimulation(atoms, box, force_field, timestep_fs=1.0, neighbor_skin=0.4)
 
 
 class TestRankDomainOwnsTheLayout:

@@ -6,9 +6,11 @@ degenerate-request contract.  The ``slow``-marked stress tier drives the
 threaded engine with many concurrent clients and mixed request kinds.
 """
 
+import hashlib
 import sys
 import threading
 import time
+from concurrent.futures import CancelledError
 
 import numpy as np
 import pytest
@@ -258,6 +260,14 @@ class TestAdmissionQueue:
 # Engine: admission batching, the serving thread, MD bursts
 # ---------------------------------------------------------------------------
 
+#: sha256 over the final positions, velocities and forces and the per-step
+#: energies of one mixed-``n_steps`` burst batch (compressed), recorded when
+#: served MD still ran on a hand-written lockstep loop.
+BURST_BATCH_SHA256 = {
+    "double": "b595e66f88cb9fd47c253a663fcc9c6f9df3d6b7c7c0fbe1e551094c4d964e02",
+    "mix-fp32": "d17a6247b9765466ec90ba9d260728963332d8a783890c2b16ecc3fae69b918f",
+}
+
 
 class TestServingEngine:
     def test_one_shot_requests_match_serial_reference(self, serving_model):
@@ -287,21 +297,67 @@ class TestServingEngine:
             latency = stats.latency_ms()
             assert latency["p99"] >= latency["p50"] > 0.0
 
-    def test_md_bursts_match_serial_reference(self, serving_model):
-        systems = _mixed_systems(serving_model, sizes=(6, 9, 4))
-        bursts = [(atoms, box, 3, 0.5) for atoms, box, _ in systems]
+    # mixed: bursts leave the lockstep group early, and an n_steps == 0 burst
+    # is only evaluated
+    @pytest.mark.parametrize("steps", [(3, 3, 3), (0, 1, 3, 5)], ids=["uniform", "mixed"])
+    def test_md_bursts_match_serial_reference(self, serving_model, steps):
+        systems = _mixed_systems(serving_model, sizes=(6, 9, 4, 8)[: len(steps)])
+        bursts = [(atoms, box, n, 0.5) for (atoms, box, _), n in zip(systems, steps)]
         table = serving_model.compressed_embeddings()
         reference = run_bursts_serial(
             serving_model, bursts, compressed=True, compression_table=table
         )
         with ServingEngine(serving_model, max_batch_size=8, max_wait_ms=20.0) as engine:
-            futures = [engine.submit_md(atoms, box, 3, 0.5) for atoms, box, _ in systems]
+            futures = [engine.submit_md(atoms, box, n, 0.5) for atoms, box, n, _ in bursts]
             results = [future.result(timeout=120) for future in futures]
-        for got, (ref_atoms, ref_energies) in zip(results, reference):
-            assert got.n_steps == 3 and got.energies.shape == (3,)
+        for got, n, (ref_atoms, ref_energies) in zip(results, steps, reference):
+            assert got.n_steps == n and got.energies.shape == (n,)
             np.testing.assert_allclose(got.atoms.positions, ref_atoms.positions, atol=PARITY_ATOL)
             np.testing.assert_allclose(got.atoms.velocities, ref_atoms.velocities, atol=PARITY_ATOL)
             np.testing.assert_allclose(got.energies, ref_energies, atol=PARITY_ATOL)
+
+    @pytest.mark.parametrize("precision", sorted(BURST_BATCH_SHA256))
+    def test_mixed_burst_batch_bits_are_pinned(self, serving_model, precision):
+        steps = (0, 1, 3, 5, 5, 2)
+        bursts = []
+        for i, (n_atoms, n) in enumerate(zip((6, 9, 4, 8, 7, 5), steps)):
+            atoms, box = _cluster(n_atoms, 50 + i)
+            atoms.velocities[:] = np.random.default_rng(90 + i).normal(scale=0.01, size=(n_atoms, 3))
+            bursts.append((atoms, box, n))
+        engine = ServingEngine(serving_model, precision=precision, max_batch_size=len(steps), max_wait_ms=5000.0)
+        with engine:
+            futures = [engine.submit_md(atoms, box, n, 0.5) for atoms, box, n in bursts]
+            results = [future.result(timeout=120) for future in futures]
+        assert engine.stats.n_batches == 1
+        assert [got.n_steps for got in results] == list(steps)
+        digest = hashlib.sha256()
+        for got in results:
+            for array in (got.atoms.positions, got.atoms.velocities, got.atoms.forces, got.energies):
+                digest.update(np.ascontiguousarray(array, dtype=np.float64).tobytes())
+        assert digest.hexdigest() == BURST_BATCH_SHA256[precision]
+
+    def test_request_cancelled_before_admission_is_dropped(self, serving_model):
+        systems = _mixed_systems(serving_model, sizes=(6, 9, 8))
+        reference = evaluate_serial(
+            serving_model,
+            [systems[0], systems[2]],
+            compressed=True,
+            compression_table=serving_model.compressed_embeddings(),
+        )
+        # the batch admits once three requests are pending
+        with ServingEngine(serving_model, max_batch_size=3, max_wait_ms=5000.0) as engine:
+            first = engine.submit(*systems[0][:2])
+            dropped = engine.submit(*systems[1][:2])
+            assert dropped.cancel()
+            last = engine.submit(*systems[2][:2])
+            results = [first.result(timeout=60), last.result(timeout=60)]
+            assert dropped.cancelled()
+            with pytest.raises(CancelledError):
+                dropped.result(timeout=0)
+            assert engine.stats.n_requests == 2
+        for got, ref in zip(results, reference):
+            assert abs(got.energy - ref.energy) < PARITY_ATOL
+            np.testing.assert_allclose(got.forces, ref.forces, atol=PARITY_ATOL)
 
     def test_failed_request_raises_through_its_future(self, serving_model):
         bad = Atoms(
@@ -449,6 +505,42 @@ class TestSubmitValidation:
         assert engine.stats.n_requests == 0
 
     @pytest.mark.parametrize(
+        "n_steps, timestep_fs, message",
+        [
+            (-2, 0.5, "n_steps must be an integer >= 0"),
+            (2.5, 0.5, "n_steps must be an integer >= 0"),
+            (3, 0.0, "timestep_fs must be finite and > 0"),
+            (3, -0.5, "timestep_fs must be finite and > 0"),
+            (3, np.nan, "timestep_fs must be finite and > 0"),
+            (3, np.inf, "timestep_fs must be finite and > 0"),
+        ],
+    )
+    def test_submit_md_rejects_bad_step_arguments(self, serving_model, n_steps, timestep_fs, message):
+        atoms, box, _ = _mixed_systems(serving_model)[0]
+        with ServingEngine(serving_model) as engine:
+            with pytest.raises(ValueError, match=message):
+                engine.submit_md(atoms, box, n_steps, timestep_fs)
+        assert engine.stats.n_requests == 0
+
+    def test_bad_timestep_fails_at_submit_and_its_batch_mates_are_served(self, serving_model):
+        systems = _mixed_systems(serving_model, sizes=(6, 9, 8))
+        reference = run_bursts_serial(
+            serving_model,
+            [(atoms, box, 2, 0.5) for atoms, box, _ in (systems[0], systems[2])],
+            compressed=True,
+            compression_table=serving_model.compressed_embeddings(),
+        )
+        with ServingEngine(serving_model, max_batch_size=8, max_wait_ms=50.0) as engine:
+            first = engine.submit_md(*systems[0][:2], 2, 0.5)
+            with pytest.raises(ValueError, match="timestep_fs"):
+                engine.submit_md(*systems[1][:2], 2, 0.0)
+            last = engine.submit_md(*systems[2][:2], 2, 0.5)
+            results = [first.result(timeout=60), last.result(timeout=60)]
+        for got, (ref_atoms, ref_energies) in zip(results, reference):
+            np.testing.assert_allclose(got.atoms.positions, ref_atoms.positions, atol=PARITY_ATOL)
+            np.testing.assert_allclose(got.energies, ref_energies, atol=PARITY_ATOL)
+
+    @pytest.mark.parametrize(
         "case", ["nan position", "nan velocity", "inf velocity", "unknown type"]
     )
     def test_submit_md_rejects(self, serving_model, case):
@@ -458,6 +550,71 @@ class TestSubmitValidation:
             with pytest.raises(ValueError, match=message):
                 engine.submit_md(bad, box, 3, 0.5)
         assert engine.stats.n_requests == 0
+
+
+def _coincident_atoms():
+    atoms, box = _cluster(5, 80)
+    atoms.positions[1] = atoms.positions[0]
+    return atoms, box, "position rows 0 and 1 coincide"
+
+
+def _box_shorter_than_the_cutoff():
+    atoms = Atoms(
+        positions=np.array([[1.0, 1.0, 1.0]]), types=np.zeros(1, dtype=np.int64), masses=np.full(1, 63.546)
+    )
+    # periodic: the 4.5 A model cutoff exceeds this box's 3 A minimum image
+    return atoms, Box.cubic(6.0), "minimum-image"
+
+
+#: admissible at submit, refused by the neighbour build at admission
+BAD_GEOMETRY = {"coincident atoms": _coincident_atoms, "box shorter than the cutoff": _box_shorter_than_the_cutoff}
+
+
+class TestBadGeometryFailsAlone:
+    """Good + bad + good in one batch: the bad request fails on its own future."""
+
+    @pytest.mark.parametrize("bad", sorted(BAD_GEOMETRY))
+    def test_one_shot(self, serving_model, bad):
+        systems = _mixed_systems(serving_model, sizes=(6, 9))
+        reference = evaluate_serial(
+            serving_model, systems, compressed=True, compression_table=serving_model.compressed_embeddings()
+        )
+        bad_atoms, bad_box, message = BAD_GEOMETRY[bad]()
+        with ServingEngine(serving_model, max_batch_size=3, max_wait_ms=5000.0) as engine:
+            first = engine.submit(*systems[0][:2])
+            middle = engine.submit(bad_atoms, bad_box)
+            last = engine.submit(*systems[1][:2])
+            with pytest.raises(ValueError, match=message):
+                middle.result(timeout=60)
+            results = [first.result(timeout=60), last.result(timeout=60)]
+            assert (engine.stats.n_batches, engine.stats.n_requests) == (1, 2)
+        for got, ref in zip(results, reference):
+            assert abs(got.energy - ref.energy) < PARITY_ATOL
+            np.testing.assert_allclose(got.forces, ref.forces, atol=PARITY_ATOL)
+            np.testing.assert_allclose(got.virial, ref.virial, atol=PARITY_ATOL)
+
+    @pytest.mark.parametrize("bad", sorted(BAD_GEOMETRY))
+    def test_md_burst(self, serving_model, bad):
+        systems = _mixed_systems(serving_model, sizes=(6, 9))
+        reference = run_bursts_serial(
+            serving_model,
+            [(atoms, box, 2, 0.5) for atoms, box, _ in systems],
+            compressed=True,
+            compression_table=serving_model.compressed_embeddings(),
+        )
+        bad_atoms, bad_box, message = BAD_GEOMETRY[bad]()
+        with ServingEngine(serving_model, max_batch_size=3, max_wait_ms=5000.0) as engine:
+            first = engine.submit_md(*systems[0][:2], 2, 0.5)
+            middle = engine.submit_md(bad_atoms, bad_box, 2, 0.5)
+            last = engine.submit_md(*systems[1][:2], 2, 0.5)
+            with pytest.raises(ValueError, match=message):
+                middle.result(timeout=60)
+            results = [first.result(timeout=60), last.result(timeout=60)]
+            assert (engine.stats.n_batches, engine.stats.n_requests) == (1, 2)
+        for got, (ref_atoms, ref_energies) in zip(results, reference):
+            np.testing.assert_allclose(got.atoms.positions, ref_atoms.positions, atol=PARITY_ATOL)
+            np.testing.assert_allclose(got.atoms.velocities, ref_atoms.velocities, atol=PARITY_ATOL)
+            np.testing.assert_allclose(got.energies, ref_energies, atol=PARITY_ATOL)
 
 
 # ---------------------------------------------------------------------------

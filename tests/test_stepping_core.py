@@ -21,7 +21,9 @@ import numpy as np
 import pytest
 
 from repro.md import (
+    Atoms,
     BerendsenThermostat,
+    Box,
     GuptaPotential,
     LennardJones,
     MorsePotential,
@@ -371,6 +373,13 @@ class TestSharedValidation:
         getattr(atoms, {"position": "positions", "velocity": "velocities"}[quantity])[3, 1] = bad
         with pytest.raises(ValueError, match=rf"^{quantity} row 3 is not finite"):
             BACKENDS[backend](atoms, box)
+
+    @pytest.mark.parametrize("backend", sorted(BACKENDS), ids=sorted(BACKENDS))
+    def test_construction_refuses_a_box_too_short_for_cutoff_plus_skin(self, backend):
+        atoms = Atoms.from_symbols(np.array([[1.0, 1.0, 1.0], [4.0, 4.0, 4.0]]), ["Cu", "Cu"])
+        limit = r"cutoff\+skin \(7\.000 A\) exceeds the minimum-image limit \(4\.000 A\) of the box"
+        with pytest.raises(ValueError, match=limit):
+            BACKENDS[backend](atoms, Box.cubic(8.0), neighbor_skin=2.0)
 
     def test_force_field_info_harvesting_is_shared(self):
         assert harvest_force_field_info(LennardJones(0.05, 2.3, 5.0)) == {}
