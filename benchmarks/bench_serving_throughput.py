@@ -7,11 +7,15 @@ The PR 9 gates:
   batch; the timing means nothing if the physics drifted.
 * **>= 5x aggregate throughput** for a batch of 32 molecule-sized systems
   over the one-at-a-time loop (~7-8x measured on this container).  Both
-  sides evaluate *prebuilt* environments: packing/neighbour work is the prep
-  stage of the serving pipeline and overlaps inference on the previous batch
-  (see :class:`repro.serving.engine.ServingEngine`), so the gate isolates
-  what batching actually changes — one fused embedding/fitting GEMM and one
-  packed Hermite table pass instead of 32 under-filled ones.
+  sides evaluate *prebuilt* environments, so the gate isolates what batching
+  changes in the evaluation — one fused embedding/fitting GEMM and one
+  packed Hermite table pass instead of 32 under-filled ones.  Packing is
+  not hidden behind anything: the one serving thread packs, then evaluates
+  (see :class:`repro.serving.engine.ServingEngine`), so it has its own gate.
+* **pack <= evaluate** at 32 serving-sized clusters (4-12 atoms): the
+  single-pass ``pack_systems`` costs no more than the ``evaluate_many`` it
+  feeds, and a steady-state pack makes zero allocator calls and zero
+  ``Workspace`` misses.
 * **zero allocator calls** in the steady-state batched evaluator: with a warm
   workspace, ``evaluate_many`` runs entirely out of the pool (the PR 4
   budget, extended to the serving path).
@@ -220,6 +224,50 @@ def test_bench_serving_steady_state_evaluator_is_allocation_free():
     assert counter.count == 0, (
         f"{counter.count} explicit allocator calls in {n_steps} steady-state "
         "batched evaluations (expected 0: the evaluator must run out of the pool)"
+    )
+
+
+def test_bench_serving_pack_costs_no_more_than_the_evaluation():
+    """32 clusters of 4-12 atoms: pack <= evaluate_many, out of the pool."""
+    model = _serving_model(seed=12)
+    sizes = np.random.default_rng(12).integers(4, 13, size=BATCH_SIZE)
+    systems = [prepare_system(model, *_cluster(int(n), 800 + i)) for i, n in enumerate(sizes)]
+    table = model.compressed_embeddings()
+    workspace = Workspace()
+    batch = pack_systems(model, systems, workspace=workspace)
+
+    def pack():
+        pack_systems(model, systems, workspace=workspace)
+
+    def evaluate():
+        model.evaluate_many(
+            batch.env,
+            batch.system_of_atom,
+            batch.offsets,
+            compressed=True,
+            compression_table=table,
+            workspace=workspace,
+        )
+
+    pack()
+    evaluate()  # every pool buffer and cache exists from here on
+    misses = workspace.misses
+    n_packs = 5
+    with _AllocationCounter() as counter:
+        for _ in range(n_packs):
+            pack()
+    pack_seconds = _best_seconds(pack, repeats=21)
+    evaluate_seconds = _best_seconds(evaluate, repeats=21)
+    print()
+    print(f"Serving pack vs fused evaluation, {BATCH_SIZE} clusters of {sizes.min()}-{sizes.max()} atoms")
+    print(f"  pack_systems  : {pack_seconds * 1e3:7.3f} ms")
+    print(f"  evaluate_many : {evaluate_seconds * 1e3:7.3f} ms")
+    print(f"  steady-state pack: {counter.count} allocator calls, {workspace.misses - misses} pool misses (budget 0)")
+    assert counter.count == 0, f"{counter.count} explicit allocator calls in {n_packs} steady-state packs"
+    assert workspace.misses == misses, "a steady-state pack missed the workspace pool"
+    assert pack_seconds <= evaluate_seconds, (
+        f"packing {BATCH_SIZE} systems took {pack_seconds * 1e3:.3f} ms, more than the "
+        f"{evaluate_seconds * 1e3:.3f} ms fused evaluation it feeds"
     )
 
 

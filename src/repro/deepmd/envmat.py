@@ -16,6 +16,7 @@ slices instead of slicing and concatenating intermediate matrices.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,13 +122,22 @@ class LocalEnvironment:
         return r_c, s_c
 
 
-def _candidate_geometry(positions: np.ndarray, box: Box, nei: np.ndarray, cutoff: float):
+def warn_truncated(env: LocalEnvironment, stacklevel: int) -> bool:
+    """Warn (``RuntimeWarning``) and return True if a row of ``env`` lost in-cutoff neighbours to the budget."""
+    if env.max_in_cutoff > env.max_neighbors:
+        message = f"an atom has {env.max_in_cutoff} neighbours inside the cutoff but max_neighbors="
+        message += f"{env.max_neighbors}: the farthest are dropped and energy is no longer conserved"
+        warnings.warn(message, RuntimeWarning, stacklevel=stacklevel + 1)
+    return env.max_in_cutoff > env.max_neighbors
+
+
+def _candidate_geometry(positions: np.ndarray, minimum_image, nei: np.ndarray, cutoff: float):
     """``(safe_idx, disp, dist, within)`` of every (centre, slot) candidate:
     neighbour index (padding mapped to 0), minimum-image d_ij, |d_ij| and the
     in-cutoff mask — line for line the scalar golden's arithmetic."""
     slot_valid = nei >= 0
     safe_idx = np.where(slot_valid, nei, 0)
-    disp = box.minimum_image(positions[safe_idx] - positions[:, None, :])
+    disp = minimum_image(positions[safe_idx] - positions[:, None, :])
     dist = np.linalg.norm(disp, axis=2)
     within = slot_valid & (dist > 0.0) & (dist <= cutoff)
     return safe_idx, disp, dist, within
@@ -149,19 +159,37 @@ def build_local_environment(
     :class:`repro.md.workspace.Workspace`) reuses the padded per-atom output
     arrays across calls — the returned environment then aliases pool buffers
     and must not outlive the next build from the same workspace; ``None``
-    returns freshly owned arrays.
+    returns freshly owned arrays.  The one-system :func:`build_environment_rows`.
     """
     workspace = UNPOOLED if workspace is None else workspace
+    nei, n = neighbors.neighbors, len(atoms)
+
+    def rows(name, trailing=(), dtype=np.float64):
+        return workspace.buffer(f"dp.env.{name}", (n, *trailing), dtype=dtype)
+
+    n_pad = nei.shape[1] if max_neighbors is None else int(max_neighbors)
+    return build_environment_rows(
+        atoms.positions, atoms.types.copy(), nei, box.minimum_image, cutoff, cutoff_smooth, n_pad, rows
+    )
+
+
+def build_environment_rows(
+    positions: np.ndarray, types: np.ndarray, nei: np.ndarray, minimum_image, cutoff: float, cutoff_smooth: float,
+    n_pad: int, rows,
+) -> LocalEnvironment:
+    """The environment build over every row of the padded candidate table ``nei``.
+
+    ``minimum_image`` maps the ``(n, width, 3)`` raw d_ij (in place or not);
+    ``rows(name, trailing, dtype)`` vends an uninitialised ``(n, *trailing)``
+    output buffer.  No step mixes rows (the sort key orders by row first, the
+    budget truncation is per row), so :func:`repro.serving.batch.pack_systems`
+    runs this once over a whole batch of concatenated systems.
+    """
     if cutoff <= 0 or not 0 < cutoff_smooth < cutoff:
         raise ValueError("require 0 < cutoff_smooth < cutoff")
-    n = len(atoms)
-    nei = neighbors.neighbors
-    n_pad = nei.shape[1] if max_neighbors is None else int(max_neighbors)
+    n, width = nei.shape
     n_pad = max(n_pad, 1)
-
-    types = atoms.types
-    width = nei.shape[1]
-    safe_idx, disp, dist, kept = _candidate_geometry(atoms.positions, box, nei, cutoff)
+    safe_idx, disp, dist, kept = _candidate_geometry(positions, minimum_image, nei, cutoff)
     counts = kept.sum(axis=1)
     max_in_cutoff = int(counts.max(initial=0))
 
@@ -170,7 +198,7 @@ def build_local_environment(
         # ``n_pad`` closest in-cutoff slots (distance ties broken by slot
         # order, as the scalar reference does with its stable argsort).
         order_by_dist = np.argsort(np.where(kept, dist, np.inf), axis=1, kind="stable")
-        rank = workspace.buffer("dp.env.rank", (n, width), dtype=np.int64)
+        rank = rows("rank", (width,), np.int64)
         np.put_along_axis(rank, order_by_dist, np.broadcast_to(np.arange(width), (n, width)), axis=1)
         kept &= rank < n_pad
         counts = np.minimum(counts, n_pad)
@@ -193,13 +221,15 @@ def build_local_environment(
     row_shift = np.arange(n) * n_pad - (np.cumsum(counts) - counts)
     out = np.arange(len(src)) + np.repeat(row_shift, counts)
 
-    R = workspace.zeros("dp.env.R", (n, n_pad, 4))
-    displacements = workspace.zeros("dp.env.displacements", (n, n_pad, 3))
-    distances = workspace.zeros("dp.env.distances", (n, n_pad))
-    mask = workspace.zeros("dp.env.mask", (n, n_pad))
-    neighbor_indices = workspace.buffer("dp.env.neighbor_indices", (n, n_pad), dtype=np.int64)
+    R = rows("R", (n_pad, 4))  # every entry is written below
+    displacements = rows("displacements", (n_pad, 3))
+    distances = rows("distances", (n_pad,))
+    mask = rows("mask", (n_pad,))
+    for zeroed in (displacements, distances, mask):
+        zeroed.fill(0.0)
+    neighbor_indices = rows("neighbor_indices", (n_pad,), np.int64)
     neighbor_indices.fill(-1)
-    neighbor_types = workspace.buffer("dp.env.neighbor_types", (n, n_pad), dtype=np.int64)
+    neighbor_types = rows("neighbor_types", (n_pad,), np.int64)
     neighbor_types.fill(-1)
 
     displacements.reshape(-1, 3)[out] = disp.reshape(-1, 3)[src[order]]
@@ -241,6 +271,6 @@ def suggested_max_neighbors(atoms: Atoms, box: Box, neighbors: NeighborData, cut
     The paper quotes 46/92/512 neighbours for H/O/Cu at the benchmark cutoffs;
     the suggestion here simply measures the actual maximum and adds a margin.
     """
-    within = _candidate_geometry(atoms.positions, box, neighbors.neighbors, cutoff)[3]
+    within = _candidate_geometry(atoms.positions, box.minimum_image, neighbors.neighbors, cutoff)[3]
     max_count = int(within.sum(axis=1).max(initial=0))
     return max(int(np.ceil(max_count * margin)), 1)

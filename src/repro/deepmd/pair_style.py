@@ -14,6 +14,7 @@ from ..md.atoms import Atoms
 from ..md.box import Box
 from ..md.forcefields.base import ForceField, ForceResult
 from ..md.neighbor import NeighborData
+from .envmat import warn_truncated
 from .gemm import GemmBackend, _dtype_name
 from .model import DeepPotential
 from .precision import DOUBLE, get_policy
@@ -61,14 +62,8 @@ class DeepPotentialForceField(ForceField):
     ) -> ForceResult:
         self.n_evaluations += 1
         env = self.model.build_environment(atoms, box, neighbors, workspace=workspace)
-        if env.max_in_cutoff > env.max_neighbors and not self._overflow_warned:
-            self._overflow_warned = True
-            warnings.warn(
-                f"an atom has {env.max_in_cutoff} neighbours inside the cutoff but max_neighbors="
-                f"{env.max_neighbors}: the farthest are dropped and energy is no longer conserved",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+        if not self._overflow_warned:
+            self._overflow_warned = warn_truncated(env, stacklevel=2)
         if self.compressed and not self._clamp_warned and env.s.max(initial=0.0) > self._table.s_max:
             self._clamp_warned = True
             warnings.warn(

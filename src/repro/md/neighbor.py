@@ -67,6 +67,7 @@ import numpy as np
 
 from .atoms import Atoms
 from .box import Box
+from .workspace import UNPOOLED
 
 #: Below this atom count the O(N^2) brute-force search is still competitive.
 #: Measured crossover of the vectorized binned build vs brute force (this
@@ -135,7 +136,7 @@ class NeighborData:
             if self.primary is not None:
                 keep = self.primary[centres]
                 centres, others = centres[keep], others[keep]
-            self._table = _pairs_to_padded(self.n_atoms, centres, others)
+            self._table = pairs_to_padded(self.n_atoms, centres, others)
         return self._table
 
     @property
@@ -155,20 +156,24 @@ class NeighborData:
         return self.neighbors[i, : self.counts[i]]
 
 
-def _pairs_to_padded(n: int, pairs_i: np.ndarray, pairs_j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Convert directed pair arrays into a padded per-atom neighbour table."""
-    counts = np.bincount(pairs_i, minlength=n).astype(np.int64)
-    max_nei = int(counts.max()) if len(counts) and counts.max() > 0 else 0
-    neighbors = np.full((n, max(max_nei, 1)), -1, dtype=np.int64)
+def pairs_to_padded(
+    n: int, pairs_i: np.ndarray, pairs_j: np.ndarray, workspace=UNPOOLED
+) -> tuple[np.ndarray, np.ndarray]:
+    """Convert directed pair arrays into a padded per-atom neighbour table.
+
+    The table lands in ``workspace``'s grow-only ``neighbors`` buffer (the
+    serving pack builds one per batch); ``counts`` is always freshly owned.
+    """
+    counts = np.bincount(pairs_i, minlength=n).astype(np.int64, copy=False)
+    width = max(int(counts.max(initial=0)), 1)
+    neighbors = workspace.capacity("neighbors", n * width, dtype=np.int64).reshape(n, width)
+    neighbors.fill(-1)
     if len(pairs_i):
         order = np.argsort(pairs_i, kind="stable")
         sorted_i = pairs_i[order]
-        sorted_j = pairs_j[order]
         # position of each entry within its atom's slot
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        slot = np.arange(len(sorted_i)) - offsets[sorted_i]
-        neighbors[sorted_i, slot] = sorted_j
+        slot = np.arange(len(sorted_i)) - (np.cumsum(counts) - counts)[sorted_i]
+        neighbors[sorted_i, slot] = pairs_j[order]
     return neighbors, counts
 
 

@@ -1,19 +1,19 @@
 """Cross-system batching: pack many small systems into one fused evaluation.
 
 Throughput serving traffic is dominated by *small* independent systems — a
-few dozen atoms each — where one-at-a-time evaluation pays full per-call
-Python dispatch, its own neighbour build and a tiny under-filled GEMM per
-request.  :func:`pack_systems` removes the per-system axis instead of looping
-over it: the per-system environment matrices are concatenated along the atom
-axis (the same indexed-compaction idiom ``DeepPotential._per_type_fast`` uses
-for the per-type axis), neighbour indices are rebased to the concatenated
-numbering, and a ``system_of_atom`` / ``offsets`` pair keeps the provenance
-of every row.  :meth:`DeepPotential.evaluate_many
-<repro.deepmd.model.DeepPotential.evaluate_many>` then runs the existing
-stacked kernels once over the whole batch — one embedding/fitting GEMM and
-one packed Hermite table evaluation per centre type, whatever mixture of
-systems the rows came from — and segment-reduces per-system energies and
-virials in fixed ``bincount`` order (always float64).
+few dozen atoms each — where fixed per-call cost, not FLOPs, decides speed.
+:func:`pack_systems` removes the per-system axis instead of looping over it:
+the systems' positions, types and rebased half pair lists are concatenated,
+one padded candidate table is derived from them, and the environment build of
+:mod:`repro.deepmd.envmat` (the core a one-system build runs) runs once over
+every row, each row imaged in its own system's box.  No step of that build
+mixes rows, so each system's rows are bit for bit its own environment; a
+``system_of_atom`` / ``offsets`` pair keeps the provenance of every row.
+:meth:`DeepPotential.evaluate_many <repro.deepmd.model.DeepPotential.evaluate_many>`
+then runs the stacked kernels once over the whole batch — one
+embedding/fitting GEMM and one packed Hermite table evaluation per centre
+type — and segment-reduces per-system energies and virials in fixed
+``bincount`` order (always float64).
 
 The un-batched loop lives in :mod:`repro.serving.serial` as the golden
 reference this path is pinned to at 1e-10 (fp64) by ``tests/test_serving.py``
@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..deepmd.envmat import LocalEnvironment
-from ..md.neighbor import build_neighbor_data
+from ..deepmd.envmat import LocalEnvironment, build_environment_rows
+from ..md.neighbor import build_neighbor_data, pairs_to_padded
 from ..md.workspace import UNPOOLED
 
 __all__ = ["SystemBatch", "pack_systems", "prepare_system"]
@@ -81,15 +81,13 @@ def prepare_system(model, atoms, box):
 
 # reprolint: hot-path
 def pack_systems(model, systems, workspace=None) -> SystemBatch:
-    """Concatenate the environments of ``systems`` into one :class:`SystemBatch`.
+    """Build the environments of ``systems`` in one pass, as one :class:`SystemBatch`.
 
     ``systems`` is a sequence of ``(atoms, box, neighbors)`` triples sharing
-    the model's type space.  Every system is padded to the model's
-    ``max_neighbors``, so the per-system environments concatenate along the
-    atom axis without reshaping; neighbour indices are rebased by each
-    system's atom offset (padding entries stay ``-1``) so the global force
-    scatter of the fused evaluation lands each contribution in its own
-    system's rows.
+    the model's type space.  Every row is padded to the model's
+    ``max_neighbors``, and a real neighbour index points into its own
+    system's rows (padding stays ``-1``), so the global force scatter of the
+    fused evaluation lands each contribution in its own system.
 
     With a ``workspace`` the concatenated arrays live in grow-only
     :meth:`~repro.md.workspace.Workspace.capacity` buffers: batch sizes
@@ -100,61 +98,58 @@ def pack_systems(model, systems, workspace=None) -> SystemBatch:
     workspace = UNPOOLED if workspace is None else workspace
     systems = list(systems)
     n_systems = len(systems)
-    envs = [model.build_environment(atoms, box, neighbors) for atoms, box, neighbors in systems]
-    n_pad = max(int(model.config.max_neighbors), 1)
-
+    sizes = [len(atoms) for atoms, _, _ in systems]
+    pair_counts = [len(neighbors.pairs) for _, _, neighbors in systems]
+    n_total = sum(sizes)
     offsets = workspace.capacity("pack.offsets", n_systems + 1, dtype=np.int64)
     offsets[0] = 0
-    if n_systems:
-        np.cumsum([env.n_atoms for env in envs], out=offsets[1:])
-    n_total = int(offsets[-1])
+    np.cumsum(sizes, out=offsets[1:])
 
-    R = workspace.capacity("pack.R", n_total, trailing=(n_pad, 4))
-    displacements = workspace.capacity("pack.displacements", n_total, trailing=(n_pad, 3))
-    distances = workspace.capacity("pack.distances", n_total, trailing=(n_pad,))
-    s_values = workspace.capacity("pack.s", n_total, trailing=(n_pad,))
-    ds_values = workspace.capacity("pack.ds_dr", n_total, trailing=(n_pad,))
-    mask = workspace.capacity("pack.mask", n_total, trailing=(n_pad,))
-    neighbor_indices = workspace.capacity("pack.neighbor_indices", n_total, trailing=(n_pad,), dtype=np.int64)
-    neighbor_types = workspace.capacity("pack.neighbor_types", n_total, trailing=(n_pad,), dtype=np.int64)
-    types = workspace.capacity("pack.types", n_total, dtype=np.int64)
-    system_of_atom = workspace.capacity("pack.system_of_atom", n_total, dtype=np.int64)
+    def concatenated(name, arrays, length, trailing=(), dtype=np.float64):
+        out = workspace.capacity(f"pack.{name}", length, trailing=trailing, dtype=dtype)
+        if arrays:
+            np.concatenate(arrays, out=out)  # reprolint: allow[alloc] writes into the pooled buffer
+        return out
 
-    n_types = model.n_types
-    for s, env in enumerate(envs):
-        check_type_space(env.types, n_types, f"system {s}")
-        lo, hi = int(offsets[s]), int(offsets[s + 1])
-        R[lo:hi] = env.R
-        displacements[lo:hi] = env.displacements
-        distances[lo:hi] = env.distances
-        s_values[lo:hi] = env.s
-        ds_values[lo:hi] = env.ds_dr
-        mask[lo:hi] = env.mask
-        # rebase real neighbour slots into the concatenated numbering; the
-        # -1 padding must stay -1 (a blanket += would alias it into the
-        # previous system's last atom)
-        np.add(env.neighbor_indices, lo, out=neighbor_indices[lo:hi])
-        np.copyto(neighbor_indices[lo:hi], -1, where=env.neighbor_indices < 0)
-        neighbor_types[lo:hi] = env.neighbor_types
-        types[lo:hi] = env.types
-        system_of_atom[lo:hi] = s
+    positions = concatenated("positions", [atoms.positions for atoms, _, _ in systems], n_total, (3,))
+    types = concatenated("types", [atoms.types for atoms, _, _ in systems], n_total, dtype=np.int64)
+    check_type_space(types, model.n_types, "batch")
+    pairs = concatenated("pairs", [nd.pairs for _, _, nd in systems], sum(pair_counts), (2,), np.int64)
+    pairs += offsets[:-1].repeat(pair_counts)[:, None]
+    # both directions of every pair, centres first: per system, the slot
+    # order of its own NeighborData.neighbors table
+    nei, _ = pairs_to_padded(n_total, pairs.T.ravel(), pairs[:, ::-1].T.ravel(), workspace.scoped("pack"))
+    system_of_atom = np.arange(n_systems).repeat(sizes)
 
-    packed_env = LocalEnvironment(
-        R=R,
-        displacements=displacements,
-        distances=distances,
-        s=s_values,
-        ds_dr=ds_values,
-        mask=mask,
-        neighbor_indices=neighbor_indices,
-        neighbor_types=neighbor_types,
-        types=types,
-        cutoff=model.config.cutoff,
-        cutoff_smooth=model.config.cutoff_smooth,
+    def rows(name, trailing=(), dtype=np.float64):
+        return workspace.capacity(f"pack.{name}", n_total, trailing=trailing, dtype=dtype)
+
+    config, image = model.config, _row_minimum_image(systems, system_of_atom)
+    env = build_environment_rows(
+        positions, types, nei, image, config.cutoff, config.cutoff_smooth, int(config.max_neighbors), rows
     )
-    return SystemBatch(
-        env=packed_env,
-        system_of_atom=system_of_atom,
-        offsets=offsets,
-        n_systems=n_systems,
-    )
+    return SystemBatch(env=env, system_of_atom=system_of_atom, offsets=offsets, n_systems=n_systems)
+
+
+def _row_minimum_image(systems, system_of_atom):
+    """The minimum image of each packed row in its own system's box.
+
+    ``d - L * round(d / L)`` per row and axis, with the image count zeroed on
+    open axes: on a periodic axis the scalar arithmetic of
+    :meth:`Box.minimum_image <repro.md.box.Box.minimum_image>`, on an open one
+    ``d - 0.0 == d``, so each row is bit for bit its own system's image.  A
+    batch without a periodic axis needs no image at all.
+    """
+    if not any(any(box.periodic) for _, box, _ in systems):
+        return lambda displacements: displacements
+    periodic = np.array([box.periodic for _, box, _ in systems])
+    lengths = np.array([box.lengths for _, box, _ in systems])[system_of_atom, None, :]
+    open_axes = ~periodic[system_of_atom, None, :]
+
+    def minimum_image(displacements):
+        images = np.round(displacements / lengths)
+        np.copyto(images, 0.0, where=open_axes)
+        displacements -= lengths * images
+        return displacements
+
+    return minimum_image

@@ -40,6 +40,7 @@ import time
 
 import numpy as np
 
+from ..deepmd.envmat import warn_truncated
 from ..deepmd.gemm import GemmBackend
 from ..deepmd.precision import DOUBLE, get_policy
 from ..md.integrators import VelocityVerlet
@@ -90,6 +91,9 @@ class ServingEngine:
         self._workspace = Workspace()
         self._loop_scope = self._workspace.scoped("serve.loop")
         self._sync_scope = self._workspace.scoped("serve.sync")
+
+        # one truncation warning per engine, as DeepPotentialForceField warns once per force field
+        self._overflow_warned = False
 
         self._queue = AdmissionQueue(max_batch_size=max_batch_size, max_wait_ms=max_wait_ms)
         self._thread: threading.Thread | None = None
@@ -155,6 +159,8 @@ class ServingEngine:
     def evaluate_batch(self, systems, workspace=None):
         """Synchronous pack → fused evaluate for prepared ``(atoms, box, neighbors)`` triples.
 
+        The first batch with a row over ``max_neighbors`` (its farthest
+        neighbours are dropped) emits one ``RuntimeWarning`` per engine.
         The result aliases buffers of ``workspace`` (default: the engine's
         ``serve.sync`` scope) until the next call with the same one;
         concurrent callers pass their own.
@@ -162,6 +168,8 @@ class ServingEngine:
         if workspace is None:
             workspace = self._sync_scope
         batch = pack_systems(self.model, systems, workspace=workspace)
+        if not self._overflow_warned:
+            self._overflow_warned = warn_truncated(batch.env, stacklevel=2)
         return self.model.evaluate_many(
             batch.env,
             batch.system_of_atom,

@@ -10,12 +10,13 @@ import hashlib
 import sys
 import threading
 import time
+import warnings
 from concurrent.futures import CancelledError
 
 import numpy as np
 import pytest
 
-from repro.deepmd import MIX_FP32, DeepPotential, DeepPotentialConfig
+from repro.deepmd import MIX_FP32, DeepPotential, DeepPotentialConfig, LocalEnvironment
 from repro.md.atoms import Atoms
 from repro.md.box import Box
 from repro.md.neighbor import build_neighbor_data
@@ -67,6 +68,62 @@ def _mixed_systems(model, sizes=(6, 9, 4, 8), rng0=50):
     return [prepare_system(model, *_cluster(n, rng0 + i)) for i, n in enumerate(sizes)]
 
 
+_ENV_FIELDS = ("R", "displacements", "distances", "s", "ds_dr", "mask", "neighbor_indices", "neighbor_types", "types")
+_OVERFLOWS = "an atom has .* neighbours inside the cutoff but max_neighbors=16"
+
+
+def _copper(positions):
+    n = len(positions)
+    return Atoms(positions=positions, types=np.zeros(n, dtype=np.int64), masses=np.full(n, 63.546))
+
+
+def _lattice(shape, spacing, jitter, rng):
+    grid = np.stack(np.meshgrid(*[np.arange(k) for k in shape], indexing="ij"), axis=-1).reshape(-1, 3)
+    return grid * spacing + rng.normal(scale=jitter, size=grid.shape)
+
+
+def _geometry_mix(model, n_systems=32):
+    """Open, periodic and slab boxes of different lengths, plus the edge cases.
+
+    The first three are a periodic box, an open 27-atom cluster whose centre
+    sees 26 neighbours against ``max_neighbors=16`` (the truncation branch)
+    and a slab; then a one-atom system and a two-atom system with no pairs.
+    """
+    r = np.random.default_rng(17)
+    open_box = Box.cubic(40.0, periodic=False)
+    systems = [
+        (_copper(_lattice((3, 3, 3), 3.3, 0.2, r)), Box.cubic(9.9)),
+        (_copper(_lattice((3, 3, 3), 2.4, 0.1, r) + 2.0), open_box),
+        (_copper(_lattice((3, 3, 2), (3.4, 3.6, 3.0), 0.2, r) + (0.0, 0.0, 5.0)),
+         Box(np.array([10.2, 10.8, 30.0]), (True, True, False))),
+        (_copper(np.array([[20.0, 20.0, 20.0]])), open_box),
+        (_copper(np.array([[5.0, 5.0, 5.0], [25.0, 25.0, 25.0]])), open_box),
+    ]
+    for k in range(n_systems - len(systems)):
+        length = 9.5 + 0.3 * k
+        kind = k % 3
+        if kind == 0:
+            systems.append(_cluster(int(r.integers(3, 13)), 300 + k))
+        elif kind == 1:
+            systems.append((_copper(_lattice((3, 3, 3), length / 3, 0.2, r)), Box.cubic(length)))
+        else:
+            slab = _lattice((3, 3, 2), (length / 3, length / 3, 3.0), 0.2, r) + (0.0, 0.0, 4.0)
+            systems.append((_copper(slab), Box(np.array([length, length, 20.0]), (True, True, False))))
+    return [prepare_system(model, atoms, box) for atoms, box in systems]
+
+
+def _per_system_batch(model, systems):
+    """The batch as each system's own ``build_environment``, concatenated and rebased."""
+    envs = [model.build_environment(*system) for system in systems]
+    offsets = np.concatenate([[0], np.cumsum([env.n_atoms for env in envs])]).astype(np.int64)
+    fields = {name: np.concatenate([getattr(env, name) for env in envs]) for name in _ENV_FIELDS}
+    fields["neighbor_indices"] = np.concatenate(
+        [np.where(env.neighbor_indices >= 0, env.neighbor_indices + lo, -1) for env, lo in zip(envs, offsets)]
+    )
+    env = LocalEnvironment(**fields, cutoff=model.config.cutoff, cutoff_smooth=model.config.cutoff_smooth)
+    return env, np.repeat(np.arange(len(envs)), np.diff(offsets)), offsets
+
+
 # ---------------------------------------------------------------------------
 # Packing
 # ---------------------------------------------------------------------------
@@ -99,9 +156,26 @@ class TestPacking:
     def test_empty_batch(self, serving_model):
         batch = pack_systems(serving_model, [])
         assert batch.n_systems == 0 and batch.n_atoms == 0
+        for name in _ENV_FIELDS:
+            assert len(getattr(batch.env, name)) == 0
+        assert batch.env.R.shape[1:] == (serving_model.config.max_neighbors, 4)
         out = serving_model.evaluate_many(batch.env, batch.system_of_atom, batch.offsets)
         assert out.energies.shape == (0,) and out.forces.shape == (0, 3)
         assert out.split() == []
+
+    @pytest.mark.parametrize("width", [1, 3, 32])
+    def test_single_pass_equals_per_system_environments(self, serving_model, width):
+        """All nine packed fields are bit for bit each system's own build_environment."""
+        systems = _geometry_mix(serving_model)[:width]
+        expected, system_of_atom, offsets = _per_system_batch(serving_model, systems)
+        for workspace in (None, Workspace()):
+            batch = pack_systems(serving_model, systems, workspace=workspace)
+            np.testing.assert_array_equal(batch.offsets, offsets)
+            np.testing.assert_array_equal(batch.system_of_atom, system_of_atom)
+            for name in _ENV_FIELDS:
+                np.testing.assert_array_equal(getattr(batch.env, name), getattr(expected, name), err_msg=name)
+        assert batch.env.max_in_cutoff == max(serving_model.build_environment(*system).max_in_cutoff for system in systems)
+        assert (batch.env.max_in_cutoff > 16) == (width > 1)
 
     def test_workspace_pack_is_pooled_after_warmup(self, serving_model):
         ws = Workspace()
@@ -200,6 +274,30 @@ class TestBatchedParity:
         assert parts[0].forces.shape == (0, 3)
         assert parts[2].forces.shape == (1, 3)
         np.testing.assert_allclose(parts[2].forces, 0.0, atol=PARITY_ATOL)
+
+    @pytest.mark.parametrize("width", [0, 1, 3, 32])
+    @pytest.mark.filterwarnings(f"ignore:{_OVERFLOWS}:RuntimeWarning")
+    def test_evaluate_batch_bits_equal_the_per_system_packing(self, serving_model, width):
+        """Every served output is bit for bit the fused evaluation of the
+        per-system environments, and within 1e-10 of the serial golden."""
+        systems = _geometry_mix(serving_model)[:width]
+        engine = ServingEngine(serving_model)
+        parts = engine.evaluate_batch(systems).split()
+        assert len(parts) == width
+        if not width:
+            return
+        env, system_of_atom, offsets = _per_system_batch(serving_model, systems)
+        expected = serving_model.evaluate_many(
+            env, system_of_atom, offsets, compressed=True, compression_table=engine._table
+        ).split()
+        reference = evaluate_serial(serving_model, systems, compressed=True, compression_table=engine._table)
+        for got, want, ref in zip(parts, expected, reference):
+            assert got.energy == want.energy
+            for name in ("per_atom_energy", "forces", "virial"):
+                np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+            assert abs(got.energy - ref.energy) < PARITY_ATOL
+            np.testing.assert_allclose(got.forces, ref.forces, atol=PARITY_ATOL)
+            np.testing.assert_allclose(got.virial, ref.virial, atol=PARITY_ATOL)
 
     def test_evaluate_many_validates_inputs(self, serving_model):
         systems = _mixed_systems(serving_model)
@@ -335,6 +433,25 @@ class TestServingEngine:
             for array in (got.atoms.positions, got.atoms.velocities, got.atoms.forces, got.energies):
                 digest.update(np.ascontiguousarray(array, dtype=np.float64).tobytes())
         assert digest.hexdigest() == BURST_BATCH_SHA256[precision]
+
+    @pytest.mark.parametrize("path", ["submit", "submit_md", "evaluate_batch"])
+    def test_neighbor_budget_overflow_warns_once_per_engine(self, serving_model, path):
+        """A request with more in-cutoff neighbours than max_neighbors is truncated: say so, once."""
+        dense = _geometry_mix(serving_model)[1]
+        engine = ServingEngine(serving_model, max_batch_size=1)
+        serve = {
+            "submit": lambda: engine.submit(*dense[:2]).result(timeout=60),
+            "submit_md": lambda: engine.submit_md(*dense[:2], 2, 0.5).result(timeout=60),
+            "evaluate_batch": lambda: engine.evaluate_batch([dense]),
+        }[path]
+        with engine, pytest.warns(RuntimeWarning, match=_OVERFLOWS) as caught:
+            serve()
+            serve()
+        assert len(caught) == 1
+        quiet = ServingEngine(serving_model)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            quiet.evaluate_batch(_mixed_systems(serving_model))
 
     def test_request_cancelled_before_admission_is_dropped(self, serving_model):
         systems = _mixed_systems(serving_model, sizes=(6, 9, 8))
