@@ -169,7 +169,7 @@ def build_local_environment(
 
     n_pad = nei.shape[1] if max_neighbors is None else int(max_neighbors)
     return build_environment_rows(
-        atoms.positions, atoms.types.copy(), nei, box.minimum_image, cutoff, cutoff_smooth, n_pad, rows
+        atoms.positions, atoms.types, nei, box.minimum_image, cutoff, cutoff_smooth, n_pad, rows
     )
 
 

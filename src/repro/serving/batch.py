@@ -134,16 +134,15 @@ def pack_systems(model, systems, workspace=None) -> SystemBatch:
 def _row_minimum_image(systems, system_of_atom):
     """The minimum image of each packed row in its own system's box.
 
-    ``d - L * round(d / L)`` per row and axis, with the image count zeroed on
-    open axes: on a periodic axis the scalar arithmetic of
-    :meth:`Box.minimum_image <repro.md.box.Box.minimum_image>`, on an open one
-    ``d - 0.0 == d``, so each row is bit for bit its own system's image.  A
-    batch without a periodic axis needs no image at all.
+    ``d - L * round(d / L)`` per row and axis: on a periodic axis the scalar
+    arithmetic of :meth:`Box.minimum_image <repro.md.box.Box.minimum_image>`.
+    An open axis divides by 1.0, never by its length (which may be infinite),
+    and has its image count zeroed, so its ``d - 0.0 == d``: each row is bit
+    for bit its own system's image.
     """
-    if not any(any(box.periodic) for _, box, _ in systems):
-        return lambda displacements: displacements
-    periodic = np.array([box.periodic for _, box, _ in systems])
-    lengths = np.array([box.lengths for _, box, _ in systems])[system_of_atom, None, :]
+    periodic = np.array([box.periodic for _, box, _ in systems], dtype=bool).reshape(-1, 3)
+    lengths = np.array([box.lengths for _, box, _ in systems]).reshape(-1, 3)
+    lengths = np.where(periodic, lengths, 1.0)[system_of_atom, None, :]
     open_axes = ~periodic[system_of_atom, None, :]
 
     def minimum_image(displacements):

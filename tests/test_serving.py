@@ -85,15 +85,16 @@ def _lattice(shape, spacing, jitter, rng):
 def _geometry_mix(model, n_systems=32):
     """Open, periodic and slab boxes of different lengths, plus the edge cases.
 
-    The first three are a periodic box, an open 27-atom cluster whose centre
-    sees 26 neighbours against ``max_neighbors=16`` (the truncation branch)
-    and a slab; then a one-atom system and a two-atom system with no pairs.
+    The first three are a periodic box, a 27-atom cluster in an open box of
+    infinite lengths whose centre sees 26 neighbours against
+    ``max_neighbors=16`` (the truncation branch) and a slab; then a one-atom
+    system and a two-atom system with no pairs.
     """
     r = np.random.default_rng(17)
     open_box = Box.cubic(40.0, periodic=False)
     systems = [
         (_copper(_lattice((3, 3, 3), 3.3, 0.2, r)), Box.cubic(9.9)),
-        (_copper(_lattice((3, 3, 3), 2.4, 0.1, r) + 2.0), open_box),
+        (_copper(_lattice((3, 3, 3), 2.4, 0.1, r) + 2.0), Box(np.full(3, np.inf), (False,) * 3)),
         (_copper(_lattice((3, 3, 2), (3.4, 3.6, 3.0), 0.2, r) + (0.0, 0.0, 5.0)),
          Box(np.array([10.2, 10.8, 30.0]), (True, True, False))),
         (_copper(np.array([[20.0, 20.0, 20.0]])), open_box),
