@@ -19,7 +19,7 @@ import numpy as np
 from repro.md import Simulation, water_system
 from repro.md.forcefields.water import WaterReference
 from repro.parallel import DomainDecomposedSimulation
-from repro.perfmodel import CommCostModel, modelled_plan, plan_with_measured_volume
+from repro.perfmodel import exchange_time, modelled_plan, plan_with_measured_volume
 
 N_MOLECULES = 96
 N_STEPS = 25
@@ -64,10 +64,9 @@ def main() -> None:
     # 5. price the measured exchange on the machine model ---------------------
     plan = modelled_plan(engine, "p2p-utofu")
     scaled = plan_with_measured_volume(plan, volume["forward_bytes_per_rank"])
-    model = CommCostModel()
     print("\nFugaku-model exchange time for this decomposition:")
-    print(f"  modelled volume : {model.exchange_time(plan) * 1e6:8.2f} us/step")
-    print(f"  measured volume : {model.exchange_time(scaled) * 1e6:8.2f} us/step")
+    print(f"  modelled volume : {exchange_time(plan) * 1e6:8.2f} us/step")
+    print(f"  measured volume : {exchange_time(scaled) * 1e6:8.2f} us/step")
 
 
 if __name__ == "__main__":

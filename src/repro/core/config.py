@@ -36,7 +36,7 @@ class OptimizationConfig:
         hot path); ``False`` models atom-at-a-time inference, where every
         fitting-net GEMM degenerates to M=1.
     comm_scheme:
-        one of :data:`repro.perfmodel.schemes.SCHEME_NAMES`.
+        a Fig. 7 bar label, a key of :data:`repro.perfmodel.exchange.SCHEMES`.
     load_balance:
         intra-node load balance (node-box atom split).
     threading:

@@ -24,11 +24,10 @@ import numpy as np
 
 from ..parallel.decomposition import DecompositionStats, SpatialDecomposition
 from ..parallel.topology import RankTopology
-from ..perfmodel.comm_cost import CommCostModel
+from ..perfmodel.exchange import exchange_time, plan_exchange
 from ..perfmodel.kernels import KernelCostModel
 from ..perfmodel.loadbalance import IntraNodeLoadBalancer
 from ..perfmodel.machine import FUGAKU, FugakuSpec, threading_overhead
-from ..perfmodel.schemes import ExchangeContext, build_scheme
 from ..perfmodel.timeline import StepTimeline
 from .config import OptimizationConfig
 from .systems import SystemSpec
@@ -70,7 +69,6 @@ class DeepMDEngine:
             neighbors_per_atom=self.system.neighbors_per_atom,
             machine=self.machine,
         )
-        self.comm_model = CommCostModel(self.machine)
         self._position_cache: dict[int, tuple[np.ndarray, object]] = {}
 
     # -- helpers --------------------------------------------------------------
@@ -139,26 +137,14 @@ class DeepMDEngine:
         )
 
         # -- communication phase
-        context = ExchangeContext(
-            decomposition=decomposition,
-            cutoff=self.system.cutoff,
-            atom_density=self.system.atom_density,
-        )
-        scheme = build_scheme(config.comm_scheme)
-        plan = scheme.plan(context)
+        plan = plan_exchange(config.comm_scheme, decomposition, self.system.cutoff, self.system.atom_density)
         if not config.memory_pool and plan.registered_regions is None:
             plan.registered_regions = 2 * plan.n_messages
-        comm_time = self.comm_model.exchange_time(plan)
+        comm_time = exchange_time(plan, self.machine)
 
         timeline = StepTimeline(timestep_fs=self.system.timestep_fs)
         timeline.add("pair", compute_time)
         timeline.add("comm", comm_time)
-        timeline.notes = {
-            "scheme": plan.scheme,
-            "messages_per_step": plan.n_messages,
-            "max_atoms_on_rank": max_atoms_on_rank,
-            "load_balance": config.load_balance,
-        }
 
         return StepReport(
             config_name=config.name,

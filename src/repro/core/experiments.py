@@ -23,11 +23,9 @@ from ..md.neighbor import build_neighbor_data
 from ..md.rdf import RDFResult, rdf_overlap_error
 from ..parallel.decomposition import SpatialDecomposition
 from ..parallel.topology import RankTopology
-from ..perfmodel.comm_cost import CommCostModel
-from ..perfmodel.kernels import KernelCostModel
+from ..perfmodel.exchange import SCHEMES, exchange_time, plan_exchange, subbox_decomposition
 from ..perfmodel.loadbalance import IntraNodeLoadBalancer
 from ..perfmodel.machine import FUGAKU, message_occupancy, nic_cache_penalty, tni_makespan, wire_latency
-from ..perfmodel.schemes import ExchangeContext, SCHEME_NAMES, build_scheme
 from ..perfmodel.strongscaling import parallel_efficiency
 from ..training import Trainer, generate_water_dataset
 from ..utils.tables import Table
@@ -207,30 +205,26 @@ def fig7_comm_schemes(
     """Fig. 7: modelled ghost-exchange time per scheme and configuration."""
     density = atom_density if atom_density is not None else copper_spec().atom_density
     topology = RankTopology(node_dims)
-    cost = CommCostModel()
     table = Table(
         headers=["cutoff", "sub-box (r_cut units)", "scheme", "time [us]", "relative to baseline"],
         title="Fig. 7 — step-by-step communication optimization (96 nodes)",
     )
     for cutoff in cutoffs:
         for factors in subbox_factors:
-            context = ExchangeContext.from_subbox_factors(topology, cutoff, factors, density)
-            times = {
-                name: cost.exchange_time(build_scheme(name).plan(context)) for name in SCHEME_NAMES
-            }
+            decomposition = subbox_decomposition(topology, cutoff, factors)
+            times = {label: exchange_time(plan_exchange(label, decomposition, cutoff, density)) for label in SCHEMES}
             base = times["baseline"]
-            for name in SCHEME_NAMES:
-                table.add_row(cutoff, str(tuple(factors)), name, times[name] * 1.0e6, times[name] / base)
+            for label, seconds in times.items():
+                table.add_row(cutoff, str(tuple(factors)), label, seconds * 1.0e6, seconds / base)
     return table
 
 
 def communication_reduction(node_dims=(4, 6, 4), cutoff: float = 8.0, factors=(0.5, 0.5, 0.5)) -> float:
     """The headline claim: fraction of communication time removed by lb-4l."""
-    topology = RankTopology(node_dims)
-    context = ExchangeContext.from_subbox_factors(topology, cutoff, factors, copper_spec().atom_density)
-    cost = CommCostModel()
-    base = cost.exchange_time(build_scheme("baseline").plan(context))
-    optimized = cost.exchange_time(build_scheme("lb-4l").plan(context))
+    decomposition = subbox_decomposition(RankTopology(node_dims), cutoff, factors)
+    density = copper_spec().atom_density
+    base = exchange_time(plan_exchange("baseline", decomposition, cutoff, density))
+    optimized = exchange_time(plan_exchange("lb-4l", decomposition, cutoff, density))
     return 1.0 - optimized / base
 
 
@@ -311,6 +305,18 @@ def computation_speedup(system_name: str = "copper", atoms_per_core: int = 1, n_
 # Fig. 10 + Table III — intra-node load balance
 # ---------------------------------------------------------------------------
 
+def _balance_case(engine: DeepMDEngine, atoms_per_core: int, n_nodes: int, seed: int):
+    """``(positions, balancer)`` of one Table III / Fig. 10 case of ``engine``'s system.
+
+    ``atoms_per_core`` atoms per core on the optimized configuration's
+    ``n_nodes``-node grid, placed with ``seed``.
+    """
+    topology = engine.topology_for(n_nodes, optimized_config())
+    n_atoms = engine.system.atoms_for_cores(topology.n_cores, atoms_per_core)
+    positions, box = engine.system.build_positions(n_atoms, rng=seed)
+    return positions, IntraNodeLoadBalancer(SpatialDecomposition(box, topology))
+
+
 def table3_loadbalance(
     system_name: str = "water",
     atoms_per_core: tuple[int, ...] = (1, 2, 8),
@@ -318,26 +324,14 @@ def table3_loadbalance(
     seed: int = 5,
 ) -> Table:
     """Table III: pair time and atom numbers across MPI ranks, lb vs nolb."""
-    spec = get_system(system_name)
-    engine = DeepMDEngine(spec)
-    kernel = KernelCostModel(
-        embedding_sizes=spec.embedding_sizes,
-        axis_neurons=spec.axis_neurons,
-        fitting_sizes=spec.fitting_sizes,
-        neighbors_per_atom=spec.neighbors_per_atom,
-    )
-    per_atom_time = kernel.per_atom_time(atoms_per_thread=1, backend="sve", precision="mix-fp16")
-    config = optimized_config()
+    engine = DeepMDEngine(get_system(system_name))
+    per_atom_time = engine.kernel_model.per_atom_time(atoms_per_thread=1, backend="sve", precision="mix-fp16")
     table = Table(
         headers=["case", "lb", "metric", "min", "avg", "max", "SDMR%"],
         title=f"Table III — pair time and atom numbers across MPI ranks ({system_name})",
     )
     for apc in atoms_per_core:
-        topology = engine.topology_for(n_nodes, config)
-        n_atoms = spec.atoms_for_cores(topology.n_cores, apc)
-        positions, box = spec.build_positions(n_atoms, rng=seed)
-        decomposition = SpatialDecomposition(box, topology)
-        balancer = IntraNodeLoadBalancer(decomposition)
+        positions, balancer = _balance_case(engine, apc, n_nodes, seed)
         comparison = balancer.compare(positions, per_atom_time, rng=seed)
         for lb_label in ("no", "yes"):
             stats = comparison[lb_label]
@@ -373,23 +367,11 @@ def fig10_pair_time_distribution(
     seed: int = 5,
 ) -> dict[str, np.ndarray]:
     """Fig. 10: the per-rank pair-time distributions with and without balance."""
-    spec = get_system(system_name)
-    engine = DeepMDEngine(spec)
-    kernel = KernelCostModel(
-        embedding_sizes=spec.embedding_sizes,
-        axis_neurons=spec.axis_neurons,
-        fitting_sizes=spec.fitting_sizes,
-        neighbors_per_atom=spec.neighbors_per_atom,
-    )
-    per_atom_time = kernel.per_atom_time(atoms_per_thread=1, backend="sve", precision="mix-fp16")
-    config = optimized_config()
+    engine = DeepMDEngine(get_system(system_name))
+    per_atom_time = engine.kernel_model.per_atom_time(atoms_per_thread=1, backend="sve", precision="mix-fp16")
     distributions: dict[str, np.ndarray] = {}
     for apc in atoms_per_core:
-        topology = engine.topology_for(n_nodes, config)
-        n_atoms = spec.atoms_for_cores(topology.n_cores, apc)
-        positions, _box = spec.build_positions(n_atoms, rng=seed)
-        decomposition = SpatialDecomposition(engine._positions(n_atoms)[1], topology)
-        balancer = IntraNodeLoadBalancer(decomposition)
+        positions, balancer = _balance_case(engine, apc, n_nodes, seed)
         comparison = balancer.compare(positions, per_atom_time, rng=seed)
         distributions[f"{apc}-nolb"] = comparison["no"].pair_times
         distributions[f"{apc}-lb"] = comparison["yes"].pair_times
@@ -398,14 +380,8 @@ def fig10_pair_time_distribution(
 
 def dispersion_reduction(system_name: str = "copper", atoms_per_core: int = 1, n_nodes: int = 96, seed: int = 5) -> float:
     """The 79.7 % claim: reduction of the atom-count SDMR by the load balance."""
-    spec = get_system(system_name)
-    engine = DeepMDEngine(spec)
-    config = optimized_config()
-    topology = engine.topology_for(n_nodes, config)
-    n_atoms = spec.atoms_for_cores(topology.n_cores, atoms_per_core)
-    positions, box = spec.build_positions(n_atoms, rng=seed)
-    decomposition = SpatialDecomposition(box, topology)
-    return IntraNodeLoadBalancer(decomposition).dispersion_reduction(positions)
+    positions, balancer = _balance_case(DeepMDEngine(get_system(system_name)), atoms_per_core, n_nodes, seed)
+    return balancer.dispersion_reduction(positions)
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from .topology import RankTopology
 from .decomposition import DecompositionStats, LoadBalanceStats, SpatialDecomposition
 from .ghost import ghost_shell_ranks, layers_for_cutoff
 from .threadpool import PersistentWorkerPool, WorkerError
-from .exchange import GhostExchange, resolve_delivery_scheme, scheme_supports_node_box
+from .exchange import GhostExchange, check_delivery_scheme
 from .domain import RankDomain
 from .engine import DomainDecomposedSimulation
 from .executor import (
@@ -59,8 +59,7 @@ __all__ = [
     "PersistentWorkerPool",
     "WorkerError",
     "GhostExchange",
-    "resolve_delivery_scheme",
-    "scheme_supports_node_box",
+    "check_delivery_scheme",
     "DomainDecomposedSimulation",
     "RankDomain",
     "RankExecutor",

@@ -95,8 +95,7 @@ from .exchange import (
     BYTES_PER_GHOST_ATOM,
     BYTES_PER_VECTOR,
     GhostExchange,
-    resolve_delivery_scheme,
-    scheme_supports_node_box,
+    check_delivery_scheme,
 )
 from .executor import make_executor
 from .topology import RankTopology
@@ -111,8 +110,7 @@ class DomainDecomposedSimulation(EngineBackend):
         either a full :class:`RankTopology` or just the rank-grid shape (a
         default node block is derived via :meth:`RankTopology.for_rank_grid`).
     scheme:
-        ghost-delivery pattern: ``"p2p"`` or ``"node-based"`` (the Fig. 7 bar
-        labels such as ``"p2p-utofu"`` / ``"lb-4l"`` are accepted aliases).
+        ghost-delivery pattern: ``"p2p"`` or ``"node-based"``.
     executor / n_workers:
         who runs the per-rank force stages: ``"sequential"`` (default, the
         golden reference) or ``"process"`` — a persistent pool of
@@ -160,8 +158,8 @@ class DomainDecomposedSimulation(EngineBackend):
 
         self.topology = topology if topology is not None else RankTopology.for_rank_grid(rank_dims)
         self.decomposition = SpatialDecomposition(box, self.topology)
-        self.scheme_label = str(scheme)
-        self.scheme = resolve_delivery_scheme(scheme)
+        self.scheme = check_delivery_scheme(scheme)
+        self.scheme_label = self.scheme
         self.exchange = GhostExchange(self.decomposition, self.cutoff + self.neighbor_skin)
         self.integrator = VelocityVerlet(self.timestep_fs)
 
@@ -175,7 +173,10 @@ class DomainDecomposedSimulation(EngineBackend):
 
         self.node_balance = bool(node_balance)
         if self.node_balance:
-            if not scheme_supports_node_box(scheme):
+            # Under node-based delivery every rank of a node holds the same
+            # owned+ghost superset, the node-box copy; p2p delivers per-sub-box
+            # shells only, so a rank cannot be assigned a node peer's atom.
+            if self.scheme != "node-based":
                 raise ValueError(
                     "node-box load balancing requires a node-based delivery scheme "
                     f"(got {scheme!r}): only the node-box atom copy shared by every "

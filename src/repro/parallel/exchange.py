@@ -38,45 +38,16 @@ from .topology import RankTopology
 BYTES_PER_GHOST_ATOM = 48.0
 BYTES_PER_VECTOR = 24.0
 
-#: Scheme aliases accepted by :meth:`GhostExchange.deliver` and the engine;
-#: keys include the Fig. 7 bar labels of the priced schemes they execute.
-DELIVERY_SCHEMES = {
-    "p2p": "p2p",
-    "p2p-utofu": "p2p",
-    "p2p-mpi": "p2p",
-    "node-based": "node-based",
-    "node": "node-based",
-    "lb-1l": "node-based",
-    "lb-2l": "node-based",
-    "lb-4l": "node-based",
-    "sg-lb-4l": "node-based",
-    "ref-4l": "node-based",
-}
+#: The delivery patterns :meth:`GhostExchange.deliver` and the engine execute.
+DELIVERY_SCHEMES = ("p2p", "node-based")
 
 
-def resolve_delivery_scheme(name: str) -> str:
-    """Map a scheme label to its delivery pattern ("p2p" or "node-based")."""
-    try:
-        return DELIVERY_SCHEMES[str(name)]
-    except KeyError:
-        raise KeyError(
-            f"unknown delivery scheme {name!r}; available: {sorted(DELIVERY_SCHEMES)}"
-        ) from None
-
-
-def scheme_supports_node_box(name: str) -> bool:
-    """Whether a delivery scheme gives every rank its node-box atom copy.
-
-    Under the node-based pattern both :meth:`GhostExchange.node_selection`
-    (which depends only on the *receiver's node*) and the peer delivery of
-    :meth:`GhostExchange.node_peer_ranks` hand every rank of a node the same
-    owned+ghost superset — the node-box copy.  That shared copy is the
-    precondition for the §III-C intra-node load balancing, where evaluation
-    of the node's atoms is split evenly regardless of which sub-box owns
-    them; the p2p pattern delivers per-sub-box shells only, so a rank cannot
-    be assigned a node peer's atom.
-    """
-    return resolve_delivery_scheme(name) == "node-based"
+def check_delivery_scheme(name: str) -> str:
+    """``name`` if it is a delivery pattern ("p2p" or "node-based"); ``KeyError`` otherwise."""
+    name = str(name)
+    if name not in DELIVERY_SCHEMES:
+        raise KeyError(f"unknown delivery scheme {name!r}; available: {list(DELIVERY_SCHEMES)}")
+    return name
 
 
 def periodic_point_to_box_distance(
@@ -137,8 +108,7 @@ class GhostExchange:
 
     def node_peer_ranks(self, rank: int) -> list[int]:
         """The other ranks of ``rank``'s node (shared-memory peers)."""
-        node_coord = self.topology.node_of_rank(rank)
-        return [r for r in self.topology.ranks_on_node(node_coord) if r != rank]
+        return [r for r in self.topology.ranks_on_node(self.topology.node_of_rank(rank)) if r != rank]
 
     def senders(self, pattern: str, rank: int):
         """Who ships ghosts to ``rank`` under a delivery pattern, in delivery order.
@@ -194,10 +164,10 @@ class GhostExchange:
 
     def deliver(self, scheme: str, rank: int, positions: np.ndarray, owners: np.ndarray | None = None) -> np.ndarray:
         """Sorted atom ids ``rank`` holds as ghosts after an exchange under a
-        scheme label (see :data:`DELIVERY_SCHEMES`)."""
+        delivery pattern (see :data:`DELIVERY_SCHEMES`)."""
         owners = self.decomposition.assign_to_ranks(positions) if owners is None else owners
         delivered = [np.empty(0, dtype=np.int64)]
-        for sender, select in self.senders(resolve_delivery_scheme(scheme), rank):
+        for sender, select in self.senders(check_delivery_scheme(scheme), rank):
             sender_atoms = np.nonzero(owners == sender)[0]
             if select is not None and len(sender_atoms):
                 sender_atoms = sender_atoms[select(positions[sender_atoms], rank)]

@@ -13,7 +13,7 @@ This module provides
 * :func:`ghost_shell_ranks` — the exact set of neighbouring domains.
 
 The uniform-density message sizing and the closed-form ghost counts of §III-C
-are model-side: :mod:`repro.perfmodel.schemes` and
+are model-side: :mod:`repro.perfmodel.exchange` and
 :mod:`repro.perfmodel.loadbalance`.
 """
 

@@ -15,13 +15,13 @@ it *prices* what :mod:`repro.parallel` *executes*:
   (embedding, descriptor, fitting, forward + backward), converted to time by
   the A64FX functions with the GEMM-efficiency/precision factors the paper
   reports, plus framework overhead;
-* :mod:`schemes` + :mod:`messages` — the communication schemes compared in
-  Fig. 7 (LAMMPS 3-stage, p2p, node-based with 1/2/4 leaders, single-thread
-  and ref-layout variants) as planners producing a
-  :class:`CommunicationPlan` for one representative rank;
-* :mod:`comm_cost` — the time of a :class:`CommunicationPlan` on the TofuD
-  model (gather/scatter over the NoC, messages over the TNIs, NIC-cache
-  penalties, the force send-back);
+* :mod:`exchange` — the ghost exchange compared in Fig. 7: one table of
+  the eight bar labels (LAMMPS 3-stage over MPI or uTofu, p2p, node-based
+  with 1/2/4 leaders, single-thread and ref-layout variants),
+  :func:`plan_exchange` producing a :class:`CommunicationPlan` for one
+  representative rank from the real decomposition, and
+  :func:`exchange_time` pricing it on the TofuD model (gather/scatter over
+  the NoC, messages over the TNIs, NIC-cache penalties, the force send-back);
 * :mod:`loadbalance` — the intra-node load balancer's predicted per-rank
   counts and modelled pair times (Table III, Fig. 10) and the ghost-count
   closed forms of §III-C (eqs. 1 and 2);
@@ -40,16 +40,16 @@ and the real model configuration.
 
 from .machine import FUGAKU, A64FXSpec, FugakuSpec, NICCacheSpec, TofuDSpec
 from .kernels import KernelCostModel, PerAtomFlops
-from .messages import Message, CommRound, CommunicationPlan
-from .schemes import (
-    CommScheme,
-    ThreeStageScheme,
-    P2PScheme,
-    NodeBasedScheme,
-    build_scheme,
-    SCHEME_NAMES,
+from .exchange import (
+    SCHEMES,
+    CommRound,
+    CommunicationPlan,
+    Message,
+    exchange_breakdown,
+    exchange_time,
+    plan_exchange,
+    subbox_decomposition,
 )
-from .comm_cost import CommCostModel, CommTimeBreakdown
 from .loadbalance import (
     IntraNodeLoadBalancer,
     ghost_count_load_balanced,
@@ -71,14 +71,11 @@ __all__ = [
     "Message",
     "CommRound",
     "CommunicationPlan",
-    "CommScheme",
-    "ThreeStageScheme",
-    "P2PScheme",
-    "NodeBasedScheme",
-    "build_scheme",
-    "SCHEME_NAMES",
-    "CommCostModel",
-    "CommTimeBreakdown",
+    "SCHEMES",
+    "plan_exchange",
+    "exchange_time",
+    "exchange_breakdown",
+    "subbox_decomposition",
     "IntraNodeLoadBalancer",
     "pair_time_model",
     "ghost_count_original",

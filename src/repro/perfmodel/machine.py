@@ -309,24 +309,19 @@ def wire_latency(network: TofuDSpec, hops: int = 1, use_rdma: bool = True) -> fl
     return latency
 
 
-def tni_makespan(
-    network: TofuDSpec,
-    message_times: list[float],
-    engines: int | None = None,
-    threads: int | None = None,
-) -> float:
+def tni_makespan(network: TofuDSpec, message_times: list[float], threads: int | None = None) -> float:
     """Completion time of ``message_times`` over a node's RDMA engines.
 
     Each node has six TNIs that inject/receive concurrently; the paper binds
-    six threads of each leader rank to individual TNIs.  ``engines`` defaults
-    to all TNIs; ``threads`` caps concurrency further when fewer
-    communication threads than engines are used (the sg-lb-4l single-thread
-    configuration of Fig. 7).  Longest-processing-time list scheduling, exact
-    for the uniform message sizes the ghost exchange produces.
+    six threads of each leader rank to individual TNIs.  ``threads`` caps
+    concurrency below the TNI count when fewer communication threads than
+    engines are used (the sg-lb-4l single-thread configuration of Fig. 7).
+    Longest-processing-time list scheduling, exact for the uniform message
+    sizes the ghost exchange produces.
     """
     if not message_times:
         return 0.0
-    n_engines = network.n_tnis if engines is None else int(engines)
+    n_engines = network.n_tnis
     if threads is not None:
         n_engines = min(n_engines, int(threads))
     n_engines = max(1, n_engines)

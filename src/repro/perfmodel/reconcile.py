@@ -14,9 +14,8 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+from .exchange import CommunicationPlan, plan_exchange
 from .loadbalance import IntraNodeLoadBalancer
-from .messages import CommRound, CommunicationPlan
-from .schemes import ExchangeContext, build_scheme
 
 
 def modelled_plan(engine, scheme_name: str | None = None) -> CommunicationPlan:
@@ -26,12 +25,8 @@ def modelled_plan(engine, scheme_name: str | None = None) -> CommunicationPlan:
     the ghost volumes the engine actually moved.
     """
     name = scheme_name or ("p2p-utofu" if engine.scheme == "p2p" else "lb-4l")
-    context = ExchangeContext(
-        decomposition=engine.decomposition,
-        cutoff=engine.exchange.cutoff,
-        atom_density=engine.n_global / engine.box.volume,
-    )
-    return build_scheme(name).plan(context)
+    density = engine.n_global / engine.box.volume
+    return plan_exchange(name, engine.decomposition, engine.exchange.cutoff, density)
 
 
 def intra_node_balance(engine, per_atom_time: float | None = None, **kwargs):
@@ -65,19 +60,10 @@ def plan_with_measured_volume(
     if modelled <= 0.0:
         raise ValueError("cannot rescale a plan that models zero message bytes")
     scale = measured_forward_bytes / modelled
-    rounds = [
-        CommRound(
-            messages=[replace(m, n_bytes=m.n_bytes * scale) for m in r.messages],
-            engines=r.engines,
-            threads=r.threads,
-        )
-        for r in plan.rounds
-    ]
-    scaled = replace(
+    rounds = [replace(r, messages=[replace(m, n_bytes=m.n_bytes * scale) for m in r.messages]) for r in plan.rounds]
+    return replace(
         plan,
         rounds=rounds,
         gather_bytes_per_rank=[b * scale for b in plan.gather_bytes_per_rank],
         scatter_bytes_per_rank=[b * scale for b in plan.scatter_bytes_per_rank],
-        notes={**plan.notes, "measured_forward_bytes": measured_forward_bytes},
     )
-    return scaled

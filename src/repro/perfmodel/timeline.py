@@ -13,7 +13,6 @@ class StepTimeline:
 
     timestep_fs: float
     phases: dict[str, float] = field(default_factory=dict)
-    notes: dict = field(default_factory=dict)
 
     def add(self, phase: str, seconds: float) -> None:
         if seconds < 0:

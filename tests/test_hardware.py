@@ -110,7 +110,7 @@ class TestTorus:
 
 class TestTNIMakespan:
     def test_single_engine_serializes(self):
-        assert tni_makespan(NETWORK, [1.0, 1.0, 1.0], engines=1) == pytest.approx(3.0)
+        assert tni_makespan(NETWORK, [1.0, 1.0, 1.0], threads=1) == pytest.approx(3.0)
 
     def test_six_engines_run_concurrently(self):
         assert tni_makespan(NETWORK, [1.0] * 6) == pytest.approx(1.0)

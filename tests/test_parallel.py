@@ -11,19 +11,21 @@ from repro.parallel import (
     GhostExchange,
     RankTopology,
     SpatialDecomposition,
+    check_delivery_scheme,
     layers_for_cutoff,
-    resolve_delivery_scheme,
 )
 from repro.parallel.decomposition import even_shares
 from repro.parallel.ghost import ghost_shell_ranks
 from repro.perfmodel import (
+    SCHEMES,
     IntraNodeLoadBalancer,
-    build_scheme,
     ghost_count_load_balanced,
     ghost_count_original,
+    plan_exchange,
+    subbox_decomposition,
 )
+from repro.perfmodel.exchange import _neighbor_offsets, overlap_volume
 from repro.perfmodel.loadbalance import PAIR_TIME_NOISE_FLOOR, pair_time_model
-from repro.perfmodel.schemes import SCHEME_NAMES, ExchangeContext, _neighbor_offsets, overlap_volume
 
 
 class TestTopology:
@@ -141,24 +143,27 @@ class TestGhostGeometry:
 
 
 class TestSchemes:
-    def _context(self, factors, cutoff=8.0):
-        topo = RankTopology((4, 6, 4))
-        return ExchangeContext.from_subbox_factors(topo, cutoff, factors, copper_spec().atom_density)
+    CUTOFF = 8.0
+
+    def _decomposition(self, factors):
+        return subbox_decomposition(RankTopology((4, 6, 4)), self.CUTOFF, factors)
+
+    def _plan(self, label, decomposition):
+        return plan_exchange(label, decomposition, self.CUTOFF, copper_spec().atom_density)
 
     def test_paper_neighbor_counts(self):
-        ctx = self._context((0.5, 0.5, 0.5))
-        p2p = build_scheme("p2p-utofu").plan(ctx)
-        node = build_scheme("lb-4l").plan(ctx)
-        assert p2p.notes["n_neighbors"] == 124
-        assert node.notes["n_neighbor_nodes"] == 44
-        assert node.notes["messages_per_rank"] == pytest.approx(11.0)
-        ctx_1l = self._context((1, 1, 1))
-        assert build_scheme("p2p-utofu").plan(ctx_1l).notes["n_neighbors"] == 26
-        assert build_scheme("lb-4l").plan(ctx_1l).notes["n_neighbor_nodes"] == 26
+        strong = self._decomposition((0.5, 0.5, 0.5))
+        assert self._plan("p2p-utofu", strong).n_messages == 124
+        node = self._plan("lb-4l", strong)
+        assert node.n_messages == 44
+        # 44 neighbouring nodes over the 4 leaders: 11 messages per leader rank
+        assert node.n_messages / SCHEMES["lb-4l"][1]["leaders"] == pytest.approx(11.0)
+        weak = self._decomposition((1, 1, 1))
+        assert self._plan("p2p-utofu", weak).n_messages == 26
+        assert self._plan("lb-4l", weak).n_messages == 26
 
     def test_three_stage_rounds_match_layers(self):
-        ctx = self._context((0.5, 0.5, 1))
-        plan = build_scheme("baseline").plan(ctx)
+        plan = self._plan("baseline", self._decomposition((0.5, 0.5, 1)))
         # layers (2,2,1): 5 sequential rounds with 2 messages each
         assert len(plan.rounds) == 5
         assert all(r.n_messages == 2 for r in plan.rounds)
@@ -166,8 +171,7 @@ class TestSchemes:
         assert plan.ranks_sharing_network == 4
 
     def test_node_scheme_properties(self):
-        ctx = self._context((0.5, 0.5, 0.5))
-        plan = build_scheme("lb-4l").plan(ctx)
+        plan = self._plan("lb-4l", self._decomposition((0.5, 0.5, 0.5)))
         assert plan.use_rdma
         assert plan.ranks_sharing_network == 1
         assert plan.n_intra_node_syncs == 2
@@ -176,37 +180,43 @@ class TestSchemes:
         assert plan.total_message_bytes > 0
 
     def test_all_scheme_names_buildable(self):
-        ctx = self._context((1, 1, 1))
-        for name in SCHEME_NAMES:
-            plan = build_scheme(name).plan(ctx)
-            assert plan.scheme == name
+        decomposition = self._decomposition((1, 1, 1))
+        for label in SCHEMES:
+            assert self._plan(label, decomposition).scheme == label
         with pytest.raises(KeyError):
-            build_scheme("telepathy")
+            self._plan("telepathy", decomposition)
+        with pytest.raises(ValueError):
+            plan_exchange("lb-4l", decomposition, 0.0, 1.0)
+        with pytest.raises(ValueError):
+            subbox_decomposition(RankTopology((1, 1, 1)), self.CUTOFF, (0.5, 0.0, 0.5))
 
     def test_message_hops_are_torus_distances_between_nodes(self):
-        ctx = self._context((0.5, 0.5, 0.5))
-        topo = ctx.topology
+        decomposition = self._decomposition((0.5, 0.5, 0.5))
+        topo = decomposition.topology
 
         def node_distance(node):
             # the representative rank sits on node (0, 0, 0)
             return sum(min(n % d, d - n % d) for n, d in zip(node, topo.node_dims))
 
-        p2p = build_scheme("p2p-utofu").plan(ctx)
-        offsets = _neighbor_offsets(layers_for_cutoff(ctx.sub_box_lengths, ctx.cutoff), ctx.rank_dims)
+        p2p = self._plan("p2p-utofu", decomposition)
+        rank_dims = decomposition.rank_dims
+        offsets = _neighbor_offsets(layers_for_cutoff(decomposition.sub_box_lengths, self.CUTOFF), rank_dims)
         for offset, message in zip(offsets, p2p.rounds[0].messages, strict=True):
-            hops = node_distance(topo.node_of_rank_coord([o % r for o, r in zip(offset, ctx.rank_dims)]))
+            hops = node_distance(topo.node_of_rank_coord([o % r for o, r in zip(offset, rank_dims)]))
             assert (message.hops, message.intra_node) == (max(hops, 1), hops == 0)
-        node = build_scheme("lb-4l").plan(ctx)
-        offsets = _neighbor_offsets(layers_for_cutoff(ctx.node_box_lengths, ctx.cutoff), ctx.node_dims)
+        node = self._plan("lb-4l", decomposition)
+        offsets = _neighbor_offsets(
+            layers_for_cutoff(decomposition.node_box_lengths, self.CUTOFF), decomposition.node_dims
+        )
         for offset, message in zip(offsets, node.rounds[0].messages, strict=True):
             assert message.hops == max(node_distance(offset), 1)
         assert max(m.hops for m in node.rounds[0].messages) > 1
 
     def test_leader_variants_differ_in_threads(self):
-        ctx = self._context((0.5, 0.5, 0.5))
-        lb1 = build_scheme("lb-1l").plan(ctx)
-        lb4 = build_scheme("lb-4l").plan(ctx)
-        sg = build_scheme("sg-lb-4l").plan(ctx)
+        decomposition = self._decomposition((0.5, 0.5, 0.5))
+        lb1 = self._plan("lb-1l", decomposition)
+        lb4 = self._plan("lb-4l", decomposition)
+        sg = self._plan("sg-lb-4l", decomposition)
         assert lb1.copy_threads < lb4.copy_threads
         assert sg.rounds[0].threads == 4
         assert lb4.rounds[0].threads == 24
@@ -310,20 +320,16 @@ class TestGhostExchangeComponent:
             np.unique(assembled), exchange.deliver("p2p", rank, atoms.positions, owners)
         )
 
-    def test_scheme_labels_resolve_to_delivery_patterns(self):
+    def test_only_the_two_delivery_patterns_are_accepted(self):
         atoms, exchange = self._setup()
-        assert resolve_delivery_scheme("p2p-utofu") == "p2p"
-        assert resolve_delivery_scheme("lb-4l") == "node-based"
-        with pytest.raises(KeyError):
-            resolve_delivery_scheme("baseline-telepathy")
-        np.testing.assert_array_equal(
-            exchange.deliver("p2p-utofu", 0, atoms.positions),
-            exchange.deliver("p2p", 0, atoms.positions),
-        )
-        np.testing.assert_array_equal(
-            exchange.deliver("lb-4l", 0, atoms.positions),
-            exchange.deliver("node-based", 0, atoms.positions),
-        )
+        assert check_delivery_scheme("p2p") == "p2p"
+        assert check_delivery_scheme("node-based") == "node-based"
+        # the priced Fig. 7 labels are not delivery patterns
+        for label in ("p2p-utofu", "lb-4l", "p2p-mpi", "node", "baseline-telepathy"):
+            with pytest.raises(KeyError):
+                check_delivery_scheme(label)
+            with pytest.raises(KeyError):
+                exchange.deliver(label, 0, atoms.positions)
 
     def test_cutoff_validation(self):
         atoms, exchange = self._setup()

@@ -29,8 +29,16 @@ from repro.core.experiments import (
 from repro.core.systems import get_system
 from repro.parallel.decomposition import sdmr_percent
 from repro.parallel.topology import RankTopology
-from repro.perfmodel import CommCostModel, KernelCostModel, StepTimeline, parallel_efficiency, scaling_table
-from repro.perfmodel.schemes import ExchangeContext, build_scheme
+from repro.perfmodel import (
+    KernelCostModel,
+    StepTimeline,
+    exchange_breakdown,
+    exchange_time,
+    parallel_efficiency,
+    plan_exchange,
+    scaling_table,
+    subbox_decomposition,
+)
 
 
 class TestKernelCostModel:
@@ -112,15 +120,14 @@ class TestKernelCostModel:
         )
 
 
-class TestCommCostModel:
-    def _context(self, factors):
-        topo = RankTopology((4, 6, 4))
-        return ExchangeContext.from_subbox_factors(topo, 8.0, factors, copper_spec().atom_density)
+class TestExchangeTime:
+    def _plan(self, label, factors):
+        decomposition = subbox_decomposition(RankTopology((4, 6, 4)), 8.0, factors)
+        return plan_exchange(label, decomposition, 8.0, copper_spec().atom_density)
 
     def test_fig7_qualitative_orderings(self):
-        cost = CommCostModel()
-        strong = self._context((0.5, 0.5, 0.5))
-        times = {n: cost.exchange_time(build_scheme(n).plan(strong)) for n in ("baseline", "3stage-utofu", "p2p-utofu", "lb-1l", "lb-4l", "sg-lb-4l", "ref-4l")}
+        labels = ("baseline", "3stage-utofu", "p2p-utofu", "lb-1l", "lb-4l", "sg-lb-4l", "ref-4l")
+        times = {n: exchange_time(self._plan(n, (0.5, 0.5, 0.5))) for n in labels}
         # baseline (MPI 3-stage) is the slowest in the strong-scaling regime
         assert all(times["baseline"] > t for name, t in times.items() if name != "baseline")
         # the node-based scheme with 4 leaders beats both rank-level patterns
@@ -133,19 +140,16 @@ class TestCommCostModel:
         assert times["ref-4l"] == pytest.approx(times["lb-4l"], rel=0.15)
 
     def test_node_scheme_loses_at_large_subboxes(self):
-        cost = CommCostModel()
-        weak = self._context((1, 1, 1))
-        node = cost.exchange_time(build_scheme("lb-4l").plan(weak))
-        p2p = cost.exchange_time(build_scheme("p2p-utofu").plan(weak))
+        node = exchange_time(self._plan("lb-4l", (1, 1, 1)))
+        p2p = exchange_time(self._plan("p2p-utofu", (1, 1, 1)))
         assert node > p2p  # the paper's [1,1,1] r_cut observation
 
     def test_breakdown_components_nonnegative(self):
-        cost = CommCostModel()
-        plan = build_scheme("lb-4l").plan(self._context((0.5, 0.5, 1)))
-        breakdown = cost.evaluate(plan)
-        for value in (breakdown.gather, breakdown.network, breakdown.scatter, breakdown.sync, breakdown.reverse):
-            assert value >= 0.0
-        assert breakdown.total == pytest.approx(breakdown.forward + breakdown.reverse)
+        plan = self._plan("lb-4l", (0.5, 0.5, 1))
+        breakdown = exchange_breakdown(plan)
+        assert list(breakdown) == ["gather", "network", "scatter", "sync", "reverse"]
+        assert all(value >= 0.0 for value in breakdown.values())
+        assert exchange_time(plan) == pytest.approx(sum(breakdown.values()))
 
 
 class TestTimelineAndScaling:
