@@ -28,7 +28,6 @@ Run with::
 
 from __future__ import annotations
 
-import os
 import time
 
 import numpy as np
@@ -37,6 +36,7 @@ import pytest
 from repro.md import LennardJones, copper_system, water_system
 from repro.md.forcefields.water import WaterReference
 from repro.parallel import DomainDecomposedSimulation
+from repro.parallel.threadpool import usable_cpu_count
 from repro.perfmodel import IntraNodeLoadBalancer
 
 N_MOLECULES = 333  # 999 atoms
@@ -126,35 +126,6 @@ SCALING_STEPS = 10
 SINGLE_CORE_FLOOR = 0.15
 
 
-def _visible_cores() -> int:
-    """CPU cores this process can actually run on, cgroup quotas included.
-
-    ``sched_getaffinity`` alone over-reports inside quota-limited containers
-    (CI runners typically cap CPU via the cgroup CFS quota while leaving the
-    affinity mask at the host width), which would arm the 2x strong-scaling
-    gate on a box that can only time-slice one core.  Take the minimum of the
-    affinity mask and the cgroup v2 (``cpu.max``) or v1
-    (``cpu.cfs_quota_us``/``cpu.cfs_period_us``) quota, when one is set.
-    """
-    cores = len(os.sched_getaffinity(0))
-    try:  # cgroup v2
-        with open("/sys/fs/cgroup/cpu.max") as fh:
-            quota, period = fh.read().split()[:2]
-        if quota != "max":
-            cores = min(cores, max(1, int(int(quota) / int(period))))
-    except (OSError, ValueError):
-        try:  # cgroup v1
-            with open("/sys/fs/cgroup/cpu/cpu.cfs_quota_us") as fh:
-                quota = int(fh.read())
-            with open("/sys/fs/cgroup/cpu/cpu.cfs_period_us") as fh:
-                period = int(fh.read())
-            if quota > 0:
-                cores = min(cores, max(1, quota // period))
-        except (OSError, ValueError):
-            pass
-    return cores
-
-
 def _scaling_engine(atoms, box, executor, n_workers=None):
     return DomainDecomposedSimulation(
         atoms.copy(),
@@ -191,7 +162,7 @@ def test_bench_executor_strong_scaling():
         n_workers = concurrent._executor.pool.n_workers
 
     speedup = sequential_seconds / concurrent_seconds
-    cores = _visible_cores()
+    cores = usable_cpu_count()
     print(
         f"\nStrong scaling, {len(atoms)} atoms, {SCALING_STEPS} steps, 2x2x1 ranks "
         f"({cores} cores visible):"

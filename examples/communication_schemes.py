@@ -5,6 +5,11 @@ Reproduces the structure of Fig. 7 (and the Fig. 8 memory-pool study) for a
 exchange delivers every ghost atom the p2p pattern would (the correctness
 property behind the 81 % communication reduction).
 
+The eight Fig. 7 bars are labels of :data:`repro.perfmodel.exchange.SCHEMES`,
+each planned by ``plan_exchange`` and priced by ``exchange_time``; the engine
+executes only the two delivery patterns behind them, ``"p2p"`` and
+``"node-based"``.
+
 Run:  python examples/communication_schemes.py
 """
 

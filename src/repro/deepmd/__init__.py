@@ -29,7 +29,7 @@ Nothing here imports either.
 """
 
 from .smoothing import switching_function, switching_derivative
-from .envmat import LocalEnvironment, build_local_environment
+from .envmat import AccuracyWarning, LocalEnvironment, build_local_environment
 from .gemm import GemmBackend, GemmStats
 from .networks import FastMLP, init_nets
 from .precision import PrecisionPolicy, DOUBLE, MIX_FP32, MIX_FP16
@@ -40,6 +40,7 @@ from .pair_style import DeepPotentialForceField
 __all__ = [
     "switching_function",
     "switching_derivative",
+    "AccuracyWarning",
     "LocalEnvironment",
     "build_local_environment",
     "GemmBackend",

@@ -122,13 +122,41 @@ class LocalEnvironment:
         return r_c, s_c
 
 
+class AccuracyWarning(RuntimeWarning):
+    """The Deep Potential was evaluated outside what it was sized for.
+
+    Raised once per force field or serving engine when in-cutoff neighbours
+    are dropped to the ``max_neighbors`` budget, and when a pair inside the
+    compressed table's range clamps the tabulated embedding; one filter
+    (``warnings.simplefilter("error", AccuracyWarning)``) catches both.
+    """
+
+
 def warn_truncated(env: LocalEnvironment, stacklevel: int) -> bool:
-    """Warn (``RuntimeWarning``) and return True if a row of ``env`` lost in-cutoff neighbours to the budget."""
+    """Warn (:class:`AccuracyWarning`) and return True if a row of ``env`` lost in-cutoff neighbours to the budget."""
     if env.max_in_cutoff > env.max_neighbors:
         message = f"an atom has {env.max_in_cutoff} neighbours inside the cutoff but max_neighbors="
         message += f"{env.max_neighbors}: the farthest are dropped and energy is no longer conserved"
-        warnings.warn(message, RuntimeWarning, stacklevel=stacklevel + 1)
+        warnings.warn(message, AccuracyWarning, stacklevel=stacklevel + 1)
     return env.max_in_cutoff > env.max_neighbors
+
+
+def warn_clamped(env: LocalEnvironment, table, stacklevel: int) -> bool:
+    """Warn (:class:`AccuracyWarning`) and return True if a pair of ``env`` lies past the compressed ``table``.
+
+    A pair closer than the table's minimum distance drives s(r) above
+    ``table.s_max``, where the tabulated embedding is clamped.
+    """
+    clamped = bool(env.s.max(initial=0.0) > table.s_max)
+    if clamped:
+        warnings.warn(
+            f"a pair is closer than compression_min_distance={1.0 / table.s_max:g} A: "
+            f"s(r) exceeds the table's s_max={table.s_max:g}, so the compressed embedding is "
+            "clamped there and no longer follows the exact model",
+            AccuracyWarning,
+            stacklevel=stacklevel + 1,
+        )
+    return clamped
 
 
 def _candidate_geometry(positions: np.ndarray, minimum_image, nei: np.ndarray, cutoff: float):

@@ -8,13 +8,11 @@ embedding tables.
 
 from __future__ import annotations
 
-import warnings
-
 from ..md.atoms import Atoms
 from ..md.box import Box
 from ..md.forcefields.base import ForceField, ForceResult
 from ..md.neighbor import NeighborData
-from .envmat import warn_truncated
+from .envmat import warn_clamped, warn_truncated
 from .gemm import GemmBackend, _dtype_name
 from .model import DeepPotential
 from .precision import DOUBLE, get_policy
@@ -64,15 +62,8 @@ class DeepPotentialForceField(ForceField):
         env = self.model.build_environment(atoms, box, neighbors, workspace=workspace)
         if not self._overflow_warned:
             self._overflow_warned = warn_truncated(env, stacklevel=2)
-        if self.compressed and not self._clamp_warned and env.s.max(initial=0.0) > self._table.s_max:
-            self._clamp_warned = True
-            warnings.warn(
-                f"a pair is closer than compression_min_distance={self.compression_min_distance} A: "
-                f"s(r) exceeds the table's s_max={self._table.s_max:g}, so the compressed embedding is "
-                "clamped there and no longer follows the exact model",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+        if self.compressed and not self._clamp_warned:
+            self._clamp_warned = warn_clamped(env, self._table, stacklevel=2)
         output = self.model.evaluate(
             atoms,
             box,

@@ -22,16 +22,44 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 import traceback
+from pathlib import Path
 
 #: Workers *inherit* the engine state and the shared-memory mappings.
 START_METHOD = "fork"
 
 
+#: The cgroup v2 CPU quota file (``"<quota> <period>"`` or ``"max <period>"``).
+CGROUP_V2_CPU_MAX = "/sys/fs/cgroup/cpu.max"
+#: The cgroup v1 CFS quota and period files (a quota of -1 means none).
+CGROUP_V1_CFS_QUOTA = "/sys/fs/cgroup/cpu/cpu.cfs_quota_us"
+CGROUP_V1_CFS_PERIOD = "/sys/fs/cgroup/cpu/cpu.cfs_period_us"
+
+
 def usable_cpu_count() -> int:
-    """CPUs this process may run on: its affinity mask where there is one."""
+    """CPUs this process can actually run on, cgroup quotas included.
+
+    The affinity mask alone over-reports inside quota-limited containers (CI
+    runners typically cap CPU with the cgroup CFS quota and leave the mask at
+    the host width), so take the minimum of the mask and the cgroup v2
+    (``cpu.max``) or v1 (``cpu.cfs_quota_us`` / ``cpu.cfs_period_us``) quota,
+    when one is set, never below one CPU.
+    """
     if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    try:  # cgroup v2
+        quota, period = Path(CGROUP_V2_CPU_MAX).read_text().split()[:2]
+        if quota != "max":
+            cores = min(cores, max(1, int(quota) // int(period)))
+    except (OSError, ValueError):
+        try:  # cgroup v1
+            quota = int(Path(CGROUP_V1_CFS_QUOTA).read_text())
+            if quota > 0:
+                cores = min(cores, max(1, quota // int(Path(CGROUP_V1_CFS_PERIOD).read_text())))
+        except (OSError, ValueError):
+            pass
+    return cores
 
 
 class WorkerError(RuntimeError):

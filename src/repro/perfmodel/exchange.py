@@ -385,8 +385,8 @@ def _network_time(plan: CommunicationPlan, machine: FugakuSpec, byte_scale: floa
     return total
 
 
-def exchange_breakdown(plan: CommunicationPlan, machine: FugakuSpec = FUGAKU) -> dict[str, float]:
-    """Seconds per phase of the full exchange: gather, network, scatter, sync, reverse."""
+def exchange_breakdown(plan: CommunicationPlan, machine: FugakuSpec) -> dict[str, float]:
+    """Seconds per phase of the full exchange on ``machine``: gather, network, scatter, sync, reverse."""
     node = machine.node
     gather = noc_copy_time(node, plan.gather_bytes_per_rank, plan.copy_threads)
     scatter = noc_copy_time(node, plan.scatter_bytes_per_rank, plan.copy_threads)

@@ -40,7 +40,7 @@ import time
 
 import numpy as np
 
-from ..deepmd.envmat import warn_truncated
+from ..deepmd.envmat import warn_clamped, warn_truncated
 from ..deepmd.gemm import GemmBackend
 from ..deepmd.precision import DOUBLE, get_policy
 from ..md.integrators import VelocityVerlet
@@ -92,8 +92,10 @@ class ServingEngine:
         self._loop_scope = self._workspace.scoped("serve.loop")
         self._sync_scope = self._workspace.scoped("serve.sync")
 
-        # one truncation warning per engine, as DeepPotentialForceField warns once per force field
+        # one truncation and one table-clamp warning per engine, as
+        # DeepPotentialForceField warns once per force field
         self._overflow_warned = False
+        self._clamp_warned = False
 
         self._queue = AdmissionQueue(max_batch_size=max_batch_size, max_wait_ms=max_wait_ms)
         self._thread: threading.Thread | None = None
@@ -160,7 +162,9 @@ class ServingEngine:
         """Synchronous pack → fused evaluate for prepared ``(atoms, box, neighbors)`` triples.
 
         The first batch with a row over ``max_neighbors`` (its farthest
-        neighbours are dropped) emits one ``RuntimeWarning`` per engine.
+        neighbours are dropped) emits one :class:`~repro.deepmd.AccuracyWarning`
+        per engine, and so does the first batch with a pair inside the
+        compressed table's ``compression_min_distance`` (the table clamps).
         The result aliases buffers of ``workspace`` (default: the engine's
         ``serve.sync`` scope) until the next call with the same one;
         concurrent callers pass their own.
@@ -170,6 +174,8 @@ class ServingEngine:
         batch = pack_systems(self.model, systems, workspace=workspace)
         if not self._overflow_warned:
             self._overflow_warned = warn_truncated(batch.env, stacklevel=2)
+        if self.compressed and not self._clamp_warned:
+            self._clamp_warned = warn_clamped(batch.env, self._table, stacklevel=2)
         return self.model.evaluate_many(
             batch.env,
             batch.system_of_atom,

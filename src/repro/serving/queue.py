@@ -18,9 +18,10 @@ they run different compute stages).  Under a single client the window adds at
 most ``max_wait_ms`` latency; under concurrency it buys batch width, which is
 where the fused kernels earn their throughput.
 
-:class:`ServingStats` accumulates per-request latency splits (queue wait vs.
-service) and per-batch widths; percentiles come out of ``np.percentile`` over
-the recorded samples.
+:class:`ServingStats` accounts per-request latency splits (queue wait vs.
+service) and per-batch widths in fixed memory: the means are running sums,
+and the percentiles come out of ``np.percentile`` over the last
+:data:`LATENCY_WINDOW` requests.
 """
 
 from __future__ import annotations
@@ -32,6 +33,9 @@ from concurrent.futures import Future
 from dataclasses import dataclass, field
 
 import numpy as np
+
+#: Requests whose total latency :class:`ServingStats` keeps for its p50/p99.
+LATENCY_WINDOW = 4096
 
 __all__ = [
     "ServingRequest",
@@ -131,43 +135,51 @@ class AdmissionQueue:
 
 
 class ServingStats:
-    """Latency and batch-width accounting across a serving run."""
+    """Latency and batch-width accounting across a serving run, in fixed memory.
+
+    The mean latencies and the mean batch width are exact over the whole
+    run (running sums); p50/p99 cover the last :data:`LATENCY_WINDOW`
+    requests.
+    """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._wait_s: list[float] = []
-        self._service_s: list[float] = []
-        self._total_s: list[float] = []
-        self._batch_sizes: list[int] = []
+        self._recent_total_s: deque[float] = deque(maxlen=LATENCY_WINDOW)
+        self._wait_sum_s = 0.0
+        self._service_sum_s = 0.0
+        self._total_sum_s = 0.0
         self.n_requests = 0
         self.n_batches = 0
 
     def record_batch(self, requests, t_done: float) -> None:
         with self._lock:
             self.n_batches += 1
-            self._batch_sizes.append(len(requests))
             for request in requests:
                 self.n_requests += 1
-                self._wait_s.append(request.t_admit - request.t_submit)
-                self._service_s.append(t_done - request.t_admit)
-                self._total_s.append(t_done - request.t_submit)
+                total = t_done - request.t_submit
+                self._wait_sum_s += request.t_admit - request.t_submit
+                self._service_sum_s += t_done - request.t_admit
+                self._total_sum_s += total
+                self._recent_total_s.append(total)
 
     def latency_ms(self) -> dict:
-        """p50/p99/mean total latency (and the wait/service split means)."""
+        """p50/p99 over the recent window, run-long mean total latency and wait/service split means."""
         with self._lock:
-            if not self._total_s:
+            if not self.n_requests:
                 return {"p50": 0.0, "p99": 0.0, "mean": 0.0, "wait_mean": 0.0, "service_mean": 0.0}
-            total = np.asarray(self._total_s)
+            recent = np.asarray(self._recent_total_s)
+            n = self.n_requests
             return {
-                "p50": float(np.percentile(total, 50)) * 1e3,
-                "p99": float(np.percentile(total, 99)) * 1e3,
-                "mean": float(total.mean()) * 1e3,
-                "wait_mean": float(np.mean(self._wait_s)) * 1e3,
-                "service_mean": float(np.mean(self._service_s)) * 1e3,
+                "p50": float(np.percentile(recent, 50)) * 1e3,
+                "p99": float(np.percentile(recent, 99)) * 1e3,
+                "mean": self._total_sum_s / n * 1e3,
+                "wait_mean": self._wait_sum_s / n * 1e3,
+                "service_mean": self._service_sum_s / n * 1e3,
             }
 
     def mean_batch_size(self) -> float:
+        """Mean requests per batch: every recorded request belongs to one batch."""
         with self._lock:
-            if not self._batch_sizes:
+            if not self.n_batches:
                 return 0.0
-            return float(np.mean(self._batch_sizes))
+            return self.n_requests / self.n_batches

@@ -282,7 +282,7 @@ class TestPairStyleAndSimulationThreading:
     def test_pair_style_paths_agree(self):
         import inspect
 
-        from repro.deepmd import DeepPotentialForceField
+        from repro.deepmd import AccuracyWarning, DeepPotentialForceField
 
         atoms, box, cutoff, smooth = make_system("copper", 5)
         model = make_model("copper", 5, cutoff, smooth)
@@ -305,7 +305,7 @@ class TestPairStyleAndSimulationThreading:
     def test_neighbor_budget_overflow_warns_once_per_force_field(self):
         import warnings
 
-        from repro.deepmd import DeepPotentialForceField
+        from repro.deepmd import AccuracyWarning, DeepPotentialForceField
 
         atoms, box, cutoff, smooth = make_system("copper", 5)
         neighbors = build_neighbor_data(atoms.positions, box, cutoff)
@@ -314,7 +314,7 @@ class TestPairStyleAndSimulationThreading:
         tight = make_model("copper", 5, cutoff, smooth, max_neighbors=densest - 1)
         for compressed in (False, True):  # one warning per force field, not per model or per step
             force_field = DeepPotentialForceField(tight, compressed=compressed)
-            with pytest.warns(RuntimeWarning, match=rf"{densest} neighbours .* max_neighbors={densest - 1}") as caught:
+            with pytest.warns(AccuracyWarning, match=rf"{densest} neighbours .* max_neighbors={densest - 1}") as caught:
                 force_field.compute(atoms, box, neighbors)
                 force_field.compute(atoms, box, neighbors, workspace=Workspace())
             assert len(caught) == 1
@@ -332,7 +332,7 @@ class TestPairStyleAndSimulationThreading:
         silently clamping; the exact pair style and a normal box stay quiet."""
         import warnings
 
-        from repro.deepmd import DeepPotentialForceField
+        from repro.deepmd import AccuracyWarning, DeepPotentialForceField
 
         atoms, box, cutoff, smooth = make_system("water", 0)
         model = make_model("water", 0, cutoff, smooth)
@@ -341,7 +341,7 @@ class TestPairStyleAndSimulationThreading:
 
         force_field = DeepPotentialForceField(model, compressed=True)
         assert 1.0 / 0.4 > force_field._table.s_max
-        with pytest.warns(RuntimeWarning, match=r"closer than compression_min_distance=0\.5 A") as caught:
+        with pytest.warns(AccuracyWarning, match=r"closer than compression_min_distance=0\.5 A") as caught:
             for _ in range(2):
                 force_field.compute(squeezed, box, build_neighbor_data(squeezed.positions, box, cutoff))
         assert len(caught) == 1

@@ -460,6 +460,34 @@ class TestExecutorPlumbing:
             with pytest.raises(WorkerError, match="worker 1 died"):
                 pool.broadcast(("ping",))
 
+    def test_usable_cpu_count_applies_the_cgroup_quota(self, tmp_path, monkeypatch):
+        from repro.parallel import threadpool
+
+        mask = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        missing = str(tmp_path / "missing")
+        for name in ("CGROUP_V2_CPU_MAX", "CGROUP_V1_CFS_QUOTA", "CGROUP_V1_CFS_PERIOD"):
+            monkeypatch.setattr(threadpool, name, missing)
+        assert usable_cpu_count() == mask  # no quota file: the affinity mask
+
+        def fake(name, text):
+            path = tmp_path / name
+            path.write_text(text)
+            return str(path)
+
+        monkeypatch.setattr(threadpool, "CGROUP_V2_CPU_MAX", fake("cpu.max", "max 100000\n"))
+        assert usable_cpu_count() == mask
+        monkeypatch.setattr(threadpool, "CGROUP_V2_CPU_MAX", fake("cpu.max", "50000 100000\n"))
+        assert usable_cpu_count() == 1  # half a CPU still runs one worker
+        monkeypatch.setattr(threadpool, "CGROUP_V2_CPU_MAX", fake("cpu.max", f"{100000 * (mask + 3)} 100000\n"))
+        assert usable_cpu_count() == mask  # a quota above the mask does not raise it
+
+        monkeypatch.setattr(threadpool, "CGROUP_V2_CPU_MAX", missing)
+        monkeypatch.setattr(threadpool, "CGROUP_V1_CFS_PERIOD", fake("cfs_period_us", "100000\n"))
+        monkeypatch.setattr(threadpool, "CGROUP_V1_CFS_QUOTA", fake("cfs_quota_us", "-1\n"))
+        assert usable_cpu_count() == mask
+        monkeypatch.setattr(threadpool, "CGROUP_V1_CFS_QUOTA", fake("cfs_quota_us", "100000\n"))
+        assert usable_cpu_count() == 1
+
     def test_worker_count_never_exceeds_cores_by_default(self):
         engine = _engine(_copper_lj_setup(), (2, 2, 2), executor="process")
         try:

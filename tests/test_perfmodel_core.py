@@ -30,6 +30,7 @@ from repro.core.systems import get_system
 from repro.parallel.decomposition import sdmr_percent
 from repro.parallel.topology import RankTopology
 from repro.perfmodel import (
+    FUGAKU,
     KernelCostModel,
     StepTimeline,
     exchange_breakdown,
@@ -146,7 +147,7 @@ class TestExchangeTime:
 
     def test_breakdown_components_nonnegative(self):
         plan = self._plan("lb-4l", (0.5, 0.5, 1))
-        breakdown = exchange_breakdown(plan)
+        breakdown = exchange_breakdown(plan, FUGAKU)
         assert list(breakdown) == ["gather", "network", "scatter", "sync", "reverse"]
         assert all(value >= 0.0 for value in breakdown.values())
         assert exchange_time(plan) == pytest.approx(sum(breakdown.values()))
@@ -290,8 +291,6 @@ class TestEngineAndExperiments:
 
     def test_a_second_machine_spec_prices_differently(self):
         from dataclasses import replace
-
-        from repro.perfmodel import FUGAKU
 
         slow_network = replace(FUGAKU, network=replace(FUGAKU.network, hop_latency=2 * FUGAKU.network.hop_latency))
         slow_node = replace(FUGAKU, node=replace(FUGAKU.node, clock_hz=FUGAKU.node.clock_hz / 2))

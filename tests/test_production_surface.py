@@ -32,7 +32,6 @@ ALLOWED = {
     "NeighborData.has_table": "probe of the lazily derived padded table (README, neighbour lists)",
     "NeighborData.neighbors_of": "one atom's view of the pair list, for inspection",
     "ForceField.numerical_forces": "finite-difference check of any force field's analytic forces",
-    "suggested_max_neighbors": "sizes config.max_neighbors, the remedy for the neighbour-overflow warning",
     "Atoms.from_symbols": "25 test sites build atoms with it; moving it into tests/ removes nothing",
     "_pair_distances_dense": "the dense reference a test compares the RDF pair search against",
     "BerendsenThermostat": "physics feature with its own regression and parity tests",
@@ -120,3 +119,67 @@ def test_only_code_references_count():
     # docstrings, comments and strings name nothing; Name and Attribute nodes do
     tree = ast.parse('"""See Box.orthorhombic."""\n# cartesian coordinates\nx = "speedup_over"\ny = box.wrap(z)\n')
     assert sorted(name for name, _ in _references(tree)) == ["box", "wrap", "x", "y", "z"]
+
+
+#: Settable values of the pricing layer (``perfmodel/`` and ``core/``):
+#: dataclass init fields plus defaulted parameters, counted by
+#: :func:`_settable_values`.  A new pricing knob fails here; raise the pin
+#: only with the reason the knob must be settable, and lower it when one goes.
+PRICING_SETTABLE_VALUES = 182
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if (isinstance(target, ast.Name) and target.id == "dataclass") or (
+            isinstance(target, ast.Attribute) and target.attr == "dataclass"
+        ):
+            return True
+    return False
+
+
+def _init_field(statement) -> bool:
+    """An annotated class-body name that the dataclass ``__init__`` takes."""
+    if not (isinstance(statement, ast.AnnAssign) and isinstance(statement.target, ast.Name)):
+        return False
+    if "ClassVar" in ast.unparse(statement.annotation):
+        return False
+    value = statement.value
+    keywords = value.keywords if isinstance(value, ast.Call) else []
+    return not any(k.arg == "init" and isinstance(k.value, ast.Constant) and k.value.value is False for k in keywords)
+
+
+def _settable_values(tree: ast.Module) -> int:
+    """Dataclass init fields plus parameters with a default, over one module."""
+    count = 0
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            count += sum(_init_field(statement) for statement in node.body)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            count += len(node.args.defaults) + sum(default is not None for default in node.args.kw_defaults)
+    return count
+
+
+def test_pricing_layer_settable_values_are_pinned():
+    paths = sorted(path for sub in ("perfmodel", "core") for path in (PACKAGE / sub).rglob("*.py"))
+    count = sum(_settable_values(ast.parse(path.read_text())) for path in paths)
+    assert count == PRICING_SETTABLE_VALUES, (
+        f"perfmodel/ and core/ have {count} settable values, pinned at {PRICING_SETTABLE_VALUES}: "
+        "delete the knob nobody sets, or move the pin with the reason"
+    )
+
+
+def test_settable_values_counts_init_fields_and_defaults():
+    tree = ast.parse(
+        "@dataclass(frozen=True)\n"
+        "class A:\n"
+        "    x: int\n"
+        "    y: int = 1\n"
+        "    k: ClassVar[int] = 2\n"
+        "    z: str = field(default='', init=False)\n"
+        "class B:\n"
+        "    w: int = 3\n"
+        "    def f(self, a, b=1, *, c=2, d): ...\n"
+        "def g(e=None): ...\n"
+    )
+    assert _settable_values(tree) == 2 + 2 + 1

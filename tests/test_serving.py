@@ -16,7 +16,7 @@ from concurrent.futures import CancelledError
 import numpy as np
 import pytest
 
-from repro.deepmd import MIX_FP32, DeepPotential, DeepPotentialConfig, LocalEnvironment
+from repro.deepmd import MIX_FP32, AccuracyWarning, DeepPotential, DeepPotentialConfig, LocalEnvironment
 from repro.md.atoms import Atoms
 from repro.md.box import Box
 from repro.md.neighbor import build_neighbor_data
@@ -368,6 +368,39 @@ BURST_BATCH_SHA256 = {
 }
 
 
+class TestServingStats:
+    def test_stored_latencies_stay_bounded_and_means_stay_exact(self):
+        from types import SimpleNamespace
+
+        from repro.serving.queue import LATENCY_WINDOW, ServingStats
+
+        stats = ServingStats()
+        assert stats.latency_ms()["p50"] == 0.0 and stats.mean_batch_size() == 0.0
+        rng = np.random.default_rng(5)
+        widths, waits, services = [], [], []
+        # a window's worth of slow requests (10 s), then a window's worth of fast ones (1 s)
+        for t_done in (10.0, 1.0):
+            recorded = 0
+            while recorded < LATENCY_WINDOW:
+                admits = rng.uniform(0.0, t_done, rng.integers(1, 33))
+                batch = [SimpleNamespace(t_submit=0.0, t_admit=w) for w in admits]
+                stats.record_batch(batch, t_done)
+                recorded += len(batch)
+                widths.append(len(batch))
+                waits += [r.t_admit for r in batch]
+                services += [t_done - r.t_admit for r in batch]
+        assert len(stats._recent_total_s) == LATENCY_WINDOW
+        latency = stats.latency_ms()
+        # the percentiles cover the recent window, which holds fast requests only
+        assert latency["p50"] == latency["p99"] == 1.0e3
+        # the means cover the whole run
+        assert latency["mean"] == pytest.approx(float(np.mean(np.add(waits, services))) * 1e3, rel=1e-12)
+        assert latency["wait_mean"] == pytest.approx(float(np.mean(waits)) * 1e3, rel=1e-12)
+        assert latency["service_mean"] == pytest.approx(float(np.mean(services)) * 1e3, rel=1e-12)
+        assert stats.mean_batch_size() == float(np.mean(widths))
+        assert (stats.n_batches, stats.n_requests) == (len(widths), sum(widths))
+
+
 class TestServingEngine:
     def test_one_shot_requests_match_serial_reference(self, serving_model):
         systems = _mixed_systems(serving_model)
@@ -445,7 +478,7 @@ class TestServingEngine:
             "submit_md": lambda: engine.submit_md(*dense[:2], 2, 0.5).result(timeout=60),
             "evaluate_batch": lambda: engine.evaluate_batch([dense]),
         }[path]
-        with engine, pytest.warns(RuntimeWarning, match=_OVERFLOWS) as caught:
+        with engine, pytest.warns(AccuracyWarning, match=_OVERFLOWS) as caught:
             serve()
             serve()
         assert len(caught) == 1
@@ -453,6 +486,27 @@ class TestServingEngine:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             quiet.evaluate_batch(_mixed_systems(serving_model))
+
+    @pytest.mark.parametrize("path", ["submit", "submit_md", "evaluate_batch"])
+    def test_table_clamp_warns_once_per_engine(self, serving_model, path):
+        """A pair inside compression_min_distance is served on a clamped table: say so, once."""
+        atoms = _copper(np.array([[5.0, 5.0, 5.0], [5.3, 5.0, 5.0], [7.5, 5.0, 5.0]]))  # a 0.3 A pair
+        box = Box.cubic(40.0, periodic=False)
+        engine = ServingEngine(serving_model, max_batch_size=1)
+        serve = {
+            "submit": lambda: engine.submit(atoms, box).result(timeout=60),
+            "submit_md": lambda: engine.submit_md(atoms, box, 2, 0.5).result(timeout=60),
+            "evaluate_batch": lambda: engine.evaluate_batch([prepare_system(serving_model, atoms, box)]),
+        }[path]
+        with engine, pytest.warns(AccuracyWarning, match=r"closer than compression_min_distance=0\.5 A") as caught:
+            serve()
+            serve()
+        assert len(caught) == 1
+        # the exact nets have no table to clamp
+        exact = ServingEngine(serving_model, compressed=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            exact.evaluate_batch([prepare_system(serving_model, atoms, box)])
 
     def test_request_cancelled_before_admission_is_dropped(self, serving_model):
         systems = _mixed_systems(serving_model, sizes=(6, 9, 8))
