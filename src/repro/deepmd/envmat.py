@@ -125,7 +125,7 @@ class LocalEnvironment:
 class AccuracyWarning(RuntimeWarning):
     """The Deep Potential was evaluated outside what it was sized for.
 
-    Raised once per force field or serving engine when in-cutoff neighbours
+    Emitted once per force field or serving engine when in-cutoff neighbours
     are dropped to the ``max_neighbors`` budget, and when a pair inside the
     compressed table's range clamps the tabulated embedding; one filter
     (``warnings.simplefilter("error", AccuracyWarning)``) catches both.
