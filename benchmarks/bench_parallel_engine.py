@@ -19,7 +19,7 @@ machine that has nowhere to run it).
 
 ``test_bench_node_box_sdmr`` prints the measured Table III: the node-box
 organization's measured atom-count SDMR next to the
-:class:`IntraNodeLoadBalancer` prediction it must reproduce.
+:func:`~repro.perfmodel.balance_comparison` prediction it must reproduce.
 
 Run with::
 
@@ -37,7 +37,7 @@ from repro.md import LennardJones, copper_system, water_system
 from repro.md.forcefields.water import WaterReference
 from repro.parallel import DomainDecomposedSimulation
 from repro.parallel.threadpool import usable_cpu_count
-from repro.perfmodel import IntraNodeLoadBalancer
+from repro.perfmodel import balance_comparison
 
 N_MOLECULES = 333  # 999 atoms
 N_STEPS = 10
@@ -219,9 +219,8 @@ def test_bench_node_box_sdmr():
 
     measured_plain = plain.load_balance_stats()
     measured_balanced = balanced.load_balance_stats()
-    balancer = IntraNodeLoadBalancer(balanced.decomposition)
     positions = balanced.gather().positions
-    predicted = balancer.compare(positions, per_atom_time=1e-4, jitter_fraction=0.0)
+    predicted = balance_comparison(balanced.decomposition, positions, per_atom_time=1e-4, jitter_fraction=0.0)
 
     rows = [
         ("owner-computes (measured)", measured_plain),

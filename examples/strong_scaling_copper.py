@@ -9,7 +9,15 @@ Run:  python examples/strong_scaling_copper.py
 
 from __future__ import annotations
 
-from repro.core import DeepMDEngine, baseline_config, copper_spec, optimized_config, water_spec
+from repro.core import (
+    baseline_config,
+    copper_spec,
+    optimization_ladder,
+    optimized_config,
+    step_report,
+    strong_scaling,
+    water_spec,
+)
 from repro.core.config import fig9_stage_configs
 from repro.core.experiments import FIG11_NODE_COUNTS
 from repro.perfmodel import scaling_table
@@ -17,8 +25,7 @@ from repro.perfmodel import scaling_table
 
 def main() -> None:
     print("Step-by-step optimization ladder (copper, 96 nodes, 1 atom/core):")
-    engine = DeepMDEngine(copper_spec())
-    reports = engine.optimization_ladder(fig9_stage_configs(), n_nodes=96, atoms_per_core=1)
+    reports = optimization_ladder(copper_spec(), fig9_stage_configs(), n_nodes=96, atoms_per_core=1)
     base = reports[0].ns_day
     for report in reports:
         print(
@@ -27,13 +34,12 @@ def main() -> None:
         )
 
     for spec, n_atoms in ((copper_spec(), 540_000), (water_spec(), 558_000)):
-        engine = DeepMDEngine(spec)
-        scaling = engine.strong_scaling(optimized_config(), FIG11_NODE_COUNTS, n_atoms=n_atoms)
+        scaling = strong_scaling(spec, optimized_config(), FIG11_NODE_COUNTS, n_atoms=n_atoms)
         table = scaling_table(
             FIG11_NODE_COUNTS,
             [r.ns_day for r in scaling],
             spec.name,
-            baseline_ns_day=engine.step_report(baseline_config(), 12_000, n_atoms=n_atoms).ns_day,
+            baseline_ns_day=step_report(spec, baseline_config(), 12_000, n_atoms=n_atoms).ns_day,
         )
         print()
         print(table.to_text(floatfmt=".2f"))

@@ -14,12 +14,13 @@ The package is organised in layers (see the README's "Layout" table):
   gradient golden); production never imports it,
 * prices: :mod:`repro.perfmodel` (the Fugaku spec and its pricing
   functions; communication schemes, load balance and kernels as per-step
-  costs, ns/day), :mod:`repro.core` (optimization configuration + engine +
-  experiment harness) — these import the executing layer, never the reverse,
+  costs, ns/day), :mod:`repro.core` (optimization configuration, the
+  modelled step, the experiment harness) — these import the executing layer, never the reverse,
 * tooling: :mod:`repro.analysis` (reprolint).
 
 Most users should start from :class:`repro.core.OptimizationConfig` and
-:class:`repro.core.DeepMDEngine`; see ``examples/quickstart.py``.
+:func:`repro.core.step_report`; see ``examples/quickstart.py`` and
+``examples/strong_scaling_copper.py``.
 """
 
 from .version import __version__

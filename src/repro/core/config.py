@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from ..perfmodel.exchange import SCHEMES
+
 
 @dataclass(frozen=True)
 class OptimizationConfig:
@@ -68,6 +70,8 @@ class OptimizationConfig:
             raise ValueError(f"unknown GEMM backend {self.gemm_backend!r}")
         if self.threading not in ("openmp", "threadpool"):
             raise ValueError(f"unknown threading runtime {self.threading!r}")
+        if self.comm_scheme not in SCHEMES:
+            raise KeyError(f"unknown communication scheme {self.comm_scheme!r}; available: {list(SCHEMES)}")
 
     def derive(self, name: str, **changes) -> "OptimizationConfig":
         """A copy with some fields changed (used to build the stage ladder)."""

@@ -1,8 +1,10 @@
-"""The engine combining system, decomposition, schemes and the cost model.
+"""The modelled MD step: system, configuration and node count in, ns/day out.
 
-:class:`DeepMDEngine` answers the question the paper's evaluation asks over
-and over: *given this system, this many nodes, and this set of optimizations,
-how long is one MD step and how many nanoseconds per day does that buy?*
+:func:`step_report` answers the question the paper's evaluation asks over
+and over: *given this system, this many nodes, and this set of
+optimizations, how long is one MD step and how many nanoseconds per day does
+that buy?*  :func:`optimization_ladder` asks it down the Fig. 9 ladder and
+:func:`strong_scaling` over the Fig. 11 node counts.
 
 The inputs that matter are computed, not assumed:
 
@@ -19,164 +21,144 @@ model (the README's "Parallel engine" section relates it to the executed engine)
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from functools import lru_cache
 
 from ..parallel.decomposition import DecompositionStats, SpatialDecomposition
 from ..parallel.topology import RankTopology
 from ..perfmodel.exchange import exchange_time, plan_exchange
-from ..perfmodel.kernels import KernelCostModel
-from ..perfmodel.loadbalance import IntraNodeLoadBalancer
-from ..perfmodel.machine import FUGAKU, FugakuSpec, threading_overhead
-from ..perfmodel.timeline import StepTimeline
+from ..perfmodel.kernels import rank_compute_time
+from ..perfmodel.loadbalance import rank_counts_with_balance, rank_counts_without_balance
+from ..perfmodel.machine import FUGAKU, FugakuSpec
+from ..units import ns_per_day
 from .config import OptimizationConfig
 from .systems import SystemSpec
 
 
 @dataclass
 class StepReport:
-    """The outcome of modelling one configuration at one scale."""
+    """The modelled time of one MD step of one configuration at one scale.
+
+    ``phases`` holds the step's phase times in seconds (``"pair"``, ``"comm"``).
+    """
 
     config_name: str
     system: str
     n_nodes: int
     n_atoms: int
     atoms_per_core: float
-    timeline: StepTimeline
+    timestep_fs: float
+    phases: dict[str, float]
     rank_count_stats: dict[str, float]
 
     @property
+    def step_time(self) -> float:
+        return float(sum(self.phases.values()))
+
+    @property
     def ns_day(self) -> float:
-        return self.timeline.ns_day
+        return ns_per_day(self.step_time, self.timestep_fs)
 
     @property
     def step_time_ms(self) -> float:
-        return self.timeline.step_time * 1.0e3
+        return self.step_time * 1.0e3
 
 
-@dataclass
-class DeepMDEngine:
-    """Performance engine for one benchmark system."""
+def topology_for(n_nodes: int, config: OptimizationConfig) -> RankTopology:
+    """The node grid of ``n_nodes``: the paper's shape, else an exact cube-root grid.
 
-    system: SystemSpec
-    machine: FugakuSpec = FUGAKU
+    Raises ``ValueError`` when neither holds exactly ``n_nodes`` nodes
+    (50 would otherwise be modelled as 4 x 3 x 4 = 48).
+    """
+    shapes = RankTopology.paper_topologies()
+    if n_nodes in shapes:
+        node_dims = shapes[n_nodes]
+    else:
+        edge = max(round(n_nodes ** (1.0 / 3.0)), 1)
+        node_dims = (edge, max(n_nodes // (edge * edge), 1), edge)
+        if edge * node_dims[1] * edge != n_nodes:
+            raise ValueError(
+                f"cannot model {n_nodes} nodes: its cube-root grid {node_dims} "
+                f"holds {edge * node_dims[1] * edge}"
+            )
+    return RankTopology(node_dims=node_dims, threads_per_rank=config.threads_per_rank)
 
-    def __post_init__(self) -> None:
-        self.kernel_model = KernelCostModel(
-            embedding_sizes=self.system.embedding_sizes,
-            axis_neurons=self.system.axis_neurons,
-            fitting_sizes=self.system.fitting_sizes,
-            neighbors_per_atom=self.system.neighbors_per_atom,
-            machine=self.machine,
-        )
-        self._position_cache: dict[int, tuple[np.ndarray, object]] = {}
 
-    # -- helpers --------------------------------------------------------------
-    def topology_for(self, n_nodes: int, config: OptimizationConfig) -> RankTopology:
-        """The node grid of ``n_nodes``: the paper's shape, else an exact cube-root grid.
+@lru_cache(maxsize=4)
+def _seeded_positions(system: SystemSpec, n_atoms: int):
+    """``system``'s seed-2024 coordinates at ``n_atoms``, built once per pair (read-only)."""
+    positions, box = system.build_positions(n_atoms, rng=2024)
+    positions.flags.writeable = False
+    return positions, box
 
-        Raises ``ValueError`` when neither holds exactly ``n_nodes`` nodes
-        (50 would otherwise be modelled as 4 x 3 x 4 = 48).
-        """
-        shapes = RankTopology.paper_topologies()
-        if n_nodes in shapes:
-            node_dims = shapes[n_nodes]
-        else:
-            edge = max(round(n_nodes ** (1.0 / 3.0)), 1)
-            node_dims = (edge, max(n_nodes // (edge * edge), 1), edge)
-            if edge * node_dims[1] * edge != n_nodes:
-                raise ValueError(
-                    f"cannot model {n_nodes} nodes: its cube-root grid {node_dims} "
-                    f"holds {edge * node_dims[1] * edge}"
-                )
-        return RankTopology(node_dims=node_dims, threads_per_rank=config.threads_per_rank)
 
-    def _positions(self, n_atoms: int):
-        if n_atoms not in self._position_cache:
-            positions, box = self.system.build_positions(n_atoms, rng=2024)
-            self._position_cache[n_atoms] = (positions, box)
-        return self._position_cache[n_atoms]
+def step_report(
+    system: SystemSpec,
+    config: OptimizationConfig,
+    n_nodes: int,
+    n_atoms: int | None = None,
+    atoms_per_core: float | None = None,
+    machine: FugakuSpec = FUGAKU,
+) -> StepReport:
+    """Model one MD step of ``system`` for ``config`` on ``n_nodes`` nodes of ``machine``."""
+    topology = topology_for(n_nodes, config)
+    if n_atoms is None:
+        if atoms_per_core is None:
+            raise ValueError("give either n_atoms or atoms_per_core")
+        n_atoms = system.atoms_for_cores(topology.n_cores, atoms_per_core)
+    positions, box = _seeded_positions(system, n_atoms)
+    n_atoms = len(positions)
 
-    # -- the central question ---------------------------------------------------
-    def step_report(
-        self,
-        config: OptimizationConfig,
-        n_nodes: int,
-        n_atoms: int | None = None,
-        atoms_per_core: float | None = None,
-    ) -> StepReport:
-        """Model one MD step for ``config`` on ``n_nodes`` nodes."""
-        topology = self.topology_for(n_nodes, config)
-        if n_atoms is None:
-            if atoms_per_core is None:
-                raise ValueError("give either n_atoms or atoms_per_core")
-            n_atoms = self.system.atoms_for_cores(topology.n_cores, atoms_per_core)
-        positions, box = self._positions(n_atoms)
-        n_atoms = len(positions)
+    decomposition = SpatialDecomposition(box, topology)
+    if config.load_balance:
+        counts = rank_counts_with_balance(decomposition, positions)
+    else:
+        counts = rank_counts_without_balance(decomposition, positions)
+    stats = DecompositionStats(counts)
 
-        decomposition = SpatialDecomposition(box, topology)
-        balancer = IntraNodeLoadBalancer(decomposition)
-        if config.load_balance:
-            counts = balancer.rank_counts_with_balance(positions)
-        else:
-            counts = balancer.rank_counts_without_balance(positions)
-        stats = DecompositionStats(counts)
-        max_atoms_on_rank = stats.maximum
+    # -- compute (pair) phase of the most loaded rank
+    compute_time = rank_compute_time(system, config, stats.maximum, machine)
 
-        # -- compute (pair) phase of the most loaded rank
-        compute_time = self.kernel_model.rank_compute_time(
-            atoms_on_rank=max_atoms_on_rank,
-            threads_per_rank=config.threads_per_rank,
-            backend=config.gemm_backend,
-            precision=config.precision,
-            compressed=config.compressed_embedding,
-            pretranspose=config.pretranspose,
-            framework=config.use_framework,
-            batched=config.batched_inference,
-            threading_overhead=threading_overhead(self.machine, config.threading),
-        )
+    # -- communication phase
+    plan = plan_exchange(config.comm_scheme, decomposition, system.cutoff, system.atom_density)
+    if not config.memory_pool and plan.registered_regions is None:
+        plan.registered_regions = 2 * plan.n_messages
+    comm_time = exchange_time(plan, machine)
 
-        # -- communication phase
-        plan = plan_exchange(config.comm_scheme, decomposition, self.system.cutoff, self.system.atom_density)
-        if not config.memory_pool and plan.registered_regions is None:
-            plan.registered_regions = 2 * plan.n_messages
-        comm_time = exchange_time(plan, self.machine)
+    return StepReport(
+        config_name=config.name,
+        system=system.name,
+        n_nodes=n_nodes,
+        n_atoms=n_atoms,
+        atoms_per_core=n_atoms / topology.n_cores,
+        timestep_fs=system.timestep_fs,
+        phases={"pair": compute_time, "comm": comm_time},
+        rank_count_stats=stats.summary(),
+    )
 
-        timeline = StepTimeline(timestep_fs=self.system.timestep_fs)
-        timeline.add("pair", compute_time)
-        timeline.add("comm", comm_time)
 
-        return StepReport(
-            config_name=config.name,
-            system=self.system.name,
-            n_nodes=n_nodes,
-            n_atoms=n_atoms,
-            atoms_per_core=n_atoms / topology.n_cores,
-            timeline=timeline,
-            rank_count_stats=stats.summary(),
-        )
+def optimization_ladder(
+    system: SystemSpec,
+    configs: list[OptimizationConfig],
+    n_nodes: int,
+    atoms_per_core: float,
+    machine: FugakuSpec = FUGAKU,
+) -> list[StepReport]:
+    """Fig. 9: the same workload under a ladder of configurations."""
+    reports = []
+    n_atoms = None
+    for config in configs:
+        report = step_report(system, config, n_nodes, n_atoms, atoms_per_core, machine)
+        n_atoms = report.n_atoms  # keep the workload identical across bars
+        reports.append(report)
+    return reports
 
-    # -- sweeps -----------------------------------------------------------------
-    def optimization_ladder(
-        self,
-        configs: list[OptimizationConfig],
-        n_nodes: int,
-        atoms_per_core: float,
-    ) -> list[StepReport]:
-        """Fig. 9: the same workload under a ladder of configurations."""
-        reports = []
-        n_atoms = None
-        for config in configs:
-            report = self.step_report(config, n_nodes, n_atoms=n_atoms, atoms_per_core=atoms_per_core)
-            n_atoms = report.n_atoms  # keep the workload identical across bars
-            reports.append(report)
-        return reports
 
-    def strong_scaling(
-        self,
-        config: OptimizationConfig,
-        node_counts: list[int],
-        n_atoms: int,
-    ) -> list[StepReport]:
-        """Fig. 11: a fixed system over increasing node counts."""
-        return [self.step_report(config, n, n_atoms=n_atoms) for n in node_counts]
+def strong_scaling(
+    system: SystemSpec,
+    config: OptimizationConfig,
+    node_counts: list[int],
+    n_atoms: int,
+    machine: FugakuSpec = FUGAKU,
+) -> list[StepReport]:
+    """Fig. 11: a fixed system over increasing node counts."""
+    return [step_report(system, config, n, n_atoms, machine=machine) for n in node_counts]

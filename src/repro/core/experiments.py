@@ -7,8 +7,8 @@ qualitative claims: orderings, reductions, overlaps).
 
 Physics experiments (Table II, Fig. 6) train a small Deep Potential on the
 pseudo-AIMD water reference; performance experiments (Figs. 7-11, Tables I
-and III) run the decomposition + machine model through
-:class:`~repro.core.engine.DeepMDEngine`.
+and III) run the decomposition + machine model through the functions of
+:mod:`repro.core.engine` and :mod:`repro.perfmodel`.
 """
 
 from __future__ import annotations
@@ -24,13 +24,14 @@ from ..md.rdf import RDFResult, rdf_overlap_error
 from ..parallel.decomposition import SpatialDecomposition
 from ..parallel.topology import RankTopology
 from ..perfmodel.exchange import SCHEMES, exchange_time, plan_exchange, subbox_decomposition
-from ..perfmodel.loadbalance import IntraNodeLoadBalancer
+from ..perfmodel.kernels import per_atom_time
+from ..perfmodel.loadbalance import balance_comparison, sdmr_reduction
 from ..perfmodel.machine import FUGAKU, message_occupancy, nic_cache_penalty, tni_makespan, wire_latency
 from ..perfmodel.strongscaling import parallel_efficiency
 from ..training import Trainer, generate_water_dataset
 from ..utils.tables import Table
 from .config import baseline_config, fig9_stage_configs, optimized_config
-from .engine import DeepMDEngine
+from .engine import optimization_ladder, step_report, strong_scaling, topology_for
 from .errors import energy_error_per_atom, force_rmse, precision_error_table
 from .systems import copper_spec, get_system, water_spec
 
@@ -62,9 +63,7 @@ def table1_packages(n_nodes: int = 12_000) -> Table:
 
     config = optimized_config()
     for system_name, n_atoms in (("copper", 540_000), ("water", 558_000)):
-        spec = get_system(system_name)
-        engine = DeepMDEngine(spec)
-        report = engine.step_report(config, n_nodes=n_nodes, n_atoms=n_atoms)
+        report = step_report(get_system(system_name), config, n_nodes, n_atoms=n_atoms)
         table.add_row(
             "This work (model)",
             2024,
@@ -276,9 +275,9 @@ def fig9_computation(
     )
     configs = fig9_stage_configs()
     for system_name in systems:
-        engine = DeepMDEngine(get_system(system_name))
+        system = get_system(system_name)
         for apc in atoms_per_core:
-            reports = engine.optimization_ladder(configs, n_nodes=n_nodes, atoms_per_core=apc)
+            reports = optimization_ladder(system, configs, n_nodes, apc)
             base = reports[0].ns_day
             for report in reports:
                 table.add_row(
@@ -294,9 +293,7 @@ def fig9_computation(
 
 def computation_speedup(system_name: str = "copper", atoms_per_core: int = 1, n_nodes: int = 96) -> float:
     """The 14.11x-style compute claim: sve-fp16 stage over baseline (same comm)."""
-    engine = DeepMDEngine(get_system(system_name))
-    configs = fig9_stage_configs()
-    reports = engine.optimization_ladder(configs, n_nodes=n_nodes, atoms_per_core=atoms_per_core)
+    reports = optimization_ladder(get_system(system_name), fig9_stage_configs(), n_nodes, atoms_per_core)
     by_name = {r.config_name: r for r in reports}
     return by_name["sve-fp16"].ns_day / by_name["baseline"].ns_day
 
@@ -305,16 +302,16 @@ def computation_speedup(system_name: str = "copper", atoms_per_core: int = 1, n_
 # Fig. 10 + Table III — intra-node load balance
 # ---------------------------------------------------------------------------
 
-def _balance_case(engine: DeepMDEngine, atoms_per_core: int, n_nodes: int, seed: int):
-    """``(positions, balancer)`` of one Table III / Fig. 10 case of ``engine``'s system.
+def _balance_case(system, atoms_per_core: int, n_nodes: int, seed: int):
+    """``(positions, decomposition)`` of one Table III / Fig. 10 case of ``system``.
 
     ``atoms_per_core`` atoms per core on the optimized configuration's
     ``n_nodes``-node grid, placed with ``seed``.
     """
-    topology = engine.topology_for(n_nodes, optimized_config())
-    n_atoms = engine.system.atoms_for_cores(topology.n_cores, atoms_per_core)
-    positions, box = engine.system.build_positions(n_atoms, rng=seed)
-    return positions, IntraNodeLoadBalancer(SpatialDecomposition(box, topology))
+    topology = topology_for(n_nodes, optimized_config())
+    n_atoms = system.atoms_for_cores(topology.n_cores, atoms_per_core)
+    positions, box = system.build_positions(n_atoms, rng=seed)
+    return positions, SpatialDecomposition(box, topology)
 
 
 def table3_loadbalance(
@@ -324,15 +321,15 @@ def table3_loadbalance(
     seed: int = 5,
 ) -> Table:
     """Table III: pair time and atom numbers across MPI ranks, lb vs nolb."""
-    engine = DeepMDEngine(get_system(system_name))
-    per_atom_time = engine.kernel_model.per_atom_time(atoms_per_thread=1, backend="sve", precision="mix-fp16")
+    system = get_system(system_name)
+    per_atom = per_atom_time(system, optimized_config(), 1)
     table = Table(
         headers=["case", "lb", "metric", "min", "avg", "max", "SDMR%"],
         title=f"Table III — pair time and atom numbers across MPI ranks ({system_name})",
     )
     for apc in atoms_per_core:
-        positions, balancer = _balance_case(engine, apc, n_nodes, seed)
-        comparison = balancer.compare(positions, per_atom_time, rng=seed)
+        positions, decomposition = _balance_case(system, apc, n_nodes, seed)
+        comparison = balance_comparison(decomposition, positions, per_atom, rng=seed)
         for lb_label in ("no", "yes"):
             stats = comparison[lb_label]
             atom_stats = stats.atom_stats().summary()
@@ -367,12 +364,12 @@ def fig10_pair_time_distribution(
     seed: int = 5,
 ) -> dict[str, np.ndarray]:
     """Fig. 10: the per-rank pair-time distributions with and without balance."""
-    engine = DeepMDEngine(get_system(system_name))
-    per_atom_time = engine.kernel_model.per_atom_time(atoms_per_thread=1, backend="sve", precision="mix-fp16")
+    system = get_system(system_name)
+    per_atom = per_atom_time(system, optimized_config(), 1)
     distributions: dict[str, np.ndarray] = {}
     for apc in atoms_per_core:
-        positions, balancer = _balance_case(engine, apc, n_nodes, seed)
-        comparison = balancer.compare(positions, per_atom_time, rng=seed)
+        positions, decomposition = _balance_case(system, apc, n_nodes, seed)
+        comparison = balance_comparison(decomposition, positions, per_atom, rng=seed)
         distributions[f"{apc}-nolb"] = comparison["no"].pair_times
         distributions[f"{apc}-lb"] = comparison["yes"].pair_times
     return distributions
@@ -380,8 +377,8 @@ def fig10_pair_time_distribution(
 
 def dispersion_reduction(system_name: str = "copper", atoms_per_core: int = 1, n_nodes: int = 96, seed: int = 5) -> float:
     """The 79.7 % claim: reduction of the atom-count SDMR by the load balance."""
-    positions, balancer = _balance_case(DeepMDEngine(get_system(system_name)), atoms_per_core, n_nodes, seed)
-    return balancer.dispersion_reduction(positions)
+    positions, decomposition = _balance_case(get_system(system_name), atoms_per_core, n_nodes, seed)
+    return sdmr_reduction(decomposition, positions)
 
 
 # ---------------------------------------------------------------------------
@@ -404,10 +401,8 @@ def fig11_strong_scaling(
         title="Fig. 11 — strong scaling of the optimized code",
     )
     for system_name in systems:
-        spec = get_system(system_name)
-        engine = DeepMDEngine(spec)
         n_atoms = 540_000 if system_name == "copper" else 558_000
-        reports = engine.strong_scaling(config, node_counts, n_atoms=n_atoms)
+        reports = strong_scaling(get_system(system_name), config, node_counts, n_atoms)
         efficiencies = parallel_efficiency([r.ns_day for r in reports], node_counts)
         for report, eff in zip(reports, efficiencies):
             table.add_row(
@@ -423,9 +418,9 @@ def fig11_strong_scaling(
 
 def end_to_end_speedup(system_name: str = "copper", n_nodes: int = 12_000, n_atoms: int = 540_000) -> float:
     """The 31.7x claim: optimized vs baseline configuration at full scale."""
-    engine = DeepMDEngine(get_system(system_name))
-    optimized = engine.step_report(optimized_config(), n_nodes, n_atoms=n_atoms)
-    baseline = engine.step_report(baseline_config(), n_nodes, n_atoms=n_atoms)
+    system = get_system(system_name)
+    optimized = step_report(system, optimized_config(), n_nodes, n_atoms=n_atoms)
+    baseline = step_report(system, baseline_config(), n_nodes, n_atoms=n_atoms)
     return optimized.ns_day / baseline.ns_day
 
 
@@ -435,11 +430,9 @@ def end_to_end_speedup(system_name: str = "copper", n_nodes: int = 12_000, n_ato
 
 def claims_summary() -> dict[str, float]:
     """The abstract's headline claims, re-derived from the model."""
-    copper_engine = DeepMDEngine(copper_spec())
-    water_engine = DeepMDEngine(water_spec())
     optimized = optimized_config()
-    copper_12k = copper_engine.step_report(optimized, 12_000, n_atoms=540_000)
-    water_12k = water_engine.step_report(optimized, 12_000, n_atoms=558_000)
+    copper_12k = step_report(copper_spec(), optimized, 12_000, n_atoms=540_000)
+    water_12k = step_report(water_spec(), optimized, 12_000, n_atoms=558_000)
     return {
         "communication_reduction_fraction": communication_reduction(),
         "computation_speedup": computation_speedup(),

@@ -25,13 +25,11 @@ class SystemSpec:
     name: str
     timestep_fs: float
     cutoff: float
-    cutoff_smooth: float
     atom_density: float  # atoms per cubic angstrom
     neighbors_per_atom: int
     embedding_sizes: tuple[int, ...] = (25, 50, 100)
     axis_neurons: int = 16
     fitting_sizes: tuple[int, ...] = (240, 240, 240)
-    type_names: tuple[str, ...] = ("X",)
 
     # -- coordinate synthesis --------------------------------------------------
     def build_positions(self, n_atoms: int, rng=None) -> tuple[np.ndarray, Box]:
@@ -75,10 +73,8 @@ def copper_spec() -> SystemSpec:
         name="copper",
         timestep_fs=1.0,
         cutoff=8.0,
-        cutoff_smooth=0.5,
         atom_density=4.0 / CU_LATTICE_CONSTANT ** 3,
         neighbors_per_atom=512,
-        type_names=("Cu",),
     )
 
 
@@ -89,15 +85,10 @@ def water_spec() -> SystemSpec:
         name="water",
         timestep_fs=0.5,
         cutoff=6.0,
-        cutoff_smooth=0.5,
         atom_density=3.0 * molecules_per_a3,
         # average padded neighbour count over 2 H (46) + 1 O (92) per molecule
         neighbors_per_atom=61,
-        type_names=("O", "H"),
     )
-
-
-SYSTEMS: dict[str, SystemSpec] = {}
 
 
 def get_system(name: str) -> SystemSpec:

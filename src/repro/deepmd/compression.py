@@ -44,7 +44,7 @@ from .gemm import _dtype_name
 from .networks import FastMLP
 
 #: FLOP counts of the batched Hermite kernel, reconciled with
-#: :class:`repro.perfmodel.kernels.KernelCostModel` (see the cross-module
+#: :func:`repro.perfmodel.kernels.per_atom_flops` (see the cross-module
 #: assertion in ``tests/test_perfmodel_core.py``).  Per (neighbour, output
 #: component): the 4-term value combination (4 mul + 3 add; node derivatives
 #: are pre-scaled by the grid step at build time, so no per-evaluation

@@ -53,7 +53,7 @@ class Simulation(EngineBackend):
     neighbor_skin: float = 2.0
     neighbor_every: int = 50
     thermostat: Thermostat | None = None
-    timers: PhaseTimer = field(default_factory=PhaseTimer)
+    timers: PhaseTimer = field(default_factory=PhaseTimer, init=False)
 
     def __post_init__(self) -> None:
         cutoff = validate_cutoff(self.force_field)

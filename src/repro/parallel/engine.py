@@ -106,9 +106,9 @@ class DomainDecomposedSimulation(EngineBackend):
 
     Parameters mirror :class:`repro.md.Simulation`; additionally:
 
-    topology / rank_dims:
-        either a full :class:`RankTopology` or just the rank-grid shape (a
-        default node block is derived via :meth:`RankTopology.for_rank_grid`).
+    rank_dims:
+        the rank-grid shape; the node block is derived via
+        :meth:`RankTopology.for_rank_grid`.
     scheme:
         ghost-delivery pattern: ``"p2p"`` or ``"node-based"``.
     executor / n_workers:
@@ -133,13 +133,11 @@ class DomainDecomposedSimulation(EngineBackend):
         box: Box,
         force_field: ForceField,
         timestep_fs: float,
-        topology: RankTopology | None = None,
         rank_dims: tuple[int, int, int] = (1, 1, 1),
         scheme: str = "p2p",
         neighbor_skin: float = 2.0,
         neighbor_every: int = 50,
         thermostat: Thermostat | None = None,
-        timers: PhaseTimer | None = None,
         executor: str = "sequential",
         n_workers: int | None = None,
         node_balance: bool = False,
@@ -153,10 +151,10 @@ class DomainDecomposedSimulation(EngineBackend):
         self.neighbor_skin = float(neighbor_skin)
         self.neighbor_every = int(neighbor_every)
         self.thermostat = thermostat
-        self.timers = timers if timers is not None else PhaseTimer()
+        self.timers = PhaseTimer()
         self.cutoff = float(cutoff)
 
-        self.topology = topology if topology is not None else RankTopology.for_rank_grid(rank_dims)
+        self.topology = RankTopology.for_rank_grid(rank_dims)
         self.decomposition = SpatialDecomposition(box, self.topology)
         self.scheme = check_delivery_scheme(scheme)
         self.scheme_label = self.scheme

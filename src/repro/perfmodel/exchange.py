@@ -319,8 +319,8 @@ def _plan_node_based(
     plan.copy_threads = leaders * topology.threads_per_rank
     plan.unpack_messages = len(messages)
     # The leaders' buffers come from one registered pool (registered_regions
-    # stays None); DeepMDEngine prices per-neighbour registration instead
-    # when a configuration turns the memory pool off.
+    # stays None); repro.core.engine.step_report prices per-neighbour
+    # registration instead when a configuration turns the memory pool off.
     return plan
 
 

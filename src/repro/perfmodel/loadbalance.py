@@ -7,9 +7,10 @@ The paper's remedy: treat the four sub-boxes of a node as one *node-box*,
 give every rank of the node an identical copy of the node-box atoms (local +
 ghost), and split the evaluation evenly.
 
-:class:`IntraNodeLoadBalancer` implements both organizations on real atom
-coordinates and reports the statistics the paper tabulates (min/avg/max atom
-counts, SDMR, modelled pair times); the engine *executes* the balanced one
+The functions here count both organizations on real atom coordinates of a
+:class:`~repro.parallel.decomposition.SpatialDecomposition` and report the
+statistics the paper tabulates (min/avg/max atom counts, SDMR, modelled pair
+times, :func:`balance_comparison`); the engine *executes* the balanced one
 under ``node_balance=True`` and reports the same
 :class:`~repro.parallel.decomposition.LoadBalanceStats` with measured times.
 The closed-form ghost counts of eqs. (1) and (2) quantify what the node-box
@@ -17,8 +18,6 @@ copy costs in memory.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,64 +59,64 @@ def pair_time_model(
     return counts * per_atom_time * noise
 
 
-@dataclass
-class IntraNodeLoadBalancer:
-    """Computes per-rank workloads with and without intra-node balancing."""
+def rank_counts_without_balance(decomposition: SpatialDecomposition, positions: np.ndarray) -> np.ndarray:
+    """Atoms per rank as assigned by the original sub-box decomposition."""
+    ranks = decomposition.assign_to_ranks(positions)
+    return np.bincount(ranks, minlength=decomposition.topology.n_ranks).astype(np.int64)
 
-    decomposition: SpatialDecomposition
 
-    def rank_counts_without_balance(self, positions: np.ndarray) -> np.ndarray:
-        """Atoms per rank as assigned by the original sub-box decomposition."""
-        ranks = self.decomposition.assign_to_ranks(positions)
-        return np.bincount(ranks, minlength=self.decomposition.topology.n_ranks).astype(np.int64)
+def rank_counts_with_balance(decomposition: SpatialDecomposition, positions: np.ndarray) -> np.ndarray:
+    """Atoms per rank after evenly splitting each node-box among its ranks.
 
-    def rank_counts_with_balance(self, positions: np.ndarray) -> np.ndarray:
-        """Atoms per rank after evenly splitting each node-box among its ranks.
+    :func:`~repro.parallel.decomposition.even_shares` in
+    ``ranks_on_node`` slot order — the very split the engine deals out
+    under ``node_balance=True``.
+    """
+    topology = decomposition.topology
+    nodes = decomposition.assign_to_nodes(positions)
+    node_counts = np.bincount(nodes, minlength=topology.n_nodes)
+    counts = np.zeros(topology.n_ranks, dtype=np.int64)
+    for node_index, total in enumerate(node_counts):
+        ranks = topology.ranks_on_node(topology.node_coord(node_index))
+        counts[ranks] = even_shares(total, len(ranks))
+    return counts
 
-        :func:`~repro.parallel.decomposition.even_shares` in
-        ``ranks_on_node`` slot order — the very split the engine deals out
-        under ``node_balance=True``.
-        """
-        topology = self.decomposition.topology
-        nodes = self.decomposition.assign_to_nodes(positions)
-        node_counts = np.bincount(nodes, minlength=topology.n_nodes)
-        counts = np.zeros(topology.n_ranks, dtype=np.int64)
-        for node_index, total in enumerate(node_counts):
-            ranks = topology.ranks_on_node(topology.node_coord(node_index))
-            counts[ranks] = even_shares(total, len(ranks))
-        return counts
 
-    def compare(
-        self,
-        positions: np.ndarray,
-        per_atom_time: float,
-        jitter_fraction: float = 0.03,
-        rng=None,
-    ) -> dict[str, LoadBalanceStats]:
-        """Both organizations side by side (the Table III layout)."""
-        rng = default_rng(rng)
-        no_lb_counts = self.rank_counts_without_balance(positions)
-        lb_counts = self.rank_counts_with_balance(positions)
-        return {
-            "no": LoadBalanceStats(
-                label="no",
-                atom_counts=no_lb_counts,
-                pair_times=pair_time_model(no_lb_counts, per_atom_time, jitter_fraction, rng),
-            ),
-            "yes": LoadBalanceStats(
-                label="yes",
-                atom_counts=lb_counts,
-                pair_times=pair_time_model(lb_counts, per_atom_time, jitter_fraction, rng),
-            ),
-        }
+def balance_comparison(
+    decomposition: SpatialDecomposition,
+    positions: np.ndarray,
+    per_atom_time: float,
+    jitter_fraction: float = 0.03,
+    rng=None,
+) -> dict[str, LoadBalanceStats]:
+    """Both organizations side by side (the Table III layout).
 
-    def dispersion_reduction(self, positions: np.ndarray) -> float:
-        """Fractional reduction of the atom-count SDMR (paper: 79.7 %)."""
-        before = sdmr_percent(self.rank_counts_without_balance(positions))
-        after = sdmr_percent(self.rank_counts_with_balance(positions))
-        if before == 0:
-            return 0.0
-        return (before - after) / before
+    The pair times of ``"no"`` are drawn from ``rng`` before those of ``"yes"``.
+    """
+    rng = default_rng(rng)
+    no_lb_counts = rank_counts_without_balance(decomposition, positions)
+    lb_counts = rank_counts_with_balance(decomposition, positions)
+    return {
+        "no": LoadBalanceStats(
+            label="no",
+            atom_counts=no_lb_counts,
+            pair_times=pair_time_model(no_lb_counts, per_atom_time, jitter_fraction, rng),
+        ),
+        "yes": LoadBalanceStats(
+            label="yes",
+            atom_counts=lb_counts,
+            pair_times=pair_time_model(lb_counts, per_atom_time, jitter_fraction, rng),
+        ),
+    }
+
+
+def sdmr_reduction(decomposition: SpatialDecomposition, positions: np.ndarray) -> float:
+    """Fractional reduction of the atom-count SDMR by the balance (paper: 79.7 %)."""
+    before = sdmr_percent(rank_counts_without_balance(decomposition, positions))
+    after = sdmr_percent(rank_counts_with_balance(decomposition, positions))
+    if before == 0:
+        return 0.0
+    return (before - after) / before
 
 
 def ghost_count_original(a: float, r: float, density: float = 1.0) -> float:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .exchange import CommunicationPlan, plan_exchange
-from .loadbalance import IntraNodeLoadBalancer
+from .loadbalance import balance_comparison
 
 
 def modelled_plan(engine, scheme_name: str | None = None) -> CommunicationPlan:
@@ -36,8 +36,7 @@ def intra_node_balance(engine, per_atom_time: float | None = None, **kwargs):
         total_pair = sum(domain.pair_seconds for domain in engine.domains)
         per_atom_time = total_pair / (evaluations * max(engine.n_global, 1))
         per_atom_time = max(per_atom_time, 1.0e-12)
-    balancer = IntraNodeLoadBalancer(engine.decomposition)
-    return balancer.compare(engine.capture_positions(), per_atom_time, **kwargs)
+    return balance_comparison(engine.decomposition, engine.capture_positions(), per_atom_time, **kwargs)
 
 
 def plan_with_measured_volume(

@@ -62,8 +62,6 @@ class ServingEngine:
         model,
         precision=DOUBLE,
         compressed: bool = True,
-        compression_points: int = 2048,
-        compression_min_distance: float = 0.5,
         max_batch_size: int = 32,
         max_wait_ms: float = 2.0,
         backend: GemmBackend | None = None,
@@ -82,7 +80,7 @@ class ServingEngine:
         # low-precision layer caches inside the model itself.
         self._table = None
         if self.compressed:
-            self._table = model.compressed_embeddings(compression_points, compression_min_distance)
+            self._table = model.compressed_embeddings()
             if not self.policy.is_double:
                 self._table.ensure_packed(self.policy.compute_dtype)
 
@@ -163,8 +161,9 @@ class ServingEngine:
 
         The first batch with a row over ``max_neighbors`` (its farthest
         neighbours are dropped) emits one :class:`~repro.deepmd.AccuracyWarning`
-        per engine, and so does the first batch with a pair inside the
-        compressed table's ``compression_min_distance`` (the table clamps).
+        per engine, and so does the first batch with a pair closer than the
+        compressed table's minimum distance (the 0.5 A default of
+        ``model.compressed_embeddings()``; the table clamps).
         The result aliases buffers of ``workspace`` (default: the engine's
         ``serve.sync`` scope) until the next call with the same one;
         concurrent callers pass their own.

@@ -40,6 +40,11 @@ class TestConfig:
         assert config.axis_neurons == 16
         assert config.descriptor_dim == 1600
 
+    def test_default_smooth_cutoff_takes_the_larger_of_both_rules(self):
+        # one angstrom inside the cutoff, but never below half of it
+        assert DeepPotentialConfig(type_names=("Cu",), cutoff=6.0).cutoff_smooth == 5.0
+        assert DeepPotentialConfig(type_names=("Cu",), cutoff=1.5).cutoff_smooth == 0.75
+
     def test_validation(self):
         with pytest.raises(ValueError):
             DeepPotentialConfig(type_names=(), cutoff=8.0)

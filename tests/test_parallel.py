@@ -18,14 +18,16 @@ from repro.parallel.decomposition import even_shares
 from repro.parallel.ghost import ghost_shell_ranks
 from repro.perfmodel import (
     SCHEMES,
-    IntraNodeLoadBalancer,
+    balance_comparison,
     ghost_count_load_balanced,
     ghost_count_original,
     plan_exchange,
+    rank_counts_with_balance,
+    rank_counts_without_balance,
     subbox_decomposition,
 )
 from repro.perfmodel.exchange import _neighbor_offsets, overlap_volume
-from repro.perfmodel.loadbalance import PAIR_TIME_NOISE_FLOOR, pair_time_model
+from repro.perfmodel.loadbalance import PAIR_TIME_NOISE_FLOOR, pair_time_model, sdmr_reduction
 
 
 class TestTopology:
@@ -228,28 +230,27 @@ class TestLoadBalance:
         topo = RankTopology((4, 6, 4))
         n_atoms = int(topo.n_cores * atoms_per_core)
         positions, box = spec.build_positions(n_atoms, rng=0)
-        decomposition = SpatialDecomposition(box, topo)
-        return positions, IntraNodeLoadBalancer(decomposition)
+        return positions, SpatialDecomposition(box, topo)
 
     def test_atom_conservation(self):
-        positions, balancer = self._setup()
-        without = balancer.rank_counts_without_balance(positions)
-        with_lb = balancer.rank_counts_with_balance(positions)
+        positions, decomposition = self._setup()
+        without = rank_counts_without_balance(decomposition, positions)
+        with_lb = rank_counts_with_balance(decomposition, positions)
         assert without.sum() == len(positions)
         assert with_lb.sum() == len(positions)
 
     def test_balance_reduces_dispersion_and_maximum(self):
-        positions, balancer = self._setup()
-        without = balancer.rank_counts_without_balance(positions)
-        with_lb = balancer.rank_counts_with_balance(positions)
+        positions, decomposition = self._setup()
+        without = rank_counts_without_balance(decomposition, positions)
+        with_lb = rank_counts_with_balance(decomposition, positions)
         assert with_lb.max() <= without.max()
         assert with_lb.std() < without.std()
-        assert balancer.dispersion_reduction(positions) > 0.2
+        assert sdmr_reduction(decomposition, positions) > 0.2
 
     def test_node_box_split_is_even(self):
-        positions, balancer = self._setup(atoms_per_core=2)
-        counts = balancer.rank_counts_with_balance(positions)
-        topo = balancer.decomposition.topology
+        positions, decomposition = self._setup(atoms_per_core=2)
+        counts = rank_counts_with_balance(decomposition, positions)
+        topo = decomposition.topology
         for node_index in range(0, topo.n_nodes, 17):
             coord = (
                 node_index // (topo.node_dims[1] * topo.node_dims[2]),
@@ -276,8 +277,8 @@ class TestLoadBalance:
         assert times.min() >= 10 * 1e-3 * PAIR_TIME_NOISE_FLOOR - 1e-15
 
     def test_compare_summary_structure(self):
-        positions, balancer = self._setup()
-        comparison = balancer.compare(positions, per_atom_time=1e-4, rng=1)
+        positions, decomposition = self._setup()
+        comparison = balance_comparison(decomposition, positions, per_atom_time=1e-4, rng=1)
         for key in ("no", "yes"):
             summary = comparison[key].summary()
             assert {"natom", "pair"} <= set(summary)

@@ -11,7 +11,7 @@ density (halo-exchange) strategy and a migration-heavy hot gas alike.
 Node-box balancing (``node_balance=True``, §III-C) is pinned three ways:
 
 * the engine's assigned counts equal
-  :meth:`IntraNodeLoadBalancer.rank_counts_with_balance` *exactly*,
+  :func:`repro.perfmodel.rank_counts_with_balance` *exactly*,
 * the balanced trajectory stays within the 1e-10 cross-rank budget of the
   serial reference (the evaluation split must not change the physics),
 * the *measured* atom-count SDMR from :meth:`load_balance_stats` drops to
@@ -46,7 +46,7 @@ from repro.parallel import (
     make_executor,
 )
 from repro.parallel.threadpool import usable_cpu_count, worker_reply
-from repro.perfmodel import IntraNodeLoadBalancer
+from repro.perfmodel import balance_comparison, rank_counts_with_balance, rank_counts_without_balance
 
 TOLERANCE = 1.0e-10
 N_STEPS = 12  # neighbor_every=5 => initial build + 2 rebuilds + migrations
@@ -220,8 +220,7 @@ class TestNodeBoxBalancing:
             _copper_lj_setup(), (2, 2, 1), scheme="node-based", node_balance=True
         )
         engine.run(N_STEPS)
-        balancer = IntraNodeLoadBalancer(engine.decomposition)
-        predicted = balancer.rank_counts_with_balance(engine.gather().positions)
+        predicted = rank_counts_with_balance(engine.decomposition, engine.gather().positions)
         np.testing.assert_array_equal(engine.assigned_counts(), predicted)
         assert engine.assigned_counts().sum() == engine.n_global
 
@@ -277,16 +276,14 @@ class TestNodeBoxBalancing:
         assert (measured_plain.pair_times > 0.0).all()
         assert (measured_balanced.pair_times > 0.0).all()
 
-        balancer = IntraNodeLoadBalancer(balanced.decomposition)
         positions = balanced.gather().positions
-        predicted_plain = balancer.rank_counts_without_balance(positions)
-        predicted_balanced = balancer.rank_counts_with_balance(positions)
+        predicted_plain = rank_counts_without_balance(balanced.decomposition, positions)
+        predicted_balanced = rank_counts_with_balance(balanced.decomposition, positions)
         np.testing.assert_array_equal(measured_balanced.atom_counts, predicted_balanced)
 
         measured_sdmr = measured_balanced.atom_stats().sdmr_percent
         predicted_sdmr = (
-            IntraNodeLoadBalancer(balanced.decomposition)
-            .compare(positions, per_atom_time=1e-4, jitter_fraction=0.0)["yes"]
+            balance_comparison(balanced.decomposition, positions, per_atom_time=1e-4, jitter_fraction=0.0)["yes"]
             .atom_stats()
             .sdmr_percent
         )

@@ -1,21 +1,27 @@
 """Performance model, engine and the paper-level experiment claims."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.core import (
-    DeepMDEngine,
     FIG9_STAGES,
     OptimizationConfig,
     baseline_config,
     copper_spec,
+    optimization_ladder,
     optimized_config,
+    step_report,
+    strong_scaling,
     water_spec,
 )
 from repro.core.config import fig9_stage_configs
+from repro.core.engine import StepReport, topology_for
 from repro.core.errors import energy_error_per_atom, force_rmse, precision_error_table
 from repro.core.experiments import (
     FIG11_NODE_COUNTS,
+    claims_summary,
     communication_reduction,
     computation_speedup,
     dispersion_reduction,
@@ -31,28 +37,42 @@ from repro.parallel.decomposition import sdmr_percent
 from repro.parallel.topology import RankTopology
 from repro.perfmodel import (
     FUGAKU,
-    KernelCostModel,
-    StepTimeline,
+    SCHEMES,
     exchange_breakdown,
     exchange_time,
     parallel_efficiency,
+    per_atom_flops,
+    per_atom_time,
     plan_exchange,
+    rank_compute_time,
     scaling_table,
     subbox_decomposition,
 )
 
+#: ``repr`` of each ``claims_summary()`` value, recorded before the step was
+#: priced by plain functions: a refactor of the pricing layer keeps every bit.
+CLAIMS_AT_RECORDING = {
+    "communication_reduction_fraction": 0.7405920832124593,
+    "computation_speedup": 9.871936031313211,
+    "load_balance_dispersion_reduction": 0.5138982657609152,
+    "end_to_end_speedup": 11.832007551071788,
+    "copper_ns_day_12000_nodes": 124.43854215611832,
+    "water_ns_day_12000_nodes": 91.05232312665221,
+}
 
-class TestKernelCostModel:
+
+class TestKernelCosts:
     def test_flop_counts_scale_with_network_size(self):
-        small = KernelCostModel(fitting_sizes=(120, 120, 120), neighbors_per_atom=64)
-        large = KernelCostModel(fitting_sizes=(240, 240, 240), neighbors_per_atom=64)
-        assert large.per_atom_flops().fitting_forward > small.per_atom_flops().fitting_forward
-        assert small.per_atom_flops().total > 0
+        config = optimized_config()
+        small = replace(copper_spec(), fitting_sizes=(120, 120, 120), neighbors_per_atom=64)
+        large = replace(copper_spec(), fitting_sizes=(240, 240, 240), neighbors_per_atom=64)
+        assert per_atom_flops(large, config).fitting_forward > per_atom_flops(small, config).fitting_forward
+        assert per_atom_flops(small, config).total > 0
 
     def test_compression_removes_embedding_work(self):
-        model = KernelCostModel(neighbors_per_atom=512)
-        compressed = model.per_atom_flops(compressed=True)
-        full = model.per_atom_flops(compressed=False)
+        config = optimized_config()
+        compressed = per_atom_flops(copper_spec(), config)
+        full = per_atom_flops(copper_spec(), config.derive("full", compressed_embedding=False))
         assert compressed.embedding_forward < full.embedding_forward
 
     def test_compressed_flops_reconciled_with_real_kernel(self):
@@ -66,9 +86,9 @@ class TestKernelCostModel:
             HERMITE_VALUE_FLOPS_PER_NEIGHBOR,
         )
 
-        model = KernelCostModel(neighbors_per_atom=512)
-        flops = model.per_atom_flops(compressed=True)
-        n, m = model.neighbors_per_atom, model.m_width
+        system = copper_spec()
+        flops = per_atom_flops(system, optimized_config())
+        n, m = system.neighbors_per_atom, system.embedding_sizes[-1]
         assert flops.embedding_forward == pytest.approx(
             (HERMITE_VALUE_FLOPS_PER_COMPONENT * m + HERMITE_VALUE_FLOPS_PER_NEIGHBOR) * n
         )
@@ -84,41 +104,34 @@ class TestKernelCostModel:
         assert HERMITE_DERIVATIVE_FLOPS_PER_COMPONENT == 7.0
 
     def test_optimization_ladder_monotonic_per_atom_time(self):
-        model = KernelCostModel(neighbors_per_atom=512)
-        baseline = model.per_atom_time(1, backend="blas", precision="double", pretranspose=False, framework=True)
-        rmtf = model.per_atom_time(1, backend="blas", precision="double", pretranspose=True, framework=False)
-        fp32 = model.per_atom_time(1, backend="blas", precision="mix-fp32", pretranspose=True)
-        sve32 = model.per_atom_time(1, backend="sve", precision="mix-fp32", pretranspose=True)
-        fp16 = model.per_atom_time(1, backend="sve", precision="mix-fp16", pretranspose=True)
-        assert baseline > rmtf > fp32 > sve32 > fp16 > 0
+        # the five compute stages of Fig. 9: baseline, rmtf-fp64, blas-fp32, sve-fp32, sve-fp16
+        times = [per_atom_time(copper_spec(), config, 1) for config in fig9_stage_configs()[:5]]
+        assert times[0] > times[1] > times[2] > times[3] > times[4] > 0
 
     def test_framework_adds_fixed_overhead(self):
-        model = KernelCostModel(neighbors_per_atom=128)
-        with_framework = model.rank_compute_time(12, framework=True)
-        without = model.rank_compute_time(12, framework=False)
-        assert with_framework - without > 3.5e-3  # the ~4 ms session cost
+        system = replace(copper_spec(), neighbors_per_atom=128)
+        without = baseline_config().derive("rmtf", use_framework=False)
+        framework_cost = rank_compute_time(system, baseline_config(), 12) - rank_compute_time(system, without, 12)
+        assert framework_cost > 3.5e-3  # the ~4 ms session cost
 
     def test_rank_compute_time_increases_with_atoms(self):
-        model = KernelCostModel(neighbors_per_atom=128)
-        t12 = model.rank_compute_time(12)
-        t24 = model.rank_compute_time(24)
-        assert t24 > t12
+        system = replace(copper_spec(), neighbors_per_atom=128)
+        config = baseline_config()
+        assert rank_compute_time(system, config, 24) > rank_compute_time(system, config, 12)
         with pytest.raises(ValueError):
-            model.rank_compute_time(-1)
+            rank_compute_time(system, config, -1)
         with pytest.raises(ValueError):
-            model.per_atom_time(0)
+            per_atom_time(system, config, 0)
 
     def test_unbatched_inference_never_beats_batched(self):
         # atom-at-a-time inference degrades every fitting GEMM to M=1; with a
         # whole rank of atoms per thread the batched path must win, and with a
         # single atom per thread the two layouts coincide.
-        model = KernelCostModel(neighbors_per_atom=128)
-        batched = model.rank_compute_time(240, batched=True)
-        unbatched = model.rank_compute_time(240, batched=False)
-        assert unbatched > batched
-        assert model.rank_compute_time(1, batched=False) == pytest.approx(
-            model.rank_compute_time(1, batched=True)
-        )
+        system = replace(copper_spec(), neighbors_per_atom=128)
+        batched = baseline_config().derive("batched", use_framework=False)
+        unbatched = batched.derive("unbatched", batched_inference=False)
+        assert rank_compute_time(system, unbatched, 240) > rank_compute_time(system, batched, 240)
+        assert rank_compute_time(system, unbatched, 1) == pytest.approx(rank_compute_time(system, batched, 1))
 
 
 class TestExchangeTime:
@@ -153,18 +166,17 @@ class TestExchangeTime:
         assert exchange_time(plan) == pytest.approx(sum(breakdown.values()))
 
 
-class TestTimelineAndScaling:
-    def test_timeline_ns_day_and_fraction(self):
-        a = StepTimeline(timestep_fs=1.0)
-        a.add("pair", 1e-3)
-        b = StepTimeline(timestep_fs=1.0)
-        b.add("pair", 2e-3)
-        assert a.ns_day == pytest.approx(86.4)
-        assert b.ns_day == pytest.approx(43.2)
-        assert a.fraction("pair") == 1.0
-        assert "ns/day" in a.summary()
-        with pytest.raises(ValueError):
-            a.add("comm", -1.0)
+class TestStepReportAndScaling:
+    def _report(self, phases, timestep_fs=1.0):
+        return StepReport("x", "copper", 1, 1, 1.0, timestep_fs, phases, {})
+
+    def test_step_report_sums_phases_into_ns_day(self):
+        one = self._report({"pair": 1e-3})
+        two = self._report({"pair": 1e-3, "comm": 1e-3})
+        assert one.ns_day == pytest.approx(86.4)
+        assert two.ns_day == pytest.approx(43.2)
+        assert two.step_time_ms == pytest.approx(2.0)
+        assert self._report({"pair": 1e-3}, timestep_fs=0.5).ns_day == pytest.approx(43.2)
 
     def test_parallel_efficiency_definition(self):
         eff = parallel_efficiency([10.0, 40.0], [100, 800])
@@ -192,6 +204,10 @@ class TestConfigs:
             OptimizationConfig(name="x", precision="fp8")
         with pytest.raises(ValueError):
             OptimizationConfig(name="x", gemm_backend="tpu")
+        with pytest.raises(KeyError, match=r"unknown communication scheme 'lb-4x'.*'lb-4l'"):
+            OptimizationConfig(name="x", comm_scheme="lb-4x")
+        for label in SCHEMES:
+            assert OptimizationConfig(name="x", comm_scheme=label).comm_scheme == label
         derived = optimized_config().derive("alt", precision="double")
         assert derived.precision == "double"
         assert optimized_config().comm_scheme == "lb-4l"
@@ -224,35 +240,31 @@ class TestSystems:
 
 class TestEngineAndExperiments:
     def test_step_report_structure(self):
-        engine = DeepMDEngine(copper_spec())
-        report = engine.step_report(optimized_config(), n_nodes=96, atoms_per_core=1)
+        report = step_report(copper_spec(), optimized_config(), n_nodes=96, atoms_per_core=1)
         assert report.n_nodes == 96
         assert report.ns_day > 0
-        assert {"pair", "comm"} <= set(report.timeline.phases)
+        assert {"pair", "comm"} <= set(report.phases)
         assert report.rank_count_stats["max"] >= report.rank_count_stats["avg"]
 
     def test_topology_models_exactly_the_requested_nodes(self):
-        engine = DeepMDEngine(copper_spec())
         config = optimized_config()
         for n_nodes in (8, 64, 96, 100, 1000, 12_000):
-            assert engine.topology_for(n_nodes, config).n_nodes == n_nodes
+            assert topology_for(n_nodes, config).n_nodes == n_nodes
         for n_nodes, product in ((50, 48), (200, 180), (500, 448)):
             with pytest.raises(ValueError, match=rf"cannot model {n_nodes} nodes.*holds {product}"):
-                engine.topology_for(n_nodes, config)
+                topology_for(n_nodes, config)
         with pytest.raises(ValueError, match="cannot model 50 nodes"):
-            engine.step_report(config, n_nodes=50, n_atoms=1000)
+            step_report(copper_spec(), config, n_nodes=50, n_atoms=1000)
 
     def test_optimization_ladder_is_monotonic(self):
-        engine = DeepMDEngine(copper_spec())
-        reports = engine.optimization_ladder(fig9_stage_configs(), n_nodes=96, atoms_per_core=1)
+        reports = optimization_ladder(copper_spec(), fig9_stage_configs(), n_nodes=96, atoms_per_core=1)
         ns_day = [r.ns_day for r in reports]
         assert all(b >= a * 0.999 for a, b in zip(ns_day, ns_day[1:]))
         # overall speedup of the full ladder is large (paper: >10x at 1-2 atoms/core)
         assert ns_day[-1] / ns_day[0] > 8.0
 
     def test_fig11_strong_scaling_monotonic_and_efficiency_band(self):
-        engine = DeepMDEngine(copper_spec())
-        reports = engine.strong_scaling(optimized_config(), FIG11_NODE_COUNTS, n_atoms=540_000)
+        reports = strong_scaling(copper_spec(), optimized_config(), FIG11_NODE_COUNTS, n_atoms=540_000)
         ns_day = [r.ns_day for r in reports]
         assert all(b >= a * 0.995 for a, b in zip(ns_day, ns_day[1:]))
         eff = parallel_efficiency(ns_day, FIG11_NODE_COUNTS)
@@ -269,6 +281,12 @@ class TestEngineAndExperiments:
         assert dispersion_reduction("copper") > 0.4
         # 31.7x end-to-end claim: ours should be > 8x at full scale
         assert end_to_end_speedup() > 8.0
+
+    def test_claims_summary_is_bit_for_bit_the_recorded_model(self):
+        claims = claims_summary()
+        assert list(claims) == list(CLAIMS_AT_RECORDING)
+        for name, value in CLAIMS_AT_RECORDING.items():
+            assert claims[name] == value, name
 
     def test_fig7_table_contents(self):
         table = fig7_comm_schemes(cutoffs=(8.0,), subbox_factors=((0.5, 0.5, 0.5),))
@@ -290,14 +308,12 @@ class TestEngineAndExperiments:
         assert regions == {("buf_pool", 26): 1, ("buf_pool", 124): 1, ("no_buf_pool", 26): 52, ("no_buf_pool", 124): 248}
 
     def test_a_second_machine_spec_prices_differently(self):
-        from dataclasses import replace
-
         slow_network = replace(FUGAKU, network=replace(FUGAKU.network, hop_latency=2 * FUGAKU.network.hop_latency))
         slow_node = replace(FUGAKU, node=replace(FUGAKU.node, clock_hz=FUGAKU.node.clock_hz / 2))
         config = optimized_config()
-        fugaku = DeepMDEngine(copper_spec()).step_report(config, n_nodes=96, atoms_per_core=1).timeline.phases
-        network = DeepMDEngine(copper_spec(), slow_network).step_report(config, 96, atoms_per_core=1).timeline.phases
-        node = DeepMDEngine(copper_spec(), slow_node).step_report(config, 96, atoms_per_core=1).timeline.phases
+        fugaku = step_report(copper_spec(), config, 96, atoms_per_core=1).phases
+        network = step_report(copper_spec(), config, 96, atoms_per_core=1, machine=slow_network).phases
+        node = step_report(copper_spec(), config, 96, atoms_per_core=1, machine=slow_node).phases
         assert network["pair"] == fugaku["pair"] and network["comm"] > fugaku["comm"]
         assert node["pair"] > fugaku["pair"] and node["comm"] == fugaku["comm"]
 
