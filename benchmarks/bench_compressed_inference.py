@@ -24,6 +24,11 @@ on).  This benchmark pins it the way PR 1/3/4 pinned their fast paths:
   same window stays within ``POOL_BUDGET_MIB``.  The blocked compressed step
   holds two ``(B, N, M)``-class buffers (dense G, compact dG/ds); a third — a
   compact copy of G, or a full dE/dG — is 35-41 MiB at fp32 and fails it.
+* **table build** — :func:`~repro.deepmd.compression.analytic_input_jacobian`,
+  the layer-wise reverse pass behind every table, must be >= 2.5x faster than
+  one backward pass per output component (the oracle of
+  ``tests/test_deepmd_compression.py``) at the end-to-end benchmark's shape —
+  four (32, 64, 128) nets on 512 points — and build the same bits.
 
 Run with::
 
@@ -32,18 +37,26 @@ Run with::
 
 from __future__ import annotations
 
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 
 import pytest
 
 from repro.deepmd import DeepPotential, DeepPotentialConfig
+from repro.deepmd.compression import analytic_input_jacobian
+from repro.deepmd.networks import init_nets
 from repro.deepmd.pair_style import DeepPotentialForceField
 from repro.md import Simulation, water_system
 from repro.md.neighbor import build_neighbor_data
 from repro.reference.deepmd import tabulated_evaluate
+
+# the per-component oracle lives beside its bitwise pins
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from test_deepmd_compression import per_component_jacobian  # noqa: E402
 
 #: Minimum accepted steps/sec speedup of compressed over uncompressed.
 TARGET_SPEEDUP = 2.0
@@ -63,6 +76,9 @@ POOL_BUDGET_MIB = {"mix-fp32": 110.0, "double": 200.0}
 #: Table resolution used for the speed runs (the paper's two-level table has
 #: a comparable node count; accuracy at this grid is ~1e-10 in the forces).
 N_POINTS = 512
+#: Minimum accepted speedup of the layer-wise table build over the
+#: per-component loop (measured 3.2-6.4x on a 2-core Xeon, one core pinned or not).
+BUILD_TARGET_SPEEDUP = 2.5
 
 _COUNTED_ALLOCATORS = (
     "zeros",
@@ -243,3 +259,35 @@ def test_compressed_steady_state_allocation_budget(precision):
         "(only dense G and the compact dG/ds rows are whole-type-block sized)"
     )
 
+
+
+def test_layerwise_table_build_speedup_and_bits():
+    """The table build's reverse pass: the same bits as one backward pass per
+    component, and >= 2.5x faster (best of interleaved repeats)."""
+    nets = list(init_nets(np.ndindex(2, 2), 1, (32, 64, 128), rng=7).values())
+    grid = np.linspace(0.0, 2.0, N_POINTS)
+    builds = {"per-component": per_component_jacobian, "layer-wise": analytic_input_jacobian}
+    tables = {name: [jacobian(net, grid) for net in nets] for name, jacobian in builds.items()}
+    for (values, derivatives), (oracle_values, oracle_derivatives) in zip(
+        tables["layer-wise"], tables["per-component"]
+    ):
+        assert np.array_equal(values.view(np.int64), oracle_values.view(np.int64))
+        assert np.array_equal(derivatives.view(np.int64), oracle_derivatives.view(np.int64))
+
+    best = dict.fromkeys(builds, np.inf)
+    for _ in range(5):
+        for name, jacobian in builds.items():
+            start = time.perf_counter()
+            for net in nets:
+                jacobian(net, grid)
+            best[name] = min(best[name], time.perf_counter() - start)
+    speedup = best["per-component"] / best["layer-wise"]
+    print()
+    print(f"Table build, {len(nets)} (32, 64, 128) nets x {N_POINTS} points (best of 5)")
+    for name, seconds in best.items():
+        print(f"  {name:<13}: {seconds * 1e3:8.1f} ms")
+    print(f"  speedup      : {speedup:8.2f}x (target >= {BUILD_TARGET_SPEEDUP}x)")
+    assert speedup >= BUILD_TARGET_SPEEDUP, (
+        f"the layer-wise table build is only {speedup:.2f}x over one backward pass "
+        f"per component (expected >= {BUILD_TARGET_SPEEDUP}x)"
+    )

@@ -144,13 +144,10 @@ def optimization_ladder(
     machine: FugakuSpec = FUGAKU,
 ) -> list[StepReport]:
     """Fig. 9: the same workload under a ladder of configurations."""
-    reports = []
-    n_atoms = None
-    for config in configs:
-        report = step_report(system, config, n_nodes, n_atoms, atoms_per_core, machine)
-        n_atoms = report.n_atoms  # keep the workload identical across bars
-        reports.append(report)
-    return reports
+    # every bar asks for the first bar's count, so all of them read one cached
+    # build: the same workload (a lattice may build more atoms than asked)
+    n_atoms = system.atoms_for_cores(topology_for(n_nodes, configs[0]).n_cores, atoms_per_core)
+    return [step_report(system, config, n_nodes, n_atoms, machine=machine) for config in configs]
 
 
 def strong_scaling(

@@ -9,9 +9,14 @@ node, so both G(s) and dG/ds (needed by the force computation) are obtained
 directly from the table.
 
 Node derivatives come from the **analytic** input-Jacobian of the exported
-net (:meth:`FastMLP.backward_input`, one vector-Jacobian product per output
-component), not from finite differences — the table is exact at the nodes and
-never evaluates the net outside the tabulated range.
+net, not from finite differences — the table is exact at the nodes and never
+evaluates the net outside the tabulated range.
+:func:`analytic_input_jacobian` runs the reverse pass of
+:meth:`FastMLP.backward_input` for every one-hot output component at once,
+layer by layer: the last layer is an outer product and each earlier one a
+slope multiply and a matmul over a cache-sized chunk of stacked components.
+Its bits are those of one backward pass per component (pinned in
+``tests/test_deepmd_compression.py``) at about a quarter of the cost.
 
 :meth:`TabulatedEmbeddingSet.place` + :meth:`HermitePlacement.interpolate`
 are the one evaluator: all tables are stacked into one packed node array, so
@@ -41,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gemm import _dtype_name
-from .networks import FastMLP
+from .networks import FastMLP, activation_slope, skip_gradient
 
 #: FLOP counts of the batched Hermite kernel, reconciled with
 #: :func:`repro.perfmodel.kernels.per_atom_flops` (see the cross-module
@@ -60,7 +65,7 @@ HERMITE_DERIVATIVE_FLOPS_PER_NEIGHBOR = 17.0
 #: Per (neighbour, component): the dE/ds contraction of dG/ds with dE/dG.
 EMBEDDING_GRAD_DOT_FLOPS_PER_COMPONENT = 2.0
 
-#: Rows per cache block — the one block-size constant of the compressed path.
+#: Rows per cache block — the one block-size constant of the compressed step.
 #: In the kernel the gathered (rows, 4, M) operand block and both output
 #: slices stay resident between the gather and the two contractions (measured
 #: ~3x over whole-array passes at 90k rows); the model's compressed step sizes
@@ -128,26 +133,68 @@ class InterpolationErrors:
     derivative: float
 
 
+#: Bytes of one chunk of stacked output components in
+#: :func:`analytic_input_jacobian`: the widest ``(components, K, width)``
+#: gradient block of the reverse pass.  A chunk's few live blocks then stay in
+#: a core's L2 cache.  At the end-to-end benchmark's four (32, 64, 128) nets
+#: on 512 points one component fills it, and the build took 137 ms against
+#: 231 ms at 4 MiB (2-core Xeon with 2 MiB L2 per core, one pinned core).  It
+#: bounds the build's transient memory and never selects arithmetic.
+JACOBIAN_CHUNK_BYTES = 256 * 1024
+
+
 def analytic_input_jacobian(net: FastMLP, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Forward values and the full dG/ds Jacobian of a scalar-input net.
 
     The input dimension is 1, so the Jacobian of the ``(K,)`` inputs is a
-    ``(K, M)`` array obtained with one :meth:`FastMLP.backward_input`
-    vector-Jacobian product per output component, all reading one forward
-    tape local to this call (``net`` itself is left untouched).  Never
-    evaluates the net outside ``s`` — unlike a centered difference at the
-    first grid node.
+    ``(K, M)`` array: the reverse pass of :meth:`FastMLP.backward_input`
+    seeded with every one-hot output component, computed layer by layer for
+    a chunk of components at once and bit-for-bit what one backward pass per
+    component gives.  One forward tape, local to this call, serves every
+    component (``net`` itself is left untouched); the activation slopes and
+    residual links are read through the helpers ``backward_input`` uses.
+
+    * **Last layer.**  A one-hot seed makes ``grad_pre @ W^T`` one non-zero
+      product per row, so the layer is the outer product of the component's
+      activation slope and its column of ``W``.  ``+ 0.0`` turns a ``-0.0``
+      product into the ``+0.0`` a zero-started BLAS accumulator returns, and
+      the residual link adds the folded one-hot seed.
+    * **Earlier layers.**  The chunk's gradients are stacked into one
+      ``(components, K, width)`` array, so each layer is one slope multiply
+      and one ``np.matmul`` per chunk.  That matmul runs one BLAS call per
+      component of the same shape as a lone backward pass (a single
+      ``(components * K, width)`` GEMM is not bitwise for the gemv-shaped
+      products: ``K = 1``, or the input layer's one-column product).
+    * **Chunks** hold at most :data:`JACOBIAN_CHUNK_BYTES` of the widest
+      gradient block, and at least one component.
+
+    Never evaluates the net outside ``s`` — unlike a centered difference at
+    the first grid node.
     """
     s = np.asarray(s, dtype=np.float64).reshape(-1)
     tape: list = []
     values = net.forward(s[:, None], cache=tape)
-    m = values.shape[1]
+    n_points, m = values.shape
+    *hidden, last = net.layers
+    slopes = [activation_slope(layer, entry) for layer, entry in zip(net.layers, tape)]
+    last_slope = np.broadcast_to(slopes.pop(), values.shape)
+    seeds = np.eye(m)
+    widest = max(layer.weight.shape[0] for layer in net.layers)
+    per_chunk = max(1, JACOBIAN_CHUNK_BYTES // max(1, n_points * widest * values.itemsize))
     jacobian = np.empty_like(values)
-    seed = np.zeros((len(s), m))
-    for component in range(m):
-        seed[:, component] = 1.0
-        jacobian[:, component] = net.backward_input(seed, cache=tape)[:, 0]
-        seed[:, component] = 0.0
+    for lo in range(0, m, per_chunk):
+        hi = min(lo + per_chunk, m)
+        grad = last_slope[:, lo:hi].T[:, :, None] * last.weight_t[lo:hi, None, :]
+        grad += 0.0
+        skip = skip_gradient(last, seeds[lo:hi])
+        if skip is not None:
+            grad += skip[:, None, :]
+        for layer, slope in zip(reversed(hidden), reversed(slopes)):
+            skip = skip_gradient(layer, grad)
+            grad = np.matmul(grad * slope, layer.weight_t)
+            if skip is not None:
+                grad = grad + skip
+        jacobian[:, lo:hi] = grad[:, :, 0].T
     return values, jacobian
 
 

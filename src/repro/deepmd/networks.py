@@ -51,6 +51,42 @@ class _LayerSpec:
     resnet: bool
 
 
+# The residual-link rules, written once: a ``resnet`` layer adds its input to
+# its activation when it keeps the width, and the input twice over
+# (``[h, h]``) when it doubles it; any other residual layer adds nothing.
+def skip_input(layer: _LayerSpec, h: np.ndarray) -> np.ndarray | None:
+    """The term a layer's residual link adds to its activation, or None."""
+    if layer.resnet:
+        if layer.weight.shape[1] == layer.weight.shape[0]:
+            return h
+        if layer.weight.shape[1] == 2 * layer.weight.shape[0]:
+            return np.concatenate([h, h], axis=-1)
+    return None
+
+
+def skip_gradient(layer: _LayerSpec, grad: np.ndarray) -> np.ndarray | None:
+    """What the residual link passes of an output gradient straight to the
+    layer input (over the last axis, so stacked gradients work), or None."""
+    if layer.resnet:
+        if layer.weight.shape[1] == layer.weight.shape[0]:
+            return grad
+        if layer.weight.shape[1] == 2 * layer.weight.shape[0]:
+            n_in = layer.weight.shape[0]
+            return grad[..., :n_in] + grad[..., n_in:]
+    return None
+
+
+def activation_slope(layer: _LayerSpec, entry: dict):
+    """d(out)/d(pre) of one taped layer, read from its output with the
+    residual term taken out (the scalar ``1.0`` for a linear layer)."""
+    _, act_deriv = _activation(layer.activation)
+    act_out = entry["output"]
+    skip = skip_input(layer, entry["input"])
+    if skip is not None:
+        act_out = act_out - skip
+    return act_deriv(act_out)
+
+
 class FastMLP:
     """A frozen MLP evaluated with hand-written kernels.
 
@@ -160,11 +196,9 @@ class FastMLP:
                 pre = backend.matmul(h_c, lp.weight, dtype=dt, native_out=True)
                 pre += lp.bias
             out = act(pre)
-            if layer.resnet:
-                if layer.weight.shape[1] == layer.weight.shape[0]:
-                    out = out + h_c
-                elif layer.weight.shape[1] == 2 * layer.weight.shape[0]:
-                    out = out + np.concatenate([h_c, h_c], axis=-1)
+            skip = skip_input(layer, h_c)
+            if skip is not None:
+                out = out + skip
             if tape is not False:
                 tape.append({"input": h_c, "output": out, "pre": pre, "dtype": dt})
             h = out
@@ -209,23 +243,8 @@ class FastMLP:
             dt = np.dtype(dtype)
             native = dt != np.dtype(np.float64)
             weight_t = self.operands(dt)[li].weight_t if native else layer.weight_t
-            _, act_deriv = _activation(layer.activation)
-            grad_resnet = None
-            if layer.resnet:
-                if layer.weight.shape[1] == layer.weight.shape[0]:
-                    grad_resnet = grad
-                elif layer.weight.shape[1] == 2 * layer.weight.shape[0]:
-                    n_in = layer.weight.shape[0]
-                    grad_resnet = grad[..., :n_in] + grad[..., n_in:]
-            # d(out)/d(pre) expressed in terms of the activation output with the
-            # skip contribution removed.
-            act_out = entry["output"]
-            if layer.resnet:
-                if layer.weight.shape[1] == layer.weight.shape[0]:
-                    act_out = act_out - entry["input"]
-                elif layer.weight.shape[1] == 2 * layer.weight.shape[0]:
-                    act_out = act_out - np.concatenate([entry["input"], entry["input"]], axis=-1)
-            grad_pre = grad * act_deriv(act_out)
+            grad_resnet = skip_gradient(layer, grad)
+            grad_pre = grad * activation_slope(layer, entry)
             if param_grads is not None:
                 param_grads.append((entry["input"].T @ grad_pre, grad_pre.sum(0)))
             grad = backend.matmul(grad_pre, weight_t, dtype=dt, native_out=native)

@@ -60,6 +60,7 @@ binned search tests the squared distances its exact pass already computes.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -450,6 +451,37 @@ def require_finite(values: np.ndarray, quantity: str) -> None:
         raise ValueError(f"{quantity} row {row} is not finite: {values[row]}")
 
 
+def first_outside(positions: np.ndarray, box: Box) -> tuple[int, int] | None:
+    """``(row, axis)`` of the first row of ``positions`` outside ``box``, or None.
+
+    Only an open (non-periodic) axis of finite length ``L`` bounds a
+    coordinate, to ``[0, L]``: a periodic axis wraps it and an open axis of
+    infinite length holds every value.  :func:`build_neighbor_data` does not
+    ask, since its clamped binning accepts rows spilled past an open axis.
+    """
+    axes = [axis for axis in range(3) if not box.periodic[axis] and math.isfinite(box.lengths[axis])]
+    if not axes:
+        return None
+    coords = positions[:, axes]
+    outside = (coords < 0.0) | (coords > box.lengths[axes])
+    if not outside.any():
+        return None
+    row, k = (int(index[0]) for index in np.nonzero(outside))
+    return row, axes[k]
+
+
+def require_inside(positions: np.ndarray, box: Box) -> None:
+    """Raise ``ValueError`` naming the first row of ``positions`` outside an
+    open axis of ``box`` (see :func:`first_outside`) and that axis."""
+    found = first_outside(positions, box)
+    if found is not None:
+        row, axis = found
+        raise ValueError(
+            f"position row {row} is outside the open box along {'xyz'[axis]}: "
+            f"{float(positions[row, axis])!r} not in [0, {float(box.lengths[axis])!r}]"
+        )
+
+
 def require_minimum_image(box: Box, search: float) -> None:
     """Raise ``ValueError`` when the search radius ``search`` (cutoff+skin) exceeds the box's minimum-image limit."""
     max_allowed = box.max_cutoff()
@@ -530,6 +562,7 @@ class NeighborList:
     _steps_since_build: int = field(default=0)
 
     def build(self, atoms: Atoms, box: Box) -> NeighborData:
+        require_inside(atoms.positions, box)
         start = time.perf_counter()
         self.data = build_neighbor_data(atoms.positions, box, self.cutoff, self.skin)
         self.build_seconds += time.perf_counter() - start

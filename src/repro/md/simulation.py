@@ -57,7 +57,7 @@ class Simulation(EngineBackend):
 
     def __post_init__(self) -> None:
         cutoff = validate_cutoff(self.force_field)
-        validate_state(self.atoms)
+        validate_state(self.atoms, self.box)
         require_minimum_image(self.box, cutoff + self.neighbor_skin)
         self.integrator = VelocityVerlet(self.timestep_fs)
         self.neighbor_list = NeighborList(

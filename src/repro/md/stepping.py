@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..utils.timer import PhaseTimer
-from .neighbor import require_finite
+from .neighbor import require_finite, require_inside
 
 
 def validate_cutoff(force_field) -> float:
@@ -52,14 +52,16 @@ def validate_cutoff(force_field) -> float:
     return float(cutoff)
 
 
-def validate_state(atoms) -> None:
-    """Refuse a NaN or inf position or velocity up front, naming the quantity and row.
+def validate_state(atoms, box) -> None:
+    """Refuse a NaN or inf position or velocity, or a position outside an
+    open axis of ``box``, up front, naming the quantity and row.
 
     Every engine checks at construction: a bad velocity would otherwise only
     surface a step later, as a position.
     """
     require_finite(atoms.positions, "position")
     require_finite(atoms.velocities, "velocity")
+    require_inside(atoms.positions, box)
 
 
 def harvest_force_field_info(force_field) -> dict:

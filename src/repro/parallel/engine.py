@@ -82,7 +82,7 @@ from ..md.atoms import Atoms
 from ..md.box import Box
 from ..md.forcefields.base import ForceField
 from ..md.integrators import VelocityVerlet
-from ..md.neighbor import max_displacement, require_minimum_image
+from ..md.neighbor import first_outside, max_displacement, require_minimum_image
 from ..md.stepping import EngineBackend, SimulationReport, SteppingLoop, validate_cutoff, validate_state
 from ..md.thermostats import Thermostat
 from ..md.workspace import Workspace
@@ -143,7 +143,7 @@ class DomainDecomposedSimulation(EngineBackend):
         node_balance: bool = False,
     ) -> None:
         cutoff = validate_cutoff(force_field)
-        validate_state(atoms)
+        validate_state(atoms, box)
         require_minimum_image(box, cutoff + float(neighbor_skin))
         self.box = box
         self.force_field = force_field
@@ -385,9 +385,10 @@ class DomainDecomposedSimulation(EngineBackend):
             for domain in self.domains
         )
 
-    def _refuse_non_finite(self) -> None:
-        """Fail the rebuild loudly on a NaN/inf coordinate, naming the row
-        (migration would otherwise route it to a rank that does not exist)."""
+    def _refuse_lost_rows(self) -> None:
+        """Fail the rebuild loudly on a NaN/inf coordinate or one outside an
+        open axis of the box, naming the row (migration would otherwise route
+        it to a rank that does not exist)."""
         for domain in self.domains:
             finite = np.isfinite(domain.positions).all(axis=1)
             if not finite.all():
@@ -395,6 +396,14 @@ class DomainDecomposedSimulation(EngineBackend):
                 raise ValueError(
                     f"rank {domain.rank} position row {row} (atom {int(domain.gids[row])}) "
                     f"is not finite: {domain.positions[row]}"
+                )
+            outside = first_outside(domain.positions, self.box)
+            if outside is not None:
+                row, axis = outside
+                raise ValueError(
+                    f"rank {domain.rank} position row {row} (atom {int(domain.gids[row])}) "
+                    f"is outside the open box along {'xyz'[axis]}: "
+                    f"{float(domain.positions[row, axis])!r} not in [0, {float(self.box.lengths[axis])!r}]"
                 )
 
     # -- force evaluation --------------------------------------------------------
@@ -409,7 +418,7 @@ class DomainDecomposedSimulation(EngineBackend):
         self._steps_since_build += 1
         executor = self._executor
         if self._needs_rebuild():
-            self._refuse_non_finite()
+            self._refuse_lost_rows()
             with self.timers.phase("comm"):
                 self._migrate()
                 self._exchange_ghosts()

@@ -44,7 +44,7 @@ from ..deepmd.envmat import warn_clamped, warn_truncated
 from ..deepmd.gemm import GemmBackend
 from ..deepmd.precision import DOUBLE, get_policy
 from ..md.integrators import VelocityVerlet
-from ..md.neighbor import require_finite
+from ..md.neighbor import require_finite, require_inside
 from ..md.stepping import EngineBackend, SteppingLoop, validate_state
 from ..md.workspace import Workspace
 from ..utils.timer import PhaseTimer
@@ -126,10 +126,12 @@ class ServingEngine:
     def submit(self, atoms, box):
         """Queue an energy/force one-shot; returns a ``Future`` of ModelOutput.
 
-        A request with a NaN/inf position or an atom type outside the model
-        raises ``ValueError`` here, in the caller's thread, and is never queued.
+        A request with a NaN/inf position, a position outside an open axis of
+        ``box`` or an atom type outside the model raises ``ValueError`` here,
+        in the caller's thread, and is never queued.
         """
         require_finite(atoms.positions, "position")
+        require_inside(atoms.positions, box)
         check_type_space(atoms.types, self.model.n_types, "request")
         request = ServingRequest(kind="energy", atoms=atoms.copy(), box=box)
         return self._queue.submit(request)
@@ -138,10 +140,11 @@ class ServingEngine:
         """Queue a short MD burst; returns a ``Future`` of BurstResult.
 
         Rejected at once, like :meth:`submit`, for a NaN/inf position or
-        velocity, an atom type outside the model, an ``n_steps`` that is not
+        velocity, a position outside an open axis of ``box``, an atom type
+        outside the model, an ``n_steps`` that is not
         an integer >= 0 or a ``timestep_fs`` that is not finite and > 0.
         """
-        validate_state(atoms)
+        validate_state(atoms, box)
         check_type_space(atoms.types, self.model.n_types, "request")
         if not isinstance(n_steps, (int, np.integer)) or n_steps < 0:
             raise ValueError(f"n_steps must be an integer >= 0, got {n_steps!r}")

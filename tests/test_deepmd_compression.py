@@ -2,15 +2,18 @@
 derivatives, the stale-cache and clamped-derivative regressions, convergence
 with n_points, and the workspace out-buffer path."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.deepmd import compression
 from repro.deepmd.compression import (
     HERMITE_CHUNK_ROWS,
     TabulatedEmbeddingSet,
     analytic_input_jacobian,
 )
-from repro.deepmd.networks import init_nets
+from repro.deepmd.networks import FastMLP, init_nets
 from repro.md import Box, copper_system
 from repro.md.atoms import Atoms
 from repro.md.neighbor import build_neighbor_data
@@ -152,6 +155,110 @@ class TestAnalyticDerivatives:
         values, _ = tabulated_evaluate(table, (0, 0), grid)
         exact = nets[(0, 0)].forward(grid[:, None], cache=False)
         np.testing.assert_allclose(values, exact, rtol=0.0, atol=1e-13)
+
+
+def per_component_jacobian(net, s):
+    """The oracle of :func:`analytic_input_jacobian`: one full
+    :meth:`FastMLP.backward_input` per output component over one shared
+    forward tape (the table build before the layer-wise reverse pass)."""
+    s = np.asarray(s, dtype=np.float64).reshape(-1)
+    tape: list = []
+    values = net.forward(s[:, None], cache=tape)
+    jacobian = np.empty_like(values)
+    seed = np.zeros_like(values)
+    for component in range(values.shape[1]):
+        seed[:, component] = 1.0
+        jacobian[:, component] = net.backward_input(seed, cache=tape)[:, 0]
+        seed[:, component] = 0.0
+    return values, jacobian
+
+
+def _mlp(layers, rng, scale=1.0):
+    """A FastMLP from ``(n_in, n_out, activation, resnet)`` rows, Glorot-ish weights."""
+    rng = np.random.default_rng(rng)
+    return FastMLP(
+        [
+            {
+                "weight": scale * rng.normal(scale=np.sqrt(2.0 / (n_in + n_out)), size=(n_in, n_out)),
+                "bias": rng.normal(scale=0.1, size=n_out),
+                "activation": act,
+                "resnet": resnet,
+            }
+            for n_in, n_out, act, resnet in layers
+        ]
+    )
+
+
+#: nets covering every residual rule and activation of the reverse pass
+JACOBIAN_NETS = {
+    "no-resnet": lambda: _mlp([(1, 8, "tanh", False), (8, 16, "tanh", False), (16, 16, "tanh", False)], 1),
+    "same-width-resnet": lambda: _mlp([(1, 8, "tanh", False), (8, 8, "tanh", True), (8, 8, "tanh", True)], 2),
+    "doubling-resnet": lambda: init_nets([0], 1, (4, 8, 16), rng=3)[0],
+    "linear-last-layer": lambda: init_nets([0], 1, (4, 8), out_features=6, rng=4)[0],
+    "sigmoid": lambda: _mlp([(1, 6, "sigmoid", False), (6, 12, "sigmoid", True), (12, 12, "sigmoid", True)], 5),
+    "softplus": lambda: _mlp([(1, 6, "softplus", False), (6, 6, "softplus", True), (6, 12, "softplus", False)], 6),
+    "relu": lambda: _mlp([(1, 6, "relu", False), (6, 12, "relu", True), (12, 10, "relu", False)], 7),
+    "one-layer": lambda: _mlp([(1, 2, "tanh", True)], 8),
+    # tanh saturated to exactly +-1.0 in the last layer: act' == 0, so the
+    # one-hot products are signed zeros, which BLAS returns as +0.0
+    "saturated-tanh": lambda: _mlp([(1, 6, "tanh", False), (6, 12, "tanh", False)], 9, scale=60.0),
+    "saturated-one-layer": lambda: _mlp([(1, 5, "tanh", False)], 10, scale=400.0),
+}
+
+
+def _bits(array):
+    return np.ascontiguousarray(array).view(np.int64)
+
+
+class TestLayerwiseJacobianIsThePerComponentLoop:
+    """The layer-wise reverse pass is bit-for-bit one backward pass per component."""
+
+    @pytest.mark.parametrize("n_points", [0, 1, 7, 512])
+    @pytest.mark.parametrize("name", sorted(JACOBIAN_NETS))
+    def test_bitwise_equal_to_the_oracle(self, name, n_points):
+        net = JACOBIAN_NETS[name]()
+        s = np.linspace(0.0, 2.0, n_points) if n_points > 1 else np.array([0.7])
+        values, jacobian = analytic_input_jacobian(net, s)
+        oracle_values, oracle_jacobian = per_component_jacobian(net, s)
+        np.testing.assert_array_equal(_bits(values), _bits(oracle_values))
+        np.testing.assert_array_equal(_bits(jacobian), _bits(oracle_jacobian))
+
+    def test_saturated_nets_exercise_the_sign_of_zero(self):
+        for name in ("saturated-tanh", "saturated-one-layer"):
+            net = JACOBIAN_NETS[name]()
+            tape: list = []
+            net.forward(np.linspace(0.0, 2.0, 512)[:, None], cache=tape)
+            out = tape[-1]["output"]
+            assert np.any(np.abs(out) == 1.0), name
+            assert np.any(net.layers[-1].weight < 0.0), name  # so 0 * W has a -0.0
+        _, jacobian = analytic_input_jacobian(JACOBIAN_NETS["saturated-one-layer"](), np.linspace(0.0, 2.0, 512))
+        zeros = jacobian == 0.0
+        assert zeros.any() and not np.signbit(jacobian[zeros]).any()
+
+    @pytest.mark.parametrize("chunk_bytes", [1, 4096, 1 << 40], ids=["one-component", "some", "all"])
+    @pytest.mark.parametrize("name", ["same-width-resnet", "doubling-resnet", "linear-last-layer", "relu"])
+    def test_chunk_size_never_selects_arithmetic(self, monkeypatch, name, chunk_bytes):
+        net = JACOBIAN_NETS[name]()
+        s = np.linspace(0.0, 2.0, 512)
+        _, expected = per_component_jacobian(net, s)
+        monkeypatch.setattr(compression, "JACOBIAN_CHUNK_BYTES", chunk_bytes)
+        _, jacobian = analytic_input_jacobian(net, s)
+        np.testing.assert_array_equal(_bits(jacobian), _bits(expected))
+
+    def test_packed_tables_keep_their_recorded_bytes(self):
+        """sha256 of the packed fp64 table and of its fp32 copy for the
+        production-shaped (32, 64, 128) nets at 512 points, recorded on the
+        per-component build."""
+        nets = init_nets(np.ndindex(2, 2), 1, (32, 64, 128), rng=2024)
+        table = TabulatedEmbeddingSet(nets, s_max=2.0, n_points=512)
+        packed = table.ensure_packed(np.float64)
+        assert packed.shape == (2048, 256) and packed.flags["C_CONTIGUOUS"]
+        assert hashlib.sha256(packed.tobytes()).hexdigest() == (
+            "d5c16925b51adb969ddf0b3adb7287108fb59d0cb9f31184722b22c8abb7aff4"
+        )
+        assert hashlib.sha256(table.ensure_packed(np.float32).tobytes()).hexdigest() == (
+            "d9d58496dc47c6feefb5cb7627a9065b3ef60f3066556db3e467f92cdcca4095"
+        )
 
 
 class TestClampedDerivative:

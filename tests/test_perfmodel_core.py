@@ -263,6 +263,18 @@ class TestEngineAndExperiments:
         # overall speedup of the full ladder is large (paper: >10x at 1-2 atoms/core)
         assert ns_day[-1] / ns_day[0] > 8.0
 
+    def test_optimization_ladder_builds_its_positions_once(self):
+        """Every bar asks for the first bar's atom count, so the seeded
+        positions are built once even when the lattice rounds the count."""
+        from repro.core.engine import _seeded_positions
+
+        _seeded_positions.cache_clear()
+        table = fig9_computation(("copper",), (8,))
+        assert _seeded_positions.cache_info().misses == 1
+        assert len(table.rows) == len(fig9_stage_configs())
+        asked = copper_spec().atoms_for_cores(topology_for(96, fig9_stage_configs()[0]).n_cores, 8)
+        assert len(_seeded_positions(copper_spec(), asked)[0]) != asked  # the lattice did round
+
     def test_fig11_strong_scaling_monotonic_and_efficiency_band(self):
         reports = strong_scaling(copper_spec(), optimized_config(), FIG11_NODE_COUNTS, n_atoms=540_000)
         ns_day = [r.ns_day for r in reports]

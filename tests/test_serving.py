@@ -627,6 +627,7 @@ POISON = {
     "inf position": ("positions", (2, 0), np.inf, "position row 2 is not finite"),
     "nan velocity": ("velocities", (1, 1), np.nan, "velocity row 1 is not finite"),
     "inf velocity": ("velocities", (3, 0), -np.inf, "velocity row 3 is not finite"),
+    "outside the open box": ("positions", (2, 2), 45.0, "position row 2 is outside the open box along z"),
     "negative type": ("types", 0, -1, _OUTSIDE_TYPES),
     "unknown type": ("types", 0, 1, _OUTSIDE_TYPES),  # the fixture model has one type
 }
@@ -667,7 +668,7 @@ class TestSubmitValidation:
             np.testing.assert_allclose(got.virial, ref.virial, atol=PARITY_ATOL)
         assert np.isfinite(again.forces).all()
 
-    @pytest.mark.parametrize("case", ["inf position", "negative type", "unknown type"])
+    @pytest.mark.parametrize("case", ["inf position", "outside the open box", "negative type", "unknown type"])
     def test_submit_rejects(self, serving_model, case):
         atoms, box, _ = _mixed_systems(serving_model)[0]
         bad, message = _poison(atoms, case)
@@ -713,7 +714,7 @@ class TestSubmitValidation:
             np.testing.assert_allclose(got.energies, ref_energies, atol=PARITY_ATOL)
 
     @pytest.mark.parametrize(
-        "case", ["nan position", "nan velocity", "inf velocity", "unknown type"]
+        "case", ["nan position", "nan velocity", "inf velocity", "outside the open box", "unknown type"]
     )
     def test_submit_md_rejects(self, serving_model, case):
         atoms, box, _ = _mixed_systems(serving_model)[0]

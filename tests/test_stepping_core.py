@@ -34,7 +34,7 @@ from repro.md import (
     water_system,
 )
 from repro.md.forcefields.water import WaterReference
-from repro.md.neighbor import build_neighbor_data
+from repro.md.neighbor import build_neighbor_data, first_outside
 from repro.md.stepping import harvest_force_field_info, validate_cutoff
 from repro.parallel import DomainDecomposedSimulation
 from repro.reference.forcefields import ReferenceForceField
@@ -380,6 +380,51 @@ class TestSharedValidation:
         limit = r"cutoff\+skin \(7\.000 A\) exceeds the minimum-image limit \(4\.000 A\) of the box"
         with pytest.raises(ValueError, match=limit):
             BACKENDS[backend](atoms, Box.cubic(8.0), neighbor_skin=2.0)
+
+    @staticmethod
+    def _open_y_copper():
+        """The copper lattice 2 A into a y axis that is open and 4 A longer."""
+        atoms, box = _copper()
+        atoms.positions[:, 1] += 2.0
+        return atoms, Box(box.lengths + (0.0, 4.0, 0.0), (True, False, True))
+
+    @pytest.mark.parametrize("coordinate", [-0.5, 50.0])
+    @pytest.mark.parametrize("backend", sorted(BACKENDS), ids=sorted(BACKENDS))
+    def test_construction_refuses_an_atom_outside_an_open_axis(self, backend, coordinate):
+        atoms, box = self._open_y_copper()
+        BACKENDS[backend](atoms, box).run(1)  # inside: runs
+        atoms.positions[4, 1] = coordinate
+        with pytest.raises(ValueError, match=rf"^position row 4 is outside the open box along y: {coordinate}"):
+            BACKENDS[backend](atoms, box)
+
+    def test_serial_rebuild_refuses_an_atom_that_left_an_open_axis(self):
+        atoms, box = self._open_y_copper()
+        sim = _serial(atoms, box, neighbor_every=1000)
+        sim.run(2)
+        builds = sim.neighbor_list.n_builds
+        sim.atoms.positions[7, 1] = box.lengths[1] + 3.0  # stale by the skin: the next step rebuilds
+        with pytest.raises(ValueError, match="^position row 7 is outside the open box along y"):
+            sim.run(1)
+        assert sim.neighbor_list.n_builds == builds
+
+    def test_ranked_rebuild_refuses_an_atom_that_left_an_open_axis(self):
+        atoms, box = self._open_y_copper()
+        engine = _engine(atoms, box, neighbor_every=1000)
+        engine.run(2)
+        engine.domains[1].positions[0, 1] = -3.0
+        gid = int(engine.domains[1].gids[0])
+        with pytest.raises(ValueError, match=rf"^rank 1 position row 0 \(atom {gid}\) is outside the open box along y"):
+            engine.run(1)
+
+    def test_only_a_finite_open_axis_bounds_a_row(self):
+        positions = np.array([[0.0, 5.0, 1.0], [-2.0, 20.0, 3.0], [4.0, 5.0, -1.0]])
+        lengths = np.array([10.0, 10.0, 10.0])
+        assert first_outside(positions, Box(lengths)) is None  # periodic axes wrap
+        assert first_outside(positions, Box(np.array([10.0, np.inf, np.inf]), (True, False, False))) is None
+        assert first_outside(positions, Box(lengths, (True, False, False))) == (1, 1)  # row-major: row, then axis
+        assert first_outside(positions, Box(lengths, (False, True, False))) == (1, 0)
+        assert first_outside(positions, Box(lengths, (True, True, False))) == (2, 2)
+        assert first_outside(positions[:1], Box(lengths, (False,) * 3)) is None  # x = 0 lies on the face
 
     def test_force_field_info_harvesting_is_shared(self):
         assert harvest_force_field_info(LennardJones(0.05, 2.3, 5.0)) == {}
