@@ -54,6 +54,8 @@ from repro.md import Simulation, water_system
 from repro.md.neighbor import build_neighbor_data
 from repro.reference.deepmd import tabulated_evaluate
 
+from allocations import AllocationCounter
+
 # the per-component oracle lives beside its bitwise pins
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from test_deepmd_compression import per_component_jacobian  # noqa: E402
@@ -79,41 +81,6 @@ N_POINTS = 512
 #: Minimum accepted speedup of the layer-wise table build over the
 #: per-component loop (measured 3.2-6.4x on a 2-core Xeon, one core pinned or not).
 BUILD_TARGET_SPEEDUP = 2.5
-
-_COUNTED_ALLOCATORS = (
-    "zeros",
-    "empty",
-    "ones",
-    "full",
-    "zeros_like",
-    "empty_like",
-    "ones_like",
-    "full_like",
-)
-
-
-class _AllocationCounter:
-    """Counts explicit NumPy array allocations while active."""
-
-    def __init__(self) -> None:
-        self.count = 0
-        self._originals: dict[str, object] = {}
-
-    def __enter__(self) -> "_AllocationCounter":
-        for name in _COUNTED_ALLOCATORS:
-            original = getattr(np, name)
-            self._originals[name] = original
-
-            def counted(*args, _original=original, **kwargs):
-                self.count += 1
-                return _original(*args, **kwargs)
-
-            setattr(np, name, counted)
-        return self
-
-    def __exit__(self, *exc) -> None:
-        for name, original in self._originals.items():
-            setattr(np, name, original)
 
 
 def _benchmark_model(seed: int = 7):
@@ -229,7 +196,7 @@ def test_compressed_steady_state_allocation_budget(precision):
     tracemalloc.start()
     try:
         baseline, _ = tracemalloc.get_traced_memory()
-        with _AllocationCounter() as counter:
+        with AllocationCounter() as counter:
             sim.run(n_steps, sample_every=1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -258,7 +225,6 @@ def test_compressed_steady_state_allocation_budget(precision):
         "the compressed step pooled a third (B, N, M)-class buffer "
         "(only dense G and the compact dG/ds rows are whole-type-block sized)"
     )
-
 
 
 def test_layerwise_table_build_speedup_and_bits():

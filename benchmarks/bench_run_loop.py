@@ -58,23 +58,14 @@ from repro.md.neighbor import build_neighbor_data
 from repro.parallel import DomainDecomposedSimulation
 from repro.reference.forcefields import ReferenceForceField
 
+from allocations import AllocationCounter
+
 #: ~900 atoms: the scale the issue's acceptance criterion names (and large
 #: enough that the pair phase, not Python overhead, dominates).
 SYSTEM_CELLS = (6, 6, 6)
 SPEEDUP_TARGET = 1.15
 #: explicit allocator calls allowed per steady-state step (measured: 0).
 ALLOCATION_BUDGET = 2
-
-_COUNTED_ALLOCATORS = (
-    "zeros",
-    "empty",
-    "ones",
-    "full",
-    "zeros_like",
-    "empty_like",
-    "ones_like",
-    "full_like",
-)
 
 
 def _lj_simulation(pooled: bool) -> Simulation:
@@ -103,32 +94,6 @@ def _best_steps_per_second(sim: Simulation, n_steps: int = 50, repeats: int = 3)
 
 #: the calls that re-derive a rank's owned-then-ghost layout by copying
 _COUNTED_STACKERS = ("vstack", "concatenate", "stack")
-
-
-class _AllocationCounter:
-    """Counts calls of the named ``np.*`` functions while active (default:
-    the explicit array allocators)."""
-
-    def __init__(self, names=_COUNTED_ALLOCATORS) -> None:
-        self.count = 0
-        self._names = names
-        self._originals: dict[str, object] = {}
-
-    def __enter__(self) -> "_AllocationCounter":
-        for name in self._names:
-            original = getattr(np, name)
-            self._originals[name] = original
-
-            def counted(*args, _original=original, **kwargs):
-                self.count += 1
-                return _original(*args, **kwargs)
-
-            setattr(np, name, counted)
-        return self
-
-    def __exit__(self, *exc) -> None:
-        for name, original in self._originals.items():
-            setattr(np, name, original)
 
 
 def test_workspace_loop_speedup_and_parity():
@@ -267,7 +232,7 @@ def test_steady_state_allocation_budget(make_sim):
     sim.run(10)  # fills every pool and settles the neighbour list
     builds_before = sim.neighbor_list.n_builds
     n_steps = 20
-    with _AllocationCounter() as counter:
+    with AllocationCounter() as counter:
         sim.run(n_steps, sample_every=1)
     assert sim.neighbor_list.n_builds == builds_before, (
         "a neighbour rebuild landed in the measurement window; "
@@ -293,7 +258,7 @@ def test_engine_steady_state_reuses_rank_pools():
     misses = [domain.workspace.misses for domain in engine.domains]
     builds = engine.n_builds
     containers = [domain.local_atoms(engine.type_names) for domain in engine.domains]
-    with _AllocationCounter(_COUNTED_STACKERS) as stackers, _AllocationCounter() as allocators:
+    with AllocationCounter(_COUNTED_STACKERS) as stackers, AllocationCounter() as allocators:
         engine.run(10)
     assert engine.n_builds == builds, "steady-state window must not rebuild"
     rank_steps = 10 * engine.n_ranks

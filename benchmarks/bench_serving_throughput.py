@@ -41,6 +41,8 @@ from repro.md.box import Box
 from repro.md.workspace import Workspace
 from repro.serving import ServingEngine, evaluate_serial, pack_systems, prepare_system
 
+from allocations import AllocationCounter
+
 #: Minimum accepted aggregate-throughput speedup, batch of 32 vs serial.
 TARGET_SPEEDUP = 5.0
 #: fp64 agreement between the batched path and the serial golden reference.
@@ -49,41 +51,6 @@ PARITY_ATOL = 1.0e-10
 BATCH_SIZE = 32
 #: Atoms per system: molecule-sized, the regime serving batching targets.
 SYSTEM_ATOMS = 4
-
-_COUNTED_ALLOCATORS = (
-    "zeros",
-    "empty",
-    "ones",
-    "full",
-    "zeros_like",
-    "empty_like",
-    "ones_like",
-    "full_like",
-)
-
-
-class _AllocationCounter:
-    """Counts explicit NumPy array allocations while active."""
-
-    def __init__(self) -> None:
-        self.count = 0
-        self._originals: dict[str, object] = {}
-
-    def __enter__(self) -> "_AllocationCounter":
-        for name in _COUNTED_ALLOCATORS:
-            original = getattr(np, name)
-            self._originals[name] = original
-
-            def counted(*args, _original=original, **kwargs):
-                self.count += 1
-                return _original(*args, **kwargs)
-
-            setattr(np, name, counted)
-        return self
-
-    def __exit__(self, *exc) -> None:
-        for name, original in self._originals.items():
-            setattr(np, name, original)
 
 
 def _serving_model(seed: int = 9) -> DeepPotential:
@@ -216,7 +183,7 @@ def test_bench_serving_steady_state_evaluator_is_allocation_free():
     evaluate()
     evaluate()  # second call guarantees every pool buffer exists
     n_steps = 5
-    with _AllocationCounter() as counter:
+    with AllocationCounter() as counter:
         for _ in range(n_steps):
             evaluate()
     print(f"\nexplicit allocations per steady-state batched evaluation: "
@@ -253,7 +220,7 @@ def test_bench_serving_pack_costs_no_more_than_the_evaluation():
     evaluate()  # every pool buffer and cache exists from here on
     misses = workspace.misses
     n_packs = 5
-    with _AllocationCounter() as counter:
+    with AllocationCounter() as counter:
         for _ in range(n_packs):
             pack()
     pack_seconds = _best_seconds(pack, repeats=21)

@@ -1,11 +1,16 @@
 """Shared fixtures for the benchmark harness.
 
-Every file in this directory regenerates one table or figure of the paper
-(see the README's "Running the tests" section).  Run with::
+Each ``bench_*.py`` file here gates one measured speed or memory budget
+(steps/sec, throughput, allocation counts, tracemalloc peaks) or, for
+Table II and Fig. 6, regenerates one of the paper's physics results on a
+small trained water model; ``allocations.py`` holds the allocation counter
+the budgets share.  The paper's modelled figures and tables (Figs. 7-11,
+Tables I and III, the abstract's claims) are checked and printed by
+``tests/test_paper_figures.py`` in tier-1, not here.  Run a file with::
 
-    pytest benchmarks/ --benchmark-only -s
+    PYTHONPATH=src python -m pytest -q -s benchmarks/bench_run_loop.py
 
-The ``-s`` flag shows the regenerated rows/series next to the timing data.
+The ``-s`` flag shows the measured numbers next to their gates.
 """
 
 from __future__ import annotations

@@ -24,11 +24,10 @@ from repro.parallel import GhostExchange, RankTopology, SpatialDecomposition
 
 def main() -> None:
     print("Fig. 7 — ghost-exchange time per communication scheme (modelled):")
-    table = fig7_comm_schemes(cutoffs=(8.0,), subbox_factors=((1, 1, 1), (0.5, 0.5, 0.5)))
-    print(table.to_text(floatfmt=".3f"))
+    print(fig7_comm_schemes().to_text(floatfmt=".3f"))
 
     print("\nFig. 8 — RDMA buffer pool vs per-neighbour registration (modelled):")
-    print(fig8_memory_pool(neighbor_counts=(26, 60, 124), iterations=10_000).to_text(floatfmt=".4f"))
+    print(fig8_memory_pool().to_text(floatfmt=".4f"))
 
     print("\nCorrectness check of the schemes on real coordinates (8 ranks, 2x2x2 nodes):")
     atoms, box = copper_system((6, 6, 6), perturbation=0.05, rng=0)

@@ -8,8 +8,8 @@ pool); :func:`step_report` prices one MD step of a benchmark system
 over the real domain decomposition and the performance model, and
 :func:`optimization_ladder` / :func:`strong_scaling` ask it down the Fig. 9
 ladder and over the Fig. 11 node counts; :mod:`repro.core.experiments`
-exposes one function per table/figure of the paper, which the
-``benchmarks/`` directory drives.
+exposes one function per table/figure of the paper, each pricing the
+paper's one grid (``tests/test_paper_figures.py`` checks and prints them).
 """
 
 from .config import FIG9_STAGES, OptimizationConfig, baseline_config, optimized_config

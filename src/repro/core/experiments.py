@@ -1,14 +1,13 @@
 """One entry point per table/figure of the paper's evaluation.
 
 Every function returns plain data (:class:`~repro.utils.tables.Table` or
-dictionaries) so it can be driven both by the ``benchmarks/`` harness (which
-prints the rows the paper reports) and by the test-suite (which asserts the
-qualitative claims: orderings, reductions, overlaps).
-
-Physics experiments (Table II, Fig. 6) train a small Deep Potential on the
-pseudo-AIMD water reference; performance experiments (Figs. 7-11, Tables I
-and III) run the decomposition + machine model through the functions of
-:mod:`repro.core.engine` and :mod:`repro.perfmodel`.
+dictionaries).  Physics experiments (Table II, Fig. 6) train a small Deep
+Potential on the pseudo-AIMD water reference; performance experiments
+(Figs. 7-11, Tables I and III, :func:`claims_summary`) run the decomposition
++ machine model through the functions of :mod:`repro.core.engine` and
+:mod:`repro.perfmodel` on the paper's one grid (the module constants below),
+so they take no arguments.  ``tests/test_paper_figures.py`` asserts the
+paper's qualitative claims on each and prints it under ``pytest -s``.
 """
 
 from __future__ import annotations
@@ -36,6 +35,19 @@ from .errors import energy_error_per_atom, force_rmse, precision_error_table
 from .systems import copper_spec, get_system, water_spec
 
 # ---------------------------------------------------------------------------
+# The paper's grids, shared by several figures
+# ---------------------------------------------------------------------------
+
+#: Node count of the Fig. 7, Fig. 9, Fig. 10 and Table III runs.
+SMALL_SCALE_NODES = 96
+#: Atoms per core of the Fig. 9, Fig. 10 and Table III cases.
+ATOMS_PER_CORE = (1, 2, 8)
+#: Node count of the full-scale runs (Table I, the end of Fig. 11).
+FULL_SCALE_NODES = 12_000
+#: Atoms of the full-scale copper and water systems.
+FULL_SCALE_ATOMS = {"copper": 540_000, "water": 558_000}
+
+# ---------------------------------------------------------------------------
 # Table I — survey of NNMD package performance
 # ---------------------------------------------------------------------------
 
@@ -51,7 +63,7 @@ TABLE1_LITERATURE = [
 ]
 
 
-def table1_packages(n_nodes: int = 12_000) -> Table:
+def table1_packages() -> Table:
     """Table I: literature values plus this work's modelled rows."""
     table = Table(
         headers=["Work", "Year", "Pot", "System", "#atoms", "Resources", "ns/day"],
@@ -62,15 +74,15 @@ def table1_packages(n_nodes: int = 12_000) -> Table:
         table.add_row(work, year, pot, system, atoms, resources, nsday if nsday is not None else "unknown")
 
     config = optimized_config()
-    for system_name, n_atoms in (("copper", 540_000), ("water", 558_000)):
-        report = step_report(get_system(system_name), config, n_nodes, n_atoms=n_atoms)
+    for system_name, n_atoms in FULL_SCALE_ATOMS.items():
+        report = step_report(get_system(system_name), config, FULL_SCALE_NODES, n_atoms=n_atoms)
         table.add_row(
             "This work (model)",
             2024,
             "DP",
             "Cu" if system_name == "copper" else "H2O",
             report.n_atoms,
-            f"{n_nodes * 48 / 1000:.0f}K cores (Fugaku, modelled)",
+            f"{FULL_SCALE_NODES * 48 / 1000:.0f}K cores (Fugaku, modelled)",
             round(report.ns_day, 1),
         )
     return table
@@ -195,22 +207,27 @@ def fig6_overlap_errors(curves: dict[str, dict[str, RDFResult]]) -> dict[str, fl
 # Fig. 7 — step-by-step communication optimization
 # ---------------------------------------------------------------------------
 
-def fig7_comm_schemes(
-    node_dims: tuple[int, int, int] = (4, 6, 4),
-    cutoffs: tuple[float, ...] = (8.0, 10.0),
-    subbox_factors: tuple[tuple[float, float, float], ...] = ((1, 1, 1), (0.5, 0.5, 1), (0.5, 0.5, 0.5)),
-    atom_density: float | None = None,
-) -> Table:
-    """Fig. 7: modelled ghost-exchange time per scheme and configuration."""
-    density = atom_density if atom_density is not None else copper_spec().atom_density
-    topology = RankTopology(node_dims)
+#: Cutoffs [A] of the Fig. 7 configurations.
+FIG7_CUTOFFS = (8.0, 10.0)
+#: Sub-box sides of the Fig. 7 configurations, in units of the cutoff.
+FIG7_SUBBOX_FACTORS = ((1, 1, 1), (0.5, 0.5, 1), (0.5, 0.5, 0.5))
+
+
+def _fig7_decomposition(cutoff: float, factors) -> SpatialDecomposition:
+    """The paper's small-scale node grid with sub-box sides ``factors * cutoff``."""
+    return subbox_decomposition(RankTopology(RankTopology.paper_topologies()[SMALL_SCALE_NODES]), cutoff, factors)
+
+
+def fig7_comm_schemes() -> Table:
+    """Fig. 7: modelled ghost-exchange time per scheme and configuration (copper density)."""
+    density = copper_spec().atom_density
     table = Table(
         headers=["cutoff", "sub-box (r_cut units)", "scheme", "time [us]", "relative to baseline"],
-        title="Fig. 7 — step-by-step communication optimization (96 nodes)",
+        title=f"Fig. 7 — step-by-step communication optimization ({SMALL_SCALE_NODES} nodes)",
     )
-    for cutoff in cutoffs:
-        for factors in subbox_factors:
-            decomposition = subbox_decomposition(topology, cutoff, factors)
+    for cutoff in FIG7_CUTOFFS:
+        for factors in FIG7_SUBBOX_FACTORS:
+            decomposition = _fig7_decomposition(cutoff, factors)
             times = {label: exchange_time(plan_exchange(label, decomposition, cutoff, density)) for label in SCHEMES}
             base = times["baseline"]
             for label, seconds in times.items():
@@ -218,25 +235,20 @@ def fig7_comm_schemes(
     return table
 
 
-def communication_reduction(node_dims=(4, 6, 4), cutoff: float = 8.0, factors=(0.5, 0.5, 0.5)) -> float:
-    """The headline claim: fraction of communication time removed by lb-4l."""
-    decomposition = subbox_decomposition(RankTopology(node_dims), cutoff, factors)
-    density = copper_spec().atom_density
-    base = exchange_time(plan_exchange("baseline", decomposition, cutoff, density))
-    optimized = exchange_time(plan_exchange("lb-4l", decomposition, cutoff, density))
-    return 1.0 - optimized / base
-
-
 # ---------------------------------------------------------------------------
 # Fig. 8 — RDMA memory pool vs per-neighbour registration
 # ---------------------------------------------------------------------------
 
-def fig8_memory_pool(
-    neighbor_counts: tuple[int, ...] = (26, 44, 60, 80, 100, 124),
-    iterations: int = 10_000,
-    payload_bytes: int = 8,
-) -> Table:
-    """Fig. 8: communication time over ``iterations`` tiny messages per neighbour.
+#: Neighbour counts of the Fig. 8 sweep.
+FIG8_NEIGHBOR_COUNTS = (26, 44, 60, 80, 100, 124)
+#: Exchange iterations each Fig. 8 time covers.
+FIG8_ITERATIONS = 10_000
+#: Payload of each Fig. 8 message.
+FIG8_PAYLOAD_BYTES = 8
+
+
+def fig8_memory_pool() -> Table:
+    """Fig. 8: communication time over ``FIG8_ITERATIONS`` tiny messages per neighbour.
 
     Pooled, one registered region serves every neighbour; otherwise each
     neighbour registers a send and a receive buffer of its own.
@@ -248,13 +260,13 @@ def fig8_memory_pool(
     )
     for pooled in (True, False):
         label = "buf_pool" if pooled else "no_buf_pool"
-        for n_neighbors in neighbor_counts:
+        for n_neighbors in FIG8_NEIGHBOR_COUNTS:
             regions = 1 if pooled else 2 * n_neighbors
             penalty = nic_cache_penalty(FUGAKU.nic_cache, regions)
-            per_message = message_occupancy(network, payload_bytes, registration_penalty=penalty)
+            per_message = message_occupancy(network, FIG8_PAYLOAD_BYTES, registration_penalty=penalty)
             # Messages to the neighbours are issued in turn on the 6 TNIs.
             per_iteration = tni_makespan(network, [per_message] * n_neighbors) + wire_latency(network)
-            total = per_iteration * iterations
+            total = per_iteration * FIG8_ITERATIONS
             table.add_row(n_neighbors, label, regions, total, per_message * 1.0e6)
     return table
 
@@ -263,21 +275,17 @@ def fig8_memory_pool(
 # Fig. 9 — step-by-step computation optimization
 # ---------------------------------------------------------------------------
 
-def fig9_computation(
-    systems: tuple[str, ...] = ("copper", "water"),
-    atoms_per_core: tuple[int, ...] = (1, 2, 8),
-    n_nodes: int = 96,
-) -> Table:
+def fig9_computation() -> Table:
     """Fig. 9: ns/day per optimization stage, system and atoms-per-core."""
     table = Table(
         headers=["system", "atoms/core", "stage", "ns/day", "speedup vs baseline", "step time [ms]"],
-        title="Fig. 9 — step-by-step computation optimization (96 nodes)",
+        title=f"Fig. 9 — step-by-step computation optimization ({SMALL_SCALE_NODES} nodes)",
     )
     configs = fig9_stage_configs()
-    for system_name in systems:
+    for system_name in ("copper", "water"):
         system = get_system(system_name)
-        for apc in atoms_per_core:
-            reports = optimization_ladder(system, configs, n_nodes, apc)
+        for apc in ATOMS_PER_CORE:
+            reports = optimization_ladder(system, configs, SMALL_SCALE_NODES, apc)
             base = reports[0].ns_day
             for report in reports:
                 table.add_row(
@@ -291,45 +299,43 @@ def fig9_computation(
     return table
 
 
-def computation_speedup(system_name: str = "copper", atoms_per_core: int = 1, n_nodes: int = 96) -> float:
-    """The 14.11x-style compute claim: sve-fp16 stage over baseline (same comm)."""
-    reports = optimization_ladder(get_system(system_name), fig9_stage_configs(), n_nodes, atoms_per_core)
-    by_name = {r.config_name: r for r in reports}
-    return by_name["sve-fp16"].ns_day / by_name["baseline"].ns_day
-
-
 # ---------------------------------------------------------------------------
 # Fig. 10 + Table III — intra-node load balance
 # ---------------------------------------------------------------------------
 
-def _balance_case(system, atoms_per_core: int, n_nodes: int, seed: int):
+#: Seed of the Table III / Fig. 10 coordinates and pair-time jitter.
+BALANCE_SEED = 5
+
+
+def _balance_case(system, atoms_per_core: int):
     """``(positions, decomposition)`` of one Table III / Fig. 10 case of ``system``.
 
     ``atoms_per_core`` atoms per core on the optimized configuration's
-    ``n_nodes``-node grid, placed with ``seed``.
+    ``SMALL_SCALE_NODES``-node grid, placed with ``BALANCE_SEED``.
     """
-    topology = topology_for(n_nodes, optimized_config())
+    topology = topology_for(SMALL_SCALE_NODES, optimized_config())
     n_atoms = system.atoms_for_cores(topology.n_cores, atoms_per_core)
-    positions, box = system.build_positions(n_atoms, rng=seed)
+    positions, box = system.build_positions(n_atoms, rng=BALANCE_SEED)
     return positions, SpatialDecomposition(box, topology)
 
 
-def table3_loadbalance(
-    system_name: str = "water",
-    atoms_per_core: tuple[int, ...] = (1, 2, 8),
-    n_nodes: int = 96,
-    seed: int = 5,
-) -> Table:
-    """Table III: pair time and atom numbers across MPI ranks, lb vs nolb."""
-    system = get_system(system_name)
+def _balance_comparisons(system):
+    """``{atoms per core: balance_comparison}`` over ``ATOMS_PER_CORE`` for ``system``."""
     per_atom = per_atom_time(system, optimized_config(), 1)
+    comparisons = {}
+    for apc in ATOMS_PER_CORE:
+        positions, decomposition = _balance_case(system, apc)
+        comparisons[apc] = balance_comparison(decomposition, positions, per_atom, rng=BALANCE_SEED)
+    return comparisons
+
+
+def table3_loadbalance() -> Table:
+    """Table III: pair time and atom numbers across MPI ranks, lb vs nolb (water)."""
     table = Table(
         headers=["case", "lb", "metric", "min", "avg", "max", "SDMR%"],
-        title=f"Table III — pair time and atom numbers across MPI ranks ({system_name})",
+        title="Table III — pair time and atom numbers across MPI ranks (water)",
     )
-    for apc in atoms_per_core:
-        positions, decomposition = _balance_case(system, apc, n_nodes, seed)
-        comparison = balance_comparison(decomposition, positions, per_atom, rng=seed)
+    for apc, comparison in _balance_comparisons(water_spec()).items():
         for lb_label in ("no", "yes"):
             stats = comparison[lb_label]
             atom_stats = stats.atom_stats().summary()
@@ -357,28 +363,13 @@ def table3_loadbalance(
     return table
 
 
-def fig10_pair_time_distribution(
-    system_name: str = "copper",
-    atoms_per_core: tuple[int, ...] = (1, 2, 8),
-    n_nodes: int = 96,
-    seed: int = 5,
-) -> dict[str, np.ndarray]:
-    """Fig. 10: the per-rank pair-time distributions with and without balance."""
-    system = get_system(system_name)
-    per_atom = per_atom_time(system, optimized_config(), 1)
+def fig10_pair_time_distribution() -> dict[str, np.ndarray]:
+    """Fig. 10: the per-rank pair-time distributions with and without balance (copper)."""
     distributions: dict[str, np.ndarray] = {}
-    for apc in atoms_per_core:
-        positions, decomposition = _balance_case(system, apc, n_nodes, seed)
-        comparison = balance_comparison(decomposition, positions, per_atom, rng=seed)
+    for apc, comparison in _balance_comparisons(copper_spec()).items():
         distributions[f"{apc}-nolb"] = comparison["no"].pair_times
         distributions[f"{apc}-lb"] = comparison["yes"].pair_times
     return distributions
-
-
-def dispersion_reduction(system_name: str = "copper", atoms_per_core: int = 1, n_nodes: int = 96, seed: int = 5) -> float:
-    """The 79.7 % claim: reduction of the atom-count SDMR by the load balance."""
-    positions, decomposition = _balance_case(get_system(system_name), atoms_per_core, n_nodes, seed)
-    return sdmr_reduction(decomposition, positions)
 
 
 # ---------------------------------------------------------------------------
@@ -386,24 +377,19 @@ def dispersion_reduction(system_name: str = "copper", atoms_per_core: int = 1, n
 # ---------------------------------------------------------------------------
 
 #: Node counts of the paper's strong-scaling study.
-FIG11_NODE_COUNTS = [768, 2160, 4608, 6144, 12000]
+FIG11_NODE_COUNTS = [768, 2160, 4608, 6144, FULL_SCALE_NODES]
 
 
-def fig11_strong_scaling(
-    systems: tuple[str, ...] = ("copper", "water"),
-    node_counts: list[int] | None = None,
-) -> Table:
+def fig11_strong_scaling() -> Table:
     """Fig. 11: ns/day and parallel efficiency from 768 to 12,000 nodes."""
-    node_counts = node_counts or FIG11_NODE_COUNTS
     config = optimized_config()
     table = Table(
         headers=["system", "nodes", "n_atoms", "atoms/core", "ns/day", "parallel efficiency %"],
         title="Fig. 11 — strong scaling of the optimized code",
     )
-    for system_name in systems:
-        n_atoms = 540_000 if system_name == "copper" else 558_000
-        reports = strong_scaling(get_system(system_name), config, node_counts, n_atoms)
-        efficiencies = parallel_efficiency([r.ns_day for r in reports], node_counts)
+    for system_name, n_atoms in FULL_SCALE_ATOMS.items():
+        reports = strong_scaling(get_system(system_name), config, FIG11_NODE_COUNTS, n_atoms)
+        efficiencies = parallel_efficiency([r.ns_day for r in reports], FIG11_NODE_COUNTS)
         for report, eff in zip(reports, efficiencies):
             table.add_row(
                 system_name,
@@ -416,28 +402,41 @@ def fig11_strong_scaling(
     return table
 
 
-def end_to_end_speedup(system_name: str = "copper", n_nodes: int = 12_000, n_atoms: int = 540_000) -> float:
-    """The 31.7x claim: optimized vs baseline configuration at full scale."""
-    system = get_system(system_name)
-    optimized = step_report(system, optimized_config(), n_nodes, n_atoms=n_atoms)
-    baseline = step_report(system, baseline_config(), n_nodes, n_atoms=n_atoms)
-    return optimized.ns_day / baseline.ns_day
-
-
 # ---------------------------------------------------------------------------
 # Claims summary (abstract-level numbers)
 # ---------------------------------------------------------------------------
 
 def claims_summary() -> dict[str, float]:
-    """The abstract's headline claims, re-derived from the model."""
-    optimized = optimized_config()
-    copper_12k = step_report(copper_spec(), optimized, 12_000, n_atoms=540_000)
-    water_12k = step_report(water_spec(), optimized, 12_000, n_atoms=558_000)
+    """The abstract's headline claims, re-derived from the model (copper unless named).
+
+    The communication time lb-4l removes at cutoff 8 and 0.5 r_cut sub-boxes
+    (paper: 81 %), the sve-fp16 over baseline speed-up and the load balance's
+    atom-count SDMR reduction at 1 atom/core (14.11x, 79.7 %), the optimized
+    over baseline speed-up at full scale (31.7x over the prior state of the
+    art) and the full-scale ns/day of copper and water (149, 68.5).
+    """
+    copper, optimized = copper_spec(), optimized_config()
+
+    cutoff, factors = FIG7_CUTOFFS[0], FIG7_SUBBOX_FACTORS[-1]
+    decomposition = _fig7_decomposition(cutoff, factors)
+    comm = {
+        label: exchange_time(plan_exchange(label, decomposition, cutoff, copper.atom_density))
+        for label in ("baseline", "lb-4l")
+    }
+
+    ladder = optimization_ladder(copper, fig9_stage_configs(), SMALL_SCALE_NODES, 1)
+    by_stage = {report.config_name: report.ns_day for report in ladder}
+
+    positions, decomposition = _balance_case(copper, 1)
+
+    copper_full = step_report(copper, optimized, FULL_SCALE_NODES, n_atoms=FULL_SCALE_ATOMS["copper"])
+    copper_baseline = step_report(copper, baseline_config(), FULL_SCALE_NODES, n_atoms=FULL_SCALE_ATOMS["copper"])
+    water_full = step_report(water_spec(), optimized, FULL_SCALE_NODES, n_atoms=FULL_SCALE_ATOMS["water"])
     return {
-        "communication_reduction_fraction": communication_reduction(),
-        "computation_speedup": computation_speedup(),
-        "load_balance_dispersion_reduction": dispersion_reduction(),
-        "end_to_end_speedup": end_to_end_speedup(),
-        "copper_ns_day_12000_nodes": copper_12k.ns_day,
-        "water_ns_day_12000_nodes": water_12k.ns_day,
+        "communication_reduction_fraction": 1.0 - comm["lb-4l"] / comm["baseline"],
+        "computation_speedup": by_stage["sve-fp16"] / by_stage["baseline"],
+        "load_balance_dispersion_reduction": sdmr_reduction(decomposition, positions),
+        "end_to_end_speedup": copper_full.ns_day / copper_baseline.ns_day,
+        "copper_ns_day_12000_nodes": copper_full.ns_day,
+        "water_ns_day_12000_nodes": water_full.ns_day,
     }

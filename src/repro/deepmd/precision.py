@@ -28,8 +28,6 @@ class PrecisionPolicy:
     ----------
     name:
         policy identifier (``double``, ``mix-fp32``, ``mix-fp16``).
-    env_dtype:
-        precision of the environment matrix and descriptor contraction.
     embedding_dtype:
         precision of the embedding-net layers.
     fitting_dtype:
@@ -39,7 +37,6 @@ class PrecisionPolicy:
     """
 
     name: str
-    env_dtype: type = np.float64
     embedding_dtype: type = np.float64
     fitting_dtype: type = np.float64
     fitting_first_layer_dtype: type | None = None
@@ -80,14 +77,12 @@ DOUBLE = PrecisionPolicy("double")
 
 MIX_FP32 = PrecisionPolicy(
     "mix-fp32",
-    env_dtype=np.float64,
     embedding_dtype=np.float32,
     fitting_dtype=np.float32,
 )
 
 MIX_FP16 = PrecisionPolicy(
     "mix-fp16",
-    env_dtype=np.float64,
     embedding_dtype=np.float32,
     fitting_dtype=np.float32,
     fitting_first_layer_dtype=np.float16,
