@@ -240,7 +240,7 @@ def test_bench_serving_pack_costs_no_more_than_the_evaluation():
 
 def _closed_loop_clients(model, n_clients: int, requests_per_client: int):
     """Drive the threaded engine with closed-loop clients; returns the stats."""
-    engine = ServingEngine(model, max_batch_size=BATCH_SIZE, max_wait_ms=2.0)
+    engine = ServingEngine(model, max_batch_size=BATCH_SIZE)
     completed = []
     errors = []
 
@@ -275,7 +275,7 @@ def test_bench_serving_client_latency_report():
 
     print()
     print("Serving latency under concurrent closed-loop clients "
-          f"({SYSTEM_ATOMS}-atom systems, admission window 2 ms):")
+          f"({SYSTEM_ATOMS}-atom systems, work-conserving admission):")
     print("  clients   p50 ms   p99 ms   mean batch   systems/s")
     throughput = {}
     for n_clients in (1, 8, 64):

@@ -1,11 +1,12 @@
 """Quickstart: serve many small systems through one batched Deep Potential.
 
-Demonstrates the PR 9 serving subsystem end to end:
+Demonstrates the serving subsystem end to end:
 
 1. build a small Deep Potential and a ``ServingEngine`` on top of it
    (compressed tables and standardization stats are cached once per model),
 2. submit a burst of energy/force one-shots from concurrent "clients" and
-   watch the admission window coalesce them into fused batched evaluations,
+   watch the requests that arrive while a batch computes share the next
+   fused batched evaluation (admission takes whatever is pending, no timer),
 3. submit short MD bursts that advance in lockstep through the same batched
    kernels, and
 4. cross-check a few answers against the frozen serial reference
@@ -53,7 +54,7 @@ def main() -> None:
     model = DeepPotential(config)
 
     # -- 1. the engine: caches built once, one serving thread on start() ----
-    engine = ServingEngine(model, max_batch_size=16, max_wait_ms=5.0)
+    engine = ServingEngine(model, max_batch_size=16)
 
     with engine:
         # -- 2. concurrent one-shot clients --------------------------------
@@ -93,7 +94,7 @@ def main() -> None:
     (reference,) = evaluate_serial(
         model, [system], compressed=True, compression_table=model.compressed_embeddings()
     )
-    with ServingEngine(model, max_batch_size=4, max_wait_ms=1.0) as check_engine:
+    with ServingEngine(model, max_batch_size=4) as check_engine:
         served = check_engine.submit(atoms, box).result(timeout=120)
     assert abs(served.energy - reference.energy) < 1e-10
     assert np.abs(served.forces - reference.forces).max() < 1e-10

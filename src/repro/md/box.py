@@ -66,11 +66,6 @@ class Box:
                 result[..., axis] -= length * np.round(result[..., axis] / length)
         return result
 
-    def distance(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Minimum-image distances between position arrays ``a`` and ``b``."""
-        delta = self.minimum_image(np.asarray(a) - np.asarray(b))
-        return np.linalg.norm(delta, axis=-1)
-
     def max_cutoff(self) -> float:
         """Largest cutoff compatible with the minimum-image convention."""
         periodic_lengths = [

@@ -45,10 +45,6 @@ class WaterTopology:
     angles: np.ndarray
     molecules: np.ndarray
 
-    @property
-    def n_molecules(self) -> int:
-        return int(self.molecules.max()) + 1 if len(self.molecules) else 0
-
 
 def _water_template() -> np.ndarray:
     """Coordinates of one water molecule (O at origin), shape (3, 3)."""

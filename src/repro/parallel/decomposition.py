@@ -146,11 +146,6 @@ class SpatialDecomposition:
         ny, nz = int(self.node_dims[1]), int(self.node_dims[2])
         return (node_cells[:, 0] * ny + node_cells[:, 1]) * nz + node_cells[:, 2]
 
-    def node_counts(self, positions: np.ndarray) -> DecompositionStats:
-        nodes = self.assign_to_nodes(positions)
-        counts = np.bincount(nodes, minlength=self.topology.n_nodes)
-        return DecompositionStats(counts)
-
     def rank_bounds(self, rank: int) -> tuple[np.ndarray, np.ndarray]:
         """(lower, upper) corner of a rank's sub-box."""
         coord = np.array(self.topology.rank_coord(rank), dtype=np.float64)

@@ -98,13 +98,8 @@ class RankTopology:
                     ranks.append(self.rank_index((base[0] + ox, base[1] + oy, base[2] + oz)))
         return ranks
 
-    def node_index(self, node_coord) -> int:
-        nx, ny, nz = self.node_dims
-        x, y, z = (int(c) % d for c, d in zip(node_coord, self.node_dims))
-        return (x * ny + y) * nz + z
-
     def node_coord(self, index: int) -> tuple[int, int, int]:
-        """Inverse of :meth:`node_index` (same row-major convention)."""
+        """Row-major ``(x, y, z)`` coordinate of node ``index``."""
         nx, ny, nz = self.node_dims
         x, rem = divmod(int(index), ny * nz)
         y, z = divmod(rem, nz)

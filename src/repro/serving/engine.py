@@ -1,11 +1,13 @@
-"""The serving engine: admission batching in front of one serving thread.
+"""The serving engine: work-conserving admission in front of one serving thread.
 
 :class:`ServingEngine` turns a :class:`~repro.deepmd.model.DeepPotential`
 into a request server for many small independent systems:
 
-* **Admission batching** — requests coalesce under the
-  :class:`~repro.serving.queue.AdmissionQueue` window (max-batch-size /
-  max-wait-ms) so concurrent one-shots share one fused evaluation.
+* **Work-conserving admission** — each time the serving thread is free it
+  takes every pending same-kind request, up to ``max_batch_size``, from the
+  :class:`~repro.serving.queue.AdmissionQueue`; no request waits on a timer.
+  Requests that arrive while a batch computes share the next fused
+  evaluation, so batch width follows the load.
 * **Per-model caches** — the compressed Hermite tables, their packed
   low-precision copies and the per-``(type, dtype)`` standardization stats
   are built once at engine construction and shared across every request the
@@ -14,8 +16,7 @@ into a request server for many small independent systems:
 * **One serving thread** — admit a batch, build each request's neighbour
   list, pack, run the fused kernels, split, fulfil; then admit the next.  Not
   a prep/compute pipeline: under the GIL the hand-offs cost as much as the
-  overlap buys on one CPU and more across two (``benchmarks/e2e/README.md``,
-  ``serving.engine.pipeline_efficiency``).
+  overlap buys on one CPU and more across two (``benchmarks/e2e/README.md``).
 
 Two request kinds are served: ``energy`` one-shots (energies, forces and a
 per-system virial for one configuration) and ``md`` bursts (a short
@@ -37,6 +38,7 @@ from __future__ import annotations
 import math
 import threading
 import time
+import warnings
 
 import numpy as np
 
@@ -63,9 +65,17 @@ class ServingEngine:
         precision=DOUBLE,
         compressed: bool = True,
         max_batch_size: int = 32,
-        max_wait_ms: float = 2.0,
+        max_wait_ms: float | None = None,
         backend: GemmBackend | None = None,
     ) -> None:
+        # kept only so that callers written for the old admission window still
+        # construct; it no longer reaches the queue
+        if max_wait_ms is not None:
+            warnings.warn(
+                "ServingEngine(max_wait_ms=) is deprecated and ignored: admission takes whatever is pending",
+                DeprecationWarning,
+                stacklevel=2,
+            )
         self.model = model
         self.policy = get_policy(precision)
         self.compressed = bool(compressed)
@@ -95,7 +105,7 @@ class ServingEngine:
         self._overflow_warned = False
         self._clamp_warned = False
 
-        self._queue = AdmissionQueue(max_batch_size=max_batch_size, max_wait_ms=max_wait_ms)
+        self._queue = AdmissionQueue(max_batch_size=max_batch_size)
         self._thread: threading.Thread | None = None
 
     # ------------------------------------------------------------------

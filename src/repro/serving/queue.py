@@ -3,20 +3,19 @@
 The queue side of :mod:`repro.serving.engine`: clients submit
 :class:`ServingRequest` objects and block on standard-library
 :class:`concurrent.futures.Future` handles.  The engine's serving thread
-pulls *batches* out via :meth:`AdmissionQueue.admit`, which groups pending
-requests under a max-batch-size / max-wait-ms admission window so that
-concurrent small requests coalesce into one fused evaluation instead of
-dribbling through one at a time.  A request cancelled while queued is
-dropped at admission; an admitted one can no longer be cancelled.
+pulls *batches* out via :meth:`AdmissionQueue.admit`.  A request cancelled
+while queued is dropped at admission; an admitted one can no longer be
+cancelled.
 
-Admission policy: the window opens when the oldest pending request arrived.
-``admit`` returns as soon as ``max_batch_size`` same-kind requests are
-pending, or when the oldest request has waited ``max_wait_ms`` — whichever
-comes first — and takes the longest prefix of pending requests that share a
-kind (``"energy"`` one-shots and ``"md"`` bursts batch separately because
-they run different compute stages).  Under a single client the window adds at
-most ``max_wait_ms`` latency; under concurrency it buys batch width, which is
-where the fused kernels earn their throughput.
+Admission is work-conserving (the continuous-batching rule of Orca, Yu et
+al., OSDI'22): ``admit`` blocks only while nothing is pending, and then
+returns at once with the longest prefix of pending requests that share a
+kind, up to ``max_batch_size`` (``"energy"`` one-shots and ``"md"`` bursts
+batch separately because they run different compute stages).  No request
+is held back to wait for company: batches form from the requests that
+arrive while the previous batch computes, so a lone request is served as
+soon as the serving thread is free, and under load the batch width grows
+with the backlog, which is where the fused kernels earn their throughput.
 
 :class:`ServingStats` accounts per-request latency splits (queue wait vs.
 service) and per-batch widths in fixed memory: the means are running sums,
@@ -74,13 +73,12 @@ class BurstResult:
 
 
 class AdmissionQueue:
-    """Pending-request buffer with a batch admission window."""
+    """Pending-request buffer that admits whatever is pending, up to a batch size."""
 
-    def __init__(self, max_batch_size: int = 32, max_wait_ms: float = 2.0) -> None:
+    def __init__(self, max_batch_size: int = 32) -> None:
         if max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
         self.max_batch_size = int(max_batch_size)
-        self.max_wait_s = float(max_wait_ms) / 1e3
         self._pending: deque[ServingRequest] = deque()
         self._cond = threading.Condition(threading.Lock())
         self._closed = False
@@ -101,25 +99,17 @@ class AdmissionQueue:
             self._cond.notify_all()
 
     def admit(self) -> list[ServingRequest] | None:
-        """The next (non-empty) batch under the admission window.
+        """The pending same-kind prefix, up to ``max_batch_size`` requests.
 
-        Blocks until a request is pending; returns ``None`` once the queue is
-        closed *and* drained (the consumer should exit) — :meth:`close` wakes
-        a blocked call.
+        Blocks until a request is pending, then returns at once; returns
+        ``None`` once the queue is closed *and* drained (the consumer should
+        exit) — :meth:`close` wakes a blocked call.
         """
         with self._cond:
             while not self._pending:
                 if self._closed:
                     return None
                 self._cond.wait()
-            # window opens at the oldest pending arrival; collect until the
-            # batch fills or the window closes
-            window_end = self._pending[0].t_submit + self.max_wait_s
-            while len(self._pending) < self.max_batch_size and not self._closed:
-                remaining = window_end - time.perf_counter()
-                if remaining <= 0:
-                    break
-                self._cond.wait(remaining)
             kind = self._pending[0].kind
             batch: list[ServingRequest] = []
             while (

@@ -66,12 +66,5 @@ class Table:
     def to_records(self) -> list[dict[str, Any]]:
         return [dict(zip(self.headers, row)) for row in self.rows]
 
-    def column(self, name: str) -> list[Any]:
-        try:
-            idx = self.headers.index(name)
-        except ValueError as exc:
-            raise KeyError(f"no column named {name!r}") from exc
-        return [row[idx] for row in self.rows]
-
     def __len__(self) -> int:
         return len(self.rows)

@@ -31,7 +31,7 @@ class TestBox:
 
     def test_minimum_image_distance(self):
         box = Box.cubic(10.0)
-        d = box.distance(np.array([0.5, 0.0, 0.0]), np.array([9.5, 0.0, 0.0]))
+        d = np.linalg.norm(box.minimum_image(np.array([0.5, 0.0, 0.0]) - np.array([9.5, 0.0, 0.0])))
         assert d == pytest.approx(1.0)
 
     def test_max_cutoff_is_half_min_length(self):

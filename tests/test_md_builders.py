@@ -55,7 +55,7 @@ class TestWater:
         assert len(atoms) == 81
         assert atoms.type_names == ("O", "H")
         np.testing.assert_array_equal(np.bincount(atoms.types), [27, 54])
-        assert topology.n_molecules == 27
+        np.testing.assert_array_equal(np.unique(topology.molecules), np.arange(27))
         assert topology.bonds.shape == (54, 2)
         assert topology.angles.shape == (27, 3)
 

@@ -23,7 +23,7 @@ def brute_force_reference(positions, box, cutoff):
     pairs = set()
     for i in range(n):
         for j in range(i + 1, n):
-            if box.distance(positions[i], positions[j]) <= cutoff:
+            if np.linalg.norm(box.minimum_image(positions[i] - positions[j])) <= cutoff:
                 pairs.add((i, j))
     return pairs
 

@@ -68,8 +68,8 @@ class TestDecomposition:
         decomposition = SpatialDecomposition(box, topo)
         ranks = decomposition.assign_to_ranks(atoms.positions)
         assert np.bincount(ranks, minlength=topo.n_ranks).sum() == len(atoms)
-        node_stats = decomposition.node_counts(atoms.positions)
-        assert node_stats.total == len(atoms)
+        nodes = decomposition.assign_to_nodes(atoms.positions)
+        assert np.bincount(nodes, minlength=topo.n_nodes).sum() == len(atoms)
 
     def test_rank_bounds_partition_box(self):
         box = Box.cubic(16.0)

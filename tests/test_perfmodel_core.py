@@ -179,7 +179,7 @@ class TestStepReportAndScaling:
         assert parallel_efficiency([18.0, 10.0], [200, 100]) == pytest.approx([0.9, 1.0])
         table = scaling_table([100, 800], [10.0, 40.0], "copper", baseline_ns_day=5.0)
         assert len(table) == 2
-        assert table.column("speedup vs baseline")[1] == pytest.approx(8.0)
+        assert table.to_records()[1]["speedup vs baseline"] == pytest.approx(8.0)
 
 
 class TestConfigs:

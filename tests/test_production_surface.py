@@ -1,9 +1,11 @@
 """The production package keeps only what runs.
 
 Every top-level function or class and every non-dunder method in the
-non-reference ``src/repro`` tree must be referenced in code — a ``Name`` or an
-``Attribute`` node of the AST — somewhere in ``src/``, ``benchmarks/`` or
-``examples/`` outside its own definition.  A name only tests call is surface
+non-reference ``src/repro`` tree must be referenced in code somewhere in
+``src/``, ``benchmarks/`` or ``examples/`` outside its own definition: a
+top-level name by a ``Name`` or an ``Attribute`` node of the AST, a method by
+an ``Attribute`` only (a local variable or parameter that shares a method's
+name does not call it).  A name only tests call is surface
 that no user path exercises; it goes, or it is listed in :data:`ALLOWED` with
 the reason it stays.  Words in docstrings, comments and strings are not code,
 and neither are import statements or ``__all__`` lists: re-exporting a name
@@ -45,6 +47,7 @@ ALLOWED = {
     "lint_source": "entry point of reprolint's seeded-violation corpus (one in-memory file under a chosen path)",
     "run_bursts_serial": "the RL007-frozen serial golden that ServingEngine.submit_md is pinned against",
     "LocalEnvironment.neighbor_counts": "probe of each centre row's kept neighbours, which tests size padding with",
+    "DeepPotentialForceField.describe": "called through getattr by md.stepping.harvest_force_field_info",
     "table1_packages": FIGURE,
     "fig9_computation": FIGURE,
     "table3_loadbalance": FIGURE,
@@ -59,12 +62,12 @@ def _is_dunder(name: str) -> bool:
 
 
 def _references(tree: ast.Module):
-    """``(name, line)`` of every ``Name`` and ``Attribute`` node: what code names."""
+    """``(name, line, is_attribute)`` of every ``Name`` and ``Attribute`` node: what code names."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id, node.lineno
+            yield node.id, node.lineno, False
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.end_lineno
+            yield node.attr, node.end_lineno, True
 
 
 def _production(path: Path) -> bool:
@@ -83,33 +86,48 @@ def _definitions(tree: ast.Module):
                     yield f"{node.name}.{sub.name}", sub
 
 
+def _unused(files) -> dict:
+    """Definitions with no use outside their own span: qualname -> ``path:line``.
+
+    ``files`` holds ``(path, tree, is_production)``; only the references that
+    name a production definition are indexed, by ``(path, line)``.  A method
+    (a dotted qualname) counts only ``Attribute`` references.
+    """
+    definitions = [
+        (path, qualname, node)
+        for path, tree, is_production in files
+        if is_production
+        for qualname, node in _definitions(tree)
+    ]
+    names = {node.name for _, _, node in definitions}
+    uses: dict[str, list[tuple[Path, int, bool]]] = defaultdict(list)
+    for path, tree, _ in files:
+        for name, line, is_attribute in _references(tree):
+            if name in names:
+                uses[name].append((path, line, is_attribute))
+    unused = {}
+    for path, qualname, node in definitions:
+        method = "." in qualname
+        span = range(node.lineno, node.end_lineno + 1)
+        if not any(
+            (is_attribute or not method) and (where != path or line not in span)
+            for where, line, is_attribute in uses[node.name]
+        ):
+            unused[qualname] = f"{path}:{node.lineno}"
+    return unused
+
+
 @pytest.fixture(scope="module")
 def surface():
     """Production names with no use outside their own definition: qualname -> ``path:line``.
 
-    Every searched file is parsed once; only the references that name a
-    production definition are indexed, by ``(path, line)``.
+    Every searched file is parsed once.
     """
-    parsed = []
-    definitions = []
+    files = []
     for top in SEARCHED:
         for path in sorted((ROOT / top).rglob("*.py")):
-            tree = ast.parse(path.read_text())
-            parsed.append((path, tree))
-            if _production(path):
-                definitions.extend((path, qualname, node) for qualname, node in _definitions(tree))
-    names = {node.name for _, _, node in definitions}
-    uses: dict[str, list[tuple[Path, int]]] = defaultdict(list)
-    for path, tree in parsed:
-        for name, line in _references(tree):
-            if name in names:
-                uses[name].append((path, line))
-    unused = {}
-    for path, qualname, node in definitions:
-        span = range(node.lineno, node.end_lineno + 1)
-        if not any(where != path or line not in span for where, line in uses[node.name]):
-            unused[qualname] = f"{path.relative_to(ROOT)}:{node.lineno}"
-    return unused
+            files.append((path.relative_to(ROOT), ast.parse(path.read_text()), _production(path)))
+    return _unused(files)
 
 
 def test_every_production_name_is_used_outside_tests(surface):
@@ -128,7 +146,17 @@ def test_every_allowed_name_is_still_unused(surface):
 def test_only_code_references_count():
     # docstrings, comments and strings name nothing; Name and Attribute nodes do
     tree = ast.parse('"""See Box.orthorhombic."""\n# cartesian coordinates\nx = "speedup_over"\ny = box.wrap(z)\n')
-    assert sorted(name for name, _ in _references(tree)) == ["box", "wrap", "x", "y", "z"]
+    assert sorted(name for name, _, _ in _references(tree)) == ["box", "wrap", "x", "y", "z"]
+
+
+def test_a_same_named_local_is_not_a_use_of_a_method():
+    package = ast.parse("class Engine:\n    def stats(self): ...\ndef helper(): ...\nclass Spec: ...\n")
+    caller = ast.parse("def run(stats):\n    stats = stats + 1\n    return Engine(), helper(stats), pkg.Spec\n")
+    files = [(Path("pkg.py"), package, True), (Path("caller.py"), caller, False)]
+    # a top-level def or class is used by a Name or an Attribute; the method's namesakes are not uses
+    assert _unused(files) == {"Engine.stats": "pkg.py:2"}
+    files.append((Path("client.py"), ast.parse("engine.stats()\n"), False))
+    assert _unused(files) == {}
 
 
 #: Settable values of the pricing layer (``perfmodel/`` and ``core/``):
@@ -149,8 +177,10 @@ PRICING_SETTABLE_VALUES = 127
 #: ``DomainDecomposedSimulation`` ``topology`` and ``ServingEngine`` its
 #: compression grid, none of which any caller set.  350 -> 349 when
 #: ``PrecisionPolicy`` lost ``env_dtype``: the environment matrix is always
-#: built in float64, and nothing read the field.
-EXECUTION_SETTABLE_VALUES = 349
+#: built in float64, and nothing read the field.  349 -> 348 when
+#: ``AdmissionQueue`` lost ``max_wait_ms``: admission takes whatever is
+#: pending, so no timer is left to set.
+EXECUTION_SETTABLE_VALUES = 348
 EXECUTION_PACKAGES = ("md", "deepmd", "parallel", "serving", "training", "utils")
 
 

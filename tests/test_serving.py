@@ -320,7 +320,7 @@ class TestBatchedParity:
 
 class TestAdmissionQueue:
     def test_admit_blocks_while_idle_and_close_wakes_it_with_none(self):
-        queue = AdmissionQueue(max_batch_size=4, max_wait_ms=1.0)
+        queue = AdmissionQueue(max_batch_size=4)
         admitted = []
         consumer = threading.Thread(target=lambda: admitted.append(queue.admit()))
         consumer.start()
@@ -333,7 +333,7 @@ class TestAdmissionQueue:
         assert admitted == [None]
 
     def test_admit_returns_a_non_empty_batch_for_a_late_submit(self):
-        queue = AdmissionQueue(max_batch_size=4, max_wait_ms=1.0)
+        queue = AdmissionQueue(max_batch_size=4)
         admitted = []
         consumer = threading.Thread(target=lambda: admitted.append(queue.admit()))
         consumer.start()
@@ -344,12 +344,38 @@ class TestAdmissionQueue:
         assert not consumer.is_alive()
         assert admitted == [[request]]
 
-    def test_closed_queue_drains_before_reporting_none(self):
-        queue = AdmissionQueue(max_batch_size=2, max_wait_ms=1000.0)
+    def test_admit_returns_the_pending_prefix_at_once(self):
+        # no window: three pending requests are a batch, although four would fit
+        queue = AdmissionQueue(max_batch_size=4)
         requests = [ServingRequest(kind="energy", atoms=None, box=None) for _ in range(3)]
         for request in requests:
             queue.submit(request)
-        queue.close()  # a closed queue does not wait out the window
+        admitted = []
+        consumer = threading.Thread(target=lambda: admitted.append(queue.admit()))
+        consumer.start()
+        consumer.join(timeout=10)
+        assert not consumer.is_alive()
+        assert admitted == [requests]
+        assert all(request.t_admit >= request.t_submit for request in requests)
+
+    def test_energy_and_md_requests_batch_apart(self):
+        queue = AdmissionQueue(max_batch_size=8)
+        kinds = ("energy", "energy", "md", "md", "md", "energy")
+        requests = [ServingRequest(kind=kind, atoms=None, box=None) for kind in kinds]
+        for request in requests:
+            queue.submit(request)
+        queue.close()
+        assert queue.admit() == requests[:2]
+        assert queue.admit() == requests[2:5]
+        assert queue.admit() == requests[5:]
+        assert queue.admit() is None
+
+    def test_closed_queue_drains_before_reporting_none(self):
+        queue = AdmissionQueue(max_batch_size=2)
+        requests = [ServingRequest(kind="energy", atoms=None, box=None) for _ in range(3)]
+        for request in requests:
+            queue.submit(request)
+        queue.close()
         assert queue.admit() == requests[:2]
         assert queue.admit() == requests[2:]
         assert queue.admit() is None
@@ -408,7 +434,7 @@ class TestServingEngine:
         reference = evaluate_serial(
             serving_model, systems, compressed=True, compression_table=table
         )
-        with ServingEngine(serving_model, max_batch_size=8, max_wait_ms=10.0) as engine:
+        with ServingEngine(serving_model, max_batch_size=8) as engine:
             futures = [engine.submit(atoms, box) for atoms, box, _ in systems]
             results = [future.result(timeout=60) for future in futures]
         for got, ref in zip(results, reference):
@@ -416,18 +442,39 @@ class TestServingEngine:
             np.testing.assert_allclose(got.forces, ref.forces, atol=PARITY_ATOL)
             np.testing.assert_allclose(got.virial, ref.virial, atol=PARITY_ATOL)
 
-    def test_admission_window_coalesces_concurrent_requests(self, serving_model):
+    def test_requests_pending_when_the_loop_admits_form_one_batch(self, serving_model):
         systems = _mixed_systems(serving_model) * 4  # 16 requests
-        with ServingEngine(serving_model, max_batch_size=16, max_wait_ms=50.0) as engine:
-            futures = [engine.submit(atoms, box) for atoms, box, _ in systems]
+        engine = ServingEngine(serving_model, max_batch_size=16)
+        # submitted before the serving thread starts: all 16 are pending at its first admit
+        futures = [engine.submit(atoms, box) for atoms, box, _ in systems]
+        with engine:
             for future in futures:
                 future.result(timeout=60)
             stats = engine.stats
-            assert stats.n_requests == len(systems)
-            # the 50 ms window must have coalesced most of the burst
-            assert stats.mean_batch_size() > 1.5
+            assert (stats.n_batches, stats.n_requests) == (1, len(systems))
             latency = stats.latency_ms()
             assert latency["p99"] >= latency["p50"] > 0.0
+
+    def test_deprecated_max_wait_ms_warns_once_and_leaves_batches_unchanged(self, serving_model):
+        systems = _mixed_systems(serving_model) * 2  # 8 requests: batches of 3, 3 and 2
+        runs = []
+        for keywords in ({}, {"max_wait_ms": 2.0}):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                engine = ServingEngine(serving_model, max_batch_size=3, **keywords)
+            assert [(w.category, w.filename) for w in caught] == (
+                [(DeprecationWarning, __file__)] if keywords else []
+            )
+            futures = [engine.submit(atoms, box) for atoms, box, _ in systems]
+            with engine:
+                outputs = [future.result(timeout=60) for future in futures]
+            runs.append((engine.stats.n_batches, outputs))
+        (batches, plain), (shim_batches, shimmed) = runs
+        assert batches == shim_batches == 3
+        for got, ref in zip(shimmed, plain):
+            assert got.energy == ref.energy
+            np.testing.assert_array_equal(got.forces, ref.forces)
+            np.testing.assert_array_equal(got.virial, ref.virial)
 
     # mixed: bursts leave the lockstep group early, and an n_steps == 0 burst
     # is only evaluated
@@ -439,7 +486,7 @@ class TestServingEngine:
         reference = run_bursts_serial(
             serving_model, bursts, compressed=True, compression_table=table
         )
-        with ServingEngine(serving_model, max_batch_size=8, max_wait_ms=20.0) as engine:
+        with ServingEngine(serving_model, max_batch_size=8) as engine:
             futures = [engine.submit_md(atoms, box, n, 0.5) for atoms, box, n, _ in bursts]
             results = [future.result(timeout=120) for future in futures]
         for got, n, (ref_atoms, ref_energies) in zip(results, steps, reference):
@@ -456,9 +503,9 @@ class TestServingEngine:
             atoms, box = _cluster(n_atoms, 50 + i)
             atoms.velocities[:] = np.random.default_rng(90 + i).normal(scale=0.01, size=(n_atoms, 3))
             bursts.append((atoms, box, n))
-        engine = ServingEngine(serving_model, precision=precision, max_batch_size=len(steps), max_wait_ms=5000.0)
+        engine = ServingEngine(serving_model, precision=precision, max_batch_size=len(steps))
+        futures = [engine.submit_md(atoms, box, n, 0.5) for atoms, box, n in bursts]  # pending at the first admit
         with engine:
-            futures = [engine.submit_md(atoms, box, n, 0.5) for atoms, box, n in bursts]
             results = [future.result(timeout=120) for future in futures]
         assert engine.stats.n_batches == 1
         assert [got.n_steps for got in results] == list(steps)
@@ -516,12 +563,13 @@ class TestServingEngine:
             compressed=True,
             compression_table=serving_model.compressed_embeddings(),
         )
-        # the batch admits once three requests are pending
-        with ServingEngine(serving_model, max_batch_size=3, max_wait_ms=5000.0) as engine:
-            first = engine.submit(*systems[0][:2])
-            dropped = engine.submit(*systems[1][:2])
-            assert dropped.cancel()
-            last = engine.submit(*systems[2][:2])
+        # queued before the serving thread starts, so the cancel lands before admission
+        engine = ServingEngine(serving_model, max_batch_size=3)
+        first = engine.submit(*systems[0][:2])
+        dropped = engine.submit(*systems[1][:2])
+        assert dropped.cancel()
+        last = engine.submit(*systems[2][:2])
+        with engine:
             results = [first.result(timeout=60), last.result(timeout=60)]
             assert dropped.cancelled()
             with pytest.raises(CancelledError):
@@ -538,7 +586,7 @@ class TestServingEngine:
             masses=np.ones(1),
         )
         good = _mixed_systems(serving_model)[0]
-        with ServingEngine(serving_model, max_batch_size=1, max_wait_ms=1.0) as engine:
+        with ServingEngine(serving_model, max_batch_size=1) as engine:
             # admissible at submit, but the model cutoff exceeds this periodic
             # box's minimum image, so the neighbour build fails in the loop
             bad_future = engine.submit(bad, Box.cubic(6.0))
@@ -574,10 +622,10 @@ class TestServingEngine:
             compressed=True,
             compression_table=serving_model.compressed_embeddings(),
         )
-        # a one-second window: the requests are still pending when stop() lands
-        engine = ServingEngine(serving_model, max_batch_size=64, max_wait_ms=1000.0).start()
+        # three batches' worth queued before start(): stop() lands while some are pending
+        engine = ServingEngine(serving_model, max_batch_size=4)
         futures = [engine.submit(atoms, box) for atoms, box, _ in systems]
-        engine.stop()
+        engine.start().stop()
         assert all(future.done() for future in futures)
         for future, ref in zip(futures, reference):
             np.testing.assert_allclose(future.result(timeout=0).forces, ref.forces, atol=PARITY_ATOL)
@@ -594,7 +642,7 @@ class TestServingEngine:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)  # hand the GIL over mid-evaluation as often as possible
         try:
-            with ServingEngine(serving_model, max_batch_size=8, max_wait_ms=0.5) as engine:
+            with ServingEngine(serving_model, max_batch_size=8) as engine:
                 futures = [engine.submit(atoms, box) for atoms, box, _ in served]
                 sync_calls = 0
                 while sync_calls < 20 or not all(future.done() for future in futures):
@@ -612,7 +660,7 @@ class TestServingEngine:
 
     def test_submitted_atoms_are_snapshotted(self, serving_model):
         atoms, box, _ = _mixed_systems(serving_model)[0]
-        with ServingEngine(serving_model, max_batch_size=1, max_wait_ms=1.0) as engine:
+        with ServingEngine(serving_model, max_batch_size=1) as engine:
             future = engine.submit(atoms, box)
             atoms.positions[:] = 0.0  # client mutates after submit
             out = future.result(timeout=60)
@@ -653,15 +701,17 @@ class TestSubmitValidation:
             compression_table=serving_model.compressed_embeddings(),
         )
         nan_atoms, message = _poison(systems[1][0], "nan position")
-        with ServingEngine(serving_model, max_batch_size=8, max_wait_ms=50.0) as engine:
-            first = engine.submit(*systems[0][:2])
-            with pytest.raises(ValueError, match=message):
-                engine.submit(nan_atoms, systems[1][1])
-            last = engine.submit(*systems[2][:2])
+        # queued before start(): the survivors share one batch
+        engine = ServingEngine(serving_model, max_batch_size=8)
+        first = engine.submit(*systems[0][:2])
+        with pytest.raises(ValueError, match=message):
+            engine.submit(nan_atoms, systems[1][1])
+        last = engine.submit(*systems[2][:2])
+        with engine:
             results = [first.result(timeout=60), last.result(timeout=60)]
             # the engine keeps serving after the rejection
             again = engine.submit(*systems[1][:2]).result(timeout=60)
-            assert engine.stats.n_requests == 3
+            assert (engine.stats.n_batches, engine.stats.n_requests) == (2, 3)
         for got, ref in zip(results, reference):
             assert abs(got.energy - ref.energy) < PARITY_ATOL
             np.testing.assert_allclose(got.forces, ref.forces, atol=PARITY_ATOL)
@@ -703,12 +753,15 @@ class TestSubmitValidation:
             compressed=True,
             compression_table=serving_model.compressed_embeddings(),
         )
-        with ServingEngine(serving_model, max_batch_size=8, max_wait_ms=50.0) as engine:
-            first = engine.submit_md(*systems[0][:2], 2, 0.5)
-            with pytest.raises(ValueError, match="timestep_fs"):
-                engine.submit_md(*systems[1][:2], 2, 0.0)
-            last = engine.submit_md(*systems[2][:2], 2, 0.5)
+        # queued before start(): the survivors share one batch
+        engine = ServingEngine(serving_model, max_batch_size=8)
+        first = engine.submit_md(*systems[0][:2], 2, 0.5)
+        with pytest.raises(ValueError, match="timestep_fs"):
+            engine.submit_md(*systems[1][:2], 2, 0.0)
+        last = engine.submit_md(*systems[2][:2], 2, 0.5)
+        with engine:
             results = [first.result(timeout=60), last.result(timeout=60)]
+            assert (engine.stats.n_batches, engine.stats.n_requests) == (1, 2)
         for got, (ref_atoms, ref_energies) in zip(results, reference):
             np.testing.assert_allclose(got.atoms.positions, ref_atoms.positions, atol=PARITY_ATOL)
             np.testing.assert_allclose(got.energies, ref_energies, atol=PARITY_ATOL)
@@ -753,10 +806,11 @@ class TestBadGeometryFailsAlone:
             serving_model, systems, compressed=True, compression_table=serving_model.compressed_embeddings()
         )
         bad_atoms, bad_box, message = BAD_GEOMETRY[bad]()
-        with ServingEngine(serving_model, max_batch_size=3, max_wait_ms=5000.0) as engine:
-            first = engine.submit(*systems[0][:2])
-            middle = engine.submit(bad_atoms, bad_box)
-            last = engine.submit(*systems[1][:2])
+        engine = ServingEngine(serving_model, max_batch_size=3)
+        first = engine.submit(*systems[0][:2])
+        middle = engine.submit(bad_atoms, bad_box)
+        last = engine.submit(*systems[1][:2])
+        with engine:
             with pytest.raises(ValueError, match=message):
                 middle.result(timeout=60)
             results = [first.result(timeout=60), last.result(timeout=60)]
@@ -776,10 +830,11 @@ class TestBadGeometryFailsAlone:
             compression_table=serving_model.compressed_embeddings(),
         )
         bad_atoms, bad_box, message = BAD_GEOMETRY[bad]()
-        with ServingEngine(serving_model, max_batch_size=3, max_wait_ms=5000.0) as engine:
-            first = engine.submit_md(*systems[0][:2], 2, 0.5)
-            middle = engine.submit_md(bad_atoms, bad_box, 2, 0.5)
-            last = engine.submit_md(*systems[1][:2], 2, 0.5)
+        engine = ServingEngine(serving_model, max_batch_size=3)
+        first = engine.submit_md(*systems[0][:2], 2, 0.5)
+        middle = engine.submit_md(bad_atoms, bad_box, 2, 0.5)
+        last = engine.submit_md(*systems[1][:2], 2, 0.5)
+        with engine:
             with pytest.raises(ValueError, match=message):
                 middle.result(timeout=60)
             results = [first.result(timeout=60), last.result(timeout=60)]
@@ -809,7 +864,7 @@ class TestCacheReuse:
         )
         model = DeepPotential(config)
         assert model.table_cache_builds == 0
-        with ServingEngine(model, max_batch_size=4, max_wait_ms=2.0) as engine:
+        with ServingEngine(model, max_batch_size=4) as engine:
             for wave in range(3):
                 futures = [
                     engine.submit(*_cluster(6, 70 + 10 * wave + i)) for i in range(4)
@@ -834,9 +889,7 @@ class TestCacheReuse:
             seed=12,
         )
         model = DeepPotential(config)
-        with ServingEngine(
-            model, precision=MIX_FP32, max_batch_size=4, max_wait_ms=2.0
-        ) as engine:
+        with ServingEngine(model, precision=MIX_FP32, max_batch_size=4) as engine:
             first = None
             for wave in range(3):
                 futures = [
@@ -856,7 +909,7 @@ class TestCacheReuse:
     def test_two_engines_on_one_model_share_the_table(self, serving_model):
         table_ids = []
         for _ in range(2):
-            with ServingEngine(serving_model, max_batch_size=2, max_wait_ms=1.0) as engine:
+            with ServingEngine(serving_model, max_batch_size=2) as engine:
                 engine.submit(*_cluster(6, 123)).result(timeout=60)
                 table_ids.append(engine.cache_probe()["table_id"])
         assert table_ids[0] == table_ids[1]
@@ -903,7 +956,7 @@ def test_serving_stress_concurrent_mixed_clients(serving_model):
                 assert abs(out.energy - ref.energy) < PARITY_ATOL
                 checked.append(1)
 
-    with ServingEngine(serving_model, max_batch_size=16, max_wait_ms=5.0) as engine:
+    with ServingEngine(serving_model, max_batch_size=16) as engine:
         threads = [threading.Thread(target=client, args=(cid,)) for cid in range(n_clients)]
         for thread in threads:
             thread.start()

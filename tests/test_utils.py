@@ -34,24 +34,21 @@ def test_phase_timer_fractions_sum_to_one():
     assert "pair" in timers.summary()
 
 
-def test_table_roundtrip_and_column():
+def test_table_roundtrip():
     table = Table(headers=["a", "b"], title="t")
     table.add_row(1, 2.5)
     table.add_row(3, 4.5)
     assert len(table) == 2
-    assert table.column("b") == [2.5, 4.5]
     text = table.to_text()
     assert "a" in text and "4.5" in text
     records = table.to_records()
-    assert records[0] == {"a": 1, "b": 2.5}
+    assert records == [{"a": 1, "b": 2.5}, {"a": 3, "b": 4.5}]
 
 
 def test_table_row_length_validation():
     table = Table(headers=["a", "b"])
     with pytest.raises(ValueError):
         table.add_row(1)
-    with pytest.raises(KeyError):
-        table.column("missing")
 
 
 def test_format_table_mismatched_row_raises():
