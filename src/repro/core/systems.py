@@ -44,7 +44,7 @@ class SystemSpec:
         rng = default_rng(rng)
         if self.name == "copper":
             cells = cells_for_atom_count(n_atoms)
-            atoms, box = fcc_lattice(cells, CU_LATTICE_CONSTANT, "Cu", perturbation=0.03, rng=rng)
+            atoms, box = fcc_lattice(cells, CU_LATTICE_CONSTANT, perturbation=0.03, rng=rng)
             return atoms.positions, box
         if self.name == "water":
             n_molecules = max(1, int(round(n_atoms / 3)))

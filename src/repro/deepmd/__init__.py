@@ -28,32 +28,15 @@ baseline with its autograd gradients — live in :mod:`repro.reference`.
 Nothing here imports either.
 """
 
-from .smoothing import switching_function, switching_derivative
-from .envmat import AccuracyWarning, LocalEnvironment, build_local_environment
-from .gemm import GemmBackend, GemmStats
-from .networks import FastMLP, init_nets
-from .precision import PrecisionPolicy, DOUBLE, MIX_FP32, MIX_FP16
-from .compression import TabulatedEmbeddingSet
-from .model import DeepPotential, DeepPotentialConfig, ModelOutput
+from .envmat import AccuracyWarning
+from .gemm import GemmBackend
+from .model import DeepPotential, DeepPotentialConfig
 from .pair_style import DeepPotentialForceField
 
 __all__ = [
-    "switching_function",
-    "switching_derivative",
     "AccuracyWarning",
-    "LocalEnvironment",
-    "build_local_environment",
     "GemmBackend",
-    "GemmStats",
-    "FastMLP",
-    "init_nets",
-    "PrecisionPolicy",
-    "DOUBLE",
-    "MIX_FP32",
-    "MIX_FP16",
-    "TabulatedEmbeddingSet",
     "DeepPotential",
     "DeepPotentialConfig",
-    "ModelOutput",
     "DeepPotentialForceField",
 ]

@@ -65,6 +65,9 @@ HERMITE_DERIVATIVE_FLOPS_PER_NEIGHBOR = 17.0
 #: Per (neighbour, component): the dE/ds contraction of dG/ds with dE/dG.
 EMBEDDING_GRAD_DOT_FLOPS_PER_COMPONENT = 2.0
 
+#: Uniform samples of s per :meth:`TabulatedEmbeddingSet.interpolation_errors` probe.
+INTERPOLATION_SAMPLES = 512
+
 #: Rows per cache block — the one block-size constant of the compressed step.
 #: In the kernel the gathered (rows, 4, M) operand block and both output
 #: slices stay resident between the gather and the two contractions (measured
@@ -462,19 +465,18 @@ class TabulatedEmbeddingSet:
         return out_values, out_derivatives
 
     # -- compression-quality metrics ---------------------------------------------
-    def interpolation_errors(
-        self, key: tuple[int, int], net: FastMLP, n_samples: int = 512, rng=None
-    ) -> InterpolationErrors:
-        """Max value and derivative error vs the exact net over random samples.
+    def interpolation_errors(self, key: tuple[int, int], net: FastMLP, rng=None) -> InterpolationErrors:
+        """Max value and derivative error vs the exact net over
+        :data:`INTERPOLATION_SAMPLES` random samples.
 
         The derivative reference is the analytic input-Jacobian of the net,
         so the metric covers the quantity the force computation consumes, not
         just the energy side.
         """
         rng = np.random.default_rng(rng)
-        s = rng.uniform(0.0, self.s_max, size=n_samples)
+        s = rng.uniform(0.0, self.s_max, size=INTERPOLATION_SAMPLES)
         exact, exact_deriv = analytic_input_jacobian(net, s)
-        approx, approx_deriv = self.evaluate_batched(np.full(n_samples, self._slot_of[key]), s)
+        approx, approx_deriv = self.evaluate_batched(np.full(INTERPOLATION_SAMPLES, self._slot_of[key]), s)
         return InterpolationErrors(
             value=float(np.max(np.abs(exact - approx))),
             derivative=float(np.max(np.abs(exact_deriv - approx_deriv))),

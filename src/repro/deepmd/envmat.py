@@ -293,12 +293,17 @@ def build_environment_rows(
     )
 
 
-def suggested_max_neighbors(atoms: Atoms, box: Box, neighbors: NeighborData, cutoff: float, margin: float = 1.2) -> int:
+#: Headroom :func:`suggested_max_neighbors` adds over the observed maximum.
+NEIGHBOR_MARGIN = 1.2
+
+
+def suggested_max_neighbors(atoms: Atoms, box: Box, neighbors: NeighborData, cutoff: float) -> int:
     """A padding size comfortably above the observed neighbour count.
 
     The paper quotes 46/92/512 neighbours for H/O/Cu at the benchmark cutoffs;
-    the suggestion here simply measures the actual maximum and adds a margin.
+    the suggestion here simply measures the actual maximum and adds
+    :data:`NEIGHBOR_MARGIN`.
     """
     within = _candidate_geometry(atoms.positions, box.minimum_image, neighbors.neighbors, cutoff)[3]
     max_count = int(within.sum(axis=1).max(initial=0))
-    return max(int(np.ceil(max_count * margin)), 1)
+    return max(int(np.ceil(max_count * NEIGHBOR_MARGIN)), 1)

@@ -31,15 +31,15 @@ DTYPES = {
 class GemmStats:
     """Accumulated accounting of GEMM work."""
 
-    flops: float = 0.0
-    flops_by_dtype: dict[str, float] = field(default_factory=dict)
-    calls: int = 0
+    flops: float = field(default=0.0, init=False)
+    flops_by_dtype: dict[str, float] = field(default_factory=dict, init=False)
+    calls: int = field(default=0, init=False)
     #: bytes of operand data down/up-cast *inside* :meth:`GemmBackend.matmul`
     #: because an operand arrived in a dtype other than the compute dtype.
     #: The true mixed-precision fast path pre-casts its parameter matrices
     #: once (see :meth:`repro.deepmd.networks.FastMLP.operands`), so in steady
     #: state this counts only activation casts — the regression tests pin it.
-    cast_bytes: float = 0.0
+    cast_bytes: float = field(default=0.0, init=False)
 
     def record(self, m: int, n: int, k: int, dtype: str) -> None:
         flops = 2.0 * m * n * k
@@ -65,7 +65,7 @@ def _dtype_name(dtype) -> str:
 class GemmBackend:
     """Executes (and accounts) the GEMM calls of the fast kernels."""
 
-    stats: GemmStats = field(default_factory=GemmStats)
+    stats: GemmStats = field(default_factory=GemmStats, init=False)
 
     def matmul(self, a: np.ndarray, b: np.ndarray, dtype=np.float64, native_out: bool = False) -> np.ndarray:
         """Compute ``a @ b``.

@@ -206,9 +206,6 @@ class FastMLP:
             self._cache = tape
         return h
 
-    def __call__(self, x, backend=None, dtypes=None):
-        return self.forward(x, backend=backend, dtypes=dtypes)
-
     # -- backward (input gradient) ----------------------------------------------
     def backward_input(
         self,

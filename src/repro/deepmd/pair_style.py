@@ -26,6 +26,10 @@ class DeepPotentialForceField(ForceField):
     #: a ghost) and reverse-scatters the neighbour forces.
     parallel_strategy = "peratom"
 
+    #: The compressed table covers s(r) down to this pair distance (A); a
+    #: closer pair gets the clamped end-node value, and ``compute`` warns.
+    compression_min_distance = 0.5
+
     def __init__(
         self,
         model: DeepPotential,
@@ -33,14 +37,12 @@ class DeepPotentialForceField(ForceField):
         gemm_backend: GemmBackend | None = None,
         compressed: bool = False,
         compression_points: int = 2048,
-        compression_min_distance: float = 0.5,
     ) -> None:
         self.model = model
         self.precision = get_policy(precision)
         self.backend = gemm_backend or GemmBackend()
         self.compressed = bool(compressed)
         self.compression_points = int(compression_points)
-        self.compression_min_distance = float(compression_min_distance)
         self.cutoff = model.config.cutoff
         self.n_evaluations = 0
         self._overflow_warned = False

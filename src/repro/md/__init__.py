@@ -4,68 +4,48 @@ The paper's optimizations act on the structure of a LAMMPS MD step: neighbour
 list construction, ghost-region communication, the pair (force) phase, and
 integration.  This package implements that structure in NumPy:
 
-* :class:`Box` — orthorhombic periodic simulation cell,
-* :class:`Atoms` — structure-of-arrays atom container,
-* :mod:`lattice <repro.md.lattice>` / :mod:`water <repro.md.water>` — builders
-  for the copper and water benchmark systems,
-* :class:`NeighborList` — cell-list neighbour search with skin and re-build
-  cadence (the paper rebuilds every 50 steps with a 2 A skin),
-* :mod:`forcefields <repro.md.forcefields>` — Lennard-Jones, Morse and
-  Gupta/EAM-like copper references and a flexible SPC-like water reference
-  (the "pseudo-AIMD" data generators),
-* :class:`VelocityVerlet` + thermostats — time integration,
-* :class:`SteppingLoop` / :class:`EngineBackend` — the *single* run-loop
-  implementation with LAMMPS-style per-phase timing, driving both the serial
-  :class:`Simulation` backend and the domain-decomposed engine,
-* :class:`Workspace` — preallocated per-step scratch buffers (near-zero
+* :mod:`box` / :mod:`atoms` — the orthorhombic periodic cell and the
+  structure-of-arrays atom container,
+* :mod:`lattice` / :mod:`water` — builders for the copper and water
+  benchmark systems,
+* :mod:`neighbor` — binned neighbour search with skin and re-build cadence
+  (the paper rebuilds every 50 steps with a 2 A skin),
+* :mod:`forcefields` — Lennard-Jones, Morse and Gupta/EAM-like copper
+  references and a flexible SPC-like water reference (the "pseudo-AIMD" data
+  generators),
+* :mod:`integrators` + :mod:`thermostats` — time integration,
+* :mod:`stepping` — the *single* run-loop implementation with LAMMPS-style
+  per-phase timing, driving both the serial :class:`Simulation` backend and
+  the domain-decomposed engine,
+* :mod:`workspace` — preallocated per-step scratch buffers (near-zero
   steady-state allocations),
-* :func:`radial_distribution_function` — the analysis used by Fig. 6.
+* :mod:`rdf` — the radial distribution function used by Fig. 6.
+
+The package re-exports only the names code outside the tests imports from
+it; everything else is imported from its module.
 """
 
 from .box import Box
 from .atoms import Atoms
-from .lattice import fcc_lattice, copper_system
-from .water import water_system, WaterTopology
+from .lattice import copper_system
+from .water import water_system
 from .neighbor import NeighborList, NeighborData
-from .integrators import VelocityVerlet
-from .thermostats import LangevinThermostat, BerendsenThermostat, VelocityRescale
+from .thermostats import LangevinThermostat
 from .simulation import Simulation
-from .stepping import EngineBackend, SimulationReport, SteppingLoop
 from .workspace import Workspace
-from .rdf import radial_distribution_function, partial_rdf
-from .forcefields import (
-    ForceField,
-    ForceResult,
-    LennardJones,
-    MorsePotential,
-    GuptaPotential,
-    WaterReference,
-)
+from .rdf import radial_distribution_function
+from .forcefields import LennardJones
 
 __all__ = [
     "Box",
     "Atoms",
-    "fcc_lattice",
     "copper_system",
     "water_system",
-    "WaterTopology",
     "NeighborList",
     "NeighborData",
-    "VelocityVerlet",
     "LangevinThermostat",
-    "BerendsenThermostat",
-    "VelocityRescale",
     "Simulation",
-    "SimulationReport",
-    "SteppingLoop",
-    "EngineBackend",
     "Workspace",
     "radial_distribution_function",
-    "partial_rdf",
-    "ForceField",
-    "ForceResult",
     "LennardJones",
-    "MorsePotential",
-    "GuptaPotential",
-    "WaterReference",
 ]

@@ -107,15 +107,16 @@ class Atoms:
         )
 
     # -- initialization helpers ----------------------------------------------
-    def initialize_velocities(self, temperature_k: float, rng=None, zero_momentum: bool = True) -> None:
-        """Draw Maxwell-Boltzmann velocities at ``temperature_k``."""
+    def initialize_velocities(self, temperature_k: float, rng=None) -> None:
+        """Draw Maxwell-Boltzmann velocities at ``temperature_k``, then remove
+        the centre-of-mass drift."""
         rng = default_rng(rng)
         n = self.n_atoms
         if n == 0:
             return
         sigmas = maxwell_boltzmann_sigmas(self.masses, temperature_k)
         self.velocities = rng.normal(size=(n, 3)) * sigmas[:, None]
-        if zero_momentum and n > 1:
+        if n > 1:
             total_mass = self.masses.sum()
             com_velocity = (self.masses[:, None] * self.velocities).sum(axis=0) / total_mass
             self.velocities -= com_velocity

@@ -10,6 +10,10 @@ from ..atoms import Atoms
 from ..box import Box
 from ..neighbor import NeighborData
 
+#: Displacement (A) of each central-difference trial in
+#: :meth:`ForceField.numerical_forces`.
+FINITE_DIFFERENCE_STEP = 1.0e-5
+
 
 @dataclass
 class ForceResult:
@@ -84,10 +88,10 @@ class ForceField:
         atoms: Atoms,
         box: Box,
         neighbors_builder,
-        delta: float = 1.0e-5,
     ) -> np.ndarray:
-        """Central-difference forces; ``neighbors_builder(atoms)`` must return
-        a fresh :class:`NeighborData` for perturbed coordinates.
+        """Central-difference forces with step :data:`FINITE_DIFFERENCE_STEP`;
+        ``neighbors_builder(atoms)`` must return a fresh :class:`NeighborData`
+        for perturbed coordinates.
 
         The stencil and the force table are assembled with array operations;
         the only remaining loop issues the 6n independent black-box energy
@@ -99,10 +103,10 @@ class ForceField:
         if n == 0:
             return np.zeros((0, 3))
 
-        # bump[axis] is the +delta displacement vector along that axis; the
+        # bump[axis] is the +step displacement vector along that axis; the
         # unperturbed rows are wrapped once up front (wrapping is idempotent,
         # so this matches wrapping each whole perturbed configuration).
-        bump = delta * np.eye(3)
+        bump = FINITE_DIFFERENCE_STEP * np.eye(3)
         signs = (+1.0, -1.0)
         wrapped = box.wrap(base.positions)
 
@@ -118,4 +122,4 @@ class ForceField:
                     nd = neighbors_builder(trial)
                     energies[i, axis, slot] = self.compute(trial, box, nd).energy
 
-        return -(energies[..., 0] - energies[..., 1]) / (2.0 * delta)
+        return -(energies[..., 0] - energies[..., 1]) / (2.0 * FINITE_DIFFERENCE_STEP)

@@ -7,7 +7,7 @@ on pair distances.
 
     E_i = sum_j A exp(-p (r_ij/r0 - 1)) - sqrt( sum_j xi^2 exp(-2 q (r_ij/r0 - 1)) )
 
-Parameters default to the Cleri & Rosato (1993) copper fit.
+The parameters are the Cleri & Rosato (1993) copper fit.
 """
 
 from __future__ import annotations
@@ -32,22 +32,14 @@ class GuptaPotential(ForceField):
     #: (1/sqrt(rho)) to ghost copies before evaluating pair forces.
     parallel_strategy = "density"
 
-    def __init__(
-        self,
-        a: float = CU_GUPTA["a"],
-        xi: float = CU_GUPTA["xi"],
-        p: float = CU_GUPTA["p"],
-        q: float = CU_GUPTA["q"],
-        r0: float = CU_GUPTA["r0"],
-        cutoff: float = 6.5,
-    ) -> None:
-        if min(a, xi, p, q, r0, cutoff) <= 0:
-            raise ValueError("Gupta parameters must be positive")
-        self.a = float(a)
-        self.xi = float(xi)
-        self.p = float(p)
-        self.q = float(q)
-        self.r0 = float(r0)
+    def __init__(self, cutoff: float = 6.5) -> None:
+        if cutoff <= 0:
+            raise ValueError("Gupta cutoff must be positive")
+        self.a = CU_GUPTA["a"]
+        self.xi = CU_GUPTA["xi"]
+        self.p = CU_GUPTA["p"]
+        self.q = CU_GUPTA["q"]
+        self.r0 = CU_GUPTA["r0"]
         self.cutoff = float(cutoff)
 
     def pair_terms(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -23,19 +23,12 @@ CU_MORSE = {"d": 0.3429, "alpha": 1.3588, "r0": 2.866}
 class MorsePotential(ForceField):
     """``E(r) = d [exp(-2 a (r - r0)) - 2 exp(-a (r - r0))]`` with a shift."""
 
-    def __init__(
-        self,
-        d: float = CU_MORSE["d"],
-        alpha: float = CU_MORSE["alpha"],
-        r0: float = CU_MORSE["r0"],
-        cutoff: float = 8.0,
-        shift: bool = True,
-    ) -> None:
-        if d <= 0 or alpha <= 0 or r0 <= 0 or cutoff <= 0:
-            raise ValueError("Morse parameters must be positive")
-        self.d = float(d)
-        self.alpha = float(alpha)
-        self.r0 = float(r0)
+    def __init__(self, cutoff: float = 8.0, shift: bool = True) -> None:
+        if cutoff <= 0:
+            raise ValueError("Morse cutoff must be positive")
+        self.d = CU_MORSE["d"]
+        self.alpha = CU_MORSE["alpha"]
+        self.r0 = CU_MORSE["r0"]
         self.cutoff = float(cutoff)
         self._e_cut = self._pair_energy(np.array([cutoff]))[0] if shift else 0.0
 

@@ -29,11 +29,10 @@ FCC_BASIS = np.array(
 def fcc_lattice(
     n_cells: tuple[int, int, int],
     lattice_constant: float,
-    symbol: str = "Cu",
     perturbation: float = 0.0,
     rng=None,
 ) -> tuple[Atoms, Box]:
-    """Build an FCC supercell.
+    """Build an FCC supercell of copper atoms.
 
     Parameters
     ----------
@@ -41,8 +40,6 @@ def fcc_lattice(
         number of conventional cells along x, y, z.
     lattice_constant:
         conventional cell edge in angstrom.
-    symbol:
-        element symbol (must exist in :data:`repro.units.MASSES`).
     perturbation:
         optional random displacement amplitude (A) added to every atom, used
         to generate training configurations away from the perfect lattice.
@@ -71,32 +68,32 @@ def fcc_lattice(
     atoms = Atoms(
         positions=positions,
         types=np.zeros(n, dtype=np.int64),
-        masses=np.full(n, MASSES[symbol]),
-        type_names=(symbol,),
+        masses=np.full(n, MASSES["Cu"]),
+        type_names=("Cu",),
     )
     return atoms, box
 
 
 def copper_system(
     n_cells: tuple[int, int, int] = (4, 4, 4),
-    lattice_constant: float = CU_LATTICE_CONSTANT,
     perturbation: float = 0.0,
     rng=None,
 ) -> tuple[Atoms, Box]:
     """The copper benchmark system (FCC, a0 = 3.615 A)."""
-    return fcc_lattice(n_cells, lattice_constant, "Cu", perturbation, rng)
+    return fcc_lattice(n_cells, CU_LATTICE_CONSTANT, perturbation, rng)
 
 
-def cells_for_atom_count(target_atoms: int, atoms_per_cell: int = 4) -> tuple[int, int, int]:
-    """Choose a roughly cubic supercell with about ``target_atoms`` atoms.
+def cells_for_atom_count(target_atoms: int) -> tuple[int, int, int]:
+    """Choose a roughly cubic FCC supercell with about ``target_atoms`` atoms.
 
     The paper's strong-scaling benchmark uses 540,000 copper atoms; with a
     4-atom FCC basis this corresponds to a 51x51x52-ish supercell.  The
-    returned cell counts satisfy ``nx*ny*nz*atoms_per_cell >= target_atoms``
+    returned cell counts satisfy ``nx*ny*nz*len(FCC_BASIS) >= target_atoms``
     while staying as close to the target as possible.
     """
     if target_atoms <= 0:
         raise ValueError("target atom count must be positive")
+    atoms_per_cell = len(FCC_BASIS)
     n_cells_total = target_atoms / atoms_per_cell
     edge = int(np.floor(n_cells_total ** (1.0 / 3.0)))
     edge = max(edge, 1)

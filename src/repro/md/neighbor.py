@@ -552,14 +552,14 @@ class NeighborList:
     cutoff: float
     skin: float = 2.0
     rebuild_every: int = 50
-    data: NeighborData | None = None
-    n_builds: int = 0
+    data: NeighborData | None = field(default=None, init=False)
+    n_builds: int = field(default=0, init=False)
     #: cumulative wall-clock seconds spent inside actual builds (excludes the
     #: per-step staleness checks) — the quantity the neighbour-build
     #: benchmarks and the perf-model ``neigh`` pricing talk about.
-    build_seconds: float = 0.0
-    _reference_positions: np.ndarray | None = None
-    _steps_since_build: int = field(default=0)
+    build_seconds: float = field(default=0.0, init=False)
+    _reference_positions: np.ndarray | None = field(default=None, init=False)
+    _steps_since_build: int = field(default=0, init=False)
 
     def build(self, atoms: Atoms, box: Box) -> NeighborData:
         require_inside(atoms.positions, box)

@@ -64,19 +64,19 @@ def _random_rotation(rng: np.random.Generator) -> np.ndarray:
     return q
 
 
-def water_box_length(n_molecules: int, density: float = WATER_DENSITY) -> float:
-    """Edge length (A) of a cubic box holding ``n_molecules`` at ``density``."""
+def water_box_length(n_molecules: int) -> float:
+    """Edge length (A) of a cubic box holding ``n_molecules`` at the
+    experimental density :data:`repro.units.WATER_DENSITY`."""
     if n_molecules <= 0:
         raise ValueError("need at least one molecule")
     mass_g = n_molecules * _WATER_MOLAR_MASS / AVOGADRO
-    volume_cm3 = mass_g / density
+    volume_cm3 = mass_g / WATER_DENSITY
     volume_a3 = volume_cm3 * 1.0e24
     return float(volume_a3 ** (1.0 / 3.0))
 
 
 def water_system(
     n_molecules: int,
-    density: float = WATER_DENSITY,
     rng=None,
     jitter: float = 0.05,
 ) -> tuple[Atoms, Box, WaterTopology]:
@@ -88,7 +88,7 @@ def water_system(
     Atom ordering is O, H, H per molecule; types are O=0, H=1.
     """
     rng = default_rng(rng)
-    length = water_box_length(n_molecules, density)
+    length = water_box_length(n_molecules)
     box = Box.cubic(length)
 
     grid = int(np.ceil(n_molecules ** (1.0 / 3.0)))

@@ -66,12 +66,6 @@ class Workspace:
         self.hits = 0
         self.misses = 0
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Workspace({len(self._arrays) + len(self._capacities)} buffers, "
-            f"{self.nbytes / 1024.0:.1f} KiB, hits={self.hits}, misses={self.misses})"
-        )
-
     @property
     def nbytes(self) -> int:
         """Bytes held by the pool: every exact-shape buffer plus every
@@ -161,9 +155,6 @@ class ScopedWorkspace:
     def __init__(self, parent, prefix: str) -> None:
         self._parent = parent
         self.prefix = str(prefix)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ScopedWorkspace({self.prefix!r} over {self._parent!r})"
 
     @property
     def hits(self) -> int:

@@ -34,38 +34,18 @@ never the reverse — pinned by ``tests/test_analysis_rules.py``.
 """
 
 from .topology import RankTopology
-from .decomposition import DecompositionStats, LoadBalanceStats, SpatialDecomposition
-from .ghost import ghost_shell_ranks, layers_for_cutoff
-from .threadpool import PersistentWorkerPool, WorkerError
-from .exchange import GhostExchange, check_delivery_scheme
-from .domain import RankDomain
+from .decomposition import SpatialDecomposition
+from .threadpool import PersistentWorkerPool
+from .exchange import GhostExchange
 from .engine import DomainDecomposedSimulation
-from .executor import (
-    EXECUTOR_NAMES,
-    MultiprocessRankExecutor,
-    RankExecutor,
-    SequentialRankExecutor,
-    SharedRankArrays,
-    make_executor,
-)
+from .executor import MultiprocessRankExecutor, RankExecutor
 
 __all__ = [
     "RankTopology",
     "SpatialDecomposition",
-    "DecompositionStats",
-    "LoadBalanceStats",
-    "layers_for_cutoff",
-    "ghost_shell_ranks",
     "PersistentWorkerPool",
-    "WorkerError",
     "GhostExchange",
-    "check_delivery_scheme",
     "DomainDecomposedSimulation",
-    "RankDomain",
     "RankExecutor",
-    "SequentialRankExecutor",
     "MultiprocessRankExecutor",
-    "SharedRankArrays",
-    "make_executor",
-    "EXECUTOR_NAMES",
 ]

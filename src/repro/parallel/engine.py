@@ -604,7 +604,7 @@ class DomainDecomposedSimulation(EngineBackend):
         """Cumulative per-rank wall-clock seconds spent building neighbour lists."""
         return np.array([domain.neigh_seconds for domain in self.domains])
 
-    def measured_comm_volume(self, bytes_per_atom: float = BYTES_PER_GHOST_ATOM) -> dict:
+    def measured_comm_volume(self) -> dict:
         """Measured ghost-exchange volumes (all zero before the first exchange)."""
         log = np.stack(self._ghost_count_log or [np.zeros(self.n_ranks)])
         mean_ghosts = float(log.mean())
@@ -612,7 +612,7 @@ class DomainDecomposedSimulation(EngineBackend):
             "exchanges": len(self._ghost_count_log),
             "mean_ghosts_per_rank": mean_ghosts,
             "max_ghosts_per_rank": float(log.max()),
-            "forward_bytes_per_rank": mean_ghosts * bytes_per_atom,
+            "forward_bytes_per_rank": mean_ghosts * BYTES_PER_GHOST_ATOM,
             "total_forward_bytes": self.comm_bytes_forward,
             "total_reverse_bytes": self.comm_bytes_reverse,
             "messages": self.comm_messages,

@@ -8,20 +8,15 @@ cross-system packing, :mod:`repro.serving.engine` for work-conserving admission 
 and :mod:`repro.serving.serial` for the frozen one-at-a-time references.
 """
 
-from .batch import SystemBatch, pack_systems, prepare_system
+from .batch import pack_systems, prepare_system
 from .engine import ServingEngine
-from .queue import AdmissionQueue, BurstResult, ServingRequest, ServingStats
-from .serial import evaluate_serial, run_bursts_serial
+from .queue import ServingStats
+from .serial import evaluate_serial
 
 __all__ = [
-    "SystemBatch",
     "pack_systems",
     "prepare_system",
     "ServingEngine",
-    "AdmissionQueue",
-    "BurstResult",
-    "ServingRequest",
     "ServingStats",
     "evaluate_serial",
-    "run_bursts_serial",
 ]

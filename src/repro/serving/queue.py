@@ -53,9 +53,9 @@ class ServingRequest:
     box: object
     n_steps: int = 0
     timestep_fs: float = 0.0
-    future: Future = field(default_factory=Future)
-    t_submit: float = 0.0
-    t_admit: float = 0.0
+    future: Future = field(default_factory=Future, init=False)
+    t_submit: float = field(default=0.0, init=False)
+    t_admit: float = field(default=0.0, init=False)
 
 
 @dataclass

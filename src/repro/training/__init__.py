@@ -10,14 +10,11 @@ golden.  Nothing under ``repro.{md,deepmd,parallel,serving,utils}`` imports
 this package.
 """
 
-from .dataset import ReferenceDataset, generate_copper_dataset, generate_water_dataset
-from .trainer import Trainer, TrainingResult, energy_rmse
+from .dataset import generate_copper_dataset, generate_water_dataset
+from .trainer import Trainer
 
 __all__ = [
-    "ReferenceDataset",
     "generate_copper_dataset",
     "generate_water_dataset",
     "Trainer",
-    "TrainingResult",
-    "energy_rmse",
 ]

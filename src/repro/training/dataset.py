@@ -23,6 +23,11 @@ from ..md.neighbor import build_neighbor_data
 from ..md.water import water_system
 from ..utils.rng import default_rng
 
+#: Largest random displacement amplitude (A) of a copper training frame.
+COPPER_MAX_PERTURBATION = 0.18
+#: Positional jitter (A) of each molecule in a water training frame.
+WATER_JITTER = 0.08
+
 
 @dataclass
 class ReferenceFrame:
@@ -90,20 +95,20 @@ def generate_copper_dataset(
     n_frames: int = 20,
     n_cells: tuple[int, int, int] = (3, 3, 3),
     cutoff: float = 5.0,
-    max_perturbation: float = 0.18,
     rng=None,
 ) -> ReferenceDataset:
     """Perturbed-FCC copper frames labelled with the Gupta potential.
 
-    Frames span a range of perturbation amplitudes so the model sees both
-    near-equilibrium and strongly distorted environments (what thermal MD at a
-    few hundred kelvin explores).
+    Frame ``k`` of ``n`` is jittered by ``(k + 1) / n`` of
+    :data:`COPPER_MAX_PERTURBATION`, so the model sees both near-equilibrium
+    and strongly distorted environments (what thermal MD at a few hundred
+    kelvin explores).
     """
     rng = default_rng(rng)
     potential = GuptaPotential(cutoff=cutoff)
     dataset = ReferenceDataset(force_field=potential, type_names=("Cu",))
     for k in range(n_frames):
-        amplitude = max_perturbation * (k + 1) / n_frames
+        amplitude = COPPER_MAX_PERTURBATION * (k + 1) / n_frames
         atoms, box = copper_system(n_cells, perturbation=amplitude, rng=rng)
         dataset.add_frame(atoms, box, potential)
     return dataset
@@ -113,14 +118,14 @@ def generate_water_dataset(
     n_frames: int = 20,
     n_molecules: int = 64,
     cutoff: float = 6.0,
-    jitter: float = 0.08,
     rng=None,
 ) -> ReferenceDataset:
-    """Randomly oriented water boxes labelled with the flexible-SPC reference."""
+    """Randomly oriented water boxes, each molecule's centre jittered by
+    :data:`WATER_JITTER`, labelled with the flexible-SPC reference."""
     rng = default_rng(rng)
     dataset = ReferenceDataset(type_names=("O", "H"))
     for _ in range(n_frames):
-        atoms, box, topology = water_system(n_molecules, rng=rng, jitter=jitter)
+        atoms, box, topology = water_system(n_molecules, rng=rng, jitter=WATER_JITTER)
         # Small intramolecular distortions so bond/angle terms are sampled.
         atoms.positions += rng.normal(scale=0.03, size=atoms.positions.shape)
         atoms.positions = box.wrap(atoms.positions)

@@ -146,19 +146,17 @@ class Trainer:
     def train(
         self,
         n_epochs: int = 50,
-        frames_per_epoch: int | None = None,
         validation: ReferenceDataset | None = None,
-        verbose: bool = False,
     ) -> TrainingResult:
-        """Run ``n_epochs`` of Adam on the per-atom energy MSE."""
+        """Run ``n_epochs`` of Adam on the per-atom energy MSE, each epoch one
+        pass over every frame in a fresh random order."""
         if not self._prepared:
             self.prepare()
         result = TrainingResult()
         n_frames = len(self.dataset.frames)
-        frames_per_epoch = frames_per_epoch or n_frames
 
         for epoch in range(n_epochs):
-            order = self.rng.permutation(n_frames)[:frames_per_epoch]
+            order = self.rng.permutation(n_frames)
             epoch_loss = 0.0
             for frame_idx in order:
                 loss, grads = self._frame_gradients(self.dataset.frames[frame_idx], self._environments[frame_idx])
@@ -167,8 +165,6 @@ class Trainer:
                 self._adam_step(grads)
                 epoch_loss += loss
             result.loss_history.append(epoch_loss / max(len(order), 1))
-            if verbose:  # pragma: no cover - console convenience
-                print(f"epoch {epoch + 1:4d}  loss {result.loss_history[-1]:.6e}")
 
         result.model = self.frozen_model()
         result.n_epochs = n_epochs

@@ -51,7 +51,7 @@ class Table:
 
     headers: list[str]
     title: str | None = None
-    rows: list[list[Any]] = field(default_factory=list)
+    rows: list[list[Any]] = field(default_factory=list, init=False)
 
     def add_row(self, *values: Any) -> None:
         if len(values) != len(self.headers):

@@ -25,8 +25,8 @@ class PhaseTimer:
     True
     """
 
-    totals: dict[str, float] = field(default_factory=dict)
-    counts: dict[str, int] = field(default_factory=dict)
+    totals: dict[str, float] = field(default_factory=dict, init=False)
+    counts: dict[str, int] = field(default_factory=dict, init=False)
 
     @contextmanager
     def phase(self, name: str):

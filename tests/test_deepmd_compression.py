@@ -6,6 +6,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from blas_kernel import kernel_note
 
 from repro.deepmd import compression
 from repro.deepmd.compression import (
@@ -245,6 +246,7 @@ class TestLayerwiseJacobianIsThePerComponentLoop:
         _, jacobian = analytic_input_jacobian(net, s)
         np.testing.assert_array_equal(_bits(jacobian), _bits(expected))
 
+    @pytest.mark.blas_bound
     def test_packed_tables_keep_their_recorded_bytes(self):
         """sha256 of the packed fp64 table and of its fp32 copy for the
         production-shaped (32, 64, 128) nets at 512 points, recorded on the
@@ -255,10 +257,10 @@ class TestLayerwiseJacobianIsThePerComponentLoop:
         assert packed.shape == (2048, 256) and packed.flags["C_CONTIGUOUS"]
         assert hashlib.sha256(packed.tobytes()).hexdigest() == (
             "d5c16925b51adb969ddf0b3adb7287108fb59d0cb9f31184722b22c8abb7aff4"
-        )
+        ), kernel_note()
         assert hashlib.sha256(table.ensure_packed(np.float32).tobytes()).hexdigest() == (
             "d9d58496dc47c6feefb5cb7627a9065b3ef60f3066556db3e467f92cdcca4095"
-        )
+        ), kernel_note()
 
 
 class TestClampedDerivative:

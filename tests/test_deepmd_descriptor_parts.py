@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.deepmd import FastMLP, GemmBackend, build_local_environment, switching_derivative, switching_function
-from repro.deepmd.envmat import suggested_max_neighbors
+from repro.deepmd import GemmBackend
+from repro.deepmd.envmat import build_local_environment, suggested_max_neighbors
+from repro.deepmd.networks import FastMLP
+from repro.deepmd.smoothing import switching_derivative, switching_function
 from repro.md.neighbor import build_neighbor_data
 from repro.reference.nnframework import MLP
 

@@ -7,16 +7,10 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from blas_kernel import kernel_note
 
-from repro.deepmd import (
-    DOUBLE,
-    MIX_FP16,
-    MIX_FP32,
-    DeepPotential,
-    DeepPotentialConfig,
-    DeepPotentialForceField,
-)
-from repro.deepmd.precision import get_policy
+from repro.deepmd import DeepPotential, DeepPotentialConfig, DeepPotentialForceField
+from repro.deepmd.precision import DOUBLE, MIX_FP16, MIX_FP32, get_policy
 from repro.md import copper_system, water_system
 from repro.md.atoms import Atoms
 from repro.md.neighbor import build_neighbor_data
@@ -122,6 +116,7 @@ _PARENT_PINS = {
 
 
 class TestFrozenWeights:
+    @pytest.mark.blas_bound
     @pytest.mark.parametrize("name", sorted(_PARENT_PINS))
     def test_seeded_weights_and_outputs_match_the_recorded_parent(self, name):
         kwargs, weights, exact, compressed = _PARENT_PINS[name]
@@ -132,7 +127,7 @@ class TestFrozenWeights:
             for key in sorted(nets)
             for layer in nets[key].layers
         ]
-        assert _digest(*[array for layer in layers for array in (layer.weight, layer.bias)]) == weights
+        assert _digest(*[array for layer in layers for array in (layer.weight, layer.bias)]) == weights, kernel_note()
         if name == "copper":
             atoms, box = copper_system((3, 3, 3), perturbation=0.08, rng=1)
         else:
@@ -140,8 +135,8 @@ class TestFrozenWeights:
         neighbors = build_neighbor_data(atoms.positions, box, kwargs["cutoff"])
         for use_table, (energy, arrays) in ((False, exact), (True, compressed)):
             out = model.evaluate(atoms, box, neighbors, compressed=use_table)
-            assert out.energy.hex() == energy
-            assert _digest(out.per_atom_energy, out.forces, out.virial) == arrays
+            assert out.energy.hex() == energy, kernel_note()
+            assert _digest(out.per_atom_energy, out.forces, out.virial) == arrays, kernel_note()
 
     def test_frozen_means_frozen(self, tiny_copper_model):
         """What replaced the invalidation protocol: a held kernel or table

@@ -6,18 +6,15 @@ import numpy as np
 import pytest
 
 import repro.deepmd
-from repro.deepmd import DeepPotential, DeepPotentialConfig, init_nets
+from repro.deepmd import DeepPotential, DeepPotentialConfig
+from repro.deepmd.networks import init_nets
 from repro.deepmd.compression import TabulatedEmbeddingSet
 from repro.md.neighbor import build_neighbor_data
 from repro.reference.graph import build_descriptor_graph, framework_nets
 from repro.reference.nnframework import Tensor, ops
-from repro.training import (
-    ReferenceDataset,
-    Trainer,
-    energy_rmse,
-    generate_copper_dataset,
-    generate_water_dataset,
-)
+from repro.training import Trainer, generate_copper_dataset, generate_water_dataset
+from repro.training.dataset import ReferenceDataset
+from repro.training.trainer import energy_rmse
 
 
 class TestReferenceData:

@@ -24,13 +24,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.deepmd import (
-    MIX_FP16,
-    MIX_FP32,
-    DeepPotential,
-    DeepPotentialConfig,
-    build_local_environment,
-)
+from repro.deepmd import DeepPotential, DeepPotentialConfig
+from repro.deepmd.envmat import build_local_environment
+from repro.deepmd.precision import MIX_FP16, MIX_FP32
 from repro.md import Box, copper_system, water_system
 from repro.md.atoms import Atoms
 from repro.md.neighbor import NeighborData, build_neighbor_data
@@ -297,8 +293,7 @@ class TestPairStyleAndSimulationThreading:
 
         # one evaluator: no option selects another path
         assert list(inspect.signature(DeepPotentialForceField).parameters) == [
-            "model", "precision", "gemm_backend", "compressed",
-            "compression_points", "compression_min_distance",
+            "model", "precision", "gemm_backend", "compressed", "compression_points",
         ]
         assert not {"path", "framework"} & set(fast.describe())
 

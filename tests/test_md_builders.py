@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.md import copper_system, fcc_lattice, water_system
-from repro.md.lattice import cells_for_atom_count
+from repro.md import copper_system, water_system
+from repro.md.lattice import cells_for_atom_count, fcc_lattice
 from repro.md.water import water_box_length
 from repro.units import CU_LATTICE_CONSTANT
 

@@ -4,19 +4,17 @@ import numpy as np
 import pytest
 
 from repro.md import (
-    BerendsenThermostat,
-    GuptaPotential,
     LangevinThermostat,
     LennardJones,
     Simulation,
-    VelocityRescale,
-    VelocityVerlet,
     copper_system,
-    partial_rdf,
     radial_distribution_function,
     water_system,
 )
-from repro.md.rdf import rdf_overlap_error
+from repro.md.forcefields import GuptaPotential
+from repro.md.integrators import VelocityVerlet
+from repro.md.rdf import partial_rdf, rdf_overlap_error
+from repro.md.thermostats import BerendsenThermostat, VelocityRescale
 from repro.units import temperature as instantaneous_temperature
 
 

@@ -6,19 +6,8 @@ import numpy as np
 import pytest
 from test_md_neighbor import _BOX_KINDS, _box_matrix_case
 
-from repro.md import (
-    Atoms,
-    Box,
-    GuptaPotential,
-    LennardJones,
-    MorsePotential,
-    Simulation,
-    WaterReference,
-    Workspace,
-    copper_system,
-    water_system,
-)
-from repro.md.forcefields import pairs
+from repro.md import Atoms, Box, LennardJones, Simulation, Workspace, copper_system, water_system
+from repro.md.forcefields import GuptaPotential, MorsePotential, WaterReference, pairs
 from repro.md.neighbor import build_neighbor_data
 from repro.md.workspace import minimum_image_into, scatter_add_scalars, scatter_add_vectors
 from repro.reference.forcefields import accumulate_pair_forces
@@ -218,7 +207,7 @@ class TestBlockedPairKernel:
             monkeypatch.setattr(pairs, "PAIR_BLOCK_ROWS", block)
             for workspace in (pool, None):
                 for got, want in zip(outputs(workspace), default):
-                    np.testing.assert_array_equal(got, want, err_msg=f"block={block}, workspace={workspace}")
+                    np.testing.assert_array_equal(got, want, err_msg=f"block={block}, pooled={workspace is pool}")
         monkeypatch.undo()
 
     @pytest.mark.parametrize("kind", _BOX_KINDS)

@@ -338,6 +338,31 @@ class TestNonPeriodicClamping:
         assert brute == cell
 
 
+class TestFp64Prefilter:
+    """Atoms far outside a periodic box take the fp64 prefilter.
+
+    The binned search prefilters its candidates on fp32 fractional
+    coordinates unless the fp32 rounding bound, which grows with the
+    coordinates' magnitude, exceeds 5 % of the cutoff; then it prefilters in
+    fp64.  Translating a periodic box by whole box lengths keeps its pairs,
+    and both searches see the same translated coordinates.
+    """
+
+    @pytest.mark.parametrize("cutoff", [2.6, 3.0, 3.615 / np.sqrt(2.0)], ids=["2.6", "3.0", "fcc-tie"])
+    @pytest.mark.parametrize("box_lengths", [1e5, 1e6, 1e7])
+    def test_far_translated_copper_matches_brute_force(self, box_lengths, cutoff):
+        atoms, box = copper_system((4, 4, 4))
+        positions = atoms.positions + box_lengths * box.lengths
+        # the fp32 bound, 8 |frac| 2**-23 L, is past 5 % of the cutoff
+        assert 8.0 * box_lengths * 2.0**-23 * box.lengths.max() > 0.05 * cutoff
+        ci, cj = _cell_list_pairs(positions, box, cutoff)
+        order = np.lexsort((cj, ci))
+        bi, bj = _brute_force_pairs(positions, box, cutoff)
+        assert len(bi) > 0
+        np.testing.assert_array_equal(ci[order], bi)
+        np.testing.assert_array_equal(cj[order], bj)
+
+
 def _box_matrix_case(kind: str, n: int, rng):
     """One geometry of the randomized box matrix the classes above cover."""
     if kind == "cubic":

@@ -7,15 +7,10 @@ from hypothesis import strategies as st
 
 from repro.core.systems import copper_spec
 from repro.md import Box, copper_system
-from repro.parallel import (
-    GhostExchange,
-    RankTopology,
-    SpatialDecomposition,
-    check_delivery_scheme,
-    layers_for_cutoff,
-)
+from repro.parallel import GhostExchange, RankTopology, SpatialDecomposition
+from repro.parallel.exchange import check_delivery_scheme
+from repro.parallel.ghost import ghost_shell_ranks, layers_for_cutoff
 from repro.parallel.decomposition import even_shares
-from repro.parallel.ghost import ghost_shell_ranks
 from repro.perfmodel import (
     SCHEMES,
     balance_comparison,

@@ -12,7 +12,9 @@ import pytest
 
 from repro.deepmd import DeepPotential, DeepPotentialConfig
 from repro.deepmd.pair_style import DeepPotentialForceField
-from repro.md import Atoms, BerendsenThermostat, Box, GuptaPotential, LennardJones, Simulation, copper_system, water_system
+from repro.md import Atoms, Box, LennardJones, Simulation, copper_system, water_system
+from repro.md.forcefields import GuptaPotential
+from repro.md.thermostats import BerendsenThermostat
 from repro.md.forcefields.water import WaterReference
 from repro.md.neighbor import build_neighbor_data
 from repro.parallel import DomainDecomposedSimulation, RankTopology

@@ -19,16 +19,8 @@ import pytest
 
 from repro.deepmd import DeepPotential, DeepPotentialConfig
 from repro.deepmd.pair_style import DeepPotentialForceField
-from repro.md import (
-    Atoms,
-    Box,
-    GuptaPotential,
-    LennardJones,
-    MorsePotential,
-    Simulation,
-    copper_system,
-    water_system,
-)
+from repro.md import Atoms, Box, LennardJones, Simulation, copper_system, water_system
+from repro.md.forcefields import GuptaPotential, MorsePotential
 from repro.md.forcefields.water import WaterReference
 from repro.parallel import DomainDecomposedSimulation
 from repro.parallel.ghost import layers_for_cutoff
@@ -263,7 +255,7 @@ class TestThermostattedParity:
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_berendsen_parity_2x2x1(self, scheme):
-        from repro.md import BerendsenThermostat
+        from repro.md.thermostats import BerendsenThermostat
 
         atoms, box = copper_system((3, 3, 3), perturbation=0.05, rng=20)
         atoms.initialize_velocities(600.0, rng=21)

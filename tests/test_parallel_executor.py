@@ -27,25 +27,12 @@ import pytest
 
 from repro.deepmd import DeepPotential, DeepPotentialConfig
 from repro.deepmd.pair_style import DeepPotentialForceField
-from repro.md import (
-    Atoms,
-    Box,
-    GuptaPotential,
-    LennardJones,
-    Simulation,
-    copper_system,
-    water_system,
-)
+from repro.md import Atoms, Box, LennardJones, Simulation, copper_system, water_system
+from repro.md.forcefields import GuptaPotential
 from repro.md.forcefields.water import WaterReference
-from repro.parallel import (
-    DomainDecomposedSimulation,
-    MultiprocessRankExecutor,
-    PersistentWorkerPool,
-    SequentialRankExecutor,
-    WorkerError,
-    make_executor,
-)
-from repro.parallel.threadpool import usable_cpu_count, worker_reply
+from repro.parallel import DomainDecomposedSimulation, MultiprocessRankExecutor, PersistentWorkerPool
+from repro.parallel.executor import SequentialRankExecutor, make_executor
+from repro.parallel.threadpool import WorkerError, usable_cpu_count, worker_reply
 from repro.perfmodel import balance_comparison, rank_counts_with_balance, rank_counts_without_balance
 
 TOLERANCE = 1.0e-10

@@ -21,11 +21,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.deepmd import (
-    DeepPotential,
-    DeepPotentialConfig,
-    build_local_environment,
-)
+from repro.deepmd import DeepPotential, DeepPotentialConfig
+from repro.deepmd.envmat import build_local_environment
 from repro.md import Box, Workspace, water_system
 from repro.md.neighbor import _brute_force_pairs, _cell_list_pairs, build_neighbor_data
 from repro.reference.scalar import build_local_environment_scalar, evaluate_scalar

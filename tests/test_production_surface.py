@@ -9,12 +9,16 @@ name does not call it).  A name only tests call is surface
 that no user path exercises; it goes, or it is listed in :data:`ALLOWED` with
 the reason it stays.  Words in docstrings, comments and strings are not code,
 and neither are import statements or ``__all__`` lists: re-exporting a name
-does not run it.
+does not run it.  Each executing package's ``__all__`` holds only names that
+``src``, ``benchmarks``, ``examples`` or a README code block import from the
+package; tests import everything else from its module.
 """
 
 from __future__ import annotations
 
 import ast
+import re
+import textwrap
 from collections import defaultdict
 from pathlib import Path
 
@@ -118,16 +122,19 @@ def _unused(files) -> dict:
 
 
 @pytest.fixture(scope="module")
-def surface():
-    """Production names with no use outside their own definition: qualname -> ``path:line``.
+def searched():
+    """``(path from the root, tree)`` of every Python file under :data:`SEARCHED`, each parsed once."""
+    return [
+        (path.relative_to(ROOT), ast.parse(path.read_text()))
+        for top in SEARCHED
+        for path in sorted((ROOT / top).rglob("*.py"))
+    ]
 
-    Every searched file is parsed once.
-    """
-    files = []
-    for top in SEARCHED:
-        for path in sorted((ROOT / top).rglob("*.py")):
-            files.append((path.relative_to(ROOT), ast.parse(path.read_text()), _production(path)))
-    return _unused(files)
+
+@pytest.fixture(scope="module")
+def surface(searched):
+    """Production names with no use outside their own definition: qualname -> ``path:line``."""
+    return _unused([(path, tree, _production(ROOT / path)) for path, tree in searched])
 
 
 def test_every_production_name_is_used_outside_tests(surface):
@@ -169,7 +176,8 @@ def test_a_same_named_local_is_not_a_use_of_a_method():
 #: fields nothing read.  161 -> 127 when each modelled figure of
 #: ``core/experiments.py`` became a function of the paper's one grid (module
 #: constants; no caller priced another) and the four one-claim helpers folded
-#: into ``claims_summary``.
+#: into ``claims_summary``.  The executing packages took the same cut next
+#: (:data:`EXECUTION_SETTABLE_VALUES`).
 PRICING_SETTABLE_VALUES = 127
 
 #: The same count over the executing packages.  355 -> 350 when
@@ -179,8 +187,18 @@ PRICING_SETTABLE_VALUES = 127
 #: ``PrecisionPolicy`` lost ``env_dtype``: the environment matrix is always
 #: built in float64, and nothing read the field.  349 -> 348 when
 #: ``AdmissionQueue`` lost ``max_wait_ms``: admission takes whatever is
-#: pending, so no timer is left to set.
-EXECUTION_SETTABLE_VALUES = 348
+#: pending, so no timer is left to set.  348 -> 307 when every knob that
+#: no caller in ``src``, ``benchmarks``, ``examples`` or ``tests`` passes
+#: became a constant (the copper Gupta/Morse parameters, FCC symbol and
+#: lattice constant, water density, the training sets' perturbation and
+#: jitter, the finite-difference step, the interpolation-error sample count,
+#: the neighbour-budget margin, the pair style's compression floor, the ghost
+#: byte size of ``measured_comm_volume``, zero-momentum velocities, one
+#: training pass per epoch) or went (``FastMLP.__call__``, ``Trainer.train``'s
+#: ``verbose`` print), and the fields an object sets itself (GEMM counters,
+#: neighbour-list build state, request timestamps and future, table rows,
+#: phase totals) left ``__init__``.
+EXECUTION_SETTABLE_VALUES = 307
 EXECUTION_PACKAGES = ("md", "deepmd", "parallel", "serving", "training", "utils")
 
 
@@ -251,3 +269,61 @@ def test_settable_values_counts_init_fields_and_defaults():
         "def g(e=None): ...\n"
     )
     assert _settable_values(tree) == 2 + 2 + 1
+
+
+def _imported_from(path: Path, node: ast.ImportFrom) -> str | None:
+    """The absolute module a ``from ... import`` in ``path`` (from the root) names.
+
+    Relative imports resolve inside ``src``; elsewhere they stay within their
+    own script tree and name no ``repro`` package.
+    """
+    if not node.level:
+        return node.module
+    if path.parts[0] != "src":
+        return None
+    package = list(path.with_suffix("").parts[1 : -node.level])
+    return ".".join(package + ([node.module] if node.module else []))
+
+
+def _readme_code():
+    """The README's Python code blocks that parse (one lists lint directives, not code)."""
+    for block in re.findall(r"```py(?:thon)?\n(.*?)```", (ROOT / "README.md").read_text(), re.S):
+        try:
+            yield ast.parse(textwrap.dedent(block))
+        except SyntaxError:
+            continue
+
+
+def _exports(package: str) -> list[str]:
+    """The ``__all__`` names of an executing package's ``__init__``."""
+    tree = ast.parse((PACKAGE / package / "__init__.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(target, "id", None) == "__all__" for target in node.targets):
+            return [element.value for element in node.value.elts]
+    return []
+
+
+def test_every_package_export_is_imported_outside_tests(searched):
+    # a re-export only tests import is surface no user path needs: tests
+    # import the name from its module instead
+    imported = defaultdict(set)
+    sources = searched + [(Path("README.md"), tree) for tree in _readme_code()]
+    for path, tree in sources:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                imported[_imported_from(path, node)].update(alias.name for alias in node.names)
+    idle = {
+        package: sorted(set(_exports(package)) - imported[f"repro.{package}"]) for package in EXECUTION_PACKAGES
+    }
+    idle = {package: names for package, names in idle.items() if names}
+    assert not idle, f"re-exports only tests import (drop them from __init__; tests import the module): {idle}"
+
+
+def test_relative_imports_resolve_to_their_package():
+    tree = ast.parse("from ..md import Box\nfrom . import ops\nfrom .engine import step\n")
+    nodes = tree.body
+    module = Path("src/repro/core/experiments.py")
+    package = Path("src/repro/md/__init__.py")
+    assert [_imported_from(module, node) for node in nodes] == ["repro.md", "repro.core", "repro.core.engine"]
+    assert _imported_from(package, nodes[2]) == "repro.md.engine"
+    assert _imported_from(Path("benchmarks/e2e/e2ebench/runner.py"), nodes[1]) is None

@@ -15,21 +15,18 @@ from concurrent.futures import CancelledError
 
 import numpy as np
 import pytest
+from blas_kernel import kernel_note
 
-from repro.deepmd import MIX_FP32, AccuracyWarning, DeepPotential, DeepPotentialConfig, LocalEnvironment
+from repro.deepmd import AccuracyWarning, DeepPotential, DeepPotentialConfig
+from repro.deepmd.envmat import LocalEnvironment
+from repro.deepmd.precision import MIX_FP32
 from repro.md.atoms import Atoms
 from repro.md.box import Box
 from repro.md.neighbor import build_neighbor_data
 from repro.md.workspace import Workspace
-from repro.serving import (
-    AdmissionQueue,
-    ServingEngine,
-    ServingRequest,
-    evaluate_serial,
-    pack_systems,
-    prepare_system,
-    run_bursts_serial,
-)
+from repro.serving import ServingEngine, evaluate_serial, pack_systems, prepare_system
+from repro.serving.queue import AdmissionQueue, ServingRequest
+from repro.serving.serial import run_bursts_serial
 
 #: fp64 pin of the batched path against the serial golden reference.
 PARITY_ATOL = 1e-10
@@ -495,6 +492,7 @@ class TestServingEngine:
             np.testing.assert_allclose(got.atoms.velocities, ref_atoms.velocities, atol=PARITY_ATOL)
             np.testing.assert_allclose(got.energies, ref_energies, atol=PARITY_ATOL)
 
+    @pytest.mark.blas_bound
     @pytest.mark.parametrize("precision", sorted(BURST_BATCH_SHA256))
     def test_mixed_burst_batch_bits_are_pinned(self, serving_model, precision):
         steps = (0, 1, 3, 5, 5, 2)
@@ -513,7 +511,7 @@ class TestServingEngine:
         for got in results:
             for array in (got.atoms.positions, got.atoms.velocities, got.atoms.forces, got.energies):
                 digest.update(np.ascontiguousarray(array, dtype=np.float64).tobytes())
-        assert digest.hexdigest() == BURST_BATCH_SHA256[precision]
+        assert digest.hexdigest() == BURST_BATCH_SHA256[precision], kernel_note()
 
     @pytest.mark.parametrize("path", ["submit", "submit_md", "evaluate_batch"])
     def test_neighbor_budget_overflow_warns_once_per_engine(self, serving_model, path):

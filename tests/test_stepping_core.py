@@ -20,19 +20,9 @@ Covers the contracts both backends inherit from
 import numpy as np
 import pytest
 
-from repro.md import (
-    Atoms,
-    BerendsenThermostat,
-    Box,
-    GuptaPotential,
-    LennardJones,
-    MorsePotential,
-    Simulation,
-    VelocityRescale,
-    Workspace,
-    copper_system,
-    water_system,
-)
+from repro.md import Atoms, Box, LennardJones, Simulation, Workspace, copper_system, water_system
+from repro.md.forcefields import GuptaPotential, MorsePotential
+from repro.md.thermostats import BerendsenThermostat, VelocityRescale
 from repro.md.forcefields.water import WaterReference
 from repro.md.neighbor import build_neighbor_data, first_outside
 from repro.md.stepping import harvest_force_field_info, validate_cutoff
