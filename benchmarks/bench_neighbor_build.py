@@ -9,7 +9,9 @@ O-cliffs this repo used to have:
 * the pre-PR Python-triple-loop cell list (kept below as
   ``_pre_pr_cell_list_pairs``, verbatim apart from the removed brute-force
   fallback), which costs ~200-320 ms for one 4000-atom build against
-  ~16-18 ms binned (12-18x measured across runs on this container).
+  ~16-18 ms binned (12-18x measured across runs on this container).  Every
+  timing interleaves the repeats of the builds it compares, so load from
+  elsewhere on the machine cannot land on all repeats of one side.
 
 Assertions pin the re-tuned crossover (binned must win clearly above the
 threshold) and the headline ``>= 10x`` speedup of the vectorized build over
@@ -121,13 +123,21 @@ def _pre_pr_cell_list_pairs(positions, box, cutoff):
     return all_i[unique_idx], all_j[unique_idx]
 
 
-def _best_of(fn, *args, reps=5):
-    """Best-of-``reps`` timing: robust to scheduler noise on shared runners."""
-    best = np.inf
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        fn(*args)
-        best = min(best, time.perf_counter() - t0)
+def _best_of(builds, reps=5):
+    """Best-of-``reps`` timing of each zero-argument build, repeats interleaved.
+
+    Each repeat times every build once, alternating which runs first, so a
+    burst of load from elsewhere on the machine slows every side instead of
+    all repeats of one build.  Best-of is robust to scheduler noise on shared
+    runners.
+    """
+    best = [np.inf] * len(builds)
+    for repeat in range(reps):
+        order = range(len(builds))
+        for k in reversed(order) if repeat % 2 else order:
+            t0 = time.perf_counter()
+            builds[k]()
+            best[k] = min(best[k], time.perf_counter() - t0)
     return best
 
 
@@ -145,9 +155,10 @@ def test_bench_neighbor_build_scaling():
     rows = {}
     for n in (500, 1000, 2000, 4000):
         positions, box = _random_system(n, rng)
-        binned = _best_of(_cell_list_pairs, positions, box, SEARCH)
-        pre_pr = _best_of(_pre_pr_cell_list_pairs, positions, box, SEARCH)
-        brute = _best_of(_brute_force_pairs, positions, box, SEARCH) if n <= 2000 else np.nan
+        searches = [_cell_list_pairs, _pre_pr_cell_list_pairs] + ([_brute_force_pairs] if n <= 2000 else [])
+        times = _best_of([lambda search=search: search(positions, box, SEARCH) for search in searches])
+        binned, pre_pr = times[:2]
+        brute = times[2] if n <= 2000 else np.nan
         rows[n] = (binned, pre_pr, brute)
         print(f"{n:>6} {binned*1e3:>10.2f} {pre_pr*1e3:>10.2f} {brute*1e3:>10.2f}")
 
@@ -166,8 +177,10 @@ def test_bench_threshold_crossover():
     rng = np.random.default_rng(12)
     n = 2 * BRUTE_FORCE_THRESHOLD
     positions, box = _random_system(n, rng)
-    brute = _best_of(_brute_force_pairs, positions, box, SEARCH, reps=5)
-    binned = _best_of(_cell_list_pairs, positions, box, SEARCH, reps=5)
+    brute, binned = _best_of([
+        lambda: _brute_force_pairs(positions, box, SEARCH),
+        lambda: _cell_list_pairs(positions, box, SEARCH),
+    ])
     print(
         f"\ncrossover check at N={n} (2x threshold): "
         f"brute {brute*1e3:.2f} ms, binned {binned*1e3:.2f} ms"
@@ -238,15 +251,15 @@ def test_bench_ranked_geometry_primary_rows():
         positions, primary = domain.local_positions(), domain.primary_rows()
         full = build_neighbor_data(positions, box, cutoff, skin)
         assert len(domain.neighbors.pairs) < len(full.pairs)
-        times = [
-            _best_of(fn, reps=7)
-            for fn in (
+        times = _best_of(
+            [
                 lambda: build_neighbor_data(positions, box, cutoff, skin),
                 lambda: build_neighbor_data(positions, box, cutoff, skin).neighbors,
                 lambda: build_neighbor_data(positions, box, cutoff, skin, primary=primary),
                 lambda: build_neighbor_data(positions, box, cutoff, skin, primary=primary).neighbors,
-            )
-        ]
+            ],
+            reps=7,
+        )
         saved[name] = times[1] / times[2]
         print(
             f"{name:>9} {len(positions):>6} {int(primary.sum()):>8} {len(full.pairs):>11} "
@@ -264,7 +277,7 @@ def test_bench_lj_serial_build_peak():
     """One build of the ``lj_serial`` geometry stays within a 32 MiB peak."""
     atoms, box = copper_system((14, 14, 14), perturbation=0.05, rng=16)
     cutoff, skin = 5.0, 0.4
-    build = _best_of(build_neighbor_data, atoms.positions, box, cutoff, skin, reps=5)
+    (build,) = _best_of([lambda: build_neighbor_data(atoms.positions, box, cutoff, skin)])
     tracemalloc.start()
     try:
         data = build_neighbor_data(atoms.positions, box, cutoff, skin)

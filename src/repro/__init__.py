@@ -18,7 +18,7 @@ The package is organised in layers (see the README's "Layout" table):
   modelled step, the experiment harness) — these import the executing layer, never the reverse,
 * tooling: :mod:`repro.analysis` (reprolint).
 
-Most users should start from :class:`repro.core.OptimizationConfig` and
+Most users should start from :class:`repro.core.config.OptimizationConfig` and
 :func:`repro.core.step_report`; see ``examples/quickstart.py`` and
 ``examples/strong_scaling_copper.py``.
 """

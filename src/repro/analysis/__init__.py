@@ -1,10 +1,6 @@
-"""reprolint, the AST-based invariant linter (``python -m repro.analysis``)."""
+"""reprolint, the AST-based invariant linter (``python -m repro.analysis``).
 
-from .reprolint import Violation, lint_paths, lint_source, lint_sources
-
-__all__ = [
-    "Violation",
-    "lint_paths",
-    "lint_source",
-    "lint_sources",
-]
+The linter itself is :mod:`repro.analysis.reprolint` (``lint_paths``,
+``lint_source``, ``lint_sources``, ``Violation``); nothing outside tests
+imports it through the package, so the package re-exports nothing.
+"""

@@ -1,6 +1,6 @@
 """Top-level pricing: optimization configurations, systems, the modelled step.
 
-:class:`OptimizationConfig` captures every toggle the paper evaluates
+:class:`~repro.core.config.OptimizationConfig` captures every toggle the paper evaluates
 (communication scheme, framework removal, precision, GEMM backend, NT->NN
 pre-transposition, intra-node load balance, threading runtime, RDMA memory
 pool); :func:`step_report` prices one MD step of a benchmark system
@@ -12,13 +12,11 @@ exposes one function per table/figure of the paper, each pricing the
 paper's one grid (``tests/test_paper_figures.py`` checks and prints them).
 """
 
-from .config import FIG9_STAGES, OptimizationConfig, baseline_config, optimized_config
+from .config import baseline_config, optimized_config
 from .systems import copper_spec, water_spec
 from .engine import optimization_ladder, step_report, strong_scaling
 
 __all__ = [
-    "OptimizationConfig",
-    "FIG9_STAGES",
     "baseline_config",
     "optimized_config",
     "copper_spec",

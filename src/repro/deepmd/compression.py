@@ -265,18 +265,19 @@ class TabulatedEmbeddingSet:
         for key, slot in self._slot_of.items():
             packed[slot, :, :m] = self.tables[key].values
             packed[slot, :, m:] = self.tables[key].derivatives * h
-        self._packed = packed.reshape(len(keys) * self.n_points, 2 * m)
-        # read-only overlapping window view: row i is the (2, 2M) node pair
-        # [i, i+1], so one fancy-index gathers all four Hermite operands
-        # [y0 | h*d0 | y1 | h*d1] of every element at once
-        self._node_windows = self._windows_over(self._packed)
+        packed = packed.reshape(len(keys) * self.n_points, 2 * m)
         self._grid = grid
         self._h = h
-        #: reduced-precision copies of the packed node array (plus their
-        #: window views), built once per dtype by :meth:`ensure_packed` —
-        #: the mixed-precision production path reads fp32 nodes, halving the
-        #: gather bandwidth of every interpolation
-        self._packed_lp: dict[np.dtype, tuple[np.ndarray, np.ndarray]] = {}
+        #: the packed node array per compute dtype, plus its read-only
+        #: overlapping window view (row i is the (2, 2M) node pair [i, i+1],
+        #: so one fancy-index gathers all four Hermite operands
+        #: [y0 | h*d0 | y1 | h*d1] of every element at once).  The float64
+        #: master is entered here; :meth:`ensure_packed` casts each reduced
+        #: copy once — the mixed-precision production path reads fp32 nodes,
+        #: halving the gather bandwidth of every interpolation
+        self._packed: dict[np.dtype, tuple[np.ndarray, np.ndarray]] = {
+            np.dtype(np.float64): (packed, self._windows_over(packed))
+        }
         #: :meth:`evaluate_batched` invocations per compute dtype — the
         #: regression probe that proves the table path honours the precision
         #: policy instead of silently running fp64
@@ -306,19 +307,18 @@ class TabulatedEmbeddingSet:
         downcast, half the memory traffic for fp32).
         """
         dt = np.dtype(dtype)
-        if dt == np.dtype(np.float64):
-            return self._packed
-        entry = self._packed_lp.get(dt)
+        entry = self._packed.get(dt)
         if entry is None:
-            packed = self._packed.astype(dt)
+            packed = self._packed[np.dtype(np.float64)][0].astype(dt)
             entry = (packed, self._windows_over(packed))
-            self._packed_lp[dt] = entry
+            self._packed[dt] = entry
             self.packed_cache_builds += 1
         return entry[0]
 
     def packed_dtypes(self) -> tuple[str, ...]:
         """Dtypes for which a packed node array exists (probe for tests)."""
-        return ("fp64",) + tuple(sorted(_dtype_name(dt) for dt in self._packed_lp))
+        reduced = (dt for dt in self._packed if dt != np.dtype(np.float64))
+        return ("fp64",) + tuple(sorted(_dtype_name(dt) for dt in reduced))
 
     @property
     def width(self) -> int:
@@ -353,13 +353,12 @@ class TabulatedEmbeddingSet:
         concatenated rows of a whole multi-system batch at once.
 
         ``dtype`` is the compute precision of the interpolation
-        (:attr:`PrecisionPolicy.compute_dtype` on the production path):
-        float64 reads the master table and is the golden-pinned reference;
-        lower precisions gather from the once-cast reduced node array of
-        :meth:`ensure_packed` and run the basis arithmetic and contractions
-        natively at that precision.  The node *placement* (grid index and the
-        out-of-range clamp) is always resolved in float64 so every precision
-        interpolates the same segment.
+        (:attr:`PrecisionPolicy.compute_dtype` on the production path): the
+        windows come from the packed node array at that dtype
+        (:meth:`ensure_packed`; float64 is the master table) and the basis
+        arithmetic and contractions run natively at that precision.  The node
+        *placement* (grid index and the out-of-range clamp) is always
+        resolved in float64 so every precision interpolates the same segment.
 
         Everything per-row that does not touch the M-wide node data happens
         here, once per call, so :meth:`HermitePlacement.interpolate` is only
@@ -368,20 +367,15 @@ class TabulatedEmbeddingSet:
         dt = np.dtype(dtype)
         name = _dtype_name(dt)
         self.eval_dtype_counts[name] = self.eval_dtype_counts.get(name, 0) + 1
-        if dt == np.dtype(np.float64):
-            windows = self._node_windows
-        else:
-            self.ensure_packed(dt)
-            windows = self._packed_lp[dt][1]
+        self.ensure_packed(dt)
+        windows = self._packed[dt][1]
         flat_s = np.asarray(s, dtype=np.float64).reshape(-1)
         flat_slots = np.asarray(slots, dtype=np.int64).reshape(-1)
         grid = self._grid
-        h = self._h if dt == np.dtype(np.float64) else dt.type(self._h)
+        h = dt.type(self._h)
         clamped = np.clip(flat_s, grid[0], grid[-1])
         idx = np.minimum((clamped - grid[0]) / self._h, len(grid) - 2).astype(int)  # reprolint: allow[alloc] fp64 node placement must produce a fresh int index array
-        t = ((clamped - grid[idx]) / self._h)[:, None]
-        if dt != np.dtype(np.float64):
-            t = t.astype(dt)  # reprolint: allow[alloc] one (n,1) downcast per call at the precision boundary
+        t = ((clamped - grid[idx]) / self._h)[:, None].astype(dt, copy=False)
         t2 = t * t
         t3 = t2 * t
         value_weights = np.concatenate(  # reprolint: allow[alloc] one (n,4) basis block per call, row-sliced by every kernel block

@@ -67,18 +67,13 @@ class GemmBackend:
 
     stats: GemmStats = field(default_factory=GemmStats, init=False)
 
-    def matmul(self, a: np.ndarray, b: np.ndarray, dtype=np.float64, native_out: bool = False) -> np.ndarray:
-        """Compute ``a @ b``.
+    def matmul(self, a: np.ndarray, b: np.ndarray, dtype=np.float64) -> np.ndarray:
+        """Compute ``a @ b`` at the compute precision ``dtype``.
 
-        ``dtype`` is the compute precision: inputs not already at that
-        precision are cast (the cast traffic is charged to
-        ``stats.cast_bytes``) and the product is accumulated at that
-        precision.  With ``native_out=True`` — the mixed-precision fast path —
-        the result stays in the compute dtype so low-precision activations
-        flow between layers without a round trip through float64; otherwise
-        the result is returned in float64 so downstream bookkeeping stays
-        simple (the precision loss has already happened, which is what
-        matters for accuracy experiments).
+        Inputs not already at that precision are cast (the cast traffic is
+        charged to ``stats.cast_bytes``); the product is accumulated and
+        returned at that precision, so low-precision activations flow between
+        layers without a round trip through float64.
 
         Callers on the hot path are expected to supply operands *already* in
         the compute dtype (pre-cast parameter matrices, native activations);
@@ -101,9 +96,7 @@ class GemmBackend:
             self.stats.cast_bytes += float(b.nbytes)
         out = a.astype(dt, copy=False) @ b.astype(dt, copy=False)
         self.stats.record(m, n, k, _dtype_name(dtype))
-        if native_out:
-            return out
-        return out.astype(np.float64, copy=False)
+        return out
 
     def reset_stats(self) -> None:
         self.stats.reset()

@@ -368,9 +368,8 @@ class DeepPotential:
                 virial=virial,
             )
 
-        for _, _, sub, g_d in self._type_blocks(
-            env, per_atom, forces, policy, backend, compressed, compression_table, workspace
-        ):
+        table = self._kernel_table(env, compressed, compression_table)
+        for _, _, sub, g_d in self._type_blocks(env, per_atom, forces, policy, backend, table, workspace):
             virial -= np.einsum("bni,bnj->ij", sub.displacements, g_d)
 
         return ModelOutput(
@@ -433,9 +432,8 @@ class DeepPotential:
         energies = workspace.zeros("dp.many.energies", n_systems)
         virials = workspace.zeros("dp.many.virials", (n_systems, 3, 3))
 
-        for _, idx, sub, g_d in self._type_blocks(
-            env, per_atom, forces, policy, backend, compressed, compression_table, workspace
-        ):
+        table = self._kernel_table(env, compressed, compression_table)
+        for _, idx, sub, g_d in self._type_blocks(env, per_atom, forces, policy, backend, table, workspace):
             # per-centre virial tensors, segment-reduced per system: the
             # (B, 3, 3) contraction keeps each centre's contribution separate
             # so the bincount below can assign it to the right system
@@ -460,10 +458,18 @@ class DeepPotential:
             precision=policy.name,
         )
 
+    def _kernel_table(self, env, compressed, compression_table):
+        """The one table argument of the kernels; ``None`` runs the exact nets.
+
+        ``compression_table`` wins over the model's active cached table.  An
+        empty environment evaluates nothing, so it builds no table.
+        """
+        if not compressed or env.n_atoms == 0:
+            return None
+        return compression_table or self.active_compressed_embeddings()
+
     # reprolint: hot-path
-    def _type_blocks(
-        self, env, per_atom, forces, policy, backend, compressed, compression_table, workspace
-    ):
+    def _type_blocks(self, env, per_atom, forces, policy, backend, table, workspace):
         """The one type-block loop behind :meth:`evaluate` and :meth:`evaluate_many`.
 
         For each centre type present: select its rows, run
@@ -475,9 +481,7 @@ class DeepPotential:
             idx = np.nonzero(env.types == ti)[0]
             if len(idx) == 0:
                 continue
-            energies_t, g_d, sub, pairs = self._per_type_fast(
-                env, ti, idx, policy, backend, compressed, compression_table, workspace
-            )
+            energies_t, g_d, sub, pairs = self._per_type_fast(env, ti, idx, policy, backend, table, workspace)
             per_atom[idx] = energies_t
             self._scatter_forces(forces, idx, sub, g_d, pairs)
             yield ti, idx, sub, g_d
@@ -490,8 +494,7 @@ class DeepPotential:
         atom_indices: np.ndarray,
         policy: PrecisionPolicy,
         backend: GemmBackend,
-        compressed: bool,
-        compression_table: TabulatedEmbeddingSet | None,
+        table: TabulatedEmbeddingSet | None,
         workspace,
     ):
         """Per-atom energies and per-neighbour displacement gradients for one type.
@@ -502,8 +505,11 @@ class DeepPotential:
         environment-matrix operands are downcast once per step into workspace
         buffers and the table interpolation / embedding nets, descriptor
         contraction, fitting net and the whole backward chain run natively at
-        that precision.  The float64 policy takes the original (golden) code
-        path with the original arrays — bit-for-bit unchanged.
+        that precision.  The float64 policy runs the same code on the original
+        float64 arrays (every cast is the identity), and its bits are pinned.
+
+        ``table`` is the compressed embedding table the step interpolates,
+        or ``None`` to run the exact embedding nets.
 
         Scratch is keyed by role, not by centre type: the type blocks run one
         after another, so one set of grow-only buffers sized by the largest
@@ -533,7 +539,6 @@ class DeepPotential:
         emb_dtypes = policy.embedding_dtypes(len(self.config.embedding_sizes))
         fit_dtypes = policy.fitting_dtypes(len(self.config.fitting_sizes) + 1)
         cd = np.dtype(policy.compute_dtype)
-        mixed = cd != np.dtype(np.float64)
         # one downcast of the environment operands per step (into reused
         # workspace buffers): everything downstream reads these natively;
         # float64 gets the original arrays back, untouched
@@ -551,12 +556,11 @@ class DeepPotential:
         g_rows = g.reshape(batch * n_nei, m_width)
         a = workspace.capacity("dp.desc.a", batch, trailing=(4, m_width), dtype=cd)
         tapes: list[tuple[np.ndarray, FastMLP, list]] = []  # (rows, net, its forward tape)
-        if compressed:
+        if table is not None:
             # batched multi-table interpolation, keyed by each real
             # neighbour's table slot; padded slots are never evaluated.  Node
             # placement is float64 regardless of the compute dtype, so the
             # table always reads the fp64 s values
-            table = compression_table or self.active_compressed_embeddings()
             slots = table.slot_index(center_type, sub.neighbor_types.reshape(-1)[pairs])
             placement = table.place(slots, sub.s.reshape(-1)[pairs], dtype=cd)
             # a centre block is centres [b0, b1) and, pairs being row-major,
@@ -606,11 +610,8 @@ class DeepPotential:
         fit_net = self.fast_fittings()[center_type]
         fit_tape: list = []
         energies = fit_net.forward(d_std, backend=backend, dtypes=fit_dtypes, cache=fit_tape)
-        if mixed:
-            # the per-atom energy accumulation (bias add onwards) is float64
-            energies = energies.reshape(batch).astype(np.float64) + self.energy_bias[center_type]  # reprolint: allow[alloc] one tiny (B,) upcast per step at the fp64 accumulation boundary
-        else:
-            energies = energies.reshape(batch) + self.energy_bias[center_type]
+        # the per-atom energy accumulation (bias add onwards) is float64
+        energies = energies.reshape(batch).astype(np.float64, copy=False) + self.energy_bias[center_type]
         ones = workspace.capacity("dp.fit.ones", batch, trailing=(1,), dtype=cd)
         ones.fill(1.0)
         # the standardized descriptor is spent once the backward has run:
@@ -626,7 +627,7 @@ class DeepPotential:
         # --- embedding backward: dE/dR (B, N, 4) and dE/ds from the G path
         grad_r = workspace.capacity("dp.desc.grad_r", batch, trailing=(n_nei, 4), dtype=cd)
         grad_s_embed = workspace.capacity_zeros("dp.emb.grad_s", batch, trailing=(n_nei,), dtype=cd)
-        if compressed:
+        if table is not None:
             # padded slots contribute exactly zero, so only the valid rows of
             # a block's dE/dG need the dot product with the compact dG/ds rows
             # (the G chunk is spent, so it takes the gather)

@@ -54,8 +54,7 @@ class DeepPotentialForceField(ForceField):
         self._table = None
         if self.compressed:
             self._table = model.compressed_embeddings(self.compression_points, self.compression_min_distance)
-            if not self.precision.is_double:
-                self._table.ensure_packed(self.precision.compute_dtype)
+            self._table.ensure_packed(self.precision.compute_dtype)
 
     def compute(
         self, atoms: Atoms, box: Box, neighbors: NeighborData, workspace=None

@@ -61,12 +61,18 @@ class Atoms:
         if self.velocities is None:
             self.velocities = np.zeros((n, 3))
         self.velocities = np.ascontiguousarray(self.velocities, dtype=np.float64)
+        if self.velocities.shape != (n, 3):
+            raise ValueError(f"velocities must have shape (n, 3) with n = {n}, got {self.velocities.shape}")
         if self.forces is None:
             self.forces = np.zeros((n, 3))
         self.forces = np.ascontiguousarray(self.forces, dtype=np.float64)
+        if self.forces.shape != (n, 3):
+            raise ValueError(f"forces must have shape (n, 3) with n = {n}, got {self.forces.shape}")
         if self.ids is None:
             self.ids = np.arange(n, dtype=np.int64)
         self.ids = np.ascontiguousarray(self.ids, dtype=np.int64)
+        if self.ids.shape != (n,):
+            raise ValueError(f"ids must have shape (n,) with n = {n}, got {self.ids.shape}")
         self.type_names = tuple(self.type_names)
 
     # -- basic protocol ------------------------------------------------------

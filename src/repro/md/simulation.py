@@ -77,10 +77,7 @@ class Simulation(EngineBackend):
         # result arrays may live in the workspace pool (valid only until the
         # next evaluation) — keep the public surfaces (atoms.forces,
         # last_virial) on persistent storage outside the pool
-        if self.atoms.forces.shape == result.forces.shape:
-            np.copyto(self.atoms.forces, result.forces)
-        else:
-            self.atoms.forces = result.forces.copy()
+        np.copyto(self.atoms.forces, result.forces)
         self.last_virial = None if result.virial is None else result.virial.copy()
         self._last_energy = result.energy
         return result.energy

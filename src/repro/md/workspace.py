@@ -137,38 +137,23 @@ class Workspace:
         """
         return ScopedWorkspace(self, prefix)
 
-    def reset(self) -> None:
-        """Drop every buffer (forces reallocation on next use)."""
-        self._arrays.clear()
-        self._capacities.clear()
-
 
 class ScopedWorkspace:
     """A name-prefixing proxy over a :class:`Workspace`.
 
-    Implements the same buffer-vending surface (``buffer``/``zeros``/
-    ``capacity``/``capacity_zeros``/``scoped``) with every name
-    rewritten to ``<prefix>.<name>``, so two scopes over one pool can never
-    collide; hit/miss accounting stays on the shared parent pool.
+    Implements the part of the buffer-vending surface its consumers (the
+    serving pack and evaluation) use — ``zeros``/``capacity``/
+    ``capacity_zeros``/``scoped`` — with every name rewritten to
+    ``<prefix>.<name>``, so two scopes over one pool can never collide;
+    hit/miss accounting stays on the shared parent pool.
     """
 
     def __init__(self, parent, prefix: str) -> None:
         self._parent = parent
         self.prefix = str(prefix)
 
-    @property
-    def hits(self) -> int:
-        return self._parent.hits
-
-    @property
-    def misses(self) -> int:
-        return self._parent.misses
-
     def _key(self, name: str) -> str:
         return f"{self.prefix}.{name}"
-
-    def buffer(self, name: str, shape, dtype=np.float64) -> np.ndarray:
-        return self._parent.buffer(self._key(name), shape, dtype)
 
     def zeros(self, name: str, shape, dtype=np.float64) -> np.ndarray:
         return self._parent.zeros(self._key(name), shape, dtype)

@@ -202,7 +202,10 @@ class DomainDecomposedSimulation(EngineBackend):
         self.comm_bytes_forward = 0.0
         self.comm_bytes_reverse = 0.0
         self.comm_messages = 0
-        self._ghost_count_log: list[np.ndarray] = []
+        # running ghost-count statistics over every exchange (fixed memory
+        # however long the engine runs): the exact integer sum and the maximum
+        self._ghost_count_sum = 0
+        self._ghost_count_max = 0
         self._last_energy: float | None = None
         self.last_virial: np.ndarray | None = None
         self.trajectory: list[np.ndarray] = []
@@ -306,7 +309,9 @@ class DomainDecomposedSimulation(EngineBackend):
                 rows = np.nonzero(ghost_owners == owner)[0]
                 slots = self._slot_of[ghost_gids[rows]]
                 domain.ghost_groups.append((int(owner), rows, slots))
-        self._ghost_count_log.append(self.ghost_counts())
+        counts = self.ghost_counts()
+        self._ghost_count_sum += int(counts.sum())
+        self._ghost_count_max = max(self._ghost_count_max, int(counts.max(initial=0)))
 
     def _refresh_ghost_positions(self) -> None:
         """Forward exchange: ghost copies track their owners' positions."""
@@ -318,26 +323,21 @@ class DomainDecomposedSimulation(EngineBackend):
                 self.comm_messages += 1
             self.comm_bytes_forward += domain.n_ghost * BYTES_PER_VECTOR
 
-    def _forward_halo(
-        self, values_per_rank: list[np.ndarray], sinks: list[np.ndarray] | None = None
-    ) -> list[np.ndarray]:
+    def _forward_halo(self, values_per_rank: list[np.ndarray], sinks: list[np.ndarray]) -> list[np.ndarray]:
         """Forward a per-owned-atom scalar to every ghost copy (EAM density).
 
-        ``sinks`` (from :meth:`RankExecutor.halo_sinks`) are optional per-rank
+        ``sinks`` (from :meth:`RankExecutor.halo_sinks`) are the per-rank
         ``(n_ghost,)`` targets the halo values are gathered into — workspace
         capacity buffers for the sequential executor, shared-memory slab views
         for the process executor (so the forward exchange *is* the delivery
-        to the workers); ``None`` returns fresh per-rank arrays.
+        to the workers).
         """
         scalar_global = self.workspace.zeros("halo.scalar", self.n_global)
         for domain, values in zip(self.domains, values_per_rank):
             scalar_global[domain.gids] = values
         halos = []
         for i, domain in enumerate(self.domains):
-            if sinks is None:
-                halos.append(scalar_global[domain.ghost_gids])
-            else:
-                halos.append(np.take(scalar_global, domain.ghost_gids, out=sinks[i]))
+            halos.append(np.take(scalar_global, domain.ghost_gids, out=sinks[i]))
             if domain.n_ghost:
                 self.comm_messages += len(domain.ghost_groups)
                 self.comm_bytes_forward += domain.n_ghost * 8.0
@@ -426,7 +426,6 @@ class DomainDecomposedSimulation(EngineBackend):
                     self._assign_node_shares()
                 for domain in self.domains:
                     domain.ref_positions = domain.positions.copy()
-                executor.publish_positions()
             with self.timers.phase("neigh"):
                 executor.rebuild()
             self._neighbors_ready = True
@@ -435,7 +434,6 @@ class DomainDecomposedSimulation(EngineBackend):
         else:
             with self.timers.phase("comm"):
                 self._refresh_ghost_positions()
-                executor.publish_positions()
 
         halos: list[np.ndarray] | None = None
         if self.evaluator.needs_halo:
@@ -605,13 +603,17 @@ class DomainDecomposedSimulation(EngineBackend):
         return np.array([domain.neigh_seconds for domain in self.domains])
 
     def measured_comm_volume(self) -> dict:
-        """Measured ghost-exchange volumes (all zero before the first exchange)."""
-        log = np.stack(self._ghost_count_log or [np.zeros(self.n_ranks)])
-        mean_ghosts = float(log.mean())
+        """Measured ghost-exchange volumes (all zero before the first exchange).
+
+        The mean over every (exchange, rank) ghost count is the exact integer
+        sum over their number, so it is bitwise the mean of the stacked
+        per-exchange counts.
+        """
+        mean_ghosts = self._ghost_count_sum / (max(self.n_exchanges, 1) * self.n_ranks)
         return {
-            "exchanges": len(self._ghost_count_log),
+            "exchanges": self.n_exchanges,
             "mean_ghosts_per_rank": mean_ghosts,
-            "max_ghosts_per_rank": float(log.max()),
+            "max_ghosts_per_rank": float(self._ghost_count_max),
             "forward_bytes_per_rank": mean_ghosts * BYTES_PER_GHOST_ATOM,
             "total_forward_bytes": self.comm_bytes_forward,
             "total_reverse_bytes": self.comm_bytes_reverse,

@@ -66,11 +66,14 @@ EXECUTOR_NAMES = ("sequential", "process")
 class RankExecutor:
     """Runs the per-rank stages of one distributed force evaluation.
 
-    The engine drives exactly this sequence per evaluation: on rebuild steps
-    ``publish_positions`` then ``rebuild``; on plain steps just
-    ``publish_positions``; then for halo force fields ``prepare`` and (after
-    the parent's forward exchange into ``halo_sinks``) ``finish``; forces and
-    scalars come back in rank order for the parent's fixed-order reduction.
+    The engine drives exactly this sequence per evaluation: ``rebuild`` on
+    rebuild steps (after the parent's migration and ghost exchange); for halo
+    force fields ``prepare`` and (after the parent's forward exchange into
+    ``halo_sinks``) ``finish``, else just ``finish``; forces and scalars come
+    back in rank order for the parent's fixed-order reduction.  The ranks read
+    their positions from the domains' arrays, which the parent updates in
+    place, so no step publishes them.  ``bind`` once at engine init and
+    ``close`` at the end complete the six methods.
     """
 
     name = "base"
@@ -78,10 +81,6 @@ class RankExecutor:
     def bind(self, engine) -> None:
         """Attach to an engine (called once, at the end of engine init)."""
         self.engine = engine
-
-    def publish_positions(self) -> None:
-        """Make every rank's current owned+ghost positions visible to it
-        (nothing to do while the domains' arrays are what the ranks read)."""
 
     def rebuild(self) -> None:
         """Per-rank neighbour builds + evaluator rebuilds (timed per rank)."""
@@ -91,10 +90,14 @@ class RankExecutor:
         """Stage-1 per-owned-atom intermediates, in rank order (EAM density)."""
         raise NotImplementedError
 
-    def halo_sinks(self) -> list | None:
-        """Per-rank ``(n_ghost,)`` targets for the forward halo, or ``None``
-        to let :meth:`engine._forward_halo` allocate (the reference path)."""
-        return None
+    def halo_sinks(self) -> list:
+        """Per-rank ``(n_ghost,)`` targets the forward halo is written into.
+
+        Always a list: the engine builds its ``Workspace`` itself, so
+        :class:`SequentialRankExecutor`'s ``None`` return (kept for a
+        ``workspace=None`` engine, typed ``list | None``) never runs.
+        """
+        raise NotImplementedError
 
     def finish(self, halos) -> list:
         """Per-rank ``(energy, local_forces, virial)`` results, in rank order."""

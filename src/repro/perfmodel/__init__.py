@@ -41,37 +41,15 @@ decomposition (:mod:`repro.parallel.decomposition`, :mod:`repro.parallel.ghost`)
 and the real model configuration.
 """
 
-from .machine import FUGAKU
-from .kernels import per_atom_flops, per_atom_time, rank_compute_time
-from .exchange import SCHEMES, exchange_breakdown, exchange_time, plan_exchange, subbox_decomposition
-from .loadbalance import (
-    balance_comparison,
-    ghost_count_load_balanced,
-    ghost_count_original,
-    rank_counts_with_balance,
-    rank_counts_without_balance,
-)
-from .strongscaling import parallel_efficiency, scaling_table
-from .reconcile import intra_node_balance, modelled_plan, plan_with_measured_volume
+from .exchange import exchange_time
+from .loadbalance import balance_comparison
+from .strongscaling import scaling_table
+from .reconcile import modelled_plan, plan_with_measured_volume
 
 __all__ = [
-    "FUGAKU",
-    "per_atom_flops",
-    "per_atom_time",
-    "rank_compute_time",
-    "SCHEMES",
-    "plan_exchange",
     "exchange_time",
-    "exchange_breakdown",
-    "subbox_decomposition",
-    "rank_counts_without_balance",
-    "rank_counts_with_balance",
     "balance_comparison",
-    "ghost_count_original",
-    "ghost_count_load_balanced",
-    "parallel_efficiency",
     "scaling_table",
     "modelled_plan",
-    "intra_node_balance",
     "plan_with_measured_volume",
 ]

@@ -9,7 +9,7 @@ efficiency factors, overheads and extra work apply — exactly the structure
 of Fig. 9.
 
 Every function takes a ``system`` (a :class:`repro.core.systems.SystemSpec`) and a
-``config`` (a :class:`repro.core.OptimizationConfig`) and reads them by
+``config`` (a :class:`repro.core.config.OptimizationConfig`) and reads them by
 attribute, so this module never imports :mod:`repro.core`.
 """
 

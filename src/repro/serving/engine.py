@@ -84,15 +84,14 @@ class ServingEngine:
 
         # Per-model caches, built once per engine and shared by every
         # request: the compressed table (the model is frozen, so the table
-        # held here stays current), its packed low-precision copy when the
-        # policy computes below fp64, and — warmed lazily by the first
+        # held here stays current), its packed nodes at the policy's compute
+        # dtype, and — warmed lazily by the first
         # evaluation — the per-(type, dtype) standardization stats and
         # low-precision layer caches inside the model itself.
         self._table = None
         if self.compressed:
             self._table = model.compressed_embeddings()
-            if not self.policy.is_double:
-                self._table.ensure_packed(self.policy.compute_dtype)
+            self._table.ensure_packed(self.policy.compute_dtype)
 
         # one pool, one scope per thread that packs into it: the serving
         # thread and synchronous evaluate_batch callers never share a buffer

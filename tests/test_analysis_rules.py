@@ -11,14 +11,13 @@ import textwrap
 
 import pytest
 
-from repro.analysis import lint_paths, lint_source, lint_sources
 from repro.analysis.contracts import GOLDEN_SITES
 from repro.analysis.fingerprint import (
     find_site_region,
     golden_site_key,
     region_fingerprint,
 )
-from repro.analysis.reprolint import FRAMEWORK_RULE_ID, ParsedFile
+from repro.analysis.reprolint import FRAMEWORK_RULE_ID, ParsedFile, lint_paths, lint_source, lint_sources
 
 GOLDEN_MODULE_PATH = "src/repro/reference/scalar.py"
 GOLDEN_FUNC_PATH = "src/repro/md/neighbor.py"

@@ -73,6 +73,25 @@ class TestAtoms:
         with pytest.raises(ValueError):
             Atoms(positions=np.zeros((2, 3)), types=np.zeros(3, dtype=int), masses=np.ones(2))
 
+    @staticmethod
+    def _two_atoms(**fields):
+        return Atoms(positions=np.zeros((2, 3)), types=np.zeros(2, dtype=int), masses=np.ones(2), **fields)
+
+    @pytest.mark.parametrize("bad", [np.zeros((3, 3)), np.zeros((2, 2)), np.zeros(6)])
+    def test_velocities_shape_is_refused(self, bad):
+        with pytest.raises(ValueError, match=r"velocities must have shape \(n, 3\) with n = 2"):
+            self._two_atoms(velocities=bad)
+
+    @pytest.mark.parametrize("bad", [np.zeros((1, 3)), np.zeros((2, 4)), np.zeros(6)])
+    def test_forces_shape_is_refused(self, bad):
+        with pytest.raises(ValueError, match=r"forces must have shape \(n, 3\) with n = 2"):
+            self._two_atoms(forces=bad)
+
+    @pytest.mark.parametrize("bad", [np.arange(3), np.arange(2).reshape(2, 1), np.array(0)])
+    def test_ids_shape_is_refused(self, bad):
+        with pytest.raises(ValueError, match=r"ids must have shape \(n,\) with n = 2"):
+            self._two_atoms(ids=bad)
+
     def test_copy_is_independent(self):
         atoms = Atoms.from_symbols(np.zeros((2, 3)), ["Cu", "Cu"])
         clone = atoms.copy()

@@ -16,7 +16,7 @@ bit for bit; the floors here are one-sided.
 import numpy as np
 import pytest
 
-from repro.core import FIG9_STAGES
+from repro.core.config import FIG9_STAGES
 from repro.core.experiments import (
     ATOMS_PER_CORE,
     FIG7_CUTOFFS,
@@ -33,7 +33,7 @@ from repro.core.experiments import (
     table1_packages,
     table3_loadbalance,
 )
-from repro.perfmodel import SCHEMES
+from repro.perfmodel.exchange import SCHEMES
 
 #: The paper's values of the ``claims_summary()`` keys.
 PAPER_CLAIMS = {

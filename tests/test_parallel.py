@@ -11,18 +11,17 @@ from repro.parallel import GhostExchange, RankTopology, SpatialDecomposition
 from repro.parallel.exchange import check_delivery_scheme
 from repro.parallel.ghost import ghost_shell_ranks, layers_for_cutoff
 from repro.parallel.decomposition import even_shares
-from repro.perfmodel import (
-    SCHEMES,
-    balance_comparison,
+from repro.perfmodel import balance_comparison
+from repro.perfmodel.exchange import SCHEMES, _neighbor_offsets, overlap_volume, plan_exchange, subbox_decomposition
+from repro.perfmodel.loadbalance import (
+    PAIR_TIME_NOISE_FLOOR,
     ghost_count_load_balanced,
     ghost_count_original,
-    plan_exchange,
+    pair_time_model,
     rank_counts_with_balance,
     rank_counts_without_balance,
-    subbox_decomposition,
+    sdmr_reduction,
 )
-from repro.perfmodel.exchange import _neighbor_offsets, overlap_volume
-from repro.perfmodel.loadbalance import PAIR_TIME_NOISE_FLOOR, pair_time_model, sdmr_reduction
 
 
 class TestTopology:

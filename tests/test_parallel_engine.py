@@ -19,7 +19,9 @@ from repro.md.forcefields.water import WaterReference
 from repro.md.neighbor import build_neighbor_data
 from repro.parallel import DomainDecomposedSimulation, RankTopology
 from repro.parallel.domain import RankDomain
-from repro.perfmodel import exchange_time, intra_node_balance, modelled_plan, plan_with_measured_volume
+from repro.parallel.engine import BYTES_PER_GHOST_ATOM
+from repro.perfmodel import exchange_time, modelled_plan, plan_with_measured_volume
+from repro.perfmodel.reconcile import intra_node_balance
 
 
 def _copper_pair(rng=1, temperature=300.0):
@@ -188,6 +190,29 @@ class TestMeasuredStatistics:
         # pricing scales monotonically with the measured volume
         tenfold = plan_with_measured_volume(plan, 10 * volume["forward_bytes_per_rank"])
         assert exchange_time(tenfold) > measured_time
+
+    def test_ghost_statistics_equal_the_stacked_per_exchange_counts(self):
+        """The running sum/max keep the values of a per-exchange count log."""
+        atoms, box = _copper_pair(rng=11, temperature=400.0)
+        engine = DomainDecomposedSimulation(atoms.copy(), box, GuptaPotential(cutoff=5.0), timestep_fs=2.0,
+                                            rank_dims=(2, 2, 1), neighbor_skin=0.4, neighbor_every=3)
+        log = []
+        exchange = engine._exchange_ghosts
+
+        def logged_exchange():
+            exchange()
+            log.append(engine.ghost_counts())
+
+        engine._exchange_ghosts = logged_exchange
+        engine.run(10)
+        assert len(log) == engine.n_builds >= 3
+        stacked = np.stack(log)
+        assert len({tuple(counts) for counts in log}) > 1  # the counts move between rebuilds
+        volume = engine.measured_comm_volume()
+        assert volume["exchanges"] == len(log)
+        assert volume["mean_ghosts_per_rank"] == float(stacked.mean())
+        assert volume["max_ghosts_per_rank"] == float(stacked.max())
+        assert volume["forward_bytes_per_rank"] == float(stacked.mean()) * BYTES_PER_GHOST_ATOM
 
     def test_plan_rescaling_validation(self):
         _, engine = self._run_engine()

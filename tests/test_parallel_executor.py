@@ -11,7 +11,7 @@ density (halo-exchange) strategy and a migration-heavy hot gas alike.
 Node-box balancing (``node_balance=True``, §III-C) is pinned three ways:
 
 * the engine's assigned counts equal
-  :func:`repro.perfmodel.rank_counts_with_balance` *exactly*,
+  :func:`repro.perfmodel.loadbalance.rank_counts_with_balance` *exactly*,
 * the balanced trajectory stays within the 1e-10 cross-rank budget of the
   serial reference (the evaluation split must not change the physics),
 * the *measured* atom-count SDMR from :meth:`load_balance_stats` drops to
@@ -33,7 +33,8 @@ from repro.md.forcefields.water import WaterReference
 from repro.parallel import DomainDecomposedSimulation, MultiprocessRankExecutor, PersistentWorkerPool
 from repro.parallel.executor import SequentialRankExecutor, make_executor
 from repro.parallel.threadpool import WorkerError, usable_cpu_count, worker_reply
-from repro.perfmodel import balance_comparison, rank_counts_with_balance, rank_counts_without_balance
+from repro.perfmodel import balance_comparison
+from repro.perfmodel.loadbalance import rank_counts_with_balance, rank_counts_without_balance
 
 TOLERANCE = 1.0e-10
 N_STEPS = 12  # neighbor_every=5 => initial build + 2 rebuilds + migrations

@@ -9,8 +9,6 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    FIG9_STAGES,
-    OptimizationConfig,
     baseline_config,
     copper_spec,
     optimization_ladder,
@@ -18,26 +16,18 @@ from repro.core import (
     step_report,
     water_spec,
 )
-from repro.core.config import fig9_stage_configs
+from repro.core.config import FIG9_STAGES, OptimizationConfig, fig9_stage_configs
 from repro.core.engine import StepReport, topology_for
 from repro.core.errors import energy_error_per_atom, force_rmse, precision_error_table
 from repro.core.experiments import claims_summary
 from repro.core.systems import get_system
 from repro.parallel.decomposition import sdmr_percent
 from repro.parallel.topology import RankTopology
-from repro.perfmodel import (
-    FUGAKU,
-    SCHEMES,
-    exchange_breakdown,
-    exchange_time,
-    parallel_efficiency,
-    per_atom_flops,
-    per_atom_time,
-    plan_exchange,
-    rank_compute_time,
-    scaling_table,
-    subbox_decomposition,
-)
+from repro.perfmodel import exchange_time, scaling_table
+from repro.perfmodel.exchange import SCHEMES, exchange_breakdown, plan_exchange, subbox_decomposition
+from repro.perfmodel.kernels import per_atom_flops, per_atom_time, rank_compute_time
+from repro.perfmodel.machine import FUGAKU
+from repro.perfmodel.strongscaling import parallel_efficiency
 
 #: ``repr`` of each ``claims_summary()`` value, recorded before the step was
 #: priced by plain functions: a refactor of the pricing layer keeps every bit.

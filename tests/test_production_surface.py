@@ -9,7 +9,8 @@ name does not call it).  A name only tests call is surface
 that no user path exercises; it goes, or it is listed in :data:`ALLOWED` with
 the reason it stays.  Words in docstrings, comments and strings are not code,
 and neither are import statements or ``__all__`` lists: re-exporting a name
-does not run it.  Each executing package's ``__all__`` holds only names that
+does not run it.  Each package's ``__all__`` (the executing and pricing
+packages, ``md.forcefields`` and ``analysis``) holds only names that
 ``src``, ``benchmarks``, ``examples`` or a README code block import from the
 package; tests import everything else from its module.
 """
@@ -197,9 +198,15 @@ PRICING_SETTABLE_VALUES = 127
 #: training pass per epoch) or went (``FastMLP.__call__``, ``Trainer.train``'s
 #: ``verbose`` print), and the fields an object sets itself (GEMM counters,
 #: neighbour-list build state, request timestamps and future, table rows,
-#: phase totals) left ``__init__``.
-EXECUTION_SETTABLE_VALUES = 307
+#: phase totals) left ``__init__``.  307 -> 304 when ``double`` became the
+#: identity case of the one kernel path (``GemmBackend.matmul`` lost
+#: ``native_out``: every product comes back at its compute dtype), the
+#: engine's forward halo always writes into the executor's sinks (its
+#: ``sinks=None`` allocating branch never ran) and ``ScopedWorkspace.buffer``,
+#: which no scoped consumer calls, went.
+EXECUTION_SETTABLE_VALUES = 304
 EXECUTION_PACKAGES = ("md", "deepmd", "parallel", "serving", "training", "utils")
+PRICING_PACKAGES = ("perfmodel", "core")
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -240,7 +247,7 @@ def _settable_values_under(packages) -> int:
 
 
 def test_pricing_layer_settable_values_are_pinned():
-    count = _settable_values_under(("perfmodel", "core"))
+    count = _settable_values_under(PRICING_PACKAGES)
     assert count == PRICING_SETTABLE_VALUES, (
         f"perfmodel/ and core/ have {count} settable values, pinned at {PRICING_SETTABLE_VALUES}: "
         "delete the knob nobody sets, or move the pin with the reason"
@@ -295,8 +302,8 @@ def _readme_code():
 
 
 def _exports(package: str) -> list[str]:
-    """The ``__all__`` names of an executing package's ``__init__``."""
-    tree = ast.parse((PACKAGE / package / "__init__.py").read_text())
+    """The ``__all__`` names of a package's ``__init__`` (``"md.forcefields"`` for a subpackage)."""
+    tree = ast.parse((PACKAGE / package.replace(".", "/") / "__init__.py").read_text())
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(getattr(target, "id", None) == "__all__" for target in node.targets):
             return [element.value for element in node.value.elts]
@@ -313,7 +320,8 @@ def test_every_package_export_is_imported_outside_tests(searched):
             if isinstance(node, ast.ImportFrom):
                 imported[_imported_from(path, node)].update(alias.name for alias in node.names)
     idle = {
-        package: sorted(set(_exports(package)) - imported[f"repro.{package}"]) for package in EXECUTION_PACKAGES
+        package: sorted(set(_exports(package)) - imported[f"repro.{package}"])
+        for package in (*EXECUTION_PACKAGES, *PRICING_PACKAGES, "md.forcefields", "analysis")
     }
     idle = {package: names for package, names in idle.items() if names}
     assert not idle, f"re-exports only tests import (drop them from __init__; tests import the module): {idle}"

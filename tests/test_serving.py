@@ -160,6 +160,10 @@ class TestPacking:
         out = serving_model.evaluate_many(batch.env, batch.system_of_atom, batch.offsets)
         assert out.energies.shape == (0,) and out.forces.shape == (0, 3)
         assert out.split() == []
+        # an empty batch evaluates nothing, so a compressed one builds no table
+        fresh = DeepPotential(serving_model.config)
+        fresh.evaluate_many(batch.env, batch.system_of_atom, batch.offsets, compressed=True)
+        assert fresh.table_cache_builds == 0
 
     @pytest.mark.parametrize("width", [1, 3, 32])
     def test_single_pass_equals_per_system_environments(self, serving_model, width):
@@ -593,6 +597,31 @@ class TestServingEngine:
                 bad_future.result(timeout=60)
             # a poisoned batch must not take the engine down with it
             assert good_future.result(timeout=60).forces.shape == (len(good[0]), 3)
+
+    def test_any_other_exception_fails_its_whole_batch_and_the_engine_serves_on(self, serving_model):
+        systems = _mixed_systems(serving_model)
+        engine = ServingEngine(serving_model, max_batch_size=8)
+        injected = RuntimeError("injected evaluation failure")
+        evaluate_batch = engine.evaluate_batch
+        calls = []
+
+        def fail_first_batch(batch_systems, workspace=None):
+            calls.append(len(batch_systems))
+            if len(calls) == 1:
+                raise injected
+            return evaluate_batch(batch_systems, workspace=workspace)
+
+        engine.evaluate_batch = fail_first_batch
+        # submitted before the serving thread starts: one batch of all four
+        doomed = [engine.submit(atoms, box) for atoms, box, _ in systems]
+        with engine:
+            for future in doomed:
+                assert future.exception(timeout=60) is injected
+            atoms, box, _ = systems[0]
+            later = engine.submit(atoms, box).result(timeout=60)
+        assert calls == [len(systems), 1]
+        reference = evaluate_serial(serving_model, systems[:1], compressed=True)[0]
+        assert abs(later.energy - reference.energy) < PARITY_ATOL
 
     def test_start_adds_exactly_one_thread(self, serving_model):
         before = {thread.name for thread in threading.enumerate()}
