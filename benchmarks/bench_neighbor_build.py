@@ -25,14 +25,20 @@ benchmark's two ranked workloads (``lj_ranks``: copper on 2x1x1 p2p ranks;
 ways — the full search vs the primary-row search, pairs only vs with the
 padded table read — and gates what a pair-style rank saves: the primary-row
 pairs-only build must be >= 1.25x faster than the full build with its table
-(what every rank paid before ghosts stopped being centres).
+(what every rank paid before ghosts stopped being centres).  It also gates
+the ``lj_ranks`` primary-row pair search at >= 1.3x over
+``cell_list_pairs_oracle`` (``tests/test_md_neighbor.py``: the search before
+its two-sided fp32 prefilter, per-axis fractional prefilter with every
+survivor confirmed in fp64), median of 15 interleaved repeats.
 
 An ``lj_serial`` section builds the repo benchmark's serial Lennard-Jones
 geometry (14x14x14 copper, 10 976 atoms, cutoff 5.0 A + skin 0.4 A: 2.24 M
-candidates for 296 k pairs), prints the build time and gates the
-tracemalloc peak of one build at <= 32 MiB.  The search streams its
-candidates in ``PAIR_BLOCK_CANDIDATES`` blocks (~23 MiB measured); writing
-every candidate out before filtering any peaked at 117 MiB.
+candidates for 296 k pairs), gates the build at >= 1.5x over the oracle
+(median of 9 interleaved repeats; ~40 ms against ~70 ms on a shared x86-64
+core) and the tracemalloc peak of one build at <= 32 MiB.  The search
+streams its candidates in ``PAIR_BLOCK_CANDIDATES`` blocks (~17 MiB
+measured); writing every candidate out before filtering any peaked at
+117 MiB.
 
 Run with::
 
@@ -41,8 +47,10 @@ Run with::
 
 from __future__ import annotations
 
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 
@@ -55,6 +63,9 @@ from repro.md.neighbor import (
     build_neighbor_data,
 )
 from repro.parallel import DomainDecomposedSimulation
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from test_md_neighbor import cell_list_pairs_oracle  # noqa: E402
 
 DENSITY = 0.09  # atoms/A^3, liquid-like
 SEARCH = 5.0  # cutoff + skin in angstrom
@@ -123,22 +134,22 @@ def _pre_pr_cell_list_pairs(positions, box, cutoff):
     return all_i[unique_idx], all_j[unique_idx]
 
 
-def _best_of(builds, reps=5):
-    """Best-of-``reps`` timing of each zero-argument build, repeats interleaved.
+def _timed(builds, reps=5, stat=np.min):
+    """``stat`` over ``reps`` timings of each zero-argument build, repeats interleaved.
 
     Each repeat times every build once, alternating which runs first, so a
     burst of load from elsewhere on the machine slows every side instead of
-    all repeats of one build.  Best-of is robust to scheduler noise on shared
-    runners.
+    all repeats of one build.  Best-of (the default) is robust to scheduler
+    noise on shared runners; the speedup gates take the median.
     """
-    best = [np.inf] * len(builds)
+    times = np.empty((reps, len(builds)))
     for repeat in range(reps):
         order = range(len(builds))
         for k in reversed(order) if repeat % 2 else order:
             t0 = time.perf_counter()
             builds[k]()
-            best[k] = min(best[k], time.perf_counter() - t0)
-    return best
+            times[repeat, k] = time.perf_counter() - t0
+    return list(stat(times, axis=0))
 
 
 def _random_system(n, rng):
@@ -156,7 +167,7 @@ def test_bench_neighbor_build_scaling():
     for n in (500, 1000, 2000, 4000):
         positions, box = _random_system(n, rng)
         searches = [_cell_list_pairs, _pre_pr_cell_list_pairs] + ([_brute_force_pairs] if n <= 2000 else [])
-        times = _best_of([lambda search=search: search(positions, box, SEARCH) for search in searches])
+        times = _timed([lambda search=search: search(positions, box, SEARCH) for search in searches])
         binned, pre_pr = times[:2]
         brute = times[2] if n <= 2000 else np.nan
         rows[n] = (binned, pre_pr, brute)
@@ -177,7 +188,7 @@ def test_bench_threshold_crossover():
     rng = np.random.default_rng(12)
     n = 2 * BRUTE_FORCE_THRESHOLD
     positions, box = _random_system(n, rng)
-    brute, binned = _best_of([
+    brute, binned = _timed([
         lambda: _brute_force_pairs(positions, box, SEARCH),
         lambda: _cell_list_pairs(positions, box, SEARCH),
     ])
@@ -245,13 +256,14 @@ def test_bench_ranked_geometry_primary_rows():
         f"{'geometry':>9} {'local':>6} {'primary':>8} {'full pairs':>11} {'kept':>7} "
         f"{'full':>7} {'full+table':>11} {'primary':>8} {'primary+table':>14}"
     )
-    saved = {}
+    saved, searches = {}, {}
     for name, (atoms, box, cutoff, skin, ranks) in cases.items():
         domain = _rank_zero(atoms, box, cutoff, skin, **ranks)
         positions, primary = domain.local_positions(), domain.primary_rows()
+        searches[name] = (positions, box, cutoff + skin, primary)
         full = build_neighbor_data(positions, box, cutoff, skin)
         assert len(domain.neighbors.pairs) < len(full.pairs)
-        times = _best_of(
+        times = _timed(
             [
                 lambda: build_neighbor_data(positions, box, cutoff, skin),
                 lambda: build_neighbor_data(positions, box, cutoff, skin).neighbors,
@@ -266,18 +278,38 @@ def test_bench_ranked_geometry_primary_rows():
             f"{len(domain.neighbors.pairs):>7} "
             + " ".join(f"{t*1e3:>{w}.2f}" for t, w in zip(times, (7, 11, 8, 14)))
         )
+    oracle, search = _timed(
+        [lambda: cell_list_pairs_oracle(*searches["lj_ranks"]), lambda: _cell_list_pairs(*searches["lj_ranks"])],
+        reps=15,
+        stat=np.median,
+    )
     print(
         f"lj_ranks rank build: {saved['lj_ranks']:.2f}x (full with table -> primary rows, "
         "pairs only; >= 1.25x required)"
     )
+    print(
+        f"lj_ranks primary-row search: {oracle*1e3:.2f} ms oracle -> {search*1e3:.2f} ms, "
+        f"{oracle / search:.2f}x (median of 15; >= 1.3x required)"
+    )
     assert saved["lj_ranks"] >= 1.25
+    assert oracle / search >= 1.3, (
+        f"the primary-row pair search is only {oracle / search:.2f}x faster than its oracle"
+    )
 
 
 def test_bench_lj_serial_build_peak():
-    """One build of the ``lj_serial`` geometry stays within a 32 MiB peak."""
+    """One build of the ``lj_serial`` geometry is >= 1.5x faster than the
+    oracle search and stays within a 32 MiB peak."""
     atoms, box = copper_system((14, 14, 14), perturbation=0.05, rng=16)
     cutoff, skin = 5.0, 0.4
-    (build,) = _best_of([lambda: build_neighbor_data(atoms.positions, box, cutoff, skin)])
+    oracle, build = _timed(
+        [
+            lambda: cell_list_pairs_oracle(atoms.positions, box, cutoff + skin),
+            lambda: build_neighbor_data(atoms.positions, box, cutoff, skin),
+        ],
+        reps=9,
+        stat=np.median,
+    )
     tracemalloc.start()
     try:
         data = build_neighbor_data(atoms.positions, box, cutoff, skin)
@@ -286,9 +318,10 @@ def test_bench_lj_serial_build_peak():
         tracemalloc.stop()
     print(
         f"\nlj_serial geometry: {len(atoms)} atoms, {len(data.pairs)} pairs, "
-        f"build {build*1e3:.1f} ms (best of 5), tracemalloc peak {peak / 2**20:.1f} MiB "
-        "(<= 32 MiB required)"
+        f"build {build*1e3:.1f} ms against the oracle's {oracle*1e3:.1f} ms: {oracle / build:.2f}x "
+        f"(median of 9; >= 1.5x required), tracemalloc peak {peak / 2**20:.1f} MiB (<= 32 MiB required)"
     )
+    assert oracle / build >= 1.5, f"the lj_serial build is only {oracle / build:.2f}x faster than the oracle"
     assert peak <= 32 * 2**20, (
         f"one lj_serial build peaked at {peak / 2**20:.1f} MiB — a candidate-sized "
         "temporary has probably come back into the pair search"

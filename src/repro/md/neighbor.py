@@ -28,8 +28,8 @@ The production pair search (:func:`_cell_list_pairs`) is a fully vectorized
 binned build: atoms are binned with one stable sort, the half stencil of cell
 pairs is enumerated as flat arrays (with per-axis shift sets that degrade
 gracefully for thin/slab boxes instead of falling back to O(N^2)), and
-candidate pairs are expanded with ``repeat``/``cumsum`` — no Python loop over
-cells, so cost scales with atoms and *occupied* cells, never with total
+candidate pairs are expanded with ``repeat`` — no Python loop over cells,
+so cost scales with atoms and *occupied* cells, never with total
 cells.  The O(N^2) :func:`_brute_force_pairs` search is kept un-optimized as
 the golden reference (the ``reference/scalar.py`` pattern) and is only routed
 to below :data:`BRUTE_FORCE_THRESHOLD`.
@@ -38,16 +38,25 @@ to below :data:`BRUTE_FORCE_THRESHOLD`.
 *entry* is (cell pair, left atom); its candidates are a contiguous run of the
 right cell.  The entries are cut into blocks of about
 :data:`PAIR_BLOCK_CANDIDATES` candidates, and each block is expanded,
-prefiltered, confirmed and appended before the next one starts.  Blocks run
-in entry order and the confirmation is per candidate, so the output is the
+prefiltered, decided and appended before the next one starts.  Blocks run
+in entry order and every decision is per candidate, so the output is the
 same pairs in the same order at *any* block size (pinned with the constant
-at 1, 7 and above the candidate total).  The fp32 prefilter sums the three
-per-axis terms column by column instead of through a ``(n, 3) @ (3,)``
-product.  That only reassociates a sum of three non-negative terms, and the
-rounding error of such a sum is bounded by the same few relative ulps in
-every order (no cancellation is possible), so the slack bound still covers
-it and the prefilter stays conservative: it can keep a few more or fewer
-far-away candidates, never drop one the exact pass would keep.
+at 1, 7 and above the candidate total).
+
+**Two-sided fp32 prefilter.**  Candidates are measured on fp32 Cartesian
+rows, wrapped on periodic axes and taken from the lowest atom on open ones,
+with each cell pair's periodic image folded into its entries' left rows (a
+``rint`` per candidate only on periodic axes of fewer than 4 cells).  One
+bound ``e`` covers both passes' rounding: fp32 terms that grow with the box
+and the atoms' extent (never with how far from the origin they sit) plus a
+``max_abs * 2**-52`` term for the fp64 pass on raw coordinates.  A
+candidate is kept at ``d^2 <= (c - e)^2`` and dropped at
+``d^2 > (c + e)^2``; only the thin band between, plus near-zero distances,
+runs the arithmetic of :func:`_brute_force_pairs`.  So every decision is the
+exact pass's, and the two strategies agree pair-for-pair even on exact ties.
+An entry whose atom the prefilter would drop against the right cell's
+bounding box expands to nothing: rounding is monotonic, so none of its
+candidates can measure closer.
 
 A build refuses non-finite positions with a ``ValueError`` naming the first
 bad row; a NaN or inf row would otherwise get zero neighbours (every
@@ -55,7 +64,8 @@ distance comparison with it is false) and the run would go on.  It also
 refuses two rows at the same place (a kept pair at zero minimum-image
 distance), naming both: pair potentials would divide by zero, and the Deep
 Potential environment would drop the pair and return a finite energy.  The
-binned search tests the squared distances its exact pass already computes.
+binned search tests the squared distances its exact pass computes (a
+near-zero candidate always takes that pass).
 """
 
 from __future__ import annotations
@@ -85,12 +95,13 @@ BRUTE_FORCE_THRESHOLD = 96
 #: Candidates per block of the binned pair search (whole entries, so a block
 #: can run longer when one atom alone reaches more).  A block's index and
 #: prefilter arrays stay around 1 MiB, so they live in cache; a 10 976-atom
-#: copper build (cutoff 5 + skin 0.4 A) peaks at ~23 MiB of temporaries
+#: copper build (cutoff 5 + skin 0.4 A) peaks at ~17 MiB of temporaries
 #: instead of the 117 MiB its 2.24 M candidates took when they were written
-#: out at once.  Measured on that build (best of 7, one x86-64 core): 2**12 114 ms
-#: (per-block overhead), 2**14 72 ms, 2**15 67 ms, 2**16-2**17 77 ms, 2**18
-#: 82 ms.  The value never changes which pairs come back or their order —
-#: only how many candidates are in flight at a time.
+#: out at once.  Measured on that build (best / median of 15 interleaved
+#: builds, one x86-64 core of a shared host): 2**14 52 / 57 ms, 2**15 34 /
+#: 50 ms, 2**16 37 / 48 ms, 2**17 44 / 46 ms; below 2**14 the per-block
+#: overhead dominates (2**12 87 / 100 ms).  The value never changes which
+#: pairs come back or their order — only how many candidates are in flight.
 PAIR_BLOCK_CANDIDATES = 2**15
 
 
@@ -211,24 +222,31 @@ def _axis_shifts(n_cells_axis: int, periodic_axis: bool) -> np.ndarray:
     return np.array([-1, 0, 1], dtype=np.int64)
 
 
-def _bin_atoms(positions: np.ndarray, box: Box, cutoff: float) -> tuple[np.ndarray, np.ndarray]:
+def _bin_atoms(positions: np.ndarray, box: Box, cutoff: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Assign every atom to a cell of an ``n_cells`` grid spanning the box.
 
-    Returns ``(n_cells, flat_index)``.  Periodic axes wrap the fractional
-    coordinate; non-periodic axes *clamp* it into [0, 1] — wrapping there
-    would teleport an atom that drifted more than one box length outside
-    into an interior cell and silently drop its pairs.  Clamping is a
-    contraction, so two atoms within the search radius still land at most one
-    cell apart and the +-1 stencil stays sufficient.
+    Returns ``(n_cells, flat_index, frac)``.  Periodic axes wrap the
+    fractional coordinate ``frac``; non-periodic axes *clamp* it into [0, 1]
+    — wrapping there would teleport an atom that drifted more than one box
+    length outside into an interior cell and silently drop its pairs.
+    Clamping is a contraction, so two atoms within the search radius still
+    land at most one cell apart and the +-1 stencil stays sufficient.  An
+    open axis of infinite length is binned over its atoms' extent instead.
     """
     lengths = box.lengths
+    infinite = np.isinf(lengths)
+    if infinite.any():
+        low = np.where(infinite, positions.min(axis=0), 0.0)
+        span = positions.max(axis=0) - low
+        positions = positions - low
+        lengths = np.where(infinite, np.maximum(span, cutoff), lengths)
     n_cells = np.maximum((lengths // cutoff).astype(np.int64), 1)
     frac = positions / lengths
     periodic = np.asarray(box.periodic, dtype=bool)
     frac = np.where(periodic, frac - np.floor(frac), np.clip(frac, 0.0, 1.0))
     cell = np.clip((frac * n_cells).astype(np.int64), 0, n_cells - 1)
     flat = (cell[:, 0] * n_cells[1] + cell[:, 1]) * n_cells[2] + cell[:, 2]
-    return n_cells, flat
+    return n_cells, flat, frac
 
 
 def _cell_list_pairs(
@@ -238,7 +256,7 @@ def _cell_list_pairs(
 
     One stable sort bins the atoms; occupied cells and the half stencil of
     cell pairs are enumerated as flat arrays; candidate pairs are expanded
-    with ``repeat``/``cumsum`` and distance-filtered in blocks of about
+    with ``repeat`` and distance-filtered in blocks of about
     :data:`PAIR_BLOCK_CANDIDATES` (see the module docstring).  Cost scales
     with atoms and occupied cells — there is no Python loop over cells (only
     over blocks) and no brute-force fallback for thin or slab-shaped boxes.
@@ -254,9 +272,14 @@ def _cell_list_pairs(
     if n < 2:
         return empty, empty
     positions = np.asarray(positions, dtype=np.float64)
-    n_cells, flat = _bin_atoms(positions, box, cutoff)
+    n_cells, flat, frac = _bin_atoms(positions, box, cutoff)
     ny, nz = int(n_cells[1]), int(n_cells[2])
     periodic = box.periodic
+    # a periodic axis of >= 4 cells images every in-range pair by its cell
+    # pair alone (cells are at least the search radius wide: that image is
+    # within L/4, any other at least 3L/4 away); fewer cells take ``rint``
+    offset_axes = [axis for axis in range(3) if periodic[axis] and n_cells[axis] >= 4]
+    rint_axes = [axis for axis in range(3) if periodic[axis] and n_cells[axis] < 4]
 
     # one stable sort groups atoms by cell (primaries leading each cell's
     # run); occupied cells + extents follow from the boundaries of the sorted
@@ -299,11 +322,11 @@ def _cell_list_pairs(
     slot = np.minimum(slot, n_occ - 1)
     valid &= occ_flat[slot] == neighbor_flat
 
-    src, _ = np.nonzero(valid)
+    src, shift = np.nonzero(valid)
     dst = slot[valid]
     # defensive: wrap aliasing on degenerate grids could repeat a cell pair
     _, unique_idx = np.unique(src * np.int64(n_occ) + dst, return_index=True)
-    src, dst = src[unique_idx], dst[unique_idx]
+    src, dst, shift = src[unique_idx], dst[unique_idx], shift[unique_idx]
 
     # batch-expand every cell pair into candidate atom pairs, division-free:
     # one *entry* per (cell pair, left atom); a cross-cell entry expands to
@@ -326,101 +349,124 @@ def _cell_list_pairs(
     if total == 0:
         return empty, empty
     live = per_pair > 0
-    src, dst, same_cell = src[live], dst[live], same_cell[live]
+    src, dst, same_cell, shift = src[live], dst[live], same_cell[live], shift[live]
     idx_dtype = np.int32 if max(total, n) < np.iinfo(np.int32).max else np.int64
     count_a, count_b, primary_a, primary_b = (
         counts[live].astype(idx_dtype) for counts in (count_a, count_b, primary_a, primary_b)
     )
     n_entries = int(count_a.sum(dtype=np.int64))
 
-    entry_pair = np.repeat(np.arange(len(src), dtype=idx_dtype), count_a)
-    entry_off = np.arange(n_entries, dtype=idx_dtype) - np.repeat(
-        np.cumsum(count_a, dtype=np.int64).astype(idx_dtype) - count_a, count_a
-    )
-    entry_slot_i = occ_start.astype(idx_dtype)[src][entry_pair] + entry_off
-    same_entry = same_cell[entry_pair]
-    # how much of the right cell the entry's atom may pair with
-    reach = np.where(entry_off < primary_a[entry_pair], count_b[entry_pair], primary_b[entry_pair])
-    reps = np.where(same_entry, np.maximum(reach - 1 - entry_off, 0), reach)
-    entry_base_j = np.where(
-        same_entry, entry_slot_i + 1, occ_start.astype(idx_dtype)[dst][entry_pair]
-    )
+    # per entry, in cell-pair order: its place in the left run, its sorted
+    # slot, how many candidates it expands to (a primary atom reaches the
+    # right run, a non-primary one its leading primaries, and in its own cell
+    # an atom reaches only the atoms after it) and where that run starts
+    same_entry = np.repeat(same_cell, count_a)
+    entry_off = np.arange(n_entries, dtype=idx_dtype)
+    entry_off -= np.repeat((np.cumsum(count_a, dtype=np.int64) - count_a).astype(idx_dtype), count_a)
+    entry_slot_i = entry_off + np.repeat(occ_start[src].astype(idx_dtype), count_a)
+    reps = np.repeat(np.where(same_cell, count_a - 1, count_b), count_a)
+    np.subtract(reps, entry_off, out=reps, where=same_entry)
+    if primary is not None:
+        outside = entry_off >= np.repeat(primary_a, count_a)
+        np.copyto(reps, np.repeat(np.where(same_cell, 0, primary_b), count_a), where=outside)
+    entry_base_j = np.repeat(np.where(same_cell, occ_start[src] + 1, occ_start[dst]).astype(idx_dtype), count_a)
+    np.add(entry_base_j, entry_off, out=entry_base_j, where=same_entry)
+    reps_end = np.cumsum(reps, dtype=np.int64)
 
-    # distance filter in sorted-row space: a reduced-precision prefilter with
-    # a rigorous slack bound throws away the ~85% of candidates that are far
-    # outside the cutoff at half the memory traffic, then the survivors are
-    # confirmed with exactly the arithmetic of ``_brute_force_pairs`` so the
-    # two strategies agree pair-for-pair even at the cutoff boundary.
+    # distance filter in sorted-row space (see "Two-sided fp32 prefilter" in
+    # the module docstring): ``error`` bounds how far the fp32 distance on
+    # coordinates up to ``scale`` and the exact pass's fp64 distance on raw
+    # coordinates up to ``max_abs`` can each stray from the true one
     pos_sorted = np.take(positions, order, axis=0)
     lengths = box.lengths
-    frac_sorted = pos_sorted * (1.0 / lengths)
-    # conservative error bound for the fractional prefilter: ~4 rounding
-    # steps on coordinates of magnitude ``max_abs`` (unwrapped atoms may sit
-    # several box lengths outside), converted back to angstrom; the slack
-    # guarantees the prefilter never drops a pair the exact pass would keep
-    max_abs = max(1.0, float(np.max(np.abs(frac_sorted))))
-    f32_error = 8.0 * max_abs * 2.0**-23 * float(lengths.max())
-    if f32_error <= 0.05 * cutoff:
-        frac = frac_sorted.astype(np.float32)  # reprolint: allow[dtype] fp32 prefilter guarded by the rigorous error bound above
-        slack = np.float32((cutoff + f32_error) * (cutoff + f32_error))  # reprolint: allow[dtype] fp32 prefilter guarded by the rigorous error bound above
-        lengths_sq = (lengths * lengths).astype(np.float32)  # reprolint: allow[dtype] fp32 prefilter guarded by the rigorous error bound above
-    else:
-        # degenerate geometry (atoms astronomically far outside the box):
-        # prefilter in fp64 with the matching, much smaller error bound
-        f64_error = 8.0 * max_abs * 2.0**-52 * float(lengths.max())
-        frac = frac_sorted
-        slack = (cutoff + f64_error) ** 2
-        lengths_sq = lengths * lengths
-    # one contiguous column per axis: a block gathers 1-D runs, not rows
-    frac_cols = [np.ascontiguousarray(frac[:, axis]) for axis in range(3)]
+    rows = np.zeros((n, 4), dtype=np.float32)  # reprolint: allow[dtype] fp32 prefilter guarded by the rigorous error bound below
+    scale = 0.0
+    for axis in range(3):
+        if periodic[axis]:
+            column = np.take(frac[:, axis], order) * lengths[axis]
+            scale = max(scale, float(lengths[axis]))
+        else:  # an open axis measures from its lowest atom, wherever it sits
+            column = pos_sorted[:, axis] - np.min(pos_sorted[:, axis])
+            scale = max(scale, float(np.max(column)))
+        rows[:, axis] = column
+    max_abs = max(scale, float(np.max(np.abs(pos_sorted))))
+    error = 16.0 * ((scale + cutoff) * 2.0**-23 + max_abs * 2.0**-52)
+    keep2 = np.float32(max(cutoff - error, 0.0) ** 2)  # reprolint: allow[dtype] fp32 prefilter guarded by the rigorous error bound above
+    drop2 = np.float32((cutoff + error) ** 2)  # reprolint: allow[dtype] fp32 prefilter guarded by the rigorous error bound above
+    near2 = np.float32(error * error)  # reprolint: allow[dtype] fp32 prefilter guarded by the rigorous error bound above
+    pair_offset = np.zeros((len(src), 4), dtype=np.float32)  # reprolint: allow[dtype] fp32 prefilter guarded by the rigorous error bound above
+    for axis in offset_axes:
+        # the whole periods the neighbour cell wrapped across
+        wraps = (occ_cell[src, axis] + shifts[shift, axis]) // n_cells[axis]
+        pair_offset[:, axis] = wraps * lengths[axis]
+    entry_pair = np.repeat(np.arange(len(src), dtype=idx_dtype), count_a)
+    # each right cell's bounding box (unbounded on ``rint`` axes)
+    low = np.minimum.reduceat(rows, occ_start, axis=0)[dst]
+    high = np.maximum.reduceat(rows, occ_start, axis=0)[dst]
+    low[:, rint_axes], high[:, rint_axes] = -np.inf, np.inf
+    rint_lengths = [(axis, np.float32(lengths[axis]), np.float32(1.0 / lengths[axis])) for axis in rint_axes]  # reprolint: allow[dtype] fp32 prefilter guarded by the rigorous error bound above
 
     # stream the candidates in blocks of whole entries, about
     # ``PAIR_BLOCK_CANDIDATES`` each, cut on the running candidate count;
     # blocks run in entry order, so the output is the same pairs in the same
     # order at any block size and no candidate-sized array ever exists
-    reps_end = np.cumsum(reps, dtype=np.int64)
     block = PAIR_BLOCK_CANDIDATES
     cuts = np.searchsorted(reps_end, np.arange(block, total, block, dtype=np.int64), side="right")
     bounds = np.unique(np.concatenate(([0], cuts, [n_entries])))
     found_i, found_j = [], []
     for start, stop in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-        block_slot_i, block_reps = entry_slot_i[start:stop], reps[start:stop]
-        n_block = int(reps_end[stop - 1]) - (int(reps_end[start - 1]) if start else 0)
-        # every candidate's j-slot is its entry's base plus a within-run
-        # offset; both sides expand with sequential repeats — no division
+        block_slot_i, block_pair = entry_slot_i[start:stop], entry_pair[start:stop]
+        row_i = np.take(rows, block_slot_i, axis=0)
+        row_i -= np.take(pair_offset, block_pair, axis=0)
+        # the prefilter applied to the right cell's bounding box: no
+        # candidate of an entry it drops can be closer, so its run is skipped
+        gap = np.maximum(np.take(low, block_pair, axis=0) - row_i, row_i - np.take(high, block_pair, axis=0))
+        np.maximum(gap, 0.0, out=gap)
+        gap *= gap
+        reach2 = gap[:, 0] + gap[:, 1]
+        reach2 += gap[:, 2]
+        block_reps = np.where(reach2 <= drop2, reps[start:stop], 0)
+        n_block = int(block_reps.sum())
         slot_i = np.repeat(block_slot_i, block_reps)
-        in_j = np.arange(n_block, dtype=idx_dtype) - np.repeat(
-            (np.cumsum(block_reps, dtype=np.int64) - block_reps).astype(idx_dtype), block_reps
-        )
-        slot_j = np.repeat(entry_base_j[start:stop], block_reps) + in_j
+        # a candidate's j-slot is its place among the block's candidates plus
+        # its entry's base shifted back by the candidates before that entry
+        block_j0 = entry_base_j[start:stop] - (np.cumsum(block_reps, dtype=np.intp) - block_reps)
+        slot_j = np.repeat(block_j0, block_reps)
+        slot_j += np.arange(n_block, dtype=np.intp)
 
-        dist2 = None
-        for axis, col in enumerate(frac_cols):
-            # in place: one block-sized temporary per axis, summed x, y, z
-            delta_frac = np.repeat(np.take(col, block_slot_i), block_reps)
-            delta_frac -= np.take(col, slot_j)
-            if periodic[axis]:
-                delta_frac -= np.rint(delta_frac)
-            delta_frac *= delta_frac
-            delta_frac *= lengths_sq[axis]
-            dist2 = delta_frac if dist2 is None else np.add(dist2, delta_frac, out=dist2)
-        candidate_idx = np.nonzero(dist2 <= slack)[0]
+        delta = np.repeat(row_i, block_reps, axis=0)
+        # every slot is in range: "clip" only skips the bounds check
+        delta -= np.take(rows, slot_j, axis=0, mode="clip")
+        for axis, length, inverse in rint_lengths:
+            column = delta[:, axis] * inverse
+            np.rint(column, out=column)
+            column *= length
+            delta[:, axis] -= column
+        delta *= delta
+        dist2 = delta[:, 0] + delta[:, 1]
+        dist2 += delta[:, 2]
+        near = np.nonzero(dist2 <= drop2)[0]
+        dist2 = dist2[near]
+        keep = (dist2 <= keep2) & (dist2 > near2)
 
-        # exact confirmation, bitwise-identical to the brute-force reference
-        slot_i = slot_i[candidate_idx]
-        slot_j = slot_j[candidate_idx]
-        delta = np.take(pos_sorted, slot_i, axis=0) - np.take(pos_sorted, slot_j, axis=0)
-        delta = box.minimum_image(delta)
-        exact2 = np.einsum("ij,ij->i", delta, delta)
-        if not exact2.all():
-            first = int(np.argmin(exact2))
-            raise _coincident(order[slot_i[first]], order[slot_j[first]])
-        mask = exact2 <= cutoff * cutoff
-        found_i.append(np.take(order, slot_i[mask]))
-        found_j.append(np.take(order, slot_j[mask]))
-    gi = np.concatenate(found_i)
-    gj = np.concatenate(found_j)
-    return np.minimum(gi, gj).astype(np.int64), np.maximum(gi, gj).astype(np.int64)
+        slot_i = np.take(slot_i, near)
+        slot_j = np.take(slot_j, near)
+        band = np.nonzero(~keep)[0]
+        if len(band):
+            # exact confirmation, bitwise-identical to the brute-force reference
+            band_i, band_j = slot_i[band], slot_j[band]
+            exact = np.take(pos_sorted, band_i, axis=0) - np.take(pos_sorted, band_j, axis=0)
+            exact = box.minimum_image(exact)
+            exact2 = np.einsum("ij,ij->i", exact, exact)
+            if not exact2.all():
+                zero = int(np.argmin(exact2))
+                raise _coincident(order[band_i[zero]], order[band_j[zero]])
+            keep[band] = exact2 <= cutoff * cutoff
+        gi = np.take(order, slot_i[keep])
+        gj = np.take(order, slot_j[keep])
+        found_i.append(np.minimum(gi, gj))
+        found_j.append(np.maximum(gi, gj))
+    return np.concatenate(found_i).astype(np.int64, copy=False), np.concatenate(found_j).astype(np.int64, copy=False)
 
 
 def max_displacement(positions: np.ndarray, reference: np.ndarray, box: Box) -> float:

@@ -1,21 +1,26 @@
 """Neighbour-list construction: correctness and invariants."""
 
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.md import Box, NeighborList, copper_system, neighbor
+from repro.md import Box, NeighborList, Simulation, copper_system, neighbor
 from repro.md.forcefields import LennardJones
 from repro.md.neighbor import (
     BRUTE_FORCE_THRESHOLD,
+    PAIR_BLOCK_CANDIDATES,
     NeighborData,
-    build_neighbor_data,
+    _axis_shifts,
     _brute_force_pairs,
     _cell_list_pairs,
+    _coincident,
+    build_neighbor_data,
 )
+from repro.parallel import DomainDecomposedSimulation
 
 
 def brute_force_reference(positions, box, cutoff):
@@ -339,13 +344,16 @@ class TestNonPeriodicClamping:
 
 
 class TestFp64Prefilter:
-    """Atoms far outside a periodic box take the fp64 prefilter.
+    """Atoms far outside a periodic box keep their pairs.
 
-    The binned search prefilters its candidates on fp32 fractional
-    coordinates unless the fp32 rounding bound, which grows with the
-    coordinates' magnitude, exceeds 5 % of the cutoff; then it prefilters in
-    fp64.  Translating a periodic box by whole box lengths keeps its pairs,
-    and both searches see the same translated coordinates.
+    These translations put the coordinates where a prefilter on unwrapped
+    fp32 fractions would lose its precision (the first assertion: its bound,
+    ``8 |frac| 2**-23 L``, passes 5 % of the cutoff).  The binned search
+    prefilters on wrapped rows, so its fp32 rounding stays that of the box;
+    only the ``max_abs * 2**-52`` term of its bound, which covers the fp64
+    pass on the raw coordinates, grows.  Translating a periodic box by whole
+    box lengths keeps its pairs, and both searches see the same translated
+    coordinates.
     """
 
     @pytest.mark.parametrize("cutoff", [2.6, 3.0, 3.615 / np.sqrt(2.0)], ids=["2.6", "3.0", "fcc-tie"])
@@ -525,6 +533,335 @@ class TestBlockedSearch:
             self._at_block_sizes(
                 monkeypatch, lambda: build_neighbor_data(atoms.positions, box, search, primary=primary).pairs
             )
+
+
+def _oracle_bin_atoms(positions: np.ndarray, box: Box, cutoff: float) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`cell_list_pairs_oracle`'s binning, verbatim apart from its name.
+
+    Assign every atom to a cell of an ``n_cells`` grid spanning the box.
+
+    Returns ``(n_cells, flat_index)``.  Periodic axes wrap the fractional
+    coordinate; non-periodic axes *clamp* it into [0, 1] — wrapping there
+    would teleport an atom that drifted more than one box length outside
+    into an interior cell and silently drop its pairs.  Clamping is a
+    contraction, so two atoms within the search radius still land at most one
+    cell apart and the +-1 stencil stays sufficient.
+    """
+    lengths = box.lengths
+    n_cells = np.maximum((lengths // cutoff).astype(np.int64), 1)
+    frac = positions / lengths
+    periodic = np.asarray(box.periodic, dtype=bool)
+    frac = np.where(periodic, frac - np.floor(frac), np.clip(frac, 0.0, 1.0))
+    cell = np.clip((frac * n_cells).astype(np.int64), 0, n_cells - 1)
+    flat = (cell[:, 0] * n_cells[1] + cell[:, 1]) * n_cells[2] + cell[:, 2]
+    return n_cells, flat
+
+
+def cell_list_pairs_oracle(
+    positions: np.ndarray, box: Box, cutoff: float, primary: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The oracle of :func:`_cell_list_pairs`: the search before its
+    candidate loop was rewritten (per-axis fractional fp32 prefilter, every
+    survivor confirmed in fp64), kept verbatim apart from its name and the
+    lint pragmas that only production code needs.
+
+    All i<j pairs within ``cutoff`` using a vectorized binned search.
+
+    One stable sort bins the atoms; occupied cells and the half stencil of
+    cell pairs are enumerated as flat arrays; candidate pairs are expanded
+    with ``repeat``/``cumsum`` and distance-filtered in blocks of about
+    :data:`PAIR_BLOCK_CANDIDATES` (see the module docstring).  Cost scales
+    with atoms and occupied cells — there is no Python loop over cells (only
+    over blocks) and no brute-force fallback for thin or slab-shaped boxes.
+
+    With a ``primary`` mask only pairs with at least one primary member come
+    back: the sort puts each cell's primaries first, and a non-primary atom
+    is expanded only onto the leading primaries of the *other* cell, so a
+    candidate between two non-primary atoms never exists.  ``None`` and an
+    all-true mask sort and expand identically — same pairs, same order.
+    """
+    n = len(positions)
+    empty = np.empty(0, dtype=np.int64)
+    if n < 2:
+        return empty, empty
+    positions = np.asarray(positions, dtype=np.float64)
+    n_cells, flat = _oracle_bin_atoms(positions, box, cutoff)
+    ny, nz = int(n_cells[1]), int(n_cells[2])
+    periodic = box.periodic
+
+    # one stable sort groups atoms by cell (primaries leading each cell's
+    # run); occupied cells + extents follow from the boundaries of the sorted
+    # flat indices (never the total grid)
+    order = np.argsort(flat if primary is None else 2 * flat + ~primary, kind="stable")
+    sorted_flat = flat[order]
+    boundary = np.empty(n, dtype=bool)
+    boundary[0] = True
+    np.not_equal(sorted_flat[1:], sorted_flat[:-1], out=boundary[1:])
+    occ_start = np.nonzero(boundary)[0]
+    occ_flat = sorted_flat[occ_start]
+    occ_count = np.diff(np.append(occ_start, n))
+    occ_primary = occ_count if primary is None else np.add.reduceat(primary[order], occ_start, dtype=np.int64)
+    n_occ = len(occ_flat)
+
+    occ_cell = np.empty((n_occ, 3), dtype=np.int64)
+    occ_cell[:, 2] = occ_flat % nz
+    rest = occ_flat // nz
+    occ_cell[:, 1] = rest % ny
+    occ_cell[:, 0] = rest // ny
+
+    # half stencil over occupied cells: (n_occ, n_shifts) neighbour cells
+    sx, sy, sz = (_axis_shifts(int(v), periodic[axis]) for axis, v in enumerate(n_cells))
+    shifts = np.stack(np.meshgrid(sx, sy, sz, indexing="ij"), axis=-1).reshape(-1, 3)
+    neighbor_cell = occ_cell[:, None, :] + shifts[None, :, :]
+    valid = np.ones(neighbor_cell.shape[:2], dtype=bool)
+    for axis in range(3):
+        if periodic[axis]:
+            neighbor_cell[..., axis] %= n_cells[axis]
+        else:
+            coords = neighbor_cell[..., axis]
+            valid &= (coords >= 0) & (coords < n_cells[axis])
+    neighbor_flat = (
+        neighbor_cell[..., 0] * ny + neighbor_cell[..., 1]
+    ) * nz + neighbor_cell[..., 2]
+    # each unordered cell pair is emitted once, from its lower-flat side
+    valid &= neighbor_flat >= occ_flat[:, None]
+    # keep only neighbour cells that are occupied
+    slot = np.searchsorted(occ_flat, neighbor_flat)
+    slot = np.minimum(slot, n_occ - 1)
+    valid &= occ_flat[slot] == neighbor_flat
+
+    src, _ = np.nonzero(valid)
+    dst = slot[valid]
+    # defensive: wrap aliasing on degenerate grids could repeat a cell pair
+    _, unique_idx = np.unique(src * np.int64(n_occ) + dst, return_index=True)
+    src, dst = src[unique_idx], dst[unique_idx]
+
+    # batch-expand every cell pair into candidate atom pairs, division-free:
+    # one *entry* per (cell pair, left atom); a cross-cell entry expands to
+    # the part of the right cell it may pair with (all of it for a primary
+    # atom, its leading primaries otherwise), a same-cell entry only to the
+    # atoms after it in the sorted order (the strict triangle, cut off at the
+    # last primary row), so no candidate is ever generated twice.  The
+    # candidate count is known at the cell-pair level, which drops the cell
+    # pairs that cannot produce one and also picks the narrowest safe index
+    # dtype for the big expansion arrays.
+    same_cell = src == dst
+    count_a, count_b = occ_count[src], occ_count[dst]
+    primary_a, primary_b = occ_primary[src], occ_primary[dst]
+    per_pair = np.where(
+        same_cell,
+        primary_a * (primary_a - 1) // 2 + primary_a * (count_a - primary_a),
+        primary_a * count_b + (count_a - primary_a) * primary_b,
+    )
+    total = int(per_pair.sum())
+    if total == 0:
+        return empty, empty
+    live = per_pair > 0
+    src, dst, same_cell = src[live], dst[live], same_cell[live]
+    idx_dtype = np.int32 if max(total, n) < np.iinfo(np.int32).max else np.int64
+    count_a, count_b, primary_a, primary_b = (
+        counts[live].astype(idx_dtype) for counts in (count_a, count_b, primary_a, primary_b)
+    )
+    n_entries = int(count_a.sum(dtype=np.int64))
+
+    entry_pair = np.repeat(np.arange(len(src), dtype=idx_dtype), count_a)
+    entry_off = np.arange(n_entries, dtype=idx_dtype) - np.repeat(
+        np.cumsum(count_a, dtype=np.int64).astype(idx_dtype) - count_a, count_a
+    )
+    entry_slot_i = occ_start.astype(idx_dtype)[src][entry_pair] + entry_off
+    same_entry = same_cell[entry_pair]
+    # how much of the right cell the entry's atom may pair with
+    reach = np.where(entry_off < primary_a[entry_pair], count_b[entry_pair], primary_b[entry_pair])
+    reps = np.where(same_entry, np.maximum(reach - 1 - entry_off, 0), reach)
+    entry_base_j = np.where(
+        same_entry, entry_slot_i + 1, occ_start.astype(idx_dtype)[dst][entry_pair]
+    )
+
+    # distance filter in sorted-row space: a reduced-precision prefilter with
+    # a rigorous slack bound throws away the ~85% of candidates that are far
+    # outside the cutoff at half the memory traffic, then the survivors are
+    # confirmed with exactly the arithmetic of ``_brute_force_pairs`` so the
+    # two strategies agree pair-for-pair even at the cutoff boundary.
+    pos_sorted = np.take(positions, order, axis=0)
+    lengths = box.lengths
+    frac_sorted = pos_sorted * (1.0 / lengths)
+    # conservative error bound for the fractional prefilter: ~4 rounding
+    # steps on coordinates of magnitude ``max_abs`` (unwrapped atoms may sit
+    # several box lengths outside), converted back to angstrom; the slack
+    # guarantees the prefilter never drops a pair the exact pass would keep
+    max_abs = max(1.0, float(np.max(np.abs(frac_sorted))))
+    f32_error = 8.0 * max_abs * 2.0**-23 * float(lengths.max())
+    if f32_error <= 0.05 * cutoff:
+        frac = frac_sorted.astype(np.float32)
+        slack = np.float32((cutoff + f32_error) * (cutoff + f32_error))
+        lengths_sq = (lengths * lengths).astype(np.float32)
+    else:
+        # degenerate geometry (atoms astronomically far outside the box):
+        # prefilter in fp64 with the matching, much smaller error bound
+        f64_error = 8.0 * max_abs * 2.0**-52 * float(lengths.max())
+        frac = frac_sorted
+        slack = (cutoff + f64_error) ** 2
+        lengths_sq = lengths * lengths
+    # one contiguous column per axis: a block gathers 1-D runs, not rows
+    frac_cols = [np.ascontiguousarray(frac[:, axis]) for axis in range(3)]
+
+    # stream the candidates in blocks of whole entries, about
+    # ``PAIR_BLOCK_CANDIDATES`` each, cut on the running candidate count;
+    # blocks run in entry order, so the output is the same pairs in the same
+    # order at any block size and no candidate-sized array ever exists
+    reps_end = np.cumsum(reps, dtype=np.int64)
+    block = PAIR_BLOCK_CANDIDATES
+    cuts = np.searchsorted(reps_end, np.arange(block, total, block, dtype=np.int64), side="right")
+    bounds = np.unique(np.concatenate(([0], cuts, [n_entries])))
+    found_i, found_j = [], []
+    for start, stop in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        block_slot_i, block_reps = entry_slot_i[start:stop], reps[start:stop]
+        n_block = int(reps_end[stop - 1]) - (int(reps_end[start - 1]) if start else 0)
+        # every candidate's j-slot is its entry's base plus a within-run
+        # offset; both sides expand with sequential repeats — no division
+        slot_i = np.repeat(block_slot_i, block_reps)
+        in_j = np.arange(n_block, dtype=idx_dtype) - np.repeat(
+            (np.cumsum(block_reps, dtype=np.int64) - block_reps).astype(idx_dtype), block_reps
+        )
+        slot_j = np.repeat(entry_base_j[start:stop], block_reps) + in_j
+
+        dist2 = None
+        for axis, col in enumerate(frac_cols):
+            # in place: one block-sized temporary per axis, summed x, y, z
+            delta_frac = np.repeat(np.take(col, block_slot_i), block_reps)
+            delta_frac -= np.take(col, slot_j)
+            if periodic[axis]:
+                delta_frac -= np.rint(delta_frac)
+            delta_frac *= delta_frac
+            delta_frac *= lengths_sq[axis]
+            dist2 = delta_frac if dist2 is None else np.add(dist2, delta_frac, out=dist2)
+        candidate_idx = np.nonzero(dist2 <= slack)[0]
+
+        # exact confirmation, bitwise-identical to the brute-force reference
+        slot_i = slot_i[candidate_idx]
+        slot_j = slot_j[candidate_idx]
+        delta = np.take(pos_sorted, slot_i, axis=0) - np.take(pos_sorted, slot_j, axis=0)
+        delta = box.minimum_image(delta)
+        exact2 = np.einsum("ij,ij->i", delta, delta)
+        if not exact2.all():
+            first = int(np.argmin(exact2))
+            raise _coincident(order[slot_i[first]], order[slot_j[first]])
+        mask = exact2 <= cutoff * cutoff
+        found_i.append(np.take(order, slot_i[mask]))
+        found_j.append(np.take(order, slot_j[mask]))
+    gi = np.concatenate(found_i)
+    gj = np.concatenate(found_j)
+    return np.minimum(gi, gj).astype(np.int64), np.maximum(gi, gj).astype(np.int64)
+
+
+class TestOracleParity:
+    """The production search returns the oracle's pairs in the oracle's order.
+
+    :func:`cell_list_pairs_oracle` is the search before its candidate loop
+    was rewritten; the rewrite must be ``array_equal`` to it on the box
+    matrix with and without a primary mask, on perfect copper FCC at three
+    cutoffs that sit on exact distance ties, on copper translated far from
+    its box, and on the serial and ranked Lennard-Jones benchmark
+    geometries, at block sizes 1, 7 and above the candidate total.
+    """
+
+    @staticmethod
+    def _assert_parity(monkeypatch, positions, box, cutoff, primary=None):
+        """Assert parity at every block size; returns the oracle's pair count."""
+        expected = cell_list_pairs_oracle(positions, box, cutoff, primary)
+        for block in (1, 7, 10**9):
+            monkeypatch.setattr(neighbor, "PAIR_BLOCK_CANDIDATES", block)
+            found = _cell_list_pairs(positions, box, cutoff, primary)
+            for got, want in zip(found, expected):
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want, err_msg=f"block={block}")
+        monkeypatch.undo()
+        return len(expected[0])
+
+    @pytest.mark.parametrize("n", _BOX_SIZES)
+    @pytest.mark.parametrize("kind", _BOX_KINDS)
+    def test_box_matrix(self, kind, n, monkeypatch):
+        rng = np.random.default_rng([13, _BOX_KINDS.index(kind), n])
+        positions, box, cutoff = _box_matrix_case(kind, n, rng)
+        masks = [None, np.ones(n, dtype=bool)] + [rng.uniform(size=n) < f for f in (0.1, 0.5, 0.9)]
+        assert sum(self._assert_parity(monkeypatch, positions, box, cutoff, mask) for mask in masks) > 0
+
+    @pytest.mark.parametrize("search", [3.615 / np.sqrt(2.0), 3.615, 5.4])
+    def test_fcc_ties(self, search, monkeypatch):
+        atoms, box = copper_system((4, 4, 4))
+        for primary in (None, np.arange(len(atoms)) % 3 == 0):
+            assert self._assert_parity(monkeypatch, atoms.positions, box, search, primary) > 0
+
+    @pytest.mark.parametrize("cutoff", [2.6, 3.0, 3.615 / np.sqrt(2.0)], ids=["2.6", "3.0", "fcc-tie"])
+    @pytest.mark.parametrize("box_lengths", [1e5, 1e6, 1e7])
+    def test_far_translated_copper(self, box_lengths, cutoff, monkeypatch):
+        atoms, box = copper_system((4, 4, 4))
+        assert self._assert_parity(monkeypatch, atoms.positions + box_lengths * box.lengths, box, cutoff) > 0
+
+    def test_lj_serial_geometry(self, monkeypatch):
+        atoms, box = copper_system((14, 14, 14), perturbation=0.05, rng=16)
+        assert self._assert_parity(monkeypatch, atoms.positions, box, 5.0 + 0.4) > 0
+
+    def test_lj_ranks_rank_geometry(self, monkeypatch):
+        atoms, box = copper_system((8, 8, 8), perturbation=0.05, rng=14)
+        engine = DomainDecomposedSimulation(
+            atoms, box, LennardJones(epsilon=0.01, sigma=2.3, cutoff=5.0),
+            timestep_fs=1.0, neighbor_skin=0.4, rank_dims=(2, 1, 1), scheme="p2p",
+        )
+        engine.compute_forces()
+        domain = engine.domains[0]
+        positions, primary = domain.local_positions(), domain.primary_rows()
+        for mask in (None, primary):
+            assert self._assert_parity(monkeypatch, positions, box, 5.0 + 0.4, mask) > 0
+
+
+class TestInfiniteOpenAxis:
+    """An open axis of infinite length is binned over its atoms' extent.
+
+    Above the brute-force threshold the search used to divide by the
+    infinite length: every distance came out NaN and every pair was lost,
+    with only RuntimeWarnings to show for it.
+    """
+
+    @staticmethod
+    def _cluster():
+        atoms, _ = copper_system((4, 4, 4), perturbation=0.05, rng=21)
+        return atoms
+
+    @pytest.mark.parametrize(
+        "lengths, periodic",
+        [((np.inf,) * 3, (False,) * 3), ((14.46, 14.46, np.inf), (True, True, False))],
+        ids=["cluster", "slab-in-vacuum"],
+    )
+    def test_pairs_equal_brute_force(self, lengths, periodic):
+        atoms = self._cluster()
+        assert len(atoms) > BRUTE_FORCE_THRESHOLD
+        box = Box(np.array(lengths), periodic)
+        search = 4.5
+        brute = _pair_set(*_brute_force_pairs(atoms.positions, box, search))
+        assert len(brute) > 0
+        mask = np.random.default_rng(22).uniform(size=len(atoms)) < 0.4
+        for primary in (None, mask):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                data = build_neighbor_data(atoms.positions, box, 4.0, skin=0.5, primary=primary)
+            expected = brute if primary is None else {(i, j) for i, j in brute if mask[i] or mask[j]}
+            assert _pair_set(data.pairs[:, 0], data.pairs[:, 1]) == expected
+
+    def test_lennard_jones_matches_a_large_finite_open_box(self):
+        results = []
+        for length in (np.inf, 1e4):
+            box = Box(np.full(3, length), (False,) * 3)
+            sim = Simulation(self._cluster(), box, LennardJones(0.4, 2.3, 5.0), timestep_fs=1.0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                energy = sim.compute_forces()
+            results.append((energy, sim.atoms.forces.copy(), len(sim.neighbor_list.data.pairs)))
+        (energy, forces, n_pairs), (finite_energy, finite_forces, finite_pairs) = results
+        assert n_pairs == finite_pairs > 0
+        assert energy < 0.0
+        np.testing.assert_allclose(energy, finite_energy, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(forces, finite_forces, rtol=1e-12, atol=1e-12 * np.abs(finite_forces).max())
 
 
 class TestNonFinitePositions:
