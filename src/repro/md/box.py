@@ -20,10 +20,18 @@ class Box:
 
     def __post_init__(self) -> None:
         lengths = np.asarray(self.lengths, dtype=np.float64).reshape(3)
+        periodic = tuple(bool(p) for p in self.periodic)
+        for axis in range(3):
+            # an open axis may be infinite; a periodic one wraps by its length
+            if np.isnan(lengths[axis]) or (periodic[axis] and np.isinf(lengths[axis])):
+                kind = "periodic" if periodic[axis] else "open"
+                raise ValueError(
+                    f"box length along {'xyz'[axis]} ({kind}) must be finite: {float(lengths[axis])!r}"
+                )
         if np.any(lengths <= 0.0):
             raise ValueError("box lengths must be positive")
         object.__setattr__(self, "lengths", lengths)
-        object.__setattr__(self, "periodic", tuple(bool(p) for p in self.periodic))
+        object.__setattr__(self, "periodic", periodic)
 
     @staticmethod
     def cubic(length: float, periodic: bool = True) -> "Box":

@@ -58,12 +58,15 @@ class ForceField:
     #:   bonded term is computed by the owner of its lowest-id member and the
     #:   force field must provide ``with_topology`` for rank-local index maps
     #:   (flexible water).
-    #: * ``"density"`` — EAM-like: a per-atom density is accumulated first,
-    #:   its embedding derivative is forward-communicated to ghost copies,
-    #:   then pair forces are evaluated once per pair (Gupta).
     #: * ``"peratom"`` — the energy is a sum of per-atom terms over each
-    #:   atom's full neighbour list; ranks evaluate owned atoms only and
-    #:   reverse-scatter the neighbour forces (Deep Potential).
+    #:   atom's full neighbour list; ranks evaluate the per-atom terms of
+    #:   their centre rows (``NeighborData.primary``) only and
+    #:   reverse-scatter the neighbour forces (Deep Potential, and the
+    #:   EAM-like Gupta, whose embedding density is complete on every
+    #:   centre).
+    #:
+    #: Every strategy moves the same two things between ranks per step:
+    #: ghost positions forward and ghost forces back.
     parallel_strategy: str = "pair"
 
     def compute(

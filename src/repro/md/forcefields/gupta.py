@@ -28,9 +28,9 @@ CU_GUPTA = {"a": 0.0855, "xi": 1.224, "p": 10.960, "q": 2.278, "r0": 2.556}
 class GuptaPotential(ForceField):
     """Second-moment approximation (SMA) many-body potential."""
 
-    #: EAM-like: the engine forward-communicates the embedding derivative
-    #: (1/sqrt(rho)) to ghost copies before evaluating pair forces.
-    parallel_strategy = "density"
+    #: E_i is a sum over i's full neighbour list, so a rank evaluates its
+    #: centre rows and reverse-scatters the forces on ghost copies.
+    parallel_strategy = "peratom"
 
     def __init__(self, cutoff: float = 6.5) -> None:
         if cutoff <= 0:
@@ -59,18 +59,29 @@ class GuptaPotential(ForceField):
         return repulsion, density_pair, drep_dr, drho_dr
 
     # reprolint: hot-path
-    def density_stage(self, positions: np.ndarray, box: Box, pairs: np.ndarray, w):
-        """Stage 1: per-atom energies and the embedding derivative
-        ``1/sqrt(rho)``, complete for every atom whose whole environment is in
-        ``pairs``, plus the in-cutoff pairs' staged terms for :meth:`force_stage`."""
-        coords, i, j = pair_operands("gupta.all", positions, pairs, w)
+    def compute(self, atoms: Atoms, box: Box, neighbors: NeighborData, workspace=None) -> ForceResult:
+        """Energies ``E_i`` of the centre rows and the forces they exert.
+
+        The centres are ``neighbors.primary`` (``None``: every row, the serial
+        case).  Each pair's repulsion and embedding derivatives count once per
+        centre member, with weights ``c`` of 1.0 or 0.0:
+        ``dE/dr = 0.5 (c_i + c_j) d(rep)/dr - 0.5 (c_i/sqrt(rho_i) + c_j/sqrt(rho_j)) d(rho)/dr``.
+        A rank holding every pair that touches its centres thus gets their
+        complete energies and every force they exert, on owned rows and ghost
+        copies alike; a non-centre row's energy is zero.  With every row a
+        centre the weights are exact no-ops (``x * 1.0``, ``0.5 * 2.0``).
+        """
+        w = UNPOOLED if workspace is None else workspace
+        coords, i, j = pair_operands("gupta.all", atoms.positions, neighbors.pairs, w)
         delta, r = stage_pairs("gupta.all", coords, box, i, j, w)
         np.sqrt(r, out=r)
         keep = np.nonzero(r <= self.cutoff)[0]
         i, j, delta, r = compress_pairs("gupta", keep, i, j, delta, r, w)
         repulsion, density_pair, drep_dr, drho_dr = self.pair_terms(r)
 
-        n = len(positions)
+        n = len(atoms)
+        centre = w.buffer("gupta.centre", n)
+        centre[:] = True if neighbors.primary is None else neighbors.primary
         rep_atom = w.zeros("gupta.rep_atom", n)
         scatter_add_scalars(rep_atom, i, repulsion)
         scatter_add_scalars(rep_atom, j, repulsion)
@@ -79,28 +90,26 @@ class GuptaPotential(ForceField):
         scatter_add_scalars(rho, j, density_pair)
 
         # the floor keeps zero-density atoms finite: their derivative is never
-        # consumed (no in-cutoff pair) and their energy is the bare repulsion
+        # consumed (no in-cutoff pair) and their energy is the bare repulsion;
+        # a non-centre row's density is partial, and its weight zeroes both
         sqrt_rho = np.sqrt(np.maximum(rho, 1.0e-300))
         per_atom = w.buffer("gupta.per_atom", n)
         np.subtract(rep_atom, sqrt_rho, out=per_atom)
         isolated = rho == 0.0
         per_atom[isolated] = rep_atom[isolated]
-        return per_atom, 1.0 / sqrt_rho, (i, j, delta, r, drep_dr, drho_dr)
+        per_atom *= centre
+        inv_sqrt = w.buffer("gupta.inv_sqrt", n)
+        np.divide(1.0, sqrt_rho, out=inv_sqrt)
+        inv_sqrt *= centre
 
-    # reprolint: hot-path
-    def force_stage(self, staged, inv_sqrt: np.ndarray, w) -> np.ndarray:
-        """Stage 2: the Newton-scattered pair forces (``delta`` is scaled in place):
-        ``dE/dr = d(rep)/dr - 0.5 (1/sqrt(rho_i) + 1/sqrt(rho_j)) d(rho)/dr``."""
-        i, j, delta, r, drep_dr, drho_dr = staged
-        forces = w.zeros("gupta.forces", (len(inv_sqrt), 3))
+        # ``delta`` is scaled in place into the Newton-scattered pair forces
         coeff = w.capacity("gupta.coeff", len(r))
-        np.negative(drep_dr - 0.5 * (inv_sqrt[i] + inv_sqrt[j]) * drho_dr, out=coeff)
+        np.add(centre[i], centre[j], out=coeff)
+        coeff *= 0.5
+        coeff *= drep_dr
+        coeff -= 0.5 * (inv_sqrt[i] + inv_sqrt[j]) * drho_dr
+        np.negative(coeff, out=coeff)
         coeff /= r
         delta *= coeff[:, None]
-        return scatter_add_vectors(forces, i, j, delta)
-
-    def compute(self, atoms: Atoms, box: Box, neighbors: NeighborData, workspace=None) -> ForceResult:
-        w = UNPOOLED if workspace is None else workspace
-        per_atom, inv_sqrt, staged = self.density_stage(atoms.positions, box, neighbors.pairs, w)
-        forces = self.force_stage(staged, inv_sqrt, w)
+        forces = scatter_add_vectors(w.zeros("gupta.forces", (n, 3)), i, j, delta)
         return ForceResult(float(per_atom.sum()), forces, per_atom)

@@ -12,16 +12,17 @@
   and the bytes-per-ghost convention of the engine's counters,
 * :mod:`domain` — one rank's state and the owned-then-ghost layout of its
   arrays (private memory, or the rank's shared-slab rows),
-* :mod:`evaluators` — the per-strategy owner-computes force evaluation of
-  one rank, run by parent and workers alike,
+* :mod:`evaluators` — one rank's owner-computes force evaluation under each
+  of the three ``ForceField.parallel_strategy`` values (``pair``,
+  ``molecular``, ``peratom``), run by parent and workers alike,
 * :mod:`executor` — who runs the per-rank force stages: the sequential
   golden reference, or concurrent forked worker processes over
   shared-memory slabs (bit-identical by the fixed-order gather),
 * :mod:`threadpool` — the persistent worker pool the process executor
   dispatches through,
 * :mod:`engine` — the domain-decomposed MD engine: real velocity-Verlet
-  dynamics over simulated ranks with ghost exchange, reverse force scatter,
-  atom migration and node-box load balancing (``node_balance=True``), pinned
+  dynamics over simulated ranks, moving two things between ranks per step
+  (ghost positions forward, ghost forces back), with atom migration and node-box load balancing (``node_balance=True``), pinned
   to the serial loop by the cross-rank parity suite.
 
 Nothing here knows the Fugaku machine model.  What the same schemes, load

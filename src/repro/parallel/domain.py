@@ -76,7 +76,7 @@ class RankDomain:
         self.neigh_seconds = 0.0
         self.scratch: dict = {}
         #: per-rank scratch pool: force-field output buffers, integrator
-        #: stages and density accumulators live here, stable between
+        #: stages and per-atom accumulators live here, stable between
         #: rebuilds/migrations (each rank of a real engine owns its own).
         self.workspace = Workspace()
         #: the ``(positions, forces)`` slab rows the local arrays live in, or

@@ -27,12 +27,12 @@ Owned / ghost / migration lifecycle
   neighbour lists built from it stay valid under the half-skin criterion.
 * **Force decomposition.**  Every energy term is computed by exactly one rank
   (the owner of the term's lowest-id member for pair/bonded terms; the owner
-  of the centre atom for per-atom terms), accumulating forces on owned atoms
-  and on ghost copies.  EAM-like force fields get an extra mid-force forward
-  exchange of their per-atom embedding derivative, mirroring how LAMMPS
-  communicates EAM densities.  The accumulated ghost forces are then
-  **reverse-scattered** to their owner ranks, so Newton's third law holds
-  globally without double counting.
+  of the centre atom for per-atom terms, EAM-like Gupta included),
+  accumulating forces on owned atoms and on ghost copies.  The accumulated
+  ghost forces are then **reverse-scattered** to their owner ranks, so
+  Newton's third law holds globally without double counting.  A step thus
+  moves two things between ranks: ghost positions forward, ghost forces
+  back.
 * **Migration.**  At each rebuild, atoms whose wrapped coordinates crossed a
   sub-box boundary are packed up (position, velocity, force, type, mass,
   global id) and shipped to their new owner; the global atom set is conserved
@@ -45,17 +45,16 @@ Owned / ghost / migration lifecycle
 Execution: who runs the ranks
 ----------------------------
 
-The per-rank stages of a force evaluation (neighbour builds, density prepare,
-force finish) are delegated to a :class:`~repro.parallel.executor.RankExecutor`:
+The per-rank stages of a force evaluation (neighbour builds, force finish)
+are delegated to a :class:`~repro.parallel.executor.RankExecutor`:
 ``executor="sequential"`` (default) runs them in-process in rank order — the
 golden reference — while ``executor="process"`` runs them concurrently on a
 persistent pool of forked worker processes, each rank's local arrays
 (:class:`~repro.parallel.domain.RankDomain`) living in shared-memory rows
 parent and worker both address.  All parent-side communication (migration,
-ghost exchange, halo forward, reverse scatter) and all reductions happen in
-fixed rank order, so the concurrent executor is *bit-identical* to the
-sequential one (pinned by ``tests/test_parallel_executor.py`` with exact
-equality).
+ghost exchange, reverse scatter) and all reductions happen in fixed rank
+order, so the concurrent executor is *bit-identical* to the sequential one
+(pinned by ``tests/test_parallel_executor.py`` with exact equality).
 
 Intra-node load balancing (``node_balance=True``, §III-C) wires the node-box
 organization into the dynamics: under node-based delivery every rank of a
@@ -123,8 +122,8 @@ class DomainDecomposedSimulation(EngineBackend):
         evaluating strictly by sub-box ownership (§III-C).  Requires a
         node-based delivery ``scheme`` (the node-box copy every rank of a
         node then holds is what makes any assignment within the node legal)
-        and a ``pair`` or ``peratom`` strategy; the bonded/density
-        strategies keep the owner-computes golden path.
+        and a ``pair`` or ``peratom`` strategy; the ``molecular`` strategy
+        keeps the owner-computes golden path.
     """
 
     def __init__(
@@ -209,7 +208,7 @@ class DomainDecomposedSimulation(EngineBackend):
         self._last_energy: float | None = None
         self.last_virial: np.ndarray | None = None
         self.trajectory: list[np.ndarray] = []
-        #: engine-level scratch pool (global gathers, the density halo)
+        #: engine-level scratch pool (global gathers)
         self.workspace = Workspace()
 
         # initial distribution: every atom to the rank owning its wrapped position
@@ -323,26 +322,6 @@ class DomainDecomposedSimulation(EngineBackend):
                 self.comm_messages += 1
             self.comm_bytes_forward += domain.n_ghost * BYTES_PER_VECTOR
 
-    def _forward_halo(self, values_per_rank: list[np.ndarray], sinks: list[np.ndarray]) -> list[np.ndarray]:
-        """Forward a per-owned-atom scalar to every ghost copy (EAM density).
-
-        ``sinks`` (from :meth:`RankExecutor.halo_sinks`) are the per-rank
-        ``(n_ghost,)`` targets the halo values are gathered into — workspace
-        capacity buffers for the sequential executor, shared-memory slab views
-        for the process executor (so the forward exchange *is* the delivery
-        to the workers).
-        """
-        scalar_global = self.workspace.zeros("halo.scalar", self.n_global)
-        for domain, values in zip(self.domains, values_per_rank):
-            scalar_global[domain.gids] = values
-        halos = []
-        for i, domain in enumerate(self.domains):
-            halos.append(np.take(scalar_global, domain.ghost_gids, out=sinks[i]))
-            if domain.n_ghost:
-                self.comm_messages += len(domain.ghost_groups)
-                self.comm_bytes_forward += domain.n_ghost * 8.0
-        return halos
-
     def _reverse_scatter_forces(self) -> None:
         """Reverse exchange: ghost forces accumulate onto their owner ranks."""
         for domain in self.domains:
@@ -435,18 +414,11 @@ class DomainDecomposedSimulation(EngineBackend):
             with self.timers.phase("comm"):
                 self._refresh_ghost_positions()
 
-        halos: list[np.ndarray] | None = None
-        if self.evaluator.needs_halo:
-            with self.timers.phase("pair"):
-                stage = executor.prepare()
-            with self.timers.phase("comm"):
-                halos = self._forward_halo(stage, executor.halo_sinks())
-
         energy = 0.0
         virial: np.ndarray | None = None
         with self.timers.phase("pair"):
             for domain, (rank_energy, local_forces, rank_virial) in zip(
-                self.domains, executor.finish(halos)
+                self.domains, executor.finish(None)
             ):
                 domain.store_forces(local_forces)
                 energy += rank_energy

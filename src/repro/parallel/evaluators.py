@@ -34,22 +34,14 @@ def _computed_here(domain: RankDomain, i: np.ndarray, j: np.ndarray) -> np.ndarr
 class _RankEvaluator:
     """Computes one rank's energy/force contribution from its local system."""
 
-    #: whether :meth:`prepare` produces a per-owned-atom quantity that must be
-    #: forward-exchanged to ghost copies before :meth:`finish` (EAM density).
-    needs_halo = False
-
     def __init__(self, engine) -> None:
         self.engine = engine
 
     def rebuild(self, domain: RankDomain) -> None:
         """Refresh rank-local structures after a neighbour/ghost rebuild."""
 
-    def prepare(self, domain: RankDomain) -> np.ndarray | None:
-        """Stage 1: per-owned-atom intermediates to forward, or ``None``."""
-        return None
-
-    def finish(self, domain: RankDomain, halo: np.ndarray | None):
-        """Stage 2: returns ``(energy, local_forces, virial_or_None)``."""
+    def finish(self, domain: RankDomain):
+        """Returns ``(energy, local_forces, virial_or_None)``."""
         raise NotImplementedError
 
 
@@ -69,7 +61,7 @@ class _PairEvaluator(_RankEvaluator):
     def _force_field_for(self, domain: RankDomain):
         return self.engine.force_field
 
-    def finish(self, domain: RankDomain, halo):
+    def finish(self, domain: RankDomain):
         engine = self.engine
         result = self._force_field_for(domain).compute(
             domain.local_atoms(engine.type_names),
@@ -118,20 +110,20 @@ class _MolecularEvaluator(_PairEvaluator):
 
 
 class _PerAtomEvaluator(_RankEvaluator):
-    """Per-atom energies over full neighbour lists (Deep Potential).
+    """Per-atom energies over full neighbour lists (Deep Potential, Gupta).
 
-    The rank's padded table has rows for its primary centres only, so the
-    force field only evaluates the environments of this rank's atoms and
-    scatters forces onto owned atoms and ghost copies alike.  Classic
-    owner-computes evaluates the owned rows (whose neighbour lists are
-    complete by construction of the ghost shell); under intra-node load
-    balancing the rank instead evaluates its node-box *share* — the rows
-    whose gid it was assigned, owned or node-peer ghost alike, every one of
-    them inside the node box whose cutoff+skin environment the node's ghost
-    shell covers.
+    The force field evaluates the environments of the rank's primary centres
+    only (``neighbors.primary``: the padded table has rows for them alone, and
+    Gupta weights its pair terms by them) and scatters forces onto owned atoms
+    and ghost copies alike.  Classic owner-computes evaluates the owned rows
+    (whose neighbour lists are complete by construction of the ghost shell);
+    under intra-node load balancing the rank instead evaluates its node-box
+    *share* — the rows whose gid it was assigned, owned or node-peer ghost
+    alike, every one of them inside the node box whose cutoff+skin
+    environment the node's ghost shell covers.
     """
 
-    def finish(self, domain: RankDomain, halo):
+    def finish(self, domain: RankDomain):
         engine = self.engine
         result = engine.force_field.compute(
             domain.local_atoms(engine.type_names),
@@ -147,49 +139,8 @@ class _PerAtomEvaluator(_RankEvaluator):
         return energy, result.forces, result.virial
 
 
-class _DensityEvaluator(_RankEvaluator):
-    """EAM-like force fields (Gupta): two-stage with a density halo exchange.
-
-    Stage 1 accumulates each owned atom's embedding density from the full
-    local pair list (complete by construction) and returns the embedding
-    derivative ``1/sqrt(rho)``; the engine forward-exchanges it to ghost
-    copies — the in-process analogue of LAMMPS' mid-force EAM communication.
-    Stage 2 evaluates each owner-filtered pair once using the owner-computed
-    derivatives of both members.
-    """
-
-    needs_halo = True
-
-    def prepare(self, domain: RankDomain) -> np.ndarray:  # reprolint: hot-path
-        # every pair touching an owned atom, and no other: ghost-ghost pairs
-        # would only feed ghost densities, which the halo exchange overwrites
-        # with owner-computed values — the rank's build never searches them
-        per_atom, inv_sqrt, staged = self.engine.force_field.density_stage(
-            domain.local_positions(), self.engine.box, domain.neighbors.pairs, domain.workspace
-        )
-        domain.scratch.update(
-            staged=staged, inv_sqrt=inv_sqrt, energy=float(per_atom[: domain.n_owned].sum())
-        )
-        # rho/inv_sqrt are only complete for owned atoms; ghost entries are
-        # replaced by the owner-computed values the halo exchange delivers.
-        return inv_sqrt[: domain.n_owned]
-
-    def finish(self, domain: RankDomain, halo: np.ndarray | None):  # reprolint: hot-path
-        scratch = domain.scratch
-        inv_sqrt = scratch["inv_sqrt"]
-        if domain.n_ghost:
-            inv_sqrt[domain.n_owned:] = halo
-        staged = scratch["staged"]
-        keep = _computed_here(domain, *staged[:2])
-        forces = self.engine.force_field.force_stage(
-            tuple(term[keep] for term in staged), inv_sqrt, domain.workspace
-        )
-        return scratch["energy"], forces, None
-
-
 _EVALUATORS = {
     "pair": _PairEvaluator,
     "molecular": _MolecularEvaluator,
     "peratom": _PerAtomEvaluator,
-    "density": _DensityEvaluator,
 }

@@ -1,10 +1,9 @@
 """Rank executors: who actually runs the per-rank force work.
 
 :class:`~repro.parallel.engine.DomainDecomposedSimulation` structures every
-force evaluation as per-rank stages (neighbour rebuild, optional density
-prepare, finish) separated by parent-side communication (migration, ghost
-exchange, halo forward, reverse force scatter).  A *rank executor* owns the
-per-rank stages:
+force evaluation as per-rank stages (neighbour rebuild, finish) separated by
+parent-side communication (migration, ghost exchange, reverse force
+scatter).  A *rank executor* owns the per-rank stages:
 
 * :class:`SequentialRankExecutor` runs them in-process, one rank after the
   other, in rank order.  It is the **golden reference**: the original
@@ -19,9 +18,9 @@ per-rank stages:
   ghost refresh and reverse scatter write the rows the worker evaluates from
   — stepping a rank *is* publishing it — and the worker, a ``RankDomain``
   over the same rows, stores its forces where the parent's reductions read
-  them.  The density halo travels through a third slab, cut the same way
-  (:meth:`RankDomain.split`).  ``close`` moves the arrays back to private
-  memory *before* the slabs are unlinked: a closed engine stays inspectable.
+  them.  Those two slabs carry all per-step data.  ``close`` moves the
+  arrays back to private memory *before* the slabs are unlinked: a closed
+  engine stays inspectable.
 
 **The bitwise rule.**  Workers execute the *same* evaluator code as the
 sequential executor on the *same* float64 bytes, and the parent reduces
@@ -67,13 +66,12 @@ class RankExecutor:
     """Runs the per-rank stages of one distributed force evaluation.
 
     The engine drives exactly this sequence per evaluation: ``rebuild`` on
-    rebuild steps (after the parent's migration and ghost exchange); for halo
-    force fields ``prepare`` and (after the parent's forward exchange into
-    ``halo_sinks``) ``finish``, else just ``finish``; forces and scalars come
-    back in rank order for the parent's fixed-order reduction.  The ranks read
-    their positions from the domains' arrays, which the parent updates in
-    place, so no step publishes them.  ``bind`` once at engine init and
-    ``close`` at the end complete the six methods.
+    rebuild steps (after the parent's migration and ghost exchange), then
+    ``finish``; forces and scalars come back in rank order for the parent's
+    fixed-order reduction.  The ranks read their positions from the domains'
+    arrays, which the parent updates in place, so no step publishes them.
+    ``bind`` once at engine init and ``close`` at the end complete the four
+    methods.
     """
 
     name = "base"
@@ -86,21 +84,13 @@ class RankExecutor:
         """Per-rank neighbour builds + evaluator rebuilds (timed per rank)."""
         raise NotImplementedError
 
-    def prepare(self) -> list:
-        """Stage-1 per-owned-atom intermediates, in rank order (EAM density)."""
-        raise NotImplementedError
-
-    def halo_sinks(self) -> list:
-        """Per-rank ``(n_ghost,)`` targets the forward halo is written into.
-
-        Always a list: the engine builds its ``Workspace`` itself, so
-        :class:`SequentialRankExecutor`'s ``None`` return (kept for a
-        ``workspace=None`` engine, typed ``list | None``) never runs.
-        """
-        raise NotImplementedError
-
     def finish(self, halos) -> list:
-        """Per-rank ``(energy, local_forces, virial)`` results, in rank order."""
+        """Per-rank ``(energy, local_forces, virial)`` results, in rank order.
+
+        The engine always passes ``halos=None``: no force field has a
+        mid-force stage.  The parameter stays because wrapping executors
+        (the e2e benchmark's ``SpanExecutor``) override ``finish(halos)``.
+        """
         raise NotImplementedError
 
     def close(self) -> None:
@@ -125,32 +115,12 @@ class SequentialRankExecutor(RankExecutor):
             )
             engine.evaluator.rebuild(domain)
 
-    def prepare(self) -> list:
-        engine = self.engine
-        stage = []
-        for domain in engine.domains:
-            start = time.perf_counter()
-            stage.append(engine.evaluator.prepare(domain))
-            domain.pair_seconds += time.perf_counter() - start
-        return stage
-
-    def halo_sinks(self) -> list | None:
-        workspace = self.engine.workspace
-        if workspace is None:
-            return None
-        return [
-            workspace.capacity(f"halo.sink{domain.rank}", domain.n_ghost)
-            for domain in self.engine.domains
-        ]
-
     def finish(self, halos) -> list:
         engine = self.engine
         results = []
-        for i, domain in enumerate(engine.domains):
+        for domain in engine.domains:
             start = time.perf_counter()
-            results.append(
-                engine.evaluator.finish(domain, halos[i] if halos is not None else None)
-            )
+            results.append(engine.evaluator.finish(domain))
             domain.pair_seconds += time.perf_counter() - start
         return results
 
@@ -177,7 +147,7 @@ def _release_blocks(blocks: list) -> None:
 
 
 class SharedRankArrays:
-    """Per-rank position/force/halo slabs in ``multiprocessing.shared_memory``.
+    """Per-rank position/force slabs in ``multiprocessing.shared_memory``.
 
     One row per rank, ``n_global`` atoms wide (a rank's owned+ghost set can
     never exceed the global atom count, so row ``r`` holds rank ``r``'s local
@@ -191,7 +161,6 @@ class SharedRankArrays:
         width = max(int(n_global), 1)
         self.positions = self._allocate((n_ranks, width, 3))
         self.forces = self._allocate((n_ranks, width, 3))
-        self.halo = self._allocate((n_ranks, width))
         self._finalizer = weakref.finalize(self, _release_blocks, self._blocks)
 
     def _allocate(self, shape: tuple) -> np.ndarray:
@@ -208,7 +177,7 @@ class SharedRankArrays:
     def close(self) -> None:
         """Unlink and unmap the segments; idempotent.  No view of the slabs
         may be read after this."""
-        self.positions = self.forces = self.halo = None
+        self.positions = self.forces = None
         self._finalizer()
 
 
@@ -221,17 +190,15 @@ def _worker_main(conn, ranks, init) -> None:
     """Protocol loop of one forked worker (a contiguous run of ranks).
 
     Messages: ``("rebuild", payloads, owner_of)`` — refresh structural state
-    and build neighbour lists; ``("prepare",)`` — density stage 1 into the
-    halo slab; ``("finish",)`` — evaluate forces into the force slab;
-    ``("stop",)`` — exit.  Replies carry per-rank wall-clock seconds (and for
-    finish the energy/virial scalars) so the parent can keep per-rank
-    ``pair_seconds``/``neigh_seconds`` measured, not modelled.
+    and build neighbour lists; ``("finish",)`` — evaluate forces into the
+    force slab; ``("stop",)`` — exit.  Replies carry per-rank wall-clock
+    seconds (and for finish the energy/virial scalars) so the parent can keep
+    per-rank ``pair_seconds``/``neigh_seconds`` measured, not modelled.
     """
     evaluator = _EVALUATORS[init.strategy](init)
     domains = [RankDomain(rank) for rank in ranks]
     for domain in domains:
         domain.rehome(init.shared.rows(domain.rank))
-    halo_rows = [init.shared.halo[rank] for rank in ranks]
 
     def handle(message):
         kind = message[0]
@@ -247,20 +214,11 @@ def _worker_main(conn, ranks, init) -> None:
                 replies.append(domain.build_neighbors(init.box, init.cutoff, init.skin))
                 evaluator.rebuild(domain)
             return replies
-        if kind == "prepare":
-            replies = []
-            for domain, halo_row in zip(domains, halo_rows):
-                start = time.perf_counter()
-                stage = evaluator.prepare(domain)
-                replies.append(time.perf_counter() - start)
-                domain.split(halo_row)[0][:] = stage
-            return replies
         if kind == "finish":
             replies = []
-            for domain, halo_row in zip(domains, halo_rows):
-                halo = domain.split(halo_row)[1] if evaluator.needs_halo else None
+            for domain in domains:
                 start = time.perf_counter()
-                energy, local_forces, virial = evaluator.finish(domain, halo)
+                energy, local_forces, virial = evaluator.finish(domain)
                 elapsed = time.perf_counter() - start
                 domain.store_forces(local_forces)
                 replies.append((energy, virial, elapsed))
@@ -354,18 +312,7 @@ class MultiprocessRankExecutor(RankExecutor):
         for domain, seconds in self._stage(messages):
             domain.neigh_seconds += seconds
 
-    def prepare(self) -> list:
-        for domain, seconds in self._stage(("prepare",)):
-            domain.pair_seconds += seconds
-        return [domain.split(self.shared.halo[domain.rank])[0] for domain in self.engine.domains]
-
-    def halo_sinks(self) -> list:
-        # the ghost tails of the halo slab rows — the parent's forward
-        # exchange writes straight into shared memory
-        return [domain.split(self.shared.halo[domain.rank])[1] for domain in self.engine.domains]
-
     def finish(self, halos) -> list:
-        # halos were already delivered through the shared halo slab
         results = []
         for domain, (energy, virial, seconds) in self._stage(("finish",)):
             domain.pair_seconds += seconds

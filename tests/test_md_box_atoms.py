@@ -19,6 +19,24 @@ class TestBox:
         with pytest.raises(ValueError):
             Box([1.0, -1.0, 1.0])
 
+    def test_infinite_periodic_length_refused(self):
+        """A periodic axis wraps by its length: an infinite one would make
+        ``minimum_image`` return NaN (``inf * round(d / inf)``)."""
+        with pytest.raises(ValueError, match=r"along x \(periodic\) must be finite: inf"):
+            Box([np.inf, 20.0, 20.0])
+        with pytest.raises(ValueError, match=r"along z \(periodic\) must be finite: -inf"):
+            Box([20.0, 20.0, -np.inf], (False, False, True))
+        # an open axis of infinite length stays accepted
+        open_box = Box(np.full(3, np.inf), (False,) * 3)
+        np.testing.assert_array_equal(open_box.minimum_image([[1.0, 1.0, 1.0]]), [[1.0, 1.0, 1.0]])
+        assert Box([np.inf, 20.0, 20.0], (False, True, True)).max_cutoff() == 10.0
+
+    def test_nan_length_refused_on_any_axis(self):
+        with pytest.raises(ValueError, match=r"along y \(open\) must be finite: nan"):
+            Box([20.0, np.nan, 20.0], (True, False, True))
+        with pytest.raises(ValueError, match=r"along z \(periodic\) must be finite: nan"):
+            Box([20.0, 20.0, np.nan])
+
     def test_wrap_puts_positions_inside(self):
         box = Box.cubic(5.0)
         wrapped = box.wrap(np.array([[6.0, -1.0, 12.5]]))

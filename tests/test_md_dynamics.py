@@ -125,6 +125,10 @@ class TestThermostats:
             BerendsenThermostat(300.0, max_factor=0.9)
         with pytest.raises(ValueError):
             VelocityRescale(300.0, every=0)
+        with pytest.raises(ValueError, match="damping time must be positive"):
+            LangevinThermostat(300.0, damping_fs=0.0)
+        with pytest.raises(ValueError, match="temperature must be non-negative"):
+            VelocityRescale(-1.0)
 
 
 class TestSimulation:

@@ -245,13 +245,16 @@ class TestBlockedPairKernel:
         [
             (LennardJones(0.05, 2.3, 5.0), "193f4c3f8c10edf3f02ad4d108e06b59512ce6d6bcd69b7d397d51f948399a66"),
             (MorsePotential(cutoff=5.0), "60161c2617d526ccaba26ed11839a5adce4ddf42246cc52241d0bd9c7129222c"),
+            (GuptaPotential(cutoff=5.0), "5c062bd350da7a8f82016a3636492808d1a1144fd3cca6dbd7c60aa7246ad582"),
         ],
-        ids=["lj", "morse"],
+        ids=["lj", "morse", "gupta"],
     )
     def test_trajectory_is_pinned(self, force_field, expected):
         """sha256 of a fixed-seed 40-step run (23 k pairs: three default
-        blocks), recorded on the unblocked kernel: final positions,
-        velocities and forces, then every sampled potential energy."""
+        blocks), recorded on the unblocked kernel (Gupta: on its two-stage
+        body, before its pair terms were weighted by centre): final
+        positions, velocities and forces, then every sampled potential
+        energy."""
         atoms, box = copper_system((6, 6, 6), perturbation=0.05, rng=np.random.default_rng(35))
         atoms.initialize_velocities(300.0, rng=np.random.default_rng(36))
         sim = Simulation(atoms, box, force_field, timestep_fs=2.0, neighbor_skin=0.4, neighbor_every=5)

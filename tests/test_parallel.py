@@ -53,6 +53,8 @@ class TestTopology:
             RankTopology((0, 1, 1))
         with pytest.raises(ValueError):
             RankTopology((1, 1, 1), threads_per_rank=0)
+        with pytest.raises(ValueError, match="rank block entries must be >= 1"):
+            RankTopology((1, 1, 1), rank_block=(0, 1, 1))
 
 
 class TestDecomposition:

@@ -87,8 +87,9 @@ class TestReportParity:
         np.testing.assert_allclose(engine.trajectory[-1], serial.trajectory[-1], atol=1e-10)
 
     def test_one_rank_gupta_is_bitwise_serial(self):
-        """The density evaluator runs ``GuptaPotential``'s own stage functions,
-        so with nothing to exchange or filter one rank *is* the serial path."""
+        """The per-atom evaluator runs ``GuptaPotential.compute`` with every row
+        a centre, so with nothing to exchange or filter one rank *is* the
+        serial path."""
         atoms, box = _copper_pair(rng=3)
         common = dict(timestep_fs=2.0, neighbor_skin=0.4, neighbor_every=5)
         serial = Simulation(atoms.copy(), box, GuptaPotential(cutoff=5.0), **common)

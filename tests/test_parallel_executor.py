@@ -5,8 +5,8 @@ The contract this file pins is stricter than the cross-rank 1e-10 budget of
 evaluator code on the same float64 slab bytes* as the sequential golden
 reference and gathers replies in fixed rank order, so its trajectories must
 be **bitwise identical** (``np.testing.assert_array_equal``, no tolerance) —
-for water, the exact / compressed / MIX-fp32 Deep Potential paths, the
-density (halo-exchange) strategy and a migration-heavy hot gas alike.
+for water, the exact / compressed / MIX-fp32 Deep Potential paths, Gupta
+and a migration-heavy hot gas alike.
 
 Node-box balancing (``node_balance=True``, §III-C) is pinned three ways:
 
@@ -129,7 +129,7 @@ def _assert_bitwise_lockstep(setup, rank_dims, scheme="p2p", n_steps=N_STEPS, **
             assert concurrent._last_energy == sequential._last_energy
             assert concurrent.n_builds == sequential.n_builds
         # identical communication: the parent performs the same ghost refresh
-        # and halo forwarding for both executors
+        # and reverse scatter for both executors
         assert concurrent.comm_messages == sequential.comm_messages
         assert concurrent.comm_bytes_forward == sequential.comm_bytes_forward
         assert concurrent.comm_bytes_reverse == sequential.comm_bytes_reverse
@@ -176,7 +176,8 @@ class TestExecutorBitwiseParity:
         assert sequential.force_field.describe()["precision"] == "mix-fp32"
 
     def test_gupta_density_halo_path(self):
-        """The density strategy ships its halo through the shared slab."""
+        """Gupta on the per-atom path: each rank's centre energies and the
+        forces they exert, over the two shared slabs."""
         atoms, box = copper_system((3, 3, 3), perturbation=0.05, rng=3)
         atoms.initialize_velocities(400.0, rng=4)
         setup = (
@@ -287,14 +288,31 @@ class TestNodeBoxBalancing:
         with pytest.raises(ValueError, match="node-based delivery"):
             _engine(_copper_lj_setup(), (2, 2, 1), scheme="p2p", node_balance=True)
 
-    def test_density_strategy_rejected(self):
+    def test_balanced_gupta_matches_serial_and_executors_agree(self):
+        """Gupta runs the per-atom path, so the node-box split takes it too:
+        within the 1e-10 budget of the serial run, and the process executor
+        bit-identical to the sequential one at every step."""
         atoms, box = copper_system((3, 3, 3), perturbation=0.05, rng=3)
-        setup = (
-            atoms, box, lambda: GuptaPotential(cutoff=5.0),
-            dict(timestep_fs=1.0, neighbor_skin=0.4, neighbor_every=5),
+        atoms.initialize_velocities(400.0, rng=4)
+        params = dict(timestep_fs=1.0, neighbor_skin=0.4, neighbor_every=5)
+        setup = (atoms, box, lambda: GuptaPotential(cutoff=5.0), params)
+        sequential, _ = _assert_bitwise_lockstep(
+            setup, (2, 2, 2), scheme="node-based", node_balance=True
         )
+        serial = Simulation(atoms.copy(), box, GuptaPotential(cutoff=5.0), **params)
+        serial.run(N_STEPS)
+        gathered = sequential.gather()
+        for field in ("positions", "velocities", "forces"):
+            np.testing.assert_allclose(
+                getattr(gathered, field), getattr(serial.atoms, field), rtol=0.0, atol=TOLERANCE,
+                err_msg=f"balanced Gupta {field} left the serial run",
+            )
+        assert sequential._last_energy == pytest.approx(serial._last_energy, abs=TOLERANCE)
+        assert sequential.assigned_counts().sum() == sequential.n_global
+
+    def test_molecular_strategy_rejected(self):
         with pytest.raises(ValueError, match="'pair' and 'peratom'"):
-            _engine(setup, (2, 2, 1), scheme="node-based", node_balance=True)
+            _engine(_water_setup(), (2, 2, 2), scheme="node-based", node_balance=True)
 
 
 # ---------------------------------------------------------------------------

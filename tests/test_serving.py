@@ -358,6 +358,8 @@ class TestAdmissionQueue:
         assert not consumer.is_alive()
         assert admitted == [requests]
         assert all(request.t_admit >= request.t_submit for request in requests)
+        with pytest.raises(ValueError, match="max_batch_size must be >= 1"):
+            AdmissionQueue(max_batch_size=0)
 
     def test_energy_and_md_requests_batch_apart(self):
         queue = AdmissionQueue(max_batch_size=8)
