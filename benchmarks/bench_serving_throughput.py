@@ -19,6 +19,11 @@ The PR 9 gates:
 * **zero allocator calls** in the steady-state batched evaluator: with a warm
   workspace, ``evaluate_many`` runs entirely out of the pool (the PR 4
   budget, extended to the serving path).
+* **the width-1 floor** — one serve_open-style request batched alone
+  (``prepare_system`` -> ``evaluate_batch`` -> ``split`` on one thread) costs
+  at most :data:`WIDTH1_RATIO_CEILING` times its share of a width-32 batch:
+  at serve_open's rates most batches hold one or two requests, so the fixed
+  per-batch cost, not the FLOPs, sets their latency.
 * **latency report** — p50/p99 and systems/sec through the threaded engine at
   1/8/64 concurrent closed-loop clients (reported, not gated: this container
   may have a single core, where thread overlap cannot help wall-clock).
@@ -51,6 +56,11 @@ PARITY_ATOL = 1.0e-10
 BATCH_SIZE = 32
 #: Atoms per system: molecule-sized, the regime serving batching targets.
 SYSTEM_ATOMS = 4
+#: Ceiling on (median width-1 batch time) / (median width-32 per-system cost)
+#: for 4-12-atom clusters.  Measured by this test on a 2-vCPU x86-64 host,
+#: one pinned core: 3.6-4.3 once the per-batch floor was cut (so the ceiling
+#: sits >= 28 % above it), 4.8-5.3 before.
+WIDTH1_RATIO_CEILING = 5.5
 
 
 def _serving_model(seed: int = 9) -> DeepPotential:
@@ -235,6 +245,42 @@ def test_bench_serving_pack_costs_no_more_than_the_evaluation():
     assert pack_seconds <= evaluate_seconds, (
         f"packing {BATCH_SIZE} systems took {pack_seconds * 1e3:.3f} ms, more than the "
         f"{evaluate_seconds * 1e3:.3f} ms fused evaluation it feeds"
+    )
+
+
+def test_bench_serving_width1_floor_against_a_full_batch():
+    """A width-1 batch costs at most WIDTH1_RATIO_CEILING x a width-32 batch's per-system cost."""
+    model = _serving_model(seed=14)
+    sizes = np.random.default_rng(14).integers(4, 13, size=64)
+    clusters = [_cluster(int(n), 900 + i) for i, n in enumerate(sizes)]
+    engine = ServingEngine(model)  # never started: every batch runs on this thread
+
+    def batch(first: int, width: int):
+        systems = [prepare_system(model, *clusters[(first + k) % len(clusters)]) for k in range(width)]
+        engine.evaluate_batch(systems).split()
+
+    def seconds(first: int, width: int) -> float:
+        start = time.perf_counter()
+        batch(first, width)
+        return time.perf_counter() - start
+
+    for first in range(len(clusters)):
+        batch(first, 1)
+    batch(0, BATCH_SIZE)  # every pool buffer, plan and cache exists from here on
+    width1, width32 = [], []
+    for round_ in range(9):  # interleaved, so a slow spell of the host hits both
+        width1.append(float(np.median([seconds(round_ + k, 1) for k in range(64)])))
+        width32.append(float(np.median([seconds(round_ + 7 * k, BATCH_SIZE) for k in range(4)])) / BATCH_SIZE)
+    one, share = float(np.median(width1)), float(np.median(width32))
+    ratio = one / share
+    print()
+    print("Serving per-batch floor, 4-12-atom clusters (compressed, fp64), one thread")
+    print(f"  width-1 batch      : {one * 1e6:8.1f} us")
+    print(f"  width-32 per system: {share * 1e6:8.1f} us")
+    print(f"  ratio              : {ratio:8.2f}x (ceiling {WIDTH1_RATIO_CEILING:.1f}x)")
+    assert ratio <= WIDTH1_RATIO_CEILING, (
+        f"a width-1 batch costs {ratio:.2f}x a width-32 batch's per-system cost "
+        f"(<= {WIDTH1_RATIO_CEILING:.1f}x required)"
     )
 
 

@@ -65,6 +65,15 @@ HERMITE_DERIVATIVE_FLOPS_PER_NEIGHBOR = 17.0
 #: Per (neighbour, component): the dE/ds contraction of dG/ds with dE/dG.
 EMBEDDING_GRAD_DOT_FLOPS_PER_COMPONENT = 2.0
 
+#: The cubic Hermite basis on t in [0, 1] as coefficient rows: the value
+#: weights ``h00, h10, h01, h11`` (the operands ``y0, h*d0, y1, h*d1``) are
+#: ``2t^3 - 3t^2 + 1``, ``t^3 - 2t^2 + t``, ``-2t^3 + 3t^2`` and ``t^3 - t^2``
+#: (row 0 multiplies t^3, row 1 t^2; the ``+ 1`` and ``+ t`` are added per
+#: column); their t-derivatives are ``6t^2 - 6t``, ``3t^2 - 4t + 1``,
+#: ``-6t^2 + 6t`` and ``3t^2 - 2t`` (row 0 multiplies t^2, row 1 t).
+_VALUE_TERMS = np.array([[2.0, 1.0, -2.0, 1.0], [-3.0, -2.0, 3.0, -1.0]])
+_DERIV_TERMS = np.array([[6.0, 3.0, -6.0, 3.0], [-6.0, -4.0, 6.0, -2.0]])
+
 #: Uniform samples of s per :meth:`TabulatedEmbeddingSet.interpolation_errors` probe.
 INTERPOLATION_SAMPLES = 512
 
@@ -255,9 +264,12 @@ class TabulatedEmbeddingSet:
         keys = sorted(self.tables)
         self._slot_of = {key: slot for slot, key in enumerate(keys)}
         n_types = 1 + max(max(ti, tj) for ti, tj in keys)
-        self._slot_grid = np.full((n_types, n_types), -1, dtype=np.int64)
+        # row ti, column tj + 1 holds the slot of (ti, tj) (-1: no table);
+        # column 0 is where padding (any type < 0) reads its slot 0
+        self._slot_grid = np.full((n_types, n_types + 1), -1, dtype=np.int64)
+        self._slot_grid[:, 0] = 0
         for (ti, tj), slot in self._slot_of.items():
-            self._slot_grid[ti, tj] = slot
+            self._slot_grid[ti, tj + 1] = slot
         m = self.width
         grid = self.tables[keys[0]].grid
         h = float(grid[1] - grid[0])
@@ -331,16 +343,14 @@ class TabulatedEmbeddingSet:
         contributions out, exactly as the per-type loop skipped them.
         """
         row = self._slot_grid[int(center_type)]
-        neighbor_types = np.asarray(neighbor_types)
-        valid = neighbor_types >= 0
-        if np.any(valid & (neighbor_types >= len(row))):
+        try:
+            slots = row[np.maximum(np.asarray(neighbor_types) + 1, 0)]
+            tabulated = np.minimum.reduce(slots, axis=None, initial=0) >= 0
+        except IndexError:  # a neighbour type past the table's type space
+            tabulated = False
+        if not tabulated:
             raise KeyError(f"no table for centre type {center_type} and some neighbour types")
-        slots = row[np.where(valid, neighbor_types, 0)]
-        if np.any((slots < 0) & valid):
-            raise KeyError(
-                f"no table for centre type {center_type} and some neighbour types"
-            )
-        return np.where(valid, slots, 0)
+        return slots
 
     # reprolint: hot-path
     def place(self, slots: np.ndarray, s: np.ndarray, dtype=np.float64) -> HermitePlacement:
@@ -373,36 +383,30 @@ class TabulatedEmbeddingSet:
         flat_slots = np.asarray(slots, dtype=np.int64).reshape(-1)
         grid = self._grid
         h = dt.type(self._h)
-        clamped = np.clip(flat_s, grid[0], grid[-1])
+        clamped = flat_s.clip(grid[0], grid[-1])
         idx = np.minimum((clamped - grid[0]) / self._h, len(grid) - 2).astype(int)  # reprolint: allow[alloc] fp64 node placement must produce a fresh int index array
         t = ((clamped - grid[idx]) / self._h)[:, None].astype(dt, copy=False)
         t2 = t * t
         t3 = t2 * t
-        value_weights = np.concatenate(  # reprolint: allow[alloc] one (n,4) basis block per call, row-sliced by every kernel block
-            [
-                2.0 * t3 - 3.0 * t2 + 1.0,  # h00 -> y0
-                t3 - 2.0 * t2 + t,  # h10 -> h*d0
-                -2.0 * t3 + 3.0 * t2,  # h01 -> y1
-                t3 - t2,  # h11 -> h*d1
-            ],
-            axis=1,
-        )
-        deriv_weights = np.concatenate(  # reprolint: allow[alloc] one (n,4) basis block per call, row-sliced by every kernel block
-            [
-                (6.0 * t2 - 6.0 * t) / h,
-                (3.0 * t2 - 4.0 * t + 1.0) / h,
-                (-6.0 * t2 + 6.0 * t) / h,
-                (3.0 * t2 - 2.0 * t) / h,
-            ],
-            axis=1,
-        )
+        # the (n, 4) basis blocks, each column the golden's sum term for term
+        # (``a + (-b)`` is ``a - b`` in IEEE arithmetic, so folding the signs
+        # into the coefficient rows keeps every bit)
+        value_c, deriv_c = _VALUE_TERMS.astype(dt, copy=False), _DERIV_TERMS.astype(dt, copy=False)
+        value_weights = t3 * value_c[0]
+        value_weights += t2 * value_c[1]
+        value_weights[:, 0] += 1.0
+        value_weights[:, 1] += t[:, 0]
+        deriv_weights = t2 * deriv_c[0]
+        deriv_weights += t * deriv_c[1]
+        deriv_weights[:, 1] += 1.0
+        deriv_weights /= h
         out_of_range = (flat_s < grid[0]) | (flat_s > grid[-1])
         return HermitePlacement(
             windows=windows,
             base=flat_slots * len(grid) + idx,
             value_weights=value_weights,
             deriv_weights=deriv_weights,
-            clamped=out_of_range if np.any(out_of_range) else None,
+            clamped=out_of_range if np.logical_or.reduce(out_of_range) else None,
         )
 
     # reprolint: hot-path

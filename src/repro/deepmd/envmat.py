@@ -25,7 +25,7 @@ from ..md.atoms import Atoms
 from ..md.box import Box
 from ..md.neighbor import NeighborData
 from ..md.workspace import UNPOOLED
-from .smoothing import switching_derivative, switching_function
+from .smoothing import switching
 
 
 @dataclass
@@ -85,20 +85,38 @@ class LocalEnvironment:
     def select(self, index, workspace=UNPOOLED) -> "LocalEnvironment":
         """Sub-environment for a subset of centre atoms (used per-type).
 
-        The copies land in grow-only ``workspace`` buffers (``env.select.*``),
-        valid until the next ``select`` from the same workspace.
+        ``index`` holds row numbers in ascending order, each once (as
+        ``np.nonzero`` returns them).  When they are one run of rows (every
+        row of a one-type model) the fields are views of this environment's
+        rows.  Otherwise they are copies in grow-only ``workspace`` buffers
+        (``env.select.*``), valid until the next ``select`` from the same
+        workspace.  Either way the caller only reads them.
         """
+        index = np.asarray(index)
+        n = len(index)
+        if n and 0 <= index[0] and index[-1] < len(self.types) and index[-1] - index[0] == n - 1:
+            run = slice(int(index[0]), int(index[0]) + n)
+            return LocalEnvironment(
+                self.R[run],
+                self.displacements[run],
+                self.distances[run],
+                self.s[run],
+                self.ds_dr[run],
+                self.mask[run],
+                self.neighbor_indices[run],
+                self.neighbor_types[run],
+                self.types[run],
+                self.cutoff,
+                self.cutoff_smooth,
+            )
 
         def rows(name: str) -> np.ndarray:
             array = getattr(self, name)
-            out = workspace.capacity(
-                f"env.select.{name}", len(index), trailing=array.shape[1:], dtype=array.dtype
-            )
-            return np.take(array, index, axis=0, out=out, mode="clip")
+            out = workspace.capacity(f"env.select.{name}", n, trailing=array.shape[1:], dtype=array.dtype)
+            return array.take(index, axis=0, out=out, mode="clip")
 
-        fields = ("R", "displacements", "distances", "s", "ds_dr", "mask", "neighbor_indices", "neighbor_types", "types")
         return LocalEnvironment(
-            **{name: rows(name) for name in fields}, cutoff=self.cutoff, cutoff_smooth=self.cutoff_smooth
+            **{name: rows(name) for name in _ROW_FIELDS}, cutoff=self.cutoff, cutoff_smooth=self.cutoff_smooth
         )
 
     def compute_arrays(self, dtype, workspace) -> tuple[np.ndarray, np.ndarray]:
@@ -120,6 +138,10 @@ class LocalEnvironment:
         np.copyto(r_c, self.R)
         np.copyto(s_c, self.s)
         return r_c, s_c
+
+
+#: The per-row fields of a :class:`LocalEnvironment`.
+_ROW_FIELDS = ("R", "displacements", "distances", "s", "ds_dr", "mask", "neighbor_indices", "neighbor_types", "types")
 
 
 class AccuracyWarning(RuntimeWarning):
@@ -147,7 +169,7 @@ def warn_clamped(env: LocalEnvironment, table, stacklevel: int) -> bool:
     A pair closer than the table's minimum distance drives s(r) above
     ``table.s_max``, where the tabulated embedding is clamped.
     """
-    clamped = bool(env.s.max(initial=0.0) > table.s_max)
+    clamped = bool(np.maximum.reduce(env.s, axis=None, initial=0.0) > table.s_max)
     if clamped:
         warnings.warn(
             f"a pair is closer than compression_min_distance={1.0 / table.s_max:g} A: "
@@ -166,7 +188,7 @@ def _candidate_geometry(positions: np.ndarray, minimum_image, nei: np.ndarray, c
     slot_valid = nei >= 0
     safe_idx = np.where(slot_valid, nei, 0)
     disp = minimum_image(positions[safe_idx] - positions[:, None, :])
-    dist = np.linalg.norm(disp, axis=2)
+    dist = np.sqrt(np.add.reduce(disp * disp, axis=2))  # np.linalg.norm's own arithmetic
     within = slot_valid & (dist > 0.0) & (dist <= cutoff)
     return safe_idx, disp, dist, within
 
@@ -218,14 +240,16 @@ def build_environment_rows(
     n, width = nei.shape
     n_pad = max(n_pad, 1)
     safe_idx, disp, dist, kept = _candidate_geometry(positions, minimum_image, nei, cutoff)
-    counts = kept.sum(axis=1)
-    max_in_cutoff = int(counts.max(initial=0))
+    # reductions and sorts below call the ufunc reductions and ndarray methods
+    # directly: the C loops the np.* functions reach, minus their dispatch
+    counts = np.add.reduce(kept, axis=1)
+    max_in_cutoff = int(np.maximum.reduce(counts, initial=0))
 
     if max_in_cutoff > n_pad:
         # Budget truncation, only when some row overflows: keep each row's
         # ``n_pad`` closest in-cutoff slots (distance ties broken by slot
         # order, as the scalar reference does with its stable argsort).
-        order_by_dist = np.argsort(np.where(kept, dist, np.inf), axis=1, kind="stable")
+        order_by_dist = np.where(kept, dist, np.inf).argsort(axis=1, kind="stable")
         rank = rows("rank", (width,), np.int64)
         np.put_along_axis(rank, order_by_dist, np.broadcast_to(np.arange(width), (n, width)), axis=1)
         kept &= rank < n_pad
@@ -238,23 +262,24 @@ def build_environment_rows(
     # distance (the paper's pre-classified layout), exact ties falling back to
     # slot order.  The per-atom loop version of this layout lives in
     # :mod:`repro.reference.scalar` and pins this one in the parity suite.
-    src = np.flatnonzero(kept)
+    src = kept.reshape(-1).nonzero()[0]
     nbr = safe_idx.reshape(-1)[src]
     nbr_types = types[nbr]
-    n_types = int(np.max(nbr_types, initial=0)) + 1
+    n_types = int(np.maximum.reduce(nbr_types, initial=0)) + 1
     d = dist.reshape(-1)[src]
-    order = np.argsort((src // width) * n_types + nbr_types + 1j * d, kind="stable")
-    # the sort keeps each centre's pairs in its row-major segment, so sorted
-    # position p is output slot p - (first position of its row)
-    row_shift = np.arange(n) * n_pad - (np.cumsum(counts) - counts)
-    out = np.arange(len(src)) + np.repeat(row_shift, counts)
+    order = ((src // width) * n_types + nbr_types + 1j * d).argsort(kind="stable")
+    # the sort keeps each centre's pairs in its row-major segment, so the
+    # sorted pairs fill the first ``counts`` slots of each row, row after row
+    filled = np.arange(n_pad) < counts[:, None]
+    out = filled.reshape(-1).nonzero()[0]
 
     R = rows("R", (n_pad, 4))  # every entry is written below
     displacements = rows("displacements", (n_pad, 3))
+    displacements.fill(0.0)
     distances = rows("distances", (n_pad,))
+    distances.fill(0.0)
     mask = rows("mask", (n_pad,))
-    for zeroed in (displacements, distances, mask):
-        zeroed.fill(0.0)
+    np.copyto(mask, filled)
     neighbor_indices = rows("neighbor_indices", (n_pad,), np.int64)
     neighbor_indices.fill(-1)
     neighbor_types = rows("neighbor_types", (n_pad,), np.int64)
@@ -264,18 +289,16 @@ def build_environment_rows(
     distances.reshape(-1)[out] = d[order]
     neighbor_indices.reshape(-1)[out] = nbr[order]
     neighbor_types.reshape(-1)[out] = nbr_types[order]
-    mask.reshape(-1)[out] = 1.0
     # free the candidate-sized arrays before the padded temporaries below
     del safe_idx, disp, dist, kept
 
-    s_values = switching_function(distances, cutoff, cutoff_smooth) * mask
-    ds_values = switching_derivative(distances, cutoff, cutoff_smooth) * mask
+    # no mask needed: a padding slot's zero distance and displacement give
+    # +0.0 for s, ds/dr and every R entry
+    s_values, ds_values = switching(distances, cutoff, cutoff_smooth)
 
     safe_dist = np.where(distances > 0.0, distances, 1.0)
-    unit = displacements / safe_dist[..., None]
     R[..., 0] = s_values
-    R[..., 1:] = s_values[..., None] * unit
-    R *= mask[..., None]
+    np.multiply(s_values[..., None], displacements / safe_dist[..., None], out=R[..., 1:])
 
     return LocalEnvironment(
         R=R,

@@ -41,12 +41,6 @@ class GemmStats:
     #: state this counts only activation casts — the regression tests pin it.
     cast_bytes: float = field(default=0.0, init=False)
 
-    def record(self, m: int, n: int, k: int, dtype: str) -> None:
-        flops = 2.0 * m * n * k
-        self.flops += flops
-        self.flops_by_dtype[dtype] = self.flops_by_dtype.get(dtype, 0.0) + flops
-        self.calls += 1
-
     def reset(self) -> None:
         self.flops = 0.0
         self.flops_by_dtype.clear()
@@ -54,11 +48,13 @@ class GemmStats:
         self.cast_bytes = 0.0
 
 
+#: :data:`DTYPES` inverted, keyed by ``np.dtype``.
+_DTYPE_NAMES = {np.dtype(dt): name for name, dt in DTYPES.items()}
+
+
 def _dtype_name(dtype) -> str:
-    for name, dt in DTYPES.items():
-        if np.dtype(dtype) == np.dtype(dt):
-            return name
-    return str(np.dtype(dtype))
+    dt = np.dtype(dtype)
+    return _DTYPE_NAMES.get(dt) or str(dt)
 
 
 @dataclass
@@ -68,7 +64,7 @@ class GemmBackend:
     stats: GemmStats = field(default_factory=GemmStats, init=False)
 
     def matmul(self, a: np.ndarray, b: np.ndarray, dtype=np.float64) -> np.ndarray:
-        """Compute ``a @ b`` at the compute precision ``dtype``.
+        """Compute ``a @ b`` of two 2-D arrays at the compute precision ``dtype``.
 
         Inputs not already at that precision are cast (the cast traffic is
         charged to ``stats.cast_bytes``); the product is accumulated and
@@ -80,8 +76,6 @@ class GemmBackend:
         the per-call ``astype`` here is a compatibility fallback, not the
         production route.
         """
-        a = np.asarray(a)
-        b = np.asarray(b)
         if a.ndim != 2 or b.ndim != 2:
             raise ValueError("GemmBackend.matmul expects 2-D operands")
         m, k = a.shape
@@ -90,12 +84,19 @@ class GemmBackend:
             raise ValueError(f"inner dimensions mismatch: {a.shape} x {b.shape}")
 
         dt = np.dtype(dtype)
+        stats = self.stats
         if a.dtype != dt:
-            self.stats.cast_bytes += float(a.nbytes)
+            stats.cast_bytes += float(a.nbytes)
+            a = a.astype(dt, copy=False)
         if b.dtype != dt:
-            self.stats.cast_bytes += float(b.nbytes)
-        out = a.astype(dt, copy=False) @ b.astype(dt, copy=False)
-        self.stats.record(m, n, k, _dtype_name(dtype))
+            stats.cast_bytes += float(b.nbytes)
+            b = b.astype(dt, copy=False)
+        out = a @ b
+        flops = 2.0 * m * n * k
+        name = _DTYPE_NAMES.get(dt) or str(dt)
+        stats.flops += flops
+        stats.flops_by_dtype[name] = stats.flops_by_dtype.get(name, 0.0) + flops
+        stats.calls += 1
         return out
 
     def reset_stats(self) -> None:

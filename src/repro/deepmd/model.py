@@ -43,6 +43,10 @@ from .networks import FastMLP, init_nets
 from .precision import DOUBLE, PrecisionPolicy, get_policy
 
 
+#: The flat index ``3 * a + b`` of each virial component ``(a, b)``.
+_VIRIAL_COMPONENTS = np.arange(9)
+
+
 @dataclass
 class DeepPotentialConfig:
     """Hyper-parameters of a Deep Potential model.
@@ -439,12 +443,13 @@ class DeepPotential:
             # so the bincount below can assign it to the right system
             pav = workspace.capacity("dp.many.pav", len(idx), trailing=(3, 3))
             np.einsum("bni,bnj->bij", sub.displacements, g_d, out=pav)
-            sys_ids = system_of_atom[idx]
-            for a in range(3):
-                for b in range(3):
-                    virials[:, a, b] -= np.bincount(
-                        sys_ids, weights=pav[:, a, b], minlength=n_systems
-                    )
+            # one bincount keyed by system * 9 + component: each (system,
+            # component) bin sums its centres in row order, as one bincount
+            # per component would
+            keys = (system_of_atom[idx] * 9)[:, None] + _VIRIAL_COMPONENTS
+            virials -= np.bincount(
+                keys.reshape(-1), weights=pav.reshape(-1), minlength=9 * n_systems
+            ).reshape(n_systems, 3, 3)
 
         # per-system energy segment reduction (fixed bincount order, float64)
         if n:
@@ -478,7 +483,7 @@ class DeepPotential:
         caller applies its own virial reduction before the next block.
         """
         for ti in range(self.n_types):
-            idx = np.nonzero(env.types == ti)[0]
+            idx = (env.types == ti).nonzero()[0]
             if len(idx) == 0:
                 continue
             energies_t, g_d, sub, pairs = self._per_type_fast(env, ti, idx, policy, backend, table, workspace)
@@ -551,7 +556,7 @@ class DeepPotential:
         # row-major index, shared by the G scatter, the dE/dG gather, the
         # dE/ds scatter and the force scatter; padded G rows stay exactly zero
         valid = sub.neighbor_types >= 0
-        pairs = np.flatnonzero(valid)
+        pairs = valid.reshape(-1).nonzero()[0]
         g = workspace.capacity("dp.emb.g", batch, trailing=(n_nei, m_width), dtype=cd)
         g_rows = g.reshape(batch * n_nei, m_width)
         a = workspace.capacity("dp.desc.a", batch, trailing=(4, m_width), dtype=cd)
@@ -567,13 +572,13 @@ class DeepPotential:
             # the compact rows [lo, hi)
             block = min(centre_block(n_nei), batch)
             edges = [*range(0, batch, block), batch]
-            bounds = np.searchsorted(pairs, np.multiply(edges, n_nei)).tolist()
+            bounds = pairs.searchsorted(np.multiply(edges, n_nei)).tolist()
             blocks = list(zip(edges[:-1], edges[1:], bounds[:-1], bounds[1:]))
             chunk = workspace.capacity("dp.emb.chunk", block * n_nei, trailing=(m_width,), dtype=cd)
             # dG/ds stays compact: only G must be dense for the descriptor
             # contraction
             dg_valid = workspace.capacity("dp.emb.ders", len(pairs), trailing=(m_width,), dtype=cd)
-            g_rows[np.flatnonzero(~valid)] = 0.0
+            g_rows[~valid.reshape(-1)] = 0.0
             for b0, b1, lo, hi in blocks:
                 g_block = chunk[: hi - lo]
                 placement.interpolate(lo, hi, g_block, dg_valid[lo:hi])
@@ -638,7 +643,7 @@ class DeepPotential:
                 grad_g_block = np.matmul(r_c[b0:b1], grad_a[b0:b1], out=grad_g[: b1 - b0])
                 grad_g_block /= n_nei
                 rows = pairs[lo:hi]
-                np.take(grad_g_block.reshape(-1, m_width), rows - b0 * n_nei, axis=0, out=chunk[: hi - lo], mode="clip")
+                grad_g_block.reshape(-1, m_width).take(rows - b0 * n_nei, axis=0, out=chunk[: hi - lo], mode="clip")
                 grad_s_flat[rows] = np.einsum("nm,nm->n", chunk[: hi - lo], dg_valid[lo:hi])
         else:
             np.matmul(g, grad_a.transpose(0, 2, 1), out=grad_r)
@@ -671,7 +676,6 @@ class DeepPotential:
         chain — and the force/virial scatters consuming its output — always
         accumulates in float64 through NumPy's binary promotion.
         """
-        mask = sub.mask
         safe_r = np.where(sub.distances > 0.0, sub.distances, 1.0)
         unit = sub.displacements / safe_r[..., None]
         s = sub.s
@@ -682,9 +686,9 @@ class DeepPotential:
         grad_s_total = grad_s_embed + grad_r[..., 0]
         grad_r_vec = grad_r[..., 1:4]
         radial = grad_s_total * ds_dr + np.einsum("bnk,bnk->bn", grad_r_vec, sub.displacements) * dh_dr
-        g_d = radial[..., None] * unit + grad_r_vec * h[..., None]
-        g_d *= mask[..., None]
-        return g_d
+        # no mask needed: a padding slot has a zero displacement and s, so its
+        # unit vector and h are 0.0 and its g_d a signed zero
+        return radial[..., None] * unit + grad_r_vec * h[..., None]
 
     @staticmethod
     # reprolint: hot-path

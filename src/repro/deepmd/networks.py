@@ -21,25 +21,26 @@ from ..utils.rng import default_rng, glorot_uniform
 from .gemm import GemmBackend
 
 
+#: ``(activation, derivative expressed via the output)`` per activation name.
+_ACTIVATIONS = {
+    "tanh": (np.tanh, lambda y: 1.0 - y * y),
+    "sigmoid": (lambda x: 1.0 / (1.0 + np.exp(-x)), lambda y: y * (1.0 - y)),
+    "relu": (lambda x: np.maximum(x, 0.0), lambda y: (y > 0.0).astype(y.dtype)),
+    "softplus": (lambda x: np.log1p(np.exp(-np.abs(x))) + np.maximum(x, 0.0), lambda y: 1.0 - np.exp(-y)),
+    # scalar derivative: broadcasting keeps the VJP allocation-free
+    "linear": (lambda x: x, lambda y: 1.0),
+}
+
+#: The reduced input dtypes a net takes as they come; any other input is
+#: read as float64.
+_REDUCED_INPUTS = (np.dtype(np.float32), np.dtype(np.float16))  # reprolint: allow[dtype] dtype guard only; casts are governed by PrecisionPolicy
+
+
 def _activation(name: str):
-    if name == "tanh":
-        return np.tanh, lambda y: 1.0 - y * y  # derivative expressed via output
-    if name == "sigmoid":
-        return (
-            lambda x: 1.0 / (1.0 + np.exp(-x)),
-            lambda y: y * (1.0 - y),
-        )
-    if name == "relu":
-        return lambda x: np.maximum(x, 0.0), lambda y: (y > 0.0).astype(y.dtype)
-    if name == "softplus":
-        return (
-            lambda x: np.log1p(np.exp(-np.abs(x))) + np.maximum(x, 0.0),
-            lambda y: 1.0 - np.exp(-y),
-        )
-    if name == "linear":
-        # scalar derivative: broadcasting keeps the VJP allocation-free
-        return lambda x: x, lambda y: 1.0
-    raise ValueError(f"unknown activation {name!r}")
+    try:
+        return _ACTIVATIONS[name]
+    except KeyError:
+        raise ValueError(f"unknown activation {name!r}") from None
 
 
 @dataclass(frozen=True)
@@ -126,6 +127,8 @@ class FastMLP:
         #: number of reduced-precision operand builds (regression probe:
         #: steady state must not rebuild)
         self.lp_cache_builds = 0
+        #: :meth:`_layer_plan` per ``dtypes`` list, resolved on first use
+        self._plans: dict[tuple | None, list[tuple]] = {}
 
     def operands(self, dtype) -> list[_LayerSpec]:
         """Layer operands (weight, weight_t, bias) at the compute dtype.
@@ -151,6 +154,26 @@ class FastMLP:
             self.lp_cache_builds += 1
         return specs
 
+    def _layer_plan(self, dtypes) -> list[tuple]:
+        """``(layer, dtype, operands, activation)`` of every layer.
+
+        Layer ``li`` computes at ``dtypes[li]`` (the last entry for the
+        layers past the list's end; float64 when ``dtypes`` is None) on its
+        :meth:`operands` at that dtype.  Resolved once per ``dtypes`` list and
+        cached, so a call pays one lookup instead of a dtype construction and
+        three table lookups per layer; two threads that miss together store
+        equal plans.
+        """
+        key = None if dtypes is None else tuple(dtypes)
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = []
+            for li, layer in enumerate(self.layers):
+                dt = np.dtype(np.float64 if dtypes is None else dtypes[min(li, len(dtypes) - 1)])
+                plan.append((layer, dt, self.operands(dt)[li], _activation(layer.activation)[0]))
+            self._plans[key] = plan
+        return plan
+
     # -- forward ---------------------------------------------------------------
     def forward(
         self,
@@ -175,16 +198,15 @@ class FastMLP:
         add, activation and output stay at that precision.  float64 is the
         identity case (the exported arrays, no cast), and its bits are pinned.
         """
-        x = np.atleast_2d(np.asarray(x))
-        if x.dtype not in (np.dtype(np.float32), np.dtype(np.float16)):  # reprolint: allow[dtype] dtype guard only; casts are governed by PrecisionPolicy
+        x = np.asarray(x)
+        if x.ndim < 2:
+            x = np.atleast_2d(x)
+        if x.dtype not in _REDUCED_INPUTS:
             x = x.astype(np.float64, copy=False)
         backend = backend or GemmBackend()
         tape = [] if cache is True else cache
         h = x
-        for li, layer in enumerate(self.layers):
-            dt = np.dtype(np.float64 if dtypes is None else dtypes[min(li, len(dtypes) - 1)])
-            act, _ = _activation(layer.activation)
-            operands = self.operands(dt)[li]
+        for layer, dt, operands, act in self._layer_plan(dtypes):
             h_c = h if h.dtype == dt else h.astype(dt)
             pre = backend.matmul(h_c, operands.weight, dtype=dt)
             pre += operands.bias
@@ -223,18 +245,20 @@ class FastMLP:
         if not tape:
             raise RuntimeError("forward(cache=True) must run before backward_input")
         backend = backend or GemmBackend()
-        grad = np.atleast_2d(np.asarray(grad_output))
-        if grad.dtype not in (np.dtype(np.float32), np.dtype(np.float16)):  # reprolint: allow[dtype] dtype guard only; casts are governed by PrecisionPolicy
+        grad = np.asarray(grad_output)
+        if grad.ndim < 2:
+            grad = np.atleast_2d(grad)
+        if grad.dtype not in _REDUCED_INPUTS:
             grad = grad.astype(np.float64, copy=False)
-        for li in range(len(self.layers) - 1, -1, -1):
-            layer = self.layers[li]
+        plan = self._layer_plan(dtypes)
+        for li in range(len(plan) - 1, -1, -1):
+            layer, dt, operands, _ = plan[li]
             entry = tape[li]
-            dt = np.dtype(np.float64 if dtypes is None else dtypes[min(li, len(dtypes) - 1)])
             grad_resnet = skip_gradient(layer, grad)
             grad_pre = grad * activation_slope(layer, entry)
             if param_grads is not None:
                 param_grads.append((entry["input"].T @ grad_pre, grad_pre.sum(0)))
-            grad = backend.matmul(grad_pre, self.operands(dt)[li].weight_t, dtype=dt)
+            grad = backend.matmul(grad_pre, operands.weight_t, dtype=dt)
             if grad_resnet is not None:
                 grad = grad + grad_resnet
         return grad

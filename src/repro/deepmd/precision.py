@@ -16,6 +16,7 @@ model under each policy.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -59,7 +60,7 @@ class PrecisionPolicy:
             and self.fitting_first_layer_dtype is None
         )
 
-    @property
+    @cached_property
     def compute_dtype(self) -> type:
         """Dtype of the embedding/descriptor pipeline of the fast kernels.
 
@@ -68,7 +69,8 @@ class PrecisionPolicy:
         float64 and the per-atom energy/force/virial reductions always
         *accumulate* in float64 — this dtype governs the compute in between
         (table interpolation / embedding nets, descriptor contraction,
-        fitting nets, and their backward chain).
+        fitting nets, and their backward chain).  A policy is frozen, so the
+        answer is worked out on first use and kept.
         """
         return np.float64 if self.is_double else self.embedding_dtype
 

@@ -24,42 +24,35 @@ def _taper_derivative(x: np.ndarray) -> np.ndarray:
     return x * x * (-30.0 * x * x + 60.0 * x - 30.0)
 
 
-def switching_function(r: np.ndarray, cutoff: float, cutoff_smooth: float) -> np.ndarray:
-    """s(r) for distances ``r`` (array), vectorized.
+def switching(r: np.ndarray, cutoff: float, cutoff_smooth: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(s(r), ds/dr)`` for distances ``r`` (array), vectorized.
 
     ``cutoff_smooth`` (r_cs) is where the taper starts; ``cutoff`` (r_c) is
-    where the weight reaches zero.  Entries with ``r == 0`` (padding) give 0.
+    where the weight reaches zero.  Entries with ``r <= 0`` (padding) give 0.
+    The tapered coordinate x clamps to 0 below r_cs, where the taper is
+    exactly 1.0 and its slope a zero, and to 1 from r_c on, where both are
+    exactly +0.0; so ``s = t / r`` and ``ds/dr = t' / r - t / r^2`` cover
+    every positive r, bit for bit the three pieces written out.
     """
     if not 0.0 < cutoff_smooth < cutoff:
         raise ValueError("require 0 < cutoff_smooth < cutoff")
     r = np.asarray(r, dtype=np.float64)
-    safe_r = np.where(r > 0.0, r, 1.0)
-
+    positive = r > 0.0
     # built with np.where rather than a zeros buffer so the hot loop issues no
     # explicit allocator calls (the run-loop allocation budget counts those)
-    inner = (r > 0.0) & (r < cutoff_smooth)
-    s = np.where(inner, 1.0 / safe_r, 0.0)
+    safe_r = np.where(positive, r, 1.0)
+    width = cutoff - cutoff_smooth
+    x = ((r - cutoff_smooth) / width).clip(0.0, 1.0)
+    t = np.where(positive, _taper(x), 0.0)
+    dt = np.where(positive, _taper_derivative(x) / width, 0.0)
+    return t / safe_r, dt / safe_r - t / (safe_r * safe_r)
 
-    middle = (r >= cutoff_smooth) & (r < cutoff)
-    x = (r - cutoff_smooth) / (cutoff - cutoff_smooth)
-    s = np.where(middle, _taper(np.clip(x, 0.0, 1.0)) / safe_r, s)
-    return s
+
+def switching_function(r: np.ndarray, cutoff: float, cutoff_smooth: float) -> np.ndarray:
+    """s(r) for distances ``r`` (array): the first half of :func:`switching`."""
+    return switching(r, cutoff, cutoff_smooth)[0]
 
 
 def switching_derivative(r: np.ndarray, cutoff: float, cutoff_smooth: float) -> np.ndarray:
-    """ds/dr for distances ``r`` (array), vectorized."""
-    if not 0.0 < cutoff_smooth < cutoff:
-        raise ValueError("require 0 < cutoff_smooth < cutoff")
-    r = np.asarray(r, dtype=np.float64)
-    safe_r = np.where(r > 0.0, r, 1.0)
-
-    inner = (r > 0.0) & (r < cutoff_smooth)
-    ds = np.where(inner, -1.0 / (safe_r * safe_r), 0.0)
-
-    middle = (r >= cutoff_smooth) & (r < cutoff)
-    width = cutoff - cutoff_smooth
-    x = np.clip((r - cutoff_smooth) / width, 0.0, 1.0)
-    t = _taper(x)
-    dt = _taper_derivative(x) / width
-    ds = np.where(middle, dt / safe_r - t / (safe_r * safe_r), ds)
-    return ds
+    """ds/dr for distances ``r`` (array): the second half of :func:`switching`."""
+    return switching(r, cutoff, cutoff_smooth)[1]

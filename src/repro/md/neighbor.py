@@ -177,15 +177,13 @@ def pairs_to_padded(
     serving pack builds one per batch); ``counts`` is always freshly owned.
     """
     counts = np.bincount(pairs_i, minlength=n).astype(np.int64, copy=False)
-    width = max(int(counts.max(initial=0)), 1)
+    width = max(int(np.maximum.reduce(counts, initial=0)), 1)
     neighbors = workspace.capacity("neighbors", n * width, dtype=np.int64).reshape(n, width)
     neighbors.fill(-1)
     if len(pairs_i):
-        order = np.argsort(pairs_i, kind="stable")
-        sorted_i = pairs_i[order]
-        # position of each entry within its atom's slot
-        slot = np.arange(len(sorted_i)) - (np.cumsum(counts) - counts)[sorted_i]
-        neighbors[sorted_i, slot] = pairs_j[order]
+        # grouped by atom in a stable order, the entries fill the first
+        # ``counts`` slots of each row, row after row
+        neighbors[np.arange(width) < counts[:, None]] = pairs_j[pairs_i.argsort(kind="stable")]
     return neighbors, counts
 
 
@@ -492,7 +490,7 @@ def _coincident(i: int, j: int) -> ValueError:
 
 def require_finite(values: np.ndarray, quantity: str) -> None:
     """Raise ``ValueError`` naming ``quantity`` and the first row of ``values`` holding a NaN or inf."""
-    if not np.isfinite(values).all():
+    if not np.logical_and.reduce(np.isfinite(values), axis=None):
         row = int(np.nonzero(~np.isfinite(values).all(axis=-1))[0][0])
         raise ValueError(f"{quantity} row {row} is not finite: {values[row]}")
 
@@ -570,12 +568,13 @@ def build_neighbor_data(
             touches_primary = primary[half_i] | primary[half_j]
             half_i, half_j = half_i[touches_primary], half_j[touches_primary]
         delta = box.minimum_image(positions[half_i] - positions[half_j])
-        zero = np.nonzero(np.einsum("ij,ij->i", delta, delta) == 0.0)[0]
-        if len(zero):
-            raise _coincident(half_i[zero[0]], half_j[zero[0]])
+        dist2 = np.einsum("ij,ij->i", delta, delta)
+        if not np.logical_and.reduce(dist2):
+            zero = int(dist2.argmin())  # the first zero: none is smaller
+            raise _coincident(half_i[zero], half_j[zero])
     else:
         half_i, half_j = _cell_list_pairs(positions, box, search, primary)
-    pairs = np.stack([half_i, half_j], axis=1) if len(half_i) else np.empty((0, 2), dtype=np.int64)
+    pairs = np.concatenate((half_i[:, None], half_j[:, None]), axis=1)
     return NeighborData(pairs=pairs, cutoff=cutoff, skin=skin, n_atoms=n, primary=primary)
 
 

@@ -43,7 +43,6 @@ from .box import Box
 
 __all__ = [
     "Workspace",
-    "ScopedWorkspace",
     "UNPOOLED",
     "scatter_add_vectors",
     "scatter_add_scalars",
@@ -63,26 +62,37 @@ class Workspace:
     def __init__(self) -> None:
         self._arrays: dict[str, np.ndarray] = {}
         self._capacities: dict[str, np.ndarray] = {}
-        self.hits = 0
-        self.misses = 0
+        #: the pools :meth:`scoped` hands out, by prefix
+        self._scopes: dict[str, Workspace] = {}
+        #: ``[hits, misses]``, one list shared by this pool and its scopes
+        self._counts = [0, 0]
+
+    @property
+    def hits(self) -> int:
+        return self._counts[0]
+
+    @property
+    def misses(self) -> int:
+        return self._counts[1]
 
     @property
     def nbytes(self) -> int:
-        """Bytes held by the pool: every exact-shape buffer plus every
-        grow-only backing store at its full capacity."""
-        return sum(a.nbytes for a in (*self._arrays.values(), *self._capacities.values()))
+        """Bytes held by the pool and its scopes: every exact-shape buffer
+        plus every grow-only backing store at its full capacity."""
+        own = sum(a.nbytes for a in (*self._arrays.values(), *self._capacities.values()))
+        return own + sum(scope.nbytes for scope in self._scopes.values())
 
     # -- exact-shape buffers ---------------------------------------------------
     def buffer(self, name: str, shape, dtype=np.float64) -> np.ndarray:
         """An uninitialized buffer of exactly ``shape`` (contents arbitrary)."""
-        shape = (int(shape),) if np.isscalar(shape) else tuple(int(s) for s in shape)
+        shape = tuple(map(int, shape)) if isinstance(shape, (tuple, list)) else (int(shape),)
         array = self._arrays.get(name)
-        if array is None or array.shape != shape or array.dtype != np.dtype(dtype):
+        if array is None or array.shape != shape or array.dtype != dtype:
             array = np.empty(shape, dtype=dtype)
             self._arrays[name] = array
-            self.misses += 1
+            self._counts[1] += 1
         else:
-            self.hits += 1
+            self._counts[0] += 1
         return array
 
     def zeros(self, name: str, shape, dtype=np.float64) -> np.ndarray:
@@ -105,14 +115,14 @@ class Workspace:
             backing is None
             or backing.shape[0] < length
             or backing.shape[1:] != tuple(trailing)
-            or backing.dtype != np.dtype(dtype)
+            or backing.dtype != dtype
         ):
             cap = max(length + length // 4, 1)
             backing = np.empty((cap, *trailing), dtype=dtype)
             self._capacities[name] = backing
-            self.misses += 1
+            self._counts[1] += 1
         else:
-            self.hits += 1
+            self._counts[0] += 1
         return backing[:length]
 
     def capacity_zeros(self, name: str, length: int, trailing: tuple[int, ...] = (), dtype=np.float64) -> np.ndarray:
@@ -123,49 +133,26 @@ class Workspace:
         :meth:`zeros` buffers would miss on every batch while the grow-only
         backing absorbs the jitter after warm-up.
         """
-        view = self.capacity(name, length, trailing=trailing, dtype=dtype)
+        view = self.capacity(name, length, trailing, dtype)
         view.fill(0)
         return view
 
-    def scoped(self, prefix: str) -> "ScopedWorkspace":
-        """A view of this pool with every buffer name prefixed by ``prefix``.
+    def scoped(self, prefix: str) -> "Workspace":
+        """The pool's scope ``prefix``: a pool of its own names inside this one.
 
         Consumers that share one pool from different threads (the serving
         loop and synchronous ``evaluate_batch`` callers) need disjoint
-        buffers; a scope per consumer keys them apart without a second pool
-        object or copied bookkeeping counters.
+        buffers; a scope per consumer keeps them apart by holding its own
+        buffers, so its vends format no prefixed names.  Its hits and misses
+        count on this pool's counters and its buffers in this pool's
+        :attr:`nbytes`.  Each prefix gets one scope, made on first use.
         """
-        return ScopedWorkspace(self, prefix)
-
-
-class ScopedWorkspace:
-    """A name-prefixing proxy over a :class:`Workspace`.
-
-    Implements the part of the buffer-vending surface its consumers (the
-    serving pack and evaluation) use — ``zeros``/``capacity``/
-    ``capacity_zeros``/``scoped`` — with every name rewritten to
-    ``<prefix>.<name>``, so two scopes over one pool can never collide;
-    hit/miss accounting stays on the shared parent pool.
-    """
-
-    def __init__(self, parent, prefix: str) -> None:
-        self._parent = parent
-        self.prefix = str(prefix)
-
-    def _key(self, name: str) -> str:
-        return f"{self.prefix}.{name}"
-
-    def zeros(self, name: str, shape, dtype=np.float64) -> np.ndarray:
-        return self._parent.zeros(self._key(name), shape, dtype)
-
-    def capacity(self, name: str, length: int, trailing: tuple[int, ...] = (), dtype=np.float64) -> np.ndarray:
-        return self._parent.capacity(self._key(name), length, trailing=trailing, dtype=dtype)
-
-    def capacity_zeros(self, name: str, length: int, trailing: tuple[int, ...] = (), dtype=np.float64) -> np.ndarray:
-        return self._parent.capacity_zeros(self._key(name), length, trailing=trailing, dtype=dtype)
-
-    def scoped(self, prefix: str) -> "ScopedWorkspace":
-        return ScopedWorkspace(self._parent, self._key(prefix))
+        scope = self._scopes.get(prefix)
+        if scope is None:
+            scope = Workspace()
+            scope._counts = self._counts
+            self._scopes[prefix] = scope
+        return scope
 
 
 class UnpooledWorkspace:

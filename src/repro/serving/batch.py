@@ -65,7 +65,7 @@ def check_type_space(types: np.ndarray, n_types: int, label: str) -> None:
     The per-type compaction would silently skip unknown types, serving back
     zero energies for garbage input.
     """
-    if len(types) and (types.min() < 0 or types.max() >= n_types):
+    if len(types) and (np.minimum.reduce(types, axis=None) < 0 or np.maximum.reduce(types, axis=None) >= n_types):
         raise ValueError(f"{label} has atom types outside the model's {n_types}-type space")
 
 
@@ -95,18 +95,18 @@ def pack_systems(model, systems, workspace=None) -> SystemBatch:
     steady-state serving pack performs no allocator calls after warm-up.
     Without one the batch owns freshly allocated arrays.
     """
-    workspace = UNPOOLED if workspace is None else workspace
+    pack = (UNPOOLED if workspace is None else workspace).scoped("pack")
     systems = list(systems)
     n_systems = len(systems)
     sizes = [len(atoms) for atoms, _, _ in systems]
     pair_counts = [len(neighbors.pairs) for _, _, neighbors in systems]
     n_total = sum(sizes)
-    offsets = workspace.capacity("pack.offsets", n_systems + 1, dtype=np.int64)
+    offsets = pack.capacity("offsets", n_systems + 1, dtype=np.int64)
     offsets[0] = 0
-    np.cumsum(sizes, out=offsets[1:])
+    np.add.accumulate(sizes, out=offsets[1:])
 
     def concatenated(name, arrays, length, trailing=(), dtype=np.float64):
-        out = workspace.capacity(f"pack.{name}", length, trailing=trailing, dtype=dtype)
+        out = pack.capacity(name, length, trailing=trailing, dtype=dtype)
         if arrays:
             np.concatenate(arrays, out=out)  # reprolint: allow[alloc] writes into the pooled buffer
         return out
@@ -118,11 +118,11 @@ def pack_systems(model, systems, workspace=None) -> SystemBatch:
     pairs += offsets[:-1].repeat(pair_counts)[:, None]
     # both directions of every pair, centres first: per system, the slot
     # order of its own NeighborData.neighbors table
-    nei, _ = pairs_to_padded(n_total, pairs.T.ravel(), pairs[:, ::-1].T.ravel(), workspace.scoped("pack"))
+    nei, _ = pairs_to_padded(n_total, pairs.T.ravel(), pairs[:, ::-1].T.ravel(), pack)
     system_of_atom = np.arange(n_systems).repeat(sizes)
 
     def rows(name, trailing=(), dtype=np.float64):
-        return workspace.capacity(f"pack.{name}", n_total, trailing=trailing, dtype=dtype)
+        return pack.capacity(name, n_total, trailing=trailing, dtype=dtype)
 
     config, image = model.config, _row_minimum_image(systems, system_of_atom)
     env = build_environment_rows(
@@ -140,15 +140,22 @@ def _row_minimum_image(systems, system_of_atom):
     and has its image count zeroed, so its ``d - 0.0 == d``: each row is bit
     for bit its own system's image.
     """
+    if not any(any(box.periodic) for _, box, _ in systems):
+        # every axis open: each row's ``d - 1.0 * 0.0`` is ``d`` itself
+        return _unchanged
     periodic = np.array([box.periodic for _, box, _ in systems], dtype=bool).reshape(-1, 3)
     lengths = np.array([box.lengths for _, box, _ in systems]).reshape(-1, 3)
     lengths = np.where(periodic, lengths, 1.0)[system_of_atom, None, :]
     open_axes = ~periodic[system_of_atom, None, :]
 
     def minimum_image(displacements):
-        images = np.round(displacements / lengths)
+        images = (displacements / lengths).round()
         np.copyto(images, 0.0, where=open_axes)
         displacements -= lengths * images
         return displacements
 
     return minimum_image
+
+
+def _unchanged(displacements):
+    return displacements

@@ -100,8 +100,16 @@ class TestBatchedVsGolden:
         assert slots[0, 0] == table._slot_of[(0, 0)]
         assert slots[0, 1] == table._slot_of[(0, 1)]
         np.testing.assert_array_equal(slots[types < 0], 0)  # padding maps to slot 0
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match="no table for centre type 0 and some neighbour types"):
             table.slot_index(0, np.array([5]))
+
+    def test_slot_index_refuses_a_pair_without_a_table(self):
+        """A type inside the table's type space whose (centre, neighbour) net was not tabulated."""
+        nets = init_nets([(0, 0), (1, 1)], 1, (4, 8), rng=5)
+        table = TabulatedEmbeddingSet(nets, s_max=2.0, n_points=16)
+        np.testing.assert_array_equal(table.slot_index(1, np.array([1, -1, 1])), [table._slot_of[(1, 1)], 0, table._slot_of[(1, 1)]])
+        with pytest.raises(KeyError, match="no table for centre type 1 and some neighbour types"):
+            table.slot_index(1, np.array([1, 0, -1]))
 
     def test_model_compressed_evaluation_unchanged_by_batching(self, tiny_water_model):
         """The model-level compressed path (batched) agrees with evaluating

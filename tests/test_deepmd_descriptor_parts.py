@@ -93,6 +93,13 @@ class TestEnvironmentMatrix:
         env = build_local_environment(atoms, box, neighbors, cutoff=4.0, cutoff_smooth=3.0, max_neighbors=80)
         assert np.all(env.distances[env.mask > 0] <= 4.0 + 1e-12)
 
+    @pytest.mark.parametrize("cutoff, cutoff_smooth", [(4.5, 4.5), (4.5, 5.0), (4.5, 0.0), (0.0, -1.0)])
+    def test_bad_switching_radii_are_refused(self, small_copper, cutoff, cutoff_smooth):
+        atoms, box = small_copper
+        neighbors = build_neighbor_data(atoms.positions, box, 4.5)
+        with pytest.raises(ValueError, match=r"require 0 < cutoff_smooth < cutoff"):
+            build_local_environment(atoms, box, neighbors, cutoff, cutoff_smooth, 60)
+
     def test_suggested_max_neighbors_covers_actual(self, small_copper):
         atoms, box = small_copper
         neighbors = build_neighbor_data(atoms.positions, box, 4.5)
@@ -125,8 +132,12 @@ class TestGemmBackend:
 
     def test_invalid_inputs(self):
         backend = GemmBackend()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"inner dimensions mismatch: \(2, 3\) x \(4, 5\)"):
             backend.matmul(np.ones((2, 3)), np.ones((4, 5)))
+        for a, b in ((np.ones(3), np.ones((3, 2))), (np.ones((2, 3)), np.ones(3)), (np.ones((1, 2, 3)), np.ones((3, 2)))):
+            with pytest.raises(ValueError, match="GemmBackend.matmul expects 2-D operands"):
+                backend.matmul(a, b)
+        assert backend.stats.calls == 0
 
     def test_reset_stats(self):
         backend = GemmBackend()

@@ -203,8 +203,10 @@ PRICING_SETTABLE_VALUES = 127
 #: ``native_out``: every product comes back at its compute dtype), the
 #: engine's forward halo always writes into the executor's sinks (its
 #: ``sinks=None`` allocating branch never ran) and ``ScopedWorkspace.buffer``,
-#: which no scoped consumer calls, went.
-EXECUTION_SETTABLE_VALUES = 304
+#: which no scoped consumer calls, went.  304 -> 299 when ``ScopedWorkspace``
+#: went: a scope is a ``Workspace`` of its own names that shares its parent's
+#: counters, so the proxy's five defaulted parameters left with it.
+EXECUTION_SETTABLE_VALUES = 299
 EXECUTION_PACKAGES = ("md", "deepmd", "parallel", "serving", "training", "utils")
 PRICING_PACKAGES = ("perfmodel", "core")
 

@@ -7,6 +7,8 @@ threaded engine with many concurrent clients and mixed request kinds.
 """
 
 import hashlib
+import inspect
+import os
 import sys
 import threading
 import time
@@ -16,9 +18,12 @@ from concurrent.futures import CancelledError
 import numpy as np
 import pytest
 from blas_kernel import kernel_note
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro
 from repro.deepmd import AccuracyWarning, DeepPotential, DeepPotentialConfig
-from repro.deepmd.envmat import LocalEnvironment
+from repro.deepmd.envmat import LocalEnvironment, build_local_environment
 from repro.deepmd.precision import MIX_FP32
 from repro.md.atoms import Atoms
 from repro.md.box import Box
@@ -190,9 +195,86 @@ class TestPacking:
         assert ws.misses == misses
 
 
+#: A two-type model with a small neighbour budget, so generated systems reach
+#: the type grouping and the truncation branch of the environment build.
+_TWO_TYPES = DeepPotentialConfig(
+    type_names=("A", "B"),
+    cutoff=4.5,
+    cutoff_smooth=3.5,
+    embedding_sizes=(4, 8),
+    axis_neurons=2,
+    fitting_sizes=(8,),
+    max_neighbors=8,
+    seed=13,
+)
+
+
+@st.composite
+def _packable_system(draw):
+    """A 1-14 atom system in a periodic, open, infinitely open or slab box.
+
+    Atoms sit on distinct jittered sites of a 4 x 4 x 4 grid 1.8 A apart, so
+    dense draws overflow the 8-neighbour budget; a periodic length of
+    9.2-10 A brings the far faces' images inside the cutoff but never closer
+    than 3 A, every atom is inside every open axis of finite length, and
+    along an infinite axis the cluster is shifted far from the origin.
+    """
+    kind = draw(st.sampled_from(["periodic", "open", "infinite", "slab"]))
+    n = draw(st.integers(1, 14))
+    seed = draw(st.integers(0, 2**32 - 1))
+    r = np.random.default_rng(seed)
+    sites = r.choice(64, size=n, replace=False)
+    positions = np.stack(np.unravel_index(sites, (4, 4, 4)), axis=1) * 1.8 + 0.6
+    positions += r.uniform(-0.25, 0.25, size=(n, 3))
+    lengths = r.uniform(9.2, 10.0, size=3)
+    if kind == "infinite":
+        box = Box(np.full(3, np.inf), (False,) * 3)
+        positions += r.uniform(-500.0, 500.0, size=3)
+    else:
+        box = Box(lengths, {"periodic": (True,) * 3, "open": (False,) * 3, "slab": (True, True, False)}[kind])
+    types = r.integers(0, 2, size=n)
+    return Atoms(positions=positions, types=types, masses=np.ones(n)), box
+
+
+class TestPackProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(draws=st.lists(_packable_system(), min_size=1, max_size=5))
+    def test_each_system_packs_to_its_own_environment(self, draws):
+        """Every packed row is bit for bit the row its system's own
+        ``build_local_environment`` gives, neighbour indices shifted by the
+        system's offset, whatever boxes share the batch."""
+        model = DeepPotential(_TWO_TYPES)
+        config = model.config
+        systems = [prepare_system(model, atoms, box) for atoms, box in draws]
+        batch = pack_systems(model, systems, workspace=Workspace())
+        for s, (atoms, box, neighbors) in enumerate(systems):
+            own = build_local_environment(
+                atoms, box, neighbors, config.cutoff, config.cutoff_smooth, config.max_neighbors
+            )
+            rows = batch.system_slice(s)
+            for name in _ENV_FIELDS:
+                expected = getattr(own, name)
+                if name == "neighbor_indices":
+                    expected = np.where(expected >= 0, expected + rows.start, -1)
+                np.testing.assert_array_equal(getattr(batch.env, name)[rows], expected, err_msg=name)
+        assert batch.env.max_in_cutoff == max(
+            build_local_environment(a, b, nd, config.cutoff, config.cutoff_smooth, config.max_neighbors).max_in_cutoff
+            for a, b, nd in systems
+        )
+
+
 # ---------------------------------------------------------------------------
 # Fused batched evaluation vs. the serial golden reference
 # ---------------------------------------------------------------------------
+
+
+#: sha256 over the energies, forces, virials and per-atom energies that
+#: ``ServingEngine.evaluate_batch`` returns for three batches (widths 1, 3 and
+#: 32) of seeded 4-12-atom open-box clusters, compressed, per precision.
+SERVED_BATCH_SHA256 = {
+    "double": "61b54484d3b8e899980560ec3dd59a59905611fb3b1ddf571645648dff237803",
+    "mix-fp32": "47739b98f53c440ce066814e0f0aead926b35f0a3c1c000ba0f85057f7ccf916",
+}
 
 
 class TestBatchedParity:
@@ -301,17 +383,96 @@ class TestBatchedParity:
             np.testing.assert_allclose(got.forces, ref.forces, atol=PARITY_ATOL)
             np.testing.assert_allclose(got.virial, ref.virial, atol=PARITY_ATOL)
 
+    @pytest.mark.blas_bound
+    @pytest.mark.parametrize("precision", sorted(SERVED_BATCH_SHA256))
+    def test_served_batch_bits_are_pinned(self, serving_model, precision):
+        """sha256 of everything evaluate_batch returns for serve_open-style
+        clusters (4-12 atoms, compressed) at widths 1, 3 and 32."""
+        sizes = np.random.default_rng(52).integers(4, 13, size=1 + 3 + 32)
+        clusters = [prepare_system(serving_model, *_cluster(int(n), 5200 + i)) for i, n in enumerate(sizes)]
+        engine = ServingEngine(serving_model, precision=precision)
+        digest = hashlib.sha256()
+        for lo, hi in ((0, 1), (1, 4), (4, 36)):
+            out = engine.evaluate_batch(clusters[lo:hi])
+            for array in (out.energies, out.forces, out.virials, out.per_atom_energy):
+                digest.update(np.ascontiguousarray(array, dtype=np.float64).tobytes())
+        assert digest.hexdigest() == SERVED_BATCH_SHA256[precision], kernel_note()
+
     def test_evaluate_many_validates_inputs(self, serving_model):
         systems = _mixed_systems(serving_model)
         batch = pack_systems(serving_model, systems)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="system_of_atom must hold one system index per packed atom"):
             serving_model.evaluate_many(
                 batch.env, batch.system_of_atom[:-1], batch.offsets
             )
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"offsets must be a \(S \+ 1,\) cumulative atom-count array"):
             serving_model.evaluate_many(
                 batch.env, batch.system_of_atom, batch.offsets[:-1]
             )
+        with pytest.raises(ValueError, match=r"offsets must be a \(S \+ 1,\) cumulative atom-count array"):
+            serving_model.evaluate_many(batch.env, batch.system_of_atom, np.zeros(0, dtype=np.int64))
+
+
+# ---------------------------------------------------------------------------
+# The per-batch floor: calls made for one width-1 batch
+# ---------------------------------------------------------------------------
+
+#: Calls one warm width-1 batch makes from ``repro`` code, prepare to split
+#: (see :func:`_calls_from_repro`).  The pack/evaluate path that served
+#: serve_open before its per-call floor was cut made 378 + 233.
+CALL_BUDGET = {"python": 171, "c": 188}
+
+
+def _calls_from_repro(fn) -> dict:
+    """The calls one run of ``fn`` makes from ``repro`` frames.
+
+    ``python`` counts each Python function entered from a ``repro`` frame (a
+    generator once, when first entered, not at every resumption), NumPy's
+    Python-level wrappers included; ``c`` counts the C functions ``repro``
+    frames call (``sys.setprofile``'s ``c_call`` events).  Both are counts of
+    work, not of time, so they read the same on any host.
+    """
+    root = os.path.dirname(repro.__file__) + os.sep
+    counts = {"python": 0, "c": 0}
+    entered: list = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            caller = frame.f_back
+            if caller is None or not caller.f_code.co_filename.startswith(root):
+                return
+            if frame.f_code.co_flags & inspect.CO_GENERATOR:
+                if any(seen is frame for seen in entered):
+                    return
+                entered.append(frame)
+            counts["python"] += 1
+        elif event == "c_call" and frame.f_code.co_filename.startswith(root):
+            counts["c"] += 1
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return counts
+
+
+class TestPerBatchFloor:
+    def test_one_width1_batch_stays_inside_its_call_budget(self, serving_model):
+        """A warm serve_open-style batch of one 9-atom cluster, from
+        ``prepare_system`` to ``split``, makes no more calls than budgeted."""
+        atoms, box = _cluster(9, 52)
+        engine = ServingEngine(serving_model)
+
+        def batch():
+            return engine.evaluate_batch([prepare_system(serving_model, atoms, box)]).split()
+
+        batch()
+        batch()  # every cache, plan and pool buffer exists from here on
+        counts = _calls_from_repro(batch)
+        assert counts["python"] <= CALL_BUDGET["python"] and counts["c"] <= CALL_BUDGET["c"], (
+            f"one width-1 batch made {counts} calls from repro frames, budget {CALL_BUDGET}"
+        )
 
 
 # ---------------------------------------------------------------------------
